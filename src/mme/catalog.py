@@ -78,15 +78,25 @@ def parse_param(ctx, value):
         for sgn, t in tokens:
             if not t:
                 raise MapError("empty term in parameter %r" % value)
-            if t.endswith("*w") or t.endswith("w"):
-                scal = t[:-2] if t.endswith("*w") else t[:-1]
-                coef = ctx.from_rational(Fraction(scal)) if scal else ctx.one
-                part = coef * gen
-            else:
-                part = ctx.from_rational(Fraction(t))
+            try:
+                if t.endswith("*w") or t.endswith("w"):
+                    scal = t[:-2] if t.endswith("*w") else t[:-1]
+                    coef = ctx.from_rational(Fraction(scal)) if scal else ctx.one
+                    part = coef * gen
+                else:
+                    part = ctx.from_rational(Fraction(t))
+            except (ValueError, ZeroDivisionError):
+                raise MapError("bad term %r in parameter %r" % (t, value)) from None
             total = total + part if sgn > 0 else total - part
         return total
     return ctx._coerce(value)
+
+
+def _int_param(params, name, default):
+    try:
+        return int(params.get(name, default))
+    except (TypeError, ValueError):
+        raise MapError("parameter %s must be an integer, got %r" % (name, params[name])) from None
 
 
 def _chebyshev_flower(params):
@@ -116,8 +126,8 @@ def _chebyshev_flower(params):
 
 
 def _zieve_family(params):
-    n = int(params.get("n", 2))
-    m = int(params.get("m", 1))
+    n = _int_param(params, "n", 2)
+    m = _int_param(params, "m", 1)
     if n < 1 or m < 1:
         raise MapError("zieve-family requires n, m >= 1")
     ctx = FieldContext.rationals()
@@ -144,7 +154,7 @@ def _zieve_family(params):
 
 
 def _power_map(params):
-    d = int(params.get("d", 2))
+    d = _int_param(params, "d", 2)
     if d < 2:
         raise MapError("power-map requires d >= 2")
     ctx = FieldContext.rationals()
@@ -158,11 +168,24 @@ def _power_map(params):
     )
 
 
+def _coeffs_param(value):
+    """Ascending coefficients: a list, or a string like '1,0,1' from the CLI."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return [Fraction(c) for c in value.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise MapError("bad coefficient list %r" % value) from None
+
+
 def _quadratic_sigma(params):
     ctx = FieldContext.rationals()
     x = Poly.x(ctx)
     if "num" in params or "den" in params:
-        f = RationalMap(Poly(ctx, params["num"]), Poly(ctx, params["den"]))
+        if "num" not in params or "den" not in params:
+            raise MapError("quadratic-sigma takes num and den together")
+        f = RationalMap(Poly(ctx, _coeffs_param(params["num"])),
+                        Poly(ctx, _coeffs_param(params["den"])))
         if f.degree != 2:
             raise MapError("quadratic-sigma requires a degree-2 map")
     else:
@@ -176,18 +199,26 @@ def _quadratic_sigma(params):
     )
 
 
+# entry name -> (builder, parameter names it reads)
 _BUILDERS = {
-    "chebyshev-flower": _chebyshev_flower,
-    "zieve-family": _zieve_family,
-    "power-map": _power_map,
-    "quadratic-sigma": _quadratic_sigma,
+    "chebyshev-flower": (_chebyshev_flower, ("a",)),
+    "zieve-family": (_zieve_family, ("n", "m")),
+    "power-map": (_power_map, ("d",)),
+    "quadratic-sigma": (_quadratic_sigma, ("num", "den")),
 }
 
 
 def entry(name, params=None):
     if name not in _BUILDERS:
         raise MapError("unknown catalog entry %r (have: %s)" % (name, ", ".join(ENTRY_NAMES)))
-    return _BUILDERS[name](params or {})
+    build, known = _BUILDERS[name]
+    params = params or {}
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise MapError(
+            "unknown parameter %s for %s (takes: %s)" % (", ".join(unknown), name, ", ".join(known))
+        )
+    return build(params)
 
 
 def iterate_square_identity_check(a):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -201,6 +202,8 @@ def _cmd_catalog(args):
         raise UsageError("catalog run needs an entry name")
     params = {}
     for item in args.param or []:
+        if "=" not in item:
+            raise UsageError("--param expects name=value, got %r" % item)
         key, _, value = item.partition("=")
         params[key.strip()] = value.strip()
     e = entry(args.name, params)
@@ -327,9 +330,25 @@ def build_parser():
     return ap
 
 
+def _join_field_values(argv):
+    """Rewrite '--field -2,0,0,1' as '--field=-2,0,0,1'.
+
+    argparse takes a value that starts with '-' and is not a plain number
+    for an option, so a minimal polynomial with a negative coefficient in
+    front would otherwise need the '=' form.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--field" and re.match(r"-[\d.]", arg):
+            out[-1] = "--field=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_field_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (UsageError, ParseError, MapError, FieldError, SizeBudgetError,

@@ -20,11 +20,14 @@ from scipy.optimize import linear_sum_assignment
 from .numeric import (
     INF,
     ConsistencyError,
+    RootFindingError,
     chordal,
+    chordal_matrix,
     is_inf,
     min_pairwise_chordal,
     named_rng,
     projective_roots,
+    projective_roots_batch,
     rationalize_into_field,
 )
 from .polys import BiPoly, Poly, graph_bipoly
@@ -42,16 +45,6 @@ class TrackingError(RuntimeError):
 
 class BasepointError(RuntimeError):
     pass
-
-
-def local_degree(eg_x, eg_y):
-    """Local degree of the projection of the component to the x-line.
-
-    eg_x, eg_y are the local degrees of G at x and y with G(x) = G(y).
-    """
-    if eg_x < 1 or eg_y < 1:
-        raise ValueError("local degrees must be positive")
-    return eg_y // math.gcd(eg_x, eg_y)
 
 
 @dataclass
@@ -296,7 +289,7 @@ def _choose_basepoint(curve):
 def fiber_at(curve, x0):
     """The d points y with G(y) = G(x0), as roots in y of P(x0, y)."""
     d = curve.degree
-    fiber = _solve_fiber(curve.fiber_matrix(), x0, d)
+    fiber = projective_roots(_fiber_coeffs(curve.fiber_matrix(), [x0])[0], d)
     if min_pairwise_chordal(fiber) < 10 * MATCH_TOL:
         raise TrackingError("fiber is nearly degenerate: x0 too close to the branch locus")
     if not any(chordal(y, x0) < MATCH_TOL for y in fiber):
@@ -304,10 +297,12 @@ def fiber_at(curve, x0):
     return fiber
 
 
-def _solve_fiber(matrix, x0, d):
-    powers = x0 ** np.arange(matrix.shape[0])
-    coeffs = powers @ matrix
-    return projective_roots(coeffs, d)
+def _fiber_coeffs(matrix, xs):
+    """Coefficients in y of P(x, y) at each abscissa, one row per x."""
+    powers = np.asarray(xs, dtype=complex)[:, None] ** np.arange(matrix.shape[0])
+    # a stack of row-times-matrix products rounds like each product alone;
+    # one matrix-matrix product would not
+    return np.matmul(powers[:, None, :], matrix)[:, 0, :]
 
 
 # -- loops and tracking ----------------------------------------------------------------
@@ -365,44 +360,106 @@ def _plan_loops(curve, seed):
     raise BasepointError("could not lay out non-overlapping loops; rescale the map")
 
 
-def _track_polyline(matrix, d, waypoints, fiber):
-    """Continue the fiber along a polyline by re-solving and matching."""
-    lengths = [abs(b - a) for a, b in zip(waypoints, waypoints[1:])]
-    total = sum(lengths)
-    step0 = total / 64.0
-    fiber = list(fiber)
-    for (a, b), seg_len in zip(zip(waypoints, waypoints[1:]), lengths):
-        if seg_len == 0:
-            continue
-        h0 = min(1.0, step0 / seg_len)
-        t, h = 0.0, h0
-        clean = 0
-        while t < 1.0 - 1e-15:
-            h = min(h, 1.0 - t)
-            x_new = a + (t + h) * (b - a)
-            new_fiber = _solve_fiber(matrix, x_new, d)
-            cost = np.array([[chordal(p, q) for q in new_fiber] for p in fiber])
-            rows, cols = linear_sum_assignment(cost)
-            moved = cost[rows, cols].max()
-            sep = min_pairwise_chordal(new_fiber)
-            if moved >= 0.4 * sep:
-                h /= 2.0
-                clean = 0
-                if h * seg_len < 1e-12:
-                    raise TrackingError("path-tracking step underflow")
+def _walk(legs, fiber):
+    """One path of the lockstep tracker, as a generator.
+
+    A path is a list of polylines (legs) followed one after another; the
+    step size restarts at each leg.  For every attempted step the walk
+    yields (abscissa, current fiber) and is sent back (new fiber, chordal
+    cost matrix current x new, separation of the new fiber).  Returns the
+    fiber at the end of each leg.
+    """
+    ends = []
+    for waypoints in legs:
+        lengths = [abs(b - a) for a, b in zip(waypoints, waypoints[1:])]
+        step0 = sum(lengths) / 64.0
+        for (a, b), seg_len in zip(zip(waypoints, waypoints[1:]), lengths):
+            if seg_len == 0:
                 continue
-            fiber = [new_fiber[c] for c in cols[np.argsort(rows)]]
-            t += h
-            clean += 1
-            if clean >= 4:
-                h = min(2 * h, h0)
-                clean = 0
-    return fiber
+            h0 = min(1.0, step0 / seg_len)
+            t, h = 0.0, h0
+            clean = 0
+            while t < 1.0 - 1e-15:
+                h = min(h, 1.0 - t)
+                new_fiber, cost, sep = yield a + (t + h) * (b - a), fiber
+                rows, cols = linear_sum_assignment(cost)
+                moved = cost[rows, cols].max()
+                if moved >= 0.4 * sep:
+                    h /= 2.0
+                    clean = 0
+                    if h * seg_len < 1e-12:
+                        raise TrackingError("path-tracking step underflow")
+                    continue
+                # rows is 0..d-1 in order for a square cost matrix
+                fiber = [new_fiber[c] for c in cols]
+                t += h
+                clean += 1
+                if clean >= 4:
+                    h = min(2 * h, h0)
+                    clean = 0
+        ends.append(fiber)
+    return ends
+
+
+def _track(matrix, d, fiber, paths):
+    """Continue ``fiber`` along every path (a list of legs) in lockstep.
+
+    Each round solves the fibers at the next abscissa of every active path
+    in one batched root solve; each path then matches, accepts or halves its
+    step exactly as it would alone.  Returns per path the fibers at the ends
+    of its legs, or the TrackingError or RootFindingError that stopped it.
+    Callers raise errors in path order, so the paths after a failed one are
+    dropped (None).
+    """
+    walks = [_walk(legs, fiber) for legs in paths]
+    outcomes = [None] * len(walks)
+    pending = {}  # path index -> (abscissa, current fiber), in path order
+    cut = len(walks)  # the first failed path; later ones are dropped
+
+    def fail(k, exc):
+        nonlocal cut
+        outcomes[k], cut = exc, k
+        for j in [j for j in pending if j > k]:
+            del pending[j]
+
+    def send(k, message):
+        if k > cut:
+            return
+        try:
+            pending[k] = walks[k].send(message)
+        except StopIteration as stop:
+            outcomes[k] = stop.value
+        except TrackingError as exc:
+            fail(k, exc)
+
+    def advance(keys, steps):
+        try:
+            new = projective_roots_batch(_fiber_coeffs(matrix, [x for x, _f in steps]), d)
+        except RootFindingError as exc:
+            if len(keys) == 1:
+                fail(keys[0], exc)
+            else:
+                # solve the round path by path to find the paths that fail
+                for k, step in zip(keys, steps):
+                    if k < cut:
+                        advance([k], [step])
+            return
+        cost = chordal_matrix([f for _x, f in steps], new)
+        sep = min_pairwise_chordal(new)
+        for i, k in enumerate(keys):
+            send(k, (new[i], cost[i], sep[i]))
+
+    for k in range(len(walks)):
+        send(k, None)
+    while pending:
+        keys = list(pending)
+        advance(keys, [pending.pop(k) for k in keys])
+    return outcomes
 
 
 def _match_permutation(end_fiber, base_fiber):
     """perm[i] = j: the sheet that started at i ends at base sheet j."""
-    cost = np.array([[chordal(p, q) for q in base_fiber] for p in end_fiber])
+    cost = chordal_matrix(end_fiber, base_fiber)
     rows, cols = linear_sum_assignment(cost)
     perm = [0] * len(base_fiber)
     for i, j in zip(rows, cols):
@@ -438,11 +495,12 @@ def monodromy(curve):
     plan = _plan_loops(curve, curve.seed)
     x0 = plan.waypoints[0][0] if plan.waypoints else curve.basepoint
     base_fiber = fiber_at(curve, x0)
-    matrix = curve.fiber_matrix()
+    paths = [[wp] for wp in plan.waypoints]
     perms = []
-    for wp in plan.waypoints:
-        end = _track_polyline(matrix, d, wp, base_fiber)
-        perms.append(_match_permutation(end, base_fiber))
+    for ends in _track(curve.fiber_matrix(), d, base_fiber, paths):
+        if isinstance(ends, Exception):
+            raise ends
+        perms.append(_match_permutation(ends[-1], base_fiber))
     _check_sphere_relation(d, perms, plan.order)
     diag = [i for i, y in enumerate(base_fiber) if chordal(y, x0) < MATCH_TOL]
     if len(diag) != 1:
@@ -506,28 +564,53 @@ def _verify_cycle_types(curve, mon):
             )
 
 
-def _circle_samples(curve, mon, n_samples):
-    """Fiber continuation around the basepoint circle, in base-sheet order.
+def _x_degree_samples(d):
+    return 2 * d + 3
 
-    Returns (xs, fibers) where fibers[k][i] is the continuation of base
-    sheet i at abscissa xs[k].  The circle encloses every branch point, so
-    the final return must match the identity permutation.
+
+def _reconstruction_samples(r, d):
+    return 2 * (r + d) + 7
+
+
+def _track_circles(curve, mon, sizes):
+    """Fiber continuation around the basepoint circles with the given sample
+    counts, tracked in one lockstep run.
+
+    Returns {n: (xs, fibers)}, where fibers[k][i] is the continuation of
+    base sheet i at abscissa xs[k], or {n: error} for a circle that failed.
+    A circle of n samples is n chords, each followed as its own leg.  The
+    circle encloses every branch point, so its end fiber must match the base
+    fiber by the identity permutation.  ``sizes`` come in the order the
+    circles are used; the circles after one that fails tracking are left out.
     """
+    sizes = list(dict.fromkeys(sizes))
     c, R = curve.base_center, curve.base_radius
     x0 = mon.loop_plan.waypoints[0][0]
     phi0 = np.angle(x0 - c)
-    xs = [c + R * np.exp(1j * (phi0 + 2 * np.pi * k / n_samples)) for k in range(n_samples + 1)]
-    matrix = curve.fiber_matrix()
-    d = curve.degree
-    fiber = list(mon.fiber)
-    out_x, out_f = [], []
-    for a, b in zip(xs, xs[1:]):
-        out_x.append(a)
-        out_f.append(list(fiber))
-        fiber = _track_polyline(matrix, d, [a, b], fiber)
-    if _match_permutation(fiber, mon.fiber) != tuple(range(d)):
-        raise ConsistencyError("circle of basepoints does not return to the identity")
-    return out_x, out_f
+    grids = [
+        [c + R * np.exp(1j * (phi0 + 2 * np.pi * k / n)) for k in range(n + 1)] for n in sizes
+    ]
+    paths = [[[a, b] for a, b in zip(xs, xs[1:])] for xs in grids]
+    outcomes = _track(curve.fiber_matrix(), curve.degree, mon.fiber, paths)
+    identity = tuple(range(curve.degree))
+    circles = {}
+    for n, xs, ends in zip(sizes, grids, outcomes):
+        if ends is None:
+            break
+        if isinstance(ends, Exception):
+            circles[n] = ends
+        elif _match_permutation(ends[-1], mon.fiber) != identity:
+            circles[n] = ConsistencyError("circle of basepoints does not return to the identity")
+        else:
+            circles[n] = (xs[:-1], [list(mon.fiber)] + ends[:-1])
+    return circles
+
+
+def _circle_samples(circle):
+    """The (xs, fibers) of a tracked circle; raises the error that stopped it."""
+    if isinstance(circle, Exception):
+        raise circle
+    return circle
 
 
 def _x_degree_from_samples(curve, orbit, xs, fibers):
@@ -564,15 +647,19 @@ def _x_degree_from_samples(curve, orbit, xs, fibers):
     return None
 
 
-def components(curve, mon, check_x_degree=True):
+def components(curve, mon, circle=None):
+    """Component certificates from the monodromy orbits.
+
+    ``circle`` is the outcome of the 2d+3 basepoint circle (see
+    :func:`_track_circles`) for the x-degree check; None skips that check.
+    """
     d = curve.degree
     orbs = _orbits(d, mon.permutations)
     if sum(len(o) for o in orbs) != d:
         raise ConsistencyError("orbit sizes do not sum to the degree")
     _verify_cycle_types(curve, mon)
-    if check_x_degree:
-        n_samples = 2 * d + 3
-        xs, fibers = _circle_samples(curve, mon, n_samples)
+    if circle is not None:
+        xs, fibers = _circle_samples(circle)
     certs = []
     for orbit in orbs:
         r = len(orbit)
@@ -588,7 +675,7 @@ def components(curve, mon, check_x_degree=True):
         if genus < 0:
             raise ConsistencyError("negative genus computed for a component")
         r2 = r
-        if check_x_degree:
+        if circle is not None:
             r2 = _x_degree_from_samples(curve, orbit, xs, fibers)
             if r2 is None or r2 != r:
                 raise ConsistencyError(
@@ -614,27 +701,25 @@ def components(curve, mon, check_x_degree=True):
 # -- exact reconstruction --------------------------------------------------------------
 
 
-def reconstruct_component(curve, cert, mon=None, max_den=10**6):
+def reconstruct_component(curve, cert, circle, max_den=10**6):
     """Exact factor of P matching the component, or None.
 
-    The orbit's sheets are sampled at circle abscissas (mapped back to the
-    original chart), and L(x) * prod(y - y_i(x)) is interpolated per
-    y-coefficient, where L is P's exact leading coefficient in y.  That
-    product is polynomial in x even for maps whose factors are not monic
-    in y; the spurious content L/l_o is removed by an exact gcd.  The
-    candidate is accepted only on exact divisibility; any failure leaves
-    the certificate numeric-only.
+    ``circle`` is the outcome of the 2(r+d)+7 basepoint circle (see
+    :func:`_track_circles`); the diagonal needs none.  The orbit's sheets
+    are sampled at circle abscissas (mapped back to the original chart),
+    and L(x) * prod(y - y_i(x)) is interpolated per y-coefficient, where L
+    is P's exact leading coefficient in y.  That product is polynomial in x
+    even for maps whose factors are not monic in y; the spurious content
+    L/l_o is removed by an exact gcd.  The candidate is accepted only on
+    exact divisibility; any failure leaves the certificate numeric-only.
     """
     ctx = curve.G.ctx
     if cert.is_diagonal:
         poly = BiPoly(ctx, [[ctx.zero, -ctx.one], [ctx.one, ctx.zero]])
         return poly if curve.P.divide_exact(poly) is not None else None
-    if mon is None:
-        mon = monodromy(curve)
     r, d = cert.r, curve.degree
     deg_x = r + d  # degree bound of the L-multiplied coefficients
-    n = 2 * deg_x + 7
-    xs, fibers = _circle_samples(curve, mon, n)
+    xs, fibers = _circle_samples(circle)
     sigma = curve.chart
     samples = []
     for x, fib in zip(xs, fibers):
@@ -725,10 +810,22 @@ def analyze(G, seed=0, reconstruct=True, check_x_degree=True, retries=3):
             last = exc
     else:
         raise last
-    certs = components(curve, mon, check_x_degree=check_x_degree)
+    # every basepoint circle the steps below use, in the order they use
+    # them (components come in orbit order), tracked in one lockstep run
+    d = curve.degree
+    sizes = [_x_degree_samples(d)] if check_x_degree else []
+    if reconstruct:
+        sizes += [
+            _reconstruction_samples(len(orbit), d)
+            for orbit in _orbits(d, mon.permutations)
+            if mon.diagonal_index not in orbit
+        ]
+    circles = _track_circles(curve, mon, sizes)
+    certs = components(curve, mon, circles.get(_x_degree_samples(d)) if check_x_degree else None)
     if reconstruct:
         for cert in certs:
-            cert.exact_poly = reconstruct_component(curve, cert, mon=mon)
+            circle = circles.get(_reconstruction_samples(cert.r, d))
+            cert.exact_poly = reconstruct_component(curve, cert, circle)
         _verify_factorization(curve, certs)
     report = {
         "degree": curve.degree,

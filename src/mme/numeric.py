@@ -66,6 +66,12 @@ def sphere_unlift(p):
     return complex(x * s, y * s)
 
 
+# default scaled-residual bound of certified roots, and the relative size
+# below which a leading coefficient counts as zero (a root at infinity)
+RESIDUAL_TOL = 1e-10
+INF_TOL = 1e-13
+
+
 class RootFindingError(RuntimeError):
     """Raised when roots cannot be certified to the requested residual."""
 
@@ -74,36 +80,80 @@ class ConsistencyError(RuntimeError):
     """A cross-check between two routes to the same quantity failed."""
 
 
-def _newton_refine(coeffs_desc, roots, iters=8):
-    """Monotone Newton: a step is kept only if it lowers the residual.
+def _polyval_rows(coeffs, x):
+    """np.polyval row by row: coeffs (L, n + 1) descending, x (L, m)."""
+    # each coefficient spread to the shape of x: same-shape operands take
+    # numpy's fast elementwise loop, which a broadcast column does not
+    columns = np.repeat(coeffs.T[:, :, None], x.shape[1], axis=2)
+    y = np.zeros_like(x)
+    for column in columns:
+        y = y * x + column
+    return y
 
-    Plain Newton diverges near multiple roots, where np.roots output is
-    already as good as it gets; monotone acceptance keeps those roots put.
+
+def _newton_refine(coeffs, roots, iters=8):
+    """Monotone Newton on rows: a step is kept only if it lowers the residual.
+
+    ``coeffs`` (L, n + 1) descending, ``roots`` (L, n).  Returns the roots
+    and their residuals |p(root)|.  Plain Newton diverges near multiple
+    roots, where np.roots output is already as good as it gets; monotone
+    acceptance keeps those roots put.  Once an iteration keeps no step,
+    every later one would repeat it exactly, so the loop stops there.
     """
-    dcoeffs = np.polyder(coeffs_desc)
-    best = np.abs(np.polyval(coeffs_desc, roots))
+    n = coeffs.shape[1] - 1
+    dcoeffs = coeffs[:, :-1] * np.arange(n, 0, -1)
+    vals = _polyval_rows(coeffs, roots)
+    best = np.abs(vals)
     for _ in range(iters):
-        ders = np.polyval(dcoeffs, roots)
+        ders = _polyval_rows(dcoeffs, roots)
         mask = np.abs(ders) > 1e-300
         step = np.zeros_like(roots, dtype=complex)
-        vals = np.polyval(coeffs_desc, roots)
         step[mask] = vals[mask] / ders[mask]
         cand = roots - step
-        cand_res = np.abs(np.polyval(coeffs_desc, cand))
+        cand_vals = _polyval_rows(coeffs, cand)
+        cand_res = np.abs(cand_vals)
         keep = cand_res < best
+        if not keep.any():
+            break
         roots = np.where(keep, cand, roots)
+        vals = np.where(keep, cand_vals, vals)
         best = np.where(keep, cand_res, best)
-    return roots
+    return roots, best
 
 
-def _residuals(coeffs_desc, roots):
-    scale = np.max(np.abs(coeffs_desc))
-    vals = np.abs(np.polyval(coeffs_desc, roots))
-    denom = scale * np.maximum(1.0, np.abs(roots)) ** (len(coeffs_desc) - 1)
-    return vals / denom
+def _residuals(coeffs, roots, absvals=None):
+    """Scaled residuals of ``roots`` (L, n) of the rows of ``coeffs`` (L, n + 1)."""
+    if absvals is None:
+        absvals = np.abs(_polyval_rows(coeffs, roots))
+    scale = np.abs(coeffs).max(axis=1, keepdims=True)
+    denom = scale * np.maximum(1.0, np.abs(roots)) ** (coeffs.shape[1] - 1)
+    return absvals / denom
 
 
-def certified_roots(coeffs, residual_tol=1e-10, refine=True):
+def _companion_roots(desc):
+    """Roots of each row of ``desc`` (L, n + 1), from one stacked eigvals call.
+
+    The leading and constant coefficients must be nonzero.  The companion
+    matrices are the ones np.roots builds, so each row's roots equal
+    np.roots on that row bit for bit.
+    """
+    n = desc.shape[1] - 1
+    companion = np.zeros((len(desc), n, n), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    return np.linalg.eigvals(companion)
+
+
+def _polish(coeffs, roots, residual_tol, refine):
+    """Row-wise Newton polish and residual check: (roots, ok per row)."""
+    absvals = None
+    if refine:
+        roots, absvals = _newton_refine(coeffs, roots)
+    ok = (_residuals(coeffs, roots, absvals) < residual_tol).all(axis=1)
+    return roots, ok
+
+
+def certified_roots(coeffs, residual_tol=RESIDUAL_TOL, refine=True):
     """All complex roots of a polynomial with simple-root expectations.
 
     ``coeffs`` ascending.  Roots are Newton-refined and checked against a
@@ -115,24 +165,22 @@ def certified_roots(coeffs, residual_tol=1e-10, refine=True):
         c = c[:-1]
     if len(c) <= 1:
         return np.array([], dtype=complex)
-    desc = c[::-1]
-    roots = np.roots(desc)
-    if refine:
-        roots = _newton_refine(desc, roots)
-    if np.all(_residuals(desc, roots) < residual_tol):
-        return roots
+    desc = c[::-1][None, :]
+    roots, ok = _polish(desc, np.roots(desc[0])[None, :], residual_tol, refine)
+    if ok[0]:
+        return roots[0]
     # precision escalation
     import mpmath
 
     with mpmath.workdps(50):
         try:
-            mp_roots = mpmath.polyroots([mpmath.mpc(x) for x in desc], maxsteps=200, extraprec=120)
+            mp_roots = mpmath.polyroots([mpmath.mpc(x) for x in desc[0]], maxsteps=200, extraprec=120)
         except mpmath.libmp.NoConvergence as exc:
             raise RootFindingError(
                 "root finder failed to converge for polynomial %s" % (list(coeffs),)
             ) from exc
     roots = np.array([complex(r) for r in mp_roots])
-    res = _residuals(desc, roots)
+    res = _residuals(desc, roots[None, :])[0]
     # multiple roots cannot beat eps**(1/mult); accept the escalated roots
     # but reject garbage
     if np.any(res > 1e-4):
@@ -142,7 +190,7 @@ def certified_roots(coeffs, residual_tol=1e-10, refine=True):
     return roots
 
 
-def projective_roots(coeffs, formal_degree, residual_tol=1e-10, refine=True, inf_tol=1e-13):
+def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=True, inf_tol=INF_TOL):
     """Roots of a degree-``formal_degree`` polynomial on P^1.
 
     Returns a list of length formal_degree: finite complex roots plus
@@ -164,23 +212,65 @@ def projective_roots(coeffs, formal_degree, residual_tol=1e-10, refine=True, inf
     return list(finite) + [INF] * (formal_degree - eff)
 
 
+def projective_roots_batch(rows, formal_degree):
+    """projective_roots of every row of an (L, formal_degree + 1) stack.
+
+    Rows of full degree with a nonzero constant term share one stack of
+    companion matrices, one eigvals call and one row-wise Newton pass.
+    Every other row (a root at infinity or at zero, a residual that needs
+    mpmath) goes through projective_roots, so each row's roots equal
+    projective_roots on that row bit for bit.
+    """
+    c = np.asarray(rows, dtype=complex)
+    d = formal_degree
+    out = [None] * len(c)
+    lead = c[:, d]
+    # np.hypot matches the scalar abs() that projective_roots applies here
+    fast = (np.hypot(lead.real, lead.imag) > INF_TOL * np.max(np.abs(c), axis=1)) & (c[:, 0] != 0)
+    idx = np.flatnonzero(fast)
+    if len(idx):
+        desc = c[idx, ::-1]
+        roots, ok = _polish(desc, _companion_roots(desc), RESIDUAL_TOL, True)
+        for i, row, good in zip(idx, roots, ok):
+            if good:
+                out[i] = list(row)
+    return [found if found is not None else projective_roots(c[i], d) for i, found in enumerate(out)]
+
+
+def chordal_matrix(a, b):
+    """chordal(a[..., i], b[..., j]) for every pair, equal to chordal bit for bit.
+
+    ``a`` (..., n) and ``b`` (..., m) hold points of P^1 (complex or INF);
+    the result has shape (..., n, m).
+    """
+    za, ia = _finite_part(a)
+    zb, ib = _finite_part(b)
+    # np.hypot and np.float_power round like the scalar abs() and ** in
+    # chordal; np.abs and ** on complex and float arrays do not always
+    ra = (1.0 + np.float_power(np.hypot(za.real, za.imag), 2))[..., :, None]
+    rb = (1.0 + np.float_power(np.hypot(zb.real, zb.imag), 2))[..., None, :]
+    diff = za[..., :, None] - zb[..., None, :]
+    out = np.hypot(diff.real, diff.imag) / np.sqrt(ra * rb)
+    ia, ib = ia[..., :, None], ib[..., None, :]
+    out = np.where(ia, 1.0 / np.sqrt(rb), out)
+    out = np.where(ib, 1.0 / np.sqrt(ra), out)
+    return np.where(ia & ib, 0.0, out)
+
+
+def _finite_part(points):
+    """(complex array with 0 at INF, mask of INF) for an array-like of points."""
+    obj = np.asarray(points, dtype=object)
+    inf = np.array([p is INF for p in obj.flat], dtype=bool).reshape(obj.shape)
+    return np.where(inf, 0j, obj).astype(complex), inf
+
+
 def min_pairwise_chordal(points):
-    n = len(points)
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = chordal(points[i], points[j])
-            if d < best:
-                best = d
-    return best
-
-
-def rationalize_fraction(x, max_den=10**6, tol=1e-6):
-    """Nearest small-denominator Fraction, or None when x is not close."""
-    f = Fraction(float(x)).limit_denominator(max_den)
-    if abs(float(f) - float(x)) <= tol * max(1.0, abs(float(x))):
-        return f
-    return None
+    """Smallest chordal distance between two of the last-axis points (inf if fewer than two)."""
+    n = np.shape(points)[-1]
+    if n < 2:
+        return np.inf
+    iu = np.triu_indices(n, 1)
+    return chordal_matrix(points, points)[..., iu[0], iu[1]].min(axis=-1)
 
 
 def rationalize_into_field(ctx, z, max_den=10**6, tol=1e-6):

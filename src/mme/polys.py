@@ -74,9 +74,6 @@ class Poly:
         """Coefficient list of length n+1 (ascending)."""
         return [self.coeff(i) for i in range(n + 1)]
 
-    def is_monic(self):
-        return not self.is_zero() and self.leading() == self.ctx.one
-
     def monic(self):
         if self.is_zero():
             return self
@@ -515,10 +512,6 @@ class BiPoly:
 
     def __repr__(self):
         return "BiPoly(bidegree=%s)" % (self.bidegree,)
-
-
-def bipoly_divide_exact(P, D):
-    return P.divide_exact(D)
 
 
 def graph_bipoly(num, den):

@@ -230,14 +230,6 @@ class RationalMap:
         return enc(self.num), enc(self.den)
 
 
-def compose(f, g):
-    return f.compose(g)
-
-
-def iterate(f, n, budget=DEFAULT_DEGREE_BUDGET):
-    return f.iterate(n, budget=budget)
-
-
 def maps_equal(f, g):
     return f == g
 

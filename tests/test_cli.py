@@ -116,3 +116,38 @@ def test_render_to_file(tmp_path, capsys):
     blob = target.read_bytes()
     assert blob.startswith(b"P6\n60 60\n255\n")
     assert len(blob) == len(b"P6\n60 60\n255\n") + 60 * 60 * 3
+
+
+@pytest.mark.parametrize("name,param", [
+    ("zieve-family", "n=x"),  # not an integer
+    ("zieve-family", "n"),  # no '='
+    ("chebyshev-flower", "a=1+zz"),  # not a term of Q(w)
+    ("zieve-family", "q=1"),  # not a parameter of the entry
+    ("quadratic-sigma", "num=1,0,1"),  # den missing
+    ("quadratic-sigma", "num=1,x,1"),  # not a coefficient list
+])
+def test_bad_catalog_param_exits_two(capsys, name, param):
+    code, out, err = run(capsys, "catalog", "run", name, "--param", param)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_catalog_coefficient_params(capsys):
+    code, out, _ = run(capsys, "catalog", "run", "quadratic-sigma",
+                       "--param", "num=1,0,1", "--param", "den=0,1")
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+
+
+def test_field_option_takes_a_negative_value_after_a_space(capsys):
+    # Q(t) with t^3 = 2; T∘R = T∘S holds because t/z fixes z + t/z
+    maps = ["--bind", "t=w", "--T", "z+t/z", "--S", "(z^2+2)/(z-1)",
+            "--R", "t*(z-1)/(z^2+2)"]
+    spaced = run(capsys, "certify", "--field", "-2,0,0,1", *maps)
+    joined = run(capsys, "certify", "--field=-2,0,0,1", *maps)
+    assert spaced == joined
+    code, out, _ = spaced
+    assert code in (0, 1)
+    claims = {c["name"]: c["verdict"] for c in json.loads(out)["claims"]}
+    assert claims["T∘R = T∘S"] == "PASS"

@@ -1,10 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
 from mme.fields import FieldContext
-from mme.graphcurve import analyze, genus_zero_parametrization_check
-from mme.numeric import ConsistencyError
+from mme.graphcurve import (
+    _fiber_coeffs,
+    _plan_loops,
+    _track,
+    analyze,
+    build_graph,
+    fiber_at,
+    genus_zero_parametrization_check,
+)
+from mme.numeric import ConsistencyError, RootFindingError
 from mme.polys import BiPoly, Poly, graph_bipoly
 from mme.ratmaps import RationalMap
 from conftest import random_rational_map, rng_for
@@ -122,3 +131,84 @@ def test_riemann_hurwitz_genus_is_integer_and_nonnegative():
         for comp in report["components"]:
             g = comp["genus"]
             assert isinstance(g, int) and g >= 0
+
+
+def test_lockstep_tracking_matches_each_path_alone():
+    curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]), seed=6)
+    plan = _plan_loops(curve, curve.seed)
+    x0 = plan.waypoints[0][0]
+    base = fiber_at(curve, x0)
+    # four keyhole loops and a two-leg path around part of the basepoint circle
+    c, R = curve.base_center, curve.base_radius
+    arc = [c + R * np.exp(1j * (np.angle(x0 - c) + 0.4 * k)) for k in range(3)]
+    paths = [[wp] for wp in plan.waypoints[:4]] + [[arc[:2], arc[1:]]]
+    matrix = curve.fiber_matrix()
+    # each row of a batched coefficient solve is the single-abscissa product
+    xs = [x for wp in plan.waypoints for x in wp]
+    for x, row in zip(xs, _fiber_coeffs(matrix, xs)):
+        assert row.tobytes() == ((x ** np.arange(len(matrix))) @ matrix).tobytes()
+    together = _track(matrix, curve.degree, base, paths)
+    for path, ends in zip(paths, together):
+        alone = _track(matrix, curve.degree, base, [path])[0]
+        assert len(ends) == len(path)
+        assert [[complex(y) for y in f] for f in ends] == [[complex(y) for y in f] for f in alone]
+
+
+def test_lockstep_failure_drops_later_paths(monkeypatch):
+    from mme import graphcurve
+
+    curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]), seed=6)
+    plan = _plan_loops(curve, curve.seed)
+    base = fiber_at(curve, plan.waypoints[0][0])
+    paths = [[wp] for wp in plan.waypoints[:3]]
+    matrix = curve.fiber_matrix()
+    # the fiber solve fails at the first abscissa the middle path tries
+    a, b = plan.waypoints[1][:2]
+    lengths = [abs(q - p) for p, q in zip(plan.waypoints[1], plan.waypoints[1][1:])]
+    h0 = min(1.0, sum(lengths) / 64.0 / abs(b - a))
+    bad = _fiber_coeffs(matrix, [a + (0.0 + h0) * (b - a)])[0]
+    batch = graphcurve.projective_roots_batch
+
+    def failing_batch(rows, d):
+        if (rows == bad).all(axis=1).any():
+            raise RootFindingError("forced failure")
+        return batch(rows, d)
+
+    monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
+    first, failed, dropped = _track(matrix, curve.degree, base, paths)
+    alone = _track(matrix, curve.degree, base, paths[:1])[0]
+    assert [[complex(y) for y in f] for f in first] == [[complex(y) for y in f] for f in alone]
+    assert isinstance(failed, RootFindingError)
+    assert dropped is None
+
+
+# non-float report fields of three maps; the values come from tracking each
+# loop and circle on its own, which lockstep tracking must reproduce
+PINNED_REPORTS = [
+    (([0, -3, 0, 1], [1]), 0, [
+        ([1, 1], 0, True, [[1]] * 5, [["0", "-1"], ["1", "0"]]),
+        ([2, 2], 0, False, [[1, 1], [2], [1, 1], [1, 1], [2]],
+         [["-3", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]),
+    ]),
+    (([1, -2, 0, 3], [2, 1, 1, 1]), 5, [
+        ([1, 1], 0, True, [[1]] * 8, [["0", "-1"], ["1", "0"]]),
+        ([2, 2], 1, False, [[1, 1], [2]] * 4,
+         [["-5/3", "-1/3", "5/3"], ["-1/3", "7/3", "5/3"], ["5/3", "5/3", "1"]]),
+    ]),
+    (([2, 0, -1, 0, 1], [1, 3, 0, 1]), 6, [
+        ([1, 1], 0, True, [[1]] * 18, [["0", "-1"], ["1", "0"]]),
+        ([3, 3], 4, False, [[1, 1, 1], [1, 2], [1, 2]] * 6,
+         [["-6", "-1", "-2", "1"], ["-1", "-5", "1", "3"], ["-2", "1", "4", "0"],
+          ["1", "3", "0", "1"]]),
+    ]),
+]
+
+
+@pytest.mark.parametrize("coeffs,seed,expected", PINNED_REPORTS)
+def test_report_fields_are_pinned(coeffs, seed, expected):
+    report, *_ = analyze(rmap(*coeffs), seed=seed)
+    got = [
+        (c["bidegree"], c["genus"], c["is_diagonal"], c["ramification"], c["exact_poly"])
+        for c in report["components"]
+    ]
+    assert got == expected

@@ -1,0 +1,128 @@
+import mpmath
+import numpy as np
+
+from mme import numeric
+from mme.numeric import (
+    INF,
+    _newton_refine,
+    chordal,
+    chordal_matrix,
+    min_pairwise_chordal,
+    projective_roots,
+    projective_roots_batch,
+)
+from conftest import rng_for
+
+
+def complex_normal(rng, *shape):
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.exp(rng.normal(size=shape))
+
+
+def same_points(a, b):
+    """Equal point lists, bit for bit (INF only matches INF)."""
+    def bits(p):
+        return "inf" if p is INF else np.complex128(p).tobytes()
+
+    return len(a) == len(b) and all(bits(p) == bits(q) for p, q in zip(a, b))
+
+
+def test_batched_roots_equal_single_row_roots(monkeypatch):
+    escalations = []
+    polyroots = mpmath.polyroots
+
+    def counting_polyroots(*args, **kwargs):
+        escalations.append(1)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", counting_polyroots)
+    rng = rng_for("batched-roots")
+    for d in range(1, 9):
+        rows = complex_normal(rng, 6, d + 1)
+        rows[0, d] = 0  # a root at infinity
+        rows[1, d] = 1e-15 * rows[1, 0]  # below the infinity threshold
+        rows[2, 0] = 0  # a root at zero
+        batch = projective_roots_batch(rows, d)
+        assert len(batch) == len(rows)
+        for row, roots in zip(rows, batch):
+            assert same_points(roots, projective_roots(row, d))
+        assert batch[0][-1] is INF and batch[1][-1] is INF
+    assert not escalations
+    # Newton-polished roots of these rows pass the residual check, so one
+    # row is made to fail it, in the batched and in the single-row path alike
+    rows = np.array(
+        [np.poly([1, 2, 3])[::-1], [0.5, -1.5, 1j, 1], [1, 2, 3, 4]], dtype=complex
+    )
+    polish = numeric._polish
+
+    def failing_polish(coeffs, roots, residual_tol, refine):
+        roots, ok = polish(coeffs, roots, residual_tol, refine)
+        return roots, ok & ~(coeffs == rows[1, ::-1]).all(axis=1)
+
+    monkeypatch.setattr(numeric, "_polish", failing_polish)
+    batch = projective_roots_batch(rows, 3)
+    assert len(escalations) == 1
+    for row, roots in zip(rows, batch):
+        assert same_points(roots, projective_roots(row, 3))
+    assert len(escalations) == 2
+
+
+def _newton_eight_iterations(coeffs_desc, roots):
+    """Monotone Newton run for all eight iterations, with no early exit."""
+    dcoeffs = np.polyder(coeffs_desc)
+    best = np.abs(np.polyval(coeffs_desc, roots))
+    for _ in range(8):
+        ders = np.polyval(dcoeffs, roots)
+        mask = np.abs(ders) > 1e-300
+        step = np.zeros_like(roots, dtype=complex)
+        vals = np.polyval(coeffs_desc, roots)
+        step[mask] = vals[mask] / ders[mask]
+        cand = roots - step
+        cand_res = np.abs(np.polyval(coeffs_desc, cand))
+        keep = cand_res < best
+        roots = np.where(keep, cand, roots)
+        best = np.where(keep, cand_res, best)
+    return roots
+
+
+def test_early_exit_newton_equals_eight_iterations():
+    rng = rng_for("newton-early-exit")
+    polys = [complex_normal(rng, d + 1) for d in range(1, 10)]
+    polys.append(np.poly([1.0, 1.0, 2.0, -0.5j]))  # a double root
+    polys.append(np.poly([1.0, 1.0 + 1e-9, 3.0]))  # a near-double root
+    for desc in polys:
+        desc = np.asarray(desc, dtype=complex)
+        roots = np.roots(desc) + 1e-6 * complex_normal(rng, len(desc) - 1)
+        got, residuals = _newton_refine(desc[None, :], roots[None, :])
+        want = _newton_eight_iterations(desc, roots)
+        assert got[0].tobytes() == want.tobytes()
+        assert residuals[0].tobytes() == np.abs(np.polyval(desc, want)).tobytes()
+    # rows of one stack stop improving at different iterations
+    stack = np.array([np.poly([1.0, 2.0, 3.0]), np.poly([1.0, 1.0, 3.0])], dtype=complex)
+    roots = np.array([np.roots(row) + 1e-3 for row in stack])
+    got, _res = _newton_refine(stack, roots)
+    for row, start, out in zip(stack, roots, got):
+        assert out.tobytes() == _newton_eight_iterations(row, start).tobytes()
+
+
+def test_chordal_matrix_equals_chordal():
+    rng = rng_for("chordal-matrix")
+    for trial in range(200):
+        a = list(complex_normal(rng, 5) * 10.0 ** rng.integers(-3, 4))
+        b = list(complex_normal(rng, 4))
+        if trial % 3 == 0:
+            a[trial % 5] = INF
+        if trial % 4 == 0:
+            b[trial % 4] = INF
+        got = chordal_matrix(a, b)
+        want = np.array([[chordal(p, q) for q in b] for p in a])
+        assert got.tobytes() == want.tobytes()
+        pairs = [chordal(a[i], a[j]) for i in range(5) for j in range(i + 1, 5)]
+        assert min_pairwise_chordal(a) == min(pairs)
+    # stacked inputs give the stack of the single results
+    a = [list(complex_normal(rng, 3)) for _ in range(4)]
+    b = [list(complex_normal(rng, 3)) for _ in range(4)]
+    a[2][1] = INF
+    stacked = chordal_matrix(a, b)
+    for k in range(4):
+        assert stacked[k].tobytes() == chordal_matrix(a[k], b[k]).tobytes()
+    assert list(min_pairwise_chordal(a)) == [min_pairwise_chordal(x) for x in a]
