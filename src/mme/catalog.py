@@ -31,12 +31,10 @@ class CatalogEntry:
     params: dict
     expected: list = dc_field(default_factory=list)  # (claim, verdict)
 
-    def run(self, seed=0):
+    def run(self):
         """CertificateReport for the entry's claims."""
         if self.name in ("chebyshev-flower", "zieve-family"):
-            return check_counterexample_triple(
-                self.maps["R"], self.maps["S"], self.maps["T"], seed=seed
-            )
+            return check_counterexample_triple(self.maps["R"], self.maps["S"], self.maps["T"])
         rep = CertificateReport()
         f = self.maps["f"]
         if f.degree == 2:

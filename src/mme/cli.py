@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -121,19 +120,16 @@ def _cmd_analyze_graph(args):
 
 
 def _cmd_certify(args):
-    cfg = _config(args)
     if args.R or args.S or args.T:
         if not (args.R and args.S and args.T):
             raise UsageError("certify needs all of --R, --S, --T (or --F and --G)")
         R, S, T = (_load_map(s, args) for s in (args.R, args.S, args.T))
-        rep = check_counterexample_triple(R, S, T, seed=cfg.seed)
+        rep = check_counterexample_triple(R, S, T)
     elif args.F and args.G:
         rep = check_main1_relations(_load_map(args.F, args), _load_map(args.G, args))
     else:
         raise UsageError("certify needs --R/--S/--T or --F/--G")
-    payload = rep.as_dict()
-    payload["config"] = cfg.as_dict()
-    _emit(args, dumps_report(payload))
+    _emit(args, dumps_report(rep.as_dict()))
     return 0 if rep.passed() else 1
 
 
@@ -207,7 +203,7 @@ def _cmd_catalog(args):
         key, _, value = item.partition("=")
         params[key.strip()] = value.strip()
     e = entry(args.name, params)
-    rep = e.run(seed=args.seed)
+    rep = e.run()
     payload = rep.as_dict()
     payload["entry"] = e.name
     payload["params"] = {k: str(v) for k, v in e.params.items()}
@@ -216,7 +212,6 @@ def _cmd_catalog(args):
         payload["iterate_square_identity"] = iterate_square_identity_check(
             e.params["a"]
         )
-    payload["seed"] = args.seed
     _emit(args, dumps_report(payload))
     return 0 if rep.passed() else 1
 
@@ -271,7 +266,8 @@ def build_parser():
     p = sub.add_parser("certify", help="composition-identity certificates")
     for name in ("R", "S", "T", "F", "G"):
         p.add_argument("--" + name)
-    common(p)
+    common(p, seed=False)
+    p.add_argument("--seed", type=int, help="ignored: every certificate is exact")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("measure", help="compare empirical maximal-entropy measures")
@@ -304,7 +300,7 @@ def build_parser():
     p.add_argument("action", choices=["list", "run"])
     p.add_argument("name", nargs="?")
     p.add_argument("--param", action="append", help="e.g. a=1+w or n=2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="ignored: every certificate is exact")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_catalog)
 
@@ -330,17 +326,23 @@ def build_parser():
     return ap
 
 
-def _join_field_values(argv):
-    """Rewrite '--field -2,0,0,1' as '--field=-2,0,0,1'.
+# options whose value may start with '-': a minimal polynomial or a map
+DASH_VALUED = frozenset(
+    "--" + name for name in ("field", "map", "f", "g", "R", "S", "T", "F", "G", "shared-with")
+)
+
+
+def _join_dash_values(argv):
+    """Rewrite '--field -2,0,0,1' as '--field=-2,0,0,1', and '--f -z^2' as '--f=-z^2'.
 
     argparse takes a value that starts with '-' and is not a plain number
-    for an option, so a minimal polynomial with a negative coefficient in
-    front would otherwise need the '=' form.
+    for an option, so a value with a leading minus sign would otherwise
+    need the '=' form.  Only a token with a single leading '-' is joined.
     """
     out = []
     for arg in argv:
-        if out and out[-1] == "--field" and re.match(r"-[\d.]", arg):
-            out[-1] = "--field=" + arg
+        if out and out[-1] in DASH_VALUED and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -348,7 +350,7 @@ def _join_field_values(argv):
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(_join_field_values(sys.argv[1:] if argv is None else argv))
+    args = ap.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (UsageError, ParseError, MapError, FieldError, SizeBudgetError,

@@ -8,18 +8,11 @@ from dataclasses import asdict, dataclass
 @dataclass
 class RunConfig:
     seed: int = 0
-    residual_tol: float = 1e-10
-    cluster_tol: float = 1e-7
-    match_tol: float = 1e-6
     max_composite_degree: int = 4096
     cloud_count: int = 4000
     depth: int = 40
-    output: str = None
 
     def validate(self):
-        for name in ("residual_tol", "cluster_tol", "match_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
         if self.max_composite_degree < 2:
             raise ValueError("max_composite_degree must be at least 2")
         if self.cloud_count < 0 or self.depth < 1:
@@ -27,6 +20,4 @@ class RunConfig:
         return self
 
     def as_dict(self):
-        d = asdict(self)
-        d.pop("output")
-        return d
+        return asdict(self)

@@ -1,25 +1,19 @@
 """Exact certificates for composition identities between rational maps.
 
-Every PASS verdict here is backed by an exact polynomial identity; numeric
-sampling is only ever used to decide the negative direction (NONE) or to
-guess a witness that is then verified exactly.
+Every verdict of a certificate is decided by exact arithmetic over the
+base field: an identity by comparing coefficients, and the absence of a
+Moebius factor R = sigma o S by a span test on the numerators and
+denominators (``mobius_factor_exists``).  Only
+``iteration_derivative_nonvanishing`` samples numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .numeric import INF, ConsistencyError, chordal, is_inf, named_rng, rationalize_into_field
+from .numeric import ConsistencyError, is_inf, named_rng
 from .polys import Poly
-from .ratmaps import (
-    DEFAULT_DEGREE_BUDGET,
-    MapError,
-    Moebius,
-    RationalMap,
-    fit_mobius_numeric,
-    maps_equal,
-)
+from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, Moebius, maps_equal
 
 EXACT_COMPOSE_DEGREE_CAP = 100
 
@@ -68,76 +62,44 @@ def _witness_json(w):
 # -- Moebius factor -------------------------------------------------------------------
 
 
-def mobius_factor_exists(R, S, seed=0, extra_samples=5):
+def mobius_factor_exists(R, S):
     """An exact Moebius with R = sigma o S, or None.
 
-    Decided numerically on fibers of S (R must be constant on each fiber
-    for sigma to exist), then certified exactly; a numeric guess that
-    fails exact verification returns None.
+    With sigma = (az+b)/(cz+d) and both maps stored in lowest terms with a
+    monic denominator, R = sigma o S holds exactly when
+        R.num = a S.num + b S.den  and  R.den = c S.num + d S.den,
+    so each of R.num and R.den must lie in the span of S.num and S.den.
+    That span test is linear algebra over the base field; a system with
+    coefficients in K that is solvable over C is solvable over K.
     """
     if R.ctx is not S.ctx:
         raise MapError("maps live over different field contexts")
     if R.degree != S.degree:
         return None
-    rng = named_rng(seed, "mobius-factor")
-    pairs = []
-    attempts = 0
-    while len(pairs) < 3 + extra_samples:
-        attempts += 1
-        if attempts > 10 * (3 + extra_samples):
-            raise MapError("could not sample enough generic fibers of S")
-        w = complex(
-            int(rng.integers(-40, 41)) / int(rng.integers(1, 12)),
-            int(rng.integers(-40, 41)) / int(rng.integers(1, 12)),
-        )
-        try:
-            fiber = S.preimages(w)
-        except Exception:
-            continue
-        vals = [R.eval_numeric(z) for z in fiber]
-        spread = max(chordal(vals[0], v) for v in vals)
-        if spread > 1e-6:
-            return None  # R separates a fiber of S: no factorization
-        if any(chordal(w, pw) < 1e-6 for pw, _ in pairs):
-            continue
-        pairs.append((w, vals[0]))
-    guess = fit_mobius_numeric(pairs[:3])
-    # consistency of the guess on the extra samples
-    for w, v in pairs[3:]:
-        a, b, c, d = guess
-        den = c * w + d
-        pred = INF if abs(den) < 1e-12 else (a * w + b) / den
-        if chordal(pred, v) > 1e-6:
+    n = S.degree
+    u, v = S.num.padded(n), S.den.padded(n)
+    # S is nonconstant, so its numerator and denominator are independent
+    # and some 2x2 minor of the coefficient columns is nonzero
+    i, j = next(
+        (i, j) for j in range(n + 1) for i in range(j)
+        if not (u[i] * v[j] - u[j] * v[i]).is_zero()
+    )
+    inv = (u[i] * v[j] - u[j] * v[i]).inverse()
+    entries = []
+    for target in (R.num.padded(n), R.den.padded(n)):
+        x = (target[i] * v[j] - target[j] * v[i]) * inv
+        y = (u[i] * target[j] - u[j] * target[i]) * inv
+        if any(x * uk + y * vk != tk for uk, vk, tk in zip(u, v, target)):
             return None
-    sigma = _rationalize_moebius(R.ctx, guess)
-    if sigma is None:
-        return None
-    if maps_equal(sigma.as_rational_map().compose(S), R):
-        return sigma
-    return None
-
-
-def _rationalize_moebius(ctx, entries):
-    # normalize by the largest entry so the ratios land in the field
-    pivot = max(entries, key=abs)
-    if abs(pivot) == 0:
-        return None
-    exact = []
-    for e in entries:
-        elt = rationalize_into_field(ctx, complex(e) / complex(pivot))
-        if elt is None:
-            return None
-        exact.append(elt)
-    try:
-        return Moebius(*exact)
-    except MapError:
-        return None
+        entries += (x, y)
+    # R is nonconstant, so the solved rows are independent: det(sigma) != 0
+    return Moebius(*entries)
 
 
 # -- certificate bundles ----------------------------------------------------------------
 
 
-def check_counterexample_triple(R, S, T, seed=0):
+def check_counterexample_triple(R, S, T):
     """The three conditions making f = RoT and g = SoT share a measure.
 
     (i) ToR = ToS exactly; (ii) no Moebius sigma with R = sigma o S;
@@ -151,7 +113,7 @@ def check_counterexample_triple(R, S, T, seed=0):
     if R.degree != S.degree:
         rep.add("no Moebius factor R = σ∘S", "PASS", "degrees differ")
     else:
-        sigma = mobius_factor_exists(R, S, seed=seed)
+        sigma = mobius_factor_exists(R, S)
         if sigma is None:
             rep.add("no Moebius factor R = σ∘S", "PASS")
         else:

@@ -278,9 +278,13 @@ def rationalize_into_field(ctx, z, max_den=10**6, tol=1e-6):
 
     Solves z = sum c_k alpha^k over the reals by least squares on the
     power basis, rounds each coordinate to a small-denominator rational,
-    and verifies the embedding reproduces z.
+    and verifies the embedding reproduces z.  One complex value gives two
+    real equations, so for extension degree >= 3 the coordinates are
+    underdetermined and the answer is None rather than a guess.
     """
     m = ctx.degree
+    if m >= 3:
+        return None
     alpha = ctx.embedding()
     basis = [alpha**k for k in range(m)]
     A = np.array([[b.real for b in basis], [b.imag for b in basis]])

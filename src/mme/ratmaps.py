@@ -322,72 +322,6 @@ class Moebius:
         return self == Moebius.identity(self.ctx)
 
 
-def _three_point_matrix(p1, p2, p3, one):
-    """Matrix entries (a,b,c,d) of the map sending p1,p2,p3 -> 0,1,inf.
-
-    Duck-typed over exact field elements or complex scalars; INF allowed
-    among the inputs.
-    """
-    zero = one - one
-    if is_inf(p1):
-        # z -> (p2 - p3)/(z - p3)
-        return (zero, p2 - p3, one, -p3) if not is_inf(p3) else (zero, one, one, -p2 + zero)
-    if is_inf(p2):
-        # z -> (z - p1)/(z - p3)
-        if is_inf(p3):
-            return (one, -p1, zero, one)
-        return (one, -p1, one, -p3)
-    if is_inf(p3):
-        # z -> (z - p1)/(p2 - p1)
-        return (one, -p1, zero, p2 - p1)
-    # z -> ((z - p1)(p2 - p3)) / ((z - p3)(p2 - p1))
-    return (p2 - p3, -p1 * (p2 - p3), p2 - p1, -p3 * (p2 - p1))
-
-
-def _mobius_compose(m1, m2):
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (
-        a1 * a2 + b1 * c2,
-        a1 * b2 + b1 * d2,
-        c1 * a2 + d1 * c2,
-        c1 * b2 + d1 * d2,
-    )
-
-
-def _mobius_inverse(m):
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
-def mobius_from_three_points(ctx, pairs):
-    """The unique exact Moebius with sigma(p_i) = q_i for three pairs.
-
-    ``pairs`` is [(p1, q1), (p2, q2), (p3, q3)] of field elements or INF.
-    """
-    (p1, q1), (p2, q2), (p3, q3) = pairs
-    for u, v in ((p1, p2), (p1, p3), (p2, p3)):
-        if (is_inf(u) and is_inf(v)) or (not is_inf(u) and not is_inf(v) and u == v):
-            raise MapError("source points must be pairwise distinct")
-    for u, v in ((q1, q2), (q1, q3), (q2, q3)):
-        if (is_inf(u) and is_inf(v)) or (not is_inf(u) and not is_inf(v) and u == v):
-            raise MapError("target points must be pairwise distinct")
-    one = ctx.one
-    ms = _three_point_matrix(p1, p2, p3, one)
-    mt = _three_point_matrix(q1, q2, q3, one)
-    a, b, c, d = _mobius_compose(_mobius_inverse(mt), ms)
-    return Moebius(a, b, c, d)
-
-
-def fit_mobius_numeric(pairs):
-    """Complex 4-tuple (a,b,c,d) for sigma(p_i) = q_i, numerically."""
-    (p1, q1), (p2, q2), (p3, q3) = pairs
-    one = 1.0 + 0.0j
-    ms = _three_point_matrix(p1, p2, p3, one)
-    mt = _three_point_matrix(q1, q2, q3, one)
-    return _mobius_compose(_mobius_inverse(mt), ms)
-
-
 # -- critical data -------------------------------------------------------------------
 
 

@@ -141,13 +141,33 @@ def test_catalog_coefficient_params(capsys):
 
 
 def test_field_option_takes_a_negative_value_after_a_space(capsys):
-    # Q(t) with t^3 = 2; T∘R = T∘S holds because t/z fixes z + t/z
+    # Q(t) with t^3 = 2; T∘R = T∘S holds because t/z fixes z + t/z, and
+    # R = t/S, so sigma = t/z is a Moebius factor
     maps = ["--bind", "t=w", "--T", "z+t/z", "--S", "(z^2+2)/(z-1)",
             "--R", "t*(z-1)/(z^2+2)"]
     spaced = run(capsys, "certify", "--field", "-2,0,0,1", *maps)
     joined = run(capsys, "certify", "--field=-2,0,0,1", *maps)
     assert spaced == joined
     code, out, _ = spaced
-    assert code in (0, 1)
-    claims = {c["name"]: c["verdict"] for c in json.loads(out)["claims"]}
-    assert claims["T∘R = T∘S"] == "PASS"
+    assert code == 1
+    claims = {c["name"]: c for c in json.loads(out)["claims"]}
+    assert claims["T∘R = T∘S"]["verdict"] == "PASS"
+    factor = claims["no Moebius factor R = σ∘S"]
+    assert factor["verdict"] == "FAIL"
+    # t/z normalized: (0z + 1) / ((t^2/2) z + 0), since 2/t^2 = t
+    assert factor["witness"] == {"moebius": ["0", "1", ["0", "0", "1/2"], "0"]}
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    (["compose", "--f", "-z^2", "--g", "-z+1"],
+     ["compose", "--f=-z^2", "--g=-z+1"]),
+    (["iterate", "--map", "-z^2+1", "--shared-with", "-z^2+1", "--budget", "16"],
+     ["iterate", "--map=-z^2+1", "--shared-with=-z^2+1", "--budget", "16"]),
+    (["certify", "--T", "-z^2", "--R", "-z^2-1", "--S", "z^2+1"],
+     ["certify", "--T=-z^2", "--R=-z^2-1", "--S", "z^2+1"]),
+    (["sigma", "--map", "-z-1/z"], ["sigma", "--map=-z-1/z"]),
+])
+def test_map_options_take_a_negative_value_after_a_space(capsys, spaced, joined):
+    out = run(capsys, *spaced)
+    assert out[0] in (0, 1)
+    assert out == run(capsys, *joined)

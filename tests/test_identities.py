@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mme.catalog import entry, omega_field
-from mme.fields import FieldContext
+from mme.fields import FieldContext, field_configure
 from mme.identities import (
     check_counterexample_triple,
     check_main1_relations,
@@ -13,8 +13,9 @@ from mme.identities import (
     shared_iterate_search,
     sigma_f_quadratic,
 )
+from mme.parser import parse_map
 from mme.polys import Poly
-from mme.ratmaps import RationalMap
+from mme.ratmaps import MapError, Moebius, RationalMap
 from conftest import random_rational_map
 
 Q = FieldContext.rationals()
@@ -118,3 +119,65 @@ def test_sigma_f_is_involution_on_random_quadratics(seed):
 def test_chebyshev_flower_certificates_over_omega():
     e = entry("chebyshev-flower", {"a": "1"})
     assert e.run().passed()
+
+
+def rand_element(ctx, rng):
+    return ctx.element([int(rng.integers(-3, 4)) for _ in range(ctx.degree)])
+
+
+def rand_moebius(ctx, rng):
+    while True:
+        entries = [rand_element(ctx, rng) for _ in range(4)]
+        if not (entries[0] * entries[3] - entries[1] * entries[2]).is_zero():
+            return Moebius(*entries)
+
+
+def bind_gen(ctx, text):
+    return parse_map(text, ctx, {"t": ctx.gen()})
+
+
+def test_mobius_factor_over_cubic_field():
+    # Q(t), t^3 = 2: sigma = t/z is not defined over Q, R = t / S
+    K = field_configure([-2, 0, 0, 1])
+    S = bind_gen(K, "(z^2+2)/(z-1)")
+    R = bind_gen(K, "t*(z-1)/(z^2+2)")
+    m = mobius_factor_exists(R, S)
+    assert m is not None
+    assert m.as_rational_map().compose(S) == R
+    assert m.a.is_zero() and m.d.is_zero() and m.b == K.gen() * m.c
+
+
+def test_mobius_factor_over_quartic_field():
+    # Q(t), t^4 + 1 = 0: R = t^2 S
+    K = field_configure([1, 0, 0, 0, 1])
+    S = bind_gen(K, "z^2+z")
+    R = bind_gen(K, "t^2*(z^2+z)")
+    m = mobius_factor_exists(R, S)
+    assert m is not None
+    assert m.as_rational_map().compose(S) == R
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(1,), (1, 1, 1)]), st.integers(1, 4), st.integers(0, 10**6))
+def test_mobius_factor_found_for_every_twist(minpoly, degree, seed):
+    ctx = Q if len(minpoly) == 1 else field_configure(list(minpoly))
+    rng = np.random.default_rng(seed)
+    while True:
+        try:
+            S = RationalMap(
+                Poly(ctx, [rand_element(ctx, rng) for _ in range(degree + 1)]),
+                Poly(ctx, [rand_element(ctx, rng) for _ in range(degree + 1)]),
+            )
+            break
+        except MapError:  # a constant draw
+            pass
+    sigma = rand_moebius(ctx, rng)
+    R = sigma.as_rational_map().compose(S)
+    m = mobius_factor_exists(R, S)
+    assert m == sigma
+    assert m.as_rational_map().compose(S) == R
+    # the unrelated pair stays unrelated under any twist: fibers of z^2+z
+    # are {z, -1-z}, fibers of sigma(z^2) are {z, -z}
+    square = Poly(ctx, [0, 0, 1])
+    twisted_square = sigma.as_rational_map().compose(RationalMap.polynomial(square))
+    assert mobius_factor_exists(twisted_square, RationalMap.polynomial(Poly(ctx, [0, 1, 1]))) is None

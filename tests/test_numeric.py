@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 
 from mme import numeric
+from mme.fields import field_configure
 from mme.numeric import (
     INF,
     _newton_refine,
@@ -10,6 +11,7 @@ from mme.numeric import (
     min_pairwise_chordal,
     projective_roots,
     projective_roots_batch,
+    rationalize_into_field,
 )
 from conftest import rng_for
 
@@ -126,3 +128,13 @@ def test_chordal_matrix_equals_chordal():
     for k in range(4):
         assert stacked[k].tobytes() == chordal_matrix(a[k], b[k]).tobytes()
     assert list(min_pairwise_chordal(a)) == [min_pairwise_chordal(x) for x in a]
+
+
+def test_rationalize_into_field_refuses_degree_three_and_up():
+    # one complex value gives two real equations, too few for three coordinates
+    K = field_configure([-2, 0, 0, 1])
+    t = K.gen()
+    assert rationalize_into_field(K, K.embed(K.one + t)) is None
+    W = field_configure([1, 1, 1])
+    w = W.gen()
+    assert rationalize_into_field(W, W.embed(W.one + w)) == W.one + w

@@ -14,10 +14,8 @@ from mme.ratmaps import (
     RationalMap,
     SizeBudgetError,
     critical_data,
-    fit_mobius_numeric,
-    mobius_from_three_points,
 )
-from conftest import random_rational_map, rng_for
+from conftest import random_rational_map
 
 Q = FieldContext.rationals()
 
@@ -108,27 +106,6 @@ def test_moebius_group_operations():
     assert m.compose(m.inverse()).is_identity()
     z = Q.from_rational(Fraction(1, 3))
     assert m.inverse().apply_exact(m.apply_exact(z)) == z
-
-
-def test_moebius_from_three_points_exact():
-    pairs = [
-        (Q.from_rational(0), Q.from_rational(1)),
-        (Q.from_rational(1), Q.from_rational(2)),
-        (INF, Q.from_rational(3)),
-    ]
-    m = mobius_from_three_points(Q, pairs)
-    for p, q in pairs:
-        assert m.apply_exact(p) == q
-
-
-def test_fit_mobius_numeric_roundtrip():
-    rng = rng_for("fit-mobius")
-    src = [complex(a, b) for a, b in rng.normal(size=(3, 2))]
-    m = moeb(2, 1, 1, 3)
-    pairs = [(z, m.apply_numeric(z)) for z in src]
-    a, b, c, d = fit_mobius_numeric(pairs)
-    for z, w in pairs:
-        assert chordal((a * z + b) / (c * z + d), w) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)
