@@ -110,11 +110,7 @@ def _config(args):
 
 def _cmd_analyze_graph(args):
     f = _load_map(args.map, args)
-    cfg = _config(args)
-    report, _curve, _mon, certs = analyze(
-        f, seed=cfg.seed, reconstruct=not args.no_reconstruct
-    )
-    report["config"] = cfg.as_dict()
+    report, _curve, _mon, _certs = analyze(f, seed=args.seed, reconstruct=not args.no_reconstruct)
     _emit(args, dumps_report(report))
     return 0
 
@@ -139,7 +135,7 @@ def _cmd_measure(args):
     g = _load_map(args.g, args)
     rep = same_measure_test(f, g, count=cfg.cloud_count, depth=cfg.depth, seed=cfg.seed)
     payload = rep.as_dict()
-    payload["config"] = cfg.as_dict()
+    payload["config"] = {"cloud_count": cfg.cloud_count, "depth": cfg.depth, "seed": cfg.seed}
     _emit(args, dumps_report(payload))
     return 0
 

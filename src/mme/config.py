@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass
@@ -18,6 +18,3 @@ class RunConfig:
         if self.cloud_count < 0 or self.depth < 1:
             raise ValueError("cloud_count/depth out of range")
         return self
-
-    def as_dict(self):
-        return asdict(self)

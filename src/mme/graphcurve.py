@@ -1,18 +1,27 @@
-"""Decomposition of the graph curve {G(x) = G(y)} by numerical monodromy.
+"""Decomposition of the graph curve {G(x) = G(y)} by monodromy on the target line.
 
-The first projection of the curve is a degree-d covering away from the
-preimages of the critical values of G.  Loops around those points permute
-the fiber; the orbits of the generated permutation group are the
-irreducible components, the cycle types give the ramification profiles,
-and Riemann-Hurwitz gives each component's geometric genus.  Monodromy
-results are cross-checked against the exact local multiplicities and, when
-rationalization succeeds, certified by exact polynomial division.
+Over a point t that is not a critical value of G, the fiber G^-1(t) is d
+points x_1..x_d.  A loop around a critical value permutes them.  By Fried's
+fibre-product correspondence the irreducible components of the curve are the
+orbits of these permutations on ordered pairs (i, j): the component of an
+orbit O passes through (x_i, x_j) for every (i, j) in O, both projections have
+degree r = |O|/d, and Riemann-Hurwitz over the critical values gives its
+genus.  The diagonal is the orbit {(i, i)}.  Over a preimage p of a critical
+value v, the branches of a component are the cycles of the loop around v on
+the pairs whose first point sits at p.
+
+Fibers are tracked in the target chart t' = 1/(t - c), with c chordally far
+from every critical value, so every critical value is finite there and
+t' = infinity is not one; x and y never leave the original chart.  The loop
+permutations are cross-checked against the exact local degrees of G, the
+x-degree of each component is recovered independently from samples, and,
+when rationalization succeeds, each component is certified by exact
+polynomial division.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -31,12 +40,12 @@ from .numeric import (
     rationalize_into_field,
 )
 from .polys import BiPoly, Poly, graph_bipoly
-from .ratmaps import MapError, Moebius, RationalMap, critical_data
+from .ratmaps import MapError, RationalMap, critical_data
 
-HUGE_BRANCH_MODULUS = 1e6
-OUTLIER_SPREAD_RATIO = 25.0
-DEDUP_TOL = 1e-7
 MATCH_TOL = 1e-6
+# the radii |x| = R the sample circle chooses from
+SAMPLE_RADII = (0.5, 2**-0.5, 1.0, 2**0.5, 2.0)
+RETRIES = 3
 
 
 class TrackingError(RuntimeError):
@@ -48,158 +57,105 @@ class BasepointError(RuntimeError):
 
 
 @dataclass
-class BranchPoint:
-    """A point of the branch locus with the exact local data of G there."""
-
-    point: complex  # in the working chart, always finite
-    e_x: int  # local degree of the working map at the point
-    value_partition: tuple  # local degrees of G over v = G(point), summing to d
-
-    def predicted_cycle_type(self):
-        """Cycle type of the fiber permutation forced by the local degrees.
-
-        Near a preimage y* of v with local degree e, the curve has
-        gcd(e_x, e) local branches, on each of which the projection has
-        local degree e / gcd(e_x, e).
-        """
-        out = []
-        for e in self.value_partition:
-            g = math.gcd(self.e_x, e)
-            out.extend([e // g] * g)
-        return tuple(sorted(out))
-
-
-@dataclass
 class GraphCurve:
-    G: RationalMap  # the map as given
-    P: BiPoly  # exact defining polynomial of the curve, original chart
-    chart: Moebius  # working chart; identity when no rotation was needed
-    work_map: RationalMap  # G composed with the chart
-    P_work: BiPoly  # defining polynomial in the working chart
-    branch: list  # list of BranchPoint, working chart
-    branch_locus: list  # original-chart branch points (complex or INF)
-    basepoint: complex = 0j
+    G: RationalMap
+    P: BiPoly  # exact defining polynomial of the curve
+    pole: complex  # c of the target chart t' = 1/(t - c)
+    matrix: np.ndarray  # (2, d + 1): G^-1(t') is the roots in x of row0 + t' * row1
+    values: list  # critical values of G in the target chart
+    preimages: list  # per critical value, [(point, local degree)]; point complex or INF
+    basepoint: complex = 0j  # target chart
     base_center: complex = 0j
     base_radius: float = 1.0
     seed: int = 0
-    _fiber_matrix: np.ndarray = field(default=None, repr=False)
 
     @property
     def degree(self):
         return self.G.degree
 
-    def fiber_matrix(self):
-        if self._fiber_matrix is None:
-            d = self.degree
-            m = self.P_work.numeric_matrix()
-            full = np.zeros((d + 1, d + 1), dtype=complex)
-            full[: m.shape[0], : m.shape[1]] = m
-            self._fiber_matrix = full
-        return self._fiber_matrix
+    @property
+    def branch_locus(self):
+        """Every preimage of every critical value, grouped by critical value."""
+        return [p for pre in self.preimages for p, _e in pre]
 
 
 @dataclass
 class LoopPlan:
-    """Keyhole loops from the basepoint, one per branch point."""
+    """Keyhole loops from the basepoint, one per critical value."""
 
-    order: list  # branch indices sorted by argument about the basepoint
-    radii: list  # disc radius per branch point (indexed like curve.branch)
-    waypoints: list  # polyline per branch index, starting/ending at basepoint
+    order: list  # critical value indices sorted by argument about the basepoint
+    radii: list  # disc radius per critical value
+    waypoints: list  # polyline per critical value, starting/ending at basepoint
 
 
 @dataclass
 class MonodromyAction:
+    basepoint: complex  # target chart
     fiber: list  # base fiber (complex or INF), length d
-    permutations: list  # one tuple per branch point, in curve.branch order
+    permutations: list  # one tuple per critical value, in curve.values order
     loop_plan: LoopPlan
-    diagonal_index: int
+    cycles: list  # per critical value, the cycle of its permutation at each preimage
+    samples: list  # (fiber, index of the sample abscissa in it), over the sample circle
+    sample_radius: float
 
 
 @dataclass
 class ComponentCertificate:
-    orbit: tuple  # fiber indices, sorted
+    orbit: tuple  # ordered pairs (i, j) of base sheets, sorted
     bidegree: tuple  # (r1, r2); r1 from the orbit, r2 from x-degree recovery
     ramification: list  # per branch point, partition of r (local degrees)
     genus: int
     is_diagonal: bool
-    exact_poly: BiPoly = None  # original-chart exact factor when certified
+    exact_poly: BiPoly = None  # exact factor when certified
 
     @property
     def r(self):
-        return len(self.orbit)
+        return self.bidegree[0]
 
 
 # -- construction -------------------------------------------------------------------
 
 
-def _cluster_points(points, tol):
-    """Greedy chordal clustering; returns [(representative, count)]."""
-    clusters = []
-    for p in points:
-        for c in clusters:
-            if chordal(c[0], p) < tol:
-                c[1] += 1
-                break
-        else:
-            clusters.append([p, 1])
-    return [(c[0], c[1]) for c in clusters]
-
-
 def _branch_data(G):
-    """Branch points of the projection with exact local degrees.
+    """Each critical value of G with its preimages and their exact local degrees.
 
-    Returns (branch_list, ok) where ok is False when any branch point is
-    infinite or too large for stable tracking.
+    The critical points and their local degrees m + 1 come from the exact
+    square-free decomposition of the Wronskian.  The other preimages of a
+    critical value v are simple: the roots of N - vD left once the e roots
+    nearest each critical point of local degree e are set aside.
     """
-    cd = critical_data(G)
-    branch = []
-    seen = []
-    for v, group in cd.value_groups:
-        # local degree of G at each critical preimage is exact (square-free
-        # decomposition of the Wronskian); the remaining preimages are simple
-        crit = [(p, m + 1) for p, m in group]
-        pre = G.preimages(v)
-        buckets = [0] * len(crit)
-        simple = []
-        for root in pre:
-            dists = [chordal(root, p) for p, _ in crit]
-            j = int(np.argmin(dists)) if dists else -1
-            if dists and dists[j] < 1e-3:
-                buckets[j] += 1
-            else:
-                simple.append(root)
-        if [e for _, e in crit] != buckets:
-            raise TrackingError(
-                "preimage clusters do not match the exact local degrees at a critical value"
-            )
-        if simple and min_pairwise_chordal(simple) < 1e-4 and len(simple) > 1:
-            raise TrackingError("simple preimages of a critical value are too close")
-        partition = tuple(sorted([e for _, e in crit] + [1] * len(simple)))
-        if sum(partition) != G.degree:
-            raise ConsistencyError("preimage count of a critical value is not the degree")
-        # every preimage of a critical value is a branch point of the
-        # projection: the fiber there carries a multiple root even when the
-        # point itself is unramified for G
-        for p, e in crit + [(s, 1) for s in simple]:
-            if any(chordal(p, q) < DEDUP_TOL for q in seen):
-                raise ConsistencyError("branch point shared between two critical values")
-            seen.append(p)
-            branch.append(BranchPoint(point=p, e_x=e, value_partition=partition))
-    ok = all((not is_inf(b.point)) and abs(b.point) < HUGE_BRANCH_MODULUS for b in branch)
-    if ok and len(branch) >= 5:
-        # a far outlier stretches the basepoint circle until loops to the
-        # main cluster become ill-conditioned; rotate the chart instead
-        pts = np.array([b.point for b in branch])
-        center = complex(np.median(pts.real), np.median(pts.imag))
-        dists = np.abs(pts - center)
-        med = float(np.median(dists))
-        if med > 0 and float(dists.max()) > OUTLIER_SPREAD_RATIO * med:
-            ok = False
-    return branch, ok
+    out = []
+    for v, group in critical_data(G).value_groups:
+        roots = list(G.preimages(v))
+        pre = []
+        for p, m in group:
+            for _ in range(m + 1):
+                roots.pop(int(np.argmin([chordal(y, p) for y in roots])))
+            pre.append((p, m + 1))
+        pre += [(y, 1) for y in roots]
+        if min_pairwise_chordal([p for p, _e in pre]) < 1e-4:
+            raise TrackingError("preimages of a critical value are too close to tell apart")
+        out.append((v, pre))
+    return out
+
+
+def _target_pole(values):
+    """The point of the integer grid [-3, 3] x [-3, 3]i chordally farthest
+    from the critical values."""
+    grid = [complex(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    return max(grid, key=lambda c: min(chordal(c, v) for v in values))
+
+
+def _to_target(pole, t):
+    return 0j if is_inf(t) else 1.0 / (t - pole)
+
+
+def _from_target(pole, s):
+    return INF if s == 0 else pole + 1.0 / s
 
 
 def build_graph(G, seed=0):
-    """Exact defining polynomial plus a tracking-ready chart and basepoint."""
+    """Exact defining polynomial plus the target chart and a basepoint."""
     if G.degree < 2:
         raise MapError("graph-curve analysis requires degree >= 2")
     ctx = G.ctx
@@ -213,43 +169,19 @@ def build_graph(G, seed=0):
     if P.divide_exact(diag) is None:
         raise ConsistencyError("the diagonal does not divide the defining polynomial")
 
-    rng = named_rng(seed, "chart")
-    chart = Moebius.identity(ctx)
-    work = G
-    branch = None
-    for attempt in range(25):
-        try:
-            branch, ok = _branch_data(work)
-        except (ConsistencyError, MapError):
-            ok = False
-        if ok:
-            break
-        # rotate the chart: precompose with a random small rational Moebius
-        ints = rng.integers(-9, 10, size=4)
-        try:
-            chart = Moebius.from_rationals(ctx, int(ints[0]), int(ints[1]), int(ints[2]), int(ints[3]))
-        except MapError:
-            continue
-        work = G.compose(chart.as_rational_map())
-    else:
-        raise BasepointError("no chart with a finite well-separated branch locus found")
-
-    P_work = graph_bipoly(work.num, work.den)
-    # original-chart branch locus, for reporting; points carried to within
-    # ~1e-8 of infinity by the chart are the chart's pole
-    locus = []
-    for b in branch:
-        v = chart.apply_numeric(b.point)
-        locus.append(INF if chordal(v, INF) < 1e-8 else v)
-
+    branch = _branch_data(G)
+    pole = _target_pole([v for v, _pre in branch])
+    d = G.degree
+    num, den = (np.pad(p.numeric_coeffs(), (0, d + 1 - len(p.coeffs))) for p in (G.num, G.den))
+    # N(x) - (c + 1/t') D(x) = 0, times t'
+    matrix = np.array([-den, num - pole * den])
     curve = GraphCurve(
         G=G,
         P=P,
-        chart=chart,
-        work_map=work,
-        P_work=P_work,
-        branch=branch,
-        branch_locus=locus,
+        pole=pole,
+        matrix=matrix,
+        values=[_to_target(pole, v) for v, _pre in branch],
+        preimages=[pre for _v, pre in branch],
         seed=seed,
     )
     _choose_basepoint(curve)
@@ -257,7 +189,7 @@ def build_graph(G, seed=0):
 
 
 def _choose_basepoint(curve):
-    pts = np.array([b.point for b in curve.branch])
+    pts = np.array(curve.values)
     center = complex(pts.mean())
     spread = max(abs(p - center) for p in pts)
     if spread == 0:
@@ -269,37 +201,34 @@ def _choose_basepoint(curve):
     rng = named_rng(curve.seed, "basepoint")
     for _ in range(100):
         theta = float(rng.uniform(0, 2 * np.pi))
-        x0 = center + radius * np.exp(1j * theta)
-        if min(abs(x0 - p) for p in pts) < 0.1 * sep:
+        t0 = center + radius * np.exp(1j * theta)
+        if min(abs(t0 - p) for p in pts) < 0.1 * sep:
             continue
         try:
-            fiber = fiber_at(curve, x0)
+            fiber_at(curve, t0)
         except TrackingError:
             continue
-        curve.basepoint = x0
+        curve.basepoint = t0
         curve.base_center = center
         curve.base_radius = radius
-        return fiber
+        return
     raise BasepointError(
         "basepoint selection failed after 100 draws (seed %d); rescale the map"
         % curve.seed
     )
 
 
-def fiber_at(curve, x0):
-    """The d points y with G(y) = G(x0), as roots in y of P(x0, y)."""
-    d = curve.degree
-    fiber = projective_roots(_fiber_coeffs(curve.fiber_matrix(), [x0])[0], d)
+def fiber_at(curve, t0):
+    """The d points x with G(x) = t, for t0 = 1/(t - c) in the target chart."""
+    fiber = projective_roots(_fiber_coeffs(curve.matrix, [t0])[0], curve.degree)
     if min_pairwise_chordal(fiber) < 10 * MATCH_TOL:
-        raise TrackingError("fiber is nearly degenerate: x0 too close to the branch locus")
-    if not any(chordal(y, x0) < MATCH_TOL for y in fiber):
-        raise TrackingError("fiber does not contain the diagonal trace")
+        raise TrackingError("fiber is nearly degenerate: t0 too close to a critical value")
     return fiber
 
 
-def _fiber_coeffs(matrix, xs):
-    """Coefficients in y of P(x, y) at each abscissa, one row per x."""
-    powers = np.asarray(xs, dtype=complex)[:, None] ** np.arange(matrix.shape[0])
+def _fiber_coeffs(matrix, ts):
+    """Coefficients in x of the fiber equation at each t', one row per t'."""
+    powers = np.asarray(ts, dtype=complex)[:, None] ** np.arange(matrix.shape[0])
     # a stack of row-times-matrix products rounds like each product alone;
     # one matrix-matrix product would not
     return np.matmul(powers[:, None, :], matrix)[:, 0, :]
@@ -326,7 +255,7 @@ def _keyhole(x0, b, rho, n_circle=24):
 
 
 def _plan_loops(curve, seed):
-    pts = [b.point for b in curve.branch]
+    pts = curve.values
     n = len(pts)
     if n == 1:
         seps = [2 * abs(pts[0] - curve.basepoint)]
@@ -360,58 +289,54 @@ def _plan_loops(curve, seed):
     raise BasepointError("could not lay out non-overlapping loops; rescale the map")
 
 
-def _walk(legs, fiber):
+def _walk(waypoints, fiber):
     """One path of the lockstep tracker, as a generator.
 
-    A path is a list of polylines (legs) followed one after another; the
-    step size restarts at each leg.  For every attempted step the walk
-    yields (abscissa, current fiber) and is sent back (new fiber, chordal
-    cost matrix current x new, separation of the new fiber).  Returns the
-    fiber at the end of each leg.
+    A path is one polyline.  For every attempted step the walk yields
+    (abscissa, current fiber) and is sent back (new fiber, chordal cost
+    matrix current x new, separation of the new fiber).  Returns the fiber
+    at every vertex, the first one included.
     """
-    ends = []
-    for waypoints in legs:
-        lengths = [abs(b - a) for a, b in zip(waypoints, waypoints[1:])]
-        step0 = sum(lengths) / 64.0
-        for (a, b), seg_len in zip(zip(waypoints, waypoints[1:]), lengths):
-            if seg_len == 0:
+    fibers = [fiber]
+    lengths = [abs(b - a) for a, b in zip(waypoints, waypoints[1:])]
+    step0 = sum(lengths) / 64.0
+    for (a, b), seg_len in zip(zip(waypoints, waypoints[1:]), lengths):
+        h0 = min(1.0, step0 / seg_len) if seg_len else 1.0
+        t, h = 0.0, h0
+        clean = 0
+        while seg_len and t < 1.0 - 1e-15:
+            h = min(h, 1.0 - t)
+            new_fiber, cost, sep = yield a + (t + h) * (b - a), fiber
+            rows, cols = linear_sum_assignment(cost)
+            moved = cost[rows, cols].max()
+            if moved >= 0.4 * sep:
+                h /= 2.0
+                clean = 0
+                if h * seg_len < 1e-12:
+                    raise TrackingError("path-tracking step underflow")
                 continue
-            h0 = min(1.0, step0 / seg_len)
-            t, h = 0.0, h0
-            clean = 0
-            while t < 1.0 - 1e-15:
-                h = min(h, 1.0 - t)
-                new_fiber, cost, sep = yield a + (t + h) * (b - a), fiber
-                rows, cols = linear_sum_assignment(cost)
-                moved = cost[rows, cols].max()
-                if moved >= 0.4 * sep:
-                    h /= 2.0
-                    clean = 0
-                    if h * seg_len < 1e-12:
-                        raise TrackingError("path-tracking step underflow")
-                    continue
-                # rows is 0..d-1 in order for a square cost matrix
-                fiber = [new_fiber[c] for c in cols]
-                t += h
-                clean += 1
-                if clean >= 4:
-                    h = min(2 * h, h0)
-                    clean = 0
-        ends.append(fiber)
-    return ends
+            # rows is 0..d-1 in order for a square cost matrix
+            fiber = [new_fiber[c] for c in cols]
+            t += h
+            clean += 1
+            if clean >= 4:
+                h = min(2 * h, h0)
+                clean = 0
+        fibers.append(fiber)
+    return fibers
 
 
 def _track(matrix, d, fiber, paths):
-    """Continue ``fiber`` along every path (a list of legs) in lockstep.
+    """Continue ``fiber`` along every path (a polyline) in lockstep.
 
     Each round solves the fibers at the next abscissa of every active path
     in one batched root solve; each path then matches, accepts or halves its
-    step exactly as it would alone.  Returns per path the fibers at the ends
-    of its legs, or the TrackingError or RootFindingError that stopped it.
+    step exactly as it would alone.  Returns per path the fibers at its
+    vertices, or the TrackingError or RootFindingError that stopped it.
     Callers raise errors in path order, so the paths after a failed one are
     dropped (None).
     """
-    walks = [_walk(legs, fiber) for legs in paths]
+    walks = [_walk(path, fiber) for path in paths]
     outcomes = [None] * len(walks)
     pending = {}  # path index -> (abscissa, current fiber), in path order
     cut = len(walks)  # the first failed path; later ones are dropped
@@ -478,8 +403,8 @@ def _compose(p1, p2):
 
 
 def _check_sphere_relation(d, perms, order):
-    """Loops multiplied in angular order must contract through infinity
-    (which is unramified in the working chart), giving the identity."""
+    """Loops multiplied in angular order must contract through t' = infinity
+    (which is not a critical value in the target chart), giving the identity."""
     for ordering in (list(order), list(reversed(order))):
         acc = tuple(range(d))
         for i in ordering:
@@ -489,24 +414,86 @@ def _check_sphere_relation(d, perms, order):
     raise ConsistencyError("sphere relation violated: loop product is not the identity")
 
 
+def _cycles_at_preimages(perm, entry, preimages):
+    """The cycle of ``perm`` at each preimage of a critical value.
+
+    ``preimages`` are the (point, local degree) pairs over the value, and
+    ``entry`` is the fiber, in base-sheet order, where the loop enters the
+    value's disc.  The cycle type must be the exact local degrees; each cycle
+    is attributed to the preimage its sheets sit at, whose local degree must
+    be the cycle's length.
+    """
+    cycles = _cycles(perm, range(len(perm)))
+    observed = sorted(len(c) for c in cycles)
+    exact = sorted(e for _p, e in preimages)
+    if observed != exact:
+        raise ConsistencyError(
+            "ramification mismatch at a critical value: monodromy %s vs exact %s"
+            % (observed, exact)
+        )
+    dist = chordal_matrix(entry, [p for p, _e in preimages])
+    cost = np.array([dist[list(c)].sum(axis=0) for c in cycles])
+    rows, cols = linear_sum_assignment(cost)
+    out = [None] * len(preimages)
+    for i, j in zip(rows, cols):
+        point, e = preimages[j]
+        if len(cycles[i]) != e:
+            raise ConsistencyError(
+                "a cycle of length %d sits at %s, of local degree %d" % (len(cycles[i]), point, e)
+            )
+        out[j] = cycles[i]
+    return out
+
+
+def _sample_circle(curve):
+    """Radius and points of the circle |x| = R that guides the samples.
+
+    R is the radius in SAMPLE_RADII chordally farthest from the branch locus
+    and from the points over the pole of the target chart; 4d + 4 points are
+    as many as the largest reconstruction needs, and none lies on an axis.
+    """
+    avoid = curve.branch_locus + list(curve.G.preimages(curve.pole))
+    radius = max(
+        SAMPLE_RADII, key=lambda R: min(chordal(p if is_inf(p) else abs(p), R) for p in avoid)
+    )
+    n = 4 * curve.degree + 4
+    return radius, [radius * np.exp(2j * np.pi * (k + 0.5) / n) for k in range(n)]
+
+
 def monodromy(curve):
-    """Permutation of the base fiber for a loop around each branch point."""
+    """Permutation of the base fiber for a loop around each critical value,
+    and the fibers over the sample circle, tracked in one lockstep run."""
     d = curve.degree
     plan = _plan_loops(curve, curve.seed)
-    x0 = plan.waypoints[0][0] if plan.waypoints else curve.basepoint
-    base_fiber = fiber_at(curve, x0)
-    paths = [[wp] for wp in plan.waypoints]
-    perms = []
-    for ends in _track(curve.fiber_matrix(), d, base_fiber, paths):
-        if isinstance(ends, Exception):
-            raise ends
-        perms.append(_match_permutation(ends[-1], base_fiber))
+    t0 = plan.waypoints[0][0]
+    base_fiber = fiber_at(curve, t0)
+    radius, xs = _sample_circle(curve)
+    row0, row1 = (np.polyval(row[::-1], xs) for row in curve.matrix)
+    outcomes = _track(curve.matrix, d, base_fiber, plan.waypoints + [[t0] + list(-row0 / row1)])
+    for fibers in outcomes:
+        if isinstance(fibers, Exception):
+            raise fibers
+    *loops, sampled = outcomes
+    perms = [_match_permutation(fibers[-1], base_fiber) for fibers in loops]
     _check_sphere_relation(d, perms, plan.order)
-    diag = [i for i, y in enumerate(base_fiber) if chordal(y, x0) < MATCH_TOL]
-    if len(diag) != 1:
-        raise ConsistencyError("diagonal trace in the base fiber is not unique")
+    cycles = [
+        _cycles_at_preimages(perm, fibers[1], pre)
+        for perm, fibers, pre in zip(perms, loops, curve.preimages)
+    ]
+    # every point of a tracked fiber is a sample abscissa; the one nearest
+    # each circle point keeps the samples spread around the circle
+    samples = [
+        (fiber, int(chordal_matrix([x], fiber)[0].argmin()))
+        for x, fiber in zip(xs, sampled[1:])
+    ]
     return MonodromyAction(
-        fiber=base_fiber, permutations=perms, loop_plan=plan, diagonal_index=diag[0]
+        basepoint=t0,
+        fiber=base_fiber,
+        permutations=perms,
+        loop_plan=plan,
+        cycles=cycles,
+        samples=samples,
+        sample_radius=radius,
     )
 
 
@@ -533,101 +520,50 @@ def _orbits(n, perms):
     return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: (len(g), g))
 
 
-def _cycle_type(perm, orbit):
-    orbit = set(orbit)
+def _cycles(perm, points):
+    """The cycles of ``perm`` on ``points``, a set it maps to itself."""
     seen = set()
     out = []
-    for i in orbit:
-        if i in seen:
-            continue
-        length = 0
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-            length += 1
-        out.append(length)
-    return sorted(out)
+    for i in points:
+        cycle = []
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = perm[i]
+        if cycle:
+            out.append(tuple(cycle))
+    return out
 
 
-def _verify_cycle_types(curve, mon):
-    """Observed full cycle type per branch point vs the exact local data."""
-    d = curve.degree
-    full = tuple(range(d))
-    for b, perm in zip(curve.branch, mon.permutations):
-        observed = tuple(sorted(_cycle_type(perm, full)))
-        predicted = b.predicted_cycle_type()
-        if observed != predicted:
-            raise ConsistencyError(
-                "ramification mismatch at branch point %s: monodromy %s vs exact %s"
-                % (b.point, observed, predicted)
-            )
+def _cycle_type(perm, orbit):
+    return sorted(len(c) for c in _cycles(perm, orbit))
 
 
-def _x_degree_samples(d):
-    return 2 * d + 3
+def _on_pairs(perm):
+    """The permutation of ordered pairs (i, j), indexed i * d + j."""
+    d = len(perm)
+    return tuple(perm[i] * d + perm[j] for i in range(d) for j in range(d))
 
 
-def _reconstruction_samples(r, d):
-    return 2 * (r + d) + 7
+def _sheet_samples(orbit, samples):
+    """(x, the y with (x, y) on the component) at every sample abscissa."""
+    sheets = {}
+    for i, j in orbit:
+        sheets.setdefault(i, []).append(j)
+    return [(fiber[i], [fiber[j] for j in sheets[i]]) for fiber, i in samples]
 
 
-def _track_circles(curve, mon, sizes):
-    """Fiber continuation around the basepoint circles with the given sample
-    counts, tracked in one lockstep run.
-
-    Returns {n: (xs, fibers)}, where fibers[k][i] is the continuation of
-    base sheet i at abscissa xs[k], or {n: error} for a circle that failed.
-    A circle of n samples is n chords, each followed as its own leg.  The
-    circle encloses every branch point, so its end fiber must match the base
-    fiber by the identity permutation.  ``sizes`` come in the order the
-    circles are used; the circles after one that fails tracking are left out.
-    """
-    sizes = list(dict.fromkeys(sizes))
-    c, R = curve.base_center, curve.base_radius
-    x0 = mon.loop_plan.waypoints[0][0]
-    phi0 = np.angle(x0 - c)
-    grids = [
-        [c + R * np.exp(1j * (phi0 + 2 * np.pi * k / n)) for k in range(n + 1)] for n in sizes
-    ]
-    paths = [[[a, b] for a, b in zip(xs, xs[1:])] for xs in grids]
-    outcomes = _track(curve.fiber_matrix(), curve.degree, mon.fiber, paths)
-    identity = tuple(range(curve.degree))
-    circles = {}
-    for n, xs, ends in zip(sizes, grids, outcomes):
-        if ends is None:
-            break
-        if isinstance(ends, Exception):
-            circles[n] = ends
-        elif _match_permutation(ends[-1], mon.fiber) != identity:
-            circles[n] = ConsistencyError("circle of basepoints does not return to the identity")
-        else:
-            circles[n] = (xs[:-1], [list(mon.fiber)] + ends[:-1])
-    return circles
-
-
-def _circle_samples(circle):
-    """The (xs, fibers) of a tracked circle; raises the error that stopped it."""
-    if isinstance(circle, Exception):
-        raise circle
-    return circle
-
-
-def _x_degree_from_samples(curve, orbit, xs, fibers):
-    """Minimal x-degree of a bivariate vanishing on the orbit's samples.
+def _x_degree_from_samples(points, r, d, radius):
+    """Minimal x-degree of a bivariate vanishing on the component's samples.
 
     Interpolation through chordally normalized projective monomials; the
     smallest x-degree with a numerical nullspace is the degree of the
     component in x, computed independently of the orbit size.
     """
-    r = len(orbit)
-    c, R = curve.base_center, curve.base_radius
-    d = curve.degree
     rows_uv = []
-    for x, fiber in zip(xs, fibers):
-        xt = (x - c) / R
-        for i in orbit:
-            y = fiber[i]
+    for x, ys in points:
+        xt = x / radius
+        for y in ys:
             if is_inf(y):
                 u, v = 1.0 + 0j, 0j
             else:
@@ -647,66 +583,57 @@ def _x_degree_from_samples(curve, orbit, xs, fibers):
     return None
 
 
-def components(curve, mon, circle=None):
-    """Component certificates from the monodromy orbits.
-
-    ``circle`` is the outcome of the 2d+3 basepoint circle (see
-    :func:`_track_circles`) for the x-degree check; None skips that check.
-    """
+def components(curve, mon):
+    """Component certificates from the orbits of the monodromy on pairs."""
     d = curve.degree
-    orbs = _orbits(d, mon.permutations)
-    if sum(len(o) for o in orbs) != d:
-        raise ConsistencyError("orbit sizes do not sum to the degree")
-    _verify_cycle_types(curve, mon)
-    if circle is not None:
-        xs, fibers = _circle_samples(circle)
+    pair_perms = [_on_pairs(p) for p in mon.permutations]
+    orbs = _orbits(d * d, pair_perms)
+    if len(orbs[0]) != d or any(q % (d + 1) for q in orbs[0]):
+        raise ConsistencyError("the diagonal is not an orbit of its own")
     certs = []
     for orbit in orbs:
-        r = len(orbit)
+        r = len(orbit) // d
+        if r * d != len(orbit):
+            raise ConsistencyError("an orbit of pairs does not cover every sheet equally")
         ram = []
         total_branching = 0
-        for perm in mon.permutations:
-            ct = _cycle_type(perm, orbit)
-            ram.append(ct)
-            total_branching += sum(e - 1 for e in ct)
+        for perm, cycles, pre in zip(pair_perms, mon.cycles, curve.preimages):
+            total_branching += len(orbit) - len(_cycle_type(perm, orbit))
+            for cycle, (_p, e) in zip(cycles, pre):
+                over = [q for q in orbit if q // d in cycle]
+                ram.append([n // e for n in _cycle_type(perm, over)])
         if total_branching % 2 != 0:
             raise ConsistencyError("Riemann-Hurwitz parity violated for an orbit")
-        genus = 1 - r + total_branching // 2
+        genus = 1 - len(orbit) + total_branching // 2
         if genus < 0:
             raise ConsistencyError("negative genus computed for a component")
-        r2 = r
-        if circle is not None:
-            r2 = _x_degree_from_samples(curve, orbit, xs, fibers)
-            if r2 is None or r2 != r:
-                raise ConsistencyError(
-                    "projection degrees disagree: fiber size %s vs x-degree %s" % (r, r2)
-                )
+        pairs = tuple(divmod(q, d) for q in orbit)
+        r2 = _x_degree_from_samples(
+            _sheet_samples(pairs, mon.samples), r, d, mon.sample_radius
+        )
+        if r2 != r:
+            raise ConsistencyError(
+                "projection degrees disagree: fiber size %s vs x-degree %s" % (r, r2)
+            )
         certs.append(
             ComponentCertificate(
-                orbit=orbit,
+                orbit=pairs,
                 bidegree=(r, r2),
                 ramification=ram,
                 genus=genus,
-                is_diagonal=mon.diagonal_index in orbit,
+                is_diagonal=orbit is orbs[0],
             )
         )
-    if sum(c.r for c in certs) != d:
-        raise ConsistencyError("bidegrees do not sum to the degree")
-    diag = [c for c in certs if c.is_diagonal]
-    if len(diag) != 1 or diag[0].r != 1:
-        raise ConsistencyError("the diagonal did not appear as a size-one orbit")
     return certs
 
 
 # -- exact reconstruction --------------------------------------------------------------
 
 
-def reconstruct_component(curve, cert, circle, max_den=10**6):
+def reconstruct_component(curve, cert, mon):
     """Exact factor of P matching the component, or None.
 
-    ``circle`` is the outcome of the 2(r+d)+7 basepoint circle (see
-    :func:`_track_circles`); the diagonal needs none.  The orbit's sheets
-    are sampled at circle abscissas (mapped back to the original chart),
+    The component's sheets are sampled over the sample circle of ``mon``,
     and L(x) * prod(y - y_i(x)) is interpolated per y-coefficient, where L
     is P's exact leading coefficient in y.  That product is polynomial in x
     even for maps whose factors are not monic in y; the spurious content
@@ -719,21 +646,11 @@ def reconstruct_component(curve, cert, circle, max_den=10**6):
         return poly if curve.P.divide_exact(poly) is not None else None
     r, d = cert.r, curve.degree
     deg_x = r + d  # degree bound of the L-multiplied coefficients
-    xs, fibers = _circle_samples(circle)
-    sigma = curve.chart
-    samples = []
-    for x, fib in zip(xs, fibers):
-        xo = sigma.apply_numeric(x)
-        if is_inf(xo) or abs(xo) > 1e5:
-            continue
-        ys = []
-        for i in cert.orbit:
-            yo = sigma.apply_numeric(fib[i])
-            if is_inf(yo) or abs(yo) > 1e5:
-                break
-            ys.append(yo)
-        else:
-            samples.append((complex(xo), ys))
+    samples = [
+        (x, ys)
+        for x, ys in _sheet_samples(cert.orbit, mon.samples)
+        if not any(is_inf(y) or abs(y) > 1e5 for y in ys)
+    ]
     if len(samples) < deg_x + 4:
         return None
     L = curve.P.y_slices()[-1]
@@ -757,7 +674,7 @@ def reconstruct_component(curve, cert, circle, max_den=10**6):
         x_poly = t(np.polynomial.polynomial.Polynomial([-center / scale, 1.0 / scale]))
         out = []
         for v in x_poly.coef:
-            elt = rationalize_into_field(ctx, complex(v), max_den=max_den)
+            elt = rationalize_into_field(ctx, complex(v))
             if elt is None:
                 return None
             out.append(elt)
@@ -794,14 +711,14 @@ def genus_zero_parametrization_check(cert):
 # -- orchestration --------------------------------------------------------------------
 
 
-def analyze(G, seed=0, reconstruct=True, check_x_degree=True, retries=3):
+def analyze(G, seed=0, reconstruct=True):
     """Full decomposition report for the graph curve of G.
 
     Unlucky basepoints (degenerate fibers, ambiguous matches) are retried
     with shifted seeds; consistency failures are not retried.
     """
     last = None
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         try:
             curve = build_graph(G, seed=seed + 1000 * attempt)
             mon = monodromy(curve)
@@ -810,31 +727,16 @@ def analyze(G, seed=0, reconstruct=True, check_x_degree=True, retries=3):
             last = exc
     else:
         raise last
-    # every basepoint circle the steps below use, in the order they use
-    # them (components come in orbit order), tracked in one lockstep run
-    d = curve.degree
-    sizes = [_x_degree_samples(d)] if check_x_degree else []
-    if reconstruct:
-        sizes += [
-            _reconstruction_samples(len(orbit), d)
-            for orbit in _orbits(d, mon.permutations)
-            if mon.diagonal_index not in orbit
-        ]
-    circles = _track_circles(curve, mon, sizes)
-    certs = components(curve, mon, circles.get(_x_degree_samples(d)) if check_x_degree else None)
+    certs = components(curve, mon)
     if reconstruct:
         for cert in certs:
-            circle = circles.get(_reconstruction_samples(cert.r, d))
-            cert.exact_poly = reconstruct_component(curve, cert, circle)
+            cert.exact_poly = reconstruct_component(curve, cert, mon)
         _verify_factorization(curve, certs)
     report = {
         "degree": curve.degree,
         "seed": seed,
-        "chart": None
-        if curve.chart.is_identity()
-        else [str(e) for e in _moebius_strings(curve.chart)],
-        "branch_points": [_point_json(b) for b in curve.branch_locus],
-        "basepoint": _point_json(curve.basepoint),
+        "branch_points": [_point_json(p) for p in curve.branch_locus],
+        "basepoint": _point_json(_from_target(curve.pole, mon.basepoint)),
         "components": [
             {
                 "bidegree": list(cert.bidegree),
@@ -863,13 +765,6 @@ def _verify_factorization(curve, certs):
         prod = c.exact_poly if prod is None else prod * c.exact_poly
     if prod.normalized() != curve.P.normalized():
         raise ConsistencyError("certified factors do not multiply back to P")
-
-
-def _moebius_strings(m):
-    return [
-        e.coords_strings() if not e.is_rational() else str(e.as_fraction())
-        for e in m.entries()
-    ]
 
 
 def _point_json(p):

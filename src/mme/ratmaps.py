@@ -259,12 +259,6 @@ class Moebius:
     def identity(cls, ctx):
         return cls(ctx.one, ctx.zero, ctx.zero, ctx.one)
 
-    @classmethod
-    def from_rationals(cls, ctx, a, b, c, d):
-        return cls(
-            ctx.from_rational(a), ctx.from_rational(b), ctx.from_rational(c), ctx.from_rational(d)
-        )
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -342,13 +336,6 @@ class CriticalData:
     points: list
     values: list
     value_groups: list = field(default_factory=list)
-
-    def local_degree_at(self, z, tol=1e-6):
-        """Local degree of the map at a numeric point (1 if noncritical)."""
-        for p, m in self.points:
-            if chordal(p, z) < tol:
-                return m + 1
-        return 1
 
 
 def critical_data(f, residual_tol=1e-10, value_tol=1e-7):

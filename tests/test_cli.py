@@ -26,6 +26,22 @@ def test_analyze_graph_deterministic_output(capsys):
     assert out1 == out2
 
 
+def test_analyze_graph_report_keys(capsys):
+    _, out, _ = run(capsys, "analyze-graph", "--map", "z^2+1", "--seed", "4")
+    report = json.loads(out)
+    assert sorted(report) == ["basepoint", "branch_points", "components", "degree", "seed"]
+    assert report["seed"] == 4
+
+
+def test_measure_report_echoes_only_the_settings_it_uses(capsys):
+    _, out, _ = run(capsys, "measure", "--f", "z^2", "--g", "z^2", "--count", "200",
+                    "--depth", "20", "--seed", "3")
+    report = json.loads(out)
+    assert report["config"] == {"cloud_count": 200, "depth": 20, "seed": 3}
+    assert sorted(report) == ["config", "count", "depth", "distance", "maps", "ratio", "seed",
+                              "self_baseline", "thresholds", "verdict"]
+
+
 def test_powermap_equal_and_unequal(capsys):
     code, out, _ = run(capsys, "powermap", "--df", "6", "--dg", "12")
     assert code == 0

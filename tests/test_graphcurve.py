@@ -5,6 +5,7 @@ import pytest
 
 from mme.fields import FieldContext
 from mme.graphcurve import (
+    _cycles_at_preimages,
     _fiber_coeffs,
     _plan_loops,
     _track,
@@ -136,22 +137,22 @@ def test_riemann_hurwitz_genus_is_integer_and_nonnegative():
 def test_lockstep_tracking_matches_each_path_alone():
     curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]), seed=6)
     plan = _plan_loops(curve, curve.seed)
-    x0 = plan.waypoints[0][0]
-    base = fiber_at(curve, x0)
-    # four keyhole loops and a two-leg path around part of the basepoint circle
+    t0 = plan.waypoints[0][0]
+    base = fiber_at(curve, t0)
+    # four keyhole loops and a polyline along part of the basepoint circle
     c, R = curve.base_center, curve.base_radius
-    arc = [c + R * np.exp(1j * (np.angle(x0 - c) + 0.4 * k)) for k in range(3)]
-    paths = [[wp] for wp in plan.waypoints[:4]] + [[arc[:2], arc[1:]]]
-    matrix = curve.fiber_matrix()
+    arc = [c + R * np.exp(1j * (np.angle(t0 - c) + 0.4 * k)) for k in range(3)]
+    paths = plan.waypoints[:4] + [arc]
+    matrix = curve.matrix
     # each row of a batched coefficient solve is the single-abscissa product
-    xs = [x for wp in plan.waypoints for x in wp]
-    for x, row in zip(xs, _fiber_coeffs(matrix, xs)):
-        assert row.tobytes() == ((x ** np.arange(len(matrix))) @ matrix).tobytes()
+    ts = [t for wp in plan.waypoints for t in wp]
+    for t, row in zip(ts, _fiber_coeffs(matrix, ts)):
+        assert row.tobytes() == ((t ** np.arange(len(matrix))) @ matrix).tobytes()
     together = _track(matrix, curve.degree, base, paths)
-    for path, ends in zip(paths, together):
+    for path, fibers in zip(paths, together):
         alone = _track(matrix, curve.degree, base, [path])[0]
-        assert len(ends) == len(path)
-        assert [[complex(y) for y in f] for f in ends] == [[complex(y) for y in f] for f in alone]
+        assert len(fibers) == len(path)
+        assert [[complex(y) for y in f] for f in fibers] == [[complex(y) for y in f] for f in alone]
 
 
 def test_lockstep_failure_drops_later_paths(monkeypatch):
@@ -160,8 +161,8 @@ def test_lockstep_failure_drops_later_paths(monkeypatch):
     curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]), seed=6)
     plan = _plan_loops(curve, curve.seed)
     base = fiber_at(curve, plan.waypoints[0][0])
-    paths = [[wp] for wp in plan.waypoints[:3]]
-    matrix = curve.fiber_matrix()
+    paths = plan.waypoints[:3]
+    matrix = curve.matrix
     # the fiber solve fails at the first abscissa the middle path tries
     a, b = plan.waypoints[1][:2]
     lengths = [abs(q - p) for p, q in zip(plan.waypoints[1], plan.waypoints[1][1:])]
@@ -182,33 +183,86 @@ def test_lockstep_failure_drops_later_paths(monkeypatch):
     assert dropped is None
 
 
-# non-float report fields of three maps; the values come from tracking each
-# loop and circle on its own, which lockstep tracking must reproduce
+def test_cycle_type_must_match_exact_local_degrees():
+    # one simple critical point over v: local degrees (2, 1) at 0 and 1
+    preimages = [(0j, 2), (1 + 0j, 1)]
+    entry = [0.1 + 0j, -0.1 + 0j, 1.0 + 0j]
+    assert _cycles_at_preimages((1, 0, 2), entry, preimages) == [(0, 1), (2,)]
+    with pytest.raises(ConsistencyError):
+        _cycles_at_preimages((1, 2, 0), entry, preimages)  # a 3-cycle
+    with pytest.raises(ConsistencyError):
+        _cycles_at_preimages((0, 1, 2), entry, preimages)  # no branching
+    # the 2-cycle sits at the simple preimage: right cycle type, wrong place
+    with pytest.raises(ConsistencyError):
+        _cycles_at_preimages((0, 2, 1), [0j, 0.9 + 0j, 1.1 + 0j], preimages)
+
+
+def test_degree_eight_map_lays_out_its_loops():
+    # at seed 1, loops around this map's 98 x-plane branch points could not be
+    # laid out without overlap; the target line has only 14 critical values
+    f = rmap([3, -3, -1, -1, -3, -3, 4, 3, -3], [-3, -2, 3, -5, 3, -4, -1, 2, 4])
+    report, _curve, mon, _certs = analyze(f, seed=1, reconstruct=False)
+    assert len(mon.permutations) == 14
+    assert sorted((tuple(c["bidegree"]), c["genus"]) for c in report["components"]) == [
+        ((1, 1), 0), ((7, 7), 36)]
+
+
+X_MINUS_Y = [["0", "-1"], ["1", "0"]]
+
+# non-float report fields of three maps, as the analysis that tracked loops
+# in the x-plane reported them; each partition is keyed by its branch point
+# (given to 9 decimals), because branch_points come in critical-value order
 PINNED_REPORTS = [
-    (([0, -3, 0, 1], [1]), 0, [
-        ([1, 1], 0, True, [[1]] * 5, [["0", "-1"], ["1", "0"]]),
-        ([2, 2], 0, False, [[1, 1], [2], [1, 1], [1, 1], [2]],
+    (([0, -3, 0, 1], [1]), 0, ([None, -1, -2, 1, 2], [
+        ([1, 1], 0, True, [[1]] * 5, X_MINUS_Y),
+        ([2, 2], 0, False, [[1, 1], [1, 1], [2], [1, 1], [2]],
          [["-3", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]),
-    ]),
-    (([1, -2, 0, 3], [2, 1, 1, 1]), 5, [
-        ([1, 1], 0, True, [[1]] * 8, [["0", "-1"], ["1", "0"]]),
-        ([2, 2], 1, False, [[1, 1], [2]] * 4,
+    ])),
+    (([1, -2, 0, 3], [2, 1, 1, 1]), 5, ([
+        -0.560722162, -0.581399568 - 1.212274948j, -0.581399568 + 1.212274948j, -0.980176009,
+        -1.642691276 - 1.760175462j, -1.642691276 + 1.760175462j, 0.512771381, 1.628689429,
+    ], [
+        ([1, 1], 0, True, [[1]] * 8, X_MINUS_Y),
+        ([2, 2], 1, False, [[1, 1], [2], [2], [2], [1, 1], [1, 1], [1, 1], [2]],
          [["-5/3", "-1/3", "5/3"], ["-1/3", "7/3", "5/3"], ["5/3", "5/3", "1"]]),
-    ]),
-    (([2, 0, -1, 0, 1], [1, 3, 0, 1]), 6, [
-        ([1, 1], 0, True, [[1]] * 18, [["0", "-1"], ["1", "0"]]),
-        ([3, 3], 4, False, [[1, 1, 1], [1, 2], [1, 2]] * 6,
+    ])),
+    (([2, 0, -1, 0, 1], [1, 3, 0, 1]), 6, ([
+        -0.106239343 - 0.65426834j, -0.106239343 + 0.65426834j,
+        -0.325219817 - 0.114174993j, -0.325219817 + 0.114174993j,
+        -0.848710321 - 0.859576301j, -0.848710321 + 0.859576301j,
+        -1.065307226 - 1.386546712j, -1.065307226 + 1.386546712j, -1.194643363,
+        0.161911136 - 1.419877966j, 0.161911136 + 1.419877966j,
+        0.17967997 - 3.298180366j, 0.17967997 + 3.298180366j,
+        0.890409893 - 1.01729373j, 0.890409893 + 1.01729373j, 1.047762109,
+        1.986916335 - 1.090479576j, 1.986916335 + 1.090479576j,
+    ], [
+        ([1, 1], 0, True, [[1]] * 18, X_MINUS_Y),
+        ([3, 3], 4, False, [[1, 1, 1], [1, 1, 1]] + [[1, 2]] * 6 + [[1, 1, 1]]
+         + [[1, 2]] * 2 + [[1, 1, 1]] * 2 + [[1, 2]] * 2 + [[1, 1, 1]] + [[1, 2]] * 2,
          [["-6", "-1", "-2", "1"], ["-1", "-5", "1", "3"], ["-2", "1", "4", "0"],
           ["1", "3", "0", "1"]]),
-    ]),
+    ])),
 ]
+
+
+def _branch_index(points, p):
+    """Index of the reported branch point at p (None for infinity)."""
+    if p is None:
+        return points.index("inf")
+    dists = [abs(complex(*q) - p) if q != "inf" else math.inf for q in points]
+    assert min(dists) < 1e-8
+    return dists.index(min(dists))
 
 
 @pytest.mark.parametrize("coeffs,seed,expected", PINNED_REPORTS)
 def test_report_fields_are_pinned(coeffs, seed, expected):
+    points, expected = expected
     report, *_ = analyze(rmap(*coeffs), seed=seed)
+    where = [_branch_index(report["branch_points"], p) for p in points]
+    assert sorted(where) == list(range(len(report["branch_points"])))
     got = [
-        (c["bidegree"], c["genus"], c["is_diagonal"], c["ramification"], c["exact_poly"])
+        (c["bidegree"], c["genus"], c["is_diagonal"], [c["ramification"][k] for k in where],
+         c["exact_poly"])
         for c in report["components"]
     ]
     assert got == expected
