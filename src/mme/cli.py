@@ -134,9 +134,7 @@ def _cmd_measure(args):
     f = _load_map(args.f, args)
     g = _load_map(args.g, args)
     rep = same_measure_test(f, g, count=cfg.cloud_count, depth=cfg.depth, seed=cfg.seed)
-    payload = rep.as_dict()
-    payload["config"] = {"cloud_count": cfg.cloud_count, "depth": cfg.depth, "seed": cfg.seed}
-    _emit(args, dumps_report(payload))
+    _emit(args, dumps_report(rep.as_dict()))
     return 0
 
 

@@ -3,16 +3,14 @@
 Every verdict of a certificate is decided by exact arithmetic over the
 base field: an identity by comparing coefficients, and the absence of a
 Moebius factor R = sigma o S by a span test on the numerators and
-denominators (``mobius_factor_exists``).  Only
-``iteration_derivative_nonvanishing`` samples numerically.
+denominators (``mobius_factor_exists``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .numeric import ConsistencyError, is_inf, named_rng
-from .polys import Poly
+from .numeric import ConsistencyError
 from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, Moebius, maps_equal
 
 EXACT_COMPOSE_DEGREE_CAP = 100
@@ -223,44 +221,3 @@ def sigma_f_quadratic(f):
     if not sigma.compose(sigma).is_identity():
         raise ConsistencyError("computed involution does not square to the identity")
     return sigma
-
-
-# -- iteration-family nonsingularity ------------------------------------------------------
-
-
-def iteration_derivative_nonvanishing(f, v_num, v_den, n, samples=12, seed=0, tol=1e-8):
-    """Whether d/dt (f_t^n) vanishes identically at t = 0.
-
-    The family is f_t = (num + t v_num)/(den + t v_den); the t-derivative
-    at t = 0 is w = (v_num den - v_den num)/den^2 exactly.  Directions
-    tangent to the projective rescaling give w = 0 and verdict DEGENERATE.
-    The derivative of the n-th iterate follows the chain rule
-    S_{k+1}(z) = w(f^k z) + f'(f^k z) S_k(z) and is sampled numerically.
-    """
-    if n < 1:
-        raise MapError("iterate count must be >= 1")
-    ctx = f.ctx
-    vn = v_num if isinstance(v_num, Poly) else Poly(ctx, v_num)
-    vd = v_den if isinstance(v_den, Poly) else Poly(ctx, v_den)
-    w_num = vn * f.den - vd * f.num
-    if w_num.is_zero():
-        return "DEGENERATE"
-    den2 = f.den * f.den
-    rng = named_rng(seed, "iteration-derivative")
-    hits = 0
-    for _ in range(samples):
-        z = complex(rng.normal(), rng.normal())
-        try:
-            s = w_num.eval_numeric(z) / den2.eval_numeric(z)
-            x = z
-            for _k in range(1, n):
-                fx = f.eval_numeric(x)
-                if is_inf(fx) or abs(fx) > 1e8:
-                    raise ZeroDivisionError
-                s = w_num.eval_numeric(fx) / den2.eval_numeric(fx) + f.eval_derivative_numeric(x) * s
-                x = fx
-        except (ZeroDivisionError, FloatingPointError):
-            continue
-        if abs(s) > tol:
-            hits += 1
-    return "NONZERO" if hits > 0 else "ZERO"

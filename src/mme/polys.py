@@ -3,17 +3,53 @@
 Poly stores ascending coefficients with no trailing zeros (the zero
 polynomial is the empty tuple).  BiPoly stores a dense coefficient
 matrix indexed by (x-degree, y-degree).  All operations are exact.
+Over Q, a product of Polys and a projective evaluation run on integer
+vectors with one common denominator; other fields use the coefficient
+arithmetic of FieldElement.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .fields import FieldElement, FieldError, to_fraction
 
 
+# -- integer products by Kronecker substitution --------------------------------------
+#
+# An integer vector a is packed into the single integer A = sum a_i 2^(k i), so
+# the product of two packed vectors is their packed convolution.  A slot of k
+# bits holds every |c_i| < 2^(k-1) of the convolution, whose entries are bounded
+# by min(len a, len b) max|a| max|b|.  Slots are whole bytes so that packing and
+# unpacking are single int.to_bytes / int.from_bytes passes (linear time).
+
+
+def _kronecker_product(a, b):
+    """The convolution of two nonempty integer lists, by one big-integer product."""
+    n = len(a) + len(b) - 1
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 2)
+    width = (bits + 7) // 8
+    packed = _pack(a, width)
+    product = packed * packed if a is b else packed * _pack(b, width)
+    # add 2^(k-1) to every slot so that each slot holds c_i + 2^(k-1) >= 0
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    buf = (product + offset).to_bytes(n * width, "little")
+    return [int.from_bytes(buf[i:i + width], "little") - half
+            for i in range(0, n * width, width)]
+
+
+def _pack(xs, width):
+    """sum xs[i] 2^(8 width i) for integers with |xs[i]| < 2^(8 width - 1)."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in xs)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in xs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 class Poly:
-    __slots__ = ("ctx", "coeffs", "_numeric")
+    __slots__ = ("ctx", "coeffs", "_numeric", "_ints")
 
     def __init__(self, ctx, coeffs):
         cs = []
@@ -29,6 +65,7 @@ class Poly:
         self.ctx = ctx
         self.coeffs = tuple(cs)
         self._numeric = None
+        self._ints = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -119,6 +156,18 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
+        if self.ctx.degree == 1:
+            a, da = self._integer_vector()
+            b, db = other._integer_vector()
+            den = da * db
+            return Poly(self.ctx, [FieldElement(self.ctx, (Fraction(c, den),))
+                                   for c in _kronecker_product(a, b)])
+        return self._mul_schoolbook(other)
+
+    __rmul__ = __mul__
+
+    def _mul_schoolbook(self, other):
+        """The product over any field, one coefficient product at a time."""
         out = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -128,7 +177,13 @@ class Poly:
                     out[i + j] = out[i + j] + a * b
         return Poly(self.ctx, out)
 
-    __rmul__ = __mul__
+    def _integer_vector(self):
+        """(ints, den) with self = sum(ints[i] z^i) / den, for a Poly over Q; cached."""
+        if self._ints is None:
+            fracs = [c.coords[0] for c in self.coeffs]
+            den = math.lcm(*[f.denominator for f in fracs])
+            self._ints = ([f.numerator * (den // f.denominator) for f in fracs], den)
+        return self._ints
 
     def scale(self, c):
         c = self.ctx._coerce(c)
@@ -215,6 +270,25 @@ class Poly:
 
     def eval_homogeneous(self, u, v, formal_degree):
         """sum c_i u^i v^(d-i) for exact projective evaluation."""
+        if self.ctx.degree != 1:
+            return self._eval_homogeneous_generic(u, v, formal_degree)
+        u, v = self.ctx._coerce(u).coords[0], self.ctx._coerce(v).coords[0]
+        # with u = a/b and v = c/e the sum is sum n_i X^i Y^(d-i) / (den (be)^d),
+        # where X = ae, Y = cb and c_i = n_i / den: Horner on integers
+        d = formal_degree
+        ints, den = self._integer_vector()
+        x = u.numerator * v.denominator
+        y = v.numerator * u.denominator
+        ypow = [1]
+        for _ in range(d):
+            ypow.append(ypow[-1] * y)
+        acc = 0
+        for i in range(min(d, len(ints) - 1), -1, -1):
+            acc = acc * x + ints[i] * ypow[d - i]
+        return self.ctx.from_rational(
+            Fraction(acc, den * (u.denominator * v.denominator) ** d))
+
+    def _eval_homogeneous_generic(self, u, v, formal_degree):
         d = formal_degree
         acc = self.ctx.zero
         up = self.ctx.one

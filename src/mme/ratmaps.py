@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldError
-from .numeric import INF, certified_roots, chordal, is_inf
+from .numeric import INF, ConsistencyError, certified_roots, chordal, is_inf
 from .polys import Poly
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -34,7 +34,6 @@ class RationalMap:
     def __init__(self, num, den):
         if num.ctx is not den.ctx:
             raise FieldError("numerator and denominator from different contexts")
-        ctx = num.ctx
         if den.is_zero():
             raise MapError("denominator is the zero polynomial")
         if num.is_zero():
@@ -43,15 +42,24 @@ class RationalMap:
         if g.degree > 0:
             num = num.divide_exact(g)
             den = den.divide_exact(g)
-        degree = max(num.degree, den.degree)
-        if degree < 1:
+        if max(num.degree, den.degree) < 1:
             raise MapError("constant map is not a rational self-map of degree >= 1")
+        self._set_lowest_terms(num, den)
+
+    @classmethod
+    def _coprime(cls, num, den):
+        """The map num/den for coprime num, den, without a gcd."""
+        f = cls.__new__(cls)
+        f._set_lowest_terms(num, den)
+        return f
+
+    def _set_lowest_terms(self, num, den):
         # canonical form: monic denominator
         inv = den.leading().inverse()
-        self.ctx = ctx
+        self.ctx = num.ctx
         self.num = num.scale(inv)
         self.den = den.scale(inv)
-        self.degree = degree
+        self.degree = max(num.degree, den.degree)
         self._num_rev = None
         self._den_rev = None
 
@@ -100,7 +108,14 @@ class RationalMap:
                 num = num + upow[i] * vpow[d - i] * a
             if not b.is_zero():
                 den = den + upow[i] * vpow[d - i] * b
-        return RationalMap(num, den)
+        # No gcd: p/q and u/v are in lowest terms, so the homogenized P, Q have
+        # no common zero on P^1.  At a common zero z of num and den, (u(z), v(z))
+        # would be a common zero of P and Q, so u(z) = v(z) = 0: impossible.
+        if max(num.degree, den.degree) != d * other.degree:
+            raise ConsistencyError(
+                "composite of degrees %d and %d has degree %d"
+                % (d, other.degree, max(num.degree, den.degree)))
+        return RationalMap._coprime(num, den)
 
     def iterate(self, n, budget=DEFAULT_DEGREE_BUDGET):
         if n < 1:

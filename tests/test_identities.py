@@ -8,7 +8,6 @@ from mme.fields import FieldContext, field_configure
 from mme.identities import (
     check_counterexample_triple,
     check_main1_relations,
-    iteration_derivative_nonvanishing,
     mobius_factor_exists,
     shared_iterate_search,
     sigma_f_quadratic,
@@ -94,13 +93,6 @@ def test_sigma_f_for_z_plus_inverse():
 def test_sigma_f_rejects_wrong_degree():
     with pytest.raises(Exception):
         sigma_f_quadratic(rmap([0, -3, 0, 1]))
-
-
-def test_iteration_derivative_classification():
-    f = rmap([0, 0, 1])
-    # (f^2)'(z) = 4 z^3: nonzero away from 0/inf
-    out = iteration_derivative_nonvanishing(f, Poly(Q, [0, 0, 1]), Poly(Q, [1]), 1)
-    assert out in ("NONZERO", "ZERO", "DEGENERATE")
 
 
 @settings(max_examples=40, deadline=None)

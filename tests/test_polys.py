@@ -103,3 +103,55 @@ def test_bipoly_division_inverts_multiplication(a, b, c):
     if D.is_zero():
         return
     assert (P * D).divide_exact(D) == P
+
+
+# -- products and projective evaluation over Q on integers ------------------------------
+
+# zero, small, and >= 300-bit numerators over denominators of up to 320 bits
+q_coeff = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-2**400, 2**400), st.integers(1, 2**320)),
+)
+q_coeffs = st.lists(q_coeff, min_size=1, max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_coeffs, q_coeffs)
+def test_q_product_equals_schoolbook_product(a, b):
+    p, q = poly_from(a), poly_from(b)
+    assert p * q == p._mul_schoolbook(q)
+    assert p * p == p._mul_schoolbook(p)
+
+
+def test_q_product_on_tall_signed_coefficients():
+    import random
+
+    rng = random.Random(6)
+    for _ in range(200):
+        a, b = ([rng.choice([0, 1, -1]) * rng.getrandbits(rng.choice([1, 64, 300]))
+                 for _ in range(rng.randint(1, 30))] for _ in range(2))
+        a[-1] = a[-1] or -(2**300)
+        b[-1] = b[-1] or 2**300
+        p, q = poly_from(a), poly_from(b)
+        prod = p * q
+        assert prod == p._mul_schoolbook(q)
+        assert prod.degree == len(a) + len(b) - 2
+        # the integer convolution itself, slot by slot
+        assert [c.as_fraction() for c in prod.coeffs] == [
+            sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)]
+
+
+q_point = st.one_of(st.just(Fraction(0)), st.builds(
+    Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**70)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_coeffs, q_point, q_point, st.integers(0, 3))
+def test_q_eval_homogeneous_equals_generic(a, u, v, extra):
+    p = poly_from(a)
+    d = max(p.degree, 0) + extra
+    for U, V in ((u, v), (u, Fraction(0)), (Fraction(0), v), (Fraction(1), Fraction(0))):
+        U, V = Q.from_rational(U), Q.from_rational(V)
+        assert p.eval_homogeneous(U, V, d) == p._eval_homogeneous_generic(U, V, d)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mme.fields import FieldContext
-from mme.numeric import INF, chordal, is_inf
+from mme.fields import FieldContext, field_configure
+from mme.numeric import INF, ConsistencyError, chordal, is_inf
 from mme.polys import Poly
 from mme.ratmaps import (
+    DEFAULT_DEGREE_BUDGET,
     MapError,
     Moebius,
     RationalMap,
@@ -128,3 +129,63 @@ def test_composition_degree_multiplicative_random(d1, d2, seed):
     f = random_rational_map(d1, rng)
     g = random_rational_map(d2, rng)
     assert f.compose(g).degree == d1 * d2
+
+
+# -- composition without a gcd ---------------------------------------------------------
+
+
+def _homogeneous(p, u, v, d):
+    """p(u/v) v^d as a polynomial, for polynomials u, v."""
+    out = Poly.zero(p.ctx)
+    for i in range(d + 1):
+        out = out + u**i * v ** (d - i) * p.coeff(i)
+    return out
+
+
+def _random_map_over(ctx, degree, rng):
+    def element():
+        return ctx.element([int(rng.integers(-3, 4)) for _ in range(ctx.degree)])
+
+    while True:
+        num = Poly(ctx, [element() for _ in range(degree + 1)])
+        den = Poly(ctx, [element() for _ in range(degree + 1)])
+        try:
+            f = RationalMap(num, den)
+        except MapError:
+            continue
+        if f.degree == degree:
+            return f
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(0, 1), (1, 1, 1)]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 10**6))
+def test_compose_is_the_gcd_reduced_composite(minpoly, d1, d2, seed):
+    # (0, 1) is Q itself; (1, 1, 1) is Q(w), w^2 + w + 1 = 0
+    ctx = Q if len(minpoly) == 2 else field_configure(minpoly)
+    rng = np.random.default_rng(seed)
+    f, g = _random_map_over(ctx, d1, rng), _random_map_over(ctx, d2, rng)
+    h = f.compose(g)
+    num = _homogeneous(f.num, g.num, g.den, d1)
+    den = _homogeneous(f.den, g.num, g.den, d1)
+    assert h == RationalMap(num, den)
+    assert h.num.gcd(h.den).degree == 0
+    assert h.degree == d1 * d2
+
+
+def test_compose_refuses_a_composite_of_the_wrong_degree():
+    # z(z-1) / (z(z+1)) with its common factor kept, after 1/z: degree 1, not 2
+    f = RationalMap._coprime(Poly(Q, [0, -1, 1]), Poly(Q, [0, 1, 1]))
+    with pytest.raises(ConsistencyError):
+        f.compose(rmap([1], [0, 1]))
+
+
+def test_iterate_reaches_the_degree_budget():
+    f = rmap([-1, 0, 1])
+    h = f.iterate(12)
+    assert h.degree == 4096 == DEFAULT_DEGREE_BUDGET
+    for z in (Q.from_rational(Fraction(1, 2)), Q.from_rational(-2), INF):
+        w = z
+        for _ in range(12):
+            w = f.eval_exact(w)
+        assert h.eval_exact(z) == w
