@@ -17,10 +17,13 @@ import numpy as np
 
 from .numeric import (
     RootFindingError,
+    _finite_part,
     chordal,
+    chordal_matrix,
     is_inf,
     named_rng,
     projective_roots,
+    projective_roots_batch,
     sphere_lift_many,
     sphere_unlift,
 )
@@ -94,13 +97,26 @@ def _exceptional_points(f):
 
 
 def backward_orbit_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
-    """A cloud of `count` points from random backward orbits of length `depth`."""
+    """A cloud of `count` points from random backward orbits of length `depth`.
+
+    An orbit starts at a random point and steps `depth` times to a uniformly
+    chosen preimage; the points past the burn-in are kept.  An orbit that
+    meets an exceptional point or an uncertified root solve is dropped.
+
+    Orbits run in rounds.  A round draws, in orbit order, the start and the
+    preimage choices of every orbit still needed, and advances them all in
+    lockstep, one stacked root solve per step.  The orbits after the first
+    failed one are dropped and the generator is rewound to the draws that
+    orbit made before it failed, so the cloud is the one that running the
+    orbits one at a time gives, bit for bit.
+    """
     if f.degree < 2:
         raise MapError("sampling requires degree >= 2")
     if depth <= burn_in:
         raise MapError("depth must exceed the burn-in length %d" % burn_in)
     rng = named_rng(seed, stream)
     exceptional = _exceptional_points(f)
+    d = f.degree
     per_orbit = depth - burn_in
     n_orbits = math.ceil(count / per_orbit)
     pts = []
@@ -108,29 +124,89 @@ def backward_orbit_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="c
     while len(pts) < count:
         if failures > 10 * max(1, n_orbits):
             raise MapError("too many failed backward orbits; map may be degenerate")
-        z = complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform()))
-        if any(chordal(z, e) < 1e-6 for e in exceptional):
+        states, starts, choices = [], [], []
+        for _ in range(math.ceil((count - len(pts)) / per_orbit)):
+            states.append(rng.bit_generator.state)
+            starts.append(complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform())))
+            choices.append([rng.integers(0, d) for _ in range(depth)])
+        orbits, failed = _lockstep_orbits(f, exceptional, starts, choices, burn_in)
+        for orbit in orbits:
+            pts.extend(orbit)
+        if failed is not None:
+            i, steps = failed
             failures += 1
-            continue
-        orbit = []
-        try:
-            for k in range(depth):
-                pre = f.preimages(z, residual_tol=1e-7, refine=False)
-                z = pre[int(rng.integers(0, len(pre)))]
-                if any(chordal(z, e) < 1e-6 for e in exceptional):
-                    raise RootFindingError("orbit hit an exceptional point")
-                if k >= burn_in:
-                    orbit.append(z)
-        except RootFindingError:
-            failures += 1
-            continue
-        pts.extend(orbit)
+            rng.bit_generator.state = states[i]
+            rng.normal(0.0, 0.5)
+            rng.uniform()
+            for _ in range(steps):
+                rng.integers(0, d)
     pts = pts[:count]
     return MeasureCloud(
         points=sphere_lift_many(pts),
         meta={"map": map_digest(f), "depth": depth, "seed": seed, "stream": stream,
               "count": count},
     )
+
+
+def _lockstep_orbits(f, exceptional, starts, choices, burn_in):
+    """Backward orbits of f from `starts`, orbit i stepping to preimage
+    choices[i][k] at step k, all advanced together.
+
+    Returns the points past the burn-in of every orbit before the first
+    failed one, and that failure as (orbit, preimage choices it made), or
+    None.  Rows are built as RationalMap.preimages builds them, and
+    projective_roots_batch equals projective_roots row by row, so every
+    point equals the one a lone orbit reaches bit for bit.
+    """
+    d = f.degree
+    nc, dc = (np.concatenate([c, np.zeros(d + 1 - len(c))])
+              for c in (f.num.numeric_coeffs(), f.den.numeric_coeffs()))
+    failed = None
+
+    def cut(points, steps):
+        # drop the orbits from the first one near an exceptional point on
+        nonlocal failed
+        near = np.flatnonzero((chordal_matrix(points, exceptional) < 1e-6).any(axis=1))
+        if len(near):
+            failed = (int(near[0]), steps)
+            return points[:near[0]]
+        return points
+
+    points = cut(starts, 0)
+    kept = []
+    for k, step_choices in enumerate(zip(*choices)):
+        if not points:
+            break
+        if k == 0:
+            # starts are Python complex numbers, whose division rounds
+            # unlike numpy's, so their rows take the scalar formula
+            rows = np.array([nc / s - (w / s) * dc for w in points for s in [max(1.0, abs(w))]])
+        else:
+            z, inf = _finite_part(points)
+            scale = np.maximum(1.0, np.hypot(z.real, z.imag))[:, None]
+            rows = np.where(inf[:, None], dc, nc / scale - (z[:, None] / scale) * dc)
+        fibers = _solve_fibers(rows, d)
+        if len(fibers) < len(points):
+            failed = (len(fibers), k)
+        points = cut([fiber[c] for fiber, c in zip(fibers, step_choices)], k + 1)
+        if k >= burn_in:
+            kept.append(points)
+    return [[step[i] for step in kept] for i in range(len(points))], failed
+
+
+def _solve_fibers(rows, d):
+    """The preimage fibers of the rows, up to the first that cannot be certified."""
+    try:
+        return projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
+    except RootFindingError:
+        # solve the round row by row to find the first failing orbit
+        fibers = []
+        for row in rows:
+            try:
+                fibers.append(projective_roots(row, d, residual_tol=1e-7, refine=False))
+            except RootFindingError:
+                break
+        return fibers
 
 
 def _mean_pair_distance(A, B):

@@ -51,9 +51,13 @@ def sphere_lift(z):
 
 
 def sphere_lift_many(zs):
-    out = np.empty((len(zs), 3))
-    for k, z in enumerate(zs):
-        out[k] = sphere_lift(z)
+    """sphere_lift of every point of ``zs`` as an (N, 3) array, equal to it bit for bit."""
+    z, inf = _finite_part(zs)
+    x, y = z.real, z.imag
+    r2 = x * x + y * y
+    s = 1.0 / (1.0 + r2)
+    out = np.stack([2.0 * x * s, 2.0 * y * s, (r2 - 1.0) * s], axis=-1)
+    out[inf] = (0.0, 0.0, 1.0)
     return out
 
 
@@ -212,14 +216,14 @@ def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=Tr
     return list(finite) + [INF] * (formal_degree - eff)
 
 
-def projective_roots_batch(rows, formal_degree):
+def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refine=True):
     """projective_roots of every row of an (L, formal_degree + 1) stack.
 
     Rows of full degree with a nonzero constant term share one stack of
-    companion matrices, one eigvals call and one row-wise Newton pass.
-    Every other row (a root at infinity or at zero, a residual that needs
-    mpmath) goes through projective_roots, so each row's roots equal
-    projective_roots on that row bit for bit.
+    companion matrices, one eigvals call and (with ``refine``) one row-wise
+    Newton pass.  Every other row (a root at infinity or at zero, a residual
+    that needs mpmath) goes through projective_roots, so each row's roots
+    equal projective_roots on that row bit for bit.
     """
     c = np.asarray(rows, dtype=complex)
     d = formal_degree
@@ -230,11 +234,13 @@ def projective_roots_batch(rows, formal_degree):
     idx = np.flatnonzero(fast)
     if len(idx):
         desc = c[idx, ::-1]
-        roots, ok = _polish(desc, _companion_roots(desc), RESIDUAL_TOL, True)
+        roots, ok = _polish(desc, _companion_roots(desc), residual_tol, refine)
         for i, row, good in zip(idx, roots, ok):
             if good:
                 out[i] = list(row)
-    return [found if found is not None else projective_roots(c[i], d) for i, found in enumerate(out)]
+    return [found if found is not None
+            else projective_roots(c[i], d, residual_tol=residual_tol, refine=refine)
+            for i, found in enumerate(out)]
 
 
 def chordal_matrix(a, b):

@@ -1,8 +1,14 @@
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+from mme import measure, numeric
+from mme.catalog import entry
 from mme.fields import FieldContext
 from mme.identities import sigma_f_quadratic
 from mme.measure import (
+    BURN_IN,
     backward_orbit_sample,
     julia_raster,
     lit_fraction,
@@ -12,14 +18,83 @@ from mme.measure import (
     same_measure_test,
     sigma_invariance_check,
 )
+from mme.numeric import RootFindingError, chordal, named_rng, sphere_lift
 from mme.polys import Poly
-from mme.ratmaps import RationalMap
+from mme.ratmaps import MapError, RationalMap
+from conftest import random_rational_map, rng_for
 
 Q = FieldContext.rationals()
 
 
 def rmap(num, den=(1,)):
     return RationalMap(Poly(Q, list(num)), Poly(Q, list(den)))
+
+
+def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
+    """The sampler run one orbit at a time, one preimage solve per step.
+
+    Returns the cloud's points, every attempted orbit's visited points
+    (start first) and the failures as (attempt, kind, step).
+    """
+    rng = named_rng(seed, stream)
+    exceptional = measure._exceptional_points(f)
+    per_orbit = depth - burn_in
+    n_orbits = math.ceil(count / per_orbit)
+    pts, walks, failures = [], [], []
+    while len(pts) < count:
+        if len(failures) > 10 * max(1, n_orbits):
+            raise MapError("too many failed backward orbits; map may be degenerate")
+        z = complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform()))
+        walks.append([z])
+        if any(chordal(z, e) < 1e-6 for e in exceptional):
+            failures.append((len(walks) - 1, "start", 0))
+            continue
+        orbit = []
+        for k in range(depth):
+            try:
+                pre = f.preimages(z, residual_tol=1e-7, refine=False)
+            except RootFindingError:
+                failures.append((len(walks) - 1, "solve", k))
+                break
+            z = pre[int(rng.integers(0, len(pre)))]
+            walks[-1].append(z)
+            if any(chordal(z, e) < 1e-6 for e in exceptional):
+                failures.append((len(walks) - 1, "hit", k))
+                break
+            if k >= burn_in:
+                orbit.append(z)
+        else:
+            pts.extend(orbit)
+    return np.array([sphere_lift(z) for z in pts[:count]]).reshape(-1, 3), walks, failures
+
+
+def assert_sample_equals_serial(f, count, depth=40, seed=0, stream="cloud"):
+    want, _walks, failures = serial_sample(f, count, depth=depth, seed=seed, stream=stream)
+    got = backward_orbit_sample(f, count, depth=depth, seed=seed, stream=stream).points
+    assert got.shape == (count, 3)
+    assert got.tobytes() == want.tobytes()
+    return failures
+
+
+def fail_solves_reaching(monkeypatch, target):
+    """Make every root solve with a root at ``target`` fail, batched or not."""
+    polish, certified = numeric._polish, numeric.certified_roots
+
+    def near(roots):
+        return np.abs(np.asarray(roots) - target) < 1e-9
+
+    def failing_polish(coeffs, roots, residual_tol, refine):
+        roots, ok = polish(coeffs, roots, residual_tol, refine)
+        return roots, ok & ~near(roots).any(axis=1)
+
+    def failing_certified_roots(coeffs, *args, **kwargs):
+        roots = certified(coeffs, *args, **kwargs)
+        if near(roots).any():
+            raise RootFindingError("forced failure")
+        return roots
+
+    monkeypatch.setattr(numeric, "_polish", failing_polish)
+    monkeypatch.setattr(numeric, "certified_roots", failing_certified_roots)
 
 
 def test_backward_orbit_sample_deterministic_and_weighted():
@@ -83,3 +158,57 @@ def test_raster_deterministic_and_plausible():
     assert ppm1.startswith(b"P6\n")
     frac = lit_fraction(ppm1)
     assert 0.005 < frac < 0.5
+
+
+def test_lockstep_sample_equals_serial_sample():
+    flower = entry("chebyshev-flower", {"a": "1"}).maps  # over Q(w)
+    maps = [rmap([-1, 0, 1]), rmap([1, 0, 1]), rmap([1, 0, 1], [0, 1]),
+            flower["f"], flower["g"]]
+    rng = rng_for("lockstep-sample")
+    maps += [random_rational_map(d, rng) for d in (2, 3, 4, 5)]
+    for k, f in enumerate(maps):
+        assert_sample_equals_serial(f, 700, depth=25, seed=k, stream="s%d" % k)
+
+
+def test_lockstep_sample_counts():
+    # 30 points per orbit: 29 and 4000 are not multiples of it
+    f = rmap([-1, 0, 1])
+    for count in (0, 1, 29, 4000):
+        assert_sample_equals_serial(f, count, seed=count)
+
+
+def test_lockstep_sample_forced_failures(monkeypatch):
+    f = rmap([1, 0, 1])
+    _pts, walks, failures = serial_sample(f, 200)
+    assert not failures
+    # an orbit that starts at an exceptional point, and one that lands on it
+    for point, failure in ((walks[2][0], (2, "start", 0)), (walks[1][6], (1, "hit", 5))):
+        monkeypatch.setattr(measure, "_exceptional_points", lambda f, p=point: [p])
+        assert assert_sample_equals_serial(f, 200) == [failure]
+    monkeypatch.undo()
+    # a root solve that cannot be certified at step 7 of orbit 3
+    fail_solves_reaching(monkeypatch, walks[3][8])
+    assert assert_sample_equals_serial(f, 200) == [(3, "solve", 7)]
+    monkeypatch.undo()
+    # orbit 3 fails at step 2 of the first round, but orbit 1 fails first
+    # in orbit order, at step 30: only orbit 1's failure happens
+    fail_solves_reaching(monkeypatch, walks[3][3])
+    monkeypatch.setattr(measure, "_exceptional_points", lambda f: [walks[1][31]])
+    assert assert_sample_equals_serial(f, 200) == [(1, "hit", 30)]
+
+
+@pytest.mark.parametrize("n_failures", [10, 11])
+def test_lockstep_sample_too_many_failures(monkeypatch, n_failures):
+    # one orbit is needed, so ten failures are allowed and the eleventh
+    # raises; a failed start consumes two draws, so the starts are known
+    rng = named_rng(0, "cloud")
+    starts = [complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform()))
+              for _ in range(n_failures)]
+    monkeypatch.setattr(measure, "_exceptional_points", lambda f: starts)
+    f = rmap([-1, 0, 1])
+    if n_failures > 10:
+        for sample in (serial_sample, backward_orbit_sample):
+            with pytest.raises(MapError, match="too many failed backward orbits"):
+                sample(f, 29)
+    else:
+        assert len(assert_sample_equals_serial(f, 29)) == 10

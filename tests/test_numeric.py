@@ -12,6 +12,8 @@ from mme.numeric import (
     projective_roots,
     projective_roots_batch,
     rationalize_into_field,
+    sphere_lift,
+    sphere_lift_many,
 )
 from conftest import rng_for
 
@@ -66,6 +68,35 @@ def test_batched_roots_equal_single_row_roots(monkeypatch):
     for row, roots in zip(rows, batch):
         assert same_points(roots, projective_roots(row, 3))
     assert len(escalations) == 2
+
+
+def test_unrefined_batched_roots_equal_single_row_roots():
+    # the sampler's setting: no Newton polish, a looser residual bound
+    rng = rng_for("unrefined-batched-roots")
+    for d in range(1, 9):
+        rows = complex_normal(rng, 6, d + 1)
+        rows[0, d] = 0  # a root at infinity
+        rows[1, d] = 1e-15 * rows[1, 0]  # below the infinity threshold
+        rows[2, 0] = 0  # a root at zero
+        if d >= 2:
+            rows[3] = np.poly([0.5, 0.5] + [1j] * (d - 2))[::-1]  # a double root
+        batch = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
+        for row, roots in zip(rows, batch):
+            assert same_points(roots, projective_roots(row, d, residual_tol=1e-7, refine=False))
+        assert batch[0][-1] is INF and batch[1][-1] is INF
+
+
+def test_sphere_lift_many_equals_sphere_lift():
+    rng = rng_for("sphere-lift-many")
+    zs = list(complex_normal(rng, 50) * 10.0 ** rng.integers(-8, 9, 50))
+    zs += [0j, complex(-0.0, 0.0), 1e200 + 1e200j, -1e160j, INF, np.complex128(1 - 2j)]
+    with np.errstate(over="ignore", invalid="ignore"):  # |z|^2 overflows
+        got = sphere_lift_many(zs)
+        want = np.array([sphere_lift(z) for z in zs])
+    assert got.shape == (len(zs), 3)
+    assert got.tobytes() == want.tobytes()
+    assert got[zs.index(INF)].tolist() == [0.0, 0.0, 1.0]
+    assert sphere_lift_many([]).shape == (0, 3)
 
 
 def _newton_eight_iterations(coeffs_desc, roots):
