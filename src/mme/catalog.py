@@ -57,7 +57,6 @@ def parse_param(ctx, value):
         return ctx.from_rational(value)
     if isinstance(value, str):
         text = value.replace(" ", "")
-        gen = ctx.gen() if ctx.degree > 1 else ctx.one
         # tiny linear grammar: q, w, q+w, q-w, q*w, q+q*w
         total = ctx.zero
         term = ""
@@ -76,11 +75,15 @@ def parse_param(ctx, value):
         for sgn, t in tokens:
             if not t:
                 raise MapError("empty term in parameter %r" % value)
+            if t.endswith("w") and ctx.degree == 1:
+                raise MapError(
+                    "term %r in parameter %r needs an extension field (--field)" % (t, value)
+                )
             try:
-                if t.endswith("*w") or t.endswith("w"):
+                if t.endswith("w"):
                     scal = t[:-2] if t.endswith("*w") else t[:-1]
                     coef = ctx.from_rational(Fraction(scal)) if scal else ctx.one
-                    part = coef * gen
+                    part = coef * ctx.gen()
                 else:
                     part = ctx.from_rational(Fraction(t))
             except (ValueError, ZeroDivisionError):

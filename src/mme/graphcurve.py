@@ -14,9 +14,9 @@ Fibers are tracked in the target chart t' = 1/(t - c), with c chordally far
 from every critical value, so every critical value is finite there and
 t' = infinity is not one; x and y never leave the original chart.  The loop
 permutations are cross-checked against the exact local degrees of G, the
-x-degree of each component is recovered independently from samples, and,
-when rationalization succeeds, each component is certified by exact
-polynomial division.
+x-degree of each component is confirmed by a relation vanishing on its
+samples, and, when that relation rationalizes into the base field, the
+component is certified by exact polynomial division.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from .numeric import (
     projective_roots_batch,
     rationalize_into_field,
 )
-from .polys import BiPoly, Poly, graph_bipoly
+from .polys import BiPoly, graph_bipoly
 from .ratmaps import MapError, RationalMap, critical_data
+from .serialize import point_to_json
 
 MATCH_TOL = 1e-6
 # the radii |x| = R the sample circle chooses from
@@ -102,10 +103,11 @@ class MonodromyAction:
 @dataclass
 class ComponentCertificate:
     orbit: tuple  # ordered pairs (i, j) of base sheets, sorted
-    bidegree: tuple  # (r1, r2); r1 from the orbit, r2 from x-degree recovery
+    bidegree: tuple  # (r, r): r from the orbit, confirmed by the x-degree of the samples
     ramification: list  # per branch point, partition of r (local degrees)
     genus: int
     is_diagonal: bool
+    relation: np.ndarray = None  # (r + 1, r + 1) coefficients of x^a y^k vanishing on it
     exact_poly: BiPoly = None  # exact factor when certified
 
     @property
@@ -449,8 +451,10 @@ def _sample_circle(curve):
     """Radius and points of the circle |x| = R that guides the samples.
 
     R is the radius in SAMPLE_RADII chordally farthest from the branch locus
-    and from the points over the pole of the target chart; 4d + 4 points are
-    as many as the largest reconstruction needs, and none lies on an axis.
+    and from the points over the pole of the target chart.  A component of
+    bidegree (r, r) gets n * r samples from n points, and its relation needs
+    (r + 1)^2 + 1 of them; n = 4d + 4 gives that for every r < d.  No point
+    lies on an axis.
     """
     avoid = curve.branch_locus + list(curve.G.preimages(curve.pole))
     radius = max(
@@ -553,14 +557,18 @@ def _sheet_samples(orbit, samples):
     return [(fiber[i], [fiber[j] for j in sheets[i]]) for fiber, i in samples]
 
 
-def _x_degree_from_samples(points, r, d, radius):
-    """Minimal x-degree of a bivariate vanishing on the component's samples.
+def _vanishing_relation(points, r, radius):
+    """The relation of x-degree r and y-degree r vanishing on the samples, or None.
 
-    Interpolation through chordally normalized projective monomials; the
-    smallest x-degree with a numerical nullspace is the degree of the
-    component in x, computed independently of the orbit size.
+    Each sample (x, y) gives a row of chordally normalized projective
+    monomials (x/R)^a u^k v^(r-k).  A relation of x-degree s, times x, is one
+    of x-degree s + 1, so the component has x-degree exactly r when the
+    first r(r + 1) columns (s = r - 1) have no null vector and the whole
+    matrix (s = r) has one.  That null vector, with the x -> x/R scaling
+    undone, is returned as an (r + 1, r + 1) array of the coefficients of
+    x^a y^k.
     """
-    rows_uv = []
+    rows = []
     for x, ys in points:
         xt = x / radius
         for y in ys:
@@ -570,17 +578,21 @@ def _x_degree_from_samples(points, r, d, radius):
                 s = max(1.0, abs(y))
                 u, v = y / s, 1.0 / s
             norm = (abs(u) ** 2 + abs(v) ** 2) ** (r / 2.0)
-            rows_uv.append((xt, [u**k * v ** (r - k) / norm for k in range(r + 1)]))
-    for s in range(0, d + 1):
-        if len(rows_uv) < (s + 1) * (r + 1) + 1:
-            break
-        A = np.array([[xt**a * m for a in range(s + 1) for m in mono] for xt, mono in rows_uv])
-        sv = np.linalg.svd(A, compute_uv=False)
-        # a true vanishing relation sits at machine precision; mere bad
-        # conditioning of the moment matrix bottoms out around 1e-8
-        if sv[-1] < 1e-11 * sv[0]:
-            return s
-    return None
+            mono = [u**k * v ** (r - k) / norm for k in range(r + 1)]
+            rows.append([xt**a * m for a in range(r + 1) for m in mono])
+    A = np.array(rows)
+
+    # a true vanishing relation sits at machine precision; mere bad
+    # conditioning of the moment matrix bottoms out around 1e-8
+    def has_null(sv):
+        return sv[-1] < 1e-11 * sv[0]
+
+    if has_null(np.linalg.svd(A[:, : r * (r + 1)], compute_uv=False)):
+        return None
+    _u, sv, vh = np.linalg.svd(A, full_matrices=False)
+    if not has_null(sv):
+        return None
+    return vh[-1].conj().reshape(r + 1, r + 1) / radius ** np.arange(r + 1)[:, None]
 
 
 def components(curve, mon):
@@ -608,20 +620,19 @@ def components(curve, mon):
         if genus < 0:
             raise ConsistencyError("negative genus computed for a component")
         pairs = tuple(divmod(q, d) for q in orbit)
-        r2 = _x_degree_from_samples(
-            _sheet_samples(pairs, mon.samples), r, d, mon.sample_radius
-        )
-        if r2 != r:
+        relation = _vanishing_relation(_sheet_samples(pairs, mon.samples), r, mon.sample_radius)
+        if relation is None:
             raise ConsistencyError(
-                "projection degrees disagree: fiber size %s vs x-degree %s" % (r, r2)
+                "projection degrees disagree: the samples do not have x-degree %s" % r
             )
         certs.append(
             ComponentCertificate(
                 orbit=pairs,
-                bidegree=(r, r2),
+                bidegree=(r, r),
                 ramification=ram,
                 genus=genus,
                 is_diagonal=orbit is orbs[0],
+                relation=relation,
             )
         )
     return certs
@@ -630,75 +641,25 @@ def components(curve, mon):
 # -- exact reconstruction --------------------------------------------------------------
 
 
-def reconstruct_component(curve, cert, mon):
+def reconstruct_component(curve, cert):
     """Exact factor of P matching the component, or None.
 
-    The component's sheets are sampled over the sample circle of ``mon``,
-    and L(x) * prod(y - y_i(x)) is interpolated per y-coefficient, where L
-    is P's exact leading coefficient in y.  That product is polynomial in x
-    even for maps whose factors are not monic in y; the spurious content
-    L/l_o is removed by an exact gcd.  The candidate is accepted only on
-    exact divisibility; any failure leaves the certificate numeric-only.
+    The candidate is the component's vanishing relation, divided by its
+    largest entry and rationalized into the base field entry by entry.  It
+    is accepted only on exact divisibility of P and bidegree (r, r); any
+    failure leaves the certificate numeric-only.
     """
     ctx = curve.G.ctx
     if cert.is_diagonal:
         poly = BiPoly(ctx, [[ctx.zero, -ctx.one], [ctx.one, ctx.zero]])
         return poly if curve.P.divide_exact(poly) is not None else None
-    r, d = cert.r, curve.degree
-    deg_x = r + d  # degree bound of the L-multiplied coefficients
-    samples = [
-        (x, ys)
-        for x, ys in _sheet_samples(cert.orbit, mon.samples)
-        if not any(is_inf(y) or abs(y) > 1e5 for y in ys)
-    ]
-    if len(samples) < deg_x + 4:
+    rel = cert.relation / cert.relation.flat[np.abs(cert.relation).argmax()]
+    rows = [[rationalize_into_field(ctx, complex(c)) for c in row] for row in rel]
+    if any(c is None for row in rows for c in row):
         return None
-    L = curve.P.y_slices()[-1]
-    xo = np.array([s[0] for s in samples])
-    lvals = np.array([L.eval_numeric(x) for x in xo])
-    prod_coeffs = np.array([np.poly(s[1]) for s in samples])  # descending in y
-    center = complex(xo.mean())
-    scale = max(1e-9, float(np.max(np.abs(xo - center))))
-    xt = (xo - center) / scale
-    vander = np.vander(xt, deg_x + 1, increasing=True)
-    slices = []
-    for k in range(r, -1, -1):  # build y-slices in ascending y-degree
-        vals = lvals * prod_coeffs[:, k]
-        fit, res, _rank, _sv = np.linalg.lstsq(vander, vals, rcond=None)
-        pred = vander @ fit
-        err = np.linalg.norm(pred - vals)
-        if err > 1e-6 * max(1.0, np.linalg.norm(vals)):
-            return None
-        # rescale from the fit variable to plain x, then rationalize
-        t = np.polynomial.polynomial.Polynomial(fit)
-        x_poly = t(np.polynomial.polynomial.Polynomial([-center / scale, 1.0 / scale]))
-        out = []
-        for v in x_poly.coef:
-            elt = rationalize_into_field(ctx, complex(v))
-            if elt is None:
-                return None
-            out.append(elt)
-        slices.append(Poly(ctx, out))
-    cand = BiPoly.from_y_slices(ctx, slices)
-    if cand.is_zero():
-        return None
-    # strip the content: gcd of the x-slices removes the factor L/l_o
-    content = None
-    for sl in slices:
-        if sl.is_zero():
-            continue
-        content = sl if content is None else content.gcd(sl)
-    if content is not None and content.degree > 0:
-        reduced = [
-            sl.divide_exact(content) if not sl.is_zero() else sl for sl in slices
-        ]
-        if any(sl is None for sl in reduced):
-            return None
-        cand = BiPoly.from_y_slices(ctx, reduced)
-    cand = cand.normalized()
-    if curve.P.divide_exact(cand) is None:
-        return None
-    if cand.bidegree != (r, r):
+    cand = BiPoly(ctx, rows).normalized()
+    r = cert.r
+    if curve.P.divide_exact(cand) is None or cand.bidegree != (r, r):
         return None
     return cand
 
@@ -730,13 +691,13 @@ def analyze(G, seed=0, reconstruct=True):
     certs = components(curve, mon)
     if reconstruct:
         for cert in certs:
-            cert.exact_poly = reconstruct_component(curve, cert, mon)
+            cert.exact_poly = reconstruct_component(curve, cert)
         _verify_factorization(curve, certs)
     report = {
         "degree": curve.degree,
         "seed": seed,
-        "branch_points": [_point_json(p) for p in curve.branch_locus],
-        "basepoint": _point_json(_from_target(curve.pole, mon.basepoint)),
+        "branch_points": [point_to_json(p) for p in curve.branch_locus],
+        "basepoint": point_to_json(_from_target(curve.pole, mon.basepoint)),
         "components": [
             {
                 "bidegree": list(cert.bidegree),
@@ -765,9 +726,3 @@ def _verify_factorization(curve, certs):
         prod = c.exact_poly if prod is None else prod * c.exact_poly
     if prod.normalized() != curve.P.normalized():
         raise ConsistencyError("certified factors do not multiply back to P")
-
-
-def _point_json(p):
-    if is_inf(p):
-        return "inf"
-    return [float(np.real(p)), float(np.imag(p))]

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from .numeric import ConsistencyError
 from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, Moebius, maps_equal
 
-EXACT_COMPOSE_DEGREE_CAP = 100
-
 
 @dataclass
 class CertificateReport:
@@ -144,27 +142,24 @@ def _iterate_projective(f, n, u, v):
 def _iterates_equal_pointwise(f, n, g, m, degree):
     """f^n = g^m decided by exact evaluation at degree-bounding many points."""
     ctx = f.ctx
-    npts = 2 * degree + 2
-    k = 0
-    checked = 0
-    while checked < npts:
+    for k in range(2 * degree + 2):
         u, v = ctx.from_rational(k), ctx.one
-        k += 1
         fu, fv = _iterate_projective(f, n, u, v)
         gu, gv = _iterate_projective(g, m, u, v)
         # projective equality: fu*gv == fv*gu
         if fu * gv != fv * gu:
             return False
-        checked += 1
     return True
 
 
 def shared_iterate_search(f, g, budget=DEFAULT_DEGREE_BUDGET):
     """Least (n, m) by n+m with f^n = g^m of composite degree <= budget.
 
-    Degrees must match before any map comparison happens; equality of the
-    iterates is always decided exactly (by coefficients for small degrees,
-    by interpolation-bounding point counts above the composition cap).
+    Degrees must match before any map comparison happens.  Equality of the
+    iterates is decided exactly at 2D + 2 points, D their common degree: two
+    maps of degree D that agree at 2D + 1 points of the line are equal.  The
+    iterates are never composed, and a mismatch usually shows at the first
+    point.
     """
     if budget < max(f.degree, g.degree):
         raise MapError("budget below the maps' degrees")
@@ -185,12 +180,8 @@ def shared_iterate_search(f, g, budget=DEFAULT_DEGREE_BUDGET):
         n += 1
     candidates.sort(key=lambda t: (t[0] + t[1], t[0]))
     for n, m, deg in candidates:
-        if deg <= EXACT_COMPOSE_DEGREE_CAP:
-            if maps_equal(f.iterate(n, budget=budget), g.iterate(m, budget=budget)):
-                return (n, m)
-        else:
-            if _iterates_equal_pointwise(f, n, g, m, deg):
-                return (n, m)
+        if _iterates_equal_pointwise(f, n, g, m, deg):
+            return (n, m)
     return None
 
 

@@ -45,11 +45,6 @@ class MeasureCloud:
     def __len__(self):
         return len(self.points)
 
-    @property
-    def weights(self):
-        n = len(self.points)
-        return np.full(n, 1.0 / n) if n else np.zeros(0)
-
     def as_complex(self):
         return [sphere_unlift(p) for p in self.points]
 

@@ -94,9 +94,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def leading(self):
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
@@ -370,10 +367,6 @@ class Poly:
         return "Poly(%s)" % " + ".join(parts)
 
 
-def poly_gcd(p, q):
-    return p.gcd(q)
-
-
 class BiPoly:
     """Polynomial in x, y as a dense matrix indexed by (x-degree, y-degree)."""
 
@@ -498,15 +491,6 @@ class BiPoly:
     def eval_exact(self, x, y):
         return self.eval_x(x)(y)
 
-    def numeric_matrix(self):
-        import numpy as np
-
-        dx, dy = self.bidegree
-        return np.array(
-            [[self.ctx.embed(self.rows[i][j]) for j in range(dy + 1)] for i in range(dx + 1)],
-            dtype=complex,
-        )
-
     # -- division -----------------------------------------------------------------
 
     def divide_exact(self, other):
@@ -544,32 +528,6 @@ class BiPoly:
             return BiPoly.zero(self.ctx)
         n = max(qslices) + 1
         return BiPoly.from_y_slices(self.ctx, [qslices.get(j, zero) for j in range(n)])
-
-    def substitute_mobius(self, num, den):
-        """Substitute x -> num(x)/den(x) and y -> num(y)/den(y), cleared.
-
-        num, den are Polys of degree <= 1; the result is
-        sum c_ij num(x)^i den(x)^(dx-i) num(y)^j den(y)^(dy-j).
-        """
-        dx, dy = self.bidegree
-        if dx < 0:
-            return self
-        npow = [Poly.one(self.ctx)]
-        dpow = [Poly.one(self.ctx)]
-        for _ in range(max(dx, dy)):
-            npow.append(npow[-1] * num)
-            dpow.append(dpow[-1] * den)
-        out = BiPoly.zero(self.ctx)
-        for i in range(dx + 1):
-            for j in range(dy + 1):
-                c = self.rows[i][j]
-                if c.is_zero():
-                    continue
-                px = npow[i] * dpow[dx - i]
-                py = npow[j] * dpow[dy - j]
-                term = [[px.coeff(a) * py.coeff(b) * c for b in range(py.degree + 1)] for a in range(px.degree + 1)]
-                out = out + BiPoly(self.ctx, term)
-        return out
 
     def normalized(self):
         """Scale so the highest (x-degree, y-degree) lexicographic coefficient is 1."""

@@ -64,10 +64,6 @@ class RationalMap:
         self._den_rev = None
 
     @classmethod
-    def from_coeffs(cls, ctx, num, den):
-        return cls(Poly(ctx, num), Poly(ctx, den))
-
-    @classmethod
     def polynomial(cls, poly):
         return cls(poly, Poly.one(poly.ctx))
 
@@ -129,11 +125,6 @@ class RationalMap:
         for _ in range(n - 1):
             out = self.compose(out)
         return out
-
-    def derivative_pair(self):
-        """(num, den) of f' = (p'q - pq')/q^2, unreduced."""
-        w = self.num.derivative() * self.den - self.num * self.den.derivative()
-        return w, self.den * self.den
 
     def wronskian(self):
         return self.num.derivative() * self.den - self.num * self.den.derivative()
@@ -204,11 +195,6 @@ class RationalMap:
             if abs(d) == 0:
                 return INF
             return complex(n / d)
-
-    def eval_derivative_numeric(self, z):
-        """f'(z) numerically, finite z in the standard chart."""
-        w, q2 = self.derivative_pair()
-        return w.eval_numeric(z) / q2.eval_numeric(z)
 
     def preimages(self, w, residual_tol=1e-10, refine=True):
         """The d preimages of a numeric point w (counted with multiplicity).

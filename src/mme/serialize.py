@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .fields import FieldContext, FieldElement, field_configure
-from .numeric import INF, is_inf
+from .numeric import is_inf
 from .polys import Poly
 from .ratmaps import MapError, Moebius, RationalMap
 
@@ -75,12 +75,6 @@ def point_to_json(p):
         return "inf"
     p = complex(p)
     return [p.real, p.imag]
-
-
-def point_from_json(obj):
-    if obj == "inf":
-        return INF
-    return complex(obj[0], obj[1])
 
 
 def dumps_report(report):

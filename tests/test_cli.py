@@ -116,6 +116,15 @@ def test_field_and_bind_options(capsys):
     assert json.loads(out)["num"][0] == ["1", "1"]
 
 
+@pytest.mark.parametrize("value", ["w", "2w", "1+w", "3*w"])
+def test_generator_term_over_q_exits_two(capsys, value):
+    # over Q there is no generator w; it must not silently read as 1
+    code, out, err = run(capsys, "compose", "--bind", "a=" + value, "--f", "z^2+a", "--g", "z")
+    assert code == 2
+    assert out == ""
+    assert "extension field" in err
+
+
 def test_measure_same_map(capsys):
     code, out, _ = run(capsys, "measure", "--f", "z^2-1", "--g", "z^2-1",
                        "--count", "800", "--depth", "25")

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from mme.fields import FieldContext
+from mme.catalog import entry
+from mme.fields import field_configure
 from mme.graphcurve import (
     _cycles_at_preimages,
     _fiber_coeffs,
     _plan_loops,
+    _sheet_samples,
     _track,
+    _vanishing_relation,
     analyze,
     build_graph,
     fiber_at,
     genus_zero_parametrization_check,
 )
-from mme.numeric import ConsistencyError, RootFindingError
+from mme.numeric import ConsistencyError, RootFindingError, rationalize_into_field
 from mme.polys import BiPoly, Poly, graph_bipoly
 from mme.ratmaps import RationalMap
 from conftest import random_rational_map, rng_for
@@ -50,6 +54,54 @@ def test_power_map_splits_into_lines():
             assert cert.exact_poly is not None
         else:
             assert cert.exact_poly is None
+
+
+def test_power_map_over_q_omega_certifies_all_three_lines():
+    W = field_configure([1, 1, 1])  # w^2 + w + 1 = 0
+    w = W.gen()
+    report, _c, _m, certs = analyze(RationalMap.polynomial(Poly.x(W) ** 3), seed=0)
+    assert bidegs(report) == [(1, 1), (1, 1), (1, 1)]
+    lines = {BiPoly(W, [[W.zero, -c], [W.one, W.zero]]) for c in (W.one, w, w * w)}
+    assert {cert.exact_poly for cert in certs} == lines
+
+
+def test_flower_map_over_q_omega_reports_exact_factors():
+    f = entry("chebyshev-flower", {"a": "1+w"}).maps["f"]
+    report, *_ = analyze(f, seed=0)
+    got = [(c["bidegree"], c["genus"], c["exact_poly"]) for c in report["components"]]
+    assert got == [
+        ([1, 1], 0, X_MINUS_Y),
+        ([2, 2], 0, [["-3", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]),
+        ([3, 3], 4, [[["1", "1"], "0", "0", "0"], ["0", "9", "0", "-3"],
+                     ["0", "0", "0", "0"], ["0", "-3", "0", "1"]]),
+    ]
+
+
+def test_cubic_field_map_certifies_only_the_diagonal():
+    # one complex value cannot fix three rational coordinates, so over
+    # Q(2^(1/3)) only the diagonal, known exactly, gets a factor
+    K = field_configure([-2, 0, 0, 1])
+    num = [[2, -3, -2], [-2, -2, 2], [3, 1, -3], [-3, -1]]
+    den = [[1, 0, -2], [-2, 1, 2], [-3, -3], [-1, 3]]
+    f = RationalMap(Poly(K, [K.element(c) for c in num]), Poly(K, [K.element(c) for c in den]))
+    report, _c, _m, certs = analyze(f, seed=0)
+    assert bidegs(report) == [(1, 1), (2, 2)]
+    assert [cert.exact_poly is not None for cert in certs] == [True, False]
+    assert [cert.is_diagonal for cert in certs] == [True, False]
+
+
+def test_vanishing_relation_confirms_the_conic_of_chebyshev_cubic():
+    _r, _c, mon, certs = analyze(rmap([0, -3, 0, 1]), seed=0, reconstruct=False)
+    conic = certs[1]
+    assert conic.bidegree == (2, 2)
+    points = _sheet_samples(conic.orbit, mon.samples)
+    # x-degree 1 has no relation; x-degree 3 already has one at x-degree 2
+    assert _vanishing_relation(points, 1, mon.sample_radius) is None
+    assert _vanishing_relation(points, 3, mon.sample_radius) is None
+    rel = _vanishing_relation(points, 2, mon.sample_radius)
+    rel = rel / rel.flat[np.abs(rel).argmax()]
+    got = BiPoly(Q, [[rationalize_into_field(Q, complex(c)) for c in row] for row in rel])
+    assert got.normalized() == BiPoly(Q, [[-3, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
 def test_generic_quadratic_two_components():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mme.fields import FieldContext
-from mme.polys import BiPoly, Poly, graph_bipoly, poly_gcd
+from mme.polys import BiPoly, Poly, graph_bipoly
 
 Q = FieldContext.rationals()
 
@@ -33,7 +33,7 @@ def test_divide_exact_returns_none_on_remainder():
 def test_gcd_of_shared_factor():
     a = poly_from([1, 1]) * poly_from([-2, 1])
     b = poly_from([1, 1]) * poly_from([3, 1])
-    assert poly_gcd(a, b).monic() == poly_from([1, 1])
+    assert a.gcd(b).monic() == poly_from([1, 1])
 
 
 def test_squarefree_decomposition_recovers_multiplicities():
@@ -66,13 +66,6 @@ def test_graph_bipoly_for_rational_map():
     assert P.bidegree == (2, 2)
     assert P.is_antisymmetric()
     assert P.eval_exact(Fraction(2), Fraction(1, 2)).is_zero()
-
-
-def test_substitute_mobius_preserves_bidegree():
-    P = graph_bipoly(poly_from([0, -3, 0, 1]), poly_from([1]))
-    Pm = P.substitute_mobius(poly_from([1, 2]), poly_from([3, 1]))
-    assert Pm.bidegree == (3, 3)
-    assert Pm.is_antisymmetric()
 
 
 @settings(max_examples=60, deadline=None)
