@@ -20,7 +20,6 @@ from .numeric import (
     _finite_part,
     chordal,
     chordal_matrix,
-    is_inf,
     named_rng,
     projective_roots,
     projective_roots_batch,
@@ -123,7 +122,9 @@ def backward_orbit_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="c
         for _ in range(math.ceil((count - len(pts)) / per_orbit)):
             states.append(rng.bit_generator.state)
             starts.append(complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform())))
-            choices.append([rng.integers(0, d) for _ in range(depth)])
+            # one draw of `depth` choices leaves the values and the generator
+            # state that `depth` scalar draws leave
+            choices.append(rng.integers(0, d, size=depth).tolist())
         orbits, failed = _lockstep_orbits(f, exceptional, starts, choices, burn_in)
         for orbit in orbits:
             pts.extend(orbit)
@@ -133,8 +134,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="c
             rng.bit_generator.state = states[i]
             rng.normal(0.0, 0.5)
             rng.uniform()
-            for _ in range(steps):
-                rng.integers(0, d)
+            rng.integers(0, d, size=steps)
     pts = pts[:count]
     return MeasureCloud(
         points=sphere_lift_many(pts),
@@ -204,9 +204,25 @@ def _solve_fibers(rows, d):
         return fibers
 
 
-def _mean_pair_distance(A, B):
-    diff = A[:, None, :] - B[None, :, :]
-    return float(np.sqrt((diff**2).sum(-1)).mean())
+def _distances(U, V):
+    """|u - v| for the coordinate-major points U and V, broadcast against
+    each other.
+
+    The squares are added as (dx² + dy²) + dz², the order in which a sum
+    over the last axis of a row-major (..., 3) array adds them, so every
+    distance equals the row-major one bit for bit.  U and V may be
+    iterators, so gathered coordinates are made one at a time.
+    """
+    out = None
+    for u, v in zip(U, V):
+        t = u - v
+        t *= t
+        out = t if out is None else np.add(out, t, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _mean_pair_distance(P, Q):
+    return float(_distances(P[:, :, None], Q[:, None, :]).mean())
 
 
 def measure_distance(A, B, seed=0):
@@ -216,14 +232,20 @@ def measure_distance(A, B, seed=0):
     estimated on shared index draws (common random numbers), which cancels
     most of the per-pair sampling noise when A and B are close.
     """
-    pa, pb = A.points, B.points
-    na, nb = len(pa), len(pb)
+    na, nb = len(A), len(B)
+    if not (na and nb):
+        raise MapError("the energy distance needs two non-empty clouds")
+    pa, pb = (np.ascontiguousarray(c.points.T) for c in (A, B))
     if max(na, nb) <= ALL_PAIRS_CAP:
         return (
             2.0 * _mean_pair_distance(pa, pb)
             - _mean_pair_distance(pa, pa)
             - _mean_pair_distance(pb, pb)
         )
+
+    def gathered(P, i, Q, j):
+        return _distances((c.take(i) for c in P), (c.take(j) for c in Q))
+
     rng = named_rng(seed, "energy")
     total = 0.0
     block = 10**5
@@ -235,10 +257,10 @@ def measure_distance(A, B, seed=0):
         ja = rng.integers(0, na, size=m)
         ib = rng.integers(0, nb, size=m)
         jb = rng.integers(0, nb, size=m)
-        d_ab = np.sqrt(((pa[ia] - pb[jb]) ** 2).sum(-1))
-        d_ba = np.sqrt(((pa[ja] - pb[ib]) ** 2).sum(-1))
-        d_aa = np.sqrt(((pa[ia] - pa[ja]) ** 2).sum(-1))
-        d_bb = np.sqrt(((pb[ib] - pb[jb]) ** 2).sum(-1))
+        d_ab = gathered(pa, ia, pb, jb)
+        d_ba = gathered(pa, ja, pb, ib)
+        d_aa = gathered(pa, ia, pa, ja)
+        d_bb = gathered(pb, ib, pb, jb)
         total += float((d_ab + d_ba - d_aa - d_bb).sum())
         done += m
     return total / n_pairs
@@ -319,18 +341,22 @@ def julia_raster(f, width, height, window, count=20000, depth=30, seed=0):
     window = (re_min, re_max, im_min, im_max).
     """
     re0, re1, im0, im1 = window
-    if not (re1 > re0 and im1 > im0):
-        raise MapError("empty raster window")
+    if not (re1 > re0 and im1 > im0 and math.isfinite(re1 - re0) and math.isfinite(im1 - im0)):
+        raise MapError("empty or unbounded raster window")
+    if width < 1 or height < 1:
+        raise MapError("raster width and height must be positive")
     hist = np.zeros((height, width))
     if count > 0:
-        cloud = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="raster")
-        for z in cloud.as_complex():
-            if is_inf(z):
-                continue
-            col = int((z.real - re0) / (re1 - re0) * width)
-            row = int((im1 - z.imag) / (im1 - im0) * height)
-            if 0 <= col < width and 0 <= row < height:
-                hist[row, col] += 1
+        x, y, w = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="raster").points.T
+        # sphere_unlift of every point; the north pole is INF and not drawn
+        finite = ~(w > 1.0 - 1e-12)
+        s = 1.0 / (1.0 - w[finite])
+        col = (x[finite] * s - re0) / (re1 - re0) * width
+        row = (im1 - y[finite] * s) / (im1 - im0) * height
+        # a pixel index truncates toward zero, like int(), so it lies in
+        # [0, n) exactly when the unrounded one lies in (-1, n)
+        inside = (col > -1) & (col < width) & (row > -1) & (row < height)
+        np.add.at(hist, (row[inside].astype(np.int64), col[inside].astype(np.int64)), 1)
     dens = np.log1p(hist)
     peak = dens.max()
     if peak > 0:

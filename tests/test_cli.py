@@ -132,6 +132,20 @@ def test_measure_same_map(capsys):
     assert json.loads(out)["verdict"] == "SAME"
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "--f", "z^2", "--g", "z^2+1", "--count", "0"],  # empty clouds
+    ["render", "--map", "z^2", "--width", "0"],
+    ["render", "--map", "z^2", "--height", "0"],
+    ["render", "--map", "z^2", "--width=-3"],
+    ["render", "--map", "z^2", "--window=-inf,inf,-2,2"],
+])
+def test_empty_cloud_or_raster_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_render_to_file(tmp_path, capsys):
     target = tmp_path / "out.ppm"
     code, _, _ = run(capsys, "render", "--map", "z^2", "--width", "60",

@@ -8,7 +8,10 @@ from mme.catalog import entry
 from mme.fields import FieldContext
 from mme.identities import sigma_f_quadratic
 from mme.measure import (
+    ALL_PAIRS_CAP,
     BURN_IN,
+    SUBSAMPLE_PAIRS,
+    MeasureCloud,
     backward_orbit_sample,
     julia_raster,
     lit_fraction,
@@ -18,7 +21,8 @@ from mme.measure import (
     same_measure_test,
     sigma_invariance_check,
 )
-from mme.numeric import RootFindingError, chordal, named_rng, sphere_lift
+from mme.numeric import (INF, RootFindingError, chordal, is_inf, named_rng, sphere_lift,
+                         sphere_lift_many)
 from mme.polys import Poly
 from mme.ratmaps import MapError, RationalMap
 from conftest import random_rational_map, rng_for
@@ -66,6 +70,57 @@ def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
         else:
             pts.extend(orbit)
     return np.array([sphere_lift(z) for z in pts[:count]]).reshape(-1, 3), walks, failures
+
+
+def row_major_distance(A, B, seed=0):
+    """measure_distance with (N, 3) row gathers and a difference cube."""
+    def mean_pair_distance(P, Q):
+        diff = P[:, None, :] - Q[None, :, :]
+        return float(np.sqrt((diff**2).sum(-1)).mean())
+
+    pa, pb = A.points, B.points
+    na, nb = len(pa), len(pb)
+    if max(na, nb) <= ALL_PAIRS_CAP:
+        return 2.0 * mean_pair_distance(pa, pb) - mean_pair_distance(pa, pa) - mean_pair_distance(pb, pb)
+    rng = named_rng(seed, "energy")
+    total = 0.0
+    block = 10**5
+    done = 0
+    while done < SUBSAMPLE_PAIRS:
+        m = min(block, SUBSAMPLE_PAIRS - done)
+        ia = rng.integers(0, na, size=m)
+        ja = rng.integers(0, na, size=m)
+        ib = rng.integers(0, nb, size=m)
+        jb = rng.integers(0, nb, size=m)
+        d_ab = np.sqrt(((pa[ia] - pb[jb]) ** 2).sum(-1))
+        d_ba = np.sqrt(((pa[ja] - pb[ib]) ** 2).sum(-1))
+        d_aa = np.sqrt(((pa[ia] - pa[ja]) ** 2).sum(-1))
+        d_bb = np.sqrt(((pb[ib] - pb[jb]) ** 2).sum(-1))
+        total += float((d_ab + d_ba - d_aa - d_bb).sum())
+        done += m
+    return total / SUBSAMPLE_PAIRS
+
+
+def point_loop_raster(f, width, height, window, count=20000, depth=30, seed=0):
+    """julia_raster binning the cloud one point at a time."""
+    re0, re1, im0, im1 = window
+    hist = np.zeros((height, width))
+    if count > 0:
+        cloud = measure.backward_orbit_sample(f, count, depth=depth, seed=seed, stream="raster")
+        for z in cloud.as_complex():
+            if is_inf(z):
+                continue
+            col = int((z.real - re0) / (re1 - re0) * width)
+            row = int((im1 - z.imag) / (im1 - im0) * height)
+            if 0 <= col < width and 0 <= row < height:
+                hist[row, col] += 1
+    dens = np.log1p(hist)
+    peak = dens.max()
+    if peak > 0:
+        dens /= peak
+    gray = (dens * 255).astype(np.uint8)
+    rgb = np.repeat(gray[:, :, None], 3, axis=2)
+    return b"P6\n%d %d\n255\n" % (width, height) + rgb.tobytes()
 
 
 def assert_sample_equals_serial(f, count, depth=40, seed=0, stream="cloud"):
@@ -211,3 +266,75 @@ def test_lockstep_sample_too_many_failures(monkeypatch, n_failures):
                 sample(f, 29)
     else:
         assert len(assert_sample_equals_serial(f, 29)) == 10
+
+
+def unit_vectors(n, rng):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def test_measure_distance_equals_row_major_formula():
+    real = [backward_orbit_sample(rmap(num), 20000, depth=25, seed=1, stream=stream).points
+            for num, stream in (([-1, 0, 1], "a"), ([1, 0, 1], "b"))]
+    rng = rng_for("energy-kernel")
+    rand = [unit_vectors(20000, rng) for _ in range(2)]
+    for cloud in rand:
+        cloud[::400] = (0.0, 0.0, 1.0)  # north poles
+    # all-pairs, all-pairs with unequal sizes, just above the cap, the
+    # workload size, and subsampled with na != nb
+    sizes = [(ALL_PAIRS_CAP, ALL_PAIRS_CAP), (ALL_PAIRS_CAP, 1500),
+             (ALL_PAIRS_CAP + 1, ALL_PAIRS_CAP + 1), (20000, 20000), (2500, 20000)]
+    for seed, (a, b) in enumerate((real, rand)):
+        for na, nb in sizes:
+            A, B = MeasureCloud(a[:na]), MeasureCloud(b[:nb])
+            assert measure_distance(A, B, seed=seed) == row_major_distance(A, B, seed=seed)
+    for n in (ALL_PAIRS_CAP, 20000):
+        A = MeasureCloud(rand[0][:n])
+        assert measure_distance(A, A) == row_major_distance(A, A)
+
+
+def test_measure_distance_rejects_an_empty_cloud():
+    f = rmap([-1, 0, 1])
+    empty, cloud = (backward_orbit_sample(f, n, depth=20) for n in (0, 30))
+    for A, B in ((empty, cloud), (cloud, empty), (empty, empty)):
+        with pytest.raises(MapError, match="non-empty"):
+            measure_distance(A, B)
+    with pytest.raises(MapError, match="non-empty"):
+        same_measure_test(f, f, count=0, depth=20)
+
+
+def test_raster_equals_point_loop(monkeypatch):
+    windows = [(-2.0, 2.0, -2.0, 2.0), (-0.4, 1.6, -1.1, 0.3), (0.0, 1.0, 0.0, 1.0)]
+    for num in ([-1, 0, 1], [1, 0, 1], [0, 0, 1]):
+        for window in windows:
+            for count in (0, 3000):
+                args = (rmap(num), 70, 50, window)
+                kwargs = {"count": count, "depth": 25, "seed": 4}
+                assert julia_raster(*args, **kwargs) == point_loop_raster(*args, **kwargs)
+    # points at infinity, next to it, outside the window, and in the
+    # first column and row only because their pixel index truncates to 0
+    special = [INF, INF, 1e11 + 1e11j, -2.02 + 0.1j, -2.02 + 0.1j, 0.5 + 2.03j,
+               -2.02 + 2.03j, 2.5 + 0j, 0.5 - 2.01j, -2.06 + 0j, 2.0 + 0j]
+    lifted = np.vstack([sphere_lift_many(special), [(0.0, 0.0, 1.0 - 1e-13)]])
+    real = backward_orbit_sample(rmap([-1, 0, 1]), 400, depth=20, seed=0, stream="raster")
+    cloud = MeasureCloud(np.vstack([real.points, lifted]))
+    monkeypatch.setattr(measure, "backward_orbit_sample", lambda *a, **k: cloud)
+    args = (rmap([-1, 0, 1]), 80, 80, (-2.0, 2.0, -2.0, 2.0))
+    ppm = julia_raster(*args, count=1)
+    assert ppm == point_loop_raster(*args, count=1)
+    pixels = np.frombuffer(ppm[len(b"P6\n80 80\n255\n"):], dtype=np.uint8).reshape(80, 80, 3)
+    for row, col in ((38, 0), (0, 50), (0, 0)):
+        assert pixels[row, col, 0] > 0
+
+
+@pytest.mark.parametrize("size", [(0, 10), (10, 0), (-3, 10)])
+def test_raster_rejects_a_non_positive_size(monkeypatch, size):
+    monkeypatch.setattr(measure, "backward_orbit_sample", None)  # no sampling either
+    with pytest.raises(MapError, match="positive"):
+        julia_raster(rmap([0, 0, 1]), *size, (-2.0, 2.0, -2.0, 2.0))
+
+
+def test_raster_rejects_an_unbounded_window():
+    for window in ((-np.inf, 2.0, -2.0, 2.0), (-2.0, 2.0, -2.0, np.inf), (-1e308, 1e308, 0, 1)):
+        with pytest.raises(MapError, match="window"):
+            julia_raster(rmap([0, 0, 1]), 10, 10, window)
