@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 at least one FAIL verdict in a certificate,
-2 usage or input errors, 3 internal-consistency violations (a cross-check
-inside the analysis failed, which indicates a numerical fault rather than
-a property of the input).
+2 usage or input errors, 3 internal-consistency violations and numerical
+failures (a cross-check inside the analysis failed, a path was lost or a
+root solve was not certified, which indicates a numerical fault rather
+than a property of the input).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from .catalog import ENTRY_NAMES, entry, iterate_square_identity_check
-from .config import RunConfig
 from .fields import FieldContext, FieldError, field_configure
 from .graphcurve import BasepointError, TrackingError, analyze
 from .identities import (
@@ -24,7 +24,7 @@ from .identities import (
     sigma_f_quadratic,
 )
 from .measure import julia_raster, lit_fraction, same_measure_test
-from .numeric import ConsistencyError
+from .numeric import ConsistencyError, RootFindingError
 from .parser import ParseError, parse_binding_value, parse_map
 from .powermaps import (
     RootOfUnity,
@@ -33,7 +33,7 @@ from .powermaps import (
     radical,
     same_periodic_points_powermaps,
 )
-from .ratmaps import MapError, SizeBudgetError
+from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, SizeBudgetError
 from .serialize import dumps_report, map_from_json, map_to_json, moebius_to_json
 
 
@@ -93,18 +93,6 @@ def _emit_bytes(args, blob):
         sys.stdout.buffer.write(blob)
 
 
-def _config(args):
-    cfg = RunConfig(seed=getattr(args, "seed", 0))
-    for name in ("depth",):
-        if getattr(args, name, None) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "count", None) is not None:
-        cfg.cloud_count = args.count
-    if getattr(args, "budget", None) is not None:
-        cfg.max_composite_degree = args.budget
-    return cfg.validate()
-
-
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -130,16 +118,14 @@ def _cmd_certify(args):
 
 
 def _cmd_measure(args):
-    cfg = _config(args)
     f = _load_map(args.f, args)
     g = _load_map(args.g, args)
-    rep = same_measure_test(f, g, count=cfg.cloud_count, depth=cfg.depth, seed=cfg.seed)
+    rep = same_measure_test(f, g, count=args.count, depth=args.depth, seed=args.seed)
     _emit(args, dumps_report(rep.as_dict()))
     return 0
 
 
 def _cmd_render(args):
-    cfg = _config(args)
     f = _load_map(args.map, args)
     try:
         window = tuple(float(v) for v in args.window.split(","))
@@ -152,9 +138,9 @@ def _cmd_render(args):
         args.width,
         args.height,
         window,
-        count=cfg.cloud_count,
-        depth=cfg.depth,
-        seed=cfg.seed,
+        count=args.count,
+        depth=args.depth,
+        seed=args.seed,
     )
     _emit_bytes(args, blob)
     if args.stats:
@@ -163,6 +149,8 @@ def _cmd_render(args):
 
 
 def _cmd_powermap(args):
+    if any(d is not None and d < 2 for d in (args.df, args.dg)):
+        raise UsageError("--df and --dg are power-map degrees, integers >= 2")
     report = {}
     if args.df and args.dg:
         report["df"], report["dg"] = args.df, args.dg
@@ -218,15 +206,14 @@ def _cmd_compose(args):
 
 
 def _cmd_iterate(args):
-    cfg = _config(args)
     f = _load_map(args.map, args)
     if args.shared_with:
         g = _load_map(args.shared_with, args)
-        pair = shared_iterate_search(f, g, budget=cfg.max_composite_degree)
+        pair = shared_iterate_search(f, g, budget=args.budget)
         _emit(args, dumps_report({"shared_iterate": list(pair) if pair else None,
-                                  "budget": cfg.max_composite_degree}))
+                                  "budget": args.budget}))
         return 0
-    _emit(args, dumps_report(map_to_json(f.iterate(args.n, budget=cfg.max_composite_degree))))
+    _emit(args, dumps_report(map_to_json(f.iterate(args.n, budget=args.budget))))
     return 0
 
 
@@ -267,8 +254,8 @@ def build_parser():
     p = sub.add_parser("measure", help="compare empirical maximal-entropy measures")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--count", type=int)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--count", type=int, default=4000)
+    p.add_argument("--depth", type=int, default=40)
     common(p)
     p.set_defaults(func=_cmd_measure)
 
@@ -277,8 +264,8 @@ def build_parser():
     p.add_argument("--width", type=int, default=400)
     p.add_argument("--height", type=int, default=400)
     p.add_argument("--window", default="-2.5,2.5,-2.5,2.5")
-    p.add_argument("--count", type=int)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--count", type=int, default=4000)
+    p.add_argument("--depth", type=int, default=40)
     p.add_argument("--stats", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_render)
@@ -307,7 +294,7 @@ def build_parser():
     p = sub.add_parser("iterate", help="exact iterate or shared-iterate search")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET)
     p.add_argument("--shared-with", help="search f^n = g^m instead")
     common(p, seed=False)
     p.set_defaults(func=_cmd_iterate)
@@ -320,9 +307,9 @@ def build_parser():
     return ap
 
 
-# options whose value may start with '-': a minimal polynomial or a map
+# options whose value may start with '-': a minimal polynomial, a map or a root a/b
 DASH_VALUED = frozenset(
-    "--" + name for name in ("field", "map", "f", "g", "R", "S", "T", "F", "G", "shared-with")
+    "--" + name for name in ("field", "map", "f", "g", "R", "S", "T", "F", "G", "shared-with", "root")
 )
 
 
@@ -354,7 +341,7 @@ def main(argv=None):
     except (ConsistencyError,) as exc:
         print("internal consistency error: %s" % exc, file=sys.stderr)
         return 3
-    except (TrackingError, BasepointError) as exc:
+    except (TrackingError, BasepointError, RootFindingError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
 

@@ -9,6 +9,7 @@ so equality is exact coefficient comparison.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 MAX_EXTENSION_DEGREE = 8
@@ -100,6 +101,12 @@ class FieldContext:
                 shifted = [shifted[i] + top * base[i] for i in range(degree)]
             table[k] = shifted
         self._reduction = table
+        # the same table over one common denominator r: rows[k - degree][i] / r
+        # is the coordinate of alpha^i in alpha^k (Poly products reduce with it)
+        rows = [table[k] for k in range(degree, 2 * degree - 1)]
+        r = math.lcm(*[c.denominator for row in rows for c in row])
+        self._integer_reduction = (
+            [[c.numerator * (r // c.denominator) for c in row] for row in rows], r)
         self._embedding = None
 
     @classmethod

@@ -106,6 +106,8 @@ def backward_orbit_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="c
     """
     if f.degree < 2:
         raise MapError("sampling requires degree >= 2")
+    if count < 0:
+        raise MapError("the point count must be >= 0")
     if depth <= burn_in:
         raise MapError("depth must exceed the burn-in length %d" % burn_in)
     rng = named_rng(seed, stream)
@@ -345,6 +347,8 @@ def julia_raster(f, width, height, window, count=20000, depth=30, seed=0):
         raise MapError("empty or unbounded raster window")
     if width < 1 or height < 1:
         raise MapError("raster width and height must be positive")
+    if count < 0:
+        raise MapError("the point count must be >= 0")
     hist = np.zeros((height, width))
     if count > 0:
         x, y, w = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="raster").points.T

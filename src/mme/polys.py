@@ -3,15 +3,20 @@
 Poly stores ascending coefficients with no trailing zeros (the zero
 polynomial is the empty tuple).  BiPoly stores a dense coefficient
 matrix indexed by (x-degree, y-degree).  All operations are exact.
-Over Q, a product of Polys and a projective evaluation run on integer
-vectors with one common denominator; other fields use the coefficient
-arithmetic of FieldElement.
+A product of Polys over any field Q(alpha) is one integer product: each
+operand is cleared to an integer vector over one common denominator, with
+the alpha^k coordinate of the z^i coefficient in slot i(2m - 1) + k (m the
+degree of alpha), and the alpha-powers of the product are reduced on
+integers.  Q is the case m = 1.  Over Q a projective evaluation runs on
+integers too; everything else uses the coefficient arithmetic of
+FieldElement.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .fields import FieldElement, FieldError, to_fraction
 
@@ -153,33 +158,43 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
-        if self.ctx.degree == 1:
-            a, da = self._integer_vector()
-            b, db = other._integer_vector()
-            den = da * db
-            return Poly(self.ctx, [FieldElement(self.ctx, (Fraction(c, den),))
-                                   for c in _kronecker_product(a, b)])
-        return self._mul_schoolbook(other)
+        # z^i alpha^k sits in slot i s + k, s = 2m - 1, so the integer product
+        # holds every z^i alpha^k (k <= 2m - 2) of the product in its own slot
+        ctx = self.ctx
+        m, s = ctx.degree, 2 * ctx.degree - 1
+        rows, r = ctx._integer_reduction
+        a, da = self._integer_vector()
+        b, db = other._integer_vector()
+        conv = _kronecker_product(a, b)
+        # alpha^k = sum_i rows[k - m][i] alpha^i / r for k >= m
+        cols = [conv[i::s] if r == 1 else [c * r for c in conv[i::s]] for i in range(m)]
+        for k, row in enumerate(rows, m):
+            top = conv[k::s]
+            cols = [[c + w * t for c, t in zip(col, top)] if w else col
+                    for col, w in zip(cols, row)]
+        den = da * db * r
+        return Poly(ctx, [FieldElement(ctx, coords) for coords in
+                          zip(*[[Fraction(c, den) for c in col] for col in cols])])
 
     __rmul__ = __mul__
 
-    def _mul_schoolbook(self, other):
-        """The product over any field, one coefficient product at a time."""
-        out = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.ctx, out)
-
     def _integer_vector(self):
-        """(ints, den) with self = sum(ints[i] z^i) / den, for a Poly over Q; cached."""
+        """(ints, den) with self = sum(ints[i s + k] z^i alpha^k) / den; cached.
+
+        For a field of degree m the slot stride is s = 2m - 1: the m
+        coordinates of coefficient i fill slots i s .. i s + m - 1 and the
+        slots up to the next coefficient are zero (none after the last).
+        """
         if self._ints is None:
-            fracs = [c.coords[0] for c in self.coeffs]
+            m = self.ctx.degree
+            s = 2 * m - 1
+            fracs = list(chain.from_iterable([c.coords for c in self.coeffs]))
             den = math.lcm(*[f.denominator for f in fracs])
-            self._ints = ([f.numerator * (den // f.denominator) for f in fracs], den)
+            nums = [f.numerator * (den // f.denominator) for f in fracs]
+            ints = [0] * (len(self.coeffs) * s - m + 1)
+            for k in range(m):
+                ints[k::s] = nums[k::m]
+            self._ints = (ints, den)
         return self._ints
 
     def scale(self, c):

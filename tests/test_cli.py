@@ -210,3 +210,62 @@ def test_map_options_take_a_negative_value_after_a_space(capsys, spaced, joined)
     out = run(capsys, *spaced)
     assert out[0] in (0, 1)
     assert out == run(capsys, *joined)
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--f", "z^2", "--g", "z^2+1", "--count", "-5"],
+    ["measure", "--f", "z^2", "--g", "z^2+1", "--depth", "0"],
+    ["render", "--map", "z^2", "--count", "-1"],
+    ["iterate", "--map", "z^2", "--n", "2", "--budget", "1"],
+    ["iterate", "--map", "z^2", "--shared-with", "z^2", "--budget", "1"],
+])
+def test_count_depth_or_budget_out_of_range_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_render_with_no_points_is_a_blank_raster(capsys, tmp_path):
+    target = tmp_path / "blank.ppm"
+    code, _, _ = run(capsys, "render", "--map", "z^2", "--width", "3", "--height", "2",
+                     "--count", "0", "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == b"P6\n3 2\n255\n" + bytes(3 * 2 * 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["powermap", "--df", "1", "--dg", "2"],
+    ["powermap", "--df", "-3"],
+    ["powermap", "--df", "2", "--dg", "0"],
+    ["powermap", "--df", "1", "--root", "1/3"],
+])
+def test_powermap_degree_below_two_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_root_option_takes_a_negative_value_after_a_space(capsys):
+    spaced = run(capsys, "powermap", "--root", "-1/7", "--df", "2")
+    assert spaced == run(capsys, "powermap", "--root=-1/7", "--df", "2")
+    code, out, _ = spaced
+    assert code == 0
+    assert json.loads(out)["root_of_unity"]["root"] == "6/7"
+
+
+def test_root_finding_error_exits_three(capsys, monkeypatch):
+    import mme.cli
+    from mme.numeric import RootFindingError
+
+    def fail(*args, **kwargs):
+        raise RootFindingError("no certified roots")
+
+    monkeypatch.setattr(mme.cli, "analyze", fail)
+    code, out, err = run(capsys, "analyze-graph", "--map", "z^2+1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ")

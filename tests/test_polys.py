@@ -3,10 +3,22 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mme.fields import FieldContext
+from mme.fields import FieldContext, field_configure
 from mme.polys import BiPoly, Poly, graph_bipoly
 
 Q = FieldContext.rationals()
+
+
+def schoolbook_product(p, q):
+    """The reference product over any field, one coefficient product at a time."""
+    out = [p.ctx.zero] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(q.coeffs):
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return Poly(p.ctx, out)
 
 small_coeffs = st.lists(
     st.integers(min_value=-9, max_value=9), min_size=1, max_size=6
@@ -98,7 +110,7 @@ def test_bipoly_division_inverts_multiplication(a, b, c):
     assert (P * D).divide_exact(D) == P
 
 
-# -- products and projective evaluation over Q on integers ------------------------------
+# -- products on integers, and projective evaluation over Q ---------------------------
 
 # zero, small, and >= 300-bit numerators over denominators of up to 320 bits
 q_coeff = st.one_of(
@@ -113,8 +125,8 @@ q_coeffs = st.lists(q_coeff, min_size=1, max_size=30)
 @given(q_coeffs, q_coeffs)
 def test_q_product_equals_schoolbook_product(a, b):
     p, q = poly_from(a), poly_from(b)
-    assert p * q == p._mul_schoolbook(q)
-    assert p * p == p._mul_schoolbook(p)
+    assert p * q == schoolbook_product(p, q)
+    assert p * p == schoolbook_product(p, p)
 
 
 def test_q_product_on_tall_signed_coefficients():
@@ -128,12 +140,59 @@ def test_q_product_on_tall_signed_coefficients():
         b[-1] = b[-1] or 2**300
         p, q = poly_from(a), poly_from(b)
         prod = p * q
-        assert prod == p._mul_schoolbook(q)
+        assert prod == schoolbook_product(p, q)
         assert prod.degree == len(a) + len(b) - 2
         # the integer convolution itself, slot by slot
         assert [c.as_fraction() for c in prod.coeffs] == [
             sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
             for k in range(len(a) + len(b) - 1)]
+
+
+# Q(alpha) for alpha of degree 2, 3, 4 and 8, one minimal polynomial with
+# non-integer coefficients (its reduction table has a denominator)
+EXTENSIONS = [
+    field_configure([1, 1, 1]),
+    field_configure([-2, 0, 0, 1]),
+    field_configure([Fraction(1, 3), Fraction(-5, 7), 0, Fraction(2, 9), 1]),
+    field_configure([1, 0, 0, 0, 1]),
+    field_configure([-2, 0, 0, 0, 0, 0, 0, 0, 1]),
+]
+# up to 300-bit numerators, and whole coordinates or coefficients that are zero
+ext_coord = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-2**300, 2**300), st.integers(1, 2**64)),
+)
+
+
+@st.composite
+def ext_polys(draw):
+    ctx = draw(st.sampled_from(EXTENSIONS))
+    coeff = st.lists(ext_coord, min_size=ctx.degree, max_size=ctx.degree).map(ctx.element)
+    poly = st.lists(coeff, min_size=0, max_size=8).map(lambda cs: Poly(ctx, cs))
+    return draw(poly), draw(poly)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ext_polys())
+def test_extension_product_equals_schoolbook_product(pq):
+    p, q = pq
+    assert p * q == schoolbook_product(p, q)
+    assert p * p == schoolbook_product(p, p)
+    assert q * p == p * q
+
+
+def test_extension_product_on_sparse_coordinates():
+    # every coordinate but one zero: the product of two monomials is one reduced power
+    for ctx in EXTENSIONS:
+        m = ctx.degree
+        for i in range(m):
+            for k in range(m):
+                a = Poly(ctx, [0, ctx.element([0] * i + [2**300])])
+                b = Poly(ctx, [ctx.element([0] * k + [Fraction(-1, 3)]), 0, 0])
+                expected = ctx.element([0] * i + [2**300]) * ctx.element([0] * k + [Fraction(-1, 3)])
+                assert a * b == Poly(ctx, [0, expected])
+                assert a * a == schoolbook_product(a, a)
 
 
 q_point = st.one_of(st.just(Fraction(0)), st.builds(
