@@ -17,6 +17,7 @@ from .identities import (
     maps_equal,
     sigma_f_quadratic,
 )
+from .parser import parse_binding_value as parse_param
 from .polys import Poly
 from .ratmaps import MapError, RationalMap
 
@@ -49,48 +50,6 @@ class CatalogEntry:
 def omega_field():
     """Q(w) with w a primitive cube root of unity (w^2 + w + 1 = 0)."""
     return field_configure([1, 1, 1])
-
-
-def parse_param(ctx, value):
-    """An exact field element from an int/Fraction/str like '1+w'."""
-    if isinstance(value, (int, Fraction)):
-        return ctx.from_rational(value)
-    if isinstance(value, str):
-        text = value.replace(" ", "")
-        # tiny linear grammar: q, w, q+w, q-w, q*w, q+q*w
-        total = ctx.zero
-        term = ""
-        sign = 1
-        tokens = []
-        for ch in text:
-            if ch in "+-" and term:
-                tokens.append((sign, term))
-                sign = 1 if ch == "+" else -1
-                term = ""
-            elif ch == "-" and not term:
-                sign = -sign
-            else:
-                term += ch
-        tokens.append((sign, term))
-        for sgn, t in tokens:
-            if not t:
-                raise MapError("empty term in parameter %r" % value)
-            if t.endswith("w") and ctx.degree == 1:
-                raise MapError(
-                    "term %r in parameter %r needs an extension field (--field)" % (t, value)
-                )
-            try:
-                if t.endswith("w"):
-                    scal = t[:-2] if t.endswith("*w") else t[:-1]
-                    coef = ctx.from_rational(Fraction(scal)) if scal else ctx.one
-                    part = coef * ctx.gen()
-                else:
-                    part = ctx.from_rational(Fraction(t))
-            except (ValueError, ZeroDivisionError):
-                raise MapError("bad term %r in parameter %r" % (t, value)) from None
-            total = total + part if sgn > 0 else total - part
-        return total
-    return ctx._coerce(value)
 
 
 def _int_param(params, name, default):

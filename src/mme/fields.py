@@ -314,10 +314,7 @@ class FieldElement:
         return result
 
     def __eq__(self, other):
-        try:
-            other = self.ctx._coerce(other)
-        except FieldError:
-            raise
+        other = self.ctx._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.coords == other.coords
@@ -327,9 +324,6 @@ class FieldElement:
 
     def __complex__(self):
         return self.ctx.embed(self)
-
-    def coords_strings(self):
-        return [str(c) for c in self.coords]
 
     def __repr__(self):
         if self.is_rational():

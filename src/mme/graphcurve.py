@@ -29,7 +29,6 @@ from scipy.optimize import linear_sum_assignment
 from .numeric import (
     INF,
     ConsistencyError,
-    RootFindingError,
     chordal,
     chordal_matrix,
     is_inf,
@@ -41,7 +40,7 @@ from .numeric import (
 )
 from .polys import BiPoly, graph_bipoly
 from .ratmaps import MapError, RationalMap, critical_data
-from .serialize import point_to_json
+from .serialize import element_to_json, point_to_json
 
 MATCH_TOL = 1e-6
 # the radii |x| = R the sample circle chooses from
@@ -124,11 +123,15 @@ def _branch_data(G):
     The critical points and their local degrees m + 1 come from the exact
     square-free decomposition of the Wronskian.  The other preimages of a
     critical value v are simple: the roots of N - vD left once the e roots
-    nearest each critical point of local degree e are set aside.
+    nearest each critical point of local degree e are set aside.  A group
+    whose local degrees need more preimages than d (distinct critical
+    values that evaluate to one point) raises TrackingError.
     """
     out = []
     for v, group in critical_data(G).value_groups:
         roots = list(G.preimages(v))
+        if sum(m + 1 for _p, m in group) > len(roots):
+            raise TrackingError("critical points of one critical value exceed its fiber")
         pre = []
         for p, m in group:
             for _ in range(m + 1):
@@ -360,21 +363,14 @@ def _track(matrix, d, fiber, paths):
             fail(k, exc)
 
     def advance(keys, steps):
-        try:
-            new = projective_roots_batch(_fiber_coeffs(matrix, [x for x, _f in steps]), d)
-        except RootFindingError as exc:
-            if len(keys) == 1:
-                fail(keys[0], exc)
-            else:
-                # solve the round path by path to find the paths that fail
-                for k, step in zip(keys, steps):
-                    if k < cut:
-                        advance([k], [step])
-            return
-        cost = chordal_matrix([f for _x, f in steps], new)
+        new, error = projective_roots_batch(_fiber_coeffs(matrix, [x for x, _f in steps]), d)
+        cost = chordal_matrix([f for _x, f in steps[:len(new)]], new)
         sep = min_pairwise_chordal(new)
-        for i, k in enumerate(keys):
+        for i, k in enumerate(keys[:len(new)]):
             send(k, (new[i], cost[i], sep[i]))
+        # a path that already failed in send keeps its own error
+        if error is not None and keys[len(new)] < cut:
+            fail(keys[len(new)], error)
 
     for k in range(len(walks)):
         send(k, None)
@@ -706,7 +702,8 @@ def analyze(G, seed=0, reconstruct=True):
                 "ramification": [list(ct) for ct in cert.ramification],
                 "rational_normalization": genus_zero_parametrization_check(cert),
                 **(
-                    {"exact_poly": cert.exact_poly.coeff_strings()}
+                    {"exact_poly": [[element_to_json(c) for c in row]
+                                    for row in cert.exact_poly.rows]}
                     if cert.exact_poly is not None
                     else {}
                 ),

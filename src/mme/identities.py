@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .numeric import ConsistencyError
 from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, Moebius, maps_equal
+from .serialize import element_to_json
 
 
 @dataclass
@@ -44,12 +45,7 @@ def _witness_json(w):
     if w is None:
         return None
     if isinstance(w, Moebius):
-        return {
-            "moebius": [
-                e.coords_strings() if not e.is_rational() else str(e.as_fraction())
-                for e in w.entries()
-            ]
-        }
+        return {"moebius": [element_to_json(e) for e in w.entries()]}
     if isinstance(w, tuple):
         return list(w)
     return str(w)

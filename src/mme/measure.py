@@ -28,6 +28,7 @@ from .numeric import (
 )
 from .polys import Poly
 from .ratmaps import MapError, Moebius, RationalMap
+from .serialize import element_to_json
 
 BURN_IN = 10
 SAME_FACTOR = 3.0
@@ -68,7 +69,7 @@ class MeasureDistanceReport:
 
 
 def map_digest(f):
-    ns, ds = f.coeff_strings()
+    ns, ds = ([element_to_json(c) for c in p.coeffs] for p in (f.num, f.den))
     return hashlib.sha256(repr((ns, ds)).encode()).hexdigest()[:16]
 
 
@@ -90,7 +91,7 @@ def _exceptional_points(f):
     return out
 
 
-def backward_orbit_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
+def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     """A cloud of `count` points from random backward orbits of length `depth`.
 
     An orbit starts at a random point and steps `depth` times to a uniformly
@@ -108,12 +109,12 @@ def backward_orbit_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="c
         raise MapError("sampling requires degree >= 2")
     if count < 0:
         raise MapError("the point count must be >= 0")
-    if depth <= burn_in:
-        raise MapError("depth must exceed the burn-in length %d" % burn_in)
+    if depth <= BURN_IN:
+        raise MapError("depth must exceed the burn-in length %d" % BURN_IN)
     rng = named_rng(seed, stream)
     exceptional = _exceptional_points(f)
     d = f.degree
-    per_orbit = depth - burn_in
+    per_orbit = depth - BURN_IN
     n_orbits = math.ceil(count / per_orbit)
     pts = []
     failures = 0
@@ -127,7 +128,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="c
             # one draw of `depth` choices leaves the values and the generator
             # state that `depth` scalar draws leave
             choices.append(rng.integers(0, d, size=depth).tolist())
-        orbits, failed = _lockstep_orbits(f, exceptional, starts, choices, burn_in)
+        orbits, failed = _lockstep_orbits(f, exceptional, starts, choices)
         for orbit in orbits:
             pts.extend(orbit)
         if failed is not None:
@@ -145,7 +146,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="c
     )
 
 
-def _lockstep_orbits(f, exceptional, starts, choices, burn_in):
+def _lockstep_orbits(f, exceptional, starts, choices):
     """Backward orbits of f from `starts`, orbit i stepping to preimage
     choices[i][k] at step k, all advanced together.
 
@@ -182,28 +183,13 @@ def _lockstep_orbits(f, exceptional, starts, choices, burn_in):
             z, inf = _finite_part(points)
             scale = np.maximum(1.0, np.hypot(z.real, z.imag))[:, None]
             rows = np.where(inf[:, None], dc, nc / scale - (z[:, None] / scale) * dc)
-        fibers = _solve_fibers(rows, d)
-        if len(fibers) < len(points):
+        fibers, error = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
+        if error is not None:
             failed = (len(fibers), k)
         points = cut([fiber[c] for fiber, c in zip(fibers, step_choices)], k + 1)
-        if k >= burn_in:
+        if k >= BURN_IN:
             kept.append(points)
     return [[step[i] for step in kept] for i in range(len(points))], failed
-
-
-def _solve_fibers(rows, d):
-    """The preimage fibers of the rows, up to the first that cannot be certified."""
-    try:
-        return projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
-    except RootFindingError:
-        # solve the round row by row to find the first failing orbit
-        fibers = []
-        for row in rows:
-            try:
-                fibers.append(projective_roots(row, d, residual_tol=1e-7, refine=False))
-            except RootFindingError:
-                break
-        return fibers
 
 
 def _distances(U, V):

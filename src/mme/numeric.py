@@ -74,6 +74,10 @@ def sphere_unlift(p):
 # below which a leading coefficient counts as zero (a root at infinity)
 RESIDUAL_TOL = 1e-10
 INF_TOL = 1e-13
+# rationalize_into_field: the largest denominator it rounds to, and the
+# relative error its embedding may leave
+MAX_DEN = 10**6
+RATIONALIZE_TOL = 1e-6
 
 
 class RootFindingError(RuntimeError):
@@ -194,12 +198,12 @@ def certified_roots(coeffs, residual_tol=RESIDUAL_TOL, refine=True):
     return roots
 
 
-def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=True, inf_tol=INF_TOL):
+def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=True):
     """Roots of a degree-``formal_degree`` polynomial on P^1.
 
     Returns a list of length formal_degree: finite complex roots plus
     copies of INF for the drop between the effective and formal degree.
-    Leading coefficients below inf_tol * max|c| are treated as zero
+    Leading coefficients below INF_TOL * max|c| are treated as zero
     (the corresponding roots sit at/near infinity, which the chordal
     metric keeps continuous for tracking purposes).
     """
@@ -210,20 +214,23 @@ def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=Tr
     if scale == 0.0:
         raise ValueError("zero polynomial has no root set of finite degree")
     eff = formal_degree
-    while eff > 0 and abs(c[eff]) <= inf_tol * scale:
+    while eff > 0 and abs(c[eff]) <= INF_TOL * scale:
         eff -= 1
     finite = certified_roots(c[: eff + 1], residual_tol=residual_tol, refine=refine)
     return list(finite) + [INF] * (formal_degree - eff)
 
 
 def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refine=True):
-    """projective_roots of every row of an (L, formal_degree + 1) stack.
+    """projective_roots of the rows of an (L, formal_degree + 1) stack, up
+    to the first row that cannot be certified.
 
-    Rows of full degree with a nonzero constant term share one stack of
-    companion matrices, one eigvals call and (with ``refine``) one row-wise
-    Newton pass.  Every other row (a root at infinity or at zero, a residual
-    that needs mpmath) goes through projective_roots, so each row's roots
-    equal projective_roots on that row bit for bit.
+    Returns (fibers, error): the roots of every row before that row, and
+    the RootFindingError it raised, or None.  Rows of full degree with a
+    nonzero constant term share one stack of companion matrices, one
+    eigvals call and (with ``refine``) one row-wise Newton pass.  Every
+    other row (a root at infinity or at zero, a residual that needs mpmath)
+    goes through projective_roots, so each row's roots equal
+    projective_roots on that row bit for bit.
     """
     c = np.asarray(rows, dtype=complex)
     d = formal_degree
@@ -238,9 +245,15 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
         for i, row, good in zip(idx, roots, ok):
             if good:
                 out[i] = list(row)
-    return [found if found is not None
-            else projective_roots(c[i], d, residual_tol=residual_tol, refine=refine)
-            for i, found in enumerate(out)]
+    fibers = []
+    for i, found in enumerate(out):
+        if found is None:
+            try:
+                found = projective_roots(c[i], d, residual_tol=residual_tol, refine=refine)
+            except RootFindingError as exc:
+                return fibers, exc
+        fibers.append(found)
+    return fibers, None
 
 
 def chordal_matrix(a, b):
@@ -279,7 +292,7 @@ def min_pairwise_chordal(points):
     return chordal_matrix(points, points)[..., iu[0], iu[1]].min(axis=-1)
 
 
-def rationalize_into_field(ctx, z, max_den=10**6, tol=1e-6):
+def rationalize_into_field(ctx, z):
     """Express complex z as an exact element of ctx, or None.
 
     Solves z = sum c_k alpha^k over the reals by least squares on the
@@ -296,9 +309,9 @@ def rationalize_into_field(ctx, z, max_den=10**6, tol=1e-6):
     A = np.array([[b.real for b in basis], [b.imag for b in basis]])
     rhs = np.array([z.real, z.imag])
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    fracs = [Fraction(float(c)).limit_denominator(max_den) for c in sol]
+    fracs = [Fraction(float(c)).limit_denominator(MAX_DEN) for c in sol]
     elt = ctx.element(fracs)
-    if abs(ctx.embed(elt) - z) <= tol * max(1.0, abs(z)):
+    if abs(ctx.embed(elt) - z) <= RATIONALIZE_TOL * max(1.0, abs(z)):
         return elt
     return None
 

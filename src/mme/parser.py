@@ -175,12 +175,21 @@ def parse_map(text, ctx, bindings=None):
     return RationalMap(num, den)
 
 
-def parse_binding_value(ctx, text):
-    """An exact field element from "3", "-5/2", "w", or "1+2w"."""
-    from .catalog import parse_param
+def parse_binding_value(ctx, value):
+    """An exact element of ctx from a number, an element, or text like "-1/3-2/5*w".
 
-    text = text.strip()
+    Text is a whole decimal ("0.5") or an expression of the map grammar in
+    which w is the generator of ctx; it may not contain z.
+    """
+    if not isinstance(value, str):
+        return ctx._coerce(value)
     try:
-        return ctx.from_rational(Fraction(text))
-    except ValueError:
-        return parse_param(ctx, text)
+        return ctx.from_rational(Fraction(value.strip()))
+    except (ValueError, ZeroDivisionError):
+        pass
+    if ctx.degree == 1 and "w" in value:
+        raise MapError("the generator w in %r needs an extension field (--field)" % value)
+    num, den = parse_rational_expression(value, ctx, {"w": ctx.gen()})
+    if num.degree > 0 or den.degree > 0:
+        raise MapError("%r is not a constant: it depends on z" % value)
+    return num.coeff(0) / den.coeff(0)

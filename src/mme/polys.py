@@ -257,14 +257,6 @@ class Poly:
     def derivative(self):
         return Poly(self.ctx, [c * i for i, c in enumerate(self.coeffs)][1:])
 
-    def compose(self, other):
-        """self(other(x)) by Horner."""
-        other = self._coerce(other)
-        acc = Poly.zero(self.ctx)
-        for c in reversed(self.coeffs):
-            acc = acc * other + c
-        return acc
-
     def reversed(self, formal_degree=None):
         """x^d * p(1/x) for the chart at infinity."""
         d = self.degree if formal_degree is None else formal_degree
@@ -554,18 +546,16 @@ class BiPoly:
                     return self * self.rows[i][j].inverse()
         return self
 
-    def coeff_strings(self):
-        return [[c.coords_strings() if not c.is_rational() else str(c.as_fraction()) for c in row] for row in self.rows]
-
     def __repr__(self):
         return "BiPoly(bidegree=%s)" % (self.bidegree,)
 
 
 def graph_bipoly(num, den):
-    """p(x)q(y) - p(y)q(x): the defining polynomial of {G(x) = G(y)}."""
-    ctx = num.ctx
-    px = [[num.coeff(i)] for i in range(num.degree + 1)] or [[0]]
-    qx = [[den.coeff(i)] for i in range(den.degree + 1)] or [[0]]
-    py = [[num.coeff(j) for j in range(num.degree + 1)]] if not num.is_zero() else [[0]]
-    qy = [[den.coeff(j) for j in range(den.degree + 1)]] if not den.is_zero() else [[0]]
-    return BiPoly(ctx, px) * BiPoly(ctx, qy) - BiPoly(ctx, py) * BiPoly(ctx, qx)
+    """p(x)q(y) - p(y)q(x): the defining polynomial of {G(x) = G(y)}.
+
+    Its coefficient of x^i y^j is p_i q_j - p_j q_i, an antisymmetric matrix.
+    """
+    d = max(num.degree, den.degree)
+    p, q = num.padded(d), den.padded(d)
+    return BiPoly(num.ctx, [[p[i] * q[j] - p[j] * q[i] for j in range(d + 1)]
+                            for i in range(d + 1)])

@@ -18,6 +18,8 @@ from .numeric import INF, ConsistencyError, certified_roots, chordal, is_inf
 from .polys import Poly
 
 DEFAULT_DEGREE_BUDGET = 4096
+# chordal distance below which critical_data merges two critical values
+VALUE_TOL = 1e-7
 
 
 class MapError(ValueError):
@@ -216,20 +218,6 @@ class RationalMap:
             coeffs = nc / scale - (w / scale) * dc
         return projective_roots(coeffs, d, residual_tol=residual_tol, refine=refine)
 
-    # -- serialization helpers ---------------------------------------------------------
-
-    def coeff_strings(self):
-        def enc(poly):
-            out = []
-            for c in poly.coeffs:
-                if c.is_rational():
-                    out.append(str(c.as_fraction()))
-                else:
-                    out.append(c.coords_strings())
-            return out
-
-        return enc(self.num), enc(self.den)
-
 
 def maps_equal(f, g):
     return f == g
@@ -283,19 +271,6 @@ class Moebius:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self):
-        return Moebius(self.d, -self.b, -self.c, self.a)
-
-    def apply_exact(self, z):
-        if is_inf(z):
-            if self.c.is_zero():
-                return INF
-            return self.a / self.c
-        den = self.c * z + self.d
-        if den.is_zero():
-            return INF
-        return (self.a * z + self.b) / den
-
     def apply_numeric(self, z):
         e = [complex(x) for x in self.entries()]
         if is_inf(z):
@@ -339,7 +314,7 @@ class CriticalData:
     value_groups: list = field(default_factory=list)
 
 
-def critical_data(f, residual_tol=1e-10, value_tol=1e-7):
+def critical_data(f):
     """Critical points with exact multiplicities and flagged critical values.
 
     Exact route: the Wronskian's square-free decomposition gives the
@@ -356,7 +331,7 @@ def critical_data(f, residual_tol=1e-10, value_tol=1e-7):
     points = []
     if not w.is_zero():
         for factor, mult in w.squarefree_decomposition():
-            roots = certified_roots(factor.numeric_coeffs(), residual_tol=residual_tol)
+            roots = certified_roots(factor.numeric_coeffs())
             for r in roots:
                 points.append((complex(r), mult))
         inf_mult = total - w.degree
@@ -374,7 +349,7 @@ def critical_data(f, residual_tol=1e-10, value_tol=1e-7):
     groups = []
     for v, p, m in imgs:
         for g in groups:
-            if chordal(g["value"], v) < value_tol:
+            if chordal(g["value"], v) < VALUE_TOL:
                 g["points"].append((p, m))
                 break
         else:

@@ -19,7 +19,7 @@ from .ratmaps import MapError, Moebius, RationalMap
 def element_to_json(e):
     if e.is_rational():
         return str(e.as_fraction())
-    return e.coords_strings()
+    return [str(c) for c in e.coords]
 
 
 def element_from_json(ctx, obj):

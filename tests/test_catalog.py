@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from mme.catalog import (
@@ -28,6 +30,41 @@ def test_parse_param_accepts_omega_terms():
     assert parse_param(ctx, "1+w") == ctx.one + w
     assert parse_param(ctx, "2") == ctx.from_rational(2)
     assert parse_param(ctx, "1/2") == ctx.from_rational(1) / ctx.from_rational(2)
+
+
+def old_parse_param(ctx, value):
+    """The hand-written term grammar that catalog parameters were read with
+    before the map grammar read them; kept as a reference."""
+    text = value.replace(" ", "")
+    total = ctx.zero
+    term = ""
+    sign = 1
+    tokens = []
+    for ch in text:
+        if ch in "+-" and term:
+            tokens.append((sign, term))
+            sign = 1 if ch == "+" else -1
+            term = ""
+        elif ch == "-" and not term:
+            sign = -sign
+        else:
+            term += ch
+    tokens.append((sign, term))
+    for sgn, t in tokens:
+        if t.endswith("w"):
+            scal = t[:-2] if t.endswith("*w") else t[:-1]
+            part = (ctx.from_rational(Fraction(scal)) if scal else ctx.one) * ctx.gen()
+        else:
+            part = ctx.from_rational(Fraction(t))
+        total = total + part if sgn > 0 else total - part
+    return total
+
+
+@pytest.mark.parametrize("text", ["1+w", "-2+3*w", "2-1*w", "-w", "--w", "1/2", "1/2w",
+                                  "2w", "3*w", "1--w", "-1/3-2/5*w", "0.5"])
+def test_parse_param_equals_old_term_grammar(text):
+    ctx = omega_field()
+    assert parse_param(ctx, text) == old_parse_param(ctx, text)
 
 
 def test_chebyshev_flower_certificates_at_samples():

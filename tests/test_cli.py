@@ -269,3 +269,24 @@ def test_root_finding_error_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure: ")
+
+
+def test_critical_values_merged_at_infinity_exit_three(capsys):
+    # the seven finite critical values are about 1e34 and evaluate to one
+    # point with infinity, so their local degrees need 22 preimages of 8
+    code, out, err = run(capsys, "analyze-graph", "--map",
+                         "z^8+1000000000000000000000000000000z+1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1/0", "0.5+w", "z+1"])
+def test_bad_binding_exits_two(capsys, value):
+    code, out, err = run(capsys, "compose", "--field", "1,1,1", "--bind", "a=" + value,
+                         "--f", "z^2+a", "--g", "z")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

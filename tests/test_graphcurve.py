@@ -223,8 +223,9 @@ def test_lockstep_failure_drops_later_paths(monkeypatch):
     batch = graphcurve.projective_roots_batch
 
     def failing_batch(rows, d):
-        if (rows == bad).all(axis=1).any():
-            raise RootFindingError("forced failure")
+        hit = np.flatnonzero((rows == bad).all(axis=1))
+        if len(hit):
+            return batch(rows[:hit[0]], d)[0], RootFindingError("forced failure")
         return batch(rows, d)
 
     monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)

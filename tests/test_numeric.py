@@ -45,8 +45,8 @@ def test_batched_roots_equal_single_row_roots(monkeypatch):
         rows[0, d] = 0  # a root at infinity
         rows[1, d] = 1e-15 * rows[1, 0]  # below the infinity threshold
         rows[2, 0] = 0  # a root at zero
-        batch = projective_roots_batch(rows, d)
-        assert len(batch) == len(rows)
+        batch, error = projective_roots_batch(rows, d)
+        assert error is None and len(batch) == len(rows)
         for row, roots in zip(rows, batch):
             assert same_points(roots, projective_roots(row, d))
         assert batch[0][-1] is INF and batch[1][-1] is INF
@@ -63,7 +63,8 @@ def test_batched_roots_equal_single_row_roots(monkeypatch):
         return roots, ok & ~(coeffs == rows[1, ::-1]).all(axis=1)
 
     monkeypatch.setattr(numeric, "_polish", failing_polish)
-    batch = projective_roots_batch(rows, 3)
+    batch, error = projective_roots_batch(rows, 3)
+    assert error is None
     assert len(escalations) == 1
     for row, roots in zip(rows, batch):
         assert same_points(roots, projective_roots(row, 3))
@@ -80,7 +81,8 @@ def test_unrefined_batched_roots_equal_single_row_roots():
         rows[2, 0] = 0  # a root at zero
         if d >= 2:
             rows[3] = np.poly([0.5, 0.5] + [1j] * (d - 2))[::-1]  # a double root
-        batch = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
+        batch, error = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
+        assert error is None
         for row, roots in zip(rows, batch):
             assert same_points(roots, projective_roots(row, d, residual_tol=1e-7, refine=False))
         assert batch[0][-1] is INF and batch[1][-1] is INF

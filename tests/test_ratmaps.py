@@ -11,7 +11,6 @@ from mme.polys import Poly
 from mme.ratmaps import (
     DEFAULT_DEGREE_BUDGET,
     MapError,
-    Moebius,
     RationalMap,
     SizeBudgetError,
     critical_data,
@@ -95,17 +94,6 @@ def test_critical_data_chebyshev():
 def test_critical_data_power_map_local_degrees():
     cd = critical_data(rmap([0, 0, 0, 1]))  # z^3
     assert sorted(m + 1 for _p, m in cd.points) == [3, 3]
-
-
-def moeb(a, b, c, d):
-    return Moebius(*(Q.from_rational(x) for x in (a, b, c, d)))
-
-
-def test_moebius_group_operations():
-    m = moeb(1, 2, 3, 5)
-    assert m.compose(m.inverse()).is_identity()
-    z = Q.from_rational(Fraction(1, 3))
-    assert m.inverse().apply_exact(m.apply_exact(z)) == z
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,8 @@
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mme.fields import FieldContext, field_configure
 from mme.numeric import INF
@@ -31,6 +33,25 @@ def test_element_roundtrip_extension():
     ctx = field_configure([1, 1, 1])
     x = ctx.gen() + ctx.from_rational(2)
     assert element_from_json(ctx, element_to_json(x)) == x
+
+
+FIELDS = [Q, field_configure([1, 1, 1]), field_configure([-2, 0, 0, 1]),
+          field_configure([1, 0, 0, 0, 1])]
+
+
+def literal(x):
+    """The text of x in the binding grammar: its coordinates on powers of w."""
+    return "+".join("(%s)*w^%d" % (c, k) if k else "(%s)" % c for k, c in enumerate(x.coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_reader_and_writer_agree(ctx, data):
+    coord = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+    coords = data.draw(st.lists(coord, min_size=ctx.degree, max_size=ctx.degree))
+    x = ctx.element(coords)
+    assert element_from_json(ctx, element_to_json(x)) == x
+    assert parse_binding_value(ctx, literal(x)) == x
 
 
 def test_field_roundtrip_returns_cached_context():
