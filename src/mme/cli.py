@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import ENTRY_NAMES, entry, iterate_square_identity_check
-from .fields import FieldContext, FieldError, field_configure
+from .fields import FieldContext, FieldElement, FieldError, field_configure
 from .graphcurve import BasepointError, TrackingError, analyze
 from .identities import (
     check_counterexample_triple,
@@ -34,7 +34,7 @@ from .powermaps import (
     same_periodic_points_powermaps,
 )
 from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, SizeBudgetError
-from .serialize import dumps_report, map_from_json, map_to_json, moebius_to_json
+from .serialize import dumps_report, element_to_json, map_from_json, map_to_json, moebius_to_json
 
 
 class UsageError(ValueError):
@@ -98,7 +98,7 @@ def _emit_bytes(args, blob):
 
 def _cmd_analyze_graph(args):
     f = _load_map(args.map, args)
-    report, _curve, _mon, _certs = analyze(f, seed=args.seed, reconstruct=not args.no_reconstruct)
+    report, _curve, _mon, _certs = analyze(f, reconstruct=not args.no_reconstruct)
     _emit(args, dumps_report(report))
     return 0
 
@@ -188,7 +188,8 @@ def _cmd_catalog(args):
     rep = e.run()
     payload = rep.as_dict()
     payload["entry"] = e.name
-    payload["params"] = {k: str(v) for k, v in e.params.items()}
+    payload["params"] = {k: element_to_json(v) if isinstance(v, FieldElement) else str(v)
+                         for k, v in e.params.items()}
     payload["expected"] = [list(x) for x in e.expected]
     if e.name == "chebyshev-flower":
         payload["iterate_square_identity"] = iterate_square_identity_check(
@@ -241,7 +242,8 @@ def build_parser():
     p = sub.add_parser("analyze-graph", help="decompose the graph curve of a map")
     p.add_argument("--map", required=True)
     p.add_argument("--no-reconstruct", action="store_true")
-    common(p)
+    common(p, seed=False)
+    p.add_argument("--seed", type=int, help="ignored: the loop layout is deterministic")
     p.set_defaults(func=_cmd_analyze_graph)
 
     p = sub.add_parser("certify", help="composition-identity certificates")

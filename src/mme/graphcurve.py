@@ -33,7 +33,6 @@ from .numeric import (
     chordal_matrix,
     is_inf,
     min_pairwise_chordal,
-    named_rng,
     projective_roots,
     projective_roots_batch,
     rationalize_into_field,
@@ -45,7 +44,8 @@ from .serialize import element_to_json, point_to_json
 MATCH_TOL = 1e-6
 # the radii |x| = R the sample circle chooses from
 SAMPLE_RADII = (0.5, 2**-0.5, 1.0, 2**0.5, 2.0)
-RETRIES = 3
+# the basepoints the loop layout chooses from, equally spaced on one circle
+LAYOUT_CANDIDATES = 256
 
 
 class TrackingError(RuntimeError):
@@ -64,10 +64,6 @@ class GraphCurve:
     matrix: np.ndarray  # (2, d + 1): G^-1(t') is the roots in x of row0 + t' * row1
     values: list  # critical values of G in the target chart
     preimages: list  # per critical value, [(point, local degree)]; point complex or INF
-    basepoint: complex = 0j  # target chart
-    base_center: complex = 0j
-    base_radius: float = 1.0
-    seed: int = 0
 
     @property
     def degree(self):
@@ -83,17 +79,15 @@ class GraphCurve:
 class LoopPlan:
     """Keyhole loops from the basepoint, one per critical value."""
 
+    basepoint: complex  # target chart
     order: list  # critical value indices sorted by argument about the basepoint
-    radii: list  # disc radius per critical value
     waypoints: list  # polyline per critical value, starting/ending at basepoint
 
 
 @dataclass
 class MonodromyAction:
     basepoint: complex  # target chart
-    fiber: list  # base fiber (complex or INF), length d
     permutations: list  # one tuple per critical value, in curve.values order
-    loop_plan: LoopPlan
     cycles: list  # per critical value, the cycle of its permutation at each preimage
     samples: list  # (fiber, index of the sample abscissa in it), over the sample circle
     sample_radius: float
@@ -159,8 +153,8 @@ def _from_target(pole, s):
     return INF if s == 0 else pole + 1.0 / s
 
 
-def build_graph(G, seed=0):
-    """Exact defining polynomial plus the target chart and a basepoint."""
+def build_graph(G):
+    """Exact defining polynomial plus the target chart."""
     if G.degree < 2:
         raise MapError("graph-curve analysis requires degree >= 2")
     ctx = G.ctx
@@ -180,46 +174,13 @@ def build_graph(G, seed=0):
     num, den = (np.pad(p.numeric_coeffs(), (0, d + 1 - len(p.coeffs))) for p in (G.num, G.den))
     # N(x) - (c + 1/t') D(x) = 0, times t'
     matrix = np.array([-den, num - pole * den])
-    curve = GraphCurve(
+    return GraphCurve(
         G=G,
         P=P,
         pole=pole,
         matrix=matrix,
         values=[_to_target(pole, v) for v, _pre in branch],
         preimages=[pre for _v, pre in branch],
-        seed=seed,
-    )
-    _choose_basepoint(curve)
-    return curve
-
-
-def _choose_basepoint(curve):
-    pts = np.array(curve.values)
-    center = complex(pts.mean())
-    spread = max(abs(p - center) for p in pts)
-    if spread == 0:
-        spread = 1.0
-    sep = min(
-        abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1 :]
-    ) if len(pts) > 1 else spread
-    radius = 1.8 * spread + sep
-    rng = named_rng(curve.seed, "basepoint")
-    for _ in range(100):
-        theta = float(rng.uniform(0, 2 * np.pi))
-        t0 = center + radius * np.exp(1j * theta)
-        if min(abs(t0 - p) for p in pts) < 0.1 * sep:
-            continue
-        try:
-            fiber_at(curve, t0)
-        except TrackingError:
-            continue
-        curve.basepoint = t0
-        curve.base_center = center
-        curve.base_radius = radius
-        return
-    raise BasepointError(
-        "basepoint selection failed after 100 draws (seed %d); rescale the map"
-        % curve.seed
     )
 
 
@@ -242,14 +203,6 @@ def _fiber_coeffs(matrix, ts):
 # -- loops and tracking ----------------------------------------------------------------
 
 
-def _segment_clears(a, b, center, clearance):
-    """Distance from center to segment [a, b] exceeds clearance."""
-    ab = b - a
-    t = ((center - a) * ab.conjugate()).real / max(abs(ab) ** 2, 1e-300)
-    t = min(1.0, max(0.0, t))
-    return abs(center - (a + t * ab)) > clearance
-
-
 def _keyhole(x0, b, rho, n_circle=24):
     """Polyline basepoint -> disc boundary -> full circle -> back."""
     u = (b - x0) / abs(b - x0)
@@ -259,39 +212,42 @@ def _keyhole(x0, b, rho, n_circle=24):
     return [x0, entry] + circle[1:] + [x0]
 
 
-def _plan_loops(curve, seed):
-    pts = curve.values
+def _plan_loops(curve):
+    """One keyhole loop per critical value b_i, from the best basepoint of a circle.
+
+    The candidates are LAYOUT_CANDIDATES equally spaced points x0 on the
+    circle of radius 1.8 * spread + sep about the mean of the b_i.  Each
+    scores c = min over i != j of dist(b_j, [x0, b_i]) / sep_j, where sep_j
+    is the distance from b_j to its nearest other critical value.  The best
+    candidate gets discs of radius eps * sep_j with eps = min(1/3, c/2), so
+    the discs are disjoint and every leg passes 2 eps sep_j or more from b_j.
+    (The critical values are at least two: no cover of the sphere by the
+    sphere has a single branch value.)
+    """
+    pts = np.array(curve.values)
     n = len(pts)
-    if n == 1:
-        seps = [2 * abs(pts[0] - curve.basepoint)]
-    else:
-        seps = [min(abs(p - q) for q in pts if q is not p) for p in pts]
-    rng = named_rng(seed, "loops")
-    eps = 1.0 / 3.0
-    x0 = curve.basepoint
-    for _round in range(8):
-        radii = [eps * s for s in seps]
-        ok = True
-        for i, b in enumerate(pts):
-            entry = b + radii[i] * (x0 - b) / abs(x0 - b)
-            for j, other in enumerate(pts):
-                if j == i:
-                    continue
-                if not _segment_clears(x0, entry, other, radii[j] * 1.5):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            order = sorted(range(n), key=lambda i: (np.angle(pts[i] - x0), abs(pts[i] - x0)))
-            waypoints = [_keyhole(x0, pts[i], radii[i]) for i in range(n)]
-            return LoopPlan(order=order, radii=radii, waypoints=waypoints)
-        # shrink the discs, and occasionally redraw the basepoint angle
-        eps /= 2.0
-        if _round >= 3:
-            theta = float(rng.uniform(0, 2 * np.pi))
-            x0 = curve.base_center + curve.base_radius * np.exp(1j * theta)
-    raise BasepointError("could not lay out non-overlapping loops; rescale the map")
+    gaps = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    seps = gaps.min(axis=1)
+    center = pts.mean()
+    spread = np.abs(pts - center).max() or 1.0
+    angles = 2 * np.pi * np.arange(LAYOUT_CANDIDATES) / LAYOUT_CANDIDATES
+    x0s = center + (1.8 * spread + seps.min()) * np.exp(1j * angles)
+    # [k, i, j]: the distance from b_j to the leg [x0_k, b_i], over sep_j
+    leg = pts[None, :, None] - x0s[:, None, None]
+    off = pts[None, None, :] - x0s[:, None, None]
+    t = np.clip((off * leg.conj()).real / np.abs(leg) ** 2, 0.0, 1.0)
+    clear = np.abs(off - t * leg) / seps
+    clear[:, np.arange(n), np.arange(n)] = np.inf
+    worst = clear.min(axis=(1, 2))
+    k = int(worst.argmax())
+    eps = min(1.0 / 3.0, worst[k] / 2.0)
+    if eps < 1.0 / 384.0:
+        raise BasepointError("could not lay out non-overlapping loops; rescale the map")
+    x0 = complex(x0s[k])
+    order = sorted(range(n), key=lambda i: (np.angle(pts[i] - x0), abs(pts[i] - x0)))
+    waypoints = [_keyhole(x0, b, eps * s) for b, s in zip(pts, seps)]
+    return LoopPlan(basepoint=x0, order=order, waypoints=waypoints)
 
 
 def _walk(waypoints, fiber):
@@ -464,8 +420,8 @@ def monodromy(curve):
     """Permutation of the base fiber for a loop around each critical value,
     and the fibers over the sample circle, tracked in one lockstep run."""
     d = curve.degree
-    plan = _plan_loops(curve, curve.seed)
-    t0 = plan.waypoints[0][0]
+    plan = _plan_loops(curve)
+    t0 = plan.basepoint
     base_fiber = fiber_at(curve, t0)
     radius, xs = _sample_circle(curve)
     row0, row1 = (np.polyval(row[::-1], xs) for row in curve.matrix)
@@ -488,9 +444,7 @@ def monodromy(curve):
     ]
     return MonodromyAction(
         basepoint=t0,
-        fiber=base_fiber,
         permutations=perms,
-        loop_plan=plan,
         cycles=cycles,
         samples=samples,
         sample_radius=radius,
@@ -668,22 +622,14 @@ def genus_zero_parametrization_check(cert):
 # -- orchestration --------------------------------------------------------------------
 
 
-def analyze(G, seed=0, reconstruct=True):
+def analyze(G, reconstruct=True):
     """Full decomposition report for the graph curve of G.
 
-    Unlucky basepoints (degenerate fibers, ambiguous matches) are retried
-    with shifted seeds; consistency failures are not retried.
+    The loop layout is deterministic, so a tracking or root-solve failure
+    would recur on a second attempt; it is raised at once.
     """
-    last = None
-    for attempt in range(RETRIES):
-        try:
-            curve = build_graph(G, seed=seed + 1000 * attempt)
-            mon = monodromy(curve)
-            break
-        except (TrackingError, BasepointError) as exc:
-            last = exc
-    else:
-        raise last
+    curve = build_graph(G)
+    mon = monodromy(curve)
     certs = components(curve, mon)
     if reconstruct:
         for cert in certs:
@@ -691,7 +637,6 @@ def analyze(G, seed=0, reconstruct=True):
         _verify_factorization(curve, certs)
     report = {
         "degree": curve.degree,
-        "seed": seed,
         "branch_points": [point_to_json(p) for p in curve.branch_locus],
         "basepoint": point_to_json(_from_target(curve.pole, mon.basepoint)),
         "components": [

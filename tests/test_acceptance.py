@@ -42,7 +42,7 @@ def rmap(num, den=(1,)):
 
 def test_chebyshev_cubic_graph_curve_decomposition():
     start = time.time()
-    report, _c, _m, certs = analyze(rmap([0, -3, 0, 1]), seed=0)
+    report, _c, _m, certs = analyze(rmap([0, -3, 0, 1]))
     elapsed = time.time() - start
     bd = sorted(tuple(c["bidegree"]) for c in report["components"])
     assert bd == [(1, 1), (2, 2)]
@@ -65,7 +65,7 @@ def test_bidegrees_sum_to_degree_on_fifty_random_maps():
     for i in range(50):
         d = 2 + i % 4
         f = random_rational_map(d, rng)
-        report, *_ = analyze(f, seed=i, reconstruct=False)
+        report, *_ = analyze(f, reconstruct=False)
         rs = [tuple(c["bidegree"]) for c in report["components"]]
         assert sum(r[0] for r in rs) == d, (f, rs)
         assert all(r[0] == r[1] for r in rs), (f, rs)
@@ -86,7 +86,7 @@ def test_genus_lower_bound_with_three_simple_critical_values():
         simple = sum(1 for _v, is_simple in cd.values if is_simple)
         if simple < 3:
             continue
-        report, *_ = analyze(f, seed=checked, reconstruct=False)
+        report, *_ = analyze(f, reconstruct=False)
         for comp in report["components"]:
             r = comp["bidegree"][0]
             if r >= 2:
@@ -201,7 +201,7 @@ def test_internal_consistency_violations_exit_three(monkeypatch, capsys):
 
 
 def test_genus_values_are_integers_in_reports():
-    report, *_ = analyze(rmap([1, 2, 0, 1], [2, 1]), seed=8, reconstruct=False)
+    report, *_ = analyze(rmap([1, 2, 0, 1], [2, 1]), reconstruct=False)
     for comp in report["components"]:
         assert isinstance(comp["genus"], int)
         assert comp["genus"] >= 0

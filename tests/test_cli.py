@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mme.cli import main
+from mme.fields import field_configure
+from mme.serialize import element_from_json
 
 
 def run(capsys, *argv):
@@ -29,8 +35,7 @@ def test_analyze_graph_deterministic_output(capsys):
 def test_analyze_graph_report_keys(capsys):
     _, out, _ = run(capsys, "analyze-graph", "--map", "z^2+1", "--seed", "4")
     report = json.loads(out)
-    assert sorted(report) == ["basepoint", "branch_points", "components", "degree", "seed"]
-    assert report["seed"] == 4
+    assert sorted(report) == ["basepoint", "branch_points", "components", "degree"]
 
 
 def test_measure_report_echoes_only_the_settings_it_uses(capsys):
@@ -62,6 +67,15 @@ def test_catalog_run_fail_exits_one(capsys):
                        "--param", "n=2", "--param", "m=2")
     assert code == 1
     assert json.loads(out)["all_pass"] is False
+
+
+def test_catalog_params_are_written_as_elements(capsys):
+    code, out, _ = run(capsys, "catalog", "run", "chebyshev-flower", "--param", "a=1+w")
+    assert code == 0
+    W = field_configure([1, 1, 1])
+    assert element_from_json(W, json.loads(out)["params"]["a"]) == W.one + W.gen()
+    _, out, _ = run(capsys, "catalog", "run", "zieve-family", "--param", "n=3", "--param", "m=2")
+    assert json.loads(out)["params"] == {"n": "3", "m": "2"}
 
 
 def test_parse_error_exits_two(capsys):
@@ -290,3 +304,30 @@ def test_bad_binding_exits_two(capsys, value):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _times_linear(coeffs, root):
+    """Coefficients (ascending) of the polynomial times z - root."""
+    return [b - root * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    num=st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=9),
+    den=st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=9),
+    shared=st.none() | st.integers(-3, 3),
+)
+def test_analyze_graph_exit_codes_keep_the_contract(num, den, shared):
+    # constants, degrees up to 8, heights up to 1e40, and a linear factor
+    # the numerator and denominator share
+    if shared is not None:
+        num, den = _times_linear(num, shared), _times_linear(den, shared)
+    text = json.dumps({"num": [str(c) for c in num], "den": [str(c) for c in den]})
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze-graph", "--map", text])
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith(("numerical failure: ", "internal consistency error: "))

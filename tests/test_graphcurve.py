@@ -35,7 +35,7 @@ def bidegs(report):
 
 
 def test_chebyshev_cubic_decomposition():
-    report, _curve, _mon, certs = analyze(rmap([0, -3, 0, 1]), seed=0)
+    report, _curve, _mon, certs = analyze(rmap([0, -3, 0, 1]))
     assert bidegs(report) == [(1, 1), (2, 2)]
     assert all(c["genus"] == 0 for c in report["components"])
     polys = {BiPoly(Q, [[0, -1], [1, 0]]).normalized()}
@@ -45,7 +45,7 @@ def test_chebyshev_cubic_decomposition():
 
 
 def test_power_map_splits_into_lines():
-    report, _c, _m, certs = analyze(rmap([0, 0, 0, 1]), seed=1)
+    report, _c, _m, certs = analyze(rmap([0, 0, 0, 1]))
     assert bidegs(report) == [(1, 1), (1, 1), (1, 1)]
     # the two non-diagonal lines x = (cube root of unity) * y exist
     # geometrically but are not defined over Q, so no exact factor
@@ -59,7 +59,7 @@ def test_power_map_splits_into_lines():
 def test_power_map_over_q_omega_certifies_all_three_lines():
     W = field_configure([1, 1, 1])  # w^2 + w + 1 = 0
     w = W.gen()
-    report, _c, _m, certs = analyze(RationalMap.polynomial(Poly.x(W) ** 3), seed=0)
+    report, _c, _m, certs = analyze(RationalMap.polynomial(Poly.x(W) ** 3))
     assert bidegs(report) == [(1, 1), (1, 1), (1, 1)]
     lines = {BiPoly(W, [[W.zero, -c], [W.one, W.zero]]) for c in (W.one, w, w * w)}
     assert {cert.exact_poly for cert in certs} == lines
@@ -67,7 +67,7 @@ def test_power_map_over_q_omega_certifies_all_three_lines():
 
 def test_flower_map_over_q_omega_reports_exact_factors():
     f = entry("chebyshev-flower", {"a": "1+w"}).maps["f"]
-    report, *_ = analyze(f, seed=0)
+    report, *_ = analyze(f)
     got = [(c["bidegree"], c["genus"], c["exact_poly"]) for c in report["components"]]
     assert got == [
         ([1, 1], 0, X_MINUS_Y),
@@ -84,14 +84,14 @@ def test_cubic_field_map_certifies_only_the_diagonal():
     num = [[2, -3, -2], [-2, -2, 2], [3, 1, -3], [-3, -1]]
     den = [[1, 0, -2], [-2, 1, 2], [-3, -3], [-1, 3]]
     f = RationalMap(Poly(K, [K.element(c) for c in num]), Poly(K, [K.element(c) for c in den]))
-    report, _c, _m, certs = analyze(f, seed=0)
+    report, _c, _m, certs = analyze(f)
     assert bidegs(report) == [(1, 1), (2, 2)]
     assert [cert.exact_poly is not None for cert in certs] == [True, False]
     assert [cert.is_diagonal for cert in certs] == [True, False]
 
 
 def test_vanishing_relation_confirms_the_conic_of_chebyshev_cubic():
-    _r, _c, mon, certs = analyze(rmap([0, -3, 0, 1]), seed=0, reconstruct=False)
+    _r, _c, mon, certs = analyze(rmap([0, -3, 0, 1]), reconstruct=False)
     conic = certs[1]
     assert conic.bidegree == (2, 2)
     points = _sheet_samples(conic.orbit, mon.samples)
@@ -105,7 +105,7 @@ def test_vanishing_relation_confirms_the_conic_of_chebyshev_cubic():
 
 
 def test_generic_quadratic_two_components():
-    report, *_ = analyze(rmap([1, 2, 1], [2, -1, 3]), seed=0)
+    report, *_ = analyze(rmap([1, 2, 1], [2, -1, 3]))
     assert bidegs(report) == [(1, 1), (1, 1)]
 
 
@@ -115,7 +115,7 @@ def test_generic_map_genus_matches_adjunction():
     rng = rng_for("generic-genus")
     for _ in range(10):
         f = random_rational_map(4, rng)
-        report, *_ = analyze(f, seed=2, reconstruct=False)
+        report, *_ = analyze(f, reconstruct=False)
         bd = bidegs(report)
         if bd == [(1, 1), (3, 3)]:
             nondiag = [c for c in report["components"] if not c["is_diagonal"]][0]
@@ -128,14 +128,14 @@ def test_bidegree_sums_to_degree():
     rng = rng_for("bidegree-sum")
     for d in (2, 3, 4):
         f = random_rational_map(d, rng)
-        report, *_ = analyze(f, seed=3, reconstruct=False)
+        report, *_ = analyze(f, reconstruct=False)
         rs = [c["bidegree"] for c in report["components"]]
         assert sum(r[0] for r in rs) == d
         assert all(r[0] == r[1] for r in rs)
 
 
 def test_ramification_cycle_type_partition_sizes():
-    report, *_ = analyze(rmap([0, -3, 0, 1]), seed=0)
+    report, *_ = analyze(rmap([0, -3, 0, 1]))
     for comp in report["components"]:
         r = comp["bidegree"][0]
         for cycle_type in comp["ramification"]:
@@ -144,7 +144,7 @@ def test_ramification_cycle_type_partition_sizes():
 
 def test_reconstructed_factors_multiply_to_graph_polynomial():
     f = rmap([1, 0, 1], [0, 1])  # z + 1/z
-    report, _c, _m, certs = analyze(f, seed=0)
+    report, _c, _m, certs = analyze(f)
     product = certs[0].exact_poly
     for cert in certs[1:]:
         product = product * cert.exact_poly
@@ -153,13 +153,13 @@ def test_reconstructed_factors_multiply_to_graph_polynomial():
 
 
 def test_genus_zero_parametrization_check():
-    _r, _c, _m, certs = analyze(rmap([0, -3, 0, 1]), seed=0)
+    _r, _c, _m, certs = analyze(rmap([0, -3, 0, 1]))
     for cert in certs:
         assert genus_zero_parametrization_check(cert) == "PASS"
 
 
 def test_diagonal_component_identified_uniquely():
-    report, *_ = analyze(rmap([2, 0, 0, 1], [0, 0, 1]), seed=0)  # (z^3+2)/z^2
+    report, *_ = analyze(rmap([2, 0, 0, 1], [0, 0, 1]))  # (z^3+2)/z^2
     diag = [c for c in report["components"] if c["is_diagonal"]]
     assert len(diag) == 1
     assert diag[0]["bidegree"] == [1, 1]
@@ -180,19 +180,20 @@ def test_riemann_hurwitz_genus_is_integer_and_nonnegative():
     rng = rng_for("rh-int")
     for d in (2, 3):
         f = random_rational_map(d, rng)
-        report, *_ = analyze(f, seed=4, reconstruct=False)
+        report, *_ = analyze(f, reconstruct=False)
         for comp in report["components"]:
             g = comp["genus"]
             assert isinstance(g, int) and g >= 0
 
 
 def test_lockstep_tracking_matches_each_path_alone():
-    curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]), seed=6)
-    plan = _plan_loops(curve, curve.seed)
-    t0 = plan.waypoints[0][0]
+    curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]))
+    plan = _plan_loops(curve)
+    t0 = plan.basepoint
     base = fiber_at(curve, t0)
     # four keyhole loops and a polyline along part of the basepoint circle
-    c, R = curve.base_center, curve.base_radius
+    c = np.mean(curve.values)
+    R = abs(t0 - c)
     arc = [c + R * np.exp(1j * (np.angle(t0 - c) + 0.4 * k)) for k in range(3)]
     paths = plan.waypoints[:4] + [arc]
     matrix = curve.matrix
@@ -210,9 +211,9 @@ def test_lockstep_tracking_matches_each_path_alone():
 def test_lockstep_failure_drops_later_paths(monkeypatch):
     from mme import graphcurve
 
-    curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]), seed=6)
-    plan = _plan_loops(curve, curve.seed)
-    base = fiber_at(curve, plan.waypoints[0][0])
+    curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]))
+    plan = _plan_loops(curve)
+    base = fiber_at(curve, plan.basepoint)
     paths = plan.waypoints[:3]
     matrix = curve.matrix
     # the fiber solve fails at the first abscissa the middle path tries
@@ -251,13 +252,38 @@ def test_cycle_type_must_match_exact_local_degrees():
 
 
 def test_degree_eight_map_lays_out_its_loops():
-    # at seed 1, loops around this map's 98 x-plane branch points could not be
-    # laid out without overlap; the target line has only 14 critical values
+    # loops around this map's 98 x-plane branch points could not be laid out
+    # without overlap; the target line has only 14 critical values
     f = rmap([3, -3, -1, -1, -3, -3, 4, 3, -3], [-3, -2, 3, -5, 3, -4, -1, 2, 4])
-    report, _curve, mon, _certs = analyze(f, seed=1, reconstruct=False)
+    report, _curve, mon, _certs = analyze(f, reconstruct=False)
     assert len(mon.permutations) == 14
     assert sorted((tuple(c["bidegree"]), c["genus"]) for c in report["components"]) == [
         ((1, 1), 0), ((7, 7), 36)]
+
+
+def _segment_distance(p, a, b):
+    t = min(1.0, max(0.0, ((p - a) * np.conj(b - a)).real / abs(b - a) ** 2))
+    return abs(p - (a + t * (b - a)))
+
+
+def test_loop_layout_clears_every_other_disc():
+    W = field_configure([1, 1, 1])
+    rng = rng_for("loop-layout")
+    maps = [rmap([0, -3, 0, 1])]
+    maps += [random_rational_map(d, rng, ctx) for ctx in (Q, W) for d in range(2, 9)]
+    for f in maps:
+        curve = build_graph(f)
+        plan = _plan_loops(curve)
+        assert plan == _plan_loops(curve)
+        x0, b = plan.basepoint, curve.values
+        assert all(wp[0] == wp[-1] == x0 for wp in plan.waypoints)
+        entries = [wp[1] for wp in plan.waypoints]
+        rho = [abs(e - v) for e, v in zip(entries, b)]
+        for i in range(len(b)):
+            for j in range(len(b)):
+                if i != j:
+                    assert abs(b[i] - b[j]) > rho[i] + rho[j]
+                    assert _segment_distance(b[j], x0, entries[i]) > 1.5 * rho[j], (f, i, j)
 
 
 X_MINUS_Y = [["0", "-1"], ["1", "0"]]
@@ -266,12 +292,12 @@ X_MINUS_Y = [["0", "-1"], ["1", "0"]]
 # in the x-plane reported them; each partition is keyed by its branch point
 # (given to 9 decimals), because branch_points come in critical-value order
 PINNED_REPORTS = [
-    (([0, -3, 0, 1], [1]), 0, ([None, -1, -2, 1, 2], [
+    (([0, -3, 0, 1], [1]), ([None, -1, -2, 1, 2], [
         ([1, 1], 0, True, [[1]] * 5, X_MINUS_Y),
         ([2, 2], 0, False, [[1, 1], [1, 1], [2], [1, 1], [2]],
          [["-3", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]),
     ])),
-    (([1, -2, 0, 3], [2, 1, 1, 1]), 5, ([
+    (([1, -2, 0, 3], [2, 1, 1, 1]), ([
         -0.560722162, -0.581399568 - 1.212274948j, -0.581399568 + 1.212274948j, -0.980176009,
         -1.642691276 - 1.760175462j, -1.642691276 + 1.760175462j, 0.512771381, 1.628689429,
     ], [
@@ -279,7 +305,7 @@ PINNED_REPORTS = [
         ([2, 2], 1, False, [[1, 1], [2], [2], [2], [1, 1], [1, 1], [1, 1], [2]],
          [["-5/3", "-1/3", "5/3"], ["-1/3", "7/3", "5/3"], ["5/3", "5/3", "1"]]),
     ])),
-    (([2, 0, -1, 0, 1], [1, 3, 0, 1]), 6, ([
+    (([2, 0, -1, 0, 1], [1, 3, 0, 1]), ([
         -0.106239343 - 0.65426834j, -0.106239343 + 0.65426834j,
         -0.325219817 - 0.114174993j, -0.325219817 + 0.114174993j,
         -0.848710321 - 0.859576301j, -0.848710321 + 0.859576301j,
@@ -307,10 +333,10 @@ def _branch_index(points, p):
     return dists.index(min(dists))
 
 
-@pytest.mark.parametrize("coeffs,seed,expected", PINNED_REPORTS)
-def test_report_fields_are_pinned(coeffs, seed, expected):
+@pytest.mark.parametrize("coeffs,expected", PINNED_REPORTS)
+def test_report_fields_are_pinned(coeffs, expected):
     points, expected = expected
-    report, *_ = analyze(rmap(*coeffs), seed=seed)
+    report, *_ = analyze(rmap(*coeffs))
     where = [_branch_index(report["branch_points"], p) for p in points]
     assert sorted(where) == list(range(len(report["branch_points"])))
     got = [
