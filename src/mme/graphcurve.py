@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .numeric import (
     INF,
@@ -54,6 +53,14 @@ class TrackingError(RuntimeError):
 
 class BasepointError(RuntimeError):
     pass
+
+
+def linear_sum_assignment(cost):
+    """scipy.optimize.linear_sum_assignment(cost), with scipy imported on the
+    first call: the import takes about 0.65 s, which no other command pays."""
+    import scipy.optimize
+
+    return scipy.optimize.linear_sum_assignment(cost)
 
 
 @dataclass

@@ -155,8 +155,11 @@ def shared_iterate_search(f, g, budget=DEFAULT_DEGREE_BUDGET):
     iterates is decided exactly at 2D + 2 points, D their common degree: two
     maps of degree D that agree at 2D + 1 points of the line are equal.  The
     iterates are never composed, and a mismatch usually shows at the first
-    point.
+    point.  Iterates of a Moebius map keep degree 1, so the budget would
+    not bound the search: both maps must have degree >= 2.
     """
+    if min(f.degree, g.degree) < 2:
+        raise MapError("shared-iterate search needs maps of degree >= 2")
     if budget < max(f.degree, g.degree):
         raise MapError("budget below the maps' degrees")
     if f.ctx is not g.ctx:

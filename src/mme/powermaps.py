@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import sympy
-
 
 def radical(d):
     """Product of the distinct primes dividing d."""
     if d < 2:
         raise ValueError("radical is defined for integers >= 2 here")
+    import sympy  # here, not at module level: importing it takes about 0.4 s
+
     out = 1
     for p in sympy.factorint(d):
         out *= p
@@ -79,6 +79,8 @@ def period(z, d):
         return None
     if z.b == 1:
         return 1  # z = 1 is fixed
+    import sympy
+
     return int(sympy.n_order(d, z.b))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldError
-from .numeric import INF, ConsistencyError, certified_roots, chordal, is_inf
+from .numeric import INF, ConsistencyError, RootFindingError, certified_roots, chordal, is_inf
 from .polys import Poly
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -364,7 +364,9 @@ def critical_data(f):
 
 
 def _crosscheck_multiplicities(w, points, total):
-    """Cluster raw numeric Wronskian roots; multiset must match the exact one."""
+    """Cluster raw numeric Wronskian roots; multiset must match the exact one.
+
+    A mismatch is a numeric miss on a valid map, so it raises RootFindingError."""
     finite = [(p, m) for p, m in points if not is_inf(p)]
     if not finite:
         return
@@ -376,6 +378,6 @@ def _crosscheck_multiplicities(w, points, total):
     got = sorted(counts.values())
     want = sorted(m for _, m in finite)
     if got != want:
-        raise MapError(
+        raise RootFindingError(
             "multiplicity cross-check failed: clustering %s vs exact %s" % (got, want)
         )

@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mme
 from mme.cli import main
 from mme.fields import field_configure
 from mme.serialize import element_from_json
@@ -331,3 +335,74 @@ def test_analyze_graph_exit_codes_keep_the_contract(num, den, shared):
     assert "Traceback" not in err
     if code == 3:
         assert err.startswith(("numerical failure: ", "internal consistency error: "))
+
+
+def _map_json(num, den, shared):
+    if shared is not None:
+        num, den = _times_linear(num, shared), _times_linear(den, shared)
+    return json.dumps({"num": [str(c) for c in num], "den": [str(c) for c in den]})
+
+
+# the maps test_analyze_graph_exit_codes_keep_the_contract draws
+MAPS = st.builds(
+    _map_json,
+    st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=9),
+    st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=9),
+    st.none() | st.integers(-3, 3),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    f=MAPS,
+    g=MAPS,
+    command=st.sampled_from(["compose", "iterate", "shared-with"]),
+    n=st.integers(-5, 5),
+    budget=st.integers(-5, 5) | st.sampled_from([64, 1024]),
+)
+def test_compose_and_iterate_exit_codes_keep_the_contract(f, g, command, n, budget):
+    argv = {
+        "compose": ["compose", "--f", f, "--g", g],
+        "iterate": ["iterate", "--map", f, "--n", str(n), "--budget", str(budget)],
+        "shared-with": ["iterate", "--map", f, "--shared-with", g, "--budget", str(budget)],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == ""
+        assert err.startswith(("error: ", "numerical failure: ", "internal consistency error: "))
+
+
+def test_numeric_multiplicity_miss_exits_three(capsys):
+    # a valid degree-4 map whose raw numeric Wronskian roots cluster onto the
+    # wrong critical points: a numerical failure, not an input error
+    text = json.dumps({
+        "num": ["-365", "13840", "6161733081043727394398603761942528", "-1601"],
+        "den": ["-11764348", "-325", "-55538688", "-253197980128594", "-21588513"],
+    })
+    code, out, err = run(capsys, "analyze-graph", "--map", text)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: multiplicity cross-check failed")
+
+
+def test_import_loads_neither_scipy_nor_sympy():
+    # importing scipy.optimize and sympy takes about a second; only the
+    # commands that use them pay for it
+    probe = (
+        "import json, sys\n"
+        "import mme, mme.cli\n"
+        "print(json.dumps({'missing': [n for n in mme.__all__ if not hasattr(mme, n)],\n"
+        "                  'heavy': sorted({'scipy', 'sympy'} & set(sys.modules))}))\n"
+    )
+    paths = [os.path.dirname(os.path.dirname(mme.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert json.loads(res.stdout) == {"missing": [], "heavy": []}

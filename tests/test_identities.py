@@ -83,6 +83,12 @@ def test_shared_iterate_finds_cube():
     assert shared_iterate_search(f, f.iterate(3), budget=2**9) == (3, 1)
 
 
+def test_shared_iterate_rejects_moebius_maps():
+    # iterates of a Moebius map keep degree 1, so no budget ends the search
+    with pytest.raises(MapError, match="degree >= 2"):
+        shared_iterate_search(rmap([1], [0, 1]), rmap([0, 0, 1]), budget=64)
+
+
 def test_sigma_f_for_z_plus_inverse():
     f = rmap([1, 0, 1], [0, 1])  # z + 1/z, fibers swapped by z -> 1/z
     s = sigma_f_quadratic(f)
