@@ -47,7 +47,7 @@ def _context_from_args(args):
         return FieldContext.rationals()
     try:
         coeffs = [Fraction(c) for c in field.split(",")]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError("bad --field %r: %s" % (field, exc))
     return field_configure(coeffs)
 

@@ -9,6 +9,7 @@ so equality is exact coefficient comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -48,14 +49,116 @@ def _q_poly_divmod(a, b):
 
 
 def _is_irreducible_over_q(coeffs) -> bool:
-    # One-shot exact check at context configuration time; sympy is the
-    # well-tested factorization engine available, no point hand-rolling
-    # the quartic resolvent.
-    import sympy
+    """Whether the polynomial with these Fraction coefficients (ascending,
+    degree >= 2) is irreducible over Q; exact, meant for degree <= 8.
 
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(coeffs))
-    return sympy.Poly(expr, t, domain="QQ").is_irreducible
+    Cleared to a primitive f in Z[z] with leading coefficient a > 0, f is
+    reducible when gcd(f, f') is nonconstant.  Otherwise its roots are
+    simple, and f has a factor of degree k <= n/2 exactly when some set S
+    of k roots makes a * prod_{i in S} (z - z_i) a polynomial in Z[z]
+    (by Gauss's lemma it is lc(H) * G for f = G * H in Z[z]) that divides
+    f.  :func:`_factor_search` decides that for every S from certified
+    root disks, at a precision that doubles until every S is decided.
+    """
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    content = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    f = [c // content for c in ints]  # a = f[-1] > 0
+    r0 = [Fraction(c) for c in f]
+    r1 = [Fraction(k * c) for k, c in enumerate(f)][1:]
+    while r1:
+        r0, r1 = r1, _q_poly_divmod(r0, r1)[1]
+    if len(r0) > 1:
+        return False
+    # polyroots stops at an absolute tolerance of 2^-prec, so prec must
+    # exceed the bit size of the largest root, which the coefficients bound
+    prec = 53 + max(c.bit_length() for c in f)
+    while True:
+        verdict = _factor_search(f, prec)
+        if verdict is not None:
+            return verdict
+        prec *= 2
+
+
+def _times_power_of_two(y, e):
+    """The integer y * 2^e, for an mpf y that is a multiple of 2^-e."""
+    man, exp = y.man_exp  # man is |mantissa|
+    return (-1 if y < 0 else 1) * (man << (exp + e))
+
+
+def _factor_search(f, prec):
+    """For squarefree f in Z[z] (ascending, degree n >= 2): False when a
+    factor of degree <= n/2 divides f exactly, True when the root disks
+    exclude every such factor, None when ``prec`` bits do not decide.
+
+    The disks are Braess-Hadeler inclusions.  With distinct x_1..x_n and
+    W_i = f(x_i) / (a prod_{j != i} (x_i - x_j)), the roots of f are the
+    eigenvalues of diag(x) - W 1^T, whose Gerschgorin row disks lie in
+    |z - x_i| <= n |W_i|; when these are pairwise disjoint each holds
+    exactly one root.  An mpf is an exact dyadic, so everything below is
+    exact integer arithmetic in units of 2^-e, with each radius rounded
+    up and |u + iv| bounded by |u| + |v| above and max(|u|, |v|) below.
+    """
+    import mpmath
+    from mpmath.libmp import NoConvergence
+
+    n, a = len(f) - 1, f[-1]
+    try:
+        with mpmath.mp.workprec(prec):
+            roots = mpmath.polyroots(f[::-1], maxsteps=prec, extraprec=prec)
+    except NoConvergence:
+        return None
+    parts = [y for x in roots for y in (x.real, x.imag)]
+    e = max([prec] + [-y.man_exp[1] for y in parts])
+    coords = [_times_power_of_two(y, e) for y in parts]
+    xs = list(zip(coords[::2], coords[1::2]))  # the roots times 2^e
+    spow = [1 << (e * j) for j in range(n + 1)]
+    radii = []
+    for i, (xr, xi) in enumerate(xs):
+        # 2^(e n) f(x_i) by Horner, and 2^(e (n-1)) |prod (x_i - x_j)| from below
+        vr = vi = 0
+        for j in range(n, -1, -1):
+            vr, vi = vr * xr - vi * xi + f[j] * spow[n - j], vr * xi + vi * xr
+        den = a
+        for j, (yr, yi) in enumerate(xs):
+            if j != i:
+                den *= max(abs(xr - yr), abs(xi - yi))
+        if not den:
+            return None
+        radii.append(-(-n * (abs(vr) + abs(vi)) // den))
+    for i in range(n):
+        for j in range(i):
+            dr, di = xs[i][0] - xs[j][0], xs[i][1] - xs[j][1]
+            if dr * dr + di * di <= (radii[i] + radii[j]) ** 2:
+                return None
+    decided = True
+    for k in range(1, n // 2 + 1):
+        for subset in itertools.combinations(range(n), k):
+            # disks (re, im, radius) around the coefficients of
+            # prod_{i in S} (u - 2^e z_i), ascending in u = 2^e z
+            poly = [(1, 0, 0)]
+            for i in subset:
+                (xr, xi), r = xs[i], radii[i]
+                shifted = [(0, 0, 0)] + poly
+                for m, (cr, ci, cR) in enumerate(poly):
+                    sr, si, sR = shifted[m]
+                    shifted[m] = (sr - cr * xr + ci * xi, si - cr * xi - ci * xr,
+                                  sR + (abs(cr) + abs(ci)) * r + (abs(xr) + abs(xi)) * cR + cR * r)
+                poly = shifted
+            # the coefficient of z^m in a * prod (z - z_i) is a * c_m / 2^(e (k-m))
+            candidate = []
+            for m, (cr, ci, cR) in enumerate(poly):
+                t = spow[k - m]
+                q = (2 * a * cr + t) // (2 * t)
+                if (a * cr - q * t) ** 2 + (a * ci) ** 2 > (a * cR) ** 2:
+                    break  # no integer in this disk: S is not a factor
+                candidate.append(q)
+            else:
+                if any(2 * a * cR >= spow[k - m] for m, (_, _, cR) in enumerate(poly)):
+                    decided = False  # a disk may hold two integers
+                elif not _q_poly_divmod([Fraction(c) for c in f], [Fraction(c) for c in candidate])[1]:
+                    return False
+    return True if decided else None
 
 
 class FieldContext:

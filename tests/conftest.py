@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mme.fields import FieldContext
 from mme.polys import Poly
@@ -39,3 +42,48 @@ def rng_for(name, seed=0):
     from mme.numeric import named_rng
 
     return named_rng(seed, name)
+
+
+def poly_product(a, b):
+    """The product of two coefficient lists (ascending)."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def sympy_irreducible(coeffs):
+    """The reference verdict on a polynomial over Q (Fraction coefficients,
+    ascending): sympy's factorization."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i
+               for i, c in enumerate(coeffs))
+    return sympy.Poly(expr, t, domain="QQ").is_irreducible
+
+
+HEIGHTS = st.sampled_from([10, 10**3, 10**10, 10**30])
+
+
+@st.composite
+def rational_polys(draw, degree, leading=st.just(1)):
+    """Ascending Fraction coefficients: integer or p/q ones of a drawn height
+    below ``leading``."""
+    height = draw(HEIGHTS)
+    coeff = st.integers(-height, height) | st.fractions(
+        min_value=-height, max_value=height, max_denominator=height)
+    low = draw(st.lists(coeff, min_size=degree, max_size=degree))
+    return [Fraction(c) for c in low] + [Fraction(draw(leading))]
+
+
+@st.composite
+def polys_and_products(draw, min_degree, max_degree, leading=st.just(1)):
+    """A random polynomial of degree min_degree..max_degree, or a product of
+    two random factors of total degree <= max_degree."""
+    if draw(st.booleans()):
+        return draw(rational_polys(draw(st.integers(min_degree, max_degree)), leading))
+    d1 = draw(st.integers(1, max_degree // 2))
+    d2 = draw(st.integers(1, max_degree - d1))
+    return poly_product(draw(rational_polys(d1, leading)), draw(rational_polys(d2, leading)))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ import mme
 from mme.cli import main
 from mme.fields import field_configure
 from mme.serialize import element_from_json
+from conftest import polys_and_products, sympy_irreducible
 
 
 def run(capsys, *argv):
@@ -310,6 +312,15 @@ def test_bad_binding_exits_two(capsys, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["1/0,0,1", "x,1", "1,,1"])
+def test_bad_field_exits_two(capsys, field):
+    code, out, err = run(capsys, "compose", "--field", field, "--f", "z", "--g", "z")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad --field")
+    assert "Traceback" not in err
+
+
 def _times_linear(coeffs, root):
     """Coefficients (ascending) of the polynomial times z - root."""
     return [b - root * a for a, b in zip(coeffs + [0], [0] + coeffs)]
@@ -379,6 +390,49 @@ def test_compose_and_iterate_exit_codes_keep_the_contract(f, g, command, n, budg
         assert err.startswith(("error: ", "numerical failure: ", "internal consistency error: "))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(T=MAPS, R=MAPS, S=MAPS)
+def test_certify_exit_codes_keep_the_contract(T, R, S):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["certify", "--T", T, "--R", R, "--S", S])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        verdicts = [c["verdict"] for c in json.loads(out)["claims"]]
+        assert ("FAIL" in verdicts) == (code == 1)
+    else:
+        assert out == ""
+        assert err.startswith(("error: ", "numerical failure: ", "internal consistency error: "))
+
+
+# mostly monic
+LEADING = st.sampled_from([1, 1, 1, 1, 2, -1, Fraction(1, 3)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(polys_and_products(0, 9, LEADING))
+def test_field_option_works_or_is_rejected_up_front(coeffs):
+    # degrees 0..9, monic or not, irreducible or a product of two factors
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compose", "--field", ",".join(str(c) for c in coeffs),
+                     "--bind", "a=w", "--f", "z^2+a", "--g", "z"])
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    assert code in (0, 2)
+    degree = len(coeffs) - 1
+    reducible = coeffs[-1] == 1 and 2 <= degree <= 8 and not sympy_irreducible(coeffs)
+    assert ("is reducible over Q" in err) == reducible
+    if code == 0:
+        assert coeffs[-1] == 1 and 2 <= degree <= 8
+        json.loads(out)
+    else:
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_numeric_multiplicity_miss_exits_three(capsys):
     # a valid degree-4 map whose raw numeric Wronskian roots cluster onto the
     # wrong critical points: a numerical failure, not an input error
@@ -406,3 +460,28 @@ def test_import_loads_neither_scipy_nor_sympy():
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert json.loads(res.stdout) == {"missing": [], "heavy": []}
+
+
+def test_field_configuration_loads_no_sympy():
+    # the irreducibility test of a minimal polynomial is the package's own
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from mme.cli import main\n"
+        "from mme.fields import FieldError, field_configure\n"
+        "for c in ([1, 1, 1], [1, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1]):\n"
+        "    field_configure(c)\n"
+        "try:\n"
+        "    field_configure([4, 0, 0, 0, 1])\n"
+        "    rejected = False\n"
+        "except FieldError:\n"
+        "    rejected = True\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['catalog', 'run', 'chebyshev-flower', '--param', 'a=1+w'])\n"
+        "print(json.dumps({'rejected': rejected, 'code': code,\n"
+        "                  'sympy': sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')}))\n"
+    )
+    paths = [os.path.dirname(os.path.dirname(mme.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert json.loads(res.stdout) == {"rejected": True, "code": 0, "sympy": []}

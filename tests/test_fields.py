@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mme.fields import FieldContext, FieldError, field_configure
+from mme.fields import FieldContext, FieldError, _is_irreducible_over_q, field_configure
+from conftest import polys_and_products, sympy_irreducible
 
 
 def omega():
@@ -93,3 +94,45 @@ def test_rational_arithmetic_matches_fractions(a, b):
     x, y = Q.from_rational(a), Q.from_rational(b)
     assert (x + y).as_fraction() == a + b
     assert (x * y).as_fraction() == a * b
+
+
+# -- irreducibility of a minimal polynomial ----------------------------------------
+
+
+SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]  # roots +-sqrt2 +-sqrt3 +-sqrt5
+
+
+@pytest.mark.parametrize("coeffs,irreducible", [
+    ([1, 1, 1], True),
+    ([1, 0, 1], True),
+    ([-2, 0, 0, 1], True),
+    ([1, 0, 0, 0, 1], True),                 # t^4 + 1, reducible mod every prime
+    ([1, 0, -10, 0, 1], True),               # minimal polynomial of sqrt2 + sqrt3
+    ([4, 0, 0, 0, 1], False),                # (t^2 + 2t + 2)(t^2 - 2t + 2)
+    ([1] + [0] * 7 + [1], True),             # t^8 + 1
+    ([-1] + [0] * 7 + [1], False),           # t^8 - 1
+    (SWINNERTON_DYER_8, True),
+    ([1, 0, 2, 0, 1], False),                # (t^2 + 1)^2
+    ([0, 0, 1], False),                      # t^2
+    ([Fraction(-1, 2), 0, 1], True),         # t^2 - 1/2
+    ([Fraction(-1, 4), 0, 1], False),        # (t - 1/2)(t + 1/2)
+    ([-1, 0, 1], False),
+])
+def test_irreducibility_corpus(coeffs, irreducible):
+    coeffs = [Fraction(c) for c in coeffs]
+    assert sympy_irreducible(coeffs) == irreducible
+    assert _is_irreducible_over_q(coeffs) == irreducible
+
+
+def test_reducible_minimal_polynomials_are_rejected_up_front():
+    for coeffs in ([4, 0, 0, 0, 1], [-1] + [0] * 7 + [1], [1, 0, 2, 0, 1], [0, 0, 1]):
+        with pytest.raises(FieldError, match="reducible"):
+            field_configure(coeffs)
+    assert field_configure(SWINNERTON_DYER_8).degree == 8
+    assert field_configure(["-1/2", 0, 1]).degree == 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(polys_and_products(2, 8))
+def test_irreducibility_agrees_with_sympy(coeffs):
+    assert _is_irreducible_over_q(coeffs) == sympy_irreducible(coeffs)

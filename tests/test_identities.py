@@ -179,3 +179,66 @@ def test_mobius_factor_found_for_every_twist(minpoly, degree, seed):
     square = Poly(ctx, [0, 0, 1])
     twisted_square = sigma.as_rational_map().compose(RationalMap.polynomial(square))
     assert mobius_factor_exists(twisted_square, RationalMap.polynomial(Poly(ctx, [0, 1, 1]))) is None
+
+
+def rand_map(ctx, degree, rng):
+    while True:
+        try:
+            f = RationalMap(Poly(ctx, [rand_element(ctx, rng) for _ in range(degree + 1)]),
+                            Poly(ctx, [rand_element(ctx, rng) for _ in range(degree + 1)]))
+        except MapError:  # a constant draw
+            continue
+        if f.degree >= 2:
+            return f
+
+
+def fof_equals_fog_by_composition(R, S, T):
+    """Claim (iii) the long way: build fof and fog, of degree deg(f)^2."""
+    f, g = R.compose(T), S.compose(T)
+    return "PASS" if f.compose(f) == f.compose(g) else "FAIL"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(1,), (1, 1, 1)]), st.booleans(), st.integers(0, 10**6))
+def test_fof_claim_matches_the_composed_maps(minpoly, symmetric, seed):
+    ctx = Q if len(minpoly) == 1 else field_configure(list(minpoly))
+    rng = np.random.default_rng(seed)
+    if symmetric:
+        # R even, T odd, S = -R: ToS = -ToR, so (i) fails while RoToR = RoToS
+        z = Poly.x(ctx)
+        R = rand_moebius(ctx, rng).as_rational_map().compose(RationalMap.polynomial(z * z))
+        b = rand_moebius(ctx, rng)
+        T = RationalMap(z * (z * z * b.a + b.b), z * z * b.c + b.d)
+        S = RationalMap(-R.num, R.den)
+        if T.degree < 2:
+            return
+    else:
+        R, S, T = (rand_map(ctx, int(rng.integers(2, 4)), rng) for _ in range(3))
+    got = verdicts(check_counterexample_triple(R, S, T))["f∘f = f∘g"]
+    assert got == fof_equals_fog_by_composition(R, S, T)
+    if symmetric:
+        assert got == "PASS"
+
+
+@pytest.mark.parametrize("name,params", [
+    ("chebyshev-flower", {"a": "1"}),
+    ("chebyshev-flower", {"a": "2-w"}),
+    ("zieve-family", {"n": 1, "m": 2}),
+    ("zieve-family", {"n": 2, "m": 1}),
+    ("zieve-family", {"n": 2, "m": 2}),
+    ("zieve-family", {"n": 1, "m": 3}),
+])
+def test_fof_claim_matches_the_composed_maps_on_the_catalog(name, params):
+    e = entry(name, params)
+    R, S, T = e.maps["R"], e.maps["S"], e.maps["T"]
+    got = verdicts(e.run())["f∘f = f∘g"]
+    assert got == fof_equals_fog_by_composition(R, S, T) == "PASS"
+
+
+def test_fof_claim_without_toR_equal_toS():
+    # R = z^2, S = -z^2, T = z^3: ToR = z^6 and ToS = -z^6 differ, while
+    # fof = fog = z^36
+    rep = verdicts(check_counterexample_triple(rmap([0, 0, 1]), rmap([0, 0, -1]),
+                                               rmap([0, 0, 0, 1])))
+    assert rep["T∘R = T∘S"] == "FAIL"
+    assert rep["f∘f = f∘g"] == "PASS"
