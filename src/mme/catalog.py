@@ -19,7 +19,7 @@ from .identities import (
 )
 from .parser import parse_binding_value as parse_param
 from .polys import Poly
-from .ratmaps import MapError, RationalMap
+from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, RationalMap, SizeBudgetError
 
 ENTRY_NAMES = ("chebyshev-flower", "zieve-family", "power-map", "quadratic-sigma")
 
@@ -90,6 +90,9 @@ def _zieve_family(params):
     m = _int_param(params, "m", 1)
     if n < 1 or m < 1:
         raise MapError("zieve-family requires n, m >= 1")
+    if (n + m) ** 2 > DEFAULT_DEGREE_BUDGET:
+        raise SizeBudgetError("zieve-family: degree (n+m)^2 = %d exceeds the composite-degree "
+                              "budget %d" % ((n + m) ** 2, DEFAULT_DEGREE_BUDGET))
     ctx = FieldContext.rationals()
     x = Poly.x(ctx)
     one = Poly.one(ctx)
@@ -117,6 +120,9 @@ def _power_map(params):
     d = _int_param(params, "d", 2)
     if d < 2:
         raise MapError("power-map requires d >= 2")
+    if d > DEFAULT_DEGREE_BUDGET:
+        raise SizeBudgetError("power-map: degree %d exceeds the degree budget %d"
+                              % (d, DEFAULT_DEGREE_BUDGET))
     ctx = FieldContext.rationals()
     f = RationalMap.polynomial(Poly.x(ctx) ** d)
     return CatalogEntry(

@@ -148,9 +148,15 @@ def _cmd_render(args):
     return 0
 
 
+# powermap factors its degrees and root denominators; below this bound that is cheap
+POWERMAP_BOUND = 2**64
+
+
 def _cmd_powermap(args):
     if any(d is not None and d < 2 for d in (args.df, args.dg)):
         raise UsageError("--df and --dg are power-map degrees, integers >= 2")
+    if any(d is not None and d >= POWERMAP_BOUND for d in (args.df, args.dg)):
+        raise UsageError("--df and --dg must be below 2^64")
     report = {}
     if args.df and args.dg:
         report["df"], report["dg"] = args.df, args.dg
@@ -162,6 +168,8 @@ def _cmd_powermap(args):
             z = RootOfUnity.reduced(int(a), int(b))
         except (ValueError, TypeError):
             raise UsageError("--root expects a/b for e^(2*pi*i*a/b)")
+        if z.b >= POWERMAP_BOUND:
+            raise UsageError("--root denominator must be below 2^64")
         entry_ = {"root": "%d/%d" % (z.a, z.b)}
         for d in filter(None, (args.df, args.dg)):
             entry_["d=%d" % d] = {"periodic": is_periodic(z, d), "period": period(z, d)}

@@ -45,6 +45,8 @@ MATCH_TOL = 1e-6
 SAMPLE_RADII = (0.5, 2**-0.5, 1.0, 2**0.5, 2.0)
 # the basepoints the loop layout chooses from, equally spaced on one circle
 LAYOUT_CANDIDATES = 256
+# the steps of a keyhole loop's full circle around one critical value
+KEYHOLE_STEPS = 24
 
 
 class TrackingError(RuntimeError):
@@ -210,12 +212,13 @@ def _fiber_coeffs(matrix, ts):
 # -- loops and tracking ----------------------------------------------------------------
 
 
-def _keyhole(x0, b, rho, n_circle=24):
+def _keyhole(x0, b, rho):
     """Polyline basepoint -> disc boundary -> full circle -> back."""
     u = (b - x0) / abs(b - x0)
     entry = b - rho * u
     phi0 = np.angle(entry - b)
-    circle = [b + rho * np.exp(1j * (phi0 + 2 * np.pi * k / n_circle)) for k in range(n_circle + 1)]
+    circle = [b + rho * np.exp(1j * (phi0 + 2 * np.pi * k / KEYHOLE_STEPS))
+              for k in range(KEYHOLE_STEPS + 1)]
     return [x0, entry] + circle[1:] + [x0]
 
 

@@ -35,6 +35,8 @@ SAME_FACTOR = 3.0
 DIFFERENT_FACTOR = 10.0
 ALL_PAIRS_CAP = 2000
 SUBSAMPLE_PAIRS = 10**6
+# independent same-map cloud pairs averaged into the sigma-invariance baseline
+BASELINE_PAIRS = 3
 
 
 @dataclass
@@ -277,13 +279,13 @@ def same_measure_test(f, g, count=4000, depth=40, seed=0):
     )
 
 
-def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0, baseline_pairs=3):
+def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
     """SAME-threshold check that pushing a cloud of f forward by sigma
     preserves the empirical measure.
 
     The pushed cloud is compared against an independent cloud of f, and the
-    baseline averages several independent same-map pair distances (a single
-    pair draw is too noisy to threshold against).
+    baseline averages BASELINE_PAIRS independent same-map pair distances (a
+    single pair draw is too noisy to threshold against).
     """
     pushed = push_forward(
         backward_orbit_sample(f, count, depth=depth, seed=seed, stream="push-src"),
@@ -292,7 +294,7 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0, baseline_pair
     ref = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="push-ref")
     dist = measure_distance(pushed, ref, seed=seed)
     baselines = []
-    for k in range(baseline_pairs):
+    for k in range(BASELINE_PAIRS):
         a = backward_orbit_sample(f, count, depth=depth, seed=seed,
                                   stream="base-a-%d" % k)
         b = backward_orbit_sample(f, count, depth=depth, seed=seed,
@@ -307,7 +309,7 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0, baseline_pair
         self_baseline=baseline,
         verdict=verdict,
         meta={"count": count, "depth": depth, "seed": seed, "map": map_digest(f),
-              "baseline_pairs": baseline_pairs},
+              "baseline_pairs": BASELINE_PAIRS},
     )
 
 

@@ -74,6 +74,8 @@ def sphere_unlift(p):
 # below which a leading coefficient counts as zero (a root at infinity)
 RESIDUAL_TOL = 1e-10
 INF_TOL = 1e-13
+# the most monotone Newton steps a batched root solve takes
+NEWTON_ITERS = 8
 # rationalize_into_field: the largest denominator it rounds to, and the
 # relative error its embedding may leave
 MAX_DEN = 10**6
@@ -99,7 +101,7 @@ def _polyval_rows(coeffs, x):
     return y
 
 
-def _newton_refine(coeffs, roots, iters=8):
+def _newton_refine(coeffs, roots):
     """Monotone Newton on rows: a step is kept only if it lowers the residual.
 
     ``coeffs`` (L, n + 1) descending, ``roots`` (L, n).  Returns the roots
@@ -112,7 +114,7 @@ def _newton_refine(coeffs, roots, iters=8):
     dcoeffs = coeffs[:, :-1] * np.arange(n, 0, -1)
     vals = _polyval_rows(coeffs, roots)
     best = np.abs(vals)
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         ders = _polyval_rows(dcoeffs, roots)
         mask = np.abs(ders) > 1e-300
         step = np.zeros_like(roots, dtype=complex)

@@ -2,7 +2,9 @@
 
 Poly stores ascending coefficients with no trailing zeros (the zero
 polynomial is the empty tuple).  BiPoly stores a dense coefficient
-matrix indexed by (x-degree, y-degree).  All operations are exact.
+matrix indexed by (x-degree, y-degree); its products and divisions are
+packed univariate ones, x^i y^j read as z^(i + n j) with n above every
+x-degree involved.  All operations are exact.
 A product of Polys over any field Q(alpha) is one integer product: each
 operand is cleared to an integer vector over one common denominator, with
 the alpha^k coordinate of the z^i coefficient in slot i(2m - 1) + k (m the
@@ -222,14 +224,16 @@ class Poly:
         rem = list(self.coeffs)
         db = other.degree
         inv = other.leading().inverse()
+        # rem[k] is never read after step k, so the leading term is not subtracted
+        terms = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if not b.is_zero()]
         q = [self.ctx.zero] * max(len(rem) - db, 0)
         for k in range(len(rem) - 1, db - 1, -1):
             c = rem[k] * inv
             if c.is_zero():
                 continue
             q[k - db] = c
-            for j in range(db + 1):
-                rem[k - db + j] = rem[k - db + j] - c * other.coeffs[j]
+            for j, b in terms:
+                rem[k - db + j] = rem[k - db + j] - c * b
         return Poly(self.ctx, q), Poly(self.ctx, rem[:db])
 
     def __floordiv__(self, other):
@@ -403,10 +407,6 @@ class BiPoly:
         self.ctx = ctx
         self.rows = tuple(tuple(r) for r in mat)
 
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, [])
-
     def is_zero(self):
         return not self.rows
 
@@ -418,55 +418,28 @@ class BiPoly:
         return (len(self.rows) - 1, len(self.rows[0]) - 1)
 
     def coeff(self, i, j):
-        if 0 <= i < len(self.rows) and self.rows and 0 <= j < len(self.rows[0]):
+        if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[0]):
             return self.rows[i][j]
         return self.ctx.zero
 
-    def transpose(self):
-        if not self.rows:
-            return self
-        dx, dy = self.bidegree
-        return BiPoly(self.ctx, [[self.rows[i][j] for i in range(dx + 1)] for j in range(dy + 1)])
-
     def is_antisymmetric(self):
-        return (self + self.transpose()).is_zero()
+        return self.rows == tuple(tuple(-c for c in col) for col in zip(*self.rows))
 
-    def __add__(self, other):
-        dx = max(len(self.rows), len(other.rows))
-        dy = max(self.bidegree[1], other.bidegree[1]) + 1
-        return BiPoly(
-            self.ctx,
-            [[self.coeff(i, j) + other.coeff(i, j) for j in range(dy)] for i in range(dx)],
-        )
+    def _packed(self, n):
+        """The Poly sum c_ij z^(i + n j), for n above the x-degree."""
+        cs = [self.ctx.zero] * (n * (self.bidegree[1] + 1))
+        for i, row in enumerate(self.rows):
+            cs[i::n] = row
+        return Poly(self.ctx, cs)
 
-    def __neg__(self):
-        return BiPoly(self.ctx, [[-c for c in row] for row in self.rows])
-
-    def __sub__(self, other):
-        return self + (-other)
+    @classmethod
+    def _unpacked(cls, p, n):
+        return cls(p.ctx, [p.coeffs[i::n] for i in range(n)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement, str)):
-            c = self.ctx._coerce(other)
-            return BiPoly(self.ctx, [[a * c for a in row] for row in self.rows])
-        if self.is_zero() or other.is_zero():
-            return BiPoly.zero(self.ctx)
-        ax, ay = self.bidegree
-        bx, by = other.bidegree
-        out = [[self.ctx.zero] * (ay + by + 1) for _ in range(ax + bx + 1)]
-        for i in range(ax + 1):
-            for j in range(ay + 1):
-                a = self.rows[i][j]
-                if a.is_zero():
-                    continue
-                for k in range(bx + 1):
-                    for l in range(by + 1):
-                        b = other.rows[k][l]
-                        if not b.is_zero():
-                            out[i + k][j + l] = out[i + k][j + l] + a * b
-        return BiPoly(self.ctx, out)
-
-    __rmul__ = __mul__
+        # n exceeds both x-degrees and the product's, so packing is a ring map
+        n = len(self.rows) + len(other.rows)
+        return BiPoly._unpacked(self._packed(n) * other._packed(n), n)
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -476,75 +449,31 @@ class BiPoly:
     def __hash__(self):
         return hash((id(self.ctx), self.rows))
 
-    # -- views -----------------------------------------------------------------
-
-    def y_slices(self):
-        """List over y-degree j of the coefficient Poly in x."""
-        dx, dy = self.bidegree
-        return [
-            Poly(self.ctx, [self.coeff(i, j) for i in range(dx + 1)]) for j in range(dy + 1)
-        ]
-
-    @classmethod
-    def from_y_slices(cls, ctx, slices):
-        dx = max((p.degree for p in slices), default=-1)
-        return cls(ctx, [[slices[j].coeff(i) for j in range(len(slices))] for i in range(dx + 1)])
-
-    def eval_x(self, x):
-        """Exact substitution of x, leaving a Poly in y."""
-        dy = self.bidegree[1]
-        return Poly(self.ctx, [Poly(self.ctx, [self.coeff(i, j) for i in range(len(self.rows))])(x) for j in range(dy + 1)])
-
     def eval_exact(self, x, y):
-        return self.eval_x(x)(y)
-
-    # -- division -----------------------------------------------------------------
+        return Poly(self.ctx, [Poly(self.ctx, row)(y) for row in self.rows])(x)
 
     def divide_exact(self, other):
         """Quotient Q with self = other * Q exactly, else None.
 
-        Long division in y over the ring F[x]; every leading-coefficient
-        division must itself be exact.
+        A packed quotient is the packing of Q only while the product
+        other * Q keeps its x-degree below n; past that, unpacking folds
+        x^n into y (so (y - x^2 y) / (x - y) would give x^2).
         """
         if other.is_zero():
             raise ZeroDivisionError("bivariate division by zero")
-        if self.is_zero():
-            return BiPoly.zero(self.ctx)
-        dslices = other.y_slices()
-        dD = len(dslices) - 1
-        lead = dslices[-1]
-        rem = self.y_slices()
-        zero = Poly.zero(self.ctx)
-        qslices = {}
-        while True:
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if not rem:
-                break
-            k = len(rem) - 1
-            if k < dD:
-                return None
-            q = rem[k].divide_exact(lead)
-            if q is None:
-                return None
-            qslices[k - dD] = q
-            for j in range(dD + 1):
-                idx = k - dD + j
-                rem[idx] = rem[idx] - dslices[j] * q
-        if not qslices:
-            return BiPoly.zero(self.ctx)
-        n = max(qslices) + 1
-        return BiPoly.from_y_slices(self.ctx, [qslices.get(j, zero) for j in range(n)])
+        n = max(len(self.rows), len(other.rows))
+        q = self._packed(n).divide_exact(other._packed(n))
+        if q is None:
+            return None
+        q = BiPoly._unpacked(q, n)
+        return q if q.bidegree[0] + other.bidegree[0] < n else None
 
     def normalized(self):
         """Scale so the highest (x-degree, y-degree) lexicographic coefficient is 1."""
         if self.is_zero():
             return self
-        for i in range(len(self.rows) - 1, -1, -1):
-            for j in range(len(self.rows[0]) - 1, -1, -1):
-                if not self.rows[i][j].is_zero():
-                    return self * self.rows[i][j].inverse()
-        return self
+        lead = next(c for c in reversed(self.rows[-1]) if not c.is_zero()).inverse()
+        return BiPoly(self.ctx, [[c * lead for c in row] for row in self.rows])
 
     def __repr__(self):
         return "BiPoly(bidegree=%s)" % (self.bidegree,)

@@ -26,10 +26,15 @@ def radical(d):
 
 
 def same_periodic_points_powermaps(df, dg):
-    """Per(z^df) == Per(z^dg), decided by the radical criterion."""
+    """Per(z^df) == Per(z^dg), decided by the radical criterion without factoring.
+
+    rad df divides rad dg exactly when df divides dg^k for some k at least
+    every prime exponent of df, and each such exponent is below
+    df.bit_length().
+    """
     if df < 2 or dg < 2:
         raise ValueError("power-map degrees must be >= 2")
-    return radical(df) == radical(dg)
+    return pow(dg, df.bit_length(), df) == 0 and pow(df, dg.bit_length(), dg) == 0
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mme
@@ -184,6 +184,9 @@ def test_render_to_file(tmp_path, capsys):
     ("zieve-family", "q=1"),  # not a parameter of the entry
     ("quadratic-sigma", "num=1,0,1"),  # den missing
     ("quadratic-sigma", "num=1,x,1"),  # not a coefficient list
+    ("zieve-family", "n=3000"),  # degree 3001^2, over the degree budget
+    ("power-map", "d=4097"),  # over the degree budget
+    ("power-map", "d=1000000000"),
 ])
 def test_bad_catalog_param_exits_two(capsys, name, param):
     code, out, err = run(capsys, "catalog", "run", name, "--param", param)
@@ -431,6 +434,103 @@ def test_field_option_works_or_is_rejected_up_front(coeffs):
     else:
         assert out == ""
         assert err.startswith("error: ")
+
+
+def _keeps_the_contract(argv):
+    """main(argv)'s exit code and report, asserting it exits 0, 1 or 2 without a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ")
+        return code, None
+    return code, json.loads(out)
+
+
+# integers in [-2, 6] three times in four, else values that are zero, not
+# integers or not numbers
+INT_PARAM = st.one_of(*[st.integers(-2, 6).map(str)] * 3,
+                      st.sampled_from(["-0", "1.5", "2/1", "1e3", "x", ""]))
+FLOWER_A = st.sampled_from(["1", "-2", "1/3", "1+w", "2w", "w^2", "0", "0*w", "1/0", "z", "a", ""])
+COEFF_LIST = st.sampled_from(["1,0,1", "0,0,1", "1,2,3", "1/2,0,-1", "2,-1,1", "0,1", "1", "0",
+                              "1,x", "1/0,1", ",", ""])
+CATALOG_RUNS = st.one_of(
+    st.tuples(st.just("chebyshev-flower"), st.fixed_dictionaries({}, optional={"a": FLOWER_A})),
+    st.tuples(st.just("zieve-family"),
+              st.fixed_dictionaries({}, optional={"n": INT_PARAM, "m": INT_PARAM})),
+    st.tuples(st.just("power-map"), st.fixed_dictionaries({}, optional={"d": INT_PARAM})),
+    st.tuples(st.just("quadratic-sigma"),
+              st.fixed_dictionaries({"num": COEFF_LIST, "den": COEFF_LIST})
+              | st.fixed_dictionaries({}, optional={"num": COEFF_LIST, "den": COEFF_LIST})),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(CATALOG_RUNS)
+@example(("zieve-family", {"n": "3000", "m": "1"}))
+@example(("power-map", {"d": "4097"}))
+def test_catalog_run_exit_codes_keep_the_contract(run_):
+    name, params = run_
+    argv = ["catalog", "run", name]
+    for key, value in params.items():
+        argv += ["--param", "%s=%s" % (key, value)]
+    code, report = _keeps_the_contract(argv)
+    if code != 2:
+        assert report["all_pass"] == (code == 0)
+
+
+# degree 1, 2 or 3 (lower when num and den share a factor), up to 7-digit coefficients
+LOW_DEGREE_MAPS = st.integers(1, 3).flatmap(lambda d: st.builds(
+    lambda num, den: json.dumps({"num": [str(c) for c in num], "den": [str(c) for c in den]}),
+    st.lists(st.integers(-10**6, 10**6), min_size=d + 1, max_size=d + 1),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=d + 1),
+))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(LOW_DEGREE_MAPS)
+def test_sigma_exit_codes_keep_the_contract(f):
+    code, report = _keeps_the_contract(["sigma", "--map", f])
+    assert code in (0, 2)
+    if code == 0:
+        assert len(report["entries"]) == 4
+
+
+SIXTY_ONE_DIGITS = st.integers(10**60, 10**61 - 1)
+DEGREES = st.one_of(st.none(), st.integers(-2, 40), st.integers(41, 2**64 - 1),
+                    SIXTY_ONE_DIGITS | st.just(2**64))
+ROOTS = st.one_of(
+    st.none(),
+    st.builds("{}/{}".format, st.integers(-50, 50) | SIXTY_ONE_DIGITS,
+              st.integers(1, 10**6) | st.just(2**64 - 59)),  # 2^64 - 59 is prime
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(-5, 0) | st.just(2**64)),
+    st.sampled_from(["1/", "x/3", "3", "1/0", ""]),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(df=DEGREES, dg=DEGREES, root=ROOTS)
+def test_powermap_exit_codes_keep_the_contract(df, dg, root):
+    argv = ["powermap"]
+    for option, value in (("--df", df), ("--dg", dg), ("--root", root)):
+        if value is not None:
+            argv += [option, str(value)]
+    assert _keeps_the_contract(argv)[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["powermap", "--df", str(2**64), "--dg", "2"],
+    ["powermap", "--df", "6", "--dg", str(10**60 + 7)],
+    ["powermap", "--root", "1/%d" % 2**64, "--df", "3"],
+])
+def test_powermap_input_of_2_64_or_more_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "below 2^64" in err
 
 
 def test_numeric_multiplicity_miss_exits_three(capsys):

@@ -109,6 +109,60 @@ def test_bipoly_division_inverts_multiplication(a, b, c):
     assert (P * D).divide_exact(D) == P
 
 
+def schoolbook_biproduct(P, D):
+    """The reference bivariate product, one coefficient product at a time."""
+    (ax, ay), (bx, by) = P.bidegree, D.bidegree
+    out = [[P.ctx.zero] * (ay + by + 1) for _ in range(ax + bx + 1)]
+    for i, row in enumerate(P.rows):
+        for j, a in enumerate(row):
+            for k, drow in enumerate(D.rows):
+                for l, b in enumerate(drow):
+                    out[i + k][j + l] = out[i + k][j + l] + a * b
+    return BiPoly(P.ctx, out)
+
+
+@st.composite
+def bipoly_pairs(draw):
+    """P and D over Q or Q(w), each of x-degree and y-degree at least 1."""
+    ctx = draw(st.sampled_from([Q, field_configure([1, 1, 1])]))
+    coord = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 99)))
+    coeff = st.lists(coord, min_size=ctx.degree, max_size=ctx.degree).map(ctx.element)
+
+    def bipoly():
+        dx, dy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(coeff, min_size=dy + 1, max_size=dy + 1),
+                             min_size=dx + 1, max_size=dx + 1))
+        rows[dx][0] = rows[0][dy] = ctx.one  # keep the x-degree and the y-degree
+        return BiPoly(ctx, rows)
+
+    return bipoly(), bipoly()
+
+
+@settings(max_examples=80, deadline=None)
+@given(bipoly_pairs())
+def test_packed_bipoly_product_and_division(pd):
+    P, D = pd
+    PD = P * D
+    assert PD == schoolbook_biproduct(P, D)
+    assert D * P == PD
+    assert PD.divide_exact(D) == P
+    assert PD.divide_exact(P) == D
+    # packed with n = 3, y - x^2 y is z^3 - z^5 = (z - z^3) z^2, but x^2 (x - y)
+    # has x-degree 3 = n, so x^2 is not the bivariate quotient
+    y_minus_x2y, x_minus_y = BiPoly(Q, [[0, 1], [0, 0], [0, -1]]), BiPoly(Q, [[0, -1], [1, 0]])
+    assert y_minus_x2y.divide_exact(x_minus_y) is None
+
+
+def test_bipoly_antisymmetry_and_evaluation():
+    P = graph_bipoly(poly_from([0, -3, 0, 1]), poly_from([1]))  # x^3 - 3x - (y^3 - 3y)
+    assert P.is_antisymmetric()
+    assert not BiPoly(Q, [[0, 1], [1, 0]]).is_antisymmetric()  # x + y
+    assert not BiPoly(Q, [[0, 1]]).is_antisymmetric()  # y: not square
+    assert BiPoly(Q, []).is_antisymmetric()
+    assert P.eval_exact(Fraction(2), Fraction(1, 3)) == 2 - Fraction(1 - 27, 27)
+
+
 # -- products on integers, and projective evaluation over Q ---------------------------
 
 # zero, small, and >= 300-bit numerators over denominators of up to 320 bits
