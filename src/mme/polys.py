@@ -1,26 +1,36 @@
 """Univariate and bivariate polynomials over a configured field.
 
-Poly stores ascending coefficients with no trailing zeros (the zero
-polynomial is the empty tuple).  BiPoly stores a dense coefficient
-matrix indexed by (x-degree, y-degree); its products and divisions are
-packed univariate ones, x^i y^j read as z^(i + n j) with n above every
-x-degree involved.  All operations are exact.
-A product of Polys over any field Q(alpha) is one integer product: each
-operand is cleared to an integer vector over one common denominator, with
-the alpha^k coordinate of the z^i coefficient in slot i(2m - 1) + k (m the
-degree of alpha), and the alpha-powers of the product are reduced on
-integers.  Q is the case m = 1.  Over Q a projective evaluation runs on
-integers too; everything else uses the coefficient arithmetic of
-FieldElement.
+A Poly over Q(alpha), alpha of degree m, is stored as one integer vector and
+one positive denominator (ints, den): the alpha^k coordinate of the z^i
+coefficient is ints[i s + k] / den with stride s = 2m - 1, and the s - m
+slots between two coefficients are zero (Q is the case m = 1).  The form is
+canonical: the last coefficient is nonzero and gcd(den, *ints) = 1, so
+equality and hashing compare (ints, den).  Sums, differences, products,
+scaling, ``monic``, the derivative, the degree and the leading coefficient
+run on it.  A product is one integer product by Kronecker substitution whose
+alpha-powers are reduced on integers.  FieldElement coefficients are built
+from the integer form only when something reads ``coeffs`` (serialization,
+``coeff``, division, gcd, evaluation over Q(alpha), BiPoly unpacking), and
+are then cached; a Poly built from FieldElements keeps them.  Over Q a
+projective evaluation runs on integers too.
+
+BiPoly stores a dense coefficient matrix indexed by (x-degree, y-degree); its
+products and divisions are packed univariate ones, x^i y^j read as
+z^(i + n j) with n above every x-degree involved.  All operations are exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .fields import FieldElement, FieldError, to_fraction
+
+# A prime for the coprimality test of :meth:`Poly.provably_coprime`.  The test
+# can only prove coprimality, so any prime is correct; a large one rarely
+# divides a leading coefficient or a resultant, which would force the fallback.
+COPRIME_TEST_PRIME = 2**61 - 1
 
 
 # -- integer products by Kronecker substitution --------------------------------------
@@ -50,13 +60,37 @@ def _kronecker_product(a, b):
 
 def _pack(xs, width):
     """sum xs[i] 2^(8 width i) for integers with |xs[i]| < 2^(8 width - 1)."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in xs)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in xs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    # each slot holds xs[i] + 2^(k-1) >= 0, and the offsets are subtracted once
+    half = 1 << (8 * width - 1)
+    buf = b"".join([(x + half).to_bytes(width, "little") for x in xs])
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * len(xs), "little")
+    return int.from_bytes(buf, "little") - offset
+
+
+def _coprime_mod(a, b, p):
+    """Whether gcd(a, b) = 1 in F_p[z], for integer vectors (ascending) whose
+    leading coefficients p does not divide."""
+    a = [x % p for x in a]
+    b = [x % p for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        low = b[:-1]
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k] * inv % p
+            if c:
+                a[k - db:k] = [(x - c * y) % p for x, y in zip(a[k - db:k], low)]
+        r = a[:db]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    return len(b) == 1
 
 
 class Poly:
-    __slots__ = ("ctx", "coeffs", "_numeric", "_ints")
+    __slots__ = ("ctx", "_ints", "_den", "_coeffs", "_numeric")
 
     def __init__(self, ctx, coeffs):
         cs = []
@@ -69,10 +103,49 @@ class Poly:
                 cs.append(ctx.from_rational(to_fraction(c)))
         while cs and cs[-1].is_zero():
             cs.pop()
+        # the lcm of the reduced denominators leaves gcd(den, *ints) = 1
+        m = ctx.degree
+        fracs = list(chain.from_iterable([c.coords for c in cs]))
+        den = math.lcm(*[f.denominator for f in fracs])
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        if m == 1:
+            ints = nums
+        else:
+            s = 2 * m - 1
+            ints = [0] * max(len(cs) * s - m + 1, 0)
+            for k in range(m):
+                ints[k::s] = nums[k::m]
         self.ctx = ctx
-        self.coeffs = tuple(cs)
+        self._ints = ints
+        self._den = den
+        self._coeffs = tuple(cs)
         self._numeric = None
-        self._ints = None
+
+    @classmethod
+    def _from_ints(cls, ctx, ints, den):
+        """The Poly with integer form (ints, den) for den > 0, made canonical:
+        zero coefficients at the top dropped and gcd(den, *ints) divided out."""
+        n = len(ints)
+        while n and not ints[n - 1]:
+            n -= 1
+        if n < len(ints):
+            # keep every slot of the top nonzero coefficient
+            m = ctx.degree
+            ints = ints[:(n - 1) // (2 * m - 1) * (2 * m - 1) + m if n else 0]
+        if not ints:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *ints)
+            if g != 1:
+                ints = [x // g for x in ints]
+                den //= g
+        p = cls.__new__(cls)
+        p.ctx = ctx
+        p._ints = ints
+        p._den = den
+        p._coeffs = None
+        p._numeric = None
+        return p
 
     # -- constructors -----------------------------------------------------------
 
@@ -95,19 +168,36 @@ class Poly:
     # -- structure --------------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """Ascending FieldElement coefficients, no trailing zeros; built once."""
+        if self._coeffs is None:
+            s = 2 * self.ctx.degree - 1
+            self._coeffs = tuple(self._element(i) for i in range(0, len(self._ints), s))
+        return self._coeffs
+
+    def _element(self, start):
+        """The FieldElement with coordinates ints[start:start + m] / den."""
+        den = self._den
+        return FieldElement(self.ctx, tuple(
+            [Fraction(x, den) for x in self._ints[start:start + self.ctx.degree]]))
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        m = self.ctx.degree
+        return (len(self._ints) + m - 1) // (2 * m - 1) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._ints
 
     def leading(self):
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        if self._coeffs is not None:
+            return self._coeffs[-1]
+        return self._element(len(self._ints) - self.ctx.degree)
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i <= self.degree:
             return self.coeffs[i]
         return self.ctx.zero
 
@@ -118,8 +208,7 @@ class Poly:
     def monic(self):
         if self.is_zero():
             return self
-        inv = self.leading().inverse()
-        return Poly(self.ctx, [c * inv for c in self.coeffs])
+        return self.scale(self.leading().inverse())
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -132,24 +221,30 @@ class Poly:
             return Poly(self.ctx, [other])
         return NotImplemented
 
+    def _add_scaled(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
+        da, db = self._den, other._den
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        ints = [fa * x + fb * y for x, y in zip_longest(self._ints, other._ints, fillvalue=0)]
+        return Poly._from_ints(self.ctx, ints, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return self._add_scaled(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, [-c for c in self.coeffs])
+        return Poly._from_ints(self.ctx, [-x for x in self._ints], self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self._add_scaled(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -160,48 +255,35 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
+        ctx = self.ctx
+        conv = _kronecker_product(self._ints, other._ints)
+        den = self._den * other._den
+        if ctx.degree == 1:
+            return Poly._from_ints(ctx, conv, den)
         # z^i alpha^k sits in slot i s + k, s = 2m - 1, so the integer product
         # holds every z^i alpha^k (k <= 2m - 2) of the product in its own slot
-        ctx = self.ctx
         m, s = ctx.degree, 2 * ctx.degree - 1
         rows, r = ctx._integer_reduction
-        a, da = self._integer_vector()
-        b, db = other._integer_vector()
-        conv = _kronecker_product(a, b)
         # alpha^k = sum_i rows[k - m][i] alpha^i / r for k >= m
         cols = [conv[i::s] if r == 1 else [c * r for c in conv[i::s]] for i in range(m)]
         for k, row in enumerate(rows, m):
             top = conv[k::s]
             cols = [[c + w * t for c, t in zip(col, top)] if w else col
                     for col, w in zip(cols, row)]
-        den = da * db * r
-        return Poly(ctx, [FieldElement(ctx, coords) for coords in
-                          zip(*[[Fraction(c, den) for c in col] for col in cols])])
+        ints = [0] * (len(conv) - m + 1)
+        for k, col in enumerate(cols):
+            ints[k::s] = col
+        return Poly._from_ints(ctx, ints, den * r)
 
     __rmul__ = __mul__
 
-    def _integer_vector(self):
-        """(ints, den) with self = sum(ints[i s + k] z^i alpha^k) / den; cached.
-
-        For a field of degree m the slot stride is s = 2m - 1: the m
-        coordinates of coefficient i fill slots i s .. i s + m - 1 and the
-        slots up to the next coefficient are zero (none after the last).
-        """
-        if self._ints is None:
-            m = self.ctx.degree
-            s = 2 * m - 1
-            fracs = list(chain.from_iterable([c.coords for c in self.coeffs]))
-            den = math.lcm(*[f.denominator for f in fracs])
-            nums = [f.numerator * (den // f.denominator) for f in fracs]
-            ints = [0] * (len(self.coeffs) * s - m + 1)
-            for k in range(m):
-                ints[k::s] = nums[k::m]
-            self._ints = (ints, den)
-        return self._ints
-
     def scale(self, c):
         c = self.ctx._coerce(c)
-        return Poly(self.ctx, [a * c for a in self.coeffs])
+        if not c.is_rational():
+            return self * Poly(self.ctx, [c])
+        q = c.coords[0]
+        return Poly._from_ints(self.ctx, [x * q.numerator for x in self._ints],
+                               self._den * q.denominator)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -251,15 +333,18 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._ints == other._ints
 
     def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
+        return hash((id(self.ctx), tuple(self._ints), self._den))
 
     # -- calculus / composition ---------------------------------------------------
 
     def derivative(self):
-        return Poly(self.ctx, [c * i for i, c in enumerate(self.coeffs)][1:])
+        # slot j holds a coordinate of the z^(j // s) coefficient
+        s = 2 * self.ctx.degree - 1
+        return Poly._from_ints(
+            self.ctx, [x * (j // s) for j, x in enumerate(self._ints)][s:], self._den)
 
     def reversed(self, formal_degree=None):
         """x^d * p(1/x) for the chart at infinity."""
@@ -284,7 +369,7 @@ class Poly:
         # with u = a/b and v = c/e the sum is sum n_i X^i Y^(d-i) / (den (be)^d),
         # where X = ae, Y = cb and c_i = n_i / den: Horner on integers
         d = formal_degree
-        ints, den = self._integer_vector()
+        ints, den = self._ints, self._den
         x = u.numerator * v.denominator
         y = v.numerator * u.denominator
         ypow = [1]
@@ -328,6 +413,22 @@ class Poly:
         return acc
 
     # -- gcd and squarefree structure ----------------------------------------------
+
+    def provably_coprime(self, other):
+        """True when a gcd modulo COPRIME_TEST_PRIME proves self and other coprime.
+
+        Over Q, let p divide neither leading coefficient.  A common factor
+        of the two can be taken in Z[z] (Gauss's lemma), and its leading
+        coefficient divides theirs, so modulo p it keeps its positive degree
+        and divides both: a gcd of 1 modulo p is a proof.  False leaves the
+        question open (a field other than Q, p dividing a leading
+        coefficient, or p dividing the resultant).
+        """
+        p = COPRIME_TEST_PRIME
+        a, b = self._ints, other._ints
+        if self.ctx.degree != 1 or not a or not b or not a[-1] % p or not b[-1] % p:
+            return False
+        return _coprime_mod(a, b, p)
 
     def gcd(self, other):
         """Monic gcd; gcd(p, 0) is monic p."""
@@ -376,6 +477,21 @@ class Poly:
             else:
                 parts.append("(%s)*z^%d" % (c, i))
         return "Poly(%s)" % " + ".join(parts)
+
+
+def integer_height(*polys):
+    """log2 of the l1 norm of the integer vectors of ``polys`` (not all zero)
+    cleared over one common denominator, every coordinate counted."""
+    den = math.lcm(*[p._den for p in polys])
+    return math.log2(sum(sum(map(abs, p._ints)) * (den // p._den) for p in polys))
+
+
+def product_growth(ctx):
+    """log2 K for the K >= 1 with l1(a b) <= K l1(a) l1(b) for the integer
+    vectors of any two Polys over ``ctx``: K = max(r, the l1 norm of each row
+    of the integer alpha-reduction), so K = 1 over Q."""
+    rows, r = ctx._integer_reduction
+    return math.log2(max([r] + [sum(map(abs, row)) for row in rows]))
 
 
 class BiPoly:

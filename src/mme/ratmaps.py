@@ -15,9 +15,14 @@ import numpy as np
 
 from .fields import FieldError
 from .numeric import INF, ConsistencyError, RootFindingError, certified_roots, chordal, is_inf
-from .polys import Poly
+from .polys import Poly, integer_height, product_growth
 
 DEFAULT_DEGREE_BUDGET = 4096
+# iterate refuses f^n when its height bound (RationalMap.iterate_height_bound,
+# log2 of the l1 norm of its integer coefficient pair) exceeds this many bits.
+# A 40-digit degree-4 map is bounded by about 11.5k bits at n = 4 (seconds of
+# work) and 46k bits at n = 5 (minutes); z^2 - 1 by 1023 bits at n = 10.
+ITERATE_HEIGHT_BUDGET = 2**15
 # chordal distance below which critical_data merges two critical values
 VALUE_TOL = 1e-7
 
@@ -40,10 +45,11 @@ class RationalMap:
             raise MapError("denominator is the zero polynomial")
         if num.is_zero():
             raise MapError("numerator is the zero polynomial (constant map)")
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.divide_exact(g)
-            den = den.divide_exact(g)
+        if not num.provably_coprime(den):
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num.divide_exact(g)
+                den = den.divide_exact(g)
         if max(num.degree, den.degree) < 1:
             raise MapError("constant map is not a rational self-map of degree >= 1")
         self._set_lowest_terms(num, den)
@@ -92,9 +98,9 @@ class RationalMap:
             raise FieldError("composing maps from different field contexts")
         d = self.degree
         u, v = other.num, other.den
-        upow = [Poly.one(self.ctx)]
-        vpow = [Poly.one(self.ctx)]
-        for _ in range(d):
+        upow = [Poly.one(self.ctx), u]
+        vpow = [Poly.one(self.ctx), v]
+        for _ in range(d - 1):
             upow.append(upow[-1] * u)
             vpow.append(vpow[-1] * v)
         num = Poly.zero(self.ctx)
@@ -102,10 +108,14 @@ class RationalMap:
         for i in range(d + 1):
             a = self.num.coeff(i)
             b = self.den.coeff(i)
+            if a.is_zero() and b.is_zero():
+                continue
+            # u^0 = v^0 = 1 is not multiplied out
+            term = upow[i] * vpow[d - i] if 0 < i < d else upow[d] if i else vpow[d]
             if not a.is_zero():
-                num = num + upow[i] * vpow[d - i] * a
+                num = num + term.scale(a)
             if not b.is_zero():
-                den = den + upow[i] * vpow[d - i] * b
+                den = den + term.scale(b)
         # No gcd: p/q and u/v are in lowest terms, so the homogenized P, Q have
         # no common zero on P^1.  At a common zero z of num and den, (u(z), v(z))
         # would be a common zero of P and Q, so u(z) = v(z) = 0: impossible.
@@ -115,14 +125,37 @@ class RationalMap:
                 % (d, other.degree, max(num.degree, den.degree)))
         return RationalMap._coprime(num, den)
 
+    def iterate_height_bound(self, n):
+        """A bound on the height of f^n, in bits, from the integer form of f.
+
+        The height of a map is log2 of the l1 norm of its integer coefficient
+        pair (num and den cleared over one denominator).  For f of degree d,
+        h(f o g) <= h(f) + d (h(g) + log2 K) for the composite as compose
+        sums it, with K = 1 over Q (:func:`polys.product_growth`).  Over Q,
+        making the denominator monic only divides that pair by an integer,
+        so the bound holds for every iterate; over Q(alpha) it is an estimate.
+        """
+        h = integer_height(self.num, self.den)
+        grow = product_growth(self.ctx)
+        bound = h
+        for _ in range(n - 1):
+            bound = h + self.degree * (bound + grow)
+        return bound
+
     def iterate(self, n, budget=DEFAULT_DEGREE_BUDGET):
+        """f^n; SizeBudgetError before any composing when its degree exceeds
+        ``budget`` or its height bound exceeds ITERATE_HEIGHT_BUDGET."""
         if n < 1:
             raise MapError("iterate exponent must be >= 1")
-        if self.degree**n > budget:
+        d = self.degree
+        if d**n > budget:
             raise SizeBudgetError(
-                "degree %d^%d exceeds the composite-degree budget %d"
-                % (self.degree, n, budget)
-            )
+                "degree %d^%d exceeds the composite-degree budget %d" % (d, n, budget))
+        bound = self.iterate_height_bound(n)
+        if bound > ITERATE_HEIGHT_BUDGET:
+            raise SizeBudgetError(
+                "f^%d may have coefficients of up to %d bits, over the iterate "
+                "budget of %d bits" % (n, bound, ITERATE_HEIGHT_BUDGET))
         out = self
         for _ in range(n - 1):
             out = self.compose(out)

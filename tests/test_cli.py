@@ -250,6 +250,28 @@ def test_count_depth_or_budget_out_of_range_exits_two(capsys, argv):
     assert "Traceback" not in err
 
 
+# a degree-4 map with 40-digit coefficients: f^4 is bounded by about 11.5k bits
+# and takes seconds, f^5 by about 45.5k bits and would take minutes
+FORTY_DIGIT_MAP = (
+    "(3141592653589793238462643383279502884197z^4-2718281828459045235360287471352662497757z^3"
+    "+1414213562373095048801688724209698078569z+1732050807568877293527446341505872366942)"
+    "/(2236067977499789696409173668731276235440z^4+1618033988749894848204586834365638117720z^2"
+    "-2645751311064590590501615753639260425710)")
+
+
+def test_iterate_refuses_an_iterate_over_the_height_budget(capsys):
+    import time
+
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "iterate", "--map", FORTY_DIGIT_MAP, "--n", "5", "--budget", "1024")
+    assert time.perf_counter() - t0 < 1.0  # refused before any composing
+    assert (code, out) == (2, "")
+    assert err.startswith("error: f^5 may have coefficients of up to 45") and "32768 bits" in err
+    code, out, _ = run(capsys, "iterate", "--map", FORTY_DIGIT_MAP, "--n", "4")
+    assert code == 0
+    assert len(json.loads(out)["num"]) == 257
+
+
 def test_render_with_no_points_is_a_blank_raster(capsys, tmp_path):
     target = tmp_path / "blank.ppm"
     code, _, _ = run(capsys, "render", "--map", "z^2", "--width", "3", "--height", "2",

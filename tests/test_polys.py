@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mme.fields import FieldContext, field_configure
-from mme.polys import BiPoly, Poly, graph_bipoly
+from mme.polys import COPRIME_TEST_PRIME, BiPoly, Poly, graph_bipoly
+from mme.ratmaps import RationalMap
 
 Q = FieldContext.rationals()
 
@@ -260,3 +261,117 @@ def test_q_eval_homogeneous_equals_generic(a, u, v, extra):
     for U, V in ((u, v), (u, Fraction(0)), (Fraction(0), v), (Fraction(1), Fraction(0))):
         U, V = Q.from_rational(U), Q.from_rational(V)
         assert p.eval_homogeneous(U, V, d) == p._eval_homogeneous_generic(U, V, d)
+
+
+# -- the integer form against a coefficientwise FieldElement reference -------------------
+
+INTEGER_FORM_FIELDS = [
+    Q,
+    field_configure([1, 1, 1]),  # Q(w)
+    field_configure([1, 0, 1]),  # Q(i)
+    field_configure([-2, 0, 0, 1]),  # Q(cbrt 2)
+    field_configure([1, 0, 0, 0, 1]),  # Q(t), t^4 + 1 = 0
+]
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+@st.composite
+def element_lists(draw):
+    """(ctx, a, b, c): two coefficient lists and a scalar.  b often shares a's
+    top coefficient, or its negation, so that a - b or a + b cancels there."""
+    ctx = draw(st.sampled_from(INTEGER_FORM_FIELDS))
+    coord = st.one_of(st.just(0), st.integers(-9, 9), st.builds(
+        Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**40)))
+    elt = st.lists(coord, min_size=ctx.degree, max_size=ctx.degree).map(ctx.element)
+    a = draw(st.lists(elt, max_size=6))
+    b = draw(st.lists(elt, max_size=6))
+    top = draw(st.sampled_from(["free", "same", "opposite"]))
+    if a and top != "free":
+        b = (b + [ctx.zero] * len(a))[:len(a) - 1] + [a[-1] if top == "same" else -a[-1]]
+    return ctx, a, b, draw(elt)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(element_lists())
+def test_integer_form_arithmetic_matches_a_fieldelement_reference(case):
+    ctx, a, b, c = case
+    p, q = Poly(ctx, a), Poly(ctx, b)
+    n = max(len(a), len(b))
+    pa, pb = (list(cs) + [ctx.zero] * (n - len(cs)) for cs in (a, b))
+    product = [ctx.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] = product[i + j] + x * y
+    lead = _trimmed(a)[-1].inverse() if _trimmed(a) else ctx.zero
+    cases = [
+        ("+", p + q, [x + y for x, y in zip(pa, pb)]),
+        ("-", p - q, [x - y for x, y in zip(pa, pb)]),
+        ("neg", -p, [-x for x in a]),
+        ("*", p * q, product),
+        ("scale", p.scale(c), [x * c for x in a]),
+        ("monic", p.monic(), [x * lead for x in a]),
+        ("p - p", p - p, []),
+        ("p + -p", p + (-p), []),
+    ]
+    for op, got, ref in cases:
+        ref = _trimmed(ref)
+        # read the structure before the coefficients are built, then the coefficients
+        assert got.degree == len(ref) - 1, op
+        assert got.is_zero() == (not ref), op
+        if ref:
+            assert got.leading() == ref[-1], op
+        assert got.coeffs == ref, op
+        # an integer-built Poly and the FieldElement-built one are one key
+        built = Poly(ctx, ref)
+        assert got == built and hash(got) == hash(built), op
+        assert {built: op}[got] == op and {got: op}[built] == op
+
+
+# -- coprimality modulo a prime ------------------------------------------------------------
+
+
+def test_modular_coprimality_agrees_with_euclid():
+    import random
+
+    rng = random.Random(11)
+    decided = 0
+    for _ in range(300):
+        a, b = ([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] for _ in range(2))
+        a[-1], b[-1] = a[-1] or 1, b[-1] or -1
+        if rng.random() < 0.4:  # a shared factor
+            common = [rng.randint(-9, 9), rng.randint(1, 9)]
+            a, b = ([c.as_fraction() for c in schoolbook_product(poly_from(x), poly_from(common)).coeffs]
+                    for x in (a, b))
+        p, q = poly_from(a), poly_from(b)
+        g = p.gcd(q)
+        # without the shared factor the Sylvester determinant is below 2^61
+        # (Hadamard), so modulo the prime it vanishes only when it is 0
+        assert p.provably_coprime(q) == (g.degree == 0)
+        decided += g.degree == 0
+        num, den = p.divide_exact(g), q.divide_exact(g)
+        if max(num.degree, den.degree) >= 1:
+            f, inv = RationalMap(p, q), den.leading().inverse()
+            assert (f.num, f.den) == (num.scale(inv), den.scale(inv))
+    assert decided > 50
+
+
+def test_modular_coprimality_falls_back_to_euclid():
+    # z - a and z - b with a = b modulo the prime share a root there only
+    a = 5
+    num, den = poly_from([-a, 1]), poly_from([-(a + COPRIME_TEST_PRIME), 1])
+    assert not num.provably_coprime(den)
+    f = RationalMap(num, den)
+    assert f.degree == 1 and f.num == num and f.den == den
+    # a leading coefficient the prime divides: no decision either way
+    num = poly_from([1, 0, COPRIME_TEST_PRIME])
+    assert not num.provably_coprime(poly_from([2, 1]))
+    assert RationalMap(num, poly_from([2, 1])).degree == 2
+    # other fields are left to Euclid
+    W = field_configure([1, 1, 1])
+    assert not Poly(W, [1, 1]).provably_coprime(Poly(W, [2, 1]))

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mme.fields import FieldContext, field_configure
 from mme.numeric import INF, ConsistencyError, chordal, is_inf
-from mme.polys import Poly
+from mme.polys import Poly, integer_height
 from mme.ratmaps import (
     DEFAULT_DEGREE_BUDGET,
+    ITERATE_HEIGHT_BUDGET,
     MapError,
     RationalMap,
     SizeBudgetError,
@@ -177,3 +178,26 @@ def test_iterate_reaches_the_degree_budget():
         for _ in range(12):
             w = f.eval_exact(w)
         assert h.eval_exact(z) == w
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 10**6),
+       st.sampled_from([5, 10**6, 10**20]))
+def test_iterate_height_bound_holds_over_q(d, n, seed, bound):
+    import random
+
+    rng = random.Random(seed)
+    num, den = ([rng.randint(-bound, bound) for _ in range(d + 1)] for _ in range(2))
+    num[-1], den[0] = num[-1] or bound, den[0] or 1
+    f = rmap(num, den)
+    assume(f.degree >= 2)
+    out = f.iterate(n)
+    assert integer_height(out.num, out.den) <= f.iterate_height_bound(n) + 1e-9
+
+
+def test_iterate_height_budget_is_checked_before_composing():
+    f = rmap([0, 0, 2**5000 + 1], [1, 2**5000])  # height about 5000 bits
+    assert f.iterate_height_bound(3) > ITERATE_HEIGHT_BUDGET
+    with pytest.raises(SizeBudgetError, match="f\\^3 may have coefficients"):
+        f.iterate(3)
+    assert f.iterate(2).degree == 4
