@@ -10,6 +10,7 @@ than a property of the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -232,7 +233,10 @@ def _cmd_sigma(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``mme`` argument parser, built on first use and then reused:
+    building it costs far more than parsing one command line."""
     ap = argparse.ArgumentParser(
         prog="mme",
         description="Certify relationships between rational maps sharing their "

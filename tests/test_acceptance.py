@@ -28,6 +28,7 @@ from mme.powermaps import (
     same_periodic_points_powermaps,
 )
 from mme.ratmaps import RationalMap, critical_data
+from mme.serialize import map_to_json
 from conftest import random_rational_map
 
 Q = FieldContext.rationals()
@@ -250,3 +251,15 @@ def test_shared_iterate_search_controls():
     f = random_rational_map(2, rng)
     assert shared_iterate_search(f, f.iterate(3), budget=2**9) == (3, 1)
     assert time.time() - start < 60.0
+
+
+def test_shared_iterate_search_reaches_the_degree_budget(tmp_path, capsys):
+    # z^2 - 1 against its 12th iterate, of degree 4096: the default budget
+    f = RationalMap.polynomial(Poly(Q, [-1, 0, 1]))
+    spec = tmp_path / "f12.json"
+    spec.write_text(json.dumps(map_to_json(f.iterate(12))))
+    start = time.time()
+    code = main(["iterate", "--map", "z^2-1", "--shared-with", "@%s" % spec])
+    assert time.time() - start < 10.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["shared_iterate"] == [12, 1]

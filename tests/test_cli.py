@@ -136,6 +136,20 @@ def test_field_and_bind_options(capsys):
     assert json.loads(out)["num"][0] == ["1", "1"]
 
 
+def test_consecutive_calls_share_no_parsed_state(capsys):
+    # the parser is built once per process; each call must parse afresh
+    reports = [run(capsys, "compose", "--field", "1,1,1", "--bind", "a=" + value,
+                   "--f", "z^2+a", "--g", "z")
+               for value in ("1+w", "2")]
+    assert [code for code, _, _ in reports] == [0, 0]
+    assert [json.loads(out)["num"][0] for _, out, _ in reports] == [["1", "1"], "2"]
+    # no binding carries over into a call that gives none
+    code, out, err = run(capsys, "compose", "--field", "1,1,1", "--f", "z^2+a", "--g", "z")
+    assert code == 2
+    assert out == ""
+    assert "unbound symbol 'a'" in err
+
+
 @pytest.mark.parametrize("value", ["w", "2w", "1+w", "3*w"])
 def test_generator_term_over_q_exits_two(capsys, value):
     # over Q there is no generator w; it must not silently read as 1

@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 
 from mme.catalog import entry, omega_field
 from mme.fields import FieldContext, field_configure
+import mme.identities
 from mme.identities import (
+    SCREEN_POINTS,
+    _composites_equal,
     check_counterexample_triple,
     check_main1_relations,
     mobius_factor_exists,
@@ -242,3 +247,81 @@ def test_fof_claim_without_toR_equal_toS():
                                                rmap([0, 0, 0, 1])))
     assert rep["T∘R = T∘S"] == "FAIL"
     assert rep["f∘f = f∘g"] == "PASS"
+
+
+def composites_equal_at_2d_plus_2_points(fs, gs):
+    """The rule ``_composites_equal`` replaced, kept as a reference: two maps
+    of degree <= D that agree at 2D + 1 points of the line are equal."""
+    ctx = fs[0].ctx
+    degree = max(prod(f.degree for f in fs), prod(g.degree for g in gs))
+    for k in range(2 * degree + 2):
+        (fu, fv), (gu, gv) = (
+            mme.identities._apply_projective(maps, ctx.from_rational(k), ctx.one)
+            for maps in (fs, gs))
+        if fu * gv != fv * gu:
+            return False
+    return True
+
+
+def screen_polynomial(ctx):
+    """z(z - 1)...(z - SCREEN_POINTS + 1): every screened point goes to 0."""
+    z = Poly.x(ctx)
+    return RationalMap.polynomial(prod((z - ctx.from_rational(k) for k in range(SCREEN_POINTS)),
+                                       start=Poly.one(ctx)))
+
+
+def twisted_at_zero(f, ctx, rng):
+    """f o (z / (cz + 1)), c != 0: equal to f at 0, usually not elsewhere."""
+    c = rand_element(ctx, rng)
+    while c.is_zero():
+        c = rand_element(ctx, rng)
+    return f.compose(Moebius(ctx.one, ctx.zero, c, ctx.one).as_rational_map())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(1,), (1, 1, 1)]), st.sampled_from(["random", "screened", "iterates"]),
+       st.integers(0, 10**6))
+def test_composites_equal_matches_the_pointwise_rule(minpoly, kind, seed):
+    ctx = Q if len(minpoly) == 1 else field_configure(list(minpoly))
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return rand_map(ctx, int(rng.integers(2, 4)), rng)
+
+    if kind == "random":
+        fs = [draw() for _ in range(int(rng.integers(1, 3)))]
+        gs = [draw() for _ in range(int(rng.integers(1, 3)))]
+    elif kind == "screened":
+        # equal values at every screened point, so the composites decide
+        f = draw()
+        fs, gs = [screen_polynomial(ctx), f], [screen_polynomial(ctx), twisted_at_zero(f, ctx, rng)]
+    else:
+        f = draw()
+        k, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        fs, gs = [f] * (k * m), [f.iterate(k)] * m
+    want = composites_equal_at_2d_plus_2_points(fs, gs)
+    assert _composites_equal(fs, gs) is want
+    assert _composites_equal(gs, fs) is want
+    if kind == "iterates":
+        assert want
+
+
+@pytest.mark.parametrize("minpoly", [(1,), (1, 1, 1)])
+def test_composites_equal_composes_only_past_the_screen(minpoly, monkeypatch):
+    ctx = Q if len(minpoly) == 1 else field_configure(list(minpoly))
+    built = []
+    composite = mme.identities._composite
+    monkeypatch.setattr(mme.identities, "_composite",
+                        lambda maps: built.append(len(maps)) or composite(maps))
+    z2, z2_z = (parse_map(text, ctx) for text in ("z^2", "z^2+z"))
+    # z^2 and z^2 + z agree at 0 and differ at 1
+    assert not _composites_equal([z2], [z2_z])
+    assert built == []
+    # behind z(z-1)...(z-7) they agree at every screened point, and differ
+    P = screen_polynomial(ctx)
+    assert not _composites_equal([P, z2], [P, z2_z])
+    assert not composites_equal_at_2d_plus_2_points([P, z2], [P, z2_z])
+    assert built == [2, 2]
+    f = parse_map("(z^2-1)/(z+2)", ctx)
+    assert _composites_equal([f] * 4, [f.iterate(2)] * 2)
+    assert built == [2, 2, 4, 2]
