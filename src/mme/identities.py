@@ -2,17 +2,23 @@
 
 Every verdict of a certificate is decided by exact arithmetic over the
 base field: an identity by comparing the coefficients of both sides in
-lowest terms, once their values at a few integers have not already told
-them apart; the absence of a Moebius factor R = sigma o S by a span
-test on the numerators and denominators (``mobius_factor_exists``).
+lowest terms, once their values at a few integers, taken modulo a large
+prime, have not already told them apart; the absence of a Moebius factor
+R = sigma o S by a span test on the numerators and denominators
+(``mobius_factor_exists``).
+An identity that forces two maps to share their measure of maximal
+entropy (``same_measure_identity``, ``invariant_measure_identity``)
+proves that by a theorem, with no sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import prod
 
 from .numeric import ConsistencyError
+from .polys import residue_product, residues_mod
 from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, Moebius, maps_equal
 from .serialize import element_to_json
 
@@ -135,16 +141,20 @@ def check_main1_relations(F, G):
 # -- shared iterates -----------------------------------------------------------------
 
 
-def _apply_projective(maps, u, v):
-    for f in maps:
-        u, v = f.eval_projective(u, v)
-    return u, v
-
-
 def _composite(maps):
-    out = maps[0]
-    for f in maps[1:]:
-        out = f.compose(out)
+    """The composite of ``maps``, applied first to last.
+
+    A run of one map repeated n > 1 times is built as its nth iterate by
+    ``RationalMap.iterate``, so it meets the iterate height budget: over
+    ITERATE_HEIGHT_BUDGET, SizeBudgetError before any composing.  The
+    callers bound the degree.
+    """
+    out = None
+    for _, run in groupby(maps, key=id):
+        run = list(run)
+        f, n = run[0], len(run)
+        part = f if n == 1 else f.iterate(n, budget=f.degree**n)
+        out = part if out is None else part.compose(out)
     return out
 
 
@@ -154,40 +164,84 @@ def _composite(maps):
 # to degree 4096 would take 14 s (2-vCPU Xeon VM), where their values at 2
 # differ at once.
 SCREEN_POINTS = 8
+# The screen's values are taken modulo this prime.  Exact values of an
+# iterate have about d^n times the bits of the map: for two quadratics with
+# 40-digit coefficients, screening every candidate up to degree 4096 took
+# 22 s on exact values, and ``measure`` screens every pair of maps of equal
+# degree before it samples.
+SCREEN_PRIME = 2**61 - 1
+
+
+def _screen_separates(fs, gs):
+    """Whether unequal degrees, or unequal values at one of z = 0, 1, ...,
+    SCREEN_POINTS - 1, prove the composites of ``fs`` and of ``gs`` (each
+    applied first to last) different.
+
+    A value is computed on the integer lift of each map (its numerator and
+    denominator cleared over one denominator), in F_p[alpha] for
+    p = SCREEN_PRIME: with a minimal polynomial free of p in its
+    denominators, reducing the integer coordinates modulo p is a ring map.
+    Exactly equal points have fu gv - fv gu = 0, which stays 0 modulo p, so
+    a nonzero residue proves the points different.  A field with p in a
+    denominator of its minimal polynomial is not screened.
+    """
+    if prod(f.degree for f in fs) != prod(g.degree for g in gs):
+        return True
+    ctx = fs[0].ctx
+    mul = residue_product(ctx, SCREEN_PRIME)
+    if mul is None:
+        return False
+    lifts = {}
+    for f in fs + gs:
+        if id(f) not in lifts:
+            lifts[id(f)] = (f.degree, residues_mod((f.num, f.den), SCREEN_PRIME))
+
+    def apply(maps, u, v):
+        for f in maps:
+            d, pair = lifts[id(f)]
+            vpow = [1]
+            for _ in range(d):
+                vpow.append(mul(vpow[-1], v))
+            # sum c_i u^i v^(d-i) by Horner from the top coefficient
+            out = []
+            for cs in pair:
+                acc = 0
+                for i in range(len(cs) - 1, -1, -1):
+                    acc = mul(acc, u) + mul(cs[i], vpow[d - i])
+                out.append(acc)
+            u, v = out
+        return u, v
+
+    for k in range(SCREEN_POINTS):
+        fu, fv = apply(fs, k, 1)
+        gu, gv = apply(gs, k, 1)
+        if mul(fu, gv) != mul(fv, gu):
+            return True
+    return False
 
 
 def _composites_equal(fs, gs):
     """Whether the composites of ``fs`` and of ``gs`` (each applied first to
     last) are equal.
 
-    Unequal degrees, or unequal values at one of z = 0, 1, ...,
-    SCREEN_POINTS - 1, prove the maps different at the cost of a few exact
-    evaluations.  Otherwise both composites are built: composites of maps
-    in lowest terms stay in lowest terms with a monic denominator, so
-    comparing them is an exact equality test of maps.
+    A pair the screen does not separate has both composites built
+    (``_composite``): composites of maps in lowest terms stay in lowest
+    terms with a monic denominator, so comparing them is an exact equality
+    test of maps.
     """
-    if prod(f.degree for f in fs) != prod(g.degree for g in gs):
-        return False
-    ctx = fs[0].ctx
-    for k in range(SCREEN_POINTS):
-        u, v = ctx.from_rational(k), ctx.one
-        fu, fv = _apply_projective(fs, u, v)
-        gu, gv = _apply_projective(gs, u, v)
-        # projective equality: fu*gv == fv*gu
-        if fu * gv != fv * gu:
-            return False
-    return maps_equal(_composite(fs), _composite(gs))
+    return not _screen_separates(fs, gs) and maps_equal(_composite(fs), _composite(gs))
 
 
 def shared_iterate_search(f, g, budget=DEFAULT_DEGREE_BUDGET):
     """Least (n, m) by n+m with f^n = g^m of composite degree <= budget.
 
-    Degrees must match before any map comparison happens.  Each candidate is
-    decided by ``_composites_equal``: a mismatch usually shows in the values
-    at the first few integers, and only a candidate that agrees there has
-    both iterates composed and compared exactly.  Iterates of a Moebius map
-    keep degree 1, so the budget would not bound the search: both maps must
-    have degree >= 2.
+    Degrees must match before any map comparison happens.  Each candidate
+    is decided by ``_composites_equal``: a mismatch usually shows in the
+    values at the first few integers, and only a candidate that agrees
+    there has both iterates composed, under the height rule of
+    ``RationalMap.iterate`` (SizeBudgetError), and compared exactly.
+    Iterates of a Moebius map keep degree 1, so the budget would not bound
+    the search: both maps must have degree >= 2.
     """
     if min(f.degree, g.degree) < 2:
         raise MapError("shared-iterate search needs maps of degree >= 2")
@@ -212,6 +266,79 @@ def shared_iterate_search(f, g, budget=DEFAULT_DEGREE_BUDGET):
     for n, m in candidates:
         if _composites_equal([f] * n, [g] * m):
             return (n, m)
+    return None
+
+
+def fiber_iterate(f, g):
+    """The k >= 1 with f∘g = f^(k+1), or None.
+
+    Such a k has deg g = (deg f)^k; the identity is tried only while
+    (deg f)^(k+1) is within DEFAULT_DEGREE_BUDGET, and decided by
+    ``_composites_equal``, as the candidates of ``shared_iterate_search``.
+    """
+    d = f.degree
+    if d < 2:
+        raise MapError("the fiber identity needs deg f >= 2")
+    if f.ctx is not g.ctx:
+        raise MapError("maps live over different field contexts")
+    k, dk = 1, d
+    while dk < g.degree:
+        k, dk = k + 1, dk * d
+    if dk != g.degree or dk * d > DEFAULT_DEGREE_BUDGET:
+        return None
+    return k if _composites_equal([g, f], [f] * (k + 1)) else None
+
+
+# -- equal maximal-entropy measures ----------------------------------------------------
+
+
+def same_measure_identity(f, g):
+    """An exact identity proving mu_f = mu_g, as (route, witness), or None.
+
+    - f∘g = f^(k+1) (``fiber_iterate``): f^*mu_f = d mu_f, so
+      g^*mu_f = deg(g) mu_f, and mu_g is the only atomless measure with that
+      property (Lyubich 1983; Freire-Lopes-Mane 1983).  The same with f and
+      g swapped.  This covers f∘f = f∘g, g = f^n and g = sigma_f∘f^n.
+    - f^n = g^m (``shared_iterate_search``): mu_f = mu_(f^n) = mu_(g^m) = mu_g.
+
+    Maps over different field contexts, or of degree above the degree
+    budget, are not compared.
+    """
+    if f.ctx is not g.ctx:
+        return None
+    for a, b, route in ((f, g, "f∘g = f^(k+1)"), (g, f, "g∘f = g^(k+1)")):
+        k = fiber_iterate(a, b)
+        if k is not None:
+            return route, {"k": k}
+    if max(f.degree, g.degree) <= DEFAULT_DEGREE_BUDGET:
+        pair = shared_iterate_search(f, g)
+        if pair is not None:
+            return "f^n = g^m", {"n": pair[0], "m": pair[1]}
+    return None
+
+
+def invariant_measure_identity(f, phi):
+    """An exact identity proving phi_* mu_f = mu_f, as a route name, or None.
+
+    ``phi`` is a RationalMap or a Moebius map over f's field context.
+    - phi = f: f_* mu_f = mu_f.
+    - a Moebius sigma with f∘sigma = f: sigma permutes every fiber of f with
+      its multiplicities, so the pullback f^* mu_f = d mu_f is
+      sigma-invariant, and so is mu_f.
+    - a Moebius sigma with sigma∘f = f∘sigma:
+      sigma_* mu_f = mu_(sigma∘f∘sigma^-1) = mu_f.
+    """
+    if phi.ctx is not f.ctx:
+        return None
+    if isinstance(phi, Moebius):
+        phi = phi.as_rational_map()
+    if maps_equal(phi, f):
+        return "φ = f"
+    if phi.degree == 1:
+        if maps_equal(f.compose(phi), f):
+            return "f∘σ = f"
+        if maps_equal(phi.compose(f), f.compose(phi)):
+            return "σ∘f = f∘σ"
     return None
 
 

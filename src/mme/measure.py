@@ -5,6 +5,10 @@ entropy, so independent random backward orbits (uniform preimage choice,
 short burn-in discarded) give a point cloud approximating it.  Clouds are
 stored as stereographic lifts on the unit sphere so infinity needs no
 special casing, and compared with the energy distance.
+
+``same_measure_test`` and ``sigma_invariance_check`` first try the exact
+identities of :mod:`mme.identities` that prove the measures equal; only a
+pair that no identity decides is sampled.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .identities import invariant_measure_identity, same_measure_identity
 from .numeric import (
     RootFindingError,
     _finite_part,
@@ -57,9 +62,11 @@ class MeasureDistanceReport:
     self_baseline: float
     verdict: str  # SAME / DIFFERENT / INCONCLUSIVE
     meta: dict = field(default_factory=dict)
+    route = "energy distance"
 
     def as_dict(self):
         return {
+            "route": self.route,
             "distance": self.distance,
             "self_baseline": self.self_baseline,
             "ratio": self.distance / self.self_baseline if self.self_baseline else None,
@@ -68,6 +75,22 @@ class MeasureDistanceReport:
                            "note": "calibration constants, not theorem claims"},
             **self.meta,
         }
+
+
+@dataclass
+class ExactMeasureReport:
+    """SAME by a theorem resting on an exact identity: the route names the
+    identity, the witness its exponents.  No cloud is drawn, so no count,
+    depth or seed is reported."""
+
+    route: str
+    witness: dict | None = None
+    meta: dict = field(default_factory=dict)
+    verdict = "SAME"
+
+    def as_dict(self):
+        return {"verdict": self.verdict, "route": self.route, "witness": self.witness,
+                **self.meta}
 
 
 def map_digest(f):
@@ -93,6 +116,22 @@ def _exceptional_points(f):
     return out
 
 
+def _check_orbits(f, depth):
+    if f.degree < 2:
+        raise MapError("sampling requires degree >= 2")
+    if depth <= BURN_IN:
+        raise MapError("depth must exceed the burn-in length %d" % BURN_IN)
+
+
+def _check_comparison(maps, count, depth):
+    """The input errors of sampling, raised before any route runs, so an
+    exact route accepts exactly the input the sampled route accepts."""
+    for f in maps:
+        _check_orbits(f, depth)
+    if count < 1:
+        raise MapError("the energy distance needs non-empty clouds: the count must be >= 1")
+
+
 def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     """A cloud of `count` points from random backward orbits of length `depth`.
 
@@ -107,12 +146,9 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     orbit made before it failed, so the cloud is the one that running the
     orbits one at a time gives, bit for bit.
     """
-    if f.degree < 2:
-        raise MapError("sampling requires degree >= 2")
+    _check_orbits(f, depth)
     if count < 0:
         raise MapError("the point count must be >= 0")
-    if depth <= BURN_IN:
-        raise MapError("depth must exceed the burn-in length %d" % BURN_IN)
     rng = named_rng(seed, stream)
     exceptional = _exceptional_points(f)
     d = f.degree
@@ -264,7 +300,13 @@ def measure_distance(A, B, seed=0):
 
 
 def same_measure_test(f, g, count=4000, depth=40, seed=0):
-    """SAME/DIFFERENT verdict from energy distance against a self baseline."""
+    """SAME by an exact identity (``identities.same_measure_identity``), else
+    a SAME/DIFFERENT verdict from energy distance against a self baseline."""
+    _check_comparison((f, g), count, depth)
+    maps = [map_digest(f), map_digest(g)]
+    exact = same_measure_identity(f, g)
+    if exact is not None:
+        return ExactMeasureReport(*exact, meta={"maps": maps})
     cf1 = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="f-first")
     cf2 = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="f-second")
     cg = backward_orbit_sample(g, count, depth=depth, seed=seed, stream="g")
@@ -281,19 +323,23 @@ def same_measure_test(f, g, count=4000, depth=40, seed=0):
         distance=dist,
         self_baseline=baseline,
         verdict=verdict,
-        meta={"count": count, "depth": depth, "seed": seed,
-              "maps": [map_digest(f), map_digest(g)]},
+        meta={"count": count, "depth": depth, "seed": seed, "maps": maps},
     )
 
 
 def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
-    """SAME-threshold check that pushing a cloud of f forward by sigma
+    """SAME by an exact identity (``identities.invariant_measure_identity``),
+    else a SAME-threshold check that pushing a cloud of f forward by sigma
     preserves the empirical measure.
 
     The pushed cloud is compared against an independent cloud of f, and the
     baseline averages BASELINE_PAIRS independent same-map pair distances (a
     single pair draw is too noisy to threshold against).
     """
+    _check_comparison((f,), count, depth)
+    route = invariant_measure_identity(f, sigma)
+    if route is not None:
+        return ExactMeasureReport(route, meta={"map": map_digest(f)})
     pushed = push_forward(
         backward_orbit_sample(f, count, depth=depth, seed=seed, stream="push-src"),
         sigma,

@@ -486,6 +486,54 @@ def integer_height(*polys):
     return math.log2(sum(sum(map(abs, p._ints)) * (den // p._den) for p in polys))
 
 
+# A residue in F_p[alpha], alpha of degree m, is packed into one integer with
+# coordinate k in slot k of RESIDUE_BITS bits.  Two residues with coordinates
+# below 2p add slot by slot, and their integer product holds each coefficient
+# of their product in alpha in its own slot: below m (2p)^2 < 2^RESIDUE_BITS
+# for p < 2^61 and m <= 8.
+RESIDUE_BITS = 128
+
+
+def residues_mod(polys, p):
+    """The integer vectors of ``polys`` cleared over one common denominator,
+    modulo p: for each, one packed residue per coefficient (ascending)."""
+    den = math.lcm(*[q._den for q in polys])
+    m = polys[0].ctx.degree
+    return [[sum((x * (den // q._den) % p) << (RESIDUE_BITS * k)
+                 for k, x in enumerate(q._ints[i:i + m]))
+             for i in range(0, len(q._ints), 2 * m - 1)] for q in polys]
+
+
+def residue_product(ctx, p):
+    """The product of packed residues in F_p[alpha], reduced modulo p.
+
+    With p in no denominator of the minimal polynomial, reduction modulo p
+    is a ring map onto F_p[alpha] from the elements of Q(alpha) whose
+    coordinates have no p in their denominators; the product reduces
+    alpha^m .. alpha^(2m-2) with the integer alpha-reduction.  None when p
+    divides a denominator of the minimal polynomial.
+    """
+    rows, r = ctx._integer_reduction
+    if r % p == 0:
+        return None
+    m = ctx.degree
+    if m == 1:
+        return lambda a, b: a * b % p
+    inv = pow(r, -1, p)
+    rows = [[c * inv % p for c in row] for row in rows]
+    mask = (1 << RESIDUE_BITS) - 1
+
+    def mul(a, b):
+        c = a * b
+        conv = [(c >> (RESIDUE_BITS * k)) & mask for k in range(2 * m - 1)]
+        out = conv[:m]
+        for t, row in zip(conv[m:], rows):
+            out = [o + t * w for o, w in zip(out, row)]
+        return sum((o % p) << (RESIDUE_BITS * k) for k, o in enumerate(out))
+
+    return mul
+
+
 def product_growth(ctx):
     """log2 K for the K >= 1 with l1(a b) <= K l1(a) l1(b) for the integer
     vectors of any two Polys over ``ctx``: K = max(r, the l1 norm of each row

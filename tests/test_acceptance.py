@@ -145,6 +145,22 @@ def test_measure_agreement_across_seeds():
     assert time.time() - start < 120.0
 
 
+@pytest.fixture
+def sampled_route(monkeypatch):
+    """Turn off the exact routes of ``mme.measure``, so every pair is sampled."""
+    monkeypatch.setattr("mme.measure.same_measure_identity", lambda f, g: None)
+    monkeypatch.setattr("mme.measure.invariant_measure_identity", lambda f, phi: None)
+
+
+def test_measure_agreement_across_seeds_by_sampling(sampled_route):
+    start = time.time()
+    e = entry("chebyshev-flower", {"a": "1"})
+    for seed in range(5):
+        same = same_measure_test(e.maps["f"], e.maps["g"], count=20000, depth=40, seed=seed)
+        assert (same.verdict, same.route) == ("SAME", "energy distance"), (seed, same.as_dict())
+    assert time.time() - start < 120.0
+
+
 # 6 ----------------------------------------------------------------------------------
 
 
@@ -166,6 +182,14 @@ def test_sigma_f_pushforward_preserves_measure_on_subset():
         s = sigma_f_quadratic(f)
         rep = sigma_invariance_check(f, s, count=2000, depth=30, seed=k)
         assert rep.verdict == "SAME", rep.as_dict()
+
+
+def test_sigma_f_pushforward_preserves_measure_on_subset_by_sampling(sampled_route):
+    rng = np.random.default_rng(20240602)
+    for k in range(3):
+        f = random_rational_map(2, rng)
+        rep = sigma_invariance_check(f, sigma_f_quadratic(f), count=2000, depth=30, seed=k)
+        assert (rep.verdict, rep.route) == ("SAME", "energy distance"), rep.as_dict()
 
 
 # 7 ----------------------------------------------------------------------------------
@@ -238,6 +262,12 @@ def test_flower_measure_is_forward_invariant():
     f = _figure_map()
     rep = sigma_invariance_check(f, f, count=2000, depth=30, seed=1)
     assert rep.verdict == "SAME", rep.as_dict()
+
+
+def test_flower_measure_is_forward_invariant_by_sampling(sampled_route):
+    f = _figure_map()
+    rep = sigma_invariance_check(f, f, count=2000, depth=30, seed=1)
+    assert (rep.verdict, rep.route) == ("SAME", "energy distance"), rep.as_dict()
 
 
 # 10 ---------------------------------------------------------------------------------

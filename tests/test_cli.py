@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mme
+from mme.catalog import entry, omega_field
 from mme.cli import main
 from mme.fields import field_configure
-from mme.serialize import element_from_json
+from mme.identities import sigma_f_quadratic
+from mme.parser import parse_map
+from mme.serialize import element_from_json, map_from_json, map_to_json
 from conftest import polys_and_products, sympy_irreducible
 
 
@@ -45,12 +49,71 @@ def test_analyze_graph_report_keys(capsys):
 
 
 def test_measure_report_echoes_only_the_settings_it_uses(capsys):
-    _, out, _ = run(capsys, "measure", "--f", "z^2", "--g", "z^2", "--count", "200",
+    # no identity relates z^2 and z^2 + 1, so their clouds are sampled
+    _, out, _ = run(capsys, "measure", "--f", "z^2", "--g", "z^2+1", "--count", "200",
                     "--depth", "20", "--seed", "3")
     report = json.loads(out)
     assert (report["count"], report["depth"], report["seed"]) == (200, 20, 3)
-    assert sorted(report) == ["count", "depth", "distance", "maps", "ratio", "seed",
+    assert report["route"] == "energy distance"
+    assert sorted(report) == ["count", "depth", "distance", "maps", "ratio", "route", "seed",
                               "self_baseline", "thresholds", "verdict"]
+
+
+def test_exact_measure_report_echoes_no_sampling_setting(capsys):
+    _, out, _ = run(capsys, "measure", "--f", "z^2", "--g", "z^2", "--count", "200",
+                    "--depth", "20", "--seed", "3")
+    report = json.loads(out)
+    assert sorted(report) == ["maps", "route", "verdict", "witness"]
+    assert (report["verdict"], report["route"], report["witness"]) == (
+        "SAME", "f∘g = f^(k+1)", {"k": 1})
+
+
+@pytest.mark.parametrize("name,params", [
+    ("chebyshev-flower", {"a": "1"}),
+    ("chebyshev-flower", {"a": "1+w"}),
+    ("chebyshev-flower", {"a": "2"}),
+    # the energy-distance verdict at this seed was a false DIFFERENT (ratio 33)
+    ("chebyshev-flower", {"a": "-3-2w"}),
+    ("zieve-family", {"n": 2, "m": 1}),
+    ("zieve-family", {"n": 3, "m": 1}),
+    ("zieve-family", {"n": 1, "m": 2}),
+])
+def test_measure_decides_every_catalog_pair_by_its_identity(capsys, name, params):
+    f, g = (json.dumps(map_to_json(entry(name, params).maps[k])) for k in "fg")
+    code, out, _ = run(capsys, "measure", "--f", f, "--g", g, "--count", "20000",
+                       "--depth", "40", "--seed", "362377222")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["verdict"], report["route"], report["witness"]) == (
+        "SAME", "f∘g = f^(k+1)", {"k": 1})
+
+
+def test_measure_without_an_identity_samples(capsys):
+    # equal measures (both on [-2, 2]), but no identity of either route
+    code, out, _ = run(capsys, "measure", "--f", "z^2-2", "--g", "z^3-3z", "--count", "300",
+                       "--depth", "20", "--seed", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["route"] == "energy distance"
+    assert (report["count"], report["depth"], report["seed"]) == (300, 20, 5)
+
+
+# a z^2 and 1/(a^3 z^2) share their second iterate a^3 z^4; for a = 10^1200
+# the height bound of the second iterate of 1/(a^3 z^2) is 35876 bits
+HUGE_A = 10**1200
+
+
+@pytest.mark.parametrize("command", ["iterate", "measure"])
+def test_shared_iterate_over_the_height_budget_exits_two(capsys, command):
+    f, g = "%d*z^2" % HUGE_A, "1/(%d*z^2)" % HUGE_A**3
+    argv = {"iterate": ["iterate", "--map", f, "--shared-with", g],
+            "measure": ["measure", "--f", f, "--g", g]}[command]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0  # refused before composing
+    assert (code, out) == (2, "")
+    assert err.startswith("error: f^2 may have coefficients of up to 35876 bits")
+    assert "over the iterate budget of 32768 bits" in err
 
 
 def test_powermap_equal_and_unequal(capsys):
@@ -166,6 +229,17 @@ def test_measure_same_map(capsys):
     assert json.loads(out)["verdict"] == "SAME"
 
 
+def test_measure_same_map_over_two_fields_samples(capsys):
+    # the same map over Q and over Q(w) is sampled: no exact route compares
+    # maps over different field contexts
+    g = json.dumps(map_to_json(parse_map("z^2-1", omega_field())))
+    code, out, _ = run(capsys, "measure", "--f", "z^2-1", "--g", g,
+                       "--count", "800", "--depth", "25")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["verdict"], rep["route"], rep["count"]) == ("SAME", "energy distance", 800)
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "--f", "z^2", "--g", "z^2+1", "--count", "0"],  # empty clouds
     ["render", "--map", "z^2", "--width", "0"],
@@ -274,8 +348,6 @@ FORTY_DIGIT_MAP = (
 
 
 def test_iterate_refuses_an_iterate_over_the_height_budget(capsys):
-    import time
-
     t0 = time.perf_counter()
     code, out, err = run(capsys, "iterate", "--map", FORTY_DIGIT_MAP, "--n", "5", "--budget", "1024")
     assert time.perf_counter() - t0 < 1.0  # refused before any composing
@@ -534,6 +606,47 @@ def test_sigma_exit_codes_keep_the_contract(f):
     assert code in (0, 2)
     if code == 0:
         assert len(report["entries"]) == 4
+
+
+# integer maps of degree 2 or 3 (lower, or constant, when num and den share a factor)
+SMALL_MAPS = st.integers(2, 3).flatmap(lambda d: st.builds(
+    lambda num, den: {"num": [str(c) for c in num], "den": [str(c) for c in den]},
+    st.lists(st.integers(-6, 6), min_size=d + 1, max_size=d + 1),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=d + 1),
+))
+
+
+def _measured_pair(f_json, kind, other_json):
+    """g for f by ``kind``, as JSON, and whether an identity relates it to f."""
+    try:
+        f = map_from_json(f_json)
+    except ValueError:  # a constant or zero map
+        return f_json, False
+    if f.degree < 2:  # the command must exit 2
+        return f_json, False
+    if kind == "f":
+        return f_json, True
+    if kind == "f∘f":
+        return map_to_json(f.compose(f)), True
+    if kind == "σ_f∘f" and f.degree == 2:
+        return map_to_json(sigma_f_quadratic(f).as_rational_map().compose(f)), True
+    # a random g, and the g for σ_f∘f when f has no σ_f (degree 3)
+    return other_json, False
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(f=SMALL_MAPS, kind=st.sampled_from(["f", "f∘f", "σ_f∘f", "random"]), other=SMALL_MAPS,
+       seed=st.integers(0, 2**32 - 1))
+def test_measure_exit_codes_keep_the_contract(f, kind, other, seed):
+    g, related = _measured_pair(f, kind, other)
+    code, report = _keeps_the_contract(
+        ["measure", "--f", json.dumps(f), "--g", json.dumps(g), "--count", "40",
+         "--depth", "12", "--seed", str(seed)])
+    assert code in (0, 2)
+    if related:
+        assert code == 0
+        assert report["verdict"] == "SAME"
+        assert report["route"] != "energy distance"
 
 
 SIXTY_ONE_DIGITS = st.integers(10**60, 10**61 - 1)

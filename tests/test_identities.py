@@ -1,3 +1,5 @@
+import time
+from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -10,16 +12,21 @@ from mme.fields import FieldContext, field_configure
 import mme.identities
 from mme.identities import (
     SCREEN_POINTS,
+    SCREEN_PRIME,
     _composites_equal,
+    _screen_separates,
     check_counterexample_triple,
     check_main1_relations,
+    fiber_iterate,
+    invariant_measure_identity,
     mobius_factor_exists,
+    same_measure_identity,
     shared_iterate_search,
     sigma_f_quadratic,
 )
 from mme.parser import parse_map
 from mme.polys import Poly
-from mme.ratmaps import MapError, Moebius, RationalMap
+from mme.ratmaps import ITERATE_HEIGHT_BUDGET, MapError, Moebius, RationalMap, SizeBudgetError
 from conftest import random_rational_map
 
 Q = FieldContext.rationals()
@@ -249,18 +256,30 @@ def test_fof_claim_without_toR_equal_toS():
     assert rep["f∘f = f∘g"] == "PASS"
 
 
+def apply_projective(maps, u, v):
+    """The composite of ``maps`` (first to last) at (u : v), exactly."""
+    for f in maps:
+        u, v = f.eval_projective(u, v)
+    return u, v
+
+
+def separated_at(fs, gs, points):
+    """Whether the composites take unequal exact values at one of z = 0, 1, ...,
+    points - 1."""
+    ctx = fs[0].ctx
+    for k in range(points):
+        (fu, fv), (gu, gv) = (apply_projective(maps, ctx.from_rational(k), ctx.one)
+                              for maps in (fs, gs))
+        if fu * gv != fv * gu:
+            return True
+    return False
+
+
 def composites_equal_at_2d_plus_2_points(fs, gs):
     """The rule ``_composites_equal`` replaced, kept as a reference: two maps
     of degree <= D that agree at 2D + 1 points of the line are equal."""
-    ctx = fs[0].ctx
     degree = max(prod(f.degree for f in fs), prod(g.degree for g in gs))
-    for k in range(2 * degree + 2):
-        (fu, fv), (gu, gv) = (
-            mme.identities._apply_projective(maps, ctx.from_rational(k), ctx.one)
-            for maps in (fs, gs))
-        if fu * gv != fv * gu:
-            return False
-    return True
+    return not separated_at(fs, gs, 2 * degree + 2)
 
 
 def screen_polynomial(ctx):
@@ -325,3 +344,116 @@ def test_composites_equal_composes_only_past_the_screen(minpoly, monkeypatch):
     f = parse_map("(z^2-1)/(z+2)", ctx)
     assert _composites_equal([f] * 4, [f.iterate(2)] * 2)
     assert built == [2, 2, 4, 2]
+
+
+def test_fiber_iterate_finds_each_identity():
+    rng = np.random.default_rng(20241019)
+    f = random_rational_map(2, rng)
+    sigma = sigma_f_quadratic(f).as_rational_map()
+    assert fiber_iterate(f, f) == 1
+    assert fiber_iterate(f, f.iterate(3)) == 3
+    assert fiber_iterate(f, sigma.compose(f.iterate(2))) == 2  # the Rat_2 case
+    assert fiber_iterate(f.iterate(2), f) is None  # degree 2 is no power of 4
+    assert fiber_iterate(f, random_rational_map(2, rng)) is None
+    assert fiber_iterate(f, random_rational_map(3, rng)) is None
+    # z^3 against z^(3^k): f^(k+1) has degree 2187 <= 4096 for k = 6, and
+    # 6561, over the degree budget, for k = 7
+    z3 = rmap([0, 0, 0, 1])
+    assert fiber_iterate(z3, rmap([0] * 729 + [1])) == 6
+    assert fiber_iterate(z3, rmap([0] * 2187 + [1])) is None
+    flower = entry("chebyshev-flower", {"a": "1+w"}).maps
+    assert fiber_iterate(flower["f"], flower["g"]) == 1
+    # f + P, P vanishing at every screened point: f∘(f + P) = f∘f there, so
+    # only the composites tell them apart
+    P = screen_polynomial(Q)
+    f8 = rmap([1, 0, 0, 0, 0, 0, 0, 0, 2])
+    assert fiber_iterate(f8, RationalMap.polynomial(f8.num + P.num)) is None
+    assert fiber_iterate(f8, f8) == 1
+
+
+def test_same_measure_identity_routes():
+    f = rmap([-1, 0, 1])
+    assert same_measure_identity(f, f.iterate(2)) == ("f∘g = f^(k+1)", {"k": 2})
+    assert same_measure_identity(f.iterate(2), f) == ("g∘f = g^(k+1)", {"k": 2})
+    # z^2 and 1/z^2 share z^4 as second iterate, and z^2∘(1/z^2) = 1/z^4
+    assert same_measure_identity(rmap([0, 0, 1]), rmap([1], [0, 0, 1])) == (
+        "f^n = g^m", {"n": 2, "m": 2})
+    # equal measures, but no identity of either kind: the Chebyshev pair
+    assert same_measure_identity(rmap([-2, 0, 1]), rmap([0, -3, 0, 1])) is None
+    assert same_measure_identity(rmap([0, 0, 1]), rmap([1, 0, 1])) is None
+    # maps over different fields are not compared
+    w = omega_field()
+    assert same_measure_identity(f, RationalMap.polynomial(Poly(w, [-1, 0, 1]))) is None
+
+
+def test_invariant_measure_identity_routes():
+    f = rmap([1, 0, 1], [0, 1])  # z + 1/z
+    one, zero = Q.one, Q.zero
+    assert invariant_measure_identity(f, f) == "φ = f"
+    assert invariant_measure_identity(f, sigma_f_quadratic(f)) == "f∘σ = f"
+    # -z commutes with z + 1/z and does not fix it
+    minus = Moebius(-one, zero, zero, one)
+    assert invariant_measure_identity(f, minus) == "σ∘f = f∘σ"
+    assert invariant_measure_identity(f, minus.as_rational_map()) == "σ∘f = f∘σ"
+    shift = Moebius(one, Q.from_rational(3), zero, one)
+    assert invariant_measure_identity(f, shift) is None
+    assert invariant_measure_identity(f, rmap([-1, 0, 1])) is None
+
+
+def test_shared_iterate_refuses_a_candidate_over_the_height_budget():
+    # the 8th iterate of z^2 + 10^40 z is bounded by 33884 bits; composing
+    # the 10th takes 18 s (2-vCPU Xeon VM)
+    def composed_iterate(f, n):
+        g = f
+        for _ in range(n - 1):
+            g = f.compose(g)
+        return g
+
+    f = rmap([0, 10**40, 1])
+    assert f.iterate_height_bound(7) <= ITERATE_HEIGHT_BUDGET < f.iterate_height_bound(8)
+    assert shared_iterate_search(f, composed_iterate(f, 7)) == (7, 1)
+    g = composed_iterate(f, 8)
+    for pair in ((f, g), (g, f)):
+        with pytest.raises(SizeBudgetError, match="iterate budget"):
+            shared_iterate_search(*pair)
+    # a candidate the screen separates is not refused
+    assert shared_iterate_search(f, composed_iterate(rmap([1, 10**40, 1]), 8)) is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(1,), (1, 1, 1), (-2, 0, 0, 1)]), st.sampled_from(["random", "shared"]),
+       st.integers(0, 10**6))
+def test_screen_modulo_a_prime_matches_exact_values(minpoly, kind, seed):
+    ctx = Q if len(minpoly) == 1 else field_configure(list(minpoly))
+    rng = np.random.default_rng(seed)
+    f, g = (rand_map(ctx, 2, rng) for _ in range(2))
+    if kind == "shared":
+        # f and f∘(z / (cz + 1)) agree at 0 only
+        g = twisted_at_zero(f, ctx, rng)
+    for fs, gs in (([f], [g]), ([f, g], [g, f]), ([f] * 3, [g] * 3), ([f] * 2, [f.iterate(2)])):
+        assert _screen_separates(fs, gs) is separated_at(fs, gs, SCREEN_POINTS)
+
+
+def test_screen_reduces_big_coefficients_modulo_the_prime():
+    # z^2 and z^2 + p z agree modulo p at every point, and differ
+    f, g = rmap([0, 0, 1]), rmap([0, SCREEN_PRIME, 1])
+    assert not _screen_separates([f], [g])
+    assert not _composites_equal([f], [g])
+    # a field with p in a denominator of its minimal polynomial is not screened
+    ctx = field_configure([Fraction(1, SCREEN_PRIME), 0, 1])
+    z2, z2_1 = (parse_map(text, ctx) for text in ("z^2", "z^2+1"))
+    assert not _screen_separates([z2], [z2_1])
+    assert not _composites_equal([z2], [z2_1])
+
+
+def test_screen_cost_does_not_grow_with_the_height():
+    # exact values of the 12th iterates of two 40-digit quadratics have about
+    # 2^12 times their bits: screening to degree 4096 took 22 s on them
+    f = rmap([3141592653589793238462643383279502884197, 2718281828459045235360287471352662497757,
+              1414213562373095048801688724209698078569],
+             [1732050807568877293527446341505872366942, 2236067977499789696409173668731276235440,
+              1618033988749894848204586834365638117720])
+    g = rmap(list(reversed(f.num.padded(2))), list(f.den.padded(2)))
+    t0 = time.perf_counter()
+    assert shared_iterate_search(f, g) is None
+    assert time.perf_counter() - t0 < 1.0

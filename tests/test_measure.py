@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mme import measure, numeric
-from mme.catalog import entry
+from mme.catalog import entry, omega_field
 from mme.fields import FieldContext
 from mme.identities import sigma_f_quadratic
 from mme.measure import (
@@ -24,7 +24,7 @@ from mme.measure import (
 from mme.numeric import (INF, RootFindingError, chordal, is_inf, named_rng, sphere_lift,
                          sphere_lift_many)
 from mme.polys import Poly
-from mme.ratmaps import MapError, RationalMap
+from mme.ratmaps import MapError, Moebius, RationalMap
 from conftest import random_rational_map, rng_for
 
 Q = FieldContext.rationals()
@@ -173,6 +173,16 @@ def test_same_map_two_seeds_reports_same():
     assert rep.verdict == "SAME"
 
 
+def test_same_map_over_two_fields_is_sampled_and_same():
+    # z^2 - 1 over Q and over Q(w): no exact route compares maps over
+    # different field contexts, so the clouds decide, and they are the clouds
+    # of the test above
+    w = omega_field()
+    f, g = rmap([-1, 0, 1]), RationalMap(Poly(w, [-1, 0, 1]), Poly(w, [1]))
+    rep = same_measure_test(f, g, count=1500, depth=25, seed=3)
+    assert (rep.verdict, rep.as_dict()["route"]) == ("SAME", "energy distance")
+
+
 def test_distinct_julia_sets_report_different():
     rep = same_measure_test(rmap([0, 0, 1]), rmap([1, 0, 1]), count=1500, depth=25, seed=3)
     assert rep.verdict == "DIFFERENT"
@@ -190,13 +200,22 @@ def test_push_forward_by_sigma_preserves_measure():
     assert rep.verdict == "SAME"
 
 
+def test_push_forward_by_sigma_over_another_field_is_sampled_and_same():
+    # sigma = 1/z over Q(w) against z + 1/z over Q: no exact route compares
+    # them, so the pushed cloud decides
+    w = omega_field()
+    f = rmap([1, 0, 1], [0, 1])
+    rep = sigma_invariance_check(f, Moebius(w.zero, w.one, w.one, w.zero),
+                                 count=1500, depth=30, seed=5)
+    assert (rep.verdict, rep.as_dict()["route"]) == ("SAME", "energy distance")
+
+
 def test_push_forward_by_wrong_mobius_is_detected():
     f = rmap([-1, 0, 1])  # z^2 - 1; z -> z + 3 does not preserve its measure
-    from mme.ratmaps import Moebius
-
     shift = Moebius(Q.one, Q.from_rational(3), Q.zero, Q.one)
     rep = sigma_invariance_check(f, shift, count=1500, depth=30, seed=5)
     assert rep.verdict == "DIFFERENT"
+    assert rep.as_dict()["route"] == "energy distance"
 
 
 def test_map_digest_distinguishes_maps():
@@ -338,3 +357,46 @@ def test_raster_rejects_an_unbounded_window():
     for window in ((-np.inf, 2.0, -2.0, 2.0), (-2.0, 2.0, -2.0, np.inf), (-1e308, 1e308, 0, 1)):
         with pytest.raises(MapError, match="window"):
             julia_raster(rmap([0, 0, 1]), 10, 10, window)
+
+
+def test_exact_routes_draw_no_cloud(monkeypatch):
+    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+    f = random_rational_map(2, rng_for("exact-routes"))
+    sigma = sigma_f_quadratic(f)
+    flower = entry("chebyshev-flower", {"a": "2"}).maps
+    z2, z_minus_2 = rmap([0, 0, 1]), rmap([1], [0, 0, 1])
+    cases = [
+        (flower["f"], flower["g"], "f∘g = f^(k+1)", {"k": 1}),
+        # the Rat_2 case g = sigma_f∘f^n
+        (f, sigma.as_rational_map().compose(f.iterate(2)), "f∘g = f^(k+1)", {"k": 2}),
+        (f.iterate(3), f, "g∘f = g^(k+1)", {"k": 3}),
+        (z2, z_minus_2, "f^n = g^m", {"n": 2, "m": 2}),
+    ]
+    for a, b, route, witness in cases:
+        rep = same_measure_test(a, b, count=20000, depth=40, seed=1)
+        assert rep.as_dict() == {"verdict": "SAME", "route": route, "witness": witness,
+                                 "maps": [map_digest(a), map_digest(b)]}
+    minus = Moebius(-Q.one, Q.zero, Q.zero, Q.one)  # commutes with z + 1/z
+    for a, phi, route in ((f, f, "φ = f"), (f, sigma, "f∘σ = f"),
+                          (rmap([1, 0, 1], [0, 1]), minus, "σ∘f = f∘σ")):
+        rep = sigma_invariance_check(a, phi, count=20000)
+        assert rep.as_dict() == {"verdict": "SAME", "route": route, "witness": None,
+                                 "map": map_digest(a)}
+
+
+def test_input_errors_come_before_every_route():
+    f = rmap([-1, 0, 1])
+    for kwargs, match in (({"count": 0}, "non-empty"), ({"count": -5}, "non-empty"),
+                          ({"depth": BURN_IN}, "burn-in")):
+        # an exact route (f, f) and the sampled route (f, z^2 + 1)
+        for g in (f, rmap([1, 0, 1])):
+            with pytest.raises(MapError, match=match):
+                same_measure_test(f, g, **kwargs)
+        for phi in (f, Moebius(Q.one, Q.one, Q.zero, Q.one)):
+            with pytest.raises(MapError, match=match):
+                sigma_invariance_check(f, phi, **kwargs)
+    moebius = rmap([1, 1])
+    with pytest.raises(MapError, match="degree >= 2"):
+        same_measure_test(moebius, moebius)
+    with pytest.raises(MapError, match="degree >= 2"):
+        sigma_invariance_check(moebius, moebius)
