@@ -211,6 +211,9 @@ def _cmd_catalog(args):
 def _cmd_compose(args):
     f = _load_map(args.f, args)
     g = _load_map(args.g, args)
+    if f.degree * g.degree > DEFAULT_DEGREE_BUDGET:
+        raise SizeBudgetError("degree %d * %d of f∘g exceeds the composite-degree budget %d"
+                              % (f.degree, g.degree, DEFAULT_DEGREE_BUDGET))
     _emit(args, dumps_report(map_to_json(f.compose(g))))
     return 0
 

@@ -13,10 +13,12 @@ the pairs whose first point sits at p.
 Fibers are tracked in the target chart t' = 1/(t - c), with c chordally far
 from every critical value, so every critical value is finite there and
 t' = infinity is not one; x and y never leave the original chart.  The loop
-permutations are cross-checked against the exact local degrees of G, the
-x-degree of each component is confirmed by a relation vanishing on its
-samples, and, when that relation rationalizes into the base field, the
-component is certified by exact polynomial division.
+permutations are cross-checked against the exact local degrees of G.  The
+loops are tracked in base-sheet order, so the fiber at every vertex of a
+loop puts a point (x_i, x_j) on the component of each orbit holding (i, j);
+those points are the component's samples.  Its x-degree is confirmed by a
+relation vanishing on them, and, when that relation rationalizes into the
+base field, the component is certified by exact polynomial division.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from .ratmaps import MapError, RationalMap, critical_data
 from .serialize import element_to_json, point_to_json
 
 MATCH_TOL = 1e-6
-# the radii |x| = R the sample circle chooses from
-SAMPLE_RADII = (0.5, 2**-0.5, 1.0, 2**0.5, 2.0)
 # the basepoints the loop layout chooses from, equally spaced on one circle
 LAYOUT_CANDIDATES = 256
 # the steps of a keyhole loop's full circle around one critical value
@@ -98,8 +98,7 @@ class MonodromyAction:
     basepoint: complex  # target chart
     permutations: list  # one tuple per critical value, in curve.values order
     cycles: list  # per critical value, the cycle of its permutation at each preimage
-    samples: list  # (fiber, index of the sample abscissa in it), over the sample circle
-    sample_radius: float
+    samples: list  # (fiber, index of the sample abscissa in it), at loop vertices
 
 
 @dataclass
@@ -409,55 +408,36 @@ def _cycles_at_preimages(perm, entry, preimages):
     return out
 
 
-def _sample_circle(curve):
-    """Radius and points of the circle |x| = R that guides the samples.
-
-    R is the radius in SAMPLE_RADII chordally farthest from the branch locus
-    and from the points over the pole of the target chart.  A component of
-    bidegree (r, r) gets n * r samples from n points, and its relation needs
-    (r + 1)^2 + 1 of them; n = 4d + 4 gives that for every r < d.  No point
-    lies on an axis.
-    """
-    avoid = curve.branch_locus + list(curve.G.preimages(curve.pole))
-    radius = max(
-        SAMPLE_RADII, key=lambda R: min(chordal(p if is_inf(p) else abs(p), R) for p in avoid)
-    )
-    n = 4 * curve.degree + 4
-    return radius, [radius * np.exp(2j * np.pi * (k + 0.5) / n) for k in range(n)]
-
-
 def monodromy(curve):
     """Permutation of the base fiber for a loop around each critical value,
-    and the fibers over the sample circle, tracked in one lockstep run."""
+    and samples from the fibers at the loops' vertices.
+
+    A component of bidegree (r, r) gets n * r samples from n fibers, and its
+    relation needs (r + 1)^2 + 1 of them; n = 4d + 4 gives that for every
+    r < d.  The n fibers are evenly spaced over the vertices strictly inside
+    the loops, and the k-th gives its point on sheet k mod d as abscissa.
+    """
     d = curve.degree
     plan = _plan_loops(curve)
-    t0 = plan.basepoint
-    base_fiber = fiber_at(curve, t0)
-    radius, xs = _sample_circle(curve)
-    row0, row1 = (np.polyval(row[::-1], xs) for row in curve.matrix)
-    outcomes = _track(curve.matrix, d, base_fiber, plan.waypoints + [[t0] + list(-row0 / row1)])
-    for fibers in outcomes:
+    base_fiber = fiber_at(curve, plan.basepoint)
+    loops = _track(curve.matrix, d, base_fiber, plan.waypoints)
+    for fibers in loops:
         if isinstance(fibers, Exception):
             raise fibers
-    *loops, sampled = outcomes
     perms = [_match_permutation(fibers[-1], base_fiber) for fibers in loops]
     _check_sphere_relation(d, perms, plan.order)
     cycles = [
         _cycles_at_preimages(perm, fibers[1], pre)
         for perm, fibers, pre in zip(perms, loops, curve.preimages)
     ]
-    # every point of a tracked fiber is a sample abscissa; the one nearest
-    # each circle point keeps the samples spread around the circle
-    samples = [
-        (fiber, int(chordal_matrix([x], fiber)[0].argmin()))
-        for x, fiber in zip(xs, sampled[1:])
-    ]
+    vertices = [fiber for fibers in loops for fiber in fibers[1:-1]]
+    n = 4 * d + 4
+    samples = [(vertices[k * len(vertices) // n], k % d) for k in range(n)]
     return MonodromyAction(
-        basepoint=t0,
+        basepoint=plan.basepoint,
         permutations=perms,
         cycles=cycles,
         samples=samples,
-        sample_radius=radius,
     )
 
 
@@ -517,29 +497,32 @@ def _sheet_samples(orbit, samples):
     return [(fiber[i], [fiber[j] for j in sheets[i]]) for fiber, i in samples]
 
 
-def _vanishing_relation(points, r, radius):
+def _vanishing_relation(points, r):
     """The relation of x-degree r and y-degree r vanishing on the samples, or None.
 
     Each sample (x, y) gives a row of chordally normalized projective
-    monomials (x/R)^a u^k v^(r-k).  A relation of x-degree s, times x, is one
-    of x-degree s + 1, so the component has x-degree exactly r when the
-    first r(r + 1) columns (s = r - 1) have no null vector and the whole
-    matrix (s = r) has one.  That null vector, with the x -> x/R scaling
-    undone, is returned as an (r + 1, r + 1) array of the coefficients of
-    x^a y^k.
+    monomials u^a v^(r-a) u'^k v'^(r-k), with x = u/v and y = u'/v', so
+    x = infinity and y = infinity need no special casing.  A relation of
+    x-degree s, times v^(r-s), is one among the columns a <= s, so the
+    component has x-degree exactly r when the first r(r + 1) columns
+    (s = r - 1) have no null vector and the whole matrix (s = r) has one.
+    That null vector is returned as an (r + 1, r + 1) array of the
+    coefficients of x^a y^k.
     """
+
+    def monomials(z):
+        if is_inf(z):
+            u, v = 1.0 + 0j, 0j
+        else:
+            s = max(1.0, abs(z))
+            u, v = z / s, 1.0 / s
+        norm = (abs(u) ** 2 + abs(v) ** 2) ** (r / 2.0)
+        return [u**k * v ** (r - k) / norm for k in range(r + 1)]
+
     rows = []
     for x, ys in points:
-        xt = x / radius
-        for y in ys:
-            if is_inf(y):
-                u, v = 1.0 + 0j, 0j
-            else:
-                s = max(1.0, abs(y))
-                u, v = y / s, 1.0 / s
-            norm = (abs(u) ** 2 + abs(v) ** 2) ** (r / 2.0)
-            mono = [u**k * v ** (r - k) / norm for k in range(r + 1)]
-            rows.append([xt**a * m for a in range(r + 1) for m in mono])
+        mx = monomials(x)
+        rows += [[p * q for p in mx for q in monomials(y)] for y in ys]
     A = np.array(rows)
 
     # a true vanishing relation sits at machine precision; mere bad
@@ -552,7 +535,7 @@ def _vanishing_relation(points, r, radius):
     _u, sv, vh = np.linalg.svd(A, full_matrices=False)
     if not has_null(sv):
         return None
-    return vh[-1].conj().reshape(r + 1, r + 1) / radius ** np.arange(r + 1)[:, None]
+    return vh[-1].conj().reshape(r + 1, r + 1)
 
 
 def components(curve, mon):
@@ -580,7 +563,7 @@ def components(curve, mon):
         if genus < 0:
             raise ConsistencyError("negative genus computed for a component")
         pairs = tuple(divmod(q, d) for q in orbit)
-        relation = _vanishing_relation(_sheet_samples(pairs, mon.samples), r, mon.sample_radius)
+        relation = _vanishing_relation(_sheet_samples(pairs, mon.samples), r)
         if relation is None:
             raise ConsistencyError(
                 "projection degrees disagree: the samples do not have x-degree %s" % r

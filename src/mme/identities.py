@@ -33,12 +33,6 @@ class CertificateReport:
     def passed(self):
         return all(v == "PASS" for _, v, _ in self.claims)
 
-    def verdict(self, name):
-        for n, v, _ in self.claims:
-            if n == name:
-                return v
-        raise KeyError(name)
-
     def as_dict(self):
         return {
             "claims": [

@@ -42,6 +42,10 @@ ALL_PAIRS_CAP = 2000
 SUBSAMPLE_PAIRS = 10**6
 # independent same-map cloud pairs averaged into the sigma-invariance baseline
 BASELINE_PAIRS = 3
+# chordal distance within which an orbit point is taken to be an exceptional
+# point: rounding only, since a backward orbit is stuck only on the point
+# itself (the Julia set of z^2 + 10^6 z comes within 1e-6 of infinity)
+EXCEPTIONAL_CUT = 1e-12
 
 
 @dataclass
@@ -202,7 +206,7 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     def cut(points, steps):
         # drop the orbits from the first one near an exceptional point on
         nonlocal failed
-        near = np.flatnonzero((chordal_matrix(points, exceptional) < 1e-6).any(axis=1))
+        near = np.flatnonzero((chordal_matrix(points, exceptional) < EXCEPTIONAL_CUT).any(axis=1))
         if len(near):
             failed = (int(near[0]), steps)
             return points[:near[0]]

@@ -2,7 +2,7 @@
 
 Maps are stored as coprime numerator/denominator polynomials over the
 configured exact field, normalized so the leading denominator coefficient
-(else numerator) equals 1; equality is then a coefficient-wise test.
+equals 1; equality is then a coefficient-wise test.
 Numeric evaluation switches to the chart w = 1/z away from the unit disc,
 so infinity is never represented by a large sentinel.
 """

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -356,6 +357,30 @@ def test_iterate_refuses_an_iterate_over_the_height_budget(capsys):
     code, out, _ = run(capsys, "iterate", "--map", FORTY_DIGIT_MAP, "--n", "4")
     assert code == 0
     assert len(json.loads(out)["num"]) == 257
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--map", "z^2+1000000z", "--width", "8", "--height", "8"],
+    ["measure", "--f", "z^2+1000000z", "--g", "z^2+1000000z+1"],
+])
+def test_julia_set_near_an_exceptional_point_is_sampled(capsysbinary, argv):
+    # the Julia set of z^2 + 10^6 z reaches about -10^6, within chordal 1e-6
+    # of the exceptional point infinity, and backward orbits never meet it
+    assert main(argv) == 0
+    out, err = capsysbinary.readouterr()
+    assert out.startswith(b"P6\n8 8\n255\n" if argv[0] == "render" else b"{")
+    assert err == b""
+
+
+def test_compose_refuses_a_composite_over_the_degree_budget(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compose", "--f", "z^65", "--g", "z^64")
+    assert time.perf_counter() - t0 < 0.5  # refused before composing
+    assert (code, out) == (2, "")
+    assert err.startswith("error: degree 65 * 64 of f∘g exceeds the composite-degree budget 4096")
+    code, out, _ = run(capsys, "compose", "--f", "z^64", "--g", "z^64")
+    assert code == 0
+    assert json.loads(out)["num"][4096] == "1"
 
 
 def test_render_with_no_points_is_a_blank_raster(capsys, tmp_path):
@@ -734,3 +759,53 @@ def test_field_configuration_loads_no_sympy():
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert json.loads(res.stdout) == {"rejected": True, "code": 0, "sympy": []}
+
+
+NONZERO = st.integers(-6, 6).filter(bool)
+# integer maps num/den, num of degree 0 to 3 (mostly 2 or 3) and den of
+# degree at most that with a nonzero constant term (lower degree when they
+# share a factor)
+RENDER_MAPS = st.sampled_from([2, 3, 2, 3, 1, 0]).flatmap(lambda d: st.builds(
+    lambda num, lead, den0, den: json.dumps({"num": [str(c) for c in num + [lead]],
+                                             "den": [str(c) for c in [den0] + den]}),
+    st.lists(st.integers(-6, 6), min_size=d, max_size=d), NONZERO, NONZERO,
+    st.lists(st.integers(-6, 6), max_size=d),
+))
+
+
+def _window_text(values):
+    return ",".join(map(repr, values))
+
+
+# a window of positive size in most draws; else any four values, NaN and
+# infinities among them, or text that is not four numbers
+SIZED_WINDOWS = st.tuples(st.floats(-3, 3), st.floats(0.25, 4), st.floats(-3, 3),
+                          st.floats(0.25, 4)).map(
+    lambda t: _window_text([t[0], t[0] + t[1], t[2], t[2] + t[3]]))
+WINDOW_VALUES = st.floats(-3, 3) | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+WINDOWS = st.sampled_from(["sized"] * 4 + ["any", "text"]).flatmap(lambda kind: {
+    "sized": SIZED_WINDOWS,
+    "any": st.lists(WINDOW_VALUES, min_size=4, max_size=4).map(_window_text),
+    "text": st.sampled_from(["", ",,,", "1,2,3", "1,2,3,4,5", "a,b,c,d", "1,1,-1,1"]),
+}[kind])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(f=RENDER_MAPS, width=st.integers(-2, 24), height=st.integers(-2, 24),
+       window=WINDOWS, count=st.integers(-2, 200), depth=st.integers(5, 20))
+def test_render_exit_codes_keep_the_contract(f, width, height, window, count, depth):
+    stdout, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = main(["render", "--map", f, "--width", str(width), "--height", str(height),
+                     "--window=" + window, "--count", str(count), "--depth", str(depth)])
+    stdout.flush()
+    out, err = stdout.buffer.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        header = b"P6\n%d %d\n255\n" % (width, height)
+        assert out.startswith(header)
+        assert len(out) == len(header) + width * height * 3
+    else:
+        assert out == b""
+        assert err.startswith(("error: ", "numerical failure: "))

@@ -96,9 +96,9 @@ def test_vanishing_relation_confirms_the_conic_of_chebyshev_cubic():
     assert conic.bidegree == (2, 2)
     points = _sheet_samples(conic.orbit, mon.samples)
     # x-degree 1 has no relation; x-degree 3 already has one at x-degree 2
-    assert _vanishing_relation(points, 1, mon.sample_radius) is None
-    assert _vanishing_relation(points, 3, mon.sample_radius) is None
-    rel = _vanishing_relation(points, 2, mon.sample_radius)
+    assert _vanishing_relation(points, 1) is None
+    assert _vanishing_relation(points, 3) is None
+    rel = _vanishing_relation(points, 2)
     rel = rel / rel.flat[np.abs(rel).argmax()]
     got = BiPoly(Q, [[rationalize_into_field(Q, complex(c)) for c in row] for row in rel])
     assert got.normalized() == BiPoly(Q, [[-3, 0, 1], [0, 1, 0], [1, 0, 0]])

@@ -10,6 +10,7 @@ from mme.identities import sigma_f_quadratic
 from mme.measure import (
     ALL_PAIRS_CAP,
     BURN_IN,
+    EXCEPTIONAL_CUT,
     SUBSAMPLE_PAIRS,
     MeasureCloud,
     backward_orbit_sample,
@@ -50,7 +51,7 @@ def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
             raise MapError("too many failed backward orbits; map may be degenerate")
         z = complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform()))
         walks.append([z])
-        if any(chordal(z, e) < 1e-6 for e in exceptional):
+        if any(chordal(z, e) < EXCEPTIONAL_CUT for e in exceptional):
             failures.append((len(walks) - 1, "start", 0))
             continue
         orbit = []
@@ -62,7 +63,7 @@ def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
                 break
             z = pre[int(rng.integers(0, len(pre)))]
             walks[-1].append(z)
-            if any(chordal(z, e) < 1e-6 for e in exceptional):
+            if any(chordal(z, e) < EXCEPTIONAL_CUT for e in exceptional):
                 failures.append((len(walks) - 1, "hit", k))
                 break
             if k >= burn_in:
