@@ -6,9 +6,18 @@ lowest terms, once their values at a few integers, taken modulo a large
 prime, have not already told them apart; the absence of a Moebius factor
 R = sigma o S by a span test on the numerators and denominators
 (``mobius_factor_exists``).
-An identity that forces two maps to share their measure of maximal
-entropy (``same_measure_identity``, ``invariant_measure_identity``)
-proves that by a theorem, with no sampling.
+
+Equal measures of maximal entropy are proved by one relation between
+iterates, after Levin-Przytycki (Proc. AMS 1997): for n >= 0 and m, k >= 1
+with (deg g)^m = (deg f)^k,
+    f^n o g^m = f^(n+k)   proves   mu_f = mu_g.
+Put d = deg f and G = g^m.  Pulling mu_f back along both sides gives
+G^* (f^n)^* mu_f = (f^(n+k))^* mu_f, that is d^n G^* mu_f = d^(n+k) mu_f,
+so G^* mu_f = deg(G) mu_f.  mu_G is the only atomless probability measure
+with that property (Lyubich 1983; Freire-Lopes-Mane 1983), so
+mu_f = mu_G = mu_g.  n = 0 is a shared iterate f^k = g^m; n = m = k = 1 is
+the catalog's f o g = f o f.  Commuting maps share the measure too
+(``same_measure_identity``).
 """
 
 from __future__ import annotations
@@ -99,6 +108,13 @@ def check_counterexample_triple(R, S, T):
     (i) ToR = ToS exactly; (ii) no Moebius sigma with R = sigma o S;
     (iii) fof = fog exactly for f = RoT, g = SoT, decided without building
     the composites of degree deg(f)^2.
+
+    (ii) and (iii) together prove f^n != sigma o g^m for every Moebius sigma
+    over C and all n, m >= 1.  By (iii) and induction, f o g^j = f^(j+1)
+    for j >= 0, and deg f = deg g, so f^n = sigma o g^m forces n = m.  Then
+    f o g^(n-1) = f^n = sigma o g o g^(n-1), and g^(n-1) is onto, so
+    f = sigma o g; T is onto, so R = sigma o S.  A sigma over C gives one
+    over the base field (``mobius_factor_exists``), against (ii).
     """
     for m in (R, S, T):
         if m.degree < 2:
@@ -107,14 +123,12 @@ def check_counterexample_triple(R, S, T):
     X, Y = T.compose(R), T.compose(S)
     x_is_y = maps_equal(X, Y)
     rep.add("T∘R = T∘S", "PASS" if x_is_y else "FAIL")
-    if R.degree != S.degree:
-        rep.add("no Moebius factor R = σ∘S", "PASS", "degrees differ")
+    sigma = mobius_factor_exists(R, S)
+    if sigma is not None:
+        rep.add("no Moebius factor R = σ∘S", "FAIL", sigma)
     else:
-        sigma = mobius_factor_exists(R, S)
-        if sigma is None:
-            rep.add("no Moebius factor R = σ∘S", "PASS")
-        else:
-            rep.add("no Moebius factor R = σ∘S", "FAIL", sigma)
+        rep.add("no Moebius factor R = σ∘S", "PASS",
+                "degrees differ" if R.degree != S.degree else None)
     # fof = RoXoT and fog = RoYoT, and T is onto the sphere, so they are
     # equal exactly when RoX = RoY
     fof_is_fog = x_is_y or _composites_equal([X, R], [Y, R])
@@ -123,31 +137,35 @@ def check_counterexample_triple(R, S, T):
 
 
 def check_main1_relations(F, G):
-    """F∘F = F∘G and G∘F = G∘G, both exact."""
+    """F∘F = F∘G and G∘F = G∘G, both exact, by ``_composites_equal``."""
     if F.degree < 2 or G.degree < 2:
         raise MapError("relation check requires degrees >= 2")
+    if F.ctx is not G.ctx:
+        raise MapError("maps live over different field contexts")
+    names = {id(G): "G", id(F): "F"}
     rep = CertificateReport()
-    rep.add("F∘F = F∘G", "PASS" if maps_equal(F.compose(F), F.compose(G)) else "FAIL")
-    rep.add("G∘F = G∘G", "PASS" if maps_equal(G.compose(F), G.compose(G)) else "FAIL")
+    for X, name in ((F, "F∘F = F∘G"), (G, "G∘F = G∘G")):
+        rep.add(name, "PASS" if _composites_equal([F, X], [G, X], names) else "FAIL")
     return rep
 
 
-# -- shared iterates -----------------------------------------------------------------
+# -- relations between iterates --------------------------------------------------------
 
 
-def _composite(maps):
+def _composite(maps, names):
     """The composite of ``maps``, applied first to last.
 
     A run of one map repeated n > 1 times is built as its nth iterate by
     ``RationalMap.iterate``, so it meets the iterate height budget: over
-    ITERATE_HEIGHT_BUDGET, SizeBudgetError before any composing.  The
-    callers bound the degree.
+    ITERATE_HEIGHT_BUDGET, SizeBudgetError before any composing, calling the
+    map by its name in ``names`` (keyed by id).  The callers bound the degree.
     """
     out = None
     for _, run in groupby(maps, key=id):
         run = list(run)
         f, n = run[0], len(run)
-        part = f if n == 1 else f.iterate(n, budget=f.degree**n)
+        name = (names or {}).get(id(f), "f")
+        part = f if n == 1 else f.iterate(n, budget=f.degree**n, name=name)
         out = part if out is None else part.compose(out)
     return out
 
@@ -166,7 +184,7 @@ SCREEN_POINTS = 8
 SCREEN_PRIME = 2**61 - 1
 
 
-def _screen_separates(fs, gs):
+def _screen_separates(fs, gs, memo=None):
     """Whether unequal degrees, or unequal values at one of z = 0, 1, ...,
     SCREEN_POINTS - 1, prove the composites of ``fs`` and of ``gs`` (each
     applied first to last) different.
@@ -177,62 +195,81 @@ def _screen_separates(fs, gs):
     denominators, reducing the integer coordinates modulo p is a ring map.
     Exactly equal points have fu gv - fv gu = 0, which stays 0 modulo p, so
     a nonzero residue proves the points different.  A field with p in a
-    denominator of its minimal polynomial is not screened.
+    denominator of its minimal polynomial is not screened.  ``memo`` keeps
+    the lifts, and the values of the composites of prefixes, across the
+    calls of one search, keyed by map ids.
     """
     if prod(f.degree for f in fs) != prod(g.degree for g in gs):
         return True
-    ctx = fs[0].ctx
-    mul = residue_product(ctx, SCREEN_PRIME)
+    mul = residue_product(fs[0].ctx, SCREEN_PRIME)
     if mul is None:
         return False
-    lifts = {}
-    for f in fs + gs:
-        if id(f) not in lifts:
-            lifts[id(f)] = (f.degree, residues_mod((f.num, f.den), SCREEN_PRIME))
+    memo = {} if memo is None else memo
 
-    def apply(maps, u, v):
-        for f in maps:
-            d, pair = lifts[id(f)]
+    def value(maps, k):
+        key = (tuple(map(id, maps)), k)
+        if key not in memo:
+            u, v = value(maps[:-1], k) if len(maps) > 1 else (k, 1)
+            f = maps[-1]
+            if id(f) not in memo:
+                memo[id(f)] = residues_mod((f.num, f.den), SCREEN_PRIME)
             vpow = [1]
-            for _ in range(d):
+            for _ in range(f.degree):
                 vpow.append(mul(vpow[-1], v))
             # sum c_i u^i v^(d-i) by Horner from the top coefficient
             out = []
-            for cs in pair:
+            for cs in memo[id(f)]:
                 acc = 0
                 for i in range(len(cs) - 1, -1, -1):
-                    acc = mul(acc, u) + mul(cs[i], vpow[d - i])
+                    acc = mul(acc, u) + mul(cs[i], vpow[f.degree - i])
                 out.append(acc)
-            u, v = out
-        return u, v
+            memo[key] = out
+        return memo[key]
 
     for k in range(SCREEN_POINTS):
-        fu, fv = apply(fs, k, 1)
-        gu, gv = apply(gs, k, 1)
+        (fu, fv), (gu, gv) = value(fs, k), value(gs, k)
         if mul(fu, gv) != mul(fv, gu):
             return True
     return False
 
 
-def _composites_equal(fs, gs):
+def _composites_equal(fs, gs, names=None, memo=None):
     """Whether the composites of ``fs`` and of ``gs`` (each applied first to
     last) are equal.
 
     A pair the screen does not separate has both composites built
-    (``_composite``): composites of maps in lowest terms stay in lowest
-    terms with a monic denominator, so comparing them is an exact equality
-    test of maps.
+    (``_composite``, which names the maps by ``names``): composites of maps
+    in lowest terms stay in lowest terms with a monic denominator, so
+    comparing them is an exact equality test of maps.
     """
-    return not _screen_separates(fs, gs) and maps_equal(_composite(fs), _composite(gs))
+    return not _screen_separates(fs, gs, memo) and maps_equal(_composite(fs, names),
+                                                        _composite(gs, names))
+
+
+def _least_relation(f, g, ns, budget, names="fg"):
+    """The least (n, m, k) with n in ``ns``, m, k >= 1, (deg g)^m = (deg f)^k
+    and f^n o g^m = f^(n+k), by composite degree (deg f)^(n+k) <= budget,
+    then by n; or None.  Each candidate is decided by ``_composites_equal``,
+    with one screen memo, and ``names`` names f and g in its errors.
+    """
+    names, memo = {id(g): names[1], id(f): names[0]}, {}
+    top = budget.bit_length()  # a degree >= 2 to the power top exceeds budget
+    m_for = {g.degree**m: m for m in range(1, top)}
+    for s in range(1, top):
+        if f.degree**s > budget:
+            break
+        for n in range(s):
+            m = m_for.get(f.degree ** (s - n))
+            if n in ns and m and _composites_equal([g] * m + [f] * n, [f] * s, names, memo):
+                return n, m, s - n
+    return None
 
 
 def shared_iterate_search(f, g, budget=DEFAULT_DEGREE_BUDGET):
     """Least (n, m) by n+m with f^n = g^m of composite degree <= budget.
 
-    Degrees must match before any map comparison happens.  Each candidate
-    is decided by ``_composites_equal``: a mismatch usually shows in the
-    values at the first few integers, and only a candidate that agrees
-    there has both iterates composed, under the height rule of
+    The n = 0 slice of ``_least_relation``: a candidate that the screen
+    does not separate has both iterates composed, under the height rule of
     ``RationalMap.iterate`` (SizeBudgetError), and compared exactly.
     Iterates of a Moebius map keep degree 1, so the budget would not bound
     the search: both maps must have degree >= 2.
@@ -243,44 +280,8 @@ def shared_iterate_search(f, g, budget=DEFAULT_DEGREE_BUDGET):
         raise MapError("budget below the maps' degrees")
     if f.ctx is not g.ctx:
         raise MapError("maps live over different field contexts")
-    candidates = []
-    dn = f.degree
-    n = 1
-    while dn <= budget:
-        dm = g.degree
-        m = 1
-        while dm <= budget:
-            if dn == dm:
-                candidates.append((n, m))
-            dm *= g.degree
-            m += 1
-        dn *= f.degree
-        n += 1
-    candidates.sort(key=lambda t: (t[0] + t[1], t[0]))
-    for n, m in candidates:
-        if _composites_equal([f] * n, [g] * m):
-            return (n, m)
-    return None
-
-
-def fiber_iterate(f, g):
-    """The k >= 1 with f∘g = f^(k+1), or None.
-
-    Such a k has deg g = (deg f)^k; the identity is tried only while
-    (deg f)^(k+1) is within DEFAULT_DEGREE_BUDGET, and decided by
-    ``_composites_equal``, as the candidates of ``shared_iterate_search``.
-    """
-    d = f.degree
-    if d < 2:
-        raise MapError("the fiber identity needs deg f >= 2")
-    if f.ctx is not g.ctx:
-        raise MapError("maps live over different field contexts")
-    k, dk = 1, d
-    while dk < g.degree:
-        k, dk = k + 1, dk * d
-    if dk != g.degree or dk * d > DEFAULT_DEGREE_BUDGET:
-        return None
-    return k if _composites_equal([g, f], [f] * (k + 1)) else None
+    found = _least_relation(f, g, range(1), budget)
+    return found and (found[2], found[1])
 
 
 # -- equal maximal-entropy measures ----------------------------------------------------
@@ -289,51 +290,54 @@ def fiber_iterate(f, g):
 def same_measure_identity(f, g):
     """An exact identity proving mu_f = mu_g, as (route, witness), or None.
 
-    - f∘g = f^(k+1) (``fiber_iterate``): f^*mu_f = d mu_f, so
-      g^*mu_f = deg(g) mu_f, and mu_g is the only atomless measure with that
-      property (Lyubich 1983; Freire-Lopes-Mane 1983).  The same with f and
-      g swapped.  This covers f∘f = f∘g, g = f^n and g = sigma_f∘f^n.
-    - f^n = g^m (``shared_iterate_search``): mu_f = mu_(f^n) = mu_(g^m) = mu_g.
+    - f^n o g^m = f^(n+k) (see the module docstring), witness {n, m, k},
+      tried up to composite degree DEFAULT_DEGREE_BUDGET; then the same
+      with f and g swapped, for n >= 1 (n = 0 is the same shared iterate).
+      This covers g = f^j, g = sigma_f o f^j, fof = fog, and sigma o f o
+      sigma^-1 against f for a sigma with f o sigma = f or with f^2 o sigma
+      = f^2.
+    - f o g = g o f: then f^*(g^* mu_f) = g^*(f^* mu_f) = d g^* mu_f, so
+      g^* mu_f / deg g is an atomless probability measure that f pulls back
+      to d times itself: it is mu_f, and by the same uniqueness mu_g = mu_f
+      (cf. Dinh-Sibony 2002).
 
-    Maps over different field contexts, or of degree above the degree
-    budget, are not compared.
+    Maps over different field contexts are not compared.
     """
+    if min(f.degree, g.degree) < 2:
+        raise MapError("the measure identities need maps of degree >= 2")
     if f.ctx is not g.ctx:
         return None
-    for a, b, route in ((f, g, "f∘g = f^(k+1)"), (g, f, "g∘f = g^(k+1)")):
-        k = fiber_iterate(a, b)
-        if k is not None:
-            return route, {"k": k}
-    if max(f.degree, g.degree) <= DEFAULT_DEGREE_BUDGET:
-        pair = shared_iterate_search(f, g)
-        if pair is not None:
-            return "f^n = g^m", {"n": pair[0], "m": pair[1]}
+    budget = DEFAULT_DEGREE_BUDGET
+    for a, b, ns, names, route in ((f, g, range(budget), "fg", "fⁿ∘gᵐ = f^(n+k)"),
+                                   (g, f, range(1, budget), "gf", "gⁿ∘fᵐ = g^(n+k)")):
+        found = _least_relation(a, b, ns, budget, names)
+        if found:
+            return route, dict(zip("nmk", found))
+    if f.degree * g.degree <= budget and _composites_equal([g, f], [f, g]):
+        return "f∘g = g∘f", None
     return None
 
 
 def invariant_measure_identity(f, phi):
-    """An exact identity proving phi_* mu_f = mu_f, as a route name, or None.
+    """An exact identity proving phi_* mu_f = mu_f, as (route, witness), or
+    None.
 
     ``phi`` is a RationalMap or a Moebius map over f's field context.
     - phi = f: f_* mu_f = mu_f.
-    - a Moebius sigma with f∘sigma = f: sigma permutes every fiber of f with
-      its multiplicities, so the pullback f^* mu_f = d mu_f is
-      sigma-invariant, and so is mu_f.
-    - a Moebius sigma with sigma∘f = f∘sigma:
-      sigma_* mu_f = mu_(sigma∘f∘sigma^-1) = mu_f.
+    - a Moebius sigma: sigma_* mu_f = mu_(sigma o f o sigma^-1), so
+      ``same_measure_identity`` of f and sigma o f o sigma^-1 decides it.
     """
     if phi.ctx is not f.ctx:
         return None
     if isinstance(phi, Moebius):
         phi = phi.as_rational_map()
     if maps_equal(phi, f):
-        return "φ = f"
-    if phi.degree == 1:
-        if maps_equal(f.compose(phi), f):
-            return "f∘σ = f"
-        if maps_equal(phi.compose(f), f.compose(phi)):
-            return "σ∘f = f∘σ"
-    return None
+        return "φ = f", None
+    if phi.degree != 1:
+        return None
+    (b, a), (d, c) = phi.num.padded(1), phi.den.padded(1)
+    inverse = Moebius(d, -b, -c, a).as_rational_map()
+    return same_measure_identity(f, phi.compose(f).compose(inverse))
 
 
 # -- quadratic involution ----------------------------------------------------------------

@@ -64,9 +64,16 @@ class MeasureCloud:
 class MeasureDistanceReport:
     distance: float
     self_baseline: float
-    verdict: str  # SAME / DIFFERENT / INCONCLUSIVE
     meta: dict = field(default_factory=dict)
     route = "energy distance"
+
+    @property
+    def verdict(self):
+        if self.distance < SAME_FACTOR * self.self_baseline:
+            return "SAME"
+        if self.distance > DIFFERENT_FACTOR * self.self_baseline:
+            return "DIFFERENT"
+        return "INCONCLUSIVE"
 
     def as_dict(self):
         return {
@@ -314,19 +321,10 @@ def same_measure_test(f, g, count=4000, depth=40, seed=0):
     cf1 = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="f-first")
     cf2 = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="f-second")
     cg = backward_orbit_sample(g, count, depth=depth, seed=seed, stream="g")
-    baseline = abs(measure_distance(cf1, cf2, seed=seed))
-    baseline = max(baseline, 1e-12)
-    dist = measure_distance(cf1, cg, seed=seed)
-    if dist < SAME_FACTOR * baseline:
-        verdict = "SAME"
-    elif dist > DIFFERENT_FACTOR * baseline:
-        verdict = "DIFFERENT"
-    else:
-        verdict = "INCONCLUSIVE"
+    baseline = max(abs(measure_distance(cf1, cf2, seed=seed)), 1e-12)
     return MeasureDistanceReport(
-        distance=dist,
+        distance=measure_distance(cf1, cg, seed=seed),
         self_baseline=baseline,
-        verdict=verdict,
         meta={"count": count, "depth": depth, "seed": seed, "maps": maps},
     )
 
@@ -341,9 +339,9 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
     single pair draw is too noisy to threshold against).
     """
     _check_comparison((f,), count, depth)
-    route = invariant_measure_identity(f, sigma)
-    if route is not None:
-        return ExactMeasureReport(route, meta={"map": map_digest(f)})
+    exact = invariant_measure_identity(f, sigma)
+    if exact is not None:
+        return ExactMeasureReport(*exact, meta={"map": map_digest(f)})
     pushed = push_forward(
         backward_orbit_sample(f, count, depth=depth, seed=seed, stream="push-src"),
         sigma,
@@ -357,14 +355,9 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
         b = backward_orbit_sample(f, count, depth=depth, seed=seed,
                                   stream="base-b-%d" % k)
         baselines.append(abs(measure_distance(a, b, seed=seed)))
-    baseline = max(float(np.mean(baselines)), 1e-12)
-    verdict = "SAME" if dist < SAME_FACTOR * baseline else (
-        "DIFFERENT" if dist > DIFFERENT_FACTOR * baseline else "INCONCLUSIVE"
-    )
     return MeasureDistanceReport(
         distance=dist,
-        self_baseline=baseline,
-        verdict=verdict,
+        self_baseline=max(float(np.mean(baselines)), 1e-12),
         meta={"count": count, "depth": depth, "seed": seed, "map": map_digest(f),
               "baseline_pairs": BASELINE_PAIRS},
     )

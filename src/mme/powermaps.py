@@ -88,19 +88,3 @@ def period(z, d):
 
     return int(sympy.n_order(d, z.b))
 
-
-def brute_force_is_periodic(z, d, max_steps=None):
-    """Oracle: iterate the exponent map a/b -> d a/b mod 1 and look for a loop.
-
-    The orbit of a/b under multiplication by d mod 1 has at most b states,
-    so z is periodic iff the start state recurs within b steps.
-    """
-    if max_steps is None:
-        max_steps = z.b + 1
-    a, b = z.a, z.b
-    cur = a
-    for _ in range(max_steps):
-        cur = (cur * d) % b
-        if cur == a:
-            return True
-    return False

@@ -142,9 +142,10 @@ class RationalMap:
             bound = h + self.degree * (bound + grow)
         return bound
 
-    def iterate(self, n, budget=DEFAULT_DEGREE_BUDGET):
+    def iterate(self, n, budget=DEFAULT_DEGREE_BUDGET, name="f"):
         """f^n; SizeBudgetError before any composing when its degree exceeds
-        ``budget`` or its height bound exceeds ITERATE_HEIGHT_BUDGET."""
+        ``budget`` or its height bound exceeds ITERATE_HEIGHT_BUDGET.  The
+        error calls the map ``name``."""
         if n < 1:
             raise MapError("iterate exponent must be >= 1")
         d = self.degree
@@ -154,8 +155,8 @@ class RationalMap:
         bound = self.iterate_height_bound(n)
         if bound > ITERATE_HEIGHT_BUDGET:
             raise SizeBudgetError(
-                "f^%d may have coefficients of up to %d bits, over the iterate "
-                "budget of %d bits" % (n, bound, ITERATE_HEIGHT_BUDGET))
+                "%s^%d may have coefficients of up to %d bits, over the iterate "
+                "budget of %d bits" % (name, n, bound, ITERATE_HEIGHT_BUDGET))
         out = self
         for _ in range(n - 1):
             out = self.compose(out)

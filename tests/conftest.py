@@ -44,6 +44,20 @@ def rng_for(name, seed=0):
     return named_rng(seed, name)
 
 
+def brute_force_is_periodic(z, d):
+    """Oracle: iterate the exponent map a/b -> d a/b mod 1 and look for a loop.
+
+    The orbit of a/b under multiplication by d mod 1 has at most b states,
+    so z is periodic iff the start state recurs within b steps.
+    """
+    cur = z.a
+    for _ in range(z.b + 1):
+        cur = (cur * d) % z.b
+        if cur == z.a:
+            return True
+    return False
+
+
 def poly_product(a, b):
     """The product of two coefficient lists (ascending)."""
     out = [Fraction(0)] * (len(a) + len(b) - 1)

@@ -23,13 +23,12 @@ from mme.numeric import ConsistencyError
 from mme.polys import BiPoly, Poly
 from mme.powermaps import (
     RootOfUnity,
-    brute_force_is_periodic,
     is_periodic,
     same_periodic_points_powermaps,
 )
 from mme.ratmaps import RationalMap, critical_data
 from mme.serialize import map_to_json
-from conftest import random_rational_map
+from conftest import brute_force_is_periodic, random_rational_map
 
 Q = FieldContext.rationals()
 

@@ -66,7 +66,7 @@ def test_exact_measure_report_echoes_no_sampling_setting(capsys):
     report = json.loads(out)
     assert sorted(report) == ["maps", "route", "verdict", "witness"]
     assert (report["verdict"], report["route"], report["witness"]) == (
-        "SAME", "f∘g = f^(k+1)", {"k": 1})
+        "SAME", "fⁿ∘gᵐ = f^(n+k)", {"n": 0, "m": 1, "k": 1})
 
 
 @pytest.mark.parametrize("name,params", [
@@ -86,13 +86,15 @@ def test_measure_decides_every_catalog_pair_by_its_identity(capsys, name, params
     assert code == 0
     report = json.loads(out)
     assert (report["verdict"], report["route"], report["witness"]) == (
-        "SAME", "f∘g = f^(k+1)", {"k": 1})
+        "SAME", "fⁿ∘gᵐ = f^(n+k)", {"n": 1, "m": 1, "k": 1})
 
 
 def test_measure_without_an_identity_samples(capsys):
-    # equal measures (both on [-2, 2]), but no identity of either route
-    code, out, _ = run(capsys, "measure", "--f", "z^2-2", "--g", "z^3-3z", "--count", "300",
-                       "--depth", "20", "--seed", "5")
+    # equal measures (Haar measure on the unit circle), but no relation up to
+    # the degree budget, and f∘g != g∘f: (3+4i)/5 is no root of unity
+    code, out, _ = run(capsys, "measure", "--field=1,0,1", "--bind", "i=w", "--f", "z^2",
+                       "--g", "(3/5+4/5*i)*z^2", "--count", "300", "--depth", "20",
+                       "--seed", "5")
     assert code == 0
     report = json.loads(out)
     assert report["route"] == "energy distance"
@@ -100,7 +102,7 @@ def test_measure_without_an_identity_samples(capsys):
 
 
 # a z^2 and 1/(a^3 z^2) share their second iterate a^3 z^4; for a = 10^1200
-# the height bound of the second iterate of 1/(a^3 z^2) is 35876 bits
+# the height bound of the second iterate of g = 1/(a^3 z^2) is 35876 bits
 HUGE_A = 10**1200
 
 
@@ -113,7 +115,7 @@ def test_shared_iterate_over_the_height_budget_exits_two(capsys, command):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0  # refused before composing
     assert (code, out) == (2, "")
-    assert err.startswith("error: f^2 may have coefficients of up to 35876 bits")
+    assert err.startswith("error: g^2 may have coefficients of up to 35876 bits")
     assert "over the iterate budget of 32768 bits" in err
 
 

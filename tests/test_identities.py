@@ -14,19 +14,21 @@ from mme.identities import (
     SCREEN_POINTS,
     SCREEN_PRIME,
     _composites_equal,
+    _least_relation,
     _screen_separates,
     check_counterexample_triple,
     check_main1_relations,
-    fiber_iterate,
     invariant_measure_identity,
     mobius_factor_exists,
     same_measure_identity,
     shared_iterate_search,
     sigma_f_quadratic,
 )
+from mme.numeric import ConsistencyError
 from mme.parser import parse_map
 from mme.polys import Poly
-from mme.ratmaps import ITERATE_HEIGHT_BUDGET, MapError, Moebius, RationalMap, SizeBudgetError
+from mme.ratmaps import (DEFAULT_DEGREE_BUDGET, ITERATE_HEIGHT_BUDGET, MapError, Moebius,
+                         RationalMap, SizeBudgetError)
 from conftest import random_rational_map
 
 Q = FieldContext.rationals()
@@ -84,6 +86,19 @@ def test_main1_relations_for_identical_maps():
 def test_main1_relations_degree_mismatch_fails():
     rep = check_main1_relations(rmap([0, 0, 1]), rmap([0, 0, 0, 1]))
     assert not rep.passed()
+
+
+def test_main1_relations_compose_only_past_the_screen(monkeypatch):
+    built = []
+    composite = mme.identities._composite
+    monkeypatch.setattr(mme.identities, "_composite",
+                        lambda maps, names: built.append(len(maps)) or composite(maps, names))
+    assert verdicts(check_main1_relations(rmap([0, 0, 1]), rmap([1, 0, 1]))) == {
+        "F∘F = F∘G": "FAIL", "G∘F = G∘G": "FAIL"}
+    assert built == []
+    # z^2 and -z^2: F∘F = F∘G = z^4 and G∘F = G∘G = -z^4
+    assert check_main1_relations(rmap([0, 0, 1]), rmap([0, 0, -1])).passed()
+    assert built == [2, 2, 2, 2]
 
 
 def test_shared_iterate_of_power_maps_is_none():
@@ -331,7 +346,7 @@ def test_composites_equal_composes_only_past_the_screen(minpoly, monkeypatch):
     built = []
     composite = mme.identities._composite
     monkeypatch.setattr(mme.identities, "_composite",
-                        lambda maps: built.append(len(maps)) or composite(maps))
+                        lambda maps, names: built.append(len(maps)) or composite(maps, names))
     z2, z2_z = (parse_map(text, ctx) for text in ("z^2", "z^2+z"))
     # z^2 and z^2 + z agree at 0 and differ at 1
     assert not _composites_equal([z2], [z2_z])
@@ -346,58 +361,104 @@ def test_composites_equal_composes_only_past_the_screen(minpoly, monkeypatch):
     assert built == [2, 2, 4, 2]
 
 
-def test_fiber_iterate_finds_each_identity():
+EVERY_N = range(DEFAULT_DEGREE_BUDGET)
+
+
+def test_least_relation_finds_each_identity():
     rng = np.random.default_rng(20241019)
     f = random_rational_map(2, rng)
     sigma = sigma_f_quadratic(f).as_rational_map()
-    assert fiber_iterate(f, f) == 1
-    assert fiber_iterate(f, f.iterate(3)) == 3
-    assert fiber_iterate(f, sigma.compose(f.iterate(2))) == 2  # the Rat_2 case
-    assert fiber_iterate(f.iterate(2), f) is None  # degree 2 is no power of 4
-    assert fiber_iterate(f, random_rational_map(2, rng)) is None
-    assert fiber_iterate(f, random_rational_map(3, rng)) is None
-    # z^3 against z^(3^k): f^(k+1) has degree 2187 <= 4096 for k = 6, and
-    # 6561, over the degree budget, for k = 7
+    budget = DEFAULT_DEGREE_BUDGET
+    assert _least_relation(f, f, EVERY_N, budget) == (0, 1, 1)
+    assert _least_relation(f, f.iterate(3), EVERY_N, budget) == (0, 1, 3)
+    # the Rat_2 case g = sigma_f∘f^2: f∘g = f^3, and no iterate of f is g
+    assert _least_relation(f, sigma.compose(f.iterate(2)), EVERY_N, budget) == (1, 1, 2)
+    # degree 2 is no power of 4, so m = 2: (f^2)^1 = f^2
+    assert _least_relation(f.iterate(2), f, EVERY_N, budget) == (0, 2, 1)
+    assert _least_relation(f, random_rational_map(2, rng), EVERY_N, budget) is None
+    assert _least_relation(f, random_rational_map(3, rng), EVERY_N, budget) is None
+    # z^3 against z^(3^k) with n = 1: f∘g = f^(k+1) has degree 2187 <= 4096
+    # for k = 6, and 6561, over the degree budget, for k = 7
     z3 = rmap([0, 0, 0, 1])
-    assert fiber_iterate(z3, rmap([0] * 729 + [1])) == 6
-    assert fiber_iterate(z3, rmap([0] * 2187 + [1])) is None
+    assert _least_relation(z3, rmap([0] * 729 + [1]), range(1, 2), budget) == (1, 1, 6)
+    assert _least_relation(z3, rmap([0] * 2187 + [1]), range(1, 2), budget) is None
+    assert _least_relation(z3, rmap([0] * 2187 + [1]), EVERY_N, budget) == (0, 1, 7)
     flower = entry("chebyshev-flower", {"a": "1+w"}).maps
-    assert fiber_iterate(flower["f"], flower["g"]) == 1
+    assert _least_relation(flower["f"], flower["g"], EVERY_N, budget) == (1, 1, 1)
     # f + P, P vanishing at every screened point: f∘(f + P) = f∘f there, so
     # only the composites tell them apart
     P = screen_polynomial(Q)
     f8 = rmap([1, 0, 0, 0, 0, 0, 0, 0, 2])
-    assert fiber_iterate(f8, RationalMap.polynomial(f8.num + P.num)) is None
-    assert fiber_iterate(f8, f8) == 1
+    assert _least_relation(f8, RationalMap.polynomial(f8.num + P.num), range(1, 2), budget) is None
+    assert _least_relation(f8, f8, range(1, 2), budget) == (1, 1, 1)
+
+
+def over_qi(*texts):
+    """The maps ``texts`` over Q(i), with i bound to the generator."""
+    K = field_configure([1, 0, 1])
+    return [parse_map(text, K, {"i": K.gen()}) for text in texts]
 
 
 def test_same_measure_identity_routes():
+    relation = "fⁿ∘gᵐ = f^(n+k)"
     f = rmap([-1, 0, 1])
-    assert same_measure_identity(f, f.iterate(2)) == ("f∘g = f^(k+1)", {"k": 2})
-    assert same_measure_identity(f.iterate(2), f) == ("g∘f = g^(k+1)", {"k": 2})
-    # z^2 and 1/z^2 share z^4 as second iterate, and z^2∘(1/z^2) = 1/z^4
+    assert same_measure_identity(f, f.iterate(2)) == (relation, {"n": 0, "m": 1, "k": 2})
+    assert same_measure_identity(f.iterate(2), f) == (relation, {"n": 0, "m": 2, "k": 1})
+    # z^2 and 1/z^2 share z^4 as second iterate
     assert same_measure_identity(rmap([0, 0, 1]), rmap([1], [0, 0, 1])) == (
-        "f^n = g^m", {"n": 2, "m": 2})
-    # equal measures, but no identity of either kind: the Chebyshev pair
-    assert same_measure_identity(rmap([-2, 0, 1]), rmap([0, -3, 0, 1])) is None
+        relation, {"n": 0, "m": 2, "k": 2})
+    # iz and -z permute the fibers of f^2 for these f, so f^2∘g = f^3
+    for pair in (over_qi("z^2", "i*z^2"), over_qi("z^2+2/z^2", "i*(z^2+2/z^2)")):
+        assert same_measure_identity(*pair) == (relation, {"n": 2, "m": 1, "k": 1})
+    # the Rat_2 case g = sigma_f∘f: f∘g = f∘f
+    h = random_rational_map(2, np.random.default_rng(7))
+    g = sigma_f_quadratic(h).as_rational_map().compose(h)
+    assert same_measure_identity(h, g) == (relation, {"n": 1, "m": 1, "k": 1})
+    # commuting maps with no relation of iterates: the Chebyshev and power pairs
+    assert same_measure_identity(rmap([-2, 0, 1]), rmap([0, -3, 0, 1])) == ("f∘g = g∘f", None)
+    assert same_measure_identity(rmap([0, 0, 1]), rmap([0, 0, 0, 1])) == ("f∘g = g∘f", None)
+    # equal measures (Haar measure on the circle), and no relation up to the
+    # degree budget; z^2 and z^2 + 1 have different measures
+    assert same_measure_identity(*over_qi("z^2", "(3/5+4/5*i)*z^2")) is None
     assert same_measure_identity(rmap([0, 0, 1]), rmap([1, 0, 1])) is None
     # maps over different fields are not compared
     w = omega_field()
     assert same_measure_identity(f, RationalMap.polynomial(Poly(w, [-1, 0, 1]))) is None
 
 
+def test_same_measure_identity_swaps_the_maps_within_the_degree_budget():
+    # f = -h^7 against h = z^2 - 1, whose fibers -z swaps: h∘f = h^8, of
+    # degree 256, while f∘h^7 = f^2 has degree 128^2, over the budget
+    h = rmap([-1, 0, 1])
+    f = rmap([0, -1]).compose(h.iterate(7))
+    assert same_measure_identity(f, h) == ("gⁿ∘fᵐ = g^(n+k)", {"n": 1, "m": 1, "k": 7})
+    assert same_measure_identity(h, f) == ("fⁿ∘gᵐ = f^(n+k)", {"n": 1, "m": 1, "k": 7})
+
+
 def test_invariant_measure_identity_routes():
     f = rmap([1, 0, 1], [0, 1])  # z + 1/z
     one, zero = Q.one, Q.zero
-    assert invariant_measure_identity(f, f) == "φ = f"
-    assert invariant_measure_identity(f, sigma_f_quadratic(f)) == "f∘σ = f"
-    # -z commutes with z + 1/z and does not fix it
+    relation = "fⁿ∘gᵐ = f^(n+k)"
+    assert invariant_measure_identity(f, f) == ("φ = f", None)
+    # f∘σ = f: g = σ∘f∘σ^-1 has f∘g = f∘f
+    assert invariant_measure_identity(f, sigma_f_quadratic(f)) == (
+        relation, {"n": 1, "m": 1, "k": 1})
+    # -z commutes with z + 1/z, so σ∘f∘σ^-1 = f
     minus = Moebius(-one, zero, zero, one)
-    assert invariant_measure_identity(f, minus) == "σ∘f = f∘σ"
-    assert invariant_measure_identity(f, minus.as_rational_map()) == "σ∘f = f∘σ"
+    assert invariant_measure_identity(f, minus) == (relation, {"n": 0, "m": 1, "k": 1})
+    assert invariant_measure_identity(f, minus.as_rational_map()) == (
+        relation, {"n": 0, "m": 1, "k": 1})
     shift = Moebius(one, Q.from_rational(3), zero, one)
     assert invariant_measure_identity(f, shift) is None
     assert invariant_measure_identity(f, rmap([-1, 0, 1])) is None
+    # iz permutes the fibers of f^2 but not of f: f^2∘g = f^3
+    K = field_configure([1, 0, 1])
+    (f_i,) = over_qi("z^2+2/z^2")
+    assert invariant_measure_identity(f_i, Moebius(K.gen(), K.zero, K.zero, K.one)) == (
+        relation, {"n": 2, "m": 1, "k": 1})
+    # a sigma over another field is not compared
+    w = omega_field()
+    assert invariant_measure_identity(f, Moebius(w.zero, w.one, w.one, w.zero)) is None
 
 
 def test_shared_iterate_refuses_a_candidate_over_the_height_budget():
@@ -457,3 +518,91 @@ def test_screen_cost_does_not_grow_with_the_height():
     t0 = time.perf_counter()
     assert shared_iterate_search(f, g) is None
     assert time.perf_counter() - t0 < 1.0
+
+
+def iterated(f, n):
+    """f^n, composed one map at a time."""
+    out = f
+    for _ in range(n - 1):
+        out = f.compose(out)
+    return out
+
+
+def relation_holds(f, g, route, witness):
+    """Whether the relation ``same_measure_identity`` reported holds, by
+    composing both sides."""
+    if route == "f∘g = g∘f":
+        return f.compose(g) == g.compose(f)
+    if route == "gⁿ∘fᵐ = g^(n+k)":
+        f, g = g, f
+    n, m, k = witness["n"], witness["m"], witness["k"]
+    lhs = iterated(g, m) if n == 0 else iterated(f, n).compose(iterated(g, m))
+    return g.degree**m == f.degree**k and lhs == iterated(f, n + k)
+
+
+def rand_odd_map(ctx, degree, rng):
+    """A random map with f(-z) = -f(z): (a z^2 + b)/(c z) or
+    (a z^3 + b z)/(c z^2 + d)."""
+    while True:
+        a, b, c, d = (rand_element(ctx, rng) for _ in range(4))
+        num, den = ([b, 0, a], [0, c]) if degree == 2 else ([0, b, 0, a], [d, 0, c])
+        try:
+            f = RationalMap(Poly(ctx, num), Poly(ctx, den))
+        except MapError:  # a zero or constant draw
+            continue
+        if f.degree == degree:
+            return f
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(1,), (1, 1, 1)]), st.sampled_from([2, 3]), st.booleans(),
+       st.integers(1, 2), st.integers(0, 10**6))
+def test_iterate_and_twist_pairs_get_an_exact_same(minpoly, degree, odd, n, seed):
+    ctx = Q if len(minpoly) == 1 else field_configure(list(minpoly))
+    rng = np.random.default_rng(seed)
+    f = (rand_odd_map if odd else rand_map)(ctx, degree, rng)
+    sigmas = [Moebius(-ctx.one, ctx.zero, ctx.zero, ctx.one)] if odd else []
+    pairs = [f.iterate(n)]
+    if degree == 2:
+        try:
+            sigma_f = sigma_f_quadratic(f)
+        except ConsistencyError:  # a degenerate draw has no sigma_f
+            sigma_f = None
+        if sigma_f is not None:
+            sigmas.append(sigma_f)
+            pairs.append(sigma_f.as_rational_map().compose(f.iterate(n)))
+    for sigma in sigmas:
+        inverse = Moebius(sigma.d, -sigma.b, -sigma.c, sigma.a)
+        assert sigma.compose(inverse).is_identity()
+        g = sigma.as_rational_map().compose(f).compose(inverse.as_rational_map())
+        assert invariant_measure_identity(f, sigma) == same_measure_identity(f, g)
+        pairs.append(g)
+    for g in pairs:
+        exact = same_measure_identity(f, g)
+        assert exact is not None, (f, g)
+        assert relation_holds(f, g, *exact), (f, g, exact)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(1,), (1, 1, 1)]), st.booleans(), st.integers(0, 10**6))
+def test_distinct_quadratic_polynomials_get_no_exact_route(minpoly, same_residues, seed):
+    # z^2 + c and z^2 + c' with c != c' have different Julia sets
+    ctx = Q if len(minpoly) == 1 else field_configure(list(minpoly))
+    rng = np.random.default_rng(seed)
+    c = rand_element(ctx, rng)
+    if same_residues:
+        # every screened value agrees modulo the prime, so each candidate is
+        # decided by composing; a small budget keeps the composites small
+        c2 = c + ctx.from_rational(SCREEN_PRIME)
+    else:
+        c2 = c
+        while c2 == c:
+            c2 = rand_element(ctx, rng)
+    f, g = (RationalMap.polynomial(Poly(ctx, [x, 0, 1])) for x in (c, c2))
+    if same_residues:
+        for a, b in ((f, g), (g, f)):
+            assert not _screen_separates([a], [b])
+            assert _least_relation(a, b, EVERY_N, 16) is None
+        assert not _composites_equal([g, f], [f, g])
+    else:
+        assert same_measure_identity(f, g) is None

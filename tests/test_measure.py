@@ -5,7 +5,7 @@ import pytest
 
 from mme import measure, numeric
 from mme.catalog import entry, omega_field
-from mme.fields import FieldContext
+from mme.fields import FieldContext, field_configure
 from mme.identities import sigma_f_quadratic
 from mme.measure import (
     ALL_PAIRS_CAP,
@@ -24,6 +24,7 @@ from mme.measure import (
 )
 from mme.numeric import (INF, RootFindingError, chordal, is_inf, named_rng, sphere_lift,
                          sphere_lift_many)
+from mme.parser import parse_map
 from mme.polys import Poly
 from mme.ratmaps import MapError, Moebius, RationalMap
 from conftest import random_rational_map, rng_for
@@ -366,22 +367,33 @@ def test_exact_routes_draw_no_cloud(monkeypatch):
     sigma = sigma_f_quadratic(f)
     flower = entry("chebyshev-flower", {"a": "2"}).maps
     z2, z_minus_2 = rmap([0, 0, 1]), rmap([1], [0, 0, 1])
+    K = field_configure([1, 0, 1])
+    z2_k, iz2, h_i, ih_i = (parse_map(text, K, {"i": K.gen()})
+                            for text in ("z^2", "i*z^2", "z^2+2/z^2", "i*(z^2+2/z^2)"))
+    relation = "fⁿ∘gᵐ = f^(n+k)"
     cases = [
-        (flower["f"], flower["g"], "f∘g = f^(k+1)", {"k": 1}),
+        (flower["f"], flower["g"], relation, {"n": 1, "m": 1, "k": 1}),
         # the Rat_2 case g = sigma_f∘f^n
-        (f, sigma.as_rational_map().compose(f.iterate(2)), "f∘g = f^(k+1)", {"k": 2}),
-        (f.iterate(3), f, "g∘f = g^(k+1)", {"k": 3}),
-        (z2, z_minus_2, "f^n = g^m", {"n": 2, "m": 2}),
+        (f, sigma.as_rational_map().compose(f.iterate(2)), relation, {"n": 1, "m": 1, "k": 2}),
+        (f.iterate(3), f, relation, {"n": 0, "m": 3, "k": 1}),
+        (z2, z_minus_2, relation, {"n": 0, "m": 2, "k": 2}),
+        (z2_k, iz2, relation, {"n": 2, "m": 1, "k": 1}),
+        (h_i, ih_i, relation, {"n": 2, "m": 1, "k": 1}),
+        (z2, rmap([0, 0, 0, 1]), "f∘g = g∘f", None),
+        (rmap([-2, 0, 1]), rmap([0, -3, 0, 1]), "f∘g = g∘f", None),
     ]
     for a, b, route, witness in cases:
         rep = same_measure_test(a, b, count=20000, depth=40, seed=1)
         assert rep.as_dict() == {"verdict": "SAME", "route": route, "witness": witness,
                                  "maps": [map_digest(a), map_digest(b)]}
     minus = Moebius(-Q.one, Q.zero, Q.zero, Q.one)  # commutes with z + 1/z
-    for a, phi, route in ((f, f, "φ = f"), (f, sigma, "f∘σ = f"),
-                          (rmap([1, 0, 1], [0, 1]), minus, "σ∘f = f∘σ")):
+    i_z = Moebius(K.gen(), K.zero, K.zero, K.one)  # permutes the fibers of h_i^2
+    for a, phi, route, witness in (
+            (f, f, "φ = f", None), (f, sigma, relation, {"n": 1, "m": 1, "k": 1}),
+            (rmap([1, 0, 1], [0, 1]), minus, relation, {"n": 0, "m": 1, "k": 1}),
+            (h_i, i_z, relation, {"n": 2, "m": 1, "k": 1})):
         rep = sigma_invariance_check(a, phi, count=20000)
-        assert rep.as_dict() == {"verdict": "SAME", "route": route, "witness": None,
+        assert rep.as_dict() == {"verdict": "SAME", "route": route, "witness": witness,
                                  "map": map_digest(a)}
 
 

@@ -4,12 +4,12 @@ from hypothesis import strategies as st
 
 from mme.powermaps import (
     RootOfUnity,
-    brute_force_is_periodic,
     is_periodic,
     period,
     radical,
     same_periodic_points_powermaps,
 )
+from conftest import brute_force_is_periodic
 
 
 def test_radical_values():
