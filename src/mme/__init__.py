@@ -26,7 +26,7 @@ from .parser import ParseError, parse_map
 from .polys import BiPoly, Poly, graph_bipoly
 from .powermaps import RootOfUnity, is_periodic, period, radical, \
     same_periodic_points_powermaps
-from .ratmaps import CriticalData, MapError, Moebius, RationalMap, critical_data
+from .ratmaps import CriticalData, MapError, RationalMap, critical_data
 
 __all__ = [
     "FieldContext",
@@ -61,7 +61,6 @@ __all__ = [
     "same_periodic_points_powermaps",
     "CriticalData",
     "MapError",
-    "Moebius",
     "RationalMap",
     "critical_data",
 ]

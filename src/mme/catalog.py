@@ -8,9 +8,8 @@ entries double as regression fixtures and CLI demos.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
-from .fields import FieldContext, field_configure
+from .fields import FieldContext, field_configure, to_fraction
 from .identities import (
     CertificateReport,
     check_counterexample_triple,
@@ -139,7 +138,7 @@ def _coeffs_param(value):
     if not isinstance(value, str):
         return value
     try:
-        return [Fraction(c) for c in value.split(",")]
+        return [to_fraction(c) for c in value.split(",")]
     except (ValueError, ZeroDivisionError):
         raise MapError("bad coefficient list %r" % value) from None
 

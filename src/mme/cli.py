@@ -13,10 +13,9 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .catalog import ENTRY_NAMES, entry, iterate_square_identity_check
-from .fields import FieldContext, FieldElement, FieldError, field_configure
+from .fields import FieldContext, FieldElement, FieldError, field_configure, to_fraction
 from .graphcurve import BasepointError, TrackingError, analyze
 from .identities import (
     check_counterexample_triple,
@@ -47,7 +46,7 @@ def _context_from_args(args):
     if not field:
         return FieldContext.rationals()
     try:
-        coeffs = [Fraction(c) for c in field.split(",")]
+        coeffs = [to_fraction(c) for c in field.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError("bad --field %r: %s" % (field, exc))
     return field_configure(coeffs)
@@ -67,11 +66,15 @@ def _bindings_from_args(ctx, args):
 
 
 def _load_map(spec, args):
-    if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            return map_from_json(json.load(fh))
-    if spec.lstrip().startswith("{"):
-        return map_from_json(json.loads(spec))
+    if spec.startswith("@") or spec.lstrip().startswith("{"):
+        if spec.startswith("@"):
+            with open(spec[1:], "rb") as fh:
+                spec = fh.read()
+        try:
+            obj = json.loads(spec)
+        except ValueError as exc:  # not JSON, or an integer past Python's digit limit
+            raise MapError("bad map JSON: %s" % exc) from None
+        return map_from_json(obj)
     ctx = _context_from_args(args)
     return parse_map(spec, ctx, _bindings_from_args(ctx, args))
 
@@ -351,8 +354,7 @@ def main(argv=None):
     args = ap.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (UsageError, ParseError, MapError, FieldError, SizeBudgetError,
-            json.JSONDecodeError, OSError) as exc:
+    except (UsageError, ParseError, MapError, FieldError, SizeBudgetError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (ConsistencyError,) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 MAX_EXTENSION_DEGREE = 8
@@ -26,6 +27,12 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # int() refuses more digits than Python's limit at once, but for an
+        # exponent, as in "1e100000000", Fraction would build 10^exp in full
+        exp = x.lower().partition("e")[2].strip().lstrip("+-")
+        limit = sys.get_int_max_str_digits()
+        if exp.isdigit() and limit and int(exp) > limit:
+            raise ValueError("%r has more than %d digits" % (x, limit))
         return Fraction(x)
     raise TypeError("cannot interpret %r as a rational number" % (x,))
 

@@ -2,10 +2,10 @@
 
 Every verdict of a certificate is decided by exact arithmetic over the
 base field: an identity by comparing the coefficients of both sides in
-lowest terms, once their values at a few integers, taken modulo a large
-prime, have not already told them apart; the absence of a Moebius factor
-R = sigma o S by a span test on the numerators and denominators
-(``mobius_factor_exists``).
+lowest terms, once their values at a few integers, each taken modulo its
+own large prime, have not already told them apart; the absence of a
+Moebius factor R = sigma o S (a map of degree 1) by a span test on the
+numerators and denominators (``mobius_factor_exists``).
 
 Equal measures of maximal entropy are proved by one relation between
 iterates, after Levin-Przytycki (Proc. AMS 1997): for n >= 0 and m, k >= 1
@@ -27,9 +27,9 @@ from itertools import groupby
 from math import prod
 
 from .numeric import ConsistencyError
-from .polys import residue_product, residues_mod
-from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, Moebius, maps_equal
-from .serialize import element_to_json
+from .polys import Poly, residue_product, residues_mod
+from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, RationalMap, maps_equal
+from .serialize import moebius_entries_to_json
 
 
 @dataclass
@@ -55,8 +55,8 @@ class CertificateReport:
 def _witness_json(w):
     if w is None:
         return None
-    if isinstance(w, Moebius):
-        return {"moebius": [element_to_json(e) for e in w.entries()]}
+    if isinstance(w, RationalMap):
+        return {"moebius": moebius_entries_to_json(w)}
     if isinstance(w, tuple):
         return list(w)
     return str(w)
@@ -66,7 +66,7 @@ def _witness_json(w):
 
 
 def mobius_factor_exists(R, S):
-    """An exact Moebius with R = sigma o S, or None.
+    """An exact Moebius map (of degree 1) with R = sigma o S, or None.
 
     With sigma = (az+b)/(cz+d) and both maps stored in lowest terms with a
     monic denominator, R = sigma o S holds exactly when
@@ -96,7 +96,7 @@ def mobius_factor_exists(R, S):
             return None
         entries += (x, y)
     # R is nonconstant, so the solved rows are independent: det(sigma) != 0
-    return Moebius(*entries)
+    return RationalMap.moebius(*entries)
 
 
 # -- certificate bundles ----------------------------------------------------------------
@@ -170,55 +170,51 @@ def _composite(maps, names):
     return out
 
 
-# Values compared before composing.  Distinct maps that agree at 0 alone, or
-# at 0, 1 and infinity, are common: 2z^2 - z and 3z^2 - 2z fix all three,
-# and a shared-iterate search between them that composed every candidate up
-# to degree 4096 would take 14 s (2-vCPU Xeon VM), where their values at 2
-# differ at once.
-SCREEN_POINTS = 8
-# The screen's values are taken modulo this prime.  Exact values of an
-# iterate have about d^n times the bits of the map: for two quadratics with
-# 40-digit coefficients, screening every candidate up to degree 4096 took
-# 22 s on exact values, and ``measure`` screens every pair of maps of equal
-# degree before it samples.
-SCREEN_PRIME = 2**61 - 1
+# Values compared before composing: the value at z = k is taken modulo
+# SCREEN_PRIMES[k], the eight largest primes below 2^61.  Distinct maps that
+# agree at 0 alone, or at 0, 1 and infinity, are common: 2z^2 - z and
+# 3z^2 - 2z fix all three, and a shared-iterate search between them that
+# composed every candidate up to degree 4096 would take 14 s (2-vCPU Xeon
+# VM), where their values at 2 differ at once.  Exact values of an iterate
+# have about d^n times the bits of the map: screening two 40-digit
+# quadratics up to degree 4096 took 22 s on exact values.  One prime for all
+# points would pass maps equal modulo it, as z^2 and z^2 + (2^61 - 1)/2^61
+# are modulo 2^61 - 1, to composing at every candidate.
+SCREEN_PRIMES = tuple(2**61 - c for c in (1, 31, 45, 229, 259, 283, 339, 391))
 
 
 def _screen_separates(fs, gs, memo=None):
     """Whether unequal degrees, or unequal values at one of z = 0, 1, ...,
-    SCREEN_POINTS - 1, prove the composites of ``fs`` and of ``gs`` (each
-    applied first to last) different.
+    len(SCREEN_PRIMES) - 1, prove the composites of ``fs`` and of ``gs``
+    (each applied first to last) different.
 
-    A value is computed on the integer lift of each map (its numerator and
-    denominator cleared over one denominator), in F_p[alpha] for
-    p = SCREEN_PRIME: with a minimal polynomial free of p in its
+    The value at k is computed on the integer lift of each map (its
+    numerator and denominator cleared over one denominator), in F_p[alpha]
+    for p = SCREEN_PRIMES[k]: with a minimal polynomial free of p in its
     denominators, reducing the integer coordinates modulo p is a ring map.
     Exactly equal points have fu gv - fv gu = 0, which stays 0 modulo p, so
-    a nonzero residue proves the points different.  A field with p in a
-    denominator of its minimal polynomial is not screened.  ``memo`` keeps
-    the lifts, and the values of the composites of prefixes, across the
-    calls of one search, keyed by map ids.
+    a nonzero residue proves the points different.  A point whose prime
+    divides a denominator of the minimal polynomial is not screened.
+    ``memo`` keeps the lifts (keyed by map id and prime), and the values of
+    the composites of prefixes, across the calls of one search.
     """
     if prod(f.degree for f in fs) != prod(g.degree for g in gs):
         return True
-    mul = residue_product(fs[0].ctx, SCREEN_PRIME)
-    if mul is None:
-        return False
     memo = {} if memo is None else memo
 
-    def value(maps, k):
+    def value(maps, k, p, mul):
         key = (tuple(map(id, maps)), k)
         if key not in memo:
-            u, v = value(maps[:-1], k) if len(maps) > 1 else (k, 1)
+            u, v = value(maps[:-1], k, p, mul) if len(maps) > 1 else (k, 1)
             f = maps[-1]
-            if id(f) not in memo:
-                memo[id(f)] = residues_mod((f.num, f.den), SCREEN_PRIME)
+            if (id(f), p) not in memo:
+                memo[id(f), p] = residues_mod((f.num, f.den), p)
             vpow = [1]
             for _ in range(f.degree):
                 vpow.append(mul(vpow[-1], v))
             # sum c_i u^i v^(d-i) by Horner from the top coefficient
             out = []
-            for cs in memo[id(f)]:
+            for cs in memo[id(f), p]:
                 acc = 0
                 for i in range(len(cs) - 1, -1, -1):
                     acc = mul(acc, u) + mul(cs[i], vpow[f.degree - i])
@@ -226,8 +222,11 @@ def _screen_separates(fs, gs, memo=None):
             memo[key] = out
         return memo[key]
 
-    for k in range(SCREEN_POINTS):
-        (fu, fv), (gu, gv) = value(fs, k), value(gs, k)
+    for k, p in enumerate(SCREEN_PRIMES):
+        mul = residue_product(fs[0].ctx, p)
+        if mul is None:
+            continue
+        (fu, fv), (gu, gv) = value(fs, k, p, mul), value(gs, k, p, mul)
         if mul(fu, gv) != mul(fv, gu):
             return True
     return False
@@ -322,21 +321,19 @@ def invariant_measure_identity(f, phi):
     """An exact identity proving phi_* mu_f = mu_f, as (route, witness), or
     None.
 
-    ``phi`` is a RationalMap or a Moebius map over f's field context.
+    ``phi`` is a RationalMap over f's field context.
     - phi = f: f_* mu_f = mu_f.
-    - a Moebius sigma: sigma_* mu_f = mu_(sigma o f o sigma^-1), so
+    - a Moebius sigma (degree 1): sigma_* mu_f = mu_(sigma o f o sigma^-1), so
       ``same_measure_identity`` of f and sigma o f o sigma^-1 decides it.
     """
     if phi.ctx is not f.ctx:
         return None
-    if isinstance(phi, Moebius):
-        phi = phi.as_rational_map()
     if maps_equal(phi, f):
         return "φ = f", None
     if phi.degree != 1:
         return None
     (b, a), (d, c) = phi.num.padded(1), phi.den.padded(1)
-    inverse = Moebius(d, -b, -c, a).as_rational_map()
+    inverse = RationalMap.moebius(d, -b, -c, a)
     return same_measure_identity(f, phi.compose(f).compose(inverse))
 
 
@@ -357,13 +354,13 @@ def sigma_f_quadratic(f):
     a, b, c = f.num.coeff(2), f.num.coeff(1), f.num.coeff(0)
     d, e, r = f.den.coeff(2), f.den.coeff(1), f.den.coeff(0)
     try:
-        sigma = Moebius(a * r - c * d, b * r - c * e, b * d - a * e, c * d - a * r)
+        sigma = RationalMap.moebius(a * r - c * d, b * r - c * e, b * d - a * e, c * d - a * r)
     except MapError as exc:
         raise ConsistencyError(
             "degenerate involution for a degree-2 map (vanishing determinant)"
         ) from exc
-    if not maps_equal(f.compose(sigma.as_rational_map()), f):
+    if not maps_equal(f.compose(sigma), f):
         raise ConsistencyError("computed involution does not fix the map")
-    if not sigma.compose(sigma).is_identity():
+    if not maps_equal(sigma.compose(sigma), RationalMap.polynomial(Poly.x(f.ctx))):
         raise ConsistencyError("computed involution does not square to the identity")
     return sigma

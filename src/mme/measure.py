@@ -32,7 +32,7 @@ from .numeric import (
     sphere_unlift,
 )
 from .polys import Poly
-from .ratmaps import MapError, Moebius, RationalMap
+from .ratmaps import MapError
 from .serialize import element_to_json
 
 BURN_IN = 10
@@ -364,14 +364,8 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
 
 
 def push_forward(cloud, phi):
-    """Image cloud under a RationalMap or Moebius."""
-    if isinstance(phi, Moebius):
-        apply = phi.apply_numeric
-    elif isinstance(phi, RationalMap):
-        apply = phi.eval_numeric
-    else:
-        raise TypeError("push_forward expects a RationalMap or Moebius")
-    zs = [apply(z) for z in cloud.as_complex()]
+    """Image cloud under a RationalMap."""
+    zs = [phi.eval_numeric(z) for z in cloud.as_complex()]
     return MeasureCloud(points=sphere_lift_many(zs), meta={**cloud.meta, "pushed": True})
 
 

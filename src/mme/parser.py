@@ -9,10 +9,10 @@ any expression denotes a rational function.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .polys import Poly
-from .ratmaps import MapError, RationalMap
+from .fields import to_fraction
+from .polys import Poly, integer_height
+from .ratmaps import (DEFAULT_DEGREE_BUDGET, ITERATE_HEIGHT_BUDGET, MapError, RationalMap,
+                      SizeBudgetError)
 
 
 class ParseError(ValueError):
@@ -33,7 +33,10 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # past Python's limit on integer digits
+                raise ParseError("integer of %d digits is too long" % (j - i), i) from None
             i = j
         elif ch.isalpha():
             tokens.append(("sym", ch, i))
@@ -135,6 +138,14 @@ class _Parser:
             p, q = q, p
             if p.is_zero():
                 raise MapError("negative power of zero")
+        # the budgets of iterate, applied before the power is built
+        degree = value * max(p.degree, q.degree)
+        if degree > DEFAULT_DEGREE_BUDGET:
+            raise SizeBudgetError("a power of degree %d exceeds the degree budget %d"
+                                  % (degree, DEFAULT_DEGREE_BUDGET))
+        if value > 1 and value * integer_height(p, q) > ITERATE_HEIGHT_BUDGET:
+            raise SizeBudgetError("a power may have coefficients of more than %d bits, "
+                                  "the iterate budget" % ITERATE_HEIGHT_BUDGET)
         return (p**value, q**value)
 
     def primary(self):
@@ -184,7 +195,7 @@ def parse_binding_value(ctx, value):
     if not isinstance(value, str):
         return ctx._coerce(value)
     try:
-        return ctx.from_rational(Fraction(value.strip()))
+        return ctx.from_rational(to_fraction(value.strip()))
     except (ValueError, ZeroDivisionError):
         pass
     if ctx.degree == 1 and "w" in value:

@@ -499,9 +499,14 @@ def residues_mod(polys, p):
     modulo p: for each, one packed residue per coefficient (ascending)."""
     den = math.lcm(*[q._den for q in polys])
     m = polys[0].ctx.degree
-    return [[sum((x * (den // q._den) % p) << (RESIDUE_BITS * k)
-                 for k, x in enumerate(q._ints[i:i + m]))
-             for i in range(0, len(q._ints), 2 * m - 1)] for q in polys]
+    out = []
+    for q in polys:
+        scale = den // q._den
+        r = [x * scale % p for x in q._ints]
+        # over Q a residue is its one coordinate
+        out.append(r if m == 1 else [sum(r[i + k] << (RESIDUE_BITS * k) for k in range(m))
+                                     for i in range(0, len(r), 2 * m - 1)])
+    return out
 
 
 def residue_product(ctx, p):

@@ -1,4 +1,4 @@
-"""Rational self-maps of P^1 and Moebius transformations.
+"""Rational self-maps of P^1; a Moebius transformation is one of degree 1.
 
 Maps are stored as coprime numerator/denominator polynomials over the
 configured exact field, normalized so the leading denominator coefficient
@@ -75,6 +75,13 @@ class RationalMap:
     def polynomial(cls, poly):
         return cls(poly, Poly.one(poly.ctx))
 
+    @classmethod
+    def moebius(cls, a, b, c, d):
+        """z -> (az + b)/(cz + d); ad - bc != 0 makes the pair coprime."""
+        if (a * d - b * c).is_zero():
+            raise MapError("Moebius transformation must have nonzero determinant")
+        return cls._coprime(Poly(a.ctx, [b, a]), Poly(a.ctx, [d, c]))
+
     def __eq__(self, other):
         if not isinstance(other, RationalMap):
             return NotImplemented
@@ -134,11 +141,15 @@ class RationalMap:
         sums it, with K = 1 over Q (:func:`polys.product_growth`).  Over Q,
         making the denominator monic only divides that pair by an integer,
         so the bound holds for every iterate; over Q(alpha) it is an estimate.
+        The bound grows with n, so once it passes ITERATE_HEIGHT_BUDGET it is
+        returned as it stands, below the bound of f^n.
         """
         h = integer_height(self.num, self.den)
         grow = product_growth(self.ctx)
         bound = h
         for _ in range(n - 1):
+            if bound > ITERATE_HEIGHT_BUDGET:
+                break
             bound = h + self.degree * (bound + grow)
         return bound
 
@@ -149,14 +160,15 @@ class RationalMap:
         if n < 1:
             raise MapError("iterate exponent must be >= 1")
         d = self.degree
-        if d**n > budget:
+        # d^n > budget exactly when it holds for n capped at the budget's
+        # bit length, since 2^k > budget there: d^n is never built for huge n
+        if d ** min(n, budget.bit_length()) > budget:
             raise SizeBudgetError(
                 "degree %d^%d exceeds the composite-degree budget %d" % (d, n, budget))
-        bound = self.iterate_height_bound(n)
-        if bound > ITERATE_HEIGHT_BUDGET:
+        if self.iterate_height_bound(n) > ITERATE_HEIGHT_BUDGET:
             raise SizeBudgetError(
-                "%s^%d may have coefficients of up to %d bits, over the iterate "
-                "budget of %d bits" % (name, n, bound, ITERATE_HEIGHT_BUDGET))
+                "%s^%d may have coefficients of more than %d bits, the iterate budget"
+                % (name, n, ITERATE_HEIGHT_BUDGET))
         out = self
         for _ in range(n - 1):
             out = self.compose(out)
@@ -255,75 +267,6 @@ class RationalMap:
 
 def maps_equal(f, g):
     return f == g
-
-
-class Moebius:
-    """z -> (az + b)/(cz + d) with exact entries and nonzero determinant."""
-
-    __slots__ = ("ctx", "a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        ctx = a.ctx
-        for x in (b, c, d):
-            if x.ctx is not ctx:
-                raise FieldError("Moebius entries from different contexts")
-        det = a * d - b * c
-        if det.is_zero():
-            raise MapError("Moebius transformation must have nonzero determinant")
-        # normalize: first nonzero of (a, b, c, d) scaled to 1
-        for pivot in (a, b, c, d):
-            if not pivot.is_zero():
-                inv = pivot.inverse()
-                break
-        self.ctx = ctx
-        self.a, self.b, self.c, self.d = a * inv, b * inv, c * inv, d * inv
-
-    @classmethod
-    def identity(cls, ctx):
-        return cls(ctx.one, ctx.zero, ctx.zero, ctx.one)
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        if not isinstance(other, Moebius):
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __hash__(self):
-        return hash(self.entries())
-
-    def __repr__(self):
-        return "Moebius((%r)z + (%r)) / ((%r)z + (%r))" % (self.a, self.b, self.c, self.d)
-
-    def compose(self, other):
-        """self after other (matrix product)."""
-        return Moebius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply_numeric(self, z):
-        e = [complex(x) for x in self.entries()]
-        if is_inf(z):
-            if abs(e[2]) == 0:
-                return INF
-            return e[0] / e[2]
-        den = e[2] * z + e[3]
-        num = e[0] * z + e[1]
-        if abs(den) <= 1e-15 * max(1.0, abs(num)):
-            return INF
-        return num / den
-
-    def as_rational_map(self):
-        return RationalMap(
-            Poly(self.ctx, [self.b, self.a]), Poly(self.ctx, [self.d, self.c])
-        )
-
-    def is_identity(self):
-        return self == Moebius.identity(self.ctx)
 
 
 # -- critical data -------------------------------------------------------------------

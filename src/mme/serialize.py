@@ -8,30 +8,61 @@ Points serialize as [re, im] pairs or the string "inf".
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
-from .fields import FieldContext, FieldElement, field_configure
+from .fields import FieldContext, field_configure, to_fraction
 from .numeric import is_inf
 from .polys import Poly
-from .ratmaps import MapError, Moebius, RationalMap
+from .ratmaps import MapError, RationalMap
+
+
+def _int_to_json(n):
+    """n in decimal, of any length: str() of an int refuses past Python's
+    limit on digits (4300 by default), str() of a Decimal does not, but is
+    slower below it."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _rational_to_json(q):
+    num = _int_to_json(q.numerator)
+    return num if q.denominator == 1 else "%s/%s" % (num, _int_to_json(q.denominator))
 
 
 def element_to_json(e):
     if e.is_rational():
-        return str(e.as_fraction())
-    return [str(c) for c in e.coords]
+        return _rational_to_json(e.as_fraction())
+    return [_rational_to_json(c) for c in e.coords]
+
+
+def _rational_from_json(obj):
+    """A JSON number or a "num/den" string (read by ``fields.to_fraction``)
+    as a Fraction; MapError otherwise."""
+    if isinstance(obj, str):
+        try:
+            return to_fraction(obj)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MapError("bad coefficient: %s" % exc) from None
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return Fraction(obj)
+    if isinstance(obj, float) and obj.is_integer():
+        return Fraction(int(obj))
+    raise MapError("not an exact rational coefficient: %r" % (obj,))
+
+
+def _list_from_json(obj, what):
+    if not isinstance(obj, list):
+        raise MapError("%s must be a JSON list, got %r" % (what, obj))
+    return obj
 
 
 def element_from_json(ctx, obj):
-    if isinstance(obj, str):
-        return ctx.from_rational(Fraction(obj))
-    if isinstance(obj, (int, float)):
-        if isinstance(obj, float) and not obj.is_integer():
-            raise MapError("non-exact float coefficient %r" % obj)
-        return ctx.from_rational(int(obj))
     if isinstance(obj, list):
-        return ctx.element([Fraction(c) for c in obj])
-    raise MapError("unrecognized coefficient %r" % (obj,))
+        return ctx.element([_rational_from_json(c) for c in obj])
+    return ctx.from_rational(_rational_from_json(obj))
 
 
 def field_to_json(ctx):
@@ -44,7 +75,8 @@ def field_from_json(obj):
     if obj in (None, "Q", "rationals"):
         return FieldContext.rationals()
     if isinstance(obj, dict) and "minpoly" in obj:
-        return field_configure([Fraction(c) for c in obj["minpoly"]])
+        return field_configure([_rational_from_json(c)
+                                for c in _list_from_json(obj["minpoly"], "minpoly")])
     raise MapError("unrecognized field description %r" % (obj,))
 
 
@@ -61,13 +93,21 @@ def map_from_json(obj, ctx=None):
         raise MapError("map JSON needs 'num' and 'den' coefficient lists")
     if ctx is None:
         ctx = field_from_json(obj.get("field"))
-    num = Poly(ctx, [element_from_json(ctx, c) for c in obj["num"]])
-    den = Poly(ctx, [element_from_json(ctx, c) for c in obj["den"]])
+    num, den = (Poly(ctx, [element_from_json(ctx, c) for c in _list_from_json(obj[k], k)])
+                for k in ("num", "den"))
     return RationalMap(num, den)
 
 
+def moebius_entries_to_json(m):
+    """[a, b, c, d] of the degree-1 map m = (az + b)/(cz + d), scaled so that
+    the first nonzero entry is 1."""
+    (b, a), (d, c) = m.num.padded(1), m.den.padded(1)
+    pivot = next(e for e in (a, b, c, d) if not e.is_zero())
+    return [element_to_json(e / pivot) for e in (a, b, c, d)]
+
+
 def moebius_to_json(m):
-    return {"field": field_to_json(m.ctx), "entries": [element_to_json(e) for e in m.entries()]}
+    return {"field": field_to_json(m.ctx), "entries": moebius_entries_to_json(m)}
 
 
 def point_to_json(p):

@@ -89,7 +89,7 @@ def test_zieve_symmetric_case_has_genuine_mobius_factor():
     witness = [w for name, v, w in rep.claims if v == "FAIL" and w is not None]
     assert witness
     sigma = witness[0]
-    assert sigma.as_rational_map().compose(e.maps["S"]) == e.maps["R"]
+    assert sigma.compose(e.maps["S"]) == e.maps["R"]
 
 
 def test_iterate_square_identity():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -115,8 +116,7 @@ def test_shared_iterate_over_the_height_budget_exits_two(capsys, command):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0  # refused before composing
     assert (code, out) == (2, "")
-    assert err.startswith("error: g^2 may have coefficients of up to 35876 bits")
-    assert "over the iterate budget of 32768 bits" in err
+    assert err.startswith("error: g^2 may have coefficients of more than 32768 bits")
 
 
 def test_powermap_equal_and_unequal(capsys):
@@ -355,10 +355,112 @@ def test_iterate_refuses_an_iterate_over_the_height_budget(capsys):
     code, out, err = run(capsys, "iterate", "--map", FORTY_DIGIT_MAP, "--n", "5", "--budget", "1024")
     assert time.perf_counter() - t0 < 1.0  # refused before any composing
     assert (code, out) == (2, "")
-    assert err.startswith("error: f^5 may have coefficients of up to 45") and "32768 bits" in err
+    assert err.startswith("error: f^5 may have coefficients of more than 32768 bits")
     code, out, _ = run(capsys, "iterate", "--map", FORTY_DIGIT_MAP, "--n", "4")
     assert code == 0
     assert len(json.loads(out)["num"]) == 257
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--map", "z+1", "--n", "1000000000"],
+    ["iterate", "--map", "z^3", "--n", "1000000000"],
+    ["iterate", "--map", "z^100000000"],
+    ["compose", "--f", "z", "--g", "z+10^100000000"],
+    ["measure", "--f", "z^2", "--g", "(z+1)^-100000000"],
+])
+def test_input_past_the_budgets_exits_two_at_once(capsys, argv):
+    # the degree or height of a power, or of an iterate, is refused before
+    # anything is built
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert "budget" in err and err.startswith("error: ")
+
+
+def test_coefficients_past_the_digit_limit_are_written(capsys):
+    # f^7 for f = z^2 + 10^70 is within the height budget, and its constant
+    # term f^7(0) has 4481 digits, past the 4300 that str() of an int allows
+    x = 0
+    for _ in range(7):
+        x = x * x + 10**70
+    code, out, _ = run(capsys, "iterate", "--map", "z^2+10^70", "--n", "7")
+    assert code == 0
+    assert Decimal(json.loads(out)["num"][0]) == Decimal(x)
+    code, out, _ = run(capsys, "compose", "--f", "z^2+10^3000", "--g", "z^2+10^3000")
+    assert code == 0
+    assert len(json.loads(out)["num"][0]) == 6001
+
+
+LONG_LITERAL = "1" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", "z^2+%s" % LONG_LITERAL],
+    ["--f", '{"num": ["%s", 0, 1], "den": [1]}' % LONG_LITERAL],
+    ["--f", '{"num": [%s, 0, 1], "den": [1]}' % LONG_LITERAL],
+    ["--f", '{"num": [["%s"], 0, 1], "den": [1], "field": {"minpoly": [1, 1, 1]}}' % LONG_LITERAL],
+    ["--f", '{"num": [0, 0, 1], "den": [1], "field": {"minpoly": ["%s", 0, 1]}}' % LONG_LITERAL],
+    # an exponent would make Fraction build 10^100000000
+    ["--f", '{"num": ["1e100000000", 0, 1], "den": [1]}'],
+    ["--f", "z^2+a", "--bind", "a=1e-100000000"],
+    ["--f", "z^2", "--field", "1e100000000,0,1"],
+])
+def test_integer_literals_past_the_digit_limit_exit_two(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compose", *argv, "--g", "z")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"num": 5, "den": [1]},
+    {"num": ["x"], "den": [1]},
+    {"num": [1, 0, 1], "den": [1], "field": {"minpoly": "ab"}},
+    {"num": [1, 0, 1], "den": [1], "field": {"minpoly": None}},
+    {"num": [True, 1], "den": [1]},
+    {"num": [[1, {}], 1], "den": [1], "field": {"minpoly": [1, 1, 1]}},
+    {"num": [0.5, 1], "den": [1]},
+    {"num": ["1/0", 1], "den": [1]},
+])
+def test_malformed_map_json_exits_two(capsys, doc):
+    code, out, err = run(capsys, "compose", "--f", json.dumps(doc), "--g", "z")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+# any JSON value, and map documents whose coefficients are mostly small
+# integers, with strings, booleans, floats, nulls and lists among them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+def weighted(*pairs):
+    """Draw from each strategy s of (weight, s) with odds proportional to its weight."""
+    return st.sampled_from([s for w, s in pairs for _ in range(w)]).flatmap(lambda s: s)
+
+
+COEFF = weighted((6, st.integers(-3, 3)),
+                 (1, st.sampled_from(["1/2", "-3", "x", "1/0", "", True, None, 0.5, 2.0, 1e400])),
+                 (1, st.lists(st.integers(-2, 2) | st.sampled_from(["1/3", "y"]), max_size=3)),
+                 (1, JSON_VALUES))
+COEFFS = weighted((3, st.lists(COEFF, min_size=1, max_size=4)), (1, JSON_VALUES))
+FIELDS = weighted((3, st.sampled_from([None, "Q", "rationals", {"minpoly": [1, 1, 1]}])),
+                  (1, st.fixed_dictionaries({"minpoly": COEFFS})), (1, JSON_VALUES))
+MAP_DOCUMENTS = weighted(
+    (3, st.fixed_dictionaries({"num": COEFFS, "den": COEFFS}, optional={"field": FIELDS})),
+    (1, JSON_VALUES))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(MAP_DOCUMENTS)
+def test_map_json_documents_keep_the_contract(doc):
+    code, _ = _keeps_the_contract(["compose", "--f", json.dumps(doc), "--g", "z"])
+    assert code in (0, 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -656,7 +758,7 @@ def _measured_pair(f_json, kind, other_json):
     if kind == "f∘f":
         return map_to_json(f.compose(f)), True
     if kind == "σ_f∘f" and f.degree == 2:
-        return map_to_json(sigma_f_quadratic(f).as_rational_map().compose(f)), True
+        return map_to_json(sigma_f_quadratic(f).compose(f)), True
     # a random g, and the g for σ_f∘f when f has no σ_f (degree 3)
     return other_json, False
 

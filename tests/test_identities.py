@@ -11,8 +11,7 @@ from mme.catalog import entry, omega_field
 from mme.fields import FieldContext, field_configure
 import mme.identities
 from mme.identities import (
-    SCREEN_POINTS,
-    SCREEN_PRIME,
+    SCREEN_PRIMES,
     _composites_equal,
     _least_relation,
     _screen_separates,
@@ -27,11 +26,12 @@ from mme.identities import (
 from mme.numeric import ConsistencyError
 from mme.parser import parse_map
 from mme.polys import Poly
-from mme.ratmaps import (DEFAULT_DEGREE_BUDGET, ITERATE_HEIGHT_BUDGET, MapError, Moebius,
-                         RationalMap, SizeBudgetError)
+from mme.ratmaps import (DEFAULT_DEGREE_BUDGET, ITERATE_HEIGHT_BUDGET, MapError, RationalMap,
+                         SizeBudgetError)
 from conftest import random_rational_map
 
 Q = FieldContext.rationals()
+moebius = RationalMap.moebius
 
 
 def rmap(num, den=(1,)):
@@ -44,16 +44,15 @@ def verdicts(report):
 
 def test_mobius_factor_between_square_and_inverse_square():
     m = mobius_factor_exists(rmap([0, 0, 1]), rmap([1], [0, 0, 1]))
-    assert m is not None
     # the factor is z -> 1/z
-    assert m.a.is_zero() and m.d.is_zero()
+    assert m == moebius(Q.zero, Q.one, Q.one, Q.zero)
 
 
 def test_mobius_factor_shift_is_found_exactly():
     # z^2 = sigma(z^2 + 1) with sigma(z) = z - 1
     m = mobius_factor_exists(rmap([0, 0, 1]), rmap([1, 0, 1]))
-    assert m is not None
-    assert rmap([0, 0, 1]) == m.as_rational_map().compose(rmap([1, 0, 1]))
+    assert m.degree == 1
+    assert rmap([0, 0, 1]) == m.compose(rmap([1, 0, 1]))
 
 
 def test_mobius_factor_none_between_unrelated_maps():
@@ -119,8 +118,8 @@ def test_shared_iterate_rejects_moebius_maps():
 def test_sigma_f_for_z_plus_inverse():
     f = rmap([1, 0, 1], [0, 1])  # z + 1/z, fibers swapped by z -> 1/z
     s = sigma_f_quadratic(f)
-    assert s.a.is_zero() and s.d.is_zero()
-    assert s.compose(s).is_identity()
+    assert s == moebius(Q.zero, Q.one, Q.one, Q.zero)
+    assert s.compose(s) == rmap([0, 1])
 
 
 def test_sigma_f_rejects_wrong_degree():
@@ -137,8 +136,8 @@ def test_sigma_f_is_involution_on_random_quadratics(seed):
         s = sigma_f_quadratic(f)
     except Exception:
         return  # degenerate draw (sigma undefined), allowed to refuse
-    assert s.compose(s).is_identity()
-    assert f.compose(s.as_rational_map()) == f
+    assert s.compose(s) == rmap([0, 1])
+    assert f.compose(s) == f
 
 
 def test_chebyshev_flower_certificates_over_omega():
@@ -154,7 +153,7 @@ def rand_moebius(ctx, rng):
     while True:
         entries = [rand_element(ctx, rng) for _ in range(4)]
         if not (entries[0] * entries[3] - entries[1] * entries[2]).is_zero():
-            return Moebius(*entries)
+            return moebius(*entries)
 
 
 def bind_gen(ctx, text):
@@ -167,9 +166,8 @@ def test_mobius_factor_over_cubic_field():
     S = bind_gen(K, "(z^2+2)/(z-1)")
     R = bind_gen(K, "t*(z-1)/(z^2+2)")
     m = mobius_factor_exists(R, S)
-    assert m is not None
-    assert m.as_rational_map().compose(S) == R
-    assert m.a.is_zero() and m.d.is_zero() and m.b == K.gen() * m.c
+    assert m == moebius(K.zero, K.gen(), K.one, K.zero)
+    assert m.compose(S) == R
 
 
 def test_mobius_factor_over_quartic_field():
@@ -178,8 +176,8 @@ def test_mobius_factor_over_quartic_field():
     S = bind_gen(K, "z^2+z")
     R = bind_gen(K, "t^2*(z^2+z)")
     m = mobius_factor_exists(R, S)
-    assert m is not None
-    assert m.as_rational_map().compose(S) == R
+    assert m.degree == 1
+    assert m.compose(S) == R
 
 
 @settings(max_examples=30, deadline=None)
@@ -197,14 +195,14 @@ def test_mobius_factor_found_for_every_twist(minpoly, degree, seed):
         except MapError:  # a constant draw
             pass
     sigma = rand_moebius(ctx, rng)
-    R = sigma.as_rational_map().compose(S)
+    R = sigma.compose(S)
     m = mobius_factor_exists(R, S)
     assert m == sigma
-    assert m.as_rational_map().compose(S) == R
+    assert m.compose(S) == R
     # the unrelated pair stays unrelated under any twist: fibers of z^2+z
     # are {z, -1-z}, fibers of sigma(z^2) are {z, -z}
     square = Poly(ctx, [0, 0, 1])
-    twisted_square = sigma.as_rational_map().compose(RationalMap.polynomial(square))
+    twisted_square = sigma.compose(RationalMap.polynomial(square))
     assert mobius_factor_exists(twisted_square, RationalMap.polynomial(Poly(ctx, [0, 1, 1]))) is None
 
 
@@ -233,9 +231,10 @@ def test_fof_claim_matches_the_composed_maps(minpoly, symmetric, seed):
     if symmetric:
         # R even, T odd, S = -R: ToS = -ToR, so (i) fails while RoToR = RoToS
         z = Poly.x(ctx)
-        R = rand_moebius(ctx, rng).as_rational_map().compose(RationalMap.polynomial(z * z))
+        R = rand_moebius(ctx, rng).compose(RationalMap.polynomial(z * z))
         b = rand_moebius(ctx, rng)
-        T = RationalMap(z * (z * z * b.a + b.b), z * z * b.c + b.d)
+        T = RationalMap(z * (z * z * b.num.coeff(1) + b.num.coeff(0)),
+                        z * z * b.den.coeff(1) + b.den.coeff(0))
         S = RationalMap(-R.num, R.den)
         if T.degree < 2:
             return
@@ -298,9 +297,10 @@ def composites_equal_at_2d_plus_2_points(fs, gs):
 
 
 def screen_polynomial(ctx):
-    """z(z - 1)...(z - SCREEN_POINTS + 1): every screened point goes to 0."""
+    """z(z - 1)...(z - len(SCREEN_PRIMES) + 1): every screened point goes to 0."""
     z = Poly.x(ctx)
-    return RationalMap.polynomial(prod((z - ctx.from_rational(k) for k in range(SCREEN_POINTS)),
+    return RationalMap.polynomial(prod((z - ctx.from_rational(k)
+                                        for k in range(len(SCREEN_PRIMES))),
                                        start=Poly.one(ctx)))
 
 
@@ -309,7 +309,7 @@ def twisted_at_zero(f, ctx, rng):
     c = rand_element(ctx, rng)
     while c.is_zero():
         c = rand_element(ctx, rng)
-    return f.compose(Moebius(ctx.one, ctx.zero, c, ctx.one).as_rational_map())
+    return f.compose(moebius(ctx.one, ctx.zero, c, ctx.one))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -367,7 +367,7 @@ EVERY_N = range(DEFAULT_DEGREE_BUDGET)
 def test_least_relation_finds_each_identity():
     rng = np.random.default_rng(20241019)
     f = random_rational_map(2, rng)
-    sigma = sigma_f_quadratic(f).as_rational_map()
+    sigma = sigma_f_quadratic(f)
     budget = DEFAULT_DEGREE_BUDGET
     assert _least_relation(f, f, EVERY_N, budget) == (0, 1, 1)
     assert _least_relation(f, f.iterate(3), EVERY_N, budget) == (0, 1, 3)
@@ -412,7 +412,7 @@ def test_same_measure_identity_routes():
         assert same_measure_identity(*pair) == (relation, {"n": 2, "m": 1, "k": 1})
     # the Rat_2 case g = sigma_f∘f: f∘g = f∘f
     h = random_rational_map(2, np.random.default_rng(7))
-    g = sigma_f_quadratic(h).as_rational_map().compose(h)
+    g = sigma_f_quadratic(h).compose(h)
     assert same_measure_identity(h, g) == (relation, {"n": 1, "m": 1, "k": 1})
     # commuting maps with no relation of iterates: the Chebyshev and power pairs
     assert same_measure_identity(rmap([-2, 0, 1]), rmap([0, -3, 0, 1])) == ("f∘g = g∘f", None)
@@ -444,21 +444,19 @@ def test_invariant_measure_identity_routes():
     assert invariant_measure_identity(f, sigma_f_quadratic(f)) == (
         relation, {"n": 1, "m": 1, "k": 1})
     # -z commutes with z + 1/z, so σ∘f∘σ^-1 = f
-    minus = Moebius(-one, zero, zero, one)
+    minus = moebius(-one, zero, zero, one)
     assert invariant_measure_identity(f, minus) == (relation, {"n": 0, "m": 1, "k": 1})
-    assert invariant_measure_identity(f, minus.as_rational_map()) == (
-        relation, {"n": 0, "m": 1, "k": 1})
-    shift = Moebius(one, Q.from_rational(3), zero, one)
+    shift = moebius(one, Q.from_rational(3), zero, one)
     assert invariant_measure_identity(f, shift) is None
     assert invariant_measure_identity(f, rmap([-1, 0, 1])) is None
     # iz permutes the fibers of f^2 but not of f: f^2∘g = f^3
     K = field_configure([1, 0, 1])
     (f_i,) = over_qi("z^2+2/z^2")
-    assert invariant_measure_identity(f_i, Moebius(K.gen(), K.zero, K.zero, K.one)) == (
+    assert invariant_measure_identity(f_i, moebius(K.gen(), K.zero, K.zero, K.one)) == (
         relation, {"n": 2, "m": 1, "k": 1})
     # a sigma over another field is not compared
     w = omega_field()
-    assert invariant_measure_identity(f, Moebius(w.zero, w.one, w.one, w.zero)) is None
+    assert invariant_measure_identity(f, moebius(w.zero, w.one, w.one, w.zero)) is None
 
 
 def test_shared_iterate_refuses_a_candidate_over_the_height_budget():
@@ -492,19 +490,34 @@ def test_screen_modulo_a_prime_matches_exact_values(minpoly, kind, seed):
         # f and f∘(z / (cz + 1)) agree at 0 only
         g = twisted_at_zero(f, ctx, rng)
     for fs, gs in (([f], [g]), ([f, g], [g, f]), ([f] * 3, [g] * 3), ([f] * 2, [f.iterate(2)])):
-        assert _screen_separates(fs, gs) is separated_at(fs, gs, SCREEN_POINTS)
+        assert _screen_separates(fs, gs) is separated_at(fs, gs, len(SCREEN_PRIMES))
 
 
 def test_screen_reduces_big_coefficients_modulo_the_prime():
-    # z^2 and z^2 + p z agree modulo p at every point, and differ
-    f, g = rmap([0, 0, 1]), rmap([0, SCREEN_PRIME, 1])
+    # z^2 and z^2 + P z, P the product of the screen primes, agree modulo
+    # each prime at every point, and differ
+    P = prod(SCREEN_PRIMES)
+    f, g = rmap([0, 0, 1]), rmap([0, P, 1])
     assert not _screen_separates([f], [g])
     assert not _composites_equal([f], [g])
-    # a field with p in a denominator of its minimal polynomial is not screened
-    ctx = field_configure([Fraction(1, SCREEN_PRIME), 0, 1])
+    # a field with every screen prime in a denominator of its minimal
+    # polynomial is not screened
+    ctx = field_configure([Fraction(1, P), 0, 1])
     z2, z2_1 = (parse_map(text, ctx) for text in ("z^2", "z^2+1"))
     assert not _screen_separates([z2], [z2_1])
     assert not _composites_equal([z2], [z2_1])
+
+
+def test_screen_separates_maps_equal_modulo_one_prime():
+    # z^2 + (2^61 - 1)/2^61 reduces to z^2 modulo 2^61 - 1, where 2^61 = 1;
+    # the other points' primes tell the two apart, so no candidate of the
+    # relation search is composed (composing them ran into the height budget)
+    p = SCREEN_PRIMES[0]
+    f, g = rmap([0, 0, 1]), rmap([Fraction(p, p + 1), 0, 1])
+    assert _screen_separates([f], [g])
+    t0 = time.perf_counter()
+    assert same_measure_identity(f, g) is None
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_screen_cost_does_not_grow_with_the_height():
@@ -561,7 +574,7 @@ def test_iterate_and_twist_pairs_get_an_exact_same(minpoly, degree, odd, n, seed
     ctx = Q if len(minpoly) == 1 else field_configure(list(minpoly))
     rng = np.random.default_rng(seed)
     f = (rand_odd_map if odd else rand_map)(ctx, degree, rng)
-    sigmas = [Moebius(-ctx.one, ctx.zero, ctx.zero, ctx.one)] if odd else []
+    sigmas = [moebius(-ctx.one, ctx.zero, ctx.zero, ctx.one)] if odd else []
     pairs = [f.iterate(n)]
     if degree == 2:
         try:
@@ -570,11 +583,12 @@ def test_iterate_and_twist_pairs_get_an_exact_same(minpoly, degree, odd, n, seed
             sigma_f = None
         if sigma_f is not None:
             sigmas.append(sigma_f)
-            pairs.append(sigma_f.as_rational_map().compose(f.iterate(n)))
+            pairs.append(sigma_f.compose(f.iterate(n)))
     for sigma in sigmas:
-        inverse = Moebius(sigma.d, -sigma.b, -sigma.c, sigma.a)
-        assert sigma.compose(inverse).is_identity()
-        g = sigma.as_rational_map().compose(f).compose(inverse.as_rational_map())
+        (b, a), (d, c) = sigma.num.padded(1), sigma.den.padded(1)
+        inverse = moebius(d, -b, -c, a)
+        assert sigma.compose(inverse) == RationalMap.polynomial(Poly.x(ctx))
+        g = sigma.compose(f).compose(inverse)
         assert invariant_measure_identity(f, sigma) == same_measure_identity(f, g)
         pairs.append(g)
     for g in pairs:
@@ -591,9 +605,9 @@ def test_distinct_quadratic_polynomials_get_no_exact_route(minpoly, same_residue
     rng = np.random.default_rng(seed)
     c = rand_element(ctx, rng)
     if same_residues:
-        # every screened value agrees modulo the prime, so each candidate is
+        # every screened value agrees modulo its prime, so each candidate is
         # decided by composing; a small budget keeps the composites small
-        c2 = c + ctx.from_rational(SCREEN_PRIME)
+        c2 = c + ctx.from_rational(prod(SCREEN_PRIMES))
     else:
         c2 = c
         while c2 == c:

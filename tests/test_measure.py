@@ -26,7 +26,7 @@ from mme.numeric import (INF, RootFindingError, chordal, is_inf, named_rng, sphe
                          sphere_lift_many)
 from mme.parser import parse_map
 from mme.polys import Poly
-from mme.ratmaps import MapError, Moebius, RationalMap
+from mme.ratmaps import MapError, RationalMap
 from conftest import random_rational_map, rng_for
 
 Q = FieldContext.rationals()
@@ -207,14 +207,14 @@ def test_push_forward_by_sigma_over_another_field_is_sampled_and_same():
     # them, so the pushed cloud decides
     w = omega_field()
     f = rmap([1, 0, 1], [0, 1])
-    rep = sigma_invariance_check(f, Moebius(w.zero, w.one, w.one, w.zero),
+    rep = sigma_invariance_check(f, RationalMap.moebius(w.zero, w.one, w.one, w.zero),
                                  count=1500, depth=30, seed=5)
     assert (rep.verdict, rep.as_dict()["route"]) == ("SAME", "energy distance")
 
 
 def test_push_forward_by_wrong_mobius_is_detected():
     f = rmap([-1, 0, 1])  # z^2 - 1; z -> z + 3 does not preserve its measure
-    shift = Moebius(Q.one, Q.from_rational(3), Q.zero, Q.one)
+    shift = RationalMap.moebius(Q.one, Q.from_rational(3), Q.zero, Q.one)
     rep = sigma_invariance_check(f, shift, count=1500, depth=30, seed=5)
     assert rep.verdict == "DIFFERENT"
     assert rep.as_dict()["route"] == "energy distance"
@@ -374,7 +374,7 @@ def test_exact_routes_draw_no_cloud(monkeypatch):
     cases = [
         (flower["f"], flower["g"], relation, {"n": 1, "m": 1, "k": 1}),
         # the Rat_2 case g = sigma_f∘f^n
-        (f, sigma.as_rational_map().compose(f.iterate(2)), relation, {"n": 1, "m": 1, "k": 2}),
+        (f, sigma.compose(f.iterate(2)), relation, {"n": 1, "m": 1, "k": 2}),
         (f.iterate(3), f, relation, {"n": 0, "m": 3, "k": 1}),
         (z2, z_minus_2, relation, {"n": 0, "m": 2, "k": 2}),
         (z2_k, iz2, relation, {"n": 2, "m": 1, "k": 1}),
@@ -386,8 +386,8 @@ def test_exact_routes_draw_no_cloud(monkeypatch):
         rep = same_measure_test(a, b, count=20000, depth=40, seed=1)
         assert rep.as_dict() == {"verdict": "SAME", "route": route, "witness": witness,
                                  "maps": [map_digest(a), map_digest(b)]}
-    minus = Moebius(-Q.one, Q.zero, Q.zero, Q.one)  # commutes with z + 1/z
-    i_z = Moebius(K.gen(), K.zero, K.zero, K.one)  # permutes the fibers of h_i^2
+    minus = RationalMap.moebius(-Q.one, Q.zero, Q.zero, Q.one)  # commutes with z + 1/z
+    i_z = RationalMap.moebius(K.gen(), K.zero, K.zero, K.one)  # permutes the fibers of h_i^2
     for a, phi, route, witness in (
             (f, f, "φ = f", None), (f, sigma, relation, {"n": 1, "m": 1, "k": 1}),
             (rmap([1, 0, 1], [0, 1]), minus, relation, {"n": 0, "m": 1, "k": 1}),
@@ -405,7 +405,7 @@ def test_input_errors_come_before_every_route():
         for g in (f, rmap([1, 0, 1])):
             with pytest.raises(MapError, match=match):
                 same_measure_test(f, g, **kwargs)
-        for phi in (f, Moebius(Q.one, Q.one, Q.zero, Q.one)):
+        for phi in (f, RationalMap.moebius(Q.one, Q.one, Q.zero, Q.one)):
             with pytest.raises(MapError, match=match):
                 sigma_invariance_check(f, phi, **kwargs)
     moebius = rmap([1, 1])

@@ -8,7 +8,7 @@ from mme.fields import FieldContext, field_configure
 from mme.numeric import INF
 from mme.parser import parse_binding_value, parse_map
 from mme.polys import Poly
-from mme.ratmaps import Moebius, RationalMap
+from mme.ratmaps import RationalMap
 from mme.serialize import (
     dumps_report,
     element_from_json,
@@ -72,7 +72,7 @@ def test_map_roundtrip_over_extension():
 
 
 def test_moebius_serialization():
-    m = Moebius(Q.one, Q.from_rational(2), Q.zero, Q.one)
+    m = RationalMap.moebius(Q.one, Q.from_rational(2), Q.zero, Q.one)
     obj = moebius_to_json(m)
     assert obj["entries"] == ["1", "2", "0", "1"]
 
