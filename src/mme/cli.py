@@ -33,7 +33,7 @@ from .powermaps import (
     radical,
     same_periodic_points_powermaps,
 )
-from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, SizeBudgetError
+from .ratmaps import DEFAULT_DEGREE_BUDGET, ITERATE_HEIGHT_BUDGET, MapError, SizeBudgetError
 from .serialize import dumps_report, element_to_json, map_from_json, map_to_json, moebius_to_json
 
 
@@ -217,6 +217,9 @@ def _cmd_compose(args):
     if f.degree * g.degree > DEFAULT_DEGREE_BUDGET:
         raise SizeBudgetError("degree %d * %d of f∘g exceeds the composite-degree budget %d"
                               % (f.degree, g.degree, DEFAULT_DEGREE_BUDGET))
+    if f.compose_height_bound(g) > ITERATE_HEIGHT_BUDGET:
+        raise SizeBudgetError("f∘g may have coefficients of more than %d bits, the iterate budget"
+                              % ITERATE_HEIGHT_BUDGET)
     _emit(args, dumps_report(map_to_json(f.compose(g))))
     return 0
 

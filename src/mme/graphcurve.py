@@ -12,17 +12,21 @@ the pairs whose first point sits at p.
 
 Fibers are tracked in the target chart t' = 1/(t - c), with c chordally far
 from every critical value, so every critical value is finite there and
-t' = infinity is not one; x and y never leave the original chart.  The loop
-permutations are cross-checked against the exact local degrees of G.  The
-loops are tracked in base-sheet order, so the fiber at every vertex of a
-loop puts a point (x_i, x_j) on the component of each orbit holding (i, j);
-those points are the component's samples.  Its x-degree is confirmed by a
-relation vanishing on them, and, when that relation rationalizes into the
-base field, the component is certified by exact polynomial division.
+t' = infinity is not one; x and y never leave the original chart.  All loops
+are tracked together, level by level: each level solves the fibers at all
+its abscissae in batched root solves and bisects every step whose two end
+fibers cannot be matched safely.  The loop permutations are cross-checked
+against the exact local degrees of G.  The loops are tracked in base-sheet
+order, so the fiber at every vertex of a loop puts a point (x_i, x_j) on the
+component of each orbit holding (i, j); those points are the component's
+samples.  Its x-degree is confirmed by a relation vanishing on them, and,
+when that relation rationalizes into the base field, the component is
+certified by exact polynomial division.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,7 @@ import numpy as np
 from .numeric import (
     INF,
     ConsistencyError,
+    _finite_part,
     chordal,
     chordal_matrix,
     is_inf,
@@ -47,6 +52,8 @@ MATCH_TOL = 1e-6
 LAYOUT_CANDIDATES = 256
 # the steps of a keyhole loop's full circle around one critical value
 KEYHOLE_STEPS = 24
+# the most rows of one batched fiber solve
+CHUNK_ROWS = 128
 
 
 class TrackingError(RuntimeError):
@@ -259,90 +266,90 @@ def _plan_loops(curve):
     return LoopPlan(basepoint=x0, order=order, waypoints=waypoints)
 
 
-def _walk(waypoints, fiber):
-    """One path of the lockstep tracker, as a generator.
-
-    A path is one polyline.  For every attempted step the walk yields
-    (abscissa, current fiber) and is sent back (new fiber, chordal cost
-    matrix current x new, separation of the new fiber).  Returns the fiber
-    at every vertex, the first one included.
-    """
-    fibers = [fiber]
-    lengths = [abs(b - a) for a, b in zip(waypoints, waypoints[1:])]
-    step0 = sum(lengths) / 64.0
-    for (a, b), seg_len in zip(zip(waypoints, waypoints[1:]), lengths):
-        h0 = min(1.0, step0 / seg_len) if seg_len else 1.0
-        t, h = 0.0, h0
-        clean = 0
-        while seg_len and t < 1.0 - 1e-15:
-            h = min(h, 1.0 - t)
-            new_fiber, cost, sep = yield a + (t + h) * (b - a), fiber
-            rows, cols = linear_sum_assignment(cost)
-            moved = cost[rows, cols].max()
-            if moved >= 0.4 * sep:
-                h /= 2.0
-                clean = 0
-                if h * seg_len < 1e-12:
-                    raise TrackingError("path-tracking step underflow")
-                continue
-            # rows is 0..d-1 in order for a square cost matrix
-            fiber = [new_fiber[c] for c in cols]
-            t += h
-            clean += 1
-            if clean >= 4:
-                h = min(2 * h, h0)
-                clean = 0
-        fibers.append(fiber)
-    return fibers
-
-
 def _track(matrix, d, fiber, paths):
-    """Continue ``fiber`` along every path (a polyline) in lockstep.
+    """Continue ``fiber`` along every path (a polyline), level by level.
 
-    Each round solves the fibers at the next abscissa of every active path
-    in one batched root solve; each path then matches, accepts or halves its
-    step exactly as it would alone.  Returns per path the fibers at its
-    vertices, or the TrackingError or RootFindingError that stopped it.
-    Callers raise errors in path order, so the paths after a failed one are
-    dropped (None).
+    Level 0 cuts every segment of a path into steps of a 64th of the path's
+    length, the last one ending at the segment's end vertex.  A step is
+    accepted when the assignment of least chordal cost between its two end
+    fibers moves no point by 0.4 of the new fiber's separation or more.
+    That does not depend on sheet order, so it is decided on the fibers as
+    solved.  Every rejected step is bisected, and the next level solves the
+    midpoints.  Each level's fibers, across all paths, come from batched
+    root solves of at most CHUNK_ROWS rows.  Once every step is accepted,
+    the assignments are composed along each path.
+
+    Returns per path the fibers at its vertices, the first one included, in
+    the sheet order of ``fiber``, or the TrackingError or RootFindingError
+    that stopped it.  Each path fails as it would alone; the paths after
+    the first failed one are dropped (None), as callers raise errors in
+    path order.
     """
-    walks = [_walk(path, fiber) for path in paths]
-    outcomes = [None] * len(walks)
-    pending = {}  # path index -> (abscissa, current fiber), in path order
-    cut = len(walks)  # the first failed path; later ones are dropped
-
-    def fail(k, exc):
-        nonlocal cut
-        outcomes[k], cut = exc, k
-        for j in [j for j in pending if j > k]:
-            del pending[j]
-
-    def send(k, message):
-        if k > cut:
-            return
-        try:
-            pending[k] = walks[k].send(message)
-        except StopIteration as stop:
-            outcomes[k] = stop.value
-        except TrackingError as exc:
-            fail(k, exc)
-
-    def advance(keys, steps):
-        new, error = projective_roots_batch(_fiber_coeffs(matrix, [x for x, _f in steps]), d)
-        cost = chordal_matrix([f for _x, f in steps[:len(new)]], new)
-        sep = min_pairwise_chordal(new)
-        for i, k in enumerate(keys[:len(new)]):
-            send(k, (new[i], cost[i], sep[i]))
-        # a path that already failed in send keeps its own error
-        if error is not None and keys[len(new)] < cut:
-            fail(keys[len(new)], error)
-
-    for k in range(len(walks)):
-        send(k, None)
-    while pending:
-        keys = list(pending)
-        advance(keys, [pending.pop(k) for k in keys])
-    return outcomes
+    segments = [list(zip(path, path[1:])) for path in paths]
+    start = (-1, 1.0)  # the key of a path's first vertex
+    solved = [{start: fiber} for _ in paths]  # (segment, t) -> the fiber as solved there
+    moves = [{} for _ in paths]  # (segment, t) -> the assignment of the step ending there
+    outcomes = [None] * len(paths)
+    live = len(paths)  # the first failed path
+    nodes, steps = [], []  # (path, key) to solve; (path, start key, end key) to check
+    for k, segs in enumerate(segments):
+        lengths = [abs(b - a) for a, b in segs]
+        step0 = sum(lengths) / 64.0
+        prev = start
+        for j, seg_len in enumerate(lengths):
+            if not seg_len:
+                continue
+            h0 = min(1.0, step0 / seg_len)
+            ts = [i * h0 for i in range(1, math.ceil(1.0 / h0)) if i * h0 < 1.0 - 1e-15]
+            for t in ts + [1.0]:
+                nodes.append((k, (j, t)))
+                steps.append((k, prev, (j, t)))
+                prev = (j, t)
+    while steps:
+        nodes = [(k, key) for k, key in nodes if k < live]
+        xs = [b if t == 1.0 else a + t * (b - a)
+              for k, (j, t) in nodes for a, b in [segments[k][j]]]
+        for lo in range(0, len(nodes), CHUNK_ROWS):
+            found, error = projective_roots_batch(_fiber_coeffs(matrix, xs[lo:lo + CHUNK_ROWS]), d)
+            for (k, key), new in zip(nodes[lo:lo + CHUNK_ROWS], found):
+                solved[k][key] = new
+            if error is not None:
+                live = nodes[lo + len(found)][0]
+                outcomes[live] = error
+                break
+        checks = [step for step in steps if step[0] < live]
+        nodes, steps = [], []
+        for lo in range(0, len(checks), CHUNK_ROWS):
+            chunk = checks[lo:lo + CHUNK_ROWS]
+            ends = [solved[k][e] for k, _s, e in chunk]
+            costs = chordal_matrix([solved[k][s] for k, s, _e in chunk], ends)
+            for (k, s, e), cost, sep in zip(chunk, costs, min_pairwise_chordal(ends)):
+                if k >= live:
+                    break
+                rows, cols = linear_sum_assignment(cost)
+                if cost[rows, cols].max() < 0.4 * sep:
+                    # rows is 0..d-1 in order for a square cost matrix
+                    moves[k][e] = cols
+                    continue
+                (a, b), (j, t) = segments[k][e[0]], e
+                t0 = s[1] if s[0] == j else 0.0
+                half = (t - t0) / 2.0
+                if half * abs(b - a) < 1e-12:
+                    outcomes[k], live = TrackingError("path-tracking step underflow"), k
+                    break
+                mid = (j, t0 + half)
+                nodes.append((k, mid))
+                steps += [(k, s, mid), (k, mid, e)]
+    for k in range(live):
+        order, vertices = range(d), {}  # order[i]: where sheet i sits in the fiber as solved
+        for key in sorted(moves[k]):
+            order = [moves[k][key][i] for i in order]
+            if key[1] == 1.0:
+                vertices[key[0]] = [solved[k][key][i] for i in order]
+        outcomes[k] = [fiber]
+        for j in range(len(segments[k])):
+            outcomes[k].append(vertices.get(j, outcomes[k][-1]))
+    return outcomes[:live + 1] + [None] * (len(paths) - live - 1)
 
 
 def _match_permutation(end_fiber, base_fiber):
@@ -510,20 +517,18 @@ def _vanishing_relation(points, r):
     coefficients of x^a y^k.
     """
 
-    def monomials(z):
-        if is_inf(z):
-            u, v = 1.0 + 0j, 0j
-        else:
-            s = max(1.0, abs(z))
-            u, v = z / s, 1.0 / s
-        norm = (abs(u) ** 2 + abs(v) ** 2) ** (r / 2.0)
-        return [u**k * v ** (r - k) / norm for k in range(r + 1)]
+    def monomials(zs):
+        """u^k v^(r-k) / norm for k = 0..r, one row per point."""
+        w, inf = _finite_part(zs)
+        s = np.maximum(1.0, np.abs(w))
+        u, v = np.where(inf, 1.0 + 0j, w / s), np.where(inf, 0j, 1.0 / s)
+        norm = (np.abs(u) ** 2 + np.abs(v) ** 2) ** (r / 2.0)
+        k = np.arange(r + 1)
+        return u[:, None] ** k * v[:, None] ** (r - k) / norm[:, None]
 
-    rows = []
-    for x, ys in points:
-        mx = monomials(x)
-        rows += [[p * q for p in mx for q in monomials(y)] for y in ys]
-    A = np.array(rows)
+    mx = monomials([x for x, ys in points for _y in ys])
+    my = monomials([y for _x, ys in points for y in ys])
+    A = (mx[:, :, None] * my[:, None, :]).reshape(len(mx), -1)
 
     # a true vanishing relation sits at machine precision; mere bad
     # conditioning of the moment matrix bottoms out around 1e-8

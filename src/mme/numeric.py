@@ -290,8 +290,11 @@ def min_pairwise_chordal(points):
     n = np.shape(points)[-1]
     if n < 2:
         return np.inf
-    iu = np.triu_indices(n, 1)
-    return chordal_matrix(points, points)[..., iu[0], iu[1]].min(axis=-1)
+    # the matrix is symmetric bit for bit, so its off-diagonal minimum is
+    # the minimum over pairs
+    dist = chordal_matrix(points, points)
+    dist[..., np.arange(n), np.arange(n)] = np.inf
+    return dist.min(axis=(-2, -1))
 
 
 def rationalize_into_field(ctx, z):

@@ -49,6 +49,16 @@ def _tokenize(text):
     return tokens
 
 
+def _product(p, q):
+    """p * q, refused before it is built when its degree exceeds the degree
+    budget of iterate."""
+    degree = p.degree + q.degree
+    if degree > DEFAULT_DEGREE_BUDGET:
+        raise SizeBudgetError("a product of degree %d exceeds the degree budget %d"
+                              % (degree, DEFAULT_DEGREE_BUDGET))
+    return p * q
+
+
 class _Parser:
     def __init__(self, tokens, ctx, bindings):
         self.tokens = tokens
@@ -96,28 +106,24 @@ class _Parser:
             p1, q1 = val
             p2, q2 = rhs
             if op == "+":
-                val = (p1 * q2 + p2 * q1, q1 * q2)
+                val = (_product(p1, q2) + _product(p2, q1), _product(q1, q2))
             else:
-                val = (p1 * q2 - p2 * q1, q1 * q2)
+                val = (_product(p1, q2) - _product(p2, q1), _product(q1, q2))
 
     def term(self):
         val = self.power()
         while True:
             kind, _, _ = self.peek()
-            if kind in ("*", "/"):
-                op, _, _ = self.take()
-                rhs = self.power()
-                if op == "*":
-                    val = (val[0] * rhs[0], val[1] * rhs[1])
-                else:
-                    if rhs[0].is_zero():
-                        raise MapError("division by the zero expression")
-                    val = (val[0] * rhs[1], val[1] * rhs[0])
-            elif kind in ("int", "sym", "("):
-                rhs = self.power()  # implicit multiplication by adjacency
-                val = (val[0] * rhs[0], val[1] * rhs[1])
-            else:
+            if kind not in ("*", "/", "int", "sym", "("):
                 return val
+            if kind in ("*", "/"):
+                self.take()
+            rhs = self.power()  # without an operator: multiplication by adjacency
+            if kind == "/":
+                if rhs[0].is_zero():
+                    raise MapError("division by the zero expression")
+                rhs = (rhs[1], rhs[0])
+            val = (_product(val[0], rhs[0]), _product(val[1], rhs[1]))
 
     def power(self):
         base = self.primary()

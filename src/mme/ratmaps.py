@@ -153,6 +153,12 @@ class RationalMap:
             bound = h + self.degree * (bound + grow)
         return bound
 
+    def compose_height_bound(self, other):
+        """The bound of iterate_height_bound for one composite: h(self o other)
+        <= h(self) + deg self (h(other) + log2 K), in bits."""
+        return (integer_height(self.num, self.den)
+                + self.degree * (integer_height(other.num, other.den) + product_growth(self.ctx)))
+
     def iterate(self, n, budget=DEFAULT_DEGREE_BUDGET, name="f"):
         """f^n; SizeBudgetError before any composing when its degree exceeds
         ``budget`` or its height bound exceeds ITERATE_HEIGHT_BUDGET.  The

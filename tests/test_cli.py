@@ -367,10 +367,17 @@ def test_iterate_refuses_an_iterate_over_the_height_budget(capsys):
     ["iterate", "--map", "z^100000000"],
     ["compose", "--f", "z", "--g", "z+10^100000000"],
     ["measure", "--f", "z^2", "--g", "(z+1)^-100000000"],
+    # fifty factors z^4096 by adjacency: 3.3 s to build in full
+    ["compose", "--f", "z^4096" * 50, "--g", "z"],
+    # a sum of fractions multiplies their denominators
+    ["compose", "--f", "+".join("1/(z^100+%d)" % k for k in range(1, 81)), "--g", "z"],
+    # each map is within the budgets; their composite has a height bound
+    # of about 500k bits
+    ["compose", "--f", "z^16+10^9000", "--g", "z^16+10^9000"],
 ])
 def test_input_past_the_budgets_exits_two_at_once(capsys, argv):
-    # the degree or height of a power, or of an iterate, is refused before
-    # anything is built
+    # the degree or height of a power, a product, an iterate or a composite
+    # is refused before anything is built
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0

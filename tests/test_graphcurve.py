@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,11 @@ from mme.fields import FieldContext
 from mme.catalog import entry
 from mme.fields import field_configure
 from mme.graphcurve import (
+    TrackingError,
     _cycles_at_preimages,
     _fiber_coeffs,
+    _keyhole,
+    _match_permutation,
     _plan_loops,
     _sheet_samples,
     _track,
@@ -18,7 +22,15 @@ from mme.graphcurve import (
     fiber_at,
     genus_zero_parametrization_check,
 )
-from mme.numeric import ConsistencyError, RootFindingError, rationalize_into_field
+from mme.numeric import (
+    INF,
+    ConsistencyError,
+    RootFindingError,
+    chordal_matrix,
+    min_pairwise_chordal,
+    projective_roots,
+    rationalize_into_field,
+)
 from mme.polys import BiPoly, Poly, graph_bipoly
 from mme.ratmaps import RationalMap
 from conftest import random_rational_map, rng_for
@@ -102,6 +114,36 @@ def test_vanishing_relation_confirms_the_conic_of_chebyshev_cubic():
     rel = rel / rel.flat[np.abs(rel).argmax()]
     got = BiPoly(Q, [[rationalize_into_field(Q, complex(c)) for c in row] for row in rel])
     assert got.normalized() == BiPoly(Q, [[-3, 0, 1], [0, 1, 0], [1, 0, 0]])
+
+
+def _loop_relation(points, r):
+    """The null vector of _vanishing_relation, from rows built one monomial
+    at a time."""
+
+    def monomials(z):
+        if z is INF:
+            u, v = 1.0 + 0j, 0j
+        else:
+            s = max(1.0, abs(z))
+            u, v = z / s, 1.0 / s
+        norm = (abs(u) ** 2 + abs(v) ** 2) ** (r / 2.0)
+        return [u**k * v ** (r - k) / norm for k in range(r + 1)]
+
+    rows = [[p * q for p in monomials(x) for q in monomials(y)] for x, ys in points for y in ys]
+    return np.linalg.svd(np.array(rows))[2][-1].conj().reshape(r + 1, r + 1)
+
+
+def test_vanishing_relation_matches_rows_built_per_sample():
+    # points of xy = 1, two of them at infinity, and of the conic of z^3 - 3z
+    hyperbola = [(x, [1 / x]) for x in (0.5, -2.0, 3j, 1 + 1j, 0.25 - 2j)]
+    hyperbola += [(0j, [INF]), (INF, [0j])]
+    _r, _c, mon, certs = analyze(rmap([0, -3, 0, 1]), reconstruct=False)
+    for points, r in ((hyperbola, 1), (_sheet_samples(certs[1].orbit, mon.samples), 2)):
+        got, want = _vanishing_relation(points, r), _loop_relation(points, r)
+        got, want = (m / m.flat[np.abs(m).argmax()] for m in (got, want))
+        assert np.abs(got - want).max() < 1e-12
+    rel = _vanishing_relation(hyperbola, 1)
+    assert np.allclose(rel / rel[1, 1], [[-1, 0], [0, 1]], rtol=0, atol=1e-12)
 
 
 def test_generic_quadratic_two_components():
@@ -235,6 +277,119 @@ def test_lockstep_failure_drops_later_paths(monkeypatch):
     assert [[complex(y) for y in f] for f in first] == [[complex(y) for y in f] for f in alone]
     assert isinstance(failed, RootFindingError)
     assert dropped is None
+
+
+def _serial_reference(curve, fiber, path):
+    """Fibers at the vertices of ``path``, tracked one fixed step at a time.
+
+    The steps are a 512th of the path's length, 8 times finer than the
+    tracker's level 0, and each is matched by the permutation of least
+    total chordal cost, found by trying all of them.  Also returns the
+    largest move of a step over the new fiber's separation.
+    """
+    lengths = [abs(b - a) for a, b in zip(path, path[1:])]
+    step = sum(lengths) / 512.0
+    out, worst = [fiber], 0.0
+    for (a, b), seg_len in zip(zip(path, path[1:]), lengths):
+        n = max(1, math.ceil(seg_len / step))
+        for i in range(1, n + 1):
+            x = b if i == n else a + (i / n) * (b - a)
+            new = projective_roots(_fiber_coeffs(curve.matrix, [x])[0], curve.degree)
+            cost = chordal_matrix(fiber, new)
+            rows = range(len(new))
+            cols = min(itertools.permutations(rows), key=lambda p: cost[rows, p].sum())
+            worst = max(worst, cost[rows, cols].max() / min_pairwise_chordal(new))
+            fiber = [new[c] for c in cols]
+        out.append(fiber)
+    return out, worst
+
+
+def _near_keyhole(curve, plan, i):
+    """A keyhole loop whose circle about critical value i has a radius of a
+    256th of its distance to the basepoint."""
+    x0, b = plan.basepoint, curve.values[i]
+    return _keyhole(x0, b, abs(b - x0) / 256)
+
+
+def _counting_solves(monkeypatch):
+    """The rows of every batched fiber solve, one list per call."""
+    from mme import graphcurve
+
+    calls = []
+    batch = graphcurve.projective_roots_batch
+
+    def counting(rows, d):
+        calls.append([row.tobytes() for row in rows])
+        return batch(rows, d)
+
+    monkeypatch.setattr(graphcurve, "projective_roots_batch", counting)
+    return calls
+
+
+def test_bisected_loop_matches_a_finer_serial_tracker(monkeypatch):
+    # the legs of a loop with a small circle reach close to the critical
+    # value in steps too long for the 0.4 sep rule, so they are bisected
+    curve = build_graph(rmap([0, -3, 0, 1]))
+    plan = _plan_loops(curve)
+    base = fiber_at(curve, plan.basepoint)
+    path = _near_keyhole(curve, plan, 0)
+    calls = _counting_solves(monkeypatch)
+    fibers = _track(curve.matrix, curve.degree, base, [path])[0]
+    assert len(calls) >= 3  # level 0 and at least two levels of midpoints
+    reference, worst = _serial_reference(curve, base, path)
+    assert worst < 0.4
+    assert [[complex(y) for y in f] for f in fibers] == [[complex(y) for y in f] for f in reference]
+    standard = _track(curve.matrix, curve.degree, base, plan.waypoints[:1])[0]
+    perm = _match_permutation(fibers[-1], base)
+    assert perm == _match_permutation(standard[-1], base)
+    assert sorted(perm) == [0, 1, 2] and perm != (0, 1, 2)
+
+
+def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
+    from mme import graphcurve
+
+    curve = build_graph(rmap([0, -3, 0, 1]))
+    plan = _plan_loops(curve)
+    base = fiber_at(curve, plan.basepoint)
+    paths = [_near_keyhole(curve, plan, 1), _near_keyhole(curve, plan, 0), plan.waypoints[2]]
+    calls = _counting_solves(monkeypatch)
+    _track(curve.matrix, curve.degree, base, paths[1:2])
+    # the first midpoint of the middle path, which level 0 does not solve;
+    # the first path's midpoints come before it in the same solve
+    bad = calls[1][0]
+    assert bad not in calls[0]
+    calls.clear()
+    _track(curve.matrix, curve.degree, base, paths)
+    [hit] = [call for call in calls if bad in call]
+    assert hit.index(bad) > 0
+    batch = graphcurve.projective_roots_batch
+
+    def failing_batch(rows, d):
+        hit = [i for i, row in enumerate(rows) if row.tobytes() == bad]
+        if hit:
+            return batch(rows[:hit[0]], d)[0], RootFindingError("forced failure")
+        return batch(rows, d)
+
+    monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
+    first, failed, dropped = _track(curve.matrix, curve.degree, base, paths)
+    alone = _track(curve.matrix, curve.degree, base, paths[:1])[0]
+    assert [[complex(y) for y in f] for f in first] == [[complex(y) for y in f] for f in alone]
+    assert isinstance(failed, RootFindingError)
+    assert dropped is None
+
+
+def test_path_through_a_critical_value_underflows():
+    # steps across a double point are rejected at every length, until half
+    # a step is below 1e-12; the shorter second path gets there first
+    curve = build_graph(rmap([0, -3, 0, 1]))
+    b, c = curve.values[:2]
+    start = b - 0.25
+    paths = [[start, b + 0.25], [start, c - 0.001, c + 0.001]]
+    first, dropped = _track(curve.matrix, curve.degree, fiber_at(curve, start), paths)
+    assert isinstance(first, TrackingError) and "underflow" in str(first)
+    assert dropped is None
+    alone = _track(curve.matrix, curve.degree, fiber_at(curve, start), paths[1:])[0]
+    assert isinstance(alone, TrackingError) and "underflow" in str(alone)
 
 
 def test_cycle_type_must_match_exact_local_degrees():
