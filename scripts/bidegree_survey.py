@@ -17,7 +17,7 @@ import numpy as np
 from mme.fields import FieldContext
 from mme.graphcurve import analyze
 from mme.polys import Poly
-from mme.ratmaps import RationalMap
+from mme.ratmaps import MapError, RationalMap
 
 
 def random_map(degree, rng, bound=5):
@@ -30,7 +30,7 @@ def random_map(degree, rng, bound=5):
             continue
         try:
             f = RationalMap(Poly(ctx, num), Poly(ctx, den))
-        except Exception:
+        except MapError:
             continue
         if f.degree == degree:
             return f

@@ -14,14 +14,15 @@ Fibers are tracked in the target chart t' = 1/(t - c), with c chordally far
 from every critical value, so every critical value is finite there and
 t' = infinity is not one; x and y never leave the original chart.  All loops
 are tracked together, level by level: each level solves the fibers at all
-its abscissae in batched root solves and bisects every step whose two end
-fibers cannot be matched safely.  The loop permutations are cross-checked
-against the exact local degrees of G.  The loops are tracked in base-sheet
-order, so the fiber at every vertex of a loop puts a point (x_i, x_j) on the
-component of each orbit holding (i, j); those points are the component's
-samples.  Its x-degree is confirmed by a relation vanishing on them, and,
-when that relation rationalizes into the base field, the component is
-certified by exact polynomial division.
+its abscissae in batched root solves and bisects every step that does not
+move each point to a distinct nearest point well inside the new fiber's
+separation.  A loop closes on the base fiber, so its permutation is read off
+its last fiber and checked against the exact local degrees of G.  The loops
+are tracked in base-sheet order, so the fiber at every vertex of a loop puts
+a point (x_i, x_j) on the component of each orbit holding (i, j); those
+points are the component's samples.  Its x-degree is confirmed by a relation
+vanishing on them, and, when that relation rationalizes into the base field,
+the component is certified by exact polynomial division.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .polys import BiPoly, graph_bipoly
 from .ratmaps import MapError, RationalMap, critical_data
 from .serialize import element_to_json, point_to_json
 
-MATCH_TOL = 1e-6
 # the basepoints the loop layout chooses from, equally spaced on one circle
 LAYOUT_CANDIDATES = 256
 # the steps of a keyhole loop's full circle around one critical value
@@ -202,7 +202,7 @@ def build_graph(G):
 def fiber_at(curve, t0):
     """The d points x with G(x) = t, for t0 = 1/(t - c) in the target chart."""
     fiber = projective_roots(_fiber_coeffs(curve.matrix, [t0])[0], curve.degree)
-    if min_pairwise_chordal(fiber) < 10 * MATCH_TOL:
+    if min_pairwise_chordal(fiber) < 1e-5:
         raise TrackingError("fiber is nearly degenerate: t0 too close to a critical value")
     return fiber
 
@@ -270,29 +270,37 @@ def _track(matrix, d, fiber, paths):
     """Continue ``fiber`` along every path (a polyline), level by level.
 
     Level 0 cuts every segment of a path into steps of a 64th of the path's
-    length, the last one ending at the segment's end vertex.  A step is
-    accepted when the assignment of least chordal cost between its two end
-    fibers moves no point by 0.4 of the new fiber's separation or more.
-    That does not depend on sheet order, so it is decided on the fibers as
-    solved.  Every rejected step is bisected, and the next level solves the
-    midpoints.  Each level's fibers, across all paths, come from batched
-    root solves of at most CHUNK_ROWS rows.  Once every step is accepted,
-    the assignments are composed along each path.
+    length, the last one ending at the segment's end vertex.  A closed path
+    takes ``fiber``, in its own sheet order, as the fiber at its closing
+    vertex instead of solving it there.  A step is accepted when each old
+    point's nearest new point is closer than 0.4 sep, sep the new fiber's
+    separation, and no two old points pick the same one; its moves are then
+    that nearest-point map.  This decides as the assignment of least chordal
+    cost would: if that assignment moves every point by less than 0.4 sep,
+    the triangle inequality puts every other new point more than 0.6 sep
+    away, so it is the nearest-point map; and a nearest-point bijection
+    within 0.4 sep costs strictly less than any other assignment, each of
+    whose changed entries costs more than 0.6 sep.  The rule does not depend
+    on sheet order, so it is decided on the fibers as solved.  Every rejected
+    step is bisected, and the next level solves the midpoints.  Each level's
+    fibers, across all paths, come from batched root solves of at most
+    CHUNK_ROWS rows.  The moves are composed along each path at the end.
 
     Returns per path the fibers at its vertices, the first one included, in
     the sheet order of ``fiber``, or the TrackingError or RootFindingError
-    that stopped it.  Each path fails as it would alone; the paths after
-    the first failed one are dropped (None), as callers raise errors in
-    path order.
+    that stopped it.  The last fiber of a closed path holds the points of
+    ``fiber`` itself, permuted by the loop.  Each path fails as it would
+    alone; the paths after the first failed one are dropped (None), as
+    callers raise errors in path order.
     """
     segments = [list(zip(path, path[1:])) for path in paths]
     start = (-1, 1.0)  # the key of a path's first vertex
     solved = [{start: fiber} for _ in paths]  # (segment, t) -> the fiber as solved there
-    moves = [{} for _ in paths]  # (segment, t) -> the assignment of the step ending there
+    moves = [{} for _ in paths]  # (segment, t) -> the nearest-point map of the step ending there
     outcomes = [None] * len(paths)
     live = len(paths)  # the first failed path
     nodes, steps = [], []  # (path, key) to solve; (path, start key, end key) to check
-    for k, segs in enumerate(segments):
+    for k, (path, segs) in enumerate(zip(paths, segments)):
         lengths = [abs(b - a) for a, b in segs]
         step0 = sum(lengths) / 64.0
         prev = start
@@ -305,6 +313,9 @@ def _track(matrix, d, fiber, paths):
                 nodes.append((k, (j, t)))
                 steps.append((k, prev, (j, t)))
                 prev = (j, t)
+        if prev != start and path[-1] == path[0]:
+            nodes.pop()
+            solved[k][prev] = fiber
     while steps:
         nodes = [(k, key) for k, key in nodes if k < live]
         xs = [b if t == 1.0 else a + t * (b - a)
@@ -322,14 +333,15 @@ def _track(matrix, d, fiber, paths):
         for lo in range(0, len(checks), CHUNK_ROWS):
             chunk = checks[lo:lo + CHUNK_ROWS]
             ends = [solved[k][e] for k, _s, e in chunk]
-            costs = chordal_matrix([solved[k][s] for k, s, _e in chunk], ends)
-            for (k, s, e), cost, sep in zip(chunk, costs, min_pairwise_chordal(ends)):
+            cost = chordal_matrix([solved[k][s] for k, s, _e in chunk], ends)
+            near = cost.argmin(axis=2)  # [step, old point]: its nearest new point
+            accepted = (np.sort(near) == np.arange(d)).all(axis=1) & (
+                cost.min(axis=2).max(axis=1) < 0.4 * min_pairwise_chordal(ends))
+            for (k, s, e), nearest, ok in zip(chunk, near, accepted):
                 if k >= live:
                     break
-                rows, cols = linear_sum_assignment(cost)
-                if cost[rows, cols].max() < 0.4 * sep:
-                    # rows is 0..d-1 in order for a square cost matrix
-                    moves[k][e] = cols
+                if ok:
+                    moves[k][e] = nearest
                     continue
                 (a, b), (j, t) = segments[k][e[0]], e
                 t0 = s[1] if s[0] == j else 0.0
@@ -350,21 +362,6 @@ def _track(matrix, d, fiber, paths):
         for j in range(len(segments[k])):
             outcomes[k].append(vertices.get(j, outcomes[k][-1]))
     return outcomes[:live + 1] + [None] * (len(paths) - live - 1)
-
-
-def _match_permutation(end_fiber, base_fiber):
-    """perm[i] = j: the sheet that started at i ends at base sheet j."""
-    cost = chordal_matrix(end_fiber, base_fiber)
-    rows, cols = linear_sum_assignment(cost)
-    perm = [0] * len(base_fiber)
-    for i, j in zip(rows, cols):
-        if cost[i, j] > MATCH_TOL:
-            raise TrackingError("loop endpoint does not return to the base fiber")
-        others = [cost[i, k] for k in range(len(base_fiber)) if k != j]
-        if others and min(others) < cost[i, j] + MATCH_TOL:
-            raise TrackingError("ambiguous fiber match after a loop")
-        perm[i] = int(j)
-    return tuple(perm)
 
 
 def _compose(p1, p2):
@@ -431,7 +428,8 @@ def monodromy(curve):
     for fibers in loops:
         if isinstance(fibers, Exception):
             raise fibers
-    perms = [_match_permutation(fibers[-1], base_fiber) for fibers in loops]
+    # perm[i] = j: the sheet that started at i ends at base sheet j
+    perms = [tuple(base_fiber.index(x) for x in fibers[-1]) for fibers in loops]
     _check_sphere_relation(d, perms, plan.order)
     cycles = [
         _cycles_at_preimages(perm, fibers[1], pre)

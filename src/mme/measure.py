@@ -51,7 +51,6 @@ EXCEPTIONAL_CUT = 1e-12
 @dataclass
 class MeasureCloud:
     points: np.ndarray  # (N, 3) unit-sphere coordinates
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.points)
@@ -188,11 +187,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
             rng.uniform()
             rng.integers(0, d, size=steps)
     pts = pts[:count]
-    return MeasureCloud(
-        points=sphere_lift_many(pts),
-        meta={"map": map_digest(f), "depth": depth, "seed": seed, "stream": stream,
-              "count": count},
-    )
+    return MeasureCloud(sphere_lift_many(pts))
 
 
 def _lockstep_orbits(f, exceptional, starts, choices):
@@ -366,7 +361,7 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
 def push_forward(cloud, phi):
     """Image cloud under a RationalMap."""
     zs = [phi.eval_numeric(z) for z in cloud.as_complex()]
-    return MeasureCloud(points=sphere_lift_many(zs), meta={**cloud.meta, "pushed": True})
+    return MeasureCloud(sphere_lift_many(zs))
 
 
 def julia_raster(f, width, height, window, count=20000, depth=30, seed=0):

@@ -10,7 +10,7 @@ any expression denotes a rational function.
 from __future__ import annotations
 
 from .fields import to_fraction
-from .polys import Poly, integer_height
+from .polys import Poly, integer_height, product_growth
 from .ratmaps import (DEFAULT_DEGREE_BUDGET, ITERATE_HEIGHT_BUDGET, MapError, RationalMap,
                       SizeBudgetError)
 
@@ -51,11 +51,15 @@ def _tokenize(text):
 
 def _product(p, q):
     """p * q, refused before it is built when its degree exceeds the degree
-    budget of iterate."""
+    budget of iterate or its height bound the height budget."""
     degree = p.degree + q.degree
     if degree > DEFAULT_DEGREE_BUDGET:
         raise SizeBudgetError("a product of degree %d exceeds the degree budget %d"
                               % (degree, DEFAULT_DEGREE_BUDGET))
+    if not (p.is_zero() or q.is_zero()) and (
+            integer_height(p) + integer_height(q) + product_growth(p.ctx) > ITERATE_HEIGHT_BUDGET):
+        raise SizeBudgetError("a product may have coefficients of more than %d bits, "
+                              "the iterate budget" % ITERATE_HEIGHT_BUDGET)
     return p * q
 
 

@@ -60,12 +60,6 @@ class RootOfUnity:
         g = math.gcd(a, b)
         return cls(a // g, b // g)
 
-    def as_complex(self):
-        return complex(
-            math.cos(2 * math.pi * self.a / self.b),
-            math.sin(2 * math.pi * self.a / self.b),
-        )
-
 
 def is_periodic(z, d):
     """Whether the root of unity z is periodic (not just preperiodic) for z^d."""

@@ -374,6 +374,9 @@ def test_iterate_refuses_an_iterate_over_the_height_budget(capsys):
     # each map is within the budgets; their composite has a height bound
     # of about 500k bits
     ["compose", "--f", "z^16+10^9000", "--g", "z^16+10^9000"],
+    # each factor is within the budgets; a product of three of them has a
+    # height bound past the height budget (36 s to build all 160 in full)
+    ["compose", "--f", "(10^4000z)" * 160, "--g", "z"],
 ])
 def test_input_past_the_budgets_exits_two_at_once(capsys, argv):
     # the degree or height of a power, a product, an iterate or a composite

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mme.fields import FieldContext
 from mme.catalog import entry
@@ -12,7 +14,6 @@ from mme.graphcurve import (
     _cycles_at_preimages,
     _fiber_coeffs,
     _keyhole,
-    _match_permutation,
     _plan_loops,
     _sheet_samples,
     _track,
@@ -21,6 +22,7 @@ from mme.graphcurve import (
     build_graph,
     fiber_at,
     genus_zero_parametrization_check,
+    monodromy,
 )
 from mme.numeric import (
     INF,
@@ -340,9 +342,99 @@ def test_bisected_loop_matches_a_finer_serial_tracker(monkeypatch):
     assert worst < 0.4
     assert [[complex(y) for y in f] for f in fibers] == [[complex(y) for y in f] for f in reference]
     standard = _track(curve.matrix, curve.degree, base, plan.waypoints[:1])[0]
-    perm = _match_permutation(fibers[-1], base)
-    assert perm == _match_permutation(standard[-1], base)
+    # a closed loop ends on the base fiber's own points, permuted
+    perm = tuple(base.index(x) for x in fibers[-1])
+    assert perm == tuple(base.index(x) for x in standard[-1])
     assert sorted(perm) == [0, 1, 2] and perm != (0, 1, 2)
+
+
+def test_closed_loop_never_solves_its_closing_vertex(monkeypatch):
+    from mme import graphcurve
+
+    curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]))
+    plan = _plan_loops(curve)
+    base = fiber_at(curve, plan.basepoint)
+    calls = _counting_solves(monkeypatch)
+    loops = _track(curve.matrix, curve.degree, base, plan.waypoints)
+    closing = _fiber_coeffs(curve.matrix, [plan.basepoint])[0].tobytes()
+    assert calls and not any(closing in call for call in calls)
+    for fibers in loops:
+        assert sorted(map(id, fibers[-1])) == sorted(map(id, base))
+    # one assignment per critical value, attributing its cycles; none per step
+    assign = graphcurve.linear_sum_assignment
+    assigned = []
+
+    def counting(cost):
+        assigned.append(cost.shape)
+        return assign(cost)
+
+    monkeypatch.setattr(graphcurve, "linear_sum_assignment", counting)
+    monodromy(curve)
+    assert len(assigned) == len(curve.values)
+
+
+def _assignment_step(old, new):
+    """The old step rule: the least-cost assignment from ``old`` to ``new``,
+    accepted when it moves no point by 0.4 of the new fiber's separation or more."""
+    import scipy.optimize
+
+    cost = chordal_matrix(old, new)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return [new[c] for c in cols], cost[rows, cols].max() < 0.4 * min_pairwise_chordal(new)
+
+
+def _nudged(p, size, angle):
+    """A point about ``size`` from ``p`` in chordal distance, in the chart
+    of z or 1/z where |p| <= 1 (infinity included)."""
+    flip = p is INF or abs(p) > 1
+    w = 0j if p is INF else (1 / p if flip else p)
+    w += size * (1 + abs(w) ** 2) * complex(math.cos(angle), math.sin(angle))
+    if not flip:
+        return w
+    return INF if w == 0 else 1 / w
+
+
+_coords = st.integers(-192, 192).map(lambda k: k / 64)
+
+
+@st.composite
+def _fiber_steps(draw):
+    """(old fiber, new fiber): the old one permuted, each point moved by
+    0.01 to 1 times the old fiber's separation."""
+    d = draw(st.integers(2, 8))
+    old = draw(st.lists(st.one_of(st.just(INF), st.builds(complex, _coords, _coords)),
+                        min_size=d, max_size=d, unique_by=lambda p: p))
+    if draw(st.booleans()) and old[0] is not INF:
+        # two points nearly coincident
+        old[1] = old[0] + draw(st.floats(1e-9, 1e-5)) * (1 + abs(old[0]))
+    sep = min_pairwise_chordal(old)
+    perm = draw(st.permutations(range(d)))
+    new = [_nudged(old[i], sep * draw(st.floats(0.01, 1.0)), draw(st.floats(0, 2 * math.pi)))
+           for i in perm]
+    return old, new
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_fiber_steps())
+@example(([0j, 1 + 0j, INF], [1.01 + 0j, INF, 0.01j]))  # accepted
+@example(([0j, 1 + 0j, INF], [0.5 + 0j, 1.01 + 0j, INF]))  # rejected
+# rejected: 0.005 is the nearest new point of both finite points, within 0.4 sep
+@example(([0j, 0.01 + 0j, INF], [0.005 + 0j, 1 + 0j, INF]))
+def test_nearest_point_steps_decide_as_the_least_cost_assignment(step):
+    from mme import graphcurve
+
+    old, new = step
+    d = len(old)
+    # every abscissa solves to ``new``: the path's first step goes from
+    # ``old`` to ``new`` and is bisected to underflow unless accepted
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphcurve, "projective_roots_batch", lambda rows, d: ([new] * len(rows), None))
+        [fibers] = _track(np.zeros((2, d + 1), dtype=complex), d, old, [[0j, 1 + 0j]])
+    moved, accepted = _assignment_step(old, new)
+    if accepted:
+        assert fibers[-1] == moved
+    else:
+        assert isinstance(fibers, TrackingError) and "underflow" in str(fibers)
 
 
 def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
