@@ -10,9 +10,11 @@ scaling, ``monic``, the derivative, the degree and the leading coefficient
 run on it.  A product is one integer product by Kronecker substitution whose
 alpha-powers are reduced on integers.  FieldElement coefficients are built
 from the integer form only when something reads ``coeffs`` (serialization,
-``coeff``, division, gcd, evaluation over Q(alpha), BiPoly unpacking), and
-are then cached; a Poly built from FieldElements keeps them.  Over Q a
-projective evaluation runs on integers too.
+``coeff``, the outer map of a composite, division, gcd, BiPoly unpacking),
+and are then cached; a Poly built from FieldElements keeps them.  Poly has
+no exact point evaluation of its own: ``RationalMap.eval_exact`` composes
+with a constant, so evaluation is products of constant Polys on the integer
+form over every field.
 
 BiPoly stores a dense coefficient matrix indexed by (x-degree, y-degree); its
 products and divisions are packed univariate ones, x^i y^j read as
@@ -353,48 +355,7 @@ class Poly:
             raise ValueError("formal degree below actual degree")
         return Poly(self.ctx, list(reversed(self.padded(d))))
 
-    # -- evaluation --------------------------------------------------------------
-
-    def __call__(self, z):
-        acc = self.ctx.zero
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def eval_homogeneous(self, u, v, formal_degree):
-        """sum c_i u^i v^(d-i) for exact projective evaluation."""
-        if self.ctx.degree != 1:
-            return self._eval_homogeneous_generic(u, v, formal_degree)
-        u, v = self.ctx._coerce(u).coords[0], self.ctx._coerce(v).coords[0]
-        # with u = a/b and v = c/e the sum is sum n_i X^i Y^(d-i) / (den (be)^d),
-        # where X = ae, Y = cb and c_i = n_i / den: Horner on integers
-        d = formal_degree
-        ints, den = self._ints, self._den
-        x = u.numerator * v.denominator
-        y = v.numerator * u.denominator
-        ypow = [1]
-        for _ in range(d):
-            ypow.append(ypow[-1] * y)
-        acc = 0
-        for i in range(min(d, len(ints) - 1), -1, -1):
-            acc = acc * x + ints[i] * ypow[d - i]
-        return self.ctx.from_rational(
-            Fraction(acc, den * (u.denominator * v.denominator) ** d))
-
-    def _eval_homogeneous_generic(self, u, v, formal_degree):
-        d = formal_degree
-        acc = self.ctx.zero
-        up = self.ctx.one
-        vps = [self.ctx.one]
-        for _ in range(d):
-            vps.append(vps[-1] * v)
-        for i in range(d + 1):
-            c = self.coeff(i)
-            if not c.is_zero():
-                acc = acc + c * up * vps[d - i]
-            if i < d:
-                up = up * u
-        return acc
+    # -- numeric evaluation ------------------------------------------------------
 
     def numeric_coeffs(self):
         """Embedded complex coefficient array (ascending), cached."""
@@ -617,9 +578,6 @@ class BiPoly:
 
     def __hash__(self):
         return hash((id(self.ctx), self.rows))
-
-    def eval_exact(self, x, y):
-        return Poly(self.ctx, [Poly(self.ctx, row)(y) for row in self.rows])(x)
 
     def divide_exact(self, other):
         """Quotient Q with self = other * Q exactly, else None.

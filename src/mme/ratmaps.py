@@ -3,13 +3,18 @@
 Maps are stored as coprime numerator/denominator polynomials over the
 configured exact field, normalized so the leading denominator coefficient
 equals 1; equality is then a coefficient-wise test.
+Composition and exact evaluation share one homogeneous kernel: f o g is
+f's homogenized pair at (num g : den g), and f(z) is f composed with the
+constant map z, at (z : 1) or (1 : 0) for INF.
 Numeric evaluation switches to the chart w = 1/z away from the unit disc,
 so infinity is never represented by a large sentinel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -103,34 +108,40 @@ class RationalMap:
             raise TypeError("compose expects a RationalMap")
         if self.ctx is not other.ctx:
             raise FieldError("composing maps from different field contexts")
-        d = self.degree
-        u, v = other.num, other.den
-        upow = [Poly.one(self.ctx), u]
-        vpow = [Poly.one(self.ctx), v]
-        for _ in range(d - 1):
-            upow.append(upow[-1] * u)
-            vpow.append(vpow[-1] * v)
-        num = Poly.zero(self.ctx)
-        den = Poly.zero(self.ctx)
-        for i in range(d + 1):
-            a = self.num.coeff(i)
-            b = self.den.coeff(i)
-            if a.is_zero() and b.is_zero():
-                continue
-            # u^0 = v^0 = 1 is not multiplied out
-            term = upow[i] * vpow[d - i] if 0 < i < d else upow[d] if i else vpow[d]
-            if not a.is_zero():
-                num = num + term.scale(a)
-            if not b.is_zero():
-                den = den + term.scale(b)
+        num, den = self._homogeneous(other.num, other.den)
         # No gcd: p/q and u/v are in lowest terms, so the homogenized P, Q have
         # no common zero on P^1.  At a common zero z of num and den, (u(z), v(z))
         # would be a common zero of P and Q, so u(z) = v(z) = 0: impossible.
-        if max(num.degree, den.degree) != d * other.degree:
+        if max(num.degree, den.degree) != self.degree * other.degree:
             raise ConsistencyError(
                 "composite of degrees %d and %d has degree %d"
-                % (d, other.degree, max(num.degree, den.degree)))
+                % (self.degree, other.degree, max(num.degree, den.degree)))
         return RationalMap._coprime(num, den)
+
+    def _homogeneous(self, u, v):
+        """(sum a_i u^i v^(d-i), sum b_i u^i v^(d-i)) for Polys u, v, where
+        a_i and b_i are the coefficients of num and den and d is the degree.
+
+        The powers of v are tabled; u^i is built as i grows, so only one
+        power of u is alive at a time.
+        """
+        d = self.degree
+        # u^0 = v^0 = 1 is never multiplied out
+        vpow = [None, v]
+        for _ in range(d - 1):
+            vpow.append(vpow[-1] * v)
+        num = den = Poly.zero(self.ctx)
+        # a or b is None past the degree of num or den
+        for i, (a, b) in enumerate(zip_longest(self.num.coeffs, self.den.coeffs)):
+            if i:
+                upow = upow * u if i > 1 else u
+            if a or b:
+                term = upow * vpow[d - i] if 0 < i < d else upow if i else vpow[d]
+                if a:
+                    num = num + term.scale(a)
+                if b:
+                    den = den + term.scale(b)
+        return num, den
 
     def iterate_height_bound(self, n):
         """A bound on the height of f^n, in bits, from the integer form of f.
@@ -186,24 +197,20 @@ class RationalMap:
     # -- exact evaluation -----------------------------------------------------------
 
     def eval_exact(self, z):
-        """Exact evaluation at a field element or INF; returns element or INF."""
+        """f(z) exactly, for a field element z or INF; an element or INF.
+
+        f(z) is f composed with the constant map z: the kernel of compose
+        runs at (z : 1) scaled by the lcm of z's denominators, or at (1 : 0)
+        for INF."""
         if is_inf(z):
-            u, v = self.ctx.one, self.ctx.zero
+            u, v = Poly.one(self.ctx), Poly.zero(self.ctx)
         else:
-            u, v = z, self.ctx.one
-        nu, nv = self.eval_projective(u, v)
+            v = Poly.constant(self.ctx, math.lcm(*[c.denominator for c in z.coords]))
+            u = v.scale(z)
+        nu, nv = (p.coeff(0) for p in self._homogeneous(u, v))
         if nv.is_zero():
             return INF
         return nu / nv
-
-    def eval_projective(self, u, v):
-        """Exact homogeneous evaluation at (u : v)."""
-        d = self.degree
-        nu = self.num.eval_homogeneous(u, v, d)
-        nv = self.den.eval_homogeneous(u, v, d)
-        if nu.is_zero() and nv.is_zero():
-            raise MapError("projective evaluation hit (0, 0); input was not a point")
-        return nu, nv
 
     # -- numeric evaluation -----------------------------------------------------------
 
@@ -285,20 +292,16 @@ class CriticalData:
     points: [(point, multiplicity)] where point is complex or INF and
         multiplicity is the exact order in the ramification divisor, so
         the local degree of the map there is multiplicity + 1.
-    values: [(value, simple)] deduplicated critical values; simple means
-        the preimage contains exactly one critical point counted with
-        multiplicity.
-    value_groups: per deduplicated value, the list of critical points
-        (with multiplicity) mapping there.
+    value_groups: per deduplicated critical value, the list of critical
+        points (with multiplicity) mapping there.
     """
 
     points: list
-    values: list
-    value_groups: list = field(default_factory=list)
+    value_groups: list
 
 
 def critical_data(f):
-    """Critical points with exact multiplicities and flagged critical values.
+    """Critical points with exact multiplicities, grouped by critical value.
 
     Exact route: the Wronskian's square-free decomposition gives the
     multiplicity structure; each square-free factor has well-conditioned
@@ -337,13 +340,8 @@ def critical_data(f):
                 break
         else:
             groups.append({"value": v, "points": [(p, m)]})
-    values = []
-    value_groups = []
-    for g in groups:
-        simple = len(g["points"]) == 1 and g["points"][0][1] == 1
-        values.append((g["value"], simple))
-        value_groups.append((g["value"], list(g["points"])))
-    return CriticalData(points=points, values=values, value_groups=value_groups)
+    value_groups = [(g["value"], g["points"]) for g in groups]
+    return CriticalData(points=points, value_groups=value_groups)
 
 
 def _crosscheck_multiplicities(w, points, total):

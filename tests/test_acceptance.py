@@ -83,7 +83,7 @@ def test_genus_lower_bound_with_three_simple_critical_values():
         d = 3 + checked % 3
         f = random_rational_map(d, rng)
         cd = critical_data(f)
-        simple = sum(1 for _v, is_simple in cd.values if is_simple)
+        simple = sum(1 for _v, pts in cd.value_groups if len(pts) == 1 and pts[0][1] == 1)
         if simple < 3:
             continue
         report, *_ = analyze(f, reconstruct=False)

@@ -270,23 +270,19 @@ def test_fof_claim_without_toR_equal_toS():
     assert rep["f∘f = f∘g"] == "PASS"
 
 
-def apply_projective(maps, u, v):
-    """The composite of ``maps`` (first to last) at (u : v), exactly."""
+def apply_maps(maps, z):
+    """The composite of ``maps`` (first to last) at z, exactly, through INF."""
     for f in maps:
-        u, v = f.eval_projective(u, v)
-    return u, v
+        z = f.eval_exact(z)
+    return z
 
 
 def separated_at(fs, gs, points):
     """Whether the composites take unequal exact values at one of z = 0, 1, ...,
     points - 1."""
     ctx = fs[0].ctx
-    for k in range(points):
-        (fu, fv), (gu, gv) = (apply_projective(maps, ctx.from_rational(k), ctx.one)
-                              for maps in (fs, gs))
-        if fu * gv != fv * gu:
-            return True
-    return False
+    return any(apply_maps(fs, ctx.from_rational(k)) != apply_maps(gs, ctx.from_rational(k))
+               for k in range(points))
 
 
 def composites_equal_at_2d_plus_2_points(fs, gs):

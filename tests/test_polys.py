@@ -1,11 +1,12 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mme.fields import FieldContext, field_configure
+from mme.numeric import INF, is_inf
 from mme.polys import COPRIME_TEST_PRIME, BiPoly, Poly, graph_bipoly
-from mme.ratmaps import RationalMap
+from mme.ratmaps import MapError, RationalMap
 
 Q = FieldContext.rationals()
 
@@ -20,6 +21,21 @@ def schoolbook_product(p, q):
             if not b.is_zero():
                 out[i + j] = out[i + j] + a * b
     return Poly(p.ctx, out)
+
+
+def horner(coeffs, z):
+    """sum c_i z^i for ascending FieldElement coefficients, by Horner: the
+    reference exact evaluation."""
+    acc = z.ctx.zero
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def bivariate_horner(P, x, y):
+    """P(x, y) for a BiPoly P, by Horner in y, then in x."""
+    return horner([horner(row, y) for row in P.rows], x)
+
 
 small_coeffs = st.lists(
     st.integers(min_value=-9, max_value=9), min_size=1, max_size=6
@@ -57,9 +73,11 @@ def test_squarefree_decomposition_recovers_multiplicities():
 
 
 def test_compose_and_eval():
-    p = poly_from([0, 0, 1])
-    q = poly_from([1, 1])
-    assert p(Fraction(3)) == Fraction(9)
+    p = RationalMap.polynomial(poly_from([0, 0, 1]))
+    q = RationalMap.polynomial(poly_from([1, 1]))
+    three = Q.from_rational(3)
+    assert p.eval_exact(three) == 9
+    assert p.compose(q).eval_exact(three) == 16 == horner(p.compose(q).num.coeffs, three)
 
 
 def test_graph_bipoly_antisymmetric_and_diagonal_divisible():
@@ -77,7 +95,7 @@ def test_graph_bipoly_for_rational_map():
     P = graph_bipoly(poly_from([1, 0, 1]), poly_from([0, 1]))  # (z^2+1)/z
     assert P.bidegree == (2, 2)
     assert P.is_antisymmetric()
-    assert P.eval_exact(Fraction(2), Fraction(1, 2)).is_zero()
+    assert bivariate_horner(P, Q.from_rational(2), Q.from_rational(Fraction(1, 2))).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,10 +179,11 @@ def test_bipoly_antisymmetry_and_evaluation():
     assert not BiPoly(Q, [[0, 1], [1, 0]]).is_antisymmetric()  # x + y
     assert not BiPoly(Q, [[0, 1]]).is_antisymmetric()  # y: not square
     assert BiPoly(Q, []).is_antisymmetric()
-    assert P.eval_exact(Fraction(2), Fraction(1, 3)) == 2 - Fraction(1 - 27, 27)
+    x, y = Q.from_rational(2), Q.from_rational(Fraction(1, 3))
+    assert bivariate_horner(P, x, y) == 2 - Fraction(1 - 27, 27)
 
 
-# -- products on integers, and projective evaluation over Q ---------------------------
+# -- products on integers over Q ---------------------------------------------------------
 
 # zero, small, and >= 300-bit numerators over denominators of up to 320 bits
 q_coeff = st.one_of(
@@ -249,20 +268,6 @@ def test_extension_product_on_sparse_coordinates():
                 assert a * a == schoolbook_product(a, a)
 
 
-q_point = st.one_of(st.just(Fraction(0)), st.builds(
-    Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**70)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(q_coeffs, q_point, q_point, st.integers(0, 3))
-def test_q_eval_homogeneous_equals_generic(a, u, v, extra):
-    p = poly_from(a)
-    d = max(p.degree, 0) + extra
-    for U, V in ((u, v), (u, Fraction(0)), (Fraction(0), v), (Fraction(1), Fraction(0))):
-        U, V = Q.from_rational(U), Q.from_rational(V)
-        assert p.eval_homogeneous(U, V, d) == p._eval_homogeneous_generic(U, V, d)
-
-
 # -- the integer form against a coefficientwise FieldElement reference -------------------
 
 INTEGER_FORM_FIELDS = [
@@ -331,6 +336,45 @@ def test_integer_form_arithmetic_matches_a_fieldelement_reference(case):
         built = Poly(ctx, ref)
         assert got == built and hash(got) == hash(built), op
         assert {built: op}[got] == op and {got: op}[built] == op
+
+
+# -- exact evaluation against a Horner reference ------------------------------------------
+
+
+def reference_value(f, z):
+    """f(z) by Horner on num and den: INF at a pole, and at INF the ratio of
+    the coefficients of degree deg f."""
+    if is_inf(z):
+        num, den = f.num.coeff(f.degree), f.den.coeff(f.degree)
+    else:
+        num, den = horner(f.num.coeffs, z), horner(f.den.coeffs, z)
+    return INF if den.is_zero() else num / den
+
+
+@st.composite
+def maps_with_points(draw):
+    """(f, points) over Q or an extension: 100-bit numerators over 60-bit
+    denominators, a denominator with a planted root, and INF, 0, that root
+    and a free point to evaluate at."""
+    ctx = draw(st.sampled_from(INTEGER_FORM_FIELDS))
+    coord = st.one_of(st.just(0), st.integers(-9, 9), st.builds(
+        Fraction, st.integers(-2**100, 2**100), st.integers(1, 2**60)))
+    elt = st.lists(coord, min_size=ctx.degree, max_size=ctx.degree).map(ctx.element)
+    num, den = (Poly(ctx, draw(st.lists(elt, min_size=1, max_size=5))) for _ in range(2))
+    root = draw(elt)
+    try:
+        f = RationalMap(num, den * Poly(ctx, [-root, 1]))
+    except MapError:
+        assume(False)
+    return f, [INF, ctx.zero, root, draw(elt)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(maps_with_points())
+def test_eval_exact_equals_a_horner_reference(case):
+    f, points = case
+    for z in points:
+        assert f.eval_exact(z) == reference_value(f, z), z
 
 
 # -- coprimality modulo a prime ------------------------------------------------------------

@@ -86,10 +86,10 @@ def test_preimages_of_multiple_root():
 
 def test_critical_data_chebyshev():
     cd = critical_data(rmap([0, -3, 0, 1]))
-    finite = [v for v, _simple in cd.values if not is_inf(v)]
+    finite = [v for v, _points in cd.value_groups if not is_inf(v)]
     vset = sorted(round(complex(v).real) for v in finite)
     assert vset == [-2, 2]
-    assert any(is_inf(v) for v, _simple in cd.values)
+    assert any(is_inf(v) for v, _points in cd.value_groups)
 
 
 def test_critical_data_power_map_local_degrees():
@@ -167,6 +167,52 @@ def test_compose_refuses_a_composite_of_the_wrong_degree():
     f = RationalMap._coprime(Poly(Q, [0, -1, 1]), Poly(Q, [0, 1, 1]))
     with pytest.raises(ConsistencyError):
         f.compose(rmap([1], [0, 1]))
+
+
+# Q, Q(w) with w^2 + w + 1 = 0, and Q(cbrt 2)
+EVAL_FIELDS = [Q, field_configure([1, 1, 1]), field_configure([-2, 0, 0, 1])]
+
+
+@st.composite
+def composable_pairs(draw):
+    """(f, g, points): g = (z - r) A / ((z - s) B), and the points INF, r, s
+    (a zero and a pole of g unless a factor cancels) and a free element."""
+    ctx = draw(st.sampled_from(EVAL_FIELDS))
+    coord = st.one_of(st.just(0), st.integers(-9, 9), st.builds(
+        Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**20)))
+    elt = st.lists(coord, min_size=ctx.degree, max_size=ctx.degree).map(ctx.element)
+    poly = st.lists(elt, min_size=1, max_size=4).map(lambda cs: Poly(ctx, cs))
+    r, s = draw(elt), draw(elt)
+    try:
+        f = RationalMap(draw(poly), draw(poly))
+        g = RationalMap(draw(poly) * Poly(ctx, [-r, 1]), draw(poly) * Poly(ctx, [-s, 1]))
+    except MapError:
+        assume(False)
+    return f, g, [INF, r, s, draw(elt)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(composable_pairs())
+def test_composite_value_is_the_value_of_the_composite(case):
+    f, g, points = case
+    h = f.compose(g)
+    for z in points:
+        assert h.eval_exact(z) == f.eval_exact(g.eval_exact(z)), z
+
+
+def test_compose_keeps_one_power_of_the_inner_numerator_alive():
+    import tracemalloc
+
+    f, g = rmap([1] + [0] * 399 + [1]), rmap([1, 1])  # z^400 + 1 and z + 1
+    tracemalloc.start()
+    try:
+        h = f.compose(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.degree == 400
+    # tabling every power u^i at once peaks at about 4.8 MiB here
+    assert peak < 2**20
 
 
 def test_iterate_reaches_the_degree_budget():
