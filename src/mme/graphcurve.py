@@ -321,7 +321,10 @@ def _track(matrix, d, fiber, paths):
         xs = [b if t == 1.0 else a + t * (b - a)
               for k, (j, t) in nodes for a, b in [segments[k][j]]]
         for lo in range(0, len(nodes), CHUNK_ROWS):
-            found, error = projective_roots_batch(_fiber_coeffs(matrix, xs[lo:lo + CHUNK_ROWS]), d)
+            z, inf, error = projective_roots_batch(_fiber_coeffs(matrix, xs[lo:lo + CHUNK_ROWS]), d)
+            found = [list(row) for row in z]
+            for i, j in zip(*inf.nonzero()):
+                found[i][j] = INF
             for (k, key), new in zip(nodes[lo:lo + CHUNK_ROWS], found):
                 solved[k][key] = new
             if error is not None:

@@ -2,13 +2,17 @@
 
 Preimage sets of a point equidistribute toward the measure of maximal
 entropy, so independent random backward orbits (uniform preimage choice,
-short burn-in discarded) give a point cloud approximating it.  Clouds are
-stored as stereographic lifts on the unit sphere so infinity needs no
-special casing, and compared with the energy distance.
+short burn-in discarded) give a point cloud approximating it.  The orbits
+of a cloud advance together as arrays (complex points and a mask of
+infinity), and the cloud is stored as stereographic lifts on the unit
+sphere so infinity needs no special casing.  Clouds are compared with the
+energy distance, whose subsampled pairs gather each coordinate of each
+index draw once for all four terms.
 
 ``same_measure_test`` and ``sigma_invariance_check`` first try the exact
 identities of :mod:`mme.identities` that prove the measures equal; only a
-pair that no identity decides is sampled.
+pair that no identity decides is sampled.  Samples never prove equal
+measures: the sampled route says DIFFERENT or INCONCLUSIVE, never SAME.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ import numpy as np
 from .identities import invariant_measure_identity, same_measure_identity
 from .numeric import (
     RootFindingError,
+    _chordal_arrays,
     _finite_part,
+    _lift_arrays,
     chordal,
-    chordal_matrix,
     named_rng,
     projective_roots,
     projective_roots_batch,
@@ -61,6 +66,13 @@ class MeasureCloud:
 
 @dataclass
 class MeasureDistanceReport:
+    """The sampled route's verdict: DIFFERENT (statistical) when the clouds
+    are DIFFERENT_FACTOR times farther apart than the same-map baseline,
+    else INCONCLUSIVE.  Clouds that agree, within SAME_FACTOR of the
+    baseline, prove nothing (the Julia sets of z^2 + 10^6 z and
+    z^2 + 10^6 z + 1 are too close to infinity for the chordal energy
+    distance to separate), so the report gives the reason instead of SAME."""
+
     distance: float
     self_baseline: float
     meta: dict = field(default_factory=dict)
@@ -68,14 +80,12 @@ class MeasureDistanceReport:
 
     @property
     def verdict(self):
-        if self.distance < SAME_FACTOR * self.self_baseline:
-            return "SAME"
         if self.distance > DIFFERENT_FACTOR * self.self_baseline:
             return "DIFFERENT"
         return "INCONCLUSIVE"
 
     def as_dict(self):
-        return {
+        out = {
             "route": self.route,
             "distance": self.distance,
             "self_baseline": self.self_baseline,
@@ -85,6 +95,9 @@ class MeasureDistanceReport:
                            "note": "calibration constants, not theorem claims"},
             **self.meta,
         }
+        if self.distance < SAME_FACTOR * self.self_baseline:
+            out["reason"] = "sampled clouds agree; no exact identity within the degree budget"
+        return out
 
 
 @dataclass
@@ -160,25 +173,27 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     if count < 0:
         raise MapError("the point count must be >= 0")
     rng = named_rng(seed, stream)
-    exceptional = _exceptional_points(f)
+    exceptional = _finite_part(_exceptional_points(f))
     d = f.degree
     per_orbit = depth - BURN_IN
     n_orbits = math.ceil(count / per_orbit)
-    pts = []
+    zs, infs = [np.zeros(0, dtype=complex)], [np.zeros(0, dtype=bool)]
+    have = 0
     failures = 0
-    while len(pts) < count:
+    while have < count:
         if failures > 10 * max(1, n_orbits):
             raise MapError("too many failed backward orbits; map may be degenerate")
         states, starts, choices = [], [], []
-        for _ in range(math.ceil((count - len(pts)) / per_orbit)):
+        for _ in range(math.ceil((count - have) / per_orbit)):
             states.append(rng.bit_generator.state)
             starts.append(complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform())))
             # one draw of `depth` choices leaves the values and the generator
             # state that `depth` scalar draws leave
-            choices.append(rng.integers(0, d, size=depth).tolist())
-        orbits, failed = _lockstep_orbits(f, exceptional, starts, choices)
-        for orbit in orbits:
-            pts.extend(orbit)
+            choices.append(rng.integers(0, d, size=depth))
+        z, inf, failed = _lockstep_orbits(f, exceptional, starts, np.array(choices))
+        zs.append(z)
+        infs.append(inf)
+        have += len(z)
         if failed is not None:
             i, steps = failed
             failures += 1
@@ -186,54 +201,63 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
             rng.normal(0.0, 0.5)
             rng.uniform()
             rng.integers(0, d, size=steps)
-    pts = pts[:count]
-    return MeasureCloud(sphere_lift_many(pts))
+    return MeasureCloud(_lift_arrays(np.concatenate(zs)[:count], np.concatenate(infs)[:count]))
 
 
 def _lockstep_orbits(f, exceptional, starts, choices):
     """Backward orbits of f from `starts`, orbit i stepping to preimage
-    choices[i][k] at step k, all advanced together.
+    choices[i, k] at step k, all advanced together.
 
-    Returns the points past the burn-in of every orbit before the first
-    failed one, and that failure as (orbit, preimage choices it made), or
-    None.  Rows are built as RationalMap.preimages builds them, and
-    projective_roots_batch equals projective_roots row by row, so every
-    point equals the one a lone orbit reaches bit for bit.
+    ``exceptional`` is the (z, inf) array pair of the exceptional points.
+    The points of every orbit are carried as one complex array and one
+    mask of INF, and each step picks every orbit's choice out of the
+    solved fibers at once.  Returns the points past the burn-in of every
+    orbit before the first failed one as (z, inf) arrays, orbit by orbit
+    and in step order within an orbit, and that failure as (orbit,
+    preimage choices it made), or None.  Rows are built as
+    RationalMap.preimages builds them, and projective_roots_batch equals
+    projective_roots row by row, so every point equals the one a lone
+    orbit reaches bit for bit.
     """
     d = f.degree
+    depth = choices.shape[1]
     nc, dc = (np.concatenate([c, np.zeros(d + 1 - len(c))])
               for c in (f.num.numeric_coeffs(), f.den.numeric_coeffs()))
+    kept_z = np.zeros((len(starts), depth - BURN_IN), dtype=complex)
+    kept_inf = np.zeros((len(starts), depth - BURN_IN), dtype=bool)
     failed = None
 
-    def cut(points, steps):
+    def cut(z, inf, steps):
         # drop the orbits from the first one near an exceptional point on
         nonlocal failed
-        near = np.flatnonzero((chordal_matrix(points, exceptional) < EXCEPTIONAL_CUT).any(axis=1))
+        near = np.flatnonzero((_chordal_arrays(z, inf, *exceptional) < EXCEPTIONAL_CUT).any(axis=1))
         if len(near):
             failed = (int(near[0]), steps)
-            return points[:near[0]]
-        return points
+            return z[:near[0]], inf[:near[0]]
+        return z, inf
 
-    points = cut(starts, 0)
-    kept = []
-    for k, step_choices in enumerate(zip(*choices)):
-        if not points:
+    z, inf = cut(*_finite_part(starts), 0)
+    for k in range(depth):
+        if not len(z):
             break
         if k == 0:
             # starts are Python complex numbers, whose division rounds
             # unlike numpy's, so their rows take the scalar formula
-            rows = np.array([nc / s - (w / s) * dc for w in points for s in [max(1.0, abs(w))]])
+            rows = np.array([nc / s - (w / s) * dc
+                             for w in starts[:len(z)] for s in [max(1.0, abs(w))]])
         else:
-            z, inf = _finite_part(points)
             scale = np.maximum(1.0, np.hypot(z.real, z.imag))[:, None]
             rows = np.where(inf[:, None], dc, nc / scale - (z[:, None] / scale) * dc)
-        fibers, error = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
+        fz, finf, error = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
         if error is not None:
-            failed = (len(fibers), k)
-        points = cut([fiber[c] for fiber, c in zip(fibers, step_choices)], k + 1)
+            failed = (len(fz), k)
+        pick = np.arange(len(fz)), choices[:len(fz), k]
+        z, inf = cut(fz[pick], finf[pick], k + 1)
         if k >= BURN_IN:
-            kept.append(points)
-    return [[step[i] for step in kept] for i in range(len(points))], failed
+            kept_z[:len(z), k - BURN_IN] = z
+            kept_inf[:len(z), k - BURN_IN] = inf
+    n = len(z)
+    return kept_z[:n].reshape(-1), kept_inf[:n].reshape(-1), failed
 
 
 def _distances(U, V):
@@ -242,8 +266,7 @@ def _distances(U, V):
 
     The squares are added as (dx² + dy²) + dz², the order in which a sum
     over the last axis of a row-major (..., 3) array adds them, so every
-    distance equals the row-major one bit for bit.  U and V may be
-    iterators, so gathered coordinates are made one at a time.
+    distance equals the row-major one bit for bit.
     """
     out = None
     for u, v in zip(U, V):
@@ -262,7 +285,10 @@ def measure_distance(A, B, seed=0):
 
     All-pairs for small clouds; above the cap the three expectations are
     estimated on shared index draws (common random numbers), which cancels
-    most of the per-pair sampling noise when A and B are close.
+    most of the per-pair sampling noise when A and B are close.  The draws
+    come in four index arrays (i, j into A; i, j into B), and a chunk of
+    them gathers each coordinate of each array once: those twelve arrays
+    give all four distance terms of the chunk.
     """
     na, nb = len(A), len(B)
     if not (na and nb):
@@ -275,16 +301,13 @@ def measure_distance(A, B, seed=0):
             - _mean_pair_distance(pb, pb)
         )
 
-    def gathered(P, i, Q, j):
-        return _distances((c.take(i) for c in P), (c.take(j) for c in Q))
-
     rng = named_rng(seed, "energy")
     total = 0.0
     block = 10**5
     n_pairs = SUBSAMPLE_PAIRS
     # the summand of a block is made a cache-sized chunk of pairs at a time,
     # then summed whole, so the total is the one summed from full blocks
-    chunk = 4096
+    chunk = 8192
     summand = np.empty(block)
     done = 0
     while done < n_pairs:
@@ -295,11 +318,15 @@ def measure_distance(A, B, seed=0):
         jb = rng.integers(0, nb, size=m)
         for s in range(0, m, chunk):
             part = slice(s, min(s + chunk, m))
-            i_a, j_a, i_b, j_b = ia[part], ja[part], ib[part], jb[part]
+            # each coordinate of each draw gathered once, for all four terms;
+            # the draws are in range, so clipping moves no index and only
+            # skips the bounds check
+            xa, ya = ([c.take(i[part], mode="clip") for c in pa] for i in (ia, ja))
+            xb, yb = ([c.take(i[part], mode="clip") for c in pb] for i in (ib, jb))
             out = summand[part]
-            np.add(gathered(pa, i_a, pb, j_b), gathered(pa, j_a, pb, i_b), out=out)
-            out -= gathered(pa, i_a, pa, j_a)
-            out -= gathered(pb, i_b, pb, j_b)
+            np.add(_distances(xa, yb), _distances(ya, xb), out=out)
+            out -= _distances(xa, ya)
+            out -= _distances(xb, yb)
         total += float(summand[:m].sum())
         done += m
     return total / n_pairs
@@ -307,7 +334,8 @@ def measure_distance(A, B, seed=0):
 
 def same_measure_test(f, g, count=4000, depth=40, seed=0):
     """SAME by an exact identity (``identities.same_measure_identity``), else
-    a SAME/DIFFERENT verdict from energy distance against a self baseline."""
+    a DIFFERENT or INCONCLUSIVE verdict from the energy distance against a
+    self baseline (``MeasureDistanceReport``)."""
     _check_comparison((f, g), count, depth)
     maps = [map_digest(f), map_digest(g)]
     exact = same_measure_identity(f, g)
@@ -326,8 +354,8 @@ def same_measure_test(f, g, count=4000, depth=40, seed=0):
 
 def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
     """SAME by an exact identity (``identities.invariant_measure_identity``),
-    else a SAME-threshold check that pushing a cloud of f forward by sigma
-    preserves the empirical measure.
+    else a DIFFERENT or INCONCLUSIVE verdict on whether pushing a cloud of
+    f forward by sigma preserves the empirical measure.
 
     The pushed cloud is compared against an independent cloud of f, and the
     baseline averages BASELINE_PAIRS independent same-map pair distances (a

@@ -52,7 +52,11 @@ def sphere_lift(z):
 
 def sphere_lift_many(zs):
     """sphere_lift of every point of ``zs`` as an (N, 3) array, equal to it bit for bit."""
-    z, inf = _finite_part(zs)
+    return _lift_arrays(*_finite_part(zs))
+
+
+def _lift_arrays(z, inf):
+    """sphere_lift_many of the points (z, inf): z complex, inf the mask of INF."""
     x, y = z.real, z.imag
     r2 = x * x + y * y
     s = 1.0 / (1.0 + r2)
@@ -224,19 +228,21 @@ def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=Tr
 
 def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refine=True):
     """projective_roots of the rows of an (L, formal_degree + 1) stack, up
-    to the first row that cannot be certified.
+    to the first row that cannot be certified, as arrays.
 
-    Returns (fibers, error): the roots of every row before that row, and
-    the RootFindingError it raised, or None.  Rows of full degree with a
-    nonzero constant term share one stack of companion matrices, one
-    eigvals call and (with ``refine``) one row-wise Newton pass.  Every
-    other row (a root at infinity or at zero, a residual that needs mpmath)
-    goes through projective_roots, so each row's roots equal
-    projective_roots on that row bit for bit.
+    Returns (z, inf, error): z the (K, formal_degree) complex roots of the
+    K rows before that row, with 0 where a root is INF, inf the mask of
+    those roots, and the RootFindingError that row raised, or None (then
+    K = L).  Rows of full degree with a nonzero constant term share one
+    stack of companion matrices, one eigvals call and (with ``refine``) one
+    row-wise Newton pass.  Every other row (a root at infinity or at zero,
+    a residual that needs mpmath) goes through projective_roots, so row i
+    of (z, inf) equals projective_roots on row i bit for bit, INF included.
     """
     c = np.asarray(rows, dtype=complex)
     d = formal_degree
-    out = [None] * len(c)
+    z = np.zeros((len(c), d), dtype=complex)
+    inf = np.zeros((len(c), d), dtype=bool)
     lead = c[:, d]
     # np.hypot matches the scalar abs() that projective_roots applies here
     fast = (np.hypot(lead.real, lead.imag) > INF_TOL * np.max(np.abs(c), axis=1)) & (c[:, 0] != 0)
@@ -244,18 +250,15 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
     if len(idx):
         desc = c[idx, ::-1]
         roots, ok = _polish(desc, _companion_roots(desc), residual_tol, refine)
-        for i, row, good in zip(idx, roots, ok):
-            if good:
-                out[i] = list(row)
-    fibers = []
-    for i, found in enumerate(out):
-        if found is None:
-            try:
-                found = projective_roots(c[i], d, residual_tol=residual_tol, refine=refine)
-            except RootFindingError as exc:
-                return fibers, exc
-        fibers.append(found)
-    return fibers, None
+        z[idx[ok]] = roots[ok]
+        fast[idx[~ok]] = False
+    for i in np.flatnonzero(~fast):
+        try:
+            z[i], inf[i] = _finite_part(
+                projective_roots(c[i], d, residual_tol=residual_tol, refine=refine))
+        except RootFindingError as exc:
+            return z[:i], inf[:i], exc
+    return z, inf, None
 
 
 def chordal_matrix(a, b):
@@ -264,8 +267,11 @@ def chordal_matrix(a, b):
     ``a`` (..., n) and ``b`` (..., m) hold points of P^1 (complex or INF);
     the result has shape (..., n, m).
     """
-    za, ia = _finite_part(a)
-    zb, ib = _finite_part(b)
+    return _chordal_arrays(*_finite_part(a), *_finite_part(b))
+
+
+def _chordal_arrays(za, ia, zb, ib):
+    """chordal_matrix of the points (za, ia) and (zb, ib): z complex, i the mask of INF."""
     # np.hypot and np.float_power round like the scalar abs() and ** in
     # chordal; np.abs and ** on complex and float arrays do not always
     ra = (1.0 + np.float_power(np.hypot(za.real, za.imag), 2))[..., :, None]

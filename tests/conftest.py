@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mme.fields import FieldContext
+from mme.measure import SAME_FACTOR
 from mme.polys import Poly
 from mme.ratmaps import RationalMap
 
@@ -12,6 +13,15 @@ from mme.ratmaps import RationalMap
 @pytest.fixture
 def Q():
     return FieldContext.rationals()
+
+
+def assert_clouds_agree(rep, *context):
+    """The sampled route's evidence of equal measures: a ratio below
+    SAME_FACTOR, which it reports as INCONCLUSIVE with the reason, never as SAME."""
+    out = rep.as_dict()
+    assert (out["verdict"], out["route"]) == ("INCONCLUSIVE", "energy distance"), (context, out)
+    assert out["ratio"] < SAME_FACTOR, (context, out)
+    assert out["reason"] == "sampled clouds agree; no exact identity within the degree budget"
 
 
 def random_rational_map(degree, rng, ctx=None, coeff_bound=5):

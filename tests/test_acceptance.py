@@ -28,7 +28,7 @@ from mme.powermaps import (
 )
 from mme.ratmaps import RationalMap, critical_data
 from mme.serialize import map_to_json
-from conftest import brute_force_is_periodic, random_rational_map
+from conftest import assert_clouds_agree, brute_force_is_periodic, random_rational_map
 
 Q = FieldContext.rationals()
 
@@ -156,7 +156,7 @@ def test_measure_agreement_across_seeds_by_sampling(sampled_route):
     e = entry("chebyshev-flower", {"a": "1"})
     for seed in range(5):
         same = same_measure_test(e.maps["f"], e.maps["g"], count=20000, depth=40, seed=seed)
-        assert (same.verdict, same.route) == ("SAME", "energy distance"), (seed, same.as_dict())
+        assert_clouds_agree(same, seed)
     assert time.time() - start < 120.0
 
 
@@ -188,7 +188,7 @@ def test_sigma_f_pushforward_preserves_measure_on_subset_by_sampling(sampled_rou
     for k in range(3):
         f = random_rational_map(2, rng)
         rep = sigma_invariance_check(f, sigma_f_quadratic(f), count=2000, depth=30, seed=k)
-        assert (rep.verdict, rep.route) == ("SAME", "energy distance"), rep.as_dict()
+        assert_clouds_agree(rep, k)
 
 
 # 7 ----------------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def test_flower_measure_is_forward_invariant():
 def test_flower_measure_is_forward_invariant_by_sampling(sampled_route):
     f = _figure_map()
     rep = sigma_invariance_check(f, f, count=2000, depth=30, seed=1)
-    assert (rep.verdict, rep.route) == ("SAME", "energy distance"), rep.as_dict()
+    assert_clouds_agree(rep)
 
 
 # 10 ---------------------------------------------------------------------------------

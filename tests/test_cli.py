@@ -18,6 +18,7 @@ from mme.catalog import entry, omega_field
 from mme.cli import main
 from mme.fields import field_configure
 from mme.identities import sigma_f_quadratic
+from mme.measure import SAME_FACTOR
 from mme.parser import parse_map
 from mme.serialize import element_from_json, map_from_json, map_to_json
 from conftest import polys_and_products, sympy_irreducible
@@ -240,7 +241,20 @@ def test_measure_same_map_over_two_fields_samples(capsys):
                        "--count", "800", "--depth", "25")
     assert code == 0
     rep = json.loads(out)
-    assert (rep["verdict"], rep["route"], rep["count"]) == ("SAME", "energy distance", 800)
+    assert (rep["verdict"], rep["route"], rep["count"]) == ("INCONCLUSIVE", "energy distance", 800)
+    assert rep["ratio"] < SAME_FACTOR
+
+
+def test_measure_never_says_same_from_samples(capsys):
+    # conjugate by a translation to w^2 + c and w^2 + c + 1: the measures
+    # differ, but both Julia sets lie next to infinity, where the chordal
+    # energy distance cannot tell them apart
+    code, out, _ = run(capsys, "measure", "--f", "z^2+1000000z", "--g", "z^2+1000000z+1")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["verdict"], rep["route"]) == ("INCONCLUSIVE", "energy distance")
+    assert rep["ratio"] < SAME_FACTOR
+    assert rep["reason"] == "sampled clouds agree; no exact identity within the degree budget"
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,6 +28,7 @@ from mme.numeric import (
     INF,
     ConsistencyError,
     RootFindingError,
+    _finite_part,
     chordal_matrix,
     min_pairwise_chordal,
     projective_roots,
@@ -270,7 +271,7 @@ def test_lockstep_failure_drops_later_paths(monkeypatch):
     def failing_batch(rows, d):
         hit = np.flatnonzero((rows == bad).all(axis=1))
         if len(hit):
-            return batch(rows[:hit[0]], d)[0], RootFindingError("forced failure")
+            return (*batch(rows[:hit[0]], d)[:2], RootFindingError("forced failure"))
         return batch(rows, d)
 
     monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
@@ -428,7 +429,8 @@ def test_nearest_point_steps_decide_as_the_least_cost_assignment(step):
     # every abscissa solves to ``new``: the path's first step goes from
     # ``old`` to ``new`` and is bisected to underflow unless accepted
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphcurve, "projective_roots_batch", lambda rows, d: ([new] * len(rows), None))
+        mp.setattr(graphcurve, "projective_roots_batch",
+                   lambda rows, d: (*_finite_part([new] * len(rows)), None))
         [fibers] = _track(np.zeros((2, d + 1), dtype=complex), d, old, [[0j, 1 + 0j]])
     moved, accepted = _assignment_step(old, new)
     if accepted:
@@ -459,7 +461,7 @@ def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
     def failing_batch(rows, d):
         hit = [i for i, row in enumerate(rows) if row.tobytes() == bad]
         if hit:
-            return batch(rows[:hit[0]], d)[0], RootFindingError("forced failure")
+            return (*batch(rows[:hit[0]], d)[:2], RootFindingError("forced failure"))
         return batch(rows, d)
 
     monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)

@@ -1,5 +1,6 @@
 import mpmath
 import numpy as np
+import pytest
 
 from mme import numeric
 from mme.fields import field_configure
@@ -30,13 +31,26 @@ def same_points(a, b):
     return len(a) == len(b) and all(bits(p) == bits(q) for p, q in zip(a, b))
 
 
+def assert_rows_equal(z, inf, rows, d, **kwargs):
+    """(z, inf) from projective_roots_batch equal projective_roots on each
+    row, bit for bit, INF included, with 0 at every INF."""
+    assert z.shape == inf.shape == (len(rows), d)
+    assert z.dtype == complex and inf.dtype == bool
+    for zs, infs, row in zip(z, inf, rows):
+        assert same_points([INF if i else w for w, i in zip(zs, infs)],
+                           projective_roots(row, d, **kwargs))
+        assert not zs[infs].any()
+
+
 def test_batched_roots_equal_single_row_roots(monkeypatch):
     escalations = []
     polyroots = mpmath.polyroots
 
-    def counting_polyroots(*args, **kwargs):
+    def counting_polyroots(coeffs, *args, **kwargs):
         escalations.append(1)
-        return polyroots(*args, **kwargs)
+        if complex(coeffs[0]) == 7:  # the leading coefficient of the row made to fail
+            raise mpmath.libmp.NoConvergence("forced failure")
+        return polyroots(coeffs, *args, **kwargs)
 
     monkeypatch.setattr(mpmath, "polyroots", counting_polyroots)
     rng = rng_for("batched-roots")
@@ -45,30 +59,44 @@ def test_batched_roots_equal_single_row_roots(monkeypatch):
         rows[0, d] = 0  # a root at infinity
         rows[1, d] = 1e-15 * rows[1, 0]  # below the infinity threshold
         rows[2, 0] = 0  # a root at zero
-        batch, error = projective_roots_batch(rows, d)
-        assert error is None and len(batch) == len(rows)
-        for row, roots in zip(rows, batch):
-            assert same_points(roots, projective_roots(row, d))
-        assert batch[0][-1] is INF and batch[1][-1] is INF
+        z, inf, error = projective_roots_batch(rows, d)
+        assert error is None
+        assert_rows_equal(z, inf, rows, d)
+        assert inf[0, -1] and inf[1, -1] and z[2].tolist().count(0j) >= 1
+        assert not inf[2:].any()
     assert not escalations
-    # Newton-polished roots of these rows pass the residual check, so one
-    # row is made to fail it, in the batched and in the single-row path alike
+    # Newton-polished roots of these rows pass the residual check, so rows
+    # are made to fail it, in the batched and in the single-row path alike:
+    # row 1 is then solved by mpmath, and mpmath fails on row 3, so the
+    # rows after it are not returned
     rows = np.array(
-        [np.poly([1, 2, 3])[::-1], [0.5, -1.5, 1j, 1], [1, 2, 3, 4]], dtype=complex
+        [np.poly([1, 2, 3])[::-1], [0.5, -1.5, 1j, 1], [1, 2, 3, 0], [1, 2, 3, 7],
+         [1, 2, 3, 4], [0, 2, 3, 4]], dtype=complex
     )
     polish = numeric._polish
+    failing = {rows[i, ::-1].tobytes() for i in (1, 3)}
 
     def failing_polish(coeffs, roots, residual_tol, refine):
         roots, ok = polish(coeffs, roots, residual_tol, refine)
-        return roots, ok & ~(coeffs == rows[1, ::-1]).all(axis=1)
+        return roots, ok & ~np.array([c.tobytes() in failing for c in coeffs])
 
     monkeypatch.setattr(numeric, "_polish", failing_polish)
-    batch, error = projective_roots_batch(rows, 3)
+    z, inf, error = projective_roots_batch(rows, 3)
+    assert isinstance(error, numeric.RootFindingError)
+    assert len(escalations) == 2  # rows 1 and 3
+    assert_rows_equal(z, inf, rows[:3], 3)
+    assert len(escalations) == 3
+    assert inf[2].tolist() == [False, False, True]
+    with pytest.raises(numeric.RootFindingError):
+        projective_roots(rows[3], 3)
+    # without the failing row every row is returned
+    z, inf, error = projective_roots_batch(rows[[0, 1, 2, 4, 5]], 3)
     assert error is None
-    assert len(escalations) == 1
-    for row, roots in zip(rows, batch):
-        assert same_points(roots, projective_roots(row, 3))
-    assert len(escalations) == 2
+    assert_rows_equal(z, inf, rows[[0, 1, 2, 4, 5]], 3)
+    # a first row that fails returns no rows
+    z, inf, error = projective_roots_batch(rows[3:], 3)
+    assert isinstance(error, numeric.RootFindingError)
+    assert z.shape == inf.shape == (0, 3)
 
 
 def test_unrefined_batched_roots_equal_single_row_roots():
@@ -81,11 +109,10 @@ def test_unrefined_batched_roots_equal_single_row_roots():
         rows[2, 0] = 0  # a root at zero
         if d >= 2:
             rows[3] = np.poly([0.5, 0.5] + [1j] * (d - 2))[::-1]  # a double root
-        batch, error = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
+        z, inf, error = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
         assert error is None
-        for row, roots in zip(rows, batch):
-            assert same_points(roots, projective_roots(row, d, residual_tol=1e-7, refine=False))
-        assert batch[0][-1] is INF and batch[1][-1] is INF
+        assert_rows_equal(z, inf, rows, d, residual_tol=1e-7, refine=False)
+        assert inf[0, -1] and inf[1, -1]
 
 
 def test_sphere_lift_many_equals_sphere_lift():
