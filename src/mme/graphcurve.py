@@ -35,11 +35,11 @@ import numpy as np
 from .numeric import (
     INF,
     ConsistencyError,
-    _finite_part,
     chordal,
     chordal_matrix,
     is_inf,
     min_pairwise_chordal,
+    point_arrays,
     projective_roots,
     projective_roots_batch,
     rationalize_into_field,
@@ -79,7 +79,7 @@ class GraphCurve:
     pole: complex  # c of the target chart t' = 1/(t - c)
     matrix: np.ndarray  # (2, d + 1): G^-1(t') is the roots in x of row0 + t' * row1
     values: list  # critical values of G in the target chart
-    preimages: list  # per critical value, [(point, local degree)]; point complex or INF
+    preimages: list  # per critical value, [(point, local degree)]; scalar points, complex or INF
 
     @property
     def degree(self):
@@ -105,7 +105,7 @@ class MonodromyAction:
     basepoint: complex  # target chart
     permutations: list  # one tuple per critical value, in curve.values order
     cycles: list  # per critical value, the cycle of its permutation at each preimage
-    samples: list  # (fiber, index of the sample abscissa in it), at loop vertices
+    samples: tuple  # ((z, inf) of n loop-vertex fibers, stacked; each one's abscissa sheet)
 
 
 @dataclass
@@ -147,7 +147,7 @@ def _branch_data(G):
                 roots.pop(int(np.argmin([chordal(y, p) for y in roots])))
             pre.append((p, m + 1))
         pre += [(y, 1) for y in roots]
-        if min_pairwise_chordal([p for p, _e in pre]) < 1e-4:
+        if min_pairwise_chordal(*point_arrays([p for p, _e in pre])) < 1e-4:
             raise TrackingError("preimages of a critical value are too close to tell apart")
         out.append((v, pre))
     return out
@@ -200,9 +200,9 @@ def build_graph(G):
 
 
 def fiber_at(curve, t0):
-    """The d points x with G(x) = t, for t0 = 1/(t - c) in the target chart."""
-    fiber = projective_roots(_fiber_coeffs(curve.matrix, [t0])[0], curve.degree)
-    if min_pairwise_chordal(fiber) < 1e-5:
+    """(z, inf) of the d points x with G(x) = t, for t0 = 1/(t - c) in the target chart."""
+    fiber = point_arrays(projective_roots(_fiber_coeffs(curve.matrix, [t0])[0], curve.degree))
+    if min_pairwise_chordal(*fiber) < 1e-5:
         raise TrackingError("fiber is nearly degenerate: t0 too close to a critical value")
     return fiber
 
@@ -284,14 +284,17 @@ def _track(matrix, d, fiber, paths):
     on sheet order, so it is decided on the fibers as solved.  Every rejected
     step is bisected, and the next level solves the midpoints.  Each level's
     fibers, across all paths, come from batched root solves of at most
-    CHUNK_ROWS rows.  The moves are composed along each path at the end.
+    CHUNK_ROWS rows; a fiber is kept as its (z, inf) row of the batch, and
+    each chunk of checked steps stacks the rows at its ends.  The moves are
+    composed along each path at the end.
 
-    Returns per path the fibers at its vertices, the first one included, in
-    the sheet order of ``fiber``, or the TrackingError or RootFindingError
-    that stopped it.  The last fiber of a closed path holds the points of
-    ``fiber`` itself, permuted by the loop.  Each path fails as it would
-    alone; the paths after the first failed one are dropped (None), as
-    callers raise errors in path order.
+    ``fiber`` and the fibers returned are (z, inf) pairs.  Returns per path
+    the fibers at its vertices, the first one included, in the sheet order
+    of ``fiber``, or the TrackingError or RootFindingError that stopped it.
+    The last fiber of a closed path holds the values of ``fiber`` itself,
+    permuted by the loop.  Each path fails as it would alone; the paths
+    after the first failed one are dropped (None), as callers raise errors
+    in path order.
     """
     segments = [list(zip(path, path[1:])) for path in paths]
     start = (-1, 1.0)  # the key of a path's first vertex
@@ -322,24 +325,22 @@ def _track(matrix, d, fiber, paths):
               for k, (j, t) in nodes for a, b in [segments[k][j]]]
         for lo in range(0, len(nodes), CHUNK_ROWS):
             z, inf, error = projective_roots_batch(_fiber_coeffs(matrix, xs[lo:lo + CHUNK_ROWS]), d)
-            found = [list(row) for row in z]
-            for i, j in zip(*inf.nonzero()):
-                found[i][j] = INF
-            for (k, key), new in zip(nodes[lo:lo + CHUNK_ROWS], found):
-                solved[k][key] = new
+            for (k, key), row in zip(nodes[lo:lo + CHUNK_ROWS], zip(z, inf)):
+                solved[k][key] = row
             if error is not None:
-                live = nodes[lo + len(found)][0]
+                live = nodes[lo + len(z)][0]
                 outcomes[live] = error
                 break
         checks = [step for step in steps if step[0] < live]
         nodes, steps = [], []
         for lo in range(0, len(checks), CHUNK_ROWS):
             chunk = checks[lo:lo + CHUNK_ROWS]
-            ends = [solved[k][e] for k, _s, e in chunk]
-            cost = chordal_matrix([solved[k][s] for k, s, _e in chunk], ends)
+            starts = tuple(map(np.stack, zip(*[solved[k][s] for k, s, _e in chunk])))
+            ends = tuple(map(np.stack, zip(*[solved[k][e] for k, _s, e in chunk])))
+            cost = chordal_matrix(*starts, *ends)
             near = cost.argmin(axis=2)  # [step, old point]: its nearest new point
             accepted = (np.sort(near) == np.arange(d)).all(axis=1) & (
-                cost.min(axis=2).max(axis=1) < 0.4 * min_pairwise_chordal(ends))
+                cost.min(axis=2).max(axis=1) < 0.4 * min_pairwise_chordal(*ends))
             for (k, s, e), nearest, ok in zip(chunk, near, accepted):
                 if k >= live:
                     break
@@ -356,11 +357,12 @@ def _track(matrix, d, fiber, paths):
                 nodes.append((k, mid))
                 steps += [(k, s, mid), (k, mid, e)]
     for k in range(live):
-        order, vertices = range(d), {}  # order[i]: where sheet i sits in the fiber as solved
+        order, vertices = np.arange(d), {}  # order[i]: where sheet i sits in the fiber as solved
         for key in sorted(moves[k]):
-            order = [moves[k][key][i] for i in order]
+            order = moves[k][key][order]
             if key[1] == 1.0:
-                vertices[key[0]] = [solved[k][key][i] for i in order]
+                z, inf = solved[k][key]
+                vertices[key[0]] = z[order], inf[order]
         outcomes[k] = [fiber]
         for j in range(len(segments[k])):
             outcomes[k].append(vertices.get(j, outcomes[k][-1]))
@@ -388,10 +390,10 @@ def _cycles_at_preimages(perm, entry, preimages):
     """The cycle of ``perm`` at each preimage of a critical value.
 
     ``preimages`` are the (point, local degree) pairs over the value, and
-    ``entry`` is the fiber, in base-sheet order, where the loop enters the
-    value's disc.  The cycle type must be the exact local degrees; each cycle
-    is attributed to the preimage its sheets sit at, whose local degree must
-    be the cycle's length.
+    ``entry`` is the (z, inf) fiber, in base-sheet order, where the loop
+    enters the value's disc.  The cycle type must be the exact local
+    degrees; each cycle is attributed to the preimage its sheets sit at,
+    whose local degree must be the cycle's length.
     """
     cycles = _cycles(perm, range(len(perm)))
     observed = sorted(len(c) for c in cycles)
@@ -401,7 +403,7 @@ def _cycles_at_preimages(perm, entry, preimages):
             "ramification mismatch at a critical value: monodromy %s vs exact %s"
             % (observed, exact)
         )
-    dist = chordal_matrix(entry, [p for p, _e in preimages])
+    dist = chordal_matrix(*entry, *point_arrays([p for p, _e in preimages]))
     cost = np.array([dist[list(c)].sum(axis=0) for c in cycles])
     rows, cols = linear_sum_assignment(cost)
     out = [None] * len(preimages)
@@ -431,8 +433,10 @@ def monodromy(curve):
     for fibers in loops:
         if isinstance(fibers, Exception):
             raise fibers
-    # perm[i] = j: the sheet that started at i ends at base sheet j
-    perms = [tuple(base_fiber.index(x) for x in fibers[-1]) for fibers in loops]
+    # perm[i] = j: the sheet that started at i ends at base sheet j, the one
+    # base point at distance 0 (the last fiber holds the base fiber's values)
+    perms = [tuple(chordal_matrix(*fibers[-1], *base_fiber).argmin(axis=1).tolist())
+             for fibers in loops]
     _check_sphere_relation(d, perms, plan.order)
     cycles = [
         _cycles_at_preimages(perm, fibers[1], pre)
@@ -440,12 +444,12 @@ def monodromy(curve):
     ]
     vertices = [fiber for fibers in loops for fiber in fibers[1:-1]]
     n = 4 * d + 4
-    samples = [(vertices[k * len(vertices) // n], k % d) for k in range(n)]
+    z, inf = map(np.stack, zip(*[vertices[k * len(vertices) // n] for k in range(n)]))
     return MonodromyAction(
         basepoint=plan.basepoint,
         permutations=perms,
         cycles=cycles,
-        samples=samples,
+        samples=((z, inf), [k % d for k in range(n)]),
     )
 
 
@@ -498,37 +502,39 @@ def _on_pairs(perm):
 
 
 def _sheet_samples(orbit, samples):
-    """(x, the y with (x, y) on the component) at every sample abscissa."""
+    """(x, y) on the component at each sample abscissa x, once per y, as the
+    (z, inf) pairs of the x and of the y."""
+    (z, inf), abscissae = samples
     sheets = {}
     for i, j in orbit:
         sheets.setdefault(i, []).append(j)
-    return [(fiber[i], [fiber[j] for j in sheets[i]]) for fiber, i in samples]
+    k, i, j = np.array([(k, i, j) for k, i in enumerate(abscissae) for j in sheets[i]]).T
+    return (z[k, i], inf[k, i]), (z[k, j], inf[k, j])
 
 
 def _vanishing_relation(points, r):
     """The relation of x-degree r and y-degree r vanishing on the samples, or None.
 
-    Each sample (x, y) gives a row of chordally normalized projective
-    monomials u^a v^(r-a) u'^k v'^(r-k), with x = u/v and y = u'/v', so
-    x = infinity and y = infinity need no special casing.  A relation of
-    x-degree s, times v^(r-s), is one among the columns a <= s, so the
-    component has x-degree exactly r when the first r(r + 1) columns
-    (s = r - 1) have no null vector and the whole matrix (s = r) has one.
-    That null vector is returned as an (r + 1, r + 1) array of the
-    coefficients of x^a y^k.
+    ``points`` holds the (z, inf) pairs of the samples' x and y.  Each
+    sample (x, y) gives a row of chordally normalized projective monomials
+    u^a v^(r-a) u'^k v'^(r-k), with x = u/v and y = u'/v', so x = infinity
+    and y = infinity need no special casing.  A relation of x-degree s,
+    times v^(r-s), is one among the columns a <= s, so the component has
+    x-degree exactly r when the first r(r + 1) columns (s = r - 1) have no
+    null vector and the whole matrix (s = r) has one.  That null vector is
+    returned as an (r + 1, r + 1) array of the coefficients of x^a y^k.
     """
 
-    def monomials(zs):
+    def monomials(w, inf):
         """u^k v^(r-k) / norm for k = 0..r, one row per point."""
-        w, inf = _finite_part(zs)
         s = np.maximum(1.0, np.abs(w))
         u, v = np.where(inf, 1.0 + 0j, w / s), np.where(inf, 0j, 1.0 / s)
         norm = (np.abs(u) ** 2 + np.abs(v) ** 2) ** (r / 2.0)
         k = np.arange(r + 1)
         return u[:, None] ** k * v[:, None] ** (r - k) / norm[:, None]
 
-    mx = monomials([x for x, ys in points for _y in ys])
-    my = monomials([y for _x, ys in points for y in ys])
+    x, y = points
+    mx, my = monomials(*x), monomials(*y)
     A = (mx[:, :, None] * my[:, None, :]).reshape(len(mx), -1)
 
     # a true vanishing relation sits at machine precision; mere bad

@@ -3,11 +3,10 @@
 Preimage sets of a point equidistribute toward the measure of maximal
 entropy, so independent random backward orbits (uniform preimage choice,
 short burn-in discarded) give a point cloud approximating it.  The orbits
-of a cloud advance together as arrays (complex points and a mask of
-infinity), and the cloud is stored as stereographic lifts on the unit
-sphere so infinity needs no special casing.  Clouds are compared with the
-energy distance, whose subsampled pairs gather each coordinate of each
-index draw once for all four terms.
+of a cloud advance together as one (z, inf) pair, and the cloud is stored
+as stereographic lifts on the unit sphere so infinity needs no special
+casing.  Clouds are compared with the energy distance, whose subsampled
+pairs gather each coordinate of each index draw once for all four terms.
 
 ``same_measure_test`` and ``sigma_invariance_check`` first try the exact
 identities of :mod:`mme.identities` that prove the measures equal; only a
@@ -26,11 +25,10 @@ import numpy as np
 from .identities import invariant_measure_identity, same_measure_identity
 from .numeric import (
     RootFindingError,
-    _chordal_arrays,
-    _finite_part,
-    _lift_arrays,
     chordal,
+    chordal_matrix,
     named_rng,
+    point_arrays,
     projective_roots,
     projective_roots_batch,
     sphere_lift_many,
@@ -173,7 +171,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     if count < 0:
         raise MapError("the point count must be >= 0")
     rng = named_rng(seed, stream)
-    exceptional = _finite_part(_exceptional_points(f))
+    exceptional = point_arrays(_exceptional_points(f))
     d = f.degree
     per_orbit = depth - BURN_IN
     n_orbits = math.ceil(count / per_orbit)
@@ -201,23 +199,22 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
             rng.normal(0.0, 0.5)
             rng.uniform()
             rng.integers(0, d, size=steps)
-    return MeasureCloud(_lift_arrays(np.concatenate(zs)[:count], np.concatenate(infs)[:count]))
+    return MeasureCloud(sphere_lift_many(np.concatenate(zs)[:count], np.concatenate(infs)[:count]))
 
 
 def _lockstep_orbits(f, exceptional, starts, choices):
     """Backward orbits of f from `starts`, orbit i stepping to preimage
     choices[i, k] at step k, all advanced together.
 
-    ``exceptional`` is the (z, inf) array pair of the exceptional points.
-    The points of every orbit are carried as one complex array and one
-    mask of INF, and each step picks every orbit's choice out of the
-    solved fibers at once.  Returns the points past the burn-in of every
-    orbit before the first failed one as (z, inf) arrays, orbit by orbit
-    and in step order within an orbit, and that failure as (orbit,
-    preimage choices it made), or None.  Rows are built as
-    RationalMap.preimages builds them, and projective_roots_batch equals
-    projective_roots row by row, so every point equals the one a lone
-    orbit reaches bit for bit.
+    ``exceptional`` is the (z, inf) pair of the exceptional points.  The
+    points of all orbits are carried as one (z, inf) pair, and each step
+    picks every orbit's choice out of the solved fibers at once.  Returns
+    the points past the burn-in of every orbit before the first failed one
+    as a (z, inf) pair, orbit by orbit and in step order within an orbit,
+    and that failure as (orbit, preimage choices it made), or None.  Rows
+    are built as RationalMap.preimages builds them, and
+    projective_roots_batch equals projective_roots row by row, so every
+    point equals the one a lone orbit reaches bit for bit.
     """
     d = f.degree
     depth = choices.shape[1]
@@ -230,13 +227,13 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     def cut(z, inf, steps):
         # drop the orbits from the first one near an exceptional point on
         nonlocal failed
-        near = np.flatnonzero((_chordal_arrays(z, inf, *exceptional) < EXCEPTIONAL_CUT).any(axis=1))
+        near = np.flatnonzero((chordal_matrix(z, inf, *exceptional) < EXCEPTIONAL_CUT).any(axis=1))
         if len(near):
             failed = (int(near[0]), steps)
             return z[:near[0]], inf[:near[0]]
         return z, inf
 
-    z, inf = cut(*_finite_part(starts), 0)
+    z, inf = cut(*point_arrays(starts), 0)
     for k in range(depth):
         if not len(z):
             break
@@ -389,7 +386,7 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
 def push_forward(cloud, phi):
     """Image cloud under a RationalMap."""
     zs = [phi.eval_numeric(z) for z in cloud.as_complex()]
-    return MeasureCloud(sphere_lift_many(zs))
+    return MeasureCloud(sphere_lift_many(*point_arrays(zs)))
 
 
 def julia_raster(f, width, height, window, count=20000, depth=30, seed=0):

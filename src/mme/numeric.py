@@ -1,6 +1,13 @@
 """Numeric primitives: the point at infinity, chordal geometry on the
 Riemann sphere, certified complex root finding, and rationalization of
-floating-point values back into the exact field."""
+floating-point values back into the exact field.
+
+A point of P^1 is a complex number or the sentinel INF.  A set of points
+is a (z, inf) pair of arrays of one shape: z complex, with 0 at infinity,
+and inf the boolean mask of infinity.  Scalar functions such as ``chordal``
+and ``projective_roots`` take and give points; the array kernels take
+(z, inf) pairs, and ``point_arrays`` is the one converter to them.
+"""
 
 from __future__ import annotations
 
@@ -50,13 +57,8 @@ def sphere_lift(z):
     return np.array([2.0 * z.real * s, 2.0 * z.imag * s, (r2 - 1.0) * s])
 
 
-def sphere_lift_many(zs):
-    """sphere_lift of every point of ``zs`` as an (N, 3) array, equal to it bit for bit."""
-    return _lift_arrays(*_finite_part(zs))
-
-
-def _lift_arrays(z, inf):
-    """sphere_lift_many of the points (z, inf): z complex, inf the mask of INF."""
+def sphere_lift_many(z, inf):
+    """sphere_lift of every point of (z, inf) as an (..., 3) array, equal to it bit for bit."""
     x, y = z.real, z.imag
     r2 = x * x + y * y
     s = 1.0 / (1.0 + r2)
@@ -228,16 +230,16 @@ def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=Tr
 
 def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refine=True):
     """projective_roots of the rows of an (L, formal_degree + 1) stack, up
-    to the first row that cannot be certified, as arrays.
+    to the first row that cannot be certified, as a (z, inf) pair.
 
-    Returns (z, inf, error): z the (K, formal_degree) complex roots of the
-    K rows before that row, with 0 where a root is INF, inf the mask of
-    those roots, and the RootFindingError that row raised, or None (then
-    K = L).  Rows of full degree with a nonzero constant term share one
-    stack of companion matrices, one eigvals call and (with ``refine``) one
-    row-wise Newton pass.  Every other row (a root at infinity or at zero,
-    a residual that needs mpmath) goes through projective_roots, so row i
-    of (z, inf) equals projective_roots on row i bit for bit, INF included.
+    Returns (z, inf, error): (z, inf) the (K, formal_degree) roots of the
+    K rows before that row, and the RootFindingError that row raised, or
+    None (then K = L).  Rows of full degree with a nonzero constant term
+    share one stack of companion matrices, one eigvals call and (with
+    ``refine``) one row-wise Newton pass.  Every other row (a root at
+    infinity or at zero, a residual that needs mpmath) goes through
+    projective_roots, so row i of (z, inf) equals projective_roots on row i
+    bit for bit, INF included.
     """
     c = np.asarray(rows, dtype=complex)
     d = formal_degree
@@ -254,24 +256,26 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
         fast[idx[~ok]] = False
     for i in np.flatnonzero(~fast):
         try:
-            z[i], inf[i] = _finite_part(
+            z[i], inf[i] = point_arrays(
                 projective_roots(c[i], d, residual_tol=residual_tol, refine=refine))
         except RootFindingError as exc:
             return z[:i], inf[:i], exc
     return z, inf, None
 
 
-def chordal_matrix(a, b):
+def point_arrays(points):
+    """The (z, inf) pair of an array-like of points (complex or INF)."""
+    obj = np.asarray(points, dtype=object)
+    inf = np.array([p is INF for p in obj.flat], dtype=bool).reshape(obj.shape)
+    return np.where(inf, 0j, obj).astype(complex), inf
+
+
+def chordal_matrix(za, ia, zb, ib):
     """chordal(a[..., i], b[..., j]) for every pair, equal to chordal bit for bit.
 
-    ``a`` (..., n) and ``b`` (..., m) hold points of P^1 (complex or INF);
-    the result has shape (..., n, m).
+    (za, ia) holds points a of shape (..., n) and (zb, ib) points b of
+    shape (..., m); the result has shape (..., n, m).
     """
-    return _chordal_arrays(*_finite_part(a), *_finite_part(b))
-
-
-def _chordal_arrays(za, ia, zb, ib):
-    """chordal_matrix of the points (za, ia) and (zb, ib): z complex, i the mask of INF."""
     # np.hypot and np.float_power round like the scalar abs() and ** in
     # chordal; np.abs and ** on complex and float arrays do not always
     ra = (1.0 + np.float_power(np.hypot(za.real, za.imag), 2))[..., :, None]
@@ -284,23 +288,14 @@ def _chordal_arrays(za, ia, zb, ib):
     return np.where(ia & ib, 0.0, out)
 
 
-def _finite_part(points):
-    """(complex array with 0 at INF, mask of INF) for an array-like of points."""
-    obj = np.asarray(points, dtype=object)
-    inf = np.array([p is INF for p in obj.flat], dtype=bool).reshape(obj.shape)
-    return np.where(inf, 0j, obj).astype(complex), inf
-
-
-def min_pairwise_chordal(points):
+def min_pairwise_chordal(z, inf):
     """Smallest chordal distance between two of the last-axis points (inf if fewer than two)."""
-    n = np.shape(points)[-1]
-    if n < 2:
-        return np.inf
+    n = z.shape[-1]
     # the matrix is symmetric bit for bit, so its off-diagonal minimum is
     # the minimum over pairs
-    dist = chordal_matrix(points, points)
+    dist = chordal_matrix(z, inf, z, inf)
     dist[..., np.arange(n), np.arange(n)] = np.inf
-    return dist.min(axis=(-2, -1))
+    return dist.min(axis=(-2, -1), initial=np.inf)
 
 
 def rationalize_into_field(ctx, z):

@@ -28,9 +28,9 @@ from mme.numeric import (
     INF,
     ConsistencyError,
     RootFindingError,
-    _finite_part,
     chordal_matrix,
     min_pairwise_chordal,
+    point_arrays,
     projective_roots,
     rationalize_into_field,
 )
@@ -47,6 +47,17 @@ def rmap(num, den=(1,)):
 
 def bidegs(report):
     return sorted(tuple(c["bidegree"]) for c in report["components"])
+
+
+def _points(fiber):
+    """The points of a (z, inf) fiber as a list, INF included."""
+    z, inf = fiber
+    return [INF if i else p for p, i in zip(z.tolist(), inf.tolist())]
+
+
+def _values(fibers):
+    """The points of each fiber, for comparison by value."""
+    return [_points(f) for f in fibers]
 
 
 def test_chebyshev_cubic_decomposition():
@@ -132,14 +143,15 @@ def _loop_relation(points, r):
         norm = (abs(u) ** 2 + abs(v) ** 2) ** (r / 2.0)
         return [u**k * v ** (r - k) / norm for k in range(r + 1)]
 
-    rows = [[p * q for p in monomials(x) for q in monomials(y)] for x, ys in points for y in ys]
+    rows = [[p * q for p in monomials(x) for q in monomials(y)]
+            for x, y in zip(*map(_points, points))]
     return np.linalg.svd(np.array(rows))[2][-1].conj().reshape(r + 1, r + 1)
 
 
 def test_vanishing_relation_matches_rows_built_per_sample():
     # points of xy = 1, two of them at infinity, and of the conic of z^3 - 3z
-    hyperbola = [(x, [1 / x]) for x in (0.5, -2.0, 3j, 1 + 1j, 0.25 - 2j)]
-    hyperbola += [(0j, [INF]), (INF, [0j])]
+    xs = [0.5, -2.0, 3j, 1 + 1j, 0.25 - 2j]
+    hyperbola = (point_arrays(xs + [0j, INF]), point_arrays([1 / x for x in xs] + [INF, 0j]))
     _r, _c, mon, certs = analyze(rmap([0, -3, 0, 1]), reconstruct=False)
     for points, r in ((hyperbola, 1), (_sheet_samples(certs[1].orbit, mon.samples), 2)):
         got, want = _vanishing_relation(points, r), _loop_relation(points, r)
@@ -250,7 +262,7 @@ def test_lockstep_tracking_matches_each_path_alone():
     for path, fibers in zip(paths, together):
         alone = _track(matrix, curve.degree, base, [path])[0]
         assert len(fibers) == len(path)
-        assert [[complex(y) for y in f] for f in fibers] == [[complex(y) for y in f] for f in alone]
+        assert _values(fibers) == _values(alone)
 
 
 def test_lockstep_failure_drops_later_paths(monkeypatch):
@@ -277,7 +289,7 @@ def test_lockstep_failure_drops_later_paths(monkeypatch):
     monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
     first, failed, dropped = _track(matrix, curve.degree, base, paths)
     alone = _track(matrix, curve.degree, base, paths[:1])[0]
-    assert [[complex(y) for y in f] for f in first] == [[complex(y) for y in f] for f in alone]
+    assert _values(first) == _values(alone)
     assert isinstance(failed, RootFindingError)
     assert dropped is None
 
@@ -297,12 +309,12 @@ def _serial_reference(curve, fiber, path):
         n = max(1, math.ceil(seg_len / step))
         for i in range(1, n + 1):
             x = b if i == n else a + (i / n) * (b - a)
-            new = projective_roots(_fiber_coeffs(curve.matrix, [x])[0], curve.degree)
-            cost = chordal_matrix(fiber, new)
-            rows = range(len(new))
-            cols = min(itertools.permutations(rows), key=lambda p: cost[rows, p].sum())
-            worst = max(worst, cost[rows, cols].max() / min_pairwise_chordal(new))
-            fiber = [new[c] for c in cols]
+            new = point_arrays(projective_roots(_fiber_coeffs(curve.matrix, [x])[0], curve.degree))
+            cost = chordal_matrix(*fiber, *new)
+            rows = range(curve.degree)
+            cols = list(min(itertools.permutations(rows), key=lambda p: cost[rows, p].sum()))
+            worst = max(worst, cost[rows, cols].max() / min_pairwise_chordal(*new))
+            fiber = tuple(a[cols] for a in new)
         out.append(fiber)
     return out, worst
 
@@ -341,11 +353,11 @@ def test_bisected_loop_matches_a_finer_serial_tracker(monkeypatch):
     assert len(calls) >= 3  # level 0 and at least two levels of midpoints
     reference, worst = _serial_reference(curve, base, path)
     assert worst < 0.4
-    assert [[complex(y) for y in f] for f in fibers] == [[complex(y) for y in f] for f in reference]
+    assert _values(fibers) == _values(reference)
     standard = _track(curve.matrix, curve.degree, base, plan.waypoints[:1])[0]
-    # a closed loop ends on the base fiber's own points, permuted
-    perm = tuple(base.index(x) for x in fibers[-1])
-    assert perm == tuple(base.index(x) for x in standard[-1])
+    # a closed loop ends on the base fiber's values, permuted
+    perm = _index_permutation(base, fibers[-1])
+    assert perm == _index_permutation(base, standard[-1])
     assert sorted(perm) == [0, 1, 2] and perm != (0, 1, 2)
 
 
@@ -359,8 +371,6 @@ def test_closed_loop_never_solves_its_closing_vertex(monkeypatch):
     loops = _track(curve.matrix, curve.degree, base, plan.waypoints)
     closing = _fiber_coeffs(curve.matrix, [plan.basepoint])[0].tobytes()
     assert calls and not any(closing in call for call in calls)
-    for fibers in loops:
-        assert sorted(map(id, fibers[-1])) == sorted(map(id, base))
     # one assignment per critical value, attributing its cycles; none per step
     assign = graphcurve.linear_sum_assignment
     assigned = []
@@ -370,8 +380,48 @@ def test_closed_loop_never_solves_its_closing_vertex(monkeypatch):
         return assign(cost)
 
     monkeypatch.setattr(graphcurve, "linear_sum_assignment", counting)
-    monodromy(curve)
+    mon = monodromy(curve)
     assert len(assigned) == len(curve.values)
+    # each loop ends on the base fiber's own values, permuted by the loop
+    for fibers, perm in zip(loops, mon.permutations):
+        for last, own in zip(fibers[-1], base):
+            assert last.tobytes() == own[list(perm)].tobytes()
+
+
+def _index_permutation(base, last):
+    """perm[i] = j: the sheet that ends at point i of ``last`` started at
+    base sheet j, found by looking the point up in the base fiber."""
+    base = _points(base)
+    return tuple(base.index(x) for x in _points(last))
+
+
+# z^3 - 3z, (z^6 + 1)/z^3 and the fixed degree 6 to 8 maps of the benchmark's graph jobs
+PERMUTATION_MAPS = [
+    ([0, -3, 0, 1], [1]),
+    ([1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 1]),
+    ([5, -1, 1, -4, 0, 3, 1], [5, 1, 3, 5, -3, 0, 5]),
+    ([-1, -2, 4, 5, -5, 0, 2, -3], [-2, -5, 1, 1, 0, 4, 1, 5]),
+    ([3, -3, -1, -1, -3, -3, 4, 3, -3], [-3, -2, 3, -5, 3, -4, -1, 2, 4]),
+]
+
+
+@pytest.mark.parametrize("coeffs", PERMUTATION_MAPS)
+def test_permutations_equal_the_base_fiber_lookup(monkeypatch, coeffs):
+    # monodromy reads each permutation off the chordal distances from the
+    # last fiber to the base fiber; it must equal the lookup of each point
+    from mme import graphcurve
+
+    track = graphcurve._track
+    seen = []
+
+    def recording(matrix, d, fiber, paths):
+        seen.append((fiber, track(matrix, d, fiber, paths)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(graphcurve, "_track", recording)
+    mon = monodromy(build_graph(rmap(*coeffs)))
+    [(base, loops)] = seen
+    assert mon.permutations == [_index_permutation(base, fibers[-1]) for fibers in loops]
 
 
 def _assignment_step(old, new):
@@ -379,9 +429,10 @@ def _assignment_step(old, new):
     accepted when it moves no point by 0.4 of the new fiber's separation or more."""
     import scipy.optimize
 
-    cost = chordal_matrix(old, new)
+    cost = chordal_matrix(*point_arrays(old), *point_arrays(new))
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return [new[c] for c in cols], cost[rows, cols].max() < 0.4 * min_pairwise_chordal(new)
+    sep = min_pairwise_chordal(*point_arrays(new))
+    return [new[c] for c in cols], cost[rows, cols].max() < 0.4 * sep
 
 
 def _nudged(p, size, angle):
@@ -408,7 +459,7 @@ def _fiber_steps(draw):
     if draw(st.booleans()) and old[0] is not INF:
         # two points nearly coincident
         old[1] = old[0] + draw(st.floats(1e-9, 1e-5)) * (1 + abs(old[0]))
-    sep = min_pairwise_chordal(old)
+    sep = min_pairwise_chordal(*point_arrays(old))
     perm = draw(st.permutations(range(d)))
     new = [_nudged(old[i], sep * draw(st.floats(0.01, 1.0)), draw(st.floats(0, 2 * math.pi)))
            for i in perm]
@@ -430,11 +481,12 @@ def test_nearest_point_steps_decide_as_the_least_cost_assignment(step):
     # ``old`` to ``new`` and is bisected to underflow unless accepted
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphcurve, "projective_roots_batch",
-                   lambda rows, d: (*_finite_part([new] * len(rows)), None))
-        [fibers] = _track(np.zeros((2, d + 1), dtype=complex), d, old, [[0j, 1 + 0j]])
+                   lambda rows, d: (*point_arrays([new] * len(rows)), None))
+        [fibers] = _track(np.zeros((2, d + 1), dtype=complex), d, point_arrays(old),
+                          [[0j, 1 + 0j]])
     moved, accepted = _assignment_step(old, new)
     if accepted:
-        assert fibers[-1] == moved
+        assert _points(fibers[-1]) == moved
     else:
         assert isinstance(fibers, TrackingError) and "underflow" in str(fibers)
 
@@ -467,7 +519,7 @@ def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
     monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
     first, failed, dropped = _track(curve.matrix, curve.degree, base, paths)
     alone = _track(curve.matrix, curve.degree, base, paths[:1])[0]
-    assert [[complex(y) for y in f] for f in first] == [[complex(y) for y in f] for f in alone]
+    assert _values(first) == _values(alone)
     assert isinstance(failed, RootFindingError)
     assert dropped is None
 
@@ -489,7 +541,7 @@ def test_path_through_a_critical_value_underflows():
 def test_cycle_type_must_match_exact_local_degrees():
     # one simple critical point over v: local degrees (2, 1) at 0 and 1
     preimages = [(0j, 2), (1 + 0j, 1)]
-    entry = [0.1 + 0j, -0.1 + 0j, 1.0 + 0j]
+    entry = point_arrays([0.1 + 0j, -0.1 + 0j, 1.0 + 0j])
     assert _cycles_at_preimages((1, 0, 2), entry, preimages) == [(0, 1), (2,)]
     with pytest.raises(ConsistencyError):
         _cycles_at_preimages((1, 2, 0), entry, preimages)  # a 3-cycle
@@ -497,7 +549,7 @@ def test_cycle_type_must_match_exact_local_degrees():
         _cycles_at_preimages((0, 1, 2), entry, preimages)  # no branching
     # the 2-cycle sits at the simple preimage: right cycle type, wrong place
     with pytest.raises(ConsistencyError):
-        _cycles_at_preimages((0, 2, 1), [0j, 0.9 + 0j, 1.1 + 0j], preimages)
+        _cycles_at_preimages((0, 2, 1), point_arrays([0j, 0.9 + 0j, 1.1 + 0j]), preimages)
 
 
 def test_degree_eight_map_lays_out_its_loops():

@@ -22,8 +22,8 @@ from mme.measure import (
     same_measure_test,
     sigma_invariance_check,
 )
-from mme.numeric import (INF, RootFindingError, chordal, is_inf, named_rng, sphere_lift,
-                         sphere_lift_many)
+from mme.numeric import (INF, RootFindingError, chordal, is_inf, named_rng, point_arrays,
+                         sphere_lift, sphere_lift_many)
 from mme.parser import parse_map
 from mme.polys import Poly
 from mme.ratmaps import MapError, RationalMap
@@ -353,7 +353,7 @@ def test_raster_equals_point_loop(monkeypatch):
     # first column and row only because their pixel index truncates to 0
     special = [INF, INF, 1e11 + 1e11j, -2.02 + 0.1j, -2.02 + 0.1j, 0.5 + 2.03j,
                -2.02 + 2.03j, 2.5 + 0j, 0.5 - 2.01j, -2.06 + 0j, 2.0 + 0j]
-    lifted = np.vstack([sphere_lift_many(special), [(0.0, 0.0, 1.0 - 1e-13)]])
+    lifted = np.vstack([sphere_lift_many(*point_arrays(special)), [(0.0, 0.0, 1.0 - 1e-13)]])
     real = backward_orbit_sample(rmap([-1, 0, 1]), 400, depth=20, seed=0, stream="raster")
     cloud = MeasureCloud(np.vstack([real.points, lifted]))
     monkeypatch.setattr(measure, "backward_orbit_sample", lambda *a, **k: cloud)

@@ -10,6 +10,7 @@ from mme.numeric import (
     chordal,
     chordal_matrix,
     min_pairwise_chordal,
+    point_arrays,
     projective_roots,
     projective_roots_batch,
     rationalize_into_field,
@@ -120,12 +121,15 @@ def test_sphere_lift_many_equals_sphere_lift():
     zs = list(complex_normal(rng, 50) * 10.0 ** rng.integers(-8, 9, 50))
     zs += [0j, complex(-0.0, 0.0), 1e200 + 1e200j, -1e160j, INF, np.complex128(1 - 2j)]
     with np.errstate(over="ignore", invalid="ignore"):  # |z|^2 overflows
-        got = sphere_lift_many(zs)
+        got = sphere_lift_many(*point_arrays(zs))
         want = np.array([sphere_lift(z) for z in zs])
+        # stacked inputs give the stack of the single results, INF rows included
+        stacked = sphere_lift_many(*point_arrays([zs[:28], zs[28:]]))
     assert got.shape == (len(zs), 3)
     assert got.tobytes() == want.tobytes()
+    assert stacked.tobytes() == want.tobytes()
     assert got[zs.index(INF)].tolist() == [0.0, 0.0, 1.0]
-    assert sphere_lift_many([]).shape == (0, 3)
+    assert sphere_lift_many(*point_arrays([])).shape == (0, 3)
 
 
 def _newton_eight_iterations(coeffs_desc, roots):
@@ -175,19 +179,26 @@ def test_chordal_matrix_equals_chordal():
             a[trial % 5] = INF
         if trial % 4 == 0:
             b[trial % 4] = INF
-        got = chordal_matrix(a, b)
+        got = chordal_matrix(*point_arrays(a), *point_arrays(b))
         want = np.array([[chordal(p, q) for q in b] for p in a])
         assert got.tobytes() == want.tobytes()
         pairs = [chordal(a[i], a[j]) for i in range(5) for j in range(i + 1, 5)]
-        assert min_pairwise_chordal(a) == min(pairs)
+        assert min_pairwise_chordal(*point_arrays(a)) == min(pairs)
     # stacked inputs give the stack of the single results
     a = [list(complex_normal(rng, 3)) for _ in range(4)]
     b = [list(complex_normal(rng, 3)) for _ in range(4)]
     a[2][1] = INF
-    stacked = chordal_matrix(a, b)
+    b[3][0] = INF
+    stacked = chordal_matrix(*point_arrays(a), *point_arrays(b))
     for k in range(4):
-        assert stacked[k].tobytes() == chordal_matrix(a[k], b[k]).tobytes()
-    assert list(min_pairwise_chordal(a)) == [min_pairwise_chordal(x) for x in a]
+        want = np.array([[chordal(p, q) for q in b[k]] for p in a[k]])
+        assert stacked[k].tobytes() == want.tobytes()
+        single = chordal_matrix(*point_arrays(a[k]), *point_arrays(b[k]))
+        assert stacked[k].tobytes() == single.tobytes()
+    assert list(min_pairwise_chordal(*point_arrays(a))) == [
+        min_pairwise_chordal(*point_arrays(x)) for x in a]
+    for few in ([], [1j], [INF], [[2.0], [INF]]):
+        assert (min_pairwise_chordal(*point_arrays(few)) == np.inf).all()
 
 
 def test_rationalize_into_field_refuses_degree_three_and_up():
