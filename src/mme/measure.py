@@ -5,8 +5,14 @@ entropy, so independent random backward orbits (uniform preimage choice,
 short burn-in discarded) give a point cloud approximating it.  The orbits
 of a cloud advance together as one (z, inf) pair, and the cloud is stored
 as stereographic lifts on the unit sphere so infinity needs no special
-casing.  Clouds are compared with the energy distance, whose subsampled
-pairs gather each coordinate of each index draw once for all four terms.
+casing.  Clouds are compared with the energy distance,
+``measure_distance(A, Bs)``: one pass over shared index draws gives the
+distance from A to every cloud of Bs, so the sampled route's baseline
+(f's cloud against a second cloud of f) and cross distance (against g's
+cloud) share their draws, A's gathers and A's self term.  Count, depth and
+raster size have budgets (COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET),
+checked before any draw or allocation; past them the input is refused
+(MapError, exit 2).
 
 ``same_measure_test`` and ``sigma_invariance_check`` first try the exact
 identities of :mod:`mme.identities` that prove the measures equal; only a
@@ -49,6 +55,13 @@ BASELINE_PAIRS = 3
 # point: rounding only, since a backward orbit is stuck only on the point
 # itself (the Julia set of z^2 + 10^6 z comes within 1e-6 of infinity)
 EXCEPTIONAL_CUT = 1e-12
+# budgets on sampled work, checked before any draw or allocation (exit 2).
+# At depth BURN_IN + 1 every point is an orbit of its own, whose start and
+# generator state (about 0.5 kB) a round keeps, so COUNT_BUDGET bounds that
+# memory; it also keeps cloud indices below 2^31, as int32 draws need.
+COUNT_BUDGET = 10**5
+DEPTH_BUDGET = 1000  # preimage choices drawn, and root solves made, per orbit
+PIXEL_BUDGET = 2**22  # width * height of a raster: 2048 x 2048
 
 
 @dataclass
@@ -142,6 +155,13 @@ def _check_orbits(f, depth):
         raise MapError("sampling requires degree >= 2")
     if depth <= BURN_IN:
         raise MapError("depth must exceed the burn-in length %d" % BURN_IN)
+    if depth > DEPTH_BUDGET:
+        raise MapError("depth must be at most %d" % DEPTH_BUDGET)
+
+
+def _check_count(count):
+    if not 0 <= count <= COUNT_BUDGET:
+        raise MapError("the point count must be between 0 and %d" % COUNT_BUDGET)
 
 
 def _check_comparison(maps, count, depth):
@@ -151,6 +171,7 @@ def _check_comparison(maps, count, depth):
         _check_orbits(f, depth)
     if count < 1:
         raise MapError("the energy distance needs non-empty clouds: the count must be >= 1")
+    _check_count(count)
 
 
 def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
@@ -168,8 +189,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     orbits one at a time gives, bit for bit.
     """
     _check_orbits(f, depth)
-    if count < 0:
-        raise MapError("the point count must be >= 0")
+    _check_count(count)
     rng = named_rng(seed, stream)
     exceptional = point_arrays(_exceptional_points(f))
     d = f.degree
@@ -277,56 +297,68 @@ def _mean_pair_distance(P, Q):
     return float(_distances(P[:, :, None], Q[:, None, :]).mean())
 
 
-def measure_distance(A, B, seed=0):
-    """Energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| on the sphere.
+def measure_distance(A, Bs, seed=0):
+    """Energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| on the sphere from the
+    cloud A to each cloud of Bs, one float per cloud of Bs.
 
     All-pairs for small clouds; above the cap the three expectations are
     estimated on shared index draws (common random numbers), which cancels
     most of the per-pair sampling noise when A and B are close.  The draws
     come in four index arrays (i, j into A; i, j into B), and a chunk of
     them gathers each coordinate of each array once: those twelve arrays
-    give all four distance terms of the chunk.
+    give all four distance terms of the chunk.  The clouds of Bs have one
+    length, so they share the draws: each chunk gathers A's coordinates
+    and computes A's self term once for all of them.  Every value equals
+    the distance from A to that cloud alone, bit for bit.
     """
-    na, nb = len(A), len(B)
+    if not Bs:
+        raise MapError("the energy distance needs at least one cloud to compare")
+    na, nb = len(A), len(Bs[0])
+    if any(len(B) != nb for B in Bs):
+        raise MapError("the compared clouds must have one length")
     if not (na and nb):
         raise MapError("the energy distance needs two non-empty clouds")
-    pa, pb = (np.ascontiguousarray(c.points.T) for c in (A, B))
+    pa = np.ascontiguousarray(A.points.T)
+    pbs = [np.ascontiguousarray(B.points.T) for B in Bs]
     if max(na, nb) <= ALL_PAIRS_CAP:
-        return (
-            2.0 * _mean_pair_distance(pa, pb)
-            - _mean_pair_distance(pa, pa)
-            - _mean_pair_distance(pb, pb)
-        )
+        self_a = _mean_pair_distance(pa, pa)
+        return [2.0 * _mean_pair_distance(pa, pb) - self_a - _mean_pair_distance(pb, pb)
+                for pb in pbs]
 
     rng = named_rng(seed, "energy")
-    total = 0.0
+    totals = [0.0] * len(Bs)
     block = 10**5
     n_pairs = SUBSAMPLE_PAIRS
     # the summand of a block is made a cache-sized chunk of pairs at a time,
     # then summed whole, so the total is the one summed from full blocks
     chunk = 8192
-    summand = np.empty(block)
+    summands = np.empty((len(Bs), block))
     done = 0
     while done < n_pairs:
         m = min(block, n_pairs - done)
-        ia = rng.integers(0, na, size=m)
-        ja = rng.integers(0, na, size=m)
-        ib = rng.integers(0, nb, size=m)
-        jb = rng.integers(0, nb, size=m)
+        # one draw at a time, each cast to int32 (the count budget keeps the
+        # indices below 2^31) before the next is made, so beside the
+        # previous block's four arrays one int64 draw at most is held
+        ia = rng.integers(0, na, size=m).astype(np.int32)
+        ja = rng.integers(0, na, size=m).astype(np.int32)
+        ib = rng.integers(0, nb, size=m).astype(np.int32)
+        jb = rng.integers(0, nb, size=m).astype(np.int32)
         for s in range(0, m, chunk):
             part = slice(s, min(s + chunk, m))
             # each coordinate of each draw gathered once, for all four terms;
             # the draws are in range, so clipping moves no index and only
             # skips the bounds check
             xa, ya = ([c.take(i[part], mode="clip") for c in pa] for i in (ia, ja))
-            xb, yb = ([c.take(i[part], mode="clip") for c in pb] for i in (ib, jb))
-            out = summand[part]
-            np.add(_distances(xa, yb), _distances(ya, xb), out=out)
-            out -= _distances(xa, ya)
-            out -= _distances(xb, yb)
-        total += float(summand[:m].sum())
+            self_a = _distances(xa, ya)
+            for pb, summand in zip(pbs, summands):
+                xb, yb = ([c.take(i[part], mode="clip") for c in pb] for i in (ib, jb))
+                out = summand[part]
+                np.add(_distances(xa, yb), _distances(ya, xb), out=out)
+                out -= self_a
+                out -= _distances(xb, yb)
+        totals = [total + float(summand[:m].sum()) for total, summand in zip(totals, summands)]
         done += m
-    return total / n_pairs
+    return [total / n_pairs for total in totals]
 
 
 def same_measure_test(f, g, count=4000, depth=40, seed=0):
@@ -341,10 +373,10 @@ def same_measure_test(f, g, count=4000, depth=40, seed=0):
     cf1 = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="f-first")
     cf2 = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="f-second")
     cg = backward_orbit_sample(g, count, depth=depth, seed=seed, stream="g")
-    baseline = max(abs(measure_distance(cf1, cf2, seed=seed)), 1e-12)
+    baseline, distance = measure_distance(cf1, [cf2, cg], seed=seed)
     return MeasureDistanceReport(
-        distance=measure_distance(cf1, cg, seed=seed),
-        self_baseline=baseline,
+        distance=distance,
+        self_baseline=max(abs(baseline), 1e-12),
         meta={"count": count, "depth": depth, "seed": seed, "maps": maps},
     )
 
@@ -367,14 +399,14 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
         sigma,
     )
     ref = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="push-ref")
-    dist = measure_distance(pushed, ref, seed=seed)
+    [dist] = measure_distance(pushed, [ref], seed=seed)
     baselines = []
     for k in range(BASELINE_PAIRS):
         a = backward_orbit_sample(f, count, depth=depth, seed=seed,
                                   stream="base-a-%d" % k)
         b = backward_orbit_sample(f, count, depth=depth, seed=seed,
                                   stream="base-b-%d" % k)
-        baselines.append(abs(measure_distance(a, b, seed=seed)))
+        baselines.append(abs(measure_distance(a, [b], seed=seed)[0]))
     return MeasureDistanceReport(
         distance=dist,
         self_baseline=max(float(np.mean(baselines)), 1e-12),
@@ -399,20 +431,23 @@ def julia_raster(f, width, height, window, count=20000, depth=30, seed=0):
         raise MapError("empty or unbounded raster window")
     if width < 1 or height < 1:
         raise MapError("raster width and height must be positive")
-    if count < 0:
-        raise MapError("the point count must be >= 0")
-    hist = np.zeros((height, width))
+    if width * height > PIXEL_BUDGET:
+        raise MapError("a raster has at most %d pixels" % PIXEL_BUDGET)
+    _check_count(count)
+    points = np.zeros((0, 3))
     if count > 0:
-        x, y, w = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="raster").points.T
-        # sphere_unlift of every point; the north pole is INF and not drawn
-        finite = ~(w > 1.0 - 1e-12)
-        s = 1.0 / (1.0 - w[finite])
-        col = (x[finite] * s - re0) / (re1 - re0) * width
-        row = (im1 - y[finite] * s) / (im1 - im0) * height
-        # a pixel index truncates toward zero, like int(), so it lies in
-        # [0, n) exactly when the unrounded one lies in (-1, n)
-        inside = (col > -1) & (col < width) & (row > -1) & (row < height)
-        np.add.at(hist, (row[inside].astype(np.int64), col[inside].astype(np.int64)), 1)
+        points = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="raster").points
+    x, y, w = points.T
+    # sphere_unlift of every point; the north pole is INF and not drawn
+    finite = ~(w > 1.0 - 1e-12)
+    s = 1.0 / (1.0 - w[finite])
+    col = (x[finite] * s - re0) / (re1 - re0) * width
+    row = (im1 - y[finite] * s) / (im1 - im0) * height
+    # a pixel index truncates toward zero, like int(), so it lies in
+    # [0, n) exactly when the unrounded one lies in (-1, n)
+    inside = (col > -1) & (col < width) & (row > -1) & (row < height)
+    hist = np.zeros((height, width))
+    np.add.at(hist, (row[inside].astype(np.int64), col[inside].astype(np.int64)), 1)
     dens = np.log1p(hist)
     peak = dens.max()
     if peak > 0:

@@ -48,17 +48,9 @@ def chordal(a, b):
     return abs(a - b) / np.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
 
 
-def sphere_lift(z):
-    """Stereographic lift to the unit sphere in R^3 (infinity -> north pole)."""
-    if is_inf(z):
-        return np.array([0.0, 0.0, 1.0])
-    r2 = z.real * z.real + z.imag * z.imag
-    s = 1.0 / (1.0 + r2)
-    return np.array([2.0 * z.real * s, 2.0 * z.imag * s, (r2 - 1.0) * s])
-
-
 def sphere_lift_many(z, inf):
-    """sphere_lift of every point of (z, inf) as an (..., 3) array, equal to it bit for bit."""
+    """Stereographic lift of every point of (z, inf) to the unit sphere in
+    R^3 (infinity -> north pole), as an (..., 3) array."""
     x, y = z.real, z.imag
     r2 = x * x + y * y
     s = 1.0 / (1.0 + r2)

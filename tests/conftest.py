@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mme.fields import FieldContext
 from mme.measure import SAME_FACTOR
+from mme.numeric import is_inf
 from mme.polys import Poly
 from mme.ratmaps import RationalMap
 
@@ -22,6 +23,16 @@ def assert_clouds_agree(rep, *context):
     assert (out["verdict"], out["route"]) == ("INCONCLUSIVE", "energy distance"), (context, out)
     assert out["ratio"] < SAME_FACTOR, (context, out)
     assert out["reason"] == "sampled clouds agree; no exact identity within the degree budget"
+
+
+def sphere_lift(z):
+    """Stereographic lift of one point to the unit sphere in R^3 (infinity
+    -> north pole): the reference for numeric.sphere_lift_many."""
+    if is_inf(z):
+        return np.array([0.0, 0.0, 1.0])
+    r2 = z.real * z.real + z.imag * z.imag
+    s = 1.0 / (1.0 + r2)
+    return np.array([2.0 * z.real * s, 2.0 * z.imag * s, (r2 - 1.0) * s])
 
 
 def random_rational_map(degree, rng, ctx=None, coeff_bound=5):

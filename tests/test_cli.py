@@ -14,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mme
+from mme import measure
 from mme.catalog import entry, omega_field
 from mme.cli import main
 from mme.fields import field_configure
 from mme.identities import sigma_f_quadratic
-from mme.measure import SAME_FACTOR
+from mme.measure import COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET, SAME_FACTOR
 from mme.parser import parse_map
 from mme.serialize import element_from_json, map_from_json, map_to_json
 from conftest import polys_and_products, sympy_irreducible
@@ -353,6 +354,29 @@ def test_count_depth_or_budget_out_of_range_exits_two(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # about 3.3e9 orbits in the first round, each a Python start point
+    ["measure", "--f", "z^2", "--g", "z^2+1", "--count", "99999999999"],
+    # decided by an exact identity, which accepts what sampling accepts
+    ["measure", "--f", "z^2", "--g", "z^2", "--count", str(COUNT_BUDGET + 1)],
+    ["measure", "--f", "z^2", "--g", "z^2+1", "--depth", str(DEPTH_BUDGET + 1)],
+    ["render", "--map", "z^2", "--count", str(COUNT_BUDGET + 1)],
+    ["render", "--map", "z^2", "--depth", "10000000000"],
+    ["render", "--map", "z^2", "--width", "100000", "--height", "100000"],
+    ["render", "--map", "z^2", "--width", str(PIXEL_BUDGET + 1), "--height", "1"],
+])
+def test_sampling_or_raster_over_budget_exits_two(monkeypatch, capsys, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a budget must refuse the input before any draw")
+
+    # every draw of the sampler starts from its generator; a raster is
+    # allocated only after its points are drawn
+    monkeypatch.setattr(measure, "named_rng", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 # a degree-4 map with 40-digit coefficients: f^4 is bounded by about 11.5k bits

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from mme.identities import sigma_f_quadratic
 from mme.measure import (
     ALL_PAIRS_CAP,
     BURN_IN,
+    COUNT_BUDGET,
+    DEPTH_BUDGET,
     EXCEPTIONAL_CUT,
     SUBSAMPLE_PAIRS,
     MeasureCloud,
@@ -23,11 +26,11 @@ from mme.measure import (
     sigma_invariance_check,
 )
 from mme.numeric import (INF, RootFindingError, chordal, is_inf, named_rng, point_arrays,
-                         sphere_lift, sphere_lift_many)
+                         sphere_lift_many)
 from mme.parser import parse_map
 from mme.polys import Poly
 from mme.ratmaps import MapError, RationalMap
-from conftest import assert_clouds_agree, random_rational_map, rng_for
+from conftest import assert_clouds_agree, random_rational_map, rng_for, sphere_lift
 
 Q = FieldContext.rationals()
 
@@ -192,7 +195,7 @@ def test_distinct_julia_sets_report_different():
 
 def test_measure_distance_zero_for_identical_cloud():
     cloud = backward_orbit_sample(rmap([0, 0, 1]), 300, depth=20, seed=0)
-    assert measure_distance(cloud, cloud) < 1e-12
+    assert measure_distance(cloud, [cloud])[0] < 1e-12
 
 
 def test_push_forward_by_sigma_preserves_measure():
@@ -319,16 +322,18 @@ def test_measure_distance_equals_row_major_formula():
     for cloud in rand:
         cloud[::400] = (0.0, 0.0, 1.0)  # north poles
     # all-pairs, all-pairs with unequal sizes, just above the cap, the
-    # workload size, and subsampled with na != nb
+    # default count, the workload size, and subsampled with na != nb
     sizes = [(ALL_PAIRS_CAP, ALL_PAIRS_CAP), (ALL_PAIRS_CAP, 1500),
-             (ALL_PAIRS_CAP + 1, ALL_PAIRS_CAP + 1), (20000, 20000), (2500, 20000)]
+             (ALL_PAIRS_CAP + 1, ALL_PAIRS_CAP + 1), (4000, 4000), (20000, 20000),
+             (2500, 20000)]
+    # each entry of a comparison against two clouds is that pair's
+    # distance; the second cloud is A itself when the sizes are equal
     for seed, (a, b) in enumerate((real, rand)):
         for na, nb in sizes:
             A, B = MeasureCloud(a[:na]), MeasureCloud(b[:nb])
-            assert measure_distance(A, B, seed=seed) == row_major_distance(A, B, seed=seed)
-    for n in (ALL_PAIRS_CAP, 20000):
-        A = MeasureCloud(rand[0][:n])
-        assert measure_distance(A, A) == row_major_distance(A, A)
+            C = A if na == nb else MeasureCloud(a[:nb])
+            assert measure_distance(A, [B, C], seed=seed) == [
+                row_major_distance(A, B, seed=seed), row_major_distance(A, C, seed=seed)]
 
 
 def test_measure_distance_rejects_an_empty_cloud():
@@ -336,9 +341,49 @@ def test_measure_distance_rejects_an_empty_cloud():
     empty, cloud = (backward_orbit_sample(f, n, depth=20) for n in (0, 30))
     for A, B in ((empty, cloud), (cloud, empty), (empty, empty)):
         with pytest.raises(MapError, match="non-empty"):
-            measure_distance(A, B)
+            measure_distance(A, [B])
     with pytest.raises(MapError, match="non-empty"):
         same_measure_test(f, f, count=0, depth=20)
+
+
+def test_measure_distance_rejects_clouds_it_cannot_compare():
+    f = rmap([-1, 0, 1])
+    empty, short, cloud = (backward_orbit_sample(f, n, depth=20) for n in (0, 29, 30))
+    with pytest.raises(MapError, match="at least one cloud"):
+        measure_distance(cloud, [])
+    # the clouds compared share their index draws, so they have one length
+    for Bs in ([short, cloud], [cloud, short], [cloud, empty]):
+        with pytest.raises(MapError, match="one length"):
+            measure_distance(cloud, Bs)
+    with pytest.raises(MapError, match="non-empty"):
+        measure_distance(cloud, [empty, empty])
+
+
+def test_measure_distance_against_two_clouds_holds_less_than_one_pair_did():
+    # the peak traced memory of one pair's distance at 4000 points with
+    # four int64 index draws per block, before two clouds shared the draws
+    # (numpy 2.4, CPython 3.11)
+    one_pair_peak = 5376881
+    rng = rng_for("energy-memory")
+    A, B, C = (MeasureCloud(unit_vectors(4000, rng)) for _ in range(3))
+    measure_distance(A, [B, C])
+    tracemalloc.start()
+    try:
+        measure_distance(A, [B, C])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= one_pair_peak
+
+
+def test_sampled_report_is_pinned():
+    # z^2 against z^2 + 1 on the default count, as reported before the
+    # baseline and cross distances shared one pass over the draws
+    rep = same_measure_test(rmap([0, 0, 1]), rmap([1, 0, 1]), count=4000, depth=40, seed=5)
+    out = rep.as_dict()
+    assert (out["distance"], out["self_baseline"], out["ratio"]) == (
+        0.11079647160673915, 0.0009643149907473856, 114.89655628070982)
+    assert out["verdict"] == "DIFFERENT"
 
 
 def test_raster_equals_point_loop(monkeypatch):
@@ -414,10 +459,16 @@ def test_exact_routes_draw_no_cloud(monkeypatch):
                                  "map": map_digest(a)}
 
 
-def test_input_errors_come_before_every_route():
+def test_input_errors_come_before_every_route(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("input errors must be raised before any draw")
+
+    monkeypatch.setattr(measure, "named_rng", unreachable)
     f = rmap([-1, 0, 1])
     for kwargs, match in (({"count": 0}, "non-empty"), ({"count": -5}, "non-empty"),
-                          ({"depth": BURN_IN}, "burn-in")):
+                          ({"count": COUNT_BUDGET + 1}, "between 0 and"),
+                          ({"depth": BURN_IN}, "burn-in"),
+                          ({"depth": DEPTH_BUDGET + 1}, "at most")):
         # an exact route (f, f) and the sampled route (f, z^2 + 1)
         for g in (f, rmap([1, 0, 1])):
             with pytest.raises(MapError, match=match):

@@ -14,10 +14,9 @@ from mme.numeric import (
     projective_roots,
     projective_roots_batch,
     rationalize_into_field,
-    sphere_lift,
     sphere_lift_many,
 )
-from conftest import rng_for
+from conftest import rng_for, sphere_lift
 
 
 def complex_normal(rng, *shape):
