@@ -185,8 +185,7 @@ def build_graph(G):
 
     branch = _branch_data(G)
     pole = _target_pole([v for v, _pre in branch])
-    d = G.degree
-    num, den = (np.pad(p.numeric_coeffs(), (0, d + 1 - len(p.coeffs))) for p in (G.num, G.den))
+    num, den = G.numeric_pair()
     # N(x) - (c + 1/t') D(x) = 0, times t'
     matrix = np.array([-den, num - pole * den])
     return GraphCurve(

@@ -3,9 +3,11 @@
 Preimage sets of a point equidistribute toward the measure of maximal
 entropy, so independent random backward orbits (uniform preimage choice,
 short burn-in discarded) give a point cloud approximating it.  The orbits
-of a cloud advance together as one (z, inf) pair, and the cloud is stored
-as stereographic lifts on the unit sphere so infinity needs no special
-casing.  Clouds are compared with the energy distance,
+of a cloud advance together as one (z, inf) pair, and the cloud is that
+pair: ``push_forward`` maps its points and ``julia_raster`` bins its finite
+ones as they are, and only the energy distance reads them as stereographic
+lifts on the unit sphere (``MeasureCloud.points``), where infinity needs no
+special casing.  Clouds are compared with the energy distance,
 ``measure_distance(A, Bs)``: one pass over shared index draws gives the
 distance from A to every cloud of Bs, so the sampled route's baseline
 (f's cloud against a second cloud of f) and cross distance (against g's
@@ -30,6 +32,7 @@ import numpy as np
 
 from .identities import invariant_measure_identity, same_measure_identity
 from .numeric import (
+    INF,
     RootFindingError,
     chordal,
     chordal_matrix,
@@ -38,7 +41,6 @@ from .numeric import (
     projective_roots,
     projective_roots_batch,
     sphere_lift_many,
-    sphere_unlift,
 )
 from .polys import Poly
 from .ratmaps import MapError
@@ -56,9 +58,8 @@ BASELINE_PAIRS = 3
 # itself (the Julia set of z^2 + 10^6 z comes within 1e-6 of infinity)
 EXCEPTIONAL_CUT = 1e-12
 # budgets on sampled work, checked before any draw or allocation (exit 2).
-# At depth BURN_IN + 1 every point is an orbit of its own, whose start and
-# generator state (about 0.5 kB) a round keeps, so COUNT_BUDGET bounds that
-# memory; it also keeps cloud indices below 2^31, as int32 draws need.
+# COUNT_BUDGET keeps cloud indices below 2^31, as the energy distance's
+# int32 index draws need.
 COUNT_BUDGET = 10**5
 DEPTH_BUDGET = 1000  # preimage choices drawn, and root solves made, per orbit
 PIXEL_BUDGET = 2**22  # width * height of a raster: 2048 x 2048
@@ -66,13 +67,18 @@ PIXEL_BUDGET = 2**22  # width * height of a raster: 2048 x 2048
 
 @dataclass
 class MeasureCloud:
-    points: np.ndarray  # (N, 3) unit-sphere coordinates
+    """The points of a cloud as one (z, inf) pair of 1-d arrays."""
+
+    z: np.ndarray
+    inf: np.ndarray
 
     def __len__(self):
-        return len(self.points)
+        return len(self.z)
 
-    def as_complex(self):
-        return [sphere_unlift(p) for p in self.points]
+    @property
+    def points(self):
+        """The (N, 3) stereographic lifts of the points to the unit sphere."""
+        return sphere_lift_many(self.z, self.inf)
 
 
 @dataclass
@@ -137,8 +143,7 @@ def _exceptional_points(f):
     d = f.degree
     # fixed points: roots of p(z) - z q(z), plus infinity when deg p > deg q
     fixed_poly = f.num - Poly.x(f.ctx) * f.den
-    coeffs = fixed_poly.numeric_coeffs()
-    pts = projective_roots(np.concatenate([coeffs, np.zeros(max(0, d + 2 - len(coeffs)))]), d + 1)
+    pts = projective_roots(fixed_poly.numeric_coeffs(), d + 1)
     out = []
     for z in pts:
         try:
@@ -184,7 +189,8 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     Orbits run in rounds.  A round draws, in orbit order, the start and the
     preimage choices of every orbit still needed, and advances them all in
     lockstep, one stacked root solve per step.  The orbits after the first
-    failed one are dropped and the generator is rewound to the draws that
+    failed one are dropped, and the generator is set back to the round's
+    first state and replays the round's draws up to the last one that
     orbit made before it failed, so the cloud is the one that running the
     orbits one at a time gives, bit for bit.
     """
@@ -201,25 +207,32 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     while have < count:
         if failures > 10 * max(1, n_orbits):
             raise MapError("too many failed backward orbits; map may be degenerate")
-        states, starts, choices = [], [], []
-        for _ in range(math.ceil((count - have) / per_orbit)):
-            states.append(rng.bit_generator.state)
-            starts.append(complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform())))
-            # one draw of `depth` choices leaves the values and the generator
-            # state that `depth` scalar draws leave
-            choices.append(rng.integers(0, d, size=depth))
-        z, inf, failed = _lockstep_orbits(f, exceptional, starts, np.array(choices))
+        state = rng.bit_generator.state
+        starts, choices = _draw_orbits(rng, math.ceil((count - have) / per_orbit), d, depth)
+        z, inf, failed = _lockstep_orbits(f, exceptional, starts, choices)
         zs.append(z)
         infs.append(inf)
         have += len(z)
         if failed is not None:
             i, steps = failed
             failures += 1
-            rng.bit_generator.state = states[i]
-            rng.normal(0.0, 0.5)
-            rng.uniform()
-            rng.integers(0, d, size=steps)
-    return MeasureCloud(sphere_lift_many(np.concatenate(zs)[:count], np.concatenate(infs)[:count]))
+            rng.bit_generator.state = state
+            _draw_orbits(rng, i + 1, d, depth, last=steps)
+    return MeasureCloud(np.concatenate(zs)[:count], np.concatenate(infs)[:count])
+
+
+def _draw_orbits(rng, n, d, depth, last=None):
+    """The starts and preimage choices of n orbits, drawn orbit by orbit;
+    with `last`, the final orbit draws only its first `last` choices.  One
+    draw of `depth` choices leaves the values and the generator state that
+    `depth` scalar draws leave."""
+    starts = np.empty(n, dtype=complex)
+    choices = np.zeros((n, depth), dtype=np.int64)
+    for k in range(n):
+        starts[k] = np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform())
+        m = depth if last is None or k < n - 1 else last
+        choices[k, :m] = rng.integers(0, d, size=m)
+    return starts, choices
 
 
 def _lockstep_orbits(f, exceptional, starts, choices):
@@ -238,8 +251,7 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     """
     d = f.degree
     depth = choices.shape[1]
-    nc, dc = (np.concatenate([c, np.zeros(d + 1 - len(c))])
-              for c in (f.num.numeric_coeffs(), f.den.numeric_coeffs()))
+    nc, dc = f.numeric_pair()
     kept_z = np.zeros((len(starts), depth - BURN_IN), dtype=complex)
     kept_inf = np.zeros((len(starts), depth - BURN_IN), dtype=bool)
     failed = None
@@ -253,15 +265,15 @@ def _lockstep_orbits(f, exceptional, starts, choices):
             return z[:near[0]], inf[:near[0]]
         return z, inf
 
-    z, inf = cut(*point_arrays(starts), 0)
+    z, inf = cut(starts, np.zeros(len(starts), dtype=bool), 0)
     for k in range(depth):
         if not len(z):
             break
         if k == 0:
-            # starts are Python complex numbers, whose division rounds
-            # unlike numpy's, so their rows take the scalar formula
+            # a lone orbit builds its start's row on a Python complex
+            # number, whose division rounds unlike numpy's
             rows = np.array([nc / s - (w / s) * dc
-                             for w in starts[:len(z)] for s in [max(1.0, abs(w))]])
+                             for w in z.tolist() for s in [max(1.0, abs(w))]])
         else:
             scale = np.maximum(1.0, np.hypot(z.real, z.imag))[:, None]
             rows = np.where(inf[:, None], dc, nc / scale - (z[:, None] / scale) * dc)
@@ -417,8 +429,8 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
 
 def push_forward(cloud, phi):
     """Image cloud under a RationalMap."""
-    zs = [phi.eval_numeric(z) for z in cloud.as_complex()]
-    return MeasureCloud(sphere_lift_many(*point_arrays(zs)))
+    zs = [phi.eval_numeric(INF if i else z) for z, i in zip(cloud.z.tolist(), cloud.inf.tolist())]
+    return MeasureCloud(*point_arrays(zs))
 
 
 def julia_raster(f, width, height, window, count=20000, depth=30, seed=0):
@@ -434,15 +446,12 @@ def julia_raster(f, width, height, window, count=20000, depth=30, seed=0):
     if width * height > PIXEL_BUDGET:
         raise MapError("a raster has at most %d pixels" % PIXEL_BUDGET)
     _check_count(count)
-    points = np.zeros((0, 3))
+    z = np.zeros(0, dtype=complex)
     if count > 0:
-        points = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="raster").points
-    x, y, w = points.T
-    # sphere_unlift of every point; the north pole is INF and not drawn
-    finite = ~(w > 1.0 - 1e-12)
-    s = 1.0 / (1.0 - w[finite])
-    col = (x[finite] * s - re0) / (re1 - re0) * width
-    row = (im1 - y[finite] * s) / (im1 - im0) * height
+        cloud = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="raster")
+        z = cloud.z[~cloud.inf]  # INF is not drawn
+    col = (z.real - re0) / (re1 - re0) * width
+    row = (im1 - z.imag) / (im1 - im0) * height
     # a pixel index truncates toward zero, like int(), so it lies in
     # [0, n) exactly when the unrounded one lies in (-1, n)
     inside = (col > -1) & (col < width) & (row > -1) & (row < height)

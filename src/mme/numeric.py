@@ -7,6 +7,10 @@ is a (z, inf) pair of arrays of one shape: z complex, with 0 at infinity,
 and inf the boolean mask of infinity.  Scalar functions such as ``chordal``
 and ``projective_roots`` take and give points; the array kernels take
 (z, inf) pairs, and ``point_arrays`` is the one converter to them.
+``sphere_lift_many`` lifts a pair to the unit sphere for a computation
+that needs the lifts; points are kept as the pair, never as lifts, so there
+is no inverse: unlifting would give a point back only to a relative error
+of about |z|^2 eps.
 """
 
 from __future__ import annotations
@@ -57,15 +61,6 @@ def sphere_lift_many(z, inf):
     out = np.stack([2.0 * x * s, 2.0 * y * s, (r2 - 1.0) * s], axis=-1)
     out[inf] = (0.0, 0.0, 1.0)
     return out
-
-
-def sphere_unlift(p):
-    """Inverse stereographic projection; the north pole maps to INF."""
-    x, y, w = p
-    if w > 1.0 - 1e-12:
-        return INF
-    s = 1.0 / (1.0 - w)
-    return complex(x * s, y * s)
 
 
 # default scaled-residual bound of certified roots, and the relative size

@@ -12,9 +12,10 @@ alpha-powers are reduced on integers.  FieldElement coefficients are built
 from the integer form only when something reads ``coeffs`` (serialization,
 ``coeff``, the outer map of a composite, division, gcd, BiPoly unpacking),
 and are then cached; a Poly built from FieldElements keeps them.  Poly has
-no exact point evaluation of its own: ``RationalMap.eval_exact`` composes
-with a constant, so evaluation is products of constant Polys on the integer
-form over every field.
+no point evaluation of its own: ``RationalMap.eval_exact`` composes with a
+constant, so exact evaluation is products of constant Polys on the integer
+form over every field, and numeric evaluation reads the map's one embedded
+coefficient pair (``RationalMap.numeric_pair``).
 
 BiPoly stores a dense coefficient matrix indexed by (x-degree, y-degree); its
 products and divisions are packed univariate ones, x^i y^j read as
@@ -348,14 +349,7 @@ class Poly:
         return Poly._from_ints(
             self.ctx, [x * (j // s) for j, x in enumerate(self._ints)][s:], self._den)
 
-    def reversed(self, formal_degree=None):
-        """x^d * p(1/x) for the chart at infinity."""
-        d = self.degree if formal_degree is None else formal_degree
-        if d < self.degree:
-            raise ValueError("formal degree below actual degree")
-        return Poly(self.ctx, list(reversed(self.padded(d))))
-
-    # -- numeric evaluation ------------------------------------------------------
+    # -- numeric form -------------------------------------------------------------
 
     def numeric_coeffs(self):
         """Embedded complex coefficient array (ascending), cached."""
@@ -366,12 +360,6 @@ class Poly:
                 [self.ctx.embed(c) for c in self.coeffs], dtype=complex
             )
         return self._numeric
-
-    def eval_numeric(self, z):
-        acc = 0j
-        for c in reversed(self.numeric_coeffs()):
-            acc = acc * z + c
-        return acc
 
     # -- gcd and squarefree structure ----------------------------------------------
 

@@ -6,20 +6,25 @@ equals 1; equality is then a coefficient-wise test.
 Composition and exact evaluation share one homogeneous kernel: f o g is
 f's homogenized pair at (num g : den g), and f(z) is f composed with the
 constant map z, at (z : 1) or (1 : 0) for INF.
-Numeric evaluation switches to the chart w = 1/z away from the unit disc,
-so infinity is never represented by a large sentinel.
+The numeric form of a map is one cached (2, d + 1) array, ``numeric_pair``:
+num and den embedded and padded to d + 1 coefficients.  Read forward it
+gives the pair in z; read reversed it gives the pair in the chart w = 1/z,
+where numeric evaluation works away from the unit disc, so infinity is never
+represented by a large sentinel.  Preimage solves read the same array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import zip_longest
 
 import numpy as np
 
 from .fields import FieldError
-from .numeric import INF, ConsistencyError, RootFindingError, certified_roots, chordal, is_inf
+from .numeric import (INF, ConsistencyError, RootFindingError, certified_roots, chordal, is_inf,
+                      projective_roots)
 from .polys import Poly, integer_height, product_growth
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -41,7 +46,7 @@ class SizeBudgetError(MapError):
 
 
 class RationalMap:
-    __slots__ = ("ctx", "num", "den", "degree", "_num_rev", "_den_rev")
+    __slots__ = ("ctx", "num", "den", "degree", "_numeric")
 
     def __init__(self, num, den):
         if num.ctx is not den.ctx:
@@ -73,8 +78,7 @@ class RationalMap:
         self.num = num.scale(inv)
         self.den = den.scale(inv)
         self.degree = max(num.degree, den.degree)
-        self._num_rev = None
-        self._den_rev = None
+        self._numeric = None
 
     @classmethod
     def polynomial(cls, poly):
@@ -214,23 +218,27 @@ class RationalMap:
 
     # -- numeric evaluation -----------------------------------------------------------
 
-    def _reversed_pair(self):
-        if self._num_rev is None:
-            d = self.degree
-            self._num_rev = self.num.reversed(d)
-            self._den_rev = self.den.reversed(d)
-        return self._num_rev, self._den_rev
+    def numeric_pair(self):
+        """num and den embedded and padded to d + 1 coefficients, ascending in
+        z, as one read-only (2, d + 1) array built once; reversed, its rows are
+        the pair in the chart w = 1/z, z^d num(1/z) and z^d den(1/z)."""
+        if self._numeric is None:
+            pair = np.array([[self.ctx.embed(c) for c in p.padded(self.degree)]
+                             for p in (self.num, self.den)], dtype=complex)
+            pair.flags.writeable = False
+            self._numeric = pair
+        return self._numeric
 
     def eval_numeric(self, z):
         """Projective numeric evaluation; |z| > 1 is computed in the chart 1/z."""
+        pair = self.numeric_pair()
         if is_inf(z) or abs(z) > 1.0:
-            nrev, drev = self._reversed_pair()
-            w = 0j if is_inf(z) else 1.0 / z
-            n = nrev.eval_numeric(w)
-            d = drev.eval_numeric(w)
+            # ascending in z, the pair is the pair in w = 1/z, highest power first
+            x, rows = (0j if is_inf(z) else 1.0 / z), pair
         else:
-            n = self.num.eval_numeric(z)
-            d = self.den.eval_numeric(z)
+            x, rows = z, pair[:, ::-1]
+        # Horner on scalars (np.polyval rounds differently)
+        n, d = (reduce(lambda acc, c: acc * x + c, row, 0j) for row in rows)
         scale = max(abs(n), abs(d))
         if scale < 1e-12:
             return self._eval_mpmath(z)
@@ -240,19 +248,16 @@ class RationalMap:
 
     def _eval_mpmath(self, z):
         # near-total cancellation: escalate precision (cannot be a true 0/0
-        # because num, den are coprime)
+        # because num, den are coprime); only INF is taken in the chart 1/z
         import mpmath
 
+        pair = self.numeric_pair()
         with mpmath.workdps(60):
             if is_inf(z):
-                w = mpmath.mpc(0)
-                nrev, drev = self._reversed_pair()
-                n = mpmath.polyval([mpmath.mpc(c) for c in reversed(nrev.numeric_coeffs())], w)
-                d = mpmath.polyval([mpmath.mpc(c) for c in reversed(drev.numeric_coeffs())], w)
+                w, rows = mpmath.mpc(0), pair
             else:
-                w = mpmath.mpc(z)
-                n = mpmath.polyval([mpmath.mpc(c) for c in reversed(self.num.numeric_coeffs())], w)
-                d = mpmath.polyval([mpmath.mpc(c) for c in reversed(self.den.numeric_coeffs())], w)
+                w, rows = mpmath.mpc(z), pair[:, ::-1]
+            n, d = (mpmath.polyval([mpmath.mpc(c) for c in row], w) for row in rows)
             if abs(d) == 0:
                 return INF
             return complex(n / d)
@@ -263,19 +268,13 @@ class RationalMap:
         ``refine=False`` skips Newton polishing (hot loops with simple
         roots); the residual certificate still applies.
         """
-        from .numeric import projective_roots
-
-        d = self.degree
-        nc = self.num.numeric_coeffs()
-        dc = self.den.numeric_coeffs()
-        nc = np.concatenate([nc, np.zeros(d + 1 - len(nc))])
-        dc = np.concatenate([dc, np.zeros(d + 1 - len(dc))])
+        nc, dc = self.numeric_pair()
         if is_inf(w):
             coeffs = dc
         else:
             scale = max(1.0, abs(w))
             coeffs = nc / scale - (w / scale) * dc
-        return projective_roots(coeffs, d, residual_tol=residual_tol, refine=refine)
+        return projective_roots(coeffs, self.degree, residual_tol=residual_tol, refine=refine)
 
 
 def maps_equal(f, g):

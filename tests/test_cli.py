@@ -524,6 +524,21 @@ def test_julia_set_near_an_exceptional_point_is_sampled(capsysbinary, argv):
     assert err == b""
 
 
+def test_render_draws_the_julia_set_next_to_infinity(capsys, tmp_path):
+    # half of the Julia set of z^2 + 10^7 z lies next to -10^7, where the
+    # sphere lifts of its points are within 1e-12 of the north pole; the
+    # raster bins the points themselves, so that half lights the window
+    target = tmp_path / "far.ppm"
+    code, out, err = run(capsys, "render", "--map", "z^2+10000000z",
+                         "--window=-10000010,-9999990,-10,10", "--stats", "--out", str(target))
+    assert (code, out) == (0, "")
+    assert err.startswith("lit_fraction=")
+    blob = target.read_bytes()
+    header = b"P6\n400 400\n255\n"
+    assert blob.startswith(header)
+    assert any(blob[len(header):])
+
+
 def test_compose_refuses_a_composite_over_the_degree_budget(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "compose", "--f", "z^65", "--g", "z^64")

@@ -25,8 +25,7 @@ from mme.measure import (
     same_measure_test,
     sigma_invariance_check,
 )
-from mme.numeric import (INF, RootFindingError, chordal, is_inf, named_rng, point_arrays,
-                         sphere_lift_many)
+from mme.numeric import INF, RootFindingError, chordal, named_rng, point_arrays
 from mme.parser import parse_map
 from mme.polys import Poly
 from mme.ratmaps import MapError, RationalMap
@@ -42,8 +41,8 @@ def rmap(num, den=(1,)):
 def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
     """The sampler run one orbit at a time, one preimage solve per step.
 
-    Returns the cloud's points, every attempted orbit's visited points
-    (start first) and the failures as (attempt, kind, step).
+    Returns the cloud's points (complex or INF), every attempted orbit's
+    visited points (start first) and the failures as (attempt, kind, step).
     """
     rng = named_rng(seed, stream)
     exceptional = measure._exceptional_points(f)
@@ -74,7 +73,17 @@ def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
                 orbit.append(z)
         else:
             pts.extend(orbit)
-    return np.array([sphere_lift(z) for z in pts[:count]]).reshape(-1, 3), walks, failures
+    return pts[:count], walks, failures
+
+
+def assert_cloud_holds(cloud, points):
+    """The cloud's (z, inf) pair holds ``points`` and its lifts are theirs,
+    bit for bit."""
+    z, inf = point_arrays(points)
+    assert cloud.z.tobytes() == z.tobytes()
+    assert cloud.inf.tobytes() == inf.tobytes()
+    assert cloud.points.shape == (len(points), 3)
+    assert cloud.points.tobytes() == np.array([sphere_lift(p) for p in points]).reshape(-1, 3).tobytes()
 
 
 def row_major_distance(A, B, seed=0):
@@ -112,8 +121,8 @@ def point_loop_raster(f, width, height, window, count=20000, depth=30, seed=0):
     hist = np.zeros((height, width))
     if count > 0:
         cloud = measure.backward_orbit_sample(f, count, depth=depth, seed=seed, stream="raster")
-        for z in cloud.as_complex():
-            if is_inf(z):
+        for z, at_inf in zip(cloud.z.tolist(), cloud.inf.tolist()):
+            if at_inf:
                 continue
             col = int((z.real - re0) / (re1 - re0) * width)
             row = int((im1 - z.imag) / (im1 - im0) * height)
@@ -130,9 +139,9 @@ def point_loop_raster(f, width, height, window, count=20000, depth=30, seed=0):
 
 def assert_sample_equals_serial(f, count, depth=40, seed=0, stream="cloud"):
     want, _walks, failures = serial_sample(f, count, depth=depth, seed=seed, stream=stream)
-    got = backward_orbit_sample(f, count, depth=depth, seed=seed, stream=stream).points
-    assert got.shape == (count, 3)
-    assert got.tobytes() == want.tobytes()
+    got = backward_orbit_sample(f, count, depth=depth, seed=seed, stream=stream)
+    assert len(got) == count
+    assert_cloud_holds(got, want)
     return failures
 
 
@@ -168,7 +177,8 @@ def test_backward_orbit_sample_deterministic_and_weighted():
 def test_power_map_cloud_lies_on_unit_circle():
     # points equilibrate toward |z| = 1 at rate 2^-k past the burn-in
     cloud = backward_orbit_sample(rmap([0, 0, 1]), 400, depth=25, seed=1)
-    radii = np.abs(np.array(cloud.as_complex()))
+    assert not cloud.inf.any()
+    radii = np.abs(cloud.z)
     assert np.all(np.abs(radii - 1.0) < 1e-3)
 
 
@@ -241,7 +251,7 @@ def test_raster_deterministic_and_plausible():
 def test_lockstep_sample_equals_serial_sample():
     flower = entry("chebyshev-flower", {"a": "1"}).maps  # over Q(w)
     maps = [rmap([-1, 0, 1]), rmap([1, 0, 1]), rmap([1, 0, 1], [0, 1]),
-            flower["f"], flower["g"], rmap([0, 10**6, 1])]
+            flower["f"], flower["g"], rmap([0, 10**6, 1]), rmap([0, 10**7, 1])]
     rng = rng_for("lockstep-sample")
     maps += [random_rational_map(d, rng) for d in (2, 3, 4, 5)]
     for k, f in enumerate(maps):
@@ -256,13 +266,30 @@ def test_lockstep_sample_with_roots_at_infinity_equals_serial_sample(monkeypatch
     for f in (rmap([1, 0, 1]), rmap([1, 0, 1], [0, 1]), rmap([1, 0, 0, 1], [0, 0, 1]),
               rmap([2, 0, 0, 1], [-1, 1])):
         want, walks, failures = serial_sample(f, 700, depth=25, seed=1)
-        got = backward_orbit_sample(f, 700, depth=25, seed=1).points
-        assert got.tobytes() == want.tobytes()
+        got = backward_orbit_sample(f, 700, depth=25, seed=1)
+        assert_cloud_holds(got, want)
         assert any(p is INF for walk in walks for p in walk)
         if f.den.degree == 0:
             assert failures and all(kind == "hit" for _i, kind, _k in failures)
         else:
-            assert (got[:, 2] == 1.0).any()  # north poles in the cloud
+            assert (got.points[:, 2] == 1.0).any()  # north poles in the cloud
+
+
+def test_sampler_holds_no_generator_state_per_orbit():
+    # at depth BURN_IN + 1 every point is an orbit of its own; a generator
+    # state kept per orbit (about 0.5 kB each) and the cloud's lifts held
+    # beside its points took the peak to 26.2 MB (numpy 2.4, CPython
+    # 3.11), against 10.4 MB with one state per round
+    f = rmap([-1, 0, 1])
+    backward_orbit_sample(f, 100, depth=BURN_IN + 1)
+    tracemalloc.start()
+    try:
+        cloud = backward_orbit_sample(f, 20000, depth=BURN_IN + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == 20000
+    assert peak < 16 * 10**6
 
 
 def test_lockstep_sample_counts():
@@ -309,18 +336,20 @@ def test_lockstep_sample_too_many_failures(monkeypatch, n_failures):
         assert len(assert_sample_equals_serial(f, 29)) == 10
 
 
-def unit_vectors(n, rng):
-    v = rng.normal(size=(n, 3))
-    return v / np.linalg.norm(v, axis=1)[:, None]
+def random_cloud(n, rng):
+    """n points whose lifts spread over the whole sphere: random directions
+    in the plane at log-normal moduli, every 400th point at INF."""
+    z = np.exp(rng.normal(0.0, 2.0, size=n) + 2j * np.pi * rng.uniform(size=n))
+    inf = np.zeros(n, dtype=bool)
+    inf[::400] = True  # north poles
+    return MeasureCloud(np.where(inf, 0j, z), inf)
 
 
 def test_measure_distance_equals_row_major_formula():
-    real = [backward_orbit_sample(rmap(num), 20000, depth=25, seed=1, stream=stream).points
+    real = [backward_orbit_sample(rmap(num), 20000, depth=25, seed=1, stream=stream)
             for num, stream in (([-1, 0, 1], "a"), ([1, 0, 1], "b"))]
     rng = rng_for("energy-kernel")
-    rand = [unit_vectors(20000, rng) for _ in range(2)]
-    for cloud in rand:
-        cloud[::400] = (0.0, 0.0, 1.0)  # north poles
+    rand = [random_cloud(20000, rng) for _ in range(2)]
     # all-pairs, all-pairs with unequal sizes, just above the cap, the
     # default count, the workload size, and subsampled with na != nb
     sizes = [(ALL_PAIRS_CAP, ALL_PAIRS_CAP), (ALL_PAIRS_CAP, 1500),
@@ -330,8 +359,8 @@ def test_measure_distance_equals_row_major_formula():
     # distance; the second cloud is A itself when the sizes are equal
     for seed, (a, b) in enumerate((real, rand)):
         for na, nb in sizes:
-            A, B = MeasureCloud(a[:na]), MeasureCloud(b[:nb])
-            C = A if na == nb else MeasureCloud(a[:nb])
+            A, B = MeasureCloud(a.z[:na], a.inf[:na]), MeasureCloud(b.z[:nb], b.inf[:nb])
+            C = A if na == nb else MeasureCloud(a.z[:nb], a.inf[:nb])
             assert measure_distance(A, [B, C], seed=seed) == [
                 row_major_distance(A, B, seed=seed), row_major_distance(A, C, seed=seed)]
 
@@ -365,7 +394,7 @@ def test_measure_distance_against_two_clouds_holds_less_than_one_pair_did():
     # (numpy 2.4, CPython 3.11)
     one_pair_peak = 5376881
     rng = rng_for("energy-memory")
-    A, B, C = (MeasureCloud(unit_vectors(4000, rng)) for _ in range(3))
+    A, B, C = (random_cloud(4000, rng) for _ in range(3))
     measure_distance(A, [B, C])
     tracemalloc.start()
     try:
@@ -398,9 +427,9 @@ def test_raster_equals_point_loop(monkeypatch):
     # first column and row only because their pixel index truncates to 0
     special = [INF, INF, 1e11 + 1e11j, -2.02 + 0.1j, -2.02 + 0.1j, 0.5 + 2.03j,
                -2.02 + 2.03j, 2.5 + 0j, 0.5 - 2.01j, -2.06 + 0j, 2.0 + 0j]
-    lifted = np.vstack([sphere_lift_many(*point_arrays(special)), [(0.0, 0.0, 1.0 - 1e-13)]])
+    special = point_arrays(special + [-1e7 + 0j])
     real = backward_orbit_sample(rmap([-1, 0, 1]), 400, depth=20, seed=0, stream="raster")
-    cloud = MeasureCloud(np.vstack([real.points, lifted]))
+    cloud = MeasureCloud(*(np.concatenate(pair) for pair in zip((real.z, real.inf), special)))
     monkeypatch.setattr(measure, "backward_orbit_sample", lambda *a, **k: cloud)
     args = (rmap([-1, 0, 1]), 80, 80, (-2.0, 2.0, -2.0, 2.0))
     ppm = julia_raster(*args, count=1)

@@ -173,6 +173,74 @@ def test_compose_refuses_a_composite_of_the_wrong_degree():
 EVAL_FIELDS = [Q, field_configure([1, 1, 1]), field_configure([-2, 0, 0, 1])]
 
 
+def bits(z):
+    """The bits of complex z, signs of zero included."""
+    return np.array([z], dtype=complex).view(np.uint64).tolist()
+
+
+def reference_eval_numeric(f, z):
+    """RationalMap.eval_numeric computed from Polys: Horner on num and den,
+    and in the chart 1/z on the exactly reversed Polys z^d p(1/z)."""
+    import mpmath
+
+    def horner(p, x):
+        acc = 0j
+        for c in reversed(p.numeric_coeffs()):
+            acc = acc * x + c
+        return acc
+
+    d = f.degree
+    num, den = f.num, f.den
+    if is_inf(z) or abs(z) > 1.0:
+        num, den = (Poly(f.ctx, list(reversed(p.padded(d)))) for p in (num, den))
+        x = 0j if is_inf(z) else 1.0 / z
+    else:
+        x = z
+    n, dv = horner(num, x), horner(den, x)
+    if max(abs(n), abs(dv)) >= 1e-12:
+        return INF if abs(dv) <= 1e-15 * abs(n) else n / dv
+    with mpmath.workdps(60):
+        if is_inf(z):
+            x = mpmath.mpc(0)
+        else:
+            x, num, den = mpmath.mpc(z), f.num, f.den
+        n, dv = (mpmath.polyval([mpmath.mpc(c) for c in reversed(p.numeric_coeffs())], x)
+                 for p in (num, den))
+        return INF if abs(dv) == 0 else complex(n / dv)
+
+
+@pytest.mark.parametrize("ctx", EVAL_FIELDS, ids=["Q", "Q(w)", "Q(cbrt2)"])
+def test_eval_numeric_equals_the_reversed_poly_reference(ctx, monkeypatch):
+    import mpmath
+
+    # a is 1/3 over Q, whose generator is 0
+    a, e = ctx.gen() + Fraction(1, 3), ctx.from_rational(Fraction(1, 10**13))
+    # (a z^2 + z - e) / (z^2 + 2z - 2e): both nearly vanish at z = 1.5e-13;
+    # (e z^3 + z) / (z^2 + 1): both leading coefficients are below 1e-12
+    cancelling = RationalMap(Poly(ctx, [-e, 1, a]), Poly(ctx, [-2 * e, 2, 1]))
+    small_lead = RationalMap(Poly(ctx, [0, 1, 0, e]), Poly(ctx, [1, 0, 1]))
+    maps = [RationalMap(Poly(ctx, [1, a, 0, 3]), Poly(ctx, [a, 0, 1])),  # a pole at INF
+            RationalMap(Poly(ctx, [a, 2, 1]), Poly(ctx, [1, a, -1, 5])),  # a zero at INF
+            RationalMap(Poly(ctx, [0, 0, a]), Poly(ctx, [1, -1])),
+            cancelling, small_lead]
+    points = [0j, 0.3 - 0.4j, -0.999 + 0.01j, 1.0 + 0j, 1.2 + 3j, -40.5 + 0.25j, 1e9 + 1j,
+              INF, 1.5e-13 + 0j]
+    polyval, calls = mpmath.polyval, []
+    monkeypatch.setattr(mpmath, "polyval", lambda *args: calls.append(1) or polyval(*args))
+    escalated = []
+    for i, f in enumerate(maps):
+        for z in points:
+            before = len(calls)
+            got = f.eval_numeric(z)
+            if len(calls) > before:
+                escalated.append((i, z))
+            want = reference_eval_numeric(f, z)
+            assert is_inf(got) == is_inf(want), (f, z)
+            if not is_inf(got):
+                assert bits(got) == bits(want), (f, z)
+    assert (3, 1.5e-13 + 0j) in escalated and (4, INF) in escalated
+
+
 @st.composite
 def composable_pairs(draw):
     """(f, g, points): g = (z - r) A / ((z - s) B), and the points INF, r, s
