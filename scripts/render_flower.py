@@ -45,8 +45,9 @@ def main():
                         count=args.count, depth=args.depth, seed=args.seed)
     with open(args.out, "wb") as fh:
         fh.write(blob)
-    print("wrote %s (%dx%d), lit fraction %.4f"
-          % (args.out, args.size, args.size, lit_fraction(blob)))
+    frac = lit_fraction(blob)
+    print("wrote %s (%dx%d), lit fraction %r (%d pixels)"
+          % (args.out, args.size, args.size, frac, round(frac * args.size * args.size)))
 
 
 if __name__ == "__main__":

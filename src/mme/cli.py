@@ -148,7 +148,10 @@ def _cmd_render(args):
     )
     _emit_bytes(args, blob)
     if args.stats:
-        print("lit_fraction=%.4f" % lit_fraction(blob), file=sys.stderr)
+        # unrounded, so that a few lit pixels do not read as none
+        frac = lit_fraction(blob)
+        print("lit_fraction=%r lit_pixels=%d" % (frac, round(frac * args.width * args.height)),
+              file=sys.stderr)
     return 0
 
 

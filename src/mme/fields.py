@@ -5,6 +5,11 @@ FieldElement carries a reference to its context and refuses to mix with
 elements of another one.  Elements are immutable coordinate vectors in
 the power basis 1, alpha, ..., alpha^(m-1) with reduced Fraction entries,
 so equality is exact coefficient comparison.
+
+:func:`poly_divmod` is the package's one long division.  It divides
+coefficient lists of Fractions, for the irreducibility test of a minimal
+polynomial and for inverses by extended Euclid, and of FieldElements, for
+``Poly`` division and gcd.
 """
 
 from __future__ import annotations
@@ -37,20 +42,26 @@ def to_fraction(x) -> Fraction:
     raise TypeError("cannot interpret %r as a rational number" % (x,))
 
 
-def _q_poly_divmod(a, b):
-    """Divmod for Fraction coefficient lists (ascending)."""
-    a = list(a)
+def poly_divmod(a, b):
+    """Quotient and remainder of ascending coefficient lists over a field,
+    of Fractions or of FieldElements, for b with a nonzero last entry; the
+    remainder has no zero entries at the top.
+
+    Each step subtracts a multiple of b's nonzero lower entries only: the
+    entry it divides out is never read again, so it is not updated.
+    """
+    rem = list(a)
     db = len(b) - 1
     inv = 1 / b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] * inv
-        q[k - db] = c
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    q = [None] * max(len(rem) - db, 0)
+    for k in range(len(rem) - 1, db - 1, -1):
+        c = q[k - db] = rem[k] * inv
         if c:
-            for j in range(db + 1):
-                a[k - db + j] -= c * b[j]
-    r = a[:db]
-    while r and r[-1] == 0:
+            for j, bj in terms:
+                rem[k - db + j] = rem[k - db + j] - c * bj
+    r = rem[:db]
+    while r and not r[-1]:
         r.pop()
     return q, r
 
@@ -74,7 +85,7 @@ def _is_irreducible_over_q(coeffs) -> bool:
     r0 = [Fraction(c) for c in f]
     r1 = [Fraction(k * c) for k, c in enumerate(f)][1:]
     while r1:
-        r0, r1 = r1, _q_poly_divmod(r0, r1)[1]
+        r0, r1 = r1, poly_divmod(r0, r1)[1]
     if len(r0) > 1:
         return False
     # polyroots stops at an absolute tolerance of 2^-prec, so prec must
@@ -163,7 +174,7 @@ def _factor_search(f, prec):
             else:
                 if any(2 * a * cR >= spow[k - m] for m, (_, _, cR) in enumerate(poly)):
                     decided = False  # a disk may hold two integers
-                elif not _q_poly_divmod([Fraction(c) for c in f], [Fraction(c) for c in candidate])[1]:
+                elif not poly_divmod([Fraction(c) for c in f], [Fraction(c) for c in candidate])[1]:
                     return False
     return True if decided else None
 
@@ -348,9 +359,6 @@ class FieldElement:
             return NotImplemented
         return FieldElement(self.ctx, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self.ctx._coerce(other)
         if other is NotImplemented:
@@ -382,7 +390,7 @@ class FieldElement:
         r0, r1 = f, g
         s0, s1 = [], [Fraction(1)]
         while r1:
-            q, r = _q_poly_divmod(r0, r1)
+            q, r = poly_divmod(r0, r1)
             # s_new = s0 - q*s1
             s_new = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
             for i, qi in enumerate(q):
@@ -407,21 +415,9 @@ class FieldElement:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.ctx.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # poly_divmod's 1 / b[-1] is the inverse itself, with no product
+        inv = self.inverse()
+        return inv if other == 1 else inv * other
 
     def __eq__(self, other):
         other = self.ctx._coerce(other)

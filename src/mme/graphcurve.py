@@ -22,7 +22,8 @@ are tracked in base-sheet order, so the fiber at every vertex of a loop puts
 a point (x_i, x_j) on the component of each orbit holding (i, j); those
 points are the component's samples.  Its x-degree is confirmed by a relation
 vanishing on them, and, when that relation rationalizes into the base field,
-the component is certified by exact polynomial division.
+the component is certified by exact polynomial division.  The diagonal needs
+no division: P is checked antisymmetric, so x - y divides it.
 """
 
 from __future__ import annotations
@@ -172,16 +173,14 @@ def build_graph(G):
     """Exact defining polynomial plus the target chart."""
     if G.degree < 2:
         raise MapError("graph-curve analysis requires degree >= 2")
-    ctx = G.ctx
     P = graph_bipoly(G.num, G.den)
+    # an antisymmetric P has P(x, x) = 0, so x - y divides it: the diagonal
+    # is a factor of P with no division to check
     if not P.is_antisymmetric():
         raise ConsistencyError("defining polynomial is not antisymmetric")
     dx, dy = P.bidegree
     if dx != G.degree or dy != G.degree:
         raise ConsistencyError("defining polynomial has wrong bidegree")
-    diag = BiPoly(ctx, [[ctx.zero, -ctx.one], [ctx.one, ctx.zero]])  # x - y
-    if P.divide_exact(diag) is None:
-        raise ConsistencyError("the diagonal does not divide the defining polynomial")
 
     branch = _branch_data(G)
     pole = _target_pole([v for v, _pre in branch])
@@ -598,15 +597,16 @@ def components(curve, mon):
 def reconstruct_component(curve, cert):
     """Exact factor of P matching the component, or None.
 
-    The candidate is the component's vanishing relation, divided by its
-    largest entry and rationalized into the base field entry by entry.  It
-    is accepted only on exact divisibility of P and bidegree (r, r); any
-    failure leaves the certificate numeric-only.
+    The diagonal's factor is x - y, which divides P since build_graph
+    checked P antisymmetric.  Any other candidate is the component's
+    vanishing relation, divided by its largest entry and rationalized into
+    the base field entry by entry.  It is accepted only on exact
+    divisibility of P and bidegree (r, r); any failure leaves the
+    certificate numeric-only.
     """
     ctx = curve.G.ctx
     if cert.is_diagonal:
-        poly = BiPoly(ctx, [[ctx.zero, -ctx.one], [ctx.one, ctx.zero]])
-        return poly if curve.P.divide_exact(poly) is not None else None
+        return BiPoly(ctx, [[ctx.zero, -ctx.one], [ctx.one, ctx.zero]])
     rel = cert.relation / cert.relation.flat[np.abs(cert.relation).argmax()]
     rows = [[rationalize_into_field(ctx, complex(c)) for c in row] for row in rel]
     if any(c is None for row in rows for c in row):

@@ -11,11 +11,13 @@ run on it.  A product is one integer product by Kronecker substitution whose
 alpha-powers are reduced on integers.  FieldElement coefficients are built
 from the integer form only when something reads ``coeffs`` (serialization,
 ``coeff``, the outer map of a composite, division, gcd, BiPoly unpacking),
-and are then cached; a Poly built from FieldElements keeps them.  Poly has
-no point evaluation of its own: ``RationalMap.eval_exact`` composes with a
-constant, so exact evaluation is products of constant Polys on the integer
-form over every field, and numeric evaluation reads the map's one embedded
-coefficient pair (``RationalMap.numeric_pair``).
+and are then cached; a Poly built from FieldElements keeps them.  Division,
+and so the gcd, is ``fields.poly_divmod``, the package's one long division,
+on those coefficients.  Poly has no point evaluation of its own:
+``RationalMap.eval_exact`` composes with a constant, so exact evaluation is
+products of constant Polys on the integer form over every field, and
+numeric evaluation reads the map's one embedded coefficient pair
+(``RationalMap.numeric_pair``).
 
 BiPoly stores a dense coefficient matrix indexed by (x-degree, y-degree); its
 products and divisions are packed univariate ones, x^i y^j read as
@@ -28,7 +30,7 @@ import math
 from fractions import Fraction
 from itertools import chain, zip_longest
 
-from .fields import FieldElement, FieldError, to_fraction
+from .fields import FieldElement, FieldError, poly_divmod, to_fraction
 
 # A prime for the coprimality test of :meth:`Poly.provably_coprime`.  The test
 # can only prove coprimality, so any prime is correct; a large one rarely
@@ -93,7 +95,7 @@ def _coprime_mod(a, b, p):
 
 
 class Poly:
-    __slots__ = ("ctx", "_ints", "_den", "_coeffs", "_numeric")
+    __slots__ = ("ctx", "_ints", "_den", "_coeffs")
 
     def __init__(self, ctx, coeffs):
         cs = []
@@ -122,7 +124,6 @@ class Poly:
         self._ints = ints
         self._den = den
         self._coeffs = tuple(cs)
-        self._numeric = None
 
     @classmethod
     def _from_ints(cls, ctx, ints, den):
@@ -147,7 +148,6 @@ class Poly:
         p._ints = ints
         p._den = den
         p._coeffs = None
-        p._numeric = None
         return p
 
     # -- constructors -----------------------------------------------------------
@@ -249,9 +249,6 @@ class Poly:
             return NotImplemented
         return self._add_scaled(other, -1)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -306,23 +303,8 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        inv = other.leading().inverse()
-        # rem[k] is never read after step k, so the leading term is not subtracted
-        terms = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if not b.is_zero()]
-        q = [self.ctx.zero] * max(len(rem) - db, 0)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k] * inv
-            if c.is_zero():
-                continue
-            q[k - db] = c
-            for j, b in terms:
-                rem[k - db + j] = rem[k - db + j] - c * b
-        return Poly(self.ctx, q), Poly(self.ctx, rem[:db])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        q, r = poly_divmod(self.coeffs, other.coeffs)
+        return Poly(self.ctx, q), Poly(self.ctx, r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -352,14 +334,10 @@ class Poly:
     # -- numeric form -------------------------------------------------------------
 
     def numeric_coeffs(self):
-        """Embedded complex coefficient array (ascending), cached."""
-        if self._numeric is None:
-            import numpy as np
+        """Embedded complex coefficient array (ascending)."""
+        import numpy as np
 
-            self._numeric = np.array(
-                [self.ctx.embed(c) for c in self.coeffs], dtype=complex
-            )
-        return self._numeric
+        return np.array([self.ctx.embed(c) for c in self.coeffs], dtype=complex)
 
     # -- gcd and squarefree structure ----------------------------------------------
 
@@ -534,11 +512,6 @@ class BiPoly:
         if not self.rows:
             return (-1, -1)
         return (len(self.rows) - 1, len(self.rows[0]) - 1)
-
-    def coeff(self, i, j):
-        if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[0]):
-            return self.rows[i][j]
-        return self.ctx.zero
 
     def is_antisymmetric(self):
         return self.rows == tuple(tuple(-c for c in col) for col in zip(*self.rows))

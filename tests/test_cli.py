@@ -191,6 +191,54 @@ def test_certify_triple(capsys):
     assert json.loads(out)["all_pass"] is True
 
 
+def test_certify_pair_from_a_triple(capsys, tmp_path):
+    # T∘R = T∘S gives F∘F = F∘G and G∘F = G∘G for F = R∘T, G = S∘T; the maps
+    # and the report go through files, written by --out and read by @path
+    T, R, S = "z^2(z+1)", "(1-z^2)/(z^3-1)", "(z-z^3)/(z^3-1)"
+    F, G = tmp_path / "F.json", tmp_path / "G.json"
+    for target, outer in ((F, R), (G, S)):
+        assert run(capsys, "compose", "--f", outer, "--g", T, "--out", str(target)) == (0, "", "")
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "certify", "--F", "@%s" % F, "--G", "@%s" % G,
+                         "--out", str(report))
+    assert (code, out, err) == (0, "", "")
+    text = report.read_text()
+    assert text.endswith("}\n")
+    rep = json.loads(text)
+    assert rep["all_pass"] is True
+    assert [c["verdict"] for c in rep["claims"]] == ["PASS", "PASS"]
+
+
+def test_certify_pair_fails_on_unrelated_maps(capsys):
+    code, out, _ = run(capsys, "certify", "--F", "z^2", "--G", "z^2+1")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["all_pass"] is False
+    assert [c["verdict"] for c in rep["claims"]] == ["FAIL", "FAIL"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "--R", "z^2", "--S", "z^2"], "certify needs all of --R, --S, --T"),
+    (["certify", "--T", "z^2", "--F", "z^2", "--G", "z^3"], "certify needs all of --R, --S, --T"),
+    (["certify", "--F", "z^2"], "certify needs --R/--S/--T or --F/--G"),
+    (["certify"], "certify needs --R/--S/--T or --F/--G"),
+    (["catalog", "run"], "catalog run needs an entry name"),
+    (["compose", "--bind", "a", "--f", "z^2+a", "--g", "z"], "--bind expects name=value"),
+    (["compose", "--bind", "ab=1", "--f", "z^2+a", "--g", "z"], "symbols are single letters"),
+])
+def test_incomplete_commands_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
+
+
+def test_catalog_list(capsys):
+    code, out, _ = run(capsys, "catalog", "list")
+    assert code == 0
+    assert json.loads(out) == {"entries": ["chebyshev-flower", "zieve-family", "power-map",
+                                           "quadratic-sigma"]}
+
+
 def test_sigma_subcommand(capsys):
     code, out, _ = run(capsys, "sigma", "--map", "z + 1/z")
     assert code == 0
@@ -536,7 +584,11 @@ def test_render_draws_the_julia_set_next_to_infinity(capsys, tmp_path):
     blob = target.read_bytes()
     header = b"P6\n400 400\n255\n"
     assert blob.startswith(header)
-    assert any(blob[len(header):])
+    lit = sum(map(any, zip(*[iter(blob[len(header):])] * 3)))
+    # the stats are not rounded away: a few lit pixels read as a nonzero fraction
+    stats = dict(item.split("=") for item in err.split())
+    assert float(stats["lit_fraction"]) == lit / 400**2 > 0
+    assert int(stats["lit_pixels"]) == lit
 
 
 def test_compose_refuses_a_composite_over_the_degree_budget(capsys):

@@ -1,10 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mme.fields import FieldContext, FieldError, _is_irreducible_over_q, field_configure
+from mme.fields import (
+    FieldContext,
+    FieldError,
+    _is_irreducible_over_q,
+    field_configure,
+    poly_divmod,
+)
 from conftest import polys_and_products, sympy_irreducible
 
 
@@ -136,3 +142,60 @@ def test_reducible_minimal_polynomials_are_rejected_up_front():
 @given(polys_and_products(2, 8))
 def test_irreducibility_agrees_with_sympy(coeffs):
     assert _is_irreducible_over_q(coeffs) == sympy_irreducible(coeffs)
+
+
+# -- long division ------------------------------------------------------------------
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _times_plus(q, b, r):
+    """q * b + r by the schoolbook product, ascending."""
+    zero = b[-1] - b[-1]
+    out = [zero] * max(len(q) + len(b) - 1, len(r))
+    for i, c in enumerate(r):
+        out[i] = out[i] + c
+    for i, qi in enumerate(q):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + qi * bj
+    return out
+
+
+CBRT2 = field_configure([-2, 0, 0, 1])
+
+# half the coefficients are zero, so divisors often have zero lower entries
+sparse_fracs = st.one_of(st.just(Fraction(0)), fracs)
+
+
+@st.composite
+def divisions(draw):
+    """(a, b) over Q as Fractions, or over Q(w) or Q(cbrt2) as elements; b has
+    a nonzero top entry, rarely 1."""
+    ctx = draw(st.sampled_from([None, omega(), CBRT2]))
+    if ctx is None:
+        coeff = sparse_fracs
+    else:
+        coeff = st.lists(sparse_fracs, min_size=ctx.degree, max_size=ctx.degree).map(ctx.element)
+    b = draw(st.lists(coeff, max_size=5)) + [draw(coeff.filter(bool))]
+    return draw(st.lists(coeff, max_size=10)), b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(divisions())
+@example(([Fraction(c) for c in (5, 0, 1, 7, 2)], [Fraction(0), Fraction(0), Fraction(3)]))
+@example(([Fraction(c) for c in (1, 2, 3, 4, 5, 6, 7)],
+          [Fraction(1), Fraction(0), Fraction(0), Fraction(-2, 3)]))
+@example(([CBRT2.element([k, -k, 2]) for k in range(8)],  # by (t + 1) z^3 + 1, t = cbrt 2
+          [CBRT2.one, CBRT2.zero, CBRT2.zero, CBRT2.element([1, 1])]))
+def test_long_division_returns_quotient_and_remainder(ab):
+    a, b = ab
+    q, r = poly_divmod(a, b)
+    assert len(q) == max(len(a) - len(b) + 1, 0)
+    assert all(type(c) is type(b[-1]) for c in q + r)
+    assert len(r) < len(b) and (not r or r[-1])
+    assert _trimmed(_times_plus(q, b, r)) == _trimmed(a)

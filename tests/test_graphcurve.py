@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mme.graphcurve import (
     fiber_at,
     genus_zero_parametrization_check,
     monodromy,
+    reconstruct_component,
 )
 from mme.numeric import (
     INF,
@@ -220,6 +222,36 @@ def test_diagonal_component_identified_uniquely():
     diag = [c for c in report["components"] if c["is_diagonal"]]
     assert len(diag) == 1
     assert diag[0]["bidegree"] == [1, 1]
+
+
+# the fixed degree 6-8 maps of the benchmark's graph workload, (num, den)
+BENCHMARK_GRAPH_MAPS = [
+    ([5, -1, 1, -4, 0, 3, 1], [5, 1, 3, 5, -3, 0, 5]),
+    ([-1, -2, 4, 5, -5, 0, 2, -3], [-2, -5, 1, 1, 0, 4, 1, 5]),
+    ([3, -3, -1, -1, -3, -3, 4, 3, -3], [-3, -2, 3, -5, 3, -4, -1, 2, 4]),
+]
+X_MINUS_Y = [[0, -1], [1, 0]]
+
+
+def test_antisymmetry_makes_the_diagonal_a_factor():
+    # build_graph checks only that P is antisymmetric; then P(x, x) = 0, so
+    # x - y divides P, and the diagonal's factor is x - y with no division
+    W = field_configure([1, 1, 1])
+    shift = RationalMap(Poly(W, [W.gen(), 1]), Poly(W, [1]))  # z + w
+    rng = rng_for("diagonal-factor")
+    maps = [rmap([0, -3, 0, 1]), rmap([1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 1])]
+    maps += [rmap(num, den) for num, den in BENCHMARK_GRAPH_MAPS]
+    for d in range(2, 9):
+        maps += [random_rational_map(d, rng) for _ in range(3)]
+        maps += [random_rational_map(d, rng, W).compose(shift) for _ in range(3)]
+    for f in maps:
+        P = graph_bipoly(f.num, f.den)
+        assert P.is_antisymmetric()
+        diag = BiPoly(f.ctx, X_MINUS_Y)
+        quotient = P.divide_exact(diag)
+        assert quotient is not None and quotient * diag == P
+        cert = SimpleNamespace(is_diagonal=True)
+        assert reconstruct_component(build_graph(f), cert) == diag
 
 
 def test_sphere_relation_violation_raises():
