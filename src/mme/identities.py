@@ -18,6 +18,15 @@ with that property (Lyubich 1983; Freire-Lopes-Mane 1983), so
 mu_f = mu_G = mu_g.  n = 0 is a shared iterate f^k = g^m; n = m = k = 1 is
 the catalog's f o g = f o f.  Commuting maps share the measure too
 (``same_measure_identity``).
+
+Unequal measures of two polynomials are proved by exact invariants of
+mu_f (``moment_test``): the capacity |a|^(-1/(d-1)) of the filled Julia
+set, and the moments m_k = int z^k dmu_f.  mu_f is balanced,
+int h dmu_f = (1/d) int sum_(f(y)=x) h(y) dmu_f(x) (Lyubich 1983), and for
+h = z^k the inner sum is the power sum p_k(x) of the roots of f(y) - x, a
+polynomial in x of degree floor(k/d) by Newton's identities, so
+m_k = (1/d) sum_j [p_k]_j m_j over j <= k/d < k, with m_0 = 1: every moment
+is an element of the base field.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from math import prod
 from .numeric import ConsistencyError
 from .polys import Poly, residue_product, residues_mod
 from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, RationalMap, maps_equal
-from .serialize import moebius_entries_to_json
+from .serialize import element_to_json, moebius_entries_to_json
 
 
 @dataclass
@@ -332,9 +341,88 @@ def invariant_measure_identity(f, phi):
         return "φ = f", None
     if phi.degree != 1:
         return None
-    (b, a), (d, c) = phi.num.padded(1), phi.den.padded(1)
-    inverse = RationalMap.moebius(d, -b, -c, a)
-    return same_measure_identity(f, phi.compose(f).compose(inverse))
+    return same_measure_identity(f, moebius_conjugate(f, phi))
+
+
+def moebius_conjugate(f, sigma):
+    """sigma o f o sigma^-1 for a Moebius map sigma over f's field context:
+    sigma_* mu_f is its measure."""
+    (b, a), (d, c) = sigma.num.padded(1), sigma.den.padded(1)
+    return sigma.compose(f).compose(RationalMap.moebius(d, -b, -c, a))
+
+
+# -- unequal measures of polynomials -----------------------------------------------------
+
+# moments m_1 .. m_MOMENT_BUDGET are compared before ``moment_test`` gives up
+MOMENT_BUDGET = 40
+
+
+def polynomial_moments(f):
+    """The moments m_1, ..., m_MOMENT_BUDGET of mu_f for a polynomial f, one
+    at a time, as base-field elements (see the module docstring).
+
+    Over its leading coefficient a_d, f(y) - x is y^d + s_1 y^(d-1) + ...
+    + s_d with s_i = a_(d-i)/a_d for i < d and s_d = (a_0 - x)/a_d, and
+    Newton's identities give p_k = -(s_1 p_(k-1) + ... + s_(k-1) p_1) - k s_k
+    with s_i = 0 for i > d.  Only the s_i that these k read are built.
+    """
+    ctx, d = f.ctx, f.degree
+    a = f.num.coeffs
+    inv = a[d].inverse()
+    s = {i: Poly.constant(ctx, a[d - i] * inv)
+         for i in range(1, min(d, MOMENT_BUDGET + 1)) if a[d - i]}
+    if d <= MOMENT_BUDGET:
+        s[d] = Poly(ctx, [a[0] * inv, -inv])
+    p, m = [None], [ctx.one]  # p_0 is not read
+    for k in range(1, MOMENT_BUDGET + 1):
+        newton = s[k].scale(k) if k in s else Poly.zero(ctx)
+        pk = -sum((si * p[k - i] for i, si in s.items() if i < k), newton)
+        p.append(pk)
+        m.append(sum((c * m[j] for j, c in enumerate(pk.coeffs)), ctx.zero) / d)
+        yield m[-1]
+
+
+def _powers_equal(x, p, y, q):
+    """Whether x^p = y^q, for integers x, y >= 1 and p, q >= 0, without
+    forming the powers: for p >= q, x^p = y^q needs x^q | y^q, so x | y, and
+    then x^(p-q) = (y/x)^q."""
+    while p and q:
+        if p < q:
+            x, p, y, q = y, q, x, p
+        if y % x:
+            return False
+        y //= x
+        p -= q
+    return (x == 1 or not p) and (y == 1 or not q)
+
+
+def moment_test(f, g):
+    """An exact invariant proving mu_f != mu_g, as (route, witness), or None.
+
+    It decides polynomials f and g over one field context (None otherwise):
+    - capacity, when both leading coefficients a_f and a_g are rational: mu_f
+      is the equilibrium measure of the filled Julia set of f, whose
+      capacity is |a_f|^(-1/(d-1)), d = deg f.  With e = deg g, unequal
+      a_f^(2(e-1)) and a_g^(2(d-1)) prove the filled Julia sets, and so the
+      measures, different; witness {"leading": [a_f, a_g], "degrees": [d, e]}.
+    - moments: the first k <= MOMENT_BUDGET with m_k(f) != m_k(g)
+      (``polynomial_moments``), witness {"k": k, "f": m_k(f), "g": m_k(g)}.
+    Equal capacities and equal moments up to the budget prove nothing, so
+    the answer is None then.
+    """
+    if f.ctx is not g.ctx or f.den.degree or g.den.degree:
+        return None
+    (a, d), (b, e) = ((h.num.leading(), h.degree) for h in (f, g))
+    if a.is_rational() and b.is_rational():
+        x, y = abs(a.as_fraction()), abs(b.as_fraction())
+        if not (_powers_equal(x.numerator, e - 1, y.numerator, d - 1)
+                and _powers_equal(x.denominator, e - 1, y.denominator, d - 1)):
+            return "capacity", {"leading": [element_to_json(a), element_to_json(b)],
+                                "degrees": [d, e]}
+    for k, (mf, mg) in enumerate(zip(polynomial_moments(f), polynomial_moments(g)), 1):
+        if mf != mg:
+            return "moments", {"k": k, "f": element_to_json(mf), "g": element_to_json(mg)}
+    return None
 
 
 # -- quadratic involution ----------------------------------------------------------------

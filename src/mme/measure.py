@@ -17,9 +17,11 @@ checked before any draw or allocation; past them the input is refused
 (MapError, exit 2).
 
 ``same_measure_test`` and ``sigma_invariance_check`` first try the exact
-identities of :mod:`mme.identities` that prove the measures equal; only a
-pair that no identity decides is sampled.  Samples never prove equal
-measures: the sampled route says DIFFERENT or INCONCLUSIVE, never SAME.
+identities of :mod:`mme.identities` that prove the measures equal, then,
+for two polynomials, its exact capacity and moment invariants that prove
+them different (``moment_test``); only a pair that neither decides is
+sampled.  Samples never prove equal measures: the sampled route says
+DIFFERENT or INCONCLUSIVE, never SAME.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .identities import invariant_measure_identity, same_measure_identity
+from .identities import (
+    invariant_measure_identity,
+    moebius_conjugate,
+    moment_test,
+    same_measure_identity,
+)
 from .numeric import (
     INF,
     RootFindingError,
@@ -119,14 +126,16 @@ class MeasureDistanceReport:
 
 @dataclass
 class ExactMeasureReport:
-    """SAME by a theorem resting on an exact identity: the route names the
-    identity, the witness its exponents.  No cloud is drawn, so no count,
-    depth or seed is reported."""
+    """An exact verdict: SAME by a theorem resting on an exact identity (the
+    route names the identity, the witness its exponents), or DIFFERENT by
+    an exact invariant of polynomial maps (route "capacity" or "moments",
+    the witness its unequal values).  No cloud is drawn, so no count, depth
+    or seed is reported."""
 
+    verdict: str
     route: str
     witness: dict | None = None
     meta: dict = field(default_factory=dict)
-    verdict = "SAME"
 
     def as_dict(self):
         return {"verdict": self.verdict, "route": self.route, "witness": self.witness,
@@ -357,13 +366,15 @@ def measure_distance(A, Bs, seed=0):
         jb = rng.integers(0, nb, size=m).astype(np.int32)
         for s in range(0, m, chunk):
             part = slice(s, min(s + chunk, m))
-            # each coordinate of each draw gathered once, for all four terms;
-            # the draws are in range, so clipping moves no index and only
-            # skips the bounds check
-            xa, ya = ([c.take(i[part], mode="clip") for c in pa] for i in (ia, ja))
+            # each draw cast to intp once, which take would do per gather,
+            # and each coordinate of each draw gathered once, for all four
+            # terms; the draws are in range, so clipping moves no index and
+            # only skips the bounds check
+            ka, la, kb, lb = (i[part].astype(np.intp) for i in (ia, ja, ib, jb))
+            xa, ya = ([c.take(i, mode="clip") for c in pa] for i in (ka, la))
             self_a = _distances(xa, ya)
             for pb, summand in zip(pbs, summands):
-                xb, yb = ([c.take(i[part], mode="clip") for c in pb] for i in (ib, jb))
+                xb, yb = ([c.take(i, mode="clip") for c in pb] for i in (kb, lb))
                 out = summand[part]
                 np.add(_distances(xa, yb), _distances(ya, xb), out=out)
                 out -= self_a
@@ -375,13 +386,17 @@ def measure_distance(A, Bs, seed=0):
 
 def same_measure_test(f, g, count=4000, depth=40, seed=0):
     """SAME by an exact identity (``identities.same_measure_identity``), else
-    a DIFFERENT or INCONCLUSIVE verdict from the energy distance against a
+    DIFFERENT by an exact invariant (``identities.moment_test``), else a
+    DIFFERENT or INCONCLUSIVE verdict from the energy distance against a
     self baseline (``MeasureDistanceReport``)."""
     _check_comparison((f, g), count, depth)
     maps = [map_digest(f), map_digest(g)]
     exact = same_measure_identity(f, g)
     if exact is not None:
-        return ExactMeasureReport(*exact, meta={"maps": maps})
+        return ExactMeasureReport("SAME", *exact, meta={"maps": maps})
+    exact = moment_test(f, g)
+    if exact is not None:
+        return ExactMeasureReport("DIFFERENT", *exact, meta={"maps": maps})
     cf1 = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="f-first")
     cf2 = backward_orbit_sample(f, count, depth=depth, seed=seed, stream="f-second")
     cg = backward_orbit_sample(g, count, depth=depth, seed=seed, stream="g")
@@ -395,8 +410,11 @@ def same_measure_test(f, g, count=4000, depth=40, seed=0):
 
 def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
     """SAME by an exact identity (``identities.invariant_measure_identity``),
-    else a DIFFERENT or INCONCLUSIVE verdict on whether pushing a cloud of
-    f forward by sigma preserves the empirical measure.
+    else, for a Moebius sigma over f's field, DIFFERENT by an exact
+    invariant of f against sigma o f o sigma^-1, whose measure is
+    sigma_* mu_f (``identities.moment_test``), else a DIFFERENT or
+    INCONCLUSIVE verdict on whether pushing a cloud of f forward by sigma
+    preserves the empirical measure.
 
     The pushed cloud is compared against an independent cloud of f, and the
     baseline averages BASELINE_PAIRS independent same-map pair distances (a
@@ -405,7 +423,11 @@ def sigma_invariance_check(f, sigma, count=2000, depth=30, seed=0):
     _check_comparison((f,), count, depth)
     exact = invariant_measure_identity(f, sigma)
     if exact is not None:
-        return ExactMeasureReport(*exact, meta={"map": map_digest(f)})
+        return ExactMeasureReport("SAME", *exact, meta={"map": map_digest(f)})
+    if sigma.degree == 1 and sigma.ctx is f.ctx:
+        exact = moment_test(f, moebius_conjugate(f, sigma))
+        if exact is not None:
+            return ExactMeasureReport("DIFFERENT", *exact, meta={"map": map_digest(f)})
     pushed = push_forward(
         backward_orbit_sample(f, count, depth=depth, seed=seed, stream="push-src"),
         sigma,

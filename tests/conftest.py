@@ -16,6 +16,14 @@ def Q():
     return FieldContext.rationals()
 
 
+@pytest.fixture
+def sampled_route(monkeypatch):
+    """Turn off the exact routes of ``mme.measure``, so every pair is sampled."""
+    monkeypatch.setattr("mme.measure.same_measure_identity", lambda f, g: None)
+    monkeypatch.setattr("mme.measure.invariant_measure_identity", lambda f, phi: None)
+    monkeypatch.setattr("mme.measure.moment_test", lambda f, g: None)
+
+
 def assert_clouds_agree(rep, *context):
     """The sampled route's evidence of equal measures: a ratio below
     SAME_FACTOR, which it reports as INCONCLUSIVE with the reason, never as SAME."""

@@ -144,13 +144,6 @@ def test_measure_agreement_across_seeds():
     assert time.time() - start < 120.0
 
 
-@pytest.fixture
-def sampled_route(monkeypatch):
-    """Turn off the exact routes of ``mme.measure``, so every pair is sampled."""
-    monkeypatch.setattr("mme.measure.same_measure_identity", lambda f, g: None)
-    monkeypatch.setattr("mme.measure.invariant_measure_identity", lambda f, phi: None)
-
-
 def test_measure_agreement_across_seeds_by_sampling(sampled_route):
     start = time.time()
     e = entry("chebyshev-flower", {"a": "1"})

@@ -52,8 +52,8 @@ def test_analyze_graph_report_keys(capsys):
     assert sorted(report) == ["basepoint", "branch_points", "components", "degree"]
 
 
-def test_measure_report_echoes_only_the_settings_it_uses(capsys):
-    # no identity relates z^2 and z^2 + 1, so their clouds are sampled
+def test_measure_report_echoes_only_the_settings_it_uses(capsys, sampled_route):
+    # the exact routes turned off, z^2 and z^2 + 1 are sampled
     _, out, _ = run(capsys, "measure", "--f", "z^2", "--g", "z^2+1", "--count", "200",
                     "--depth", "20", "--seed", "3")
     report = json.loads(out)
@@ -70,6 +70,27 @@ def test_exact_measure_report_echoes_no_sampling_setting(capsys):
     assert sorted(report) == ["maps", "route", "verdict", "witness"]
     assert (report["verdict"], report["route"], report["witness"]) == (
         "SAME", "fⁿ∘gᵐ = f^(n+k)", {"n": 0, "m": 1, "k": 1})
+
+
+def test_exact_different_report_echoes_no_sampling_setting(capsys):
+    _, out, _ = run(capsys, "measure", "--f", "z^2", "--g", "z^2+1", "--count", "200",
+                    "--depth", "20", "--seed", "3")
+    report = json.loads(out)
+    assert sorted(report) == ["maps", "route", "verdict", "witness"]
+    assert (report["verdict"], report["route"], report["witness"]) == (
+        "DIFFERENT", "moments", {"k": 2, "f": "0", "g": "-1"})
+
+
+def test_measure_decides_a_julia_set_far_out_exactly(capsys):
+    # every preimage of z^2 + 10^18 - w reads as infinity in floats, so no
+    # backward orbit can be sampled; the second moments are 0 and -10^18
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "measure", "--f", "z^2", "--g", "z^2+1000000000000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["verdict"], report["route"], report["witness"]) == (
+        "DIFFERENT", "moments", {"k": 2, "f": "0", "g": "-1000000000000000000"})
 
 
 @pytest.mark.parametrize("name,params", [
@@ -294,10 +315,10 @@ def test_measure_same_map_over_two_fields_samples(capsys):
     assert rep["ratio"] < SAME_FACTOR
 
 
-def test_measure_never_says_same_from_samples(capsys):
+def test_measure_never_says_same_from_samples(capsys, sampled_route):
     # conjugate by a translation to w^2 + c and w^2 + c + 1: the measures
-    # differ, but both Julia sets lie next to infinity, where the chordal
-    # energy distance cannot tell them apart
+    # differ (their second moments do), but both Julia sets lie next to
+    # infinity, where the chordal energy distance cannot tell them apart
     code, out, _ = run(capsys, "measure", "--f", "z^2+1000000z", "--g", "z^2+1000000z+1")
     assert code == 0
     rep = json.loads(out)
@@ -563,9 +584,12 @@ def test_map_json_documents_keep_the_contract(doc):
     ["render", "--map", "z^2+1000000z", "--width", "8", "--height", "8"],
     ["measure", "--f", "z^2+1000000z", "--g", "z^2+1000000z+1"],
 ])
-def test_julia_set_near_an_exceptional_point_is_sampled(capsysbinary, argv):
+def test_julia_set_near_an_exceptional_point_is_sampled(capsysbinary, request, argv):
     # the Julia set of z^2 + 10^6 z reaches about -10^6, within chordal 1e-6
-    # of the exceptional point infinity, and backward orbits never meet it
+    # of the exceptional point infinity, and backward orbits never meet it;
+    # measure samples the pair only with its exact routes turned off
+    if argv[0] == "measure":
+        request.getfixturevalue("sampled_route")
     assert main(argv) == 0
     out, err = capsysbinary.readouterr()
     assert out.startswith(b"P6\n8 8\n255\n" if argv[0] == "render" else b"{")

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
-from math import prod
+from itertools import islice
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -11,18 +12,23 @@ from mme.catalog import entry, omega_field
 from mme.fields import FieldContext, field_configure
 import mme.identities
 from mme.identities import (
+    MOMENT_BUDGET,
     SCREEN_PRIMES,
     _composites_equal,
     _least_relation,
+    _powers_equal,
     _screen_separates,
     check_counterexample_triple,
     check_main1_relations,
     invariant_measure_identity,
     mobius_factor_exists,
+    moment_test,
+    polynomial_moments,
     same_measure_identity,
     shared_iterate_search,
     sigma_f_quadratic,
 )
+from mme.measure import backward_orbit_sample
 from mme.numeric import ConsistencyError
 from mme.parser import parse_map
 from mme.polys import Poly
@@ -616,3 +622,120 @@ def test_distinct_quadratic_polynomials_get_no_exact_route(minpoly, same_residue
         assert not _composites_equal([g, f], [f, g])
     else:
         assert same_measure_identity(f, g) is None
+
+
+# -- moments and capacity of polynomials ------------------------------------------------
+
+
+def moments(f, n=MOMENT_BUDGET):
+    return list(islice(polynomial_moments(f), n))
+
+
+def test_moments_stop_at_the_budget():
+    # past the budget the s_i of z^50 - 1 are not built, so no moment is given
+    assert len(list(polynomial_moments(rmap([-1] + [0] * 49 + [1])))) == MOMENT_BUDGET
+
+
+def random_polynomial(rng, ctx, degree):
+    """A polynomial map of the given degree with random coefficients of up to
+    two digits in every coordinate."""
+    def coeff():
+        return ctx.element([int(v) for v in rng.integers(-20, 21, size=ctx.degree)])
+    lead = coeff()
+    while lead.is_zero():
+        lead = coeff()
+    return RationalMap.polynomial(Poly(ctx, [coeff() for _ in range(degree)] + [lead]))
+
+
+def test_chebyshev_moments_are_central_binomials():
+    # mu of z^2 - 2 is the arcsine law on [-2, 2]: m_2j = C(2j, j), odd moments vanish
+    want = [comb(k, k // 2) if k % 2 == 0 else 0 for k in range(1, MOMENT_BUDGET + 1)]
+    assert moments(rmap([-2, 0, 1])) == want
+    w = omega_field()
+    assert moments(RationalMap.polynomial(Poly(w, [-2, 0, 1]))) == want
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 41])
+def test_power_map_moments_vanish(d):
+    # mu of z^d is Haar measure on the unit circle: every m_k with k >= 1 is 0
+    assert moments(rmap([0] * d + [1])) == [0] * MOMENT_BUDGET
+    w = omega_field()
+    assert moments(RationalMap.polynomial(Poly.x(w) ** d)) == [0] * MOMENT_BUDGET
+
+
+@pytest.mark.parametrize("text", ["z^2-1", "z^2+3/7z-5", "z^3-z+1/2"])
+def test_moments_match_the_means_over_a_sampled_cloud(text):
+    f = parse_map(text, Q)
+    cloud = backward_orbit_sample(f, 20000, depth=40, seed=1, stream="moments")
+    assert not cloud.inf.any()
+    for k, m in enumerate(moments(f, 4), 1):
+        exact = complex(m)
+        # sampled to about 3% at 20k points: agreement in the first two digits
+        assert abs(np.mean(cloud.z**k) - exact) < 0.05 * max(1.0, abs(exact)), (k, exact)
+
+
+def equal_measure_pairs():
+    """Polynomial pairs whose measures are equal by a theorem."""
+    K = field_configure([1, 0, 1])
+    pairs = [(rmap([-2, 0, 1]), rmap([0, -3, 0, 1])),  # the arcsine law
+             tuple(over_qi("z^2", "(3/5+4/5*i)*z^2")),  # Haar measure on the circle
+             (parse_map("z^2", K), parse_map("-z^3", K))]
+    rng = np.random.default_rng(20261019)
+    w = omega_field()
+    for f in [rmap([-1, 0, 1]), rmap([Fraction(1, 3), Fraction(-3, 7), 1]),
+              rmap([Fraction(1, 2), -1, 0, 1]), random_polynomial(rng, w, 2)]:
+        pairs += [(f.iterate(n), f.iterate(m)) for n, m in ((1, 2), (1, 3), (2, 3))]
+    powers = [entry("power-map", {"d": d}).maps["f"] for d in range(2, 7)]
+    pairs += [(f, g) for f in powers for g in powers]
+    for name, params in (("chebyshev-flower", {"a": "1"}), ("chebyshev-flower", {"a": "1+w"}),
+                         ("zieve-family", {"n": 2, "m": 1}), ("zieve-family", {"n": 1, "m": 2})):
+        maps = entry(name, params).maps
+        T = maps["T"]
+        # f and g are no polynomials: outside the class, so never DIFFERENT
+        pairs += [(maps["f"], maps["g"]), (T, T.iterate(2))]
+    return pairs
+
+
+def test_equal_measures_get_no_moment_witness():
+    for f, g in equal_measure_pairs():
+        assert moment_test(f, g) is None, (f, g)
+        assert moment_test(g, f) is None, (f, g)
+
+
+def test_capacity_tells_apart_what_no_moment_does():
+    # mu of a z^2 is Haar measure on |z| = 1/|a|: every moment is 0, and the
+    # capacity 1/|a| differs
+    f, g = rmap([0, 0, 1]), rmap([0, 0, 2])
+    assert moments(f) == moments(g) == [0] * MOMENT_BUDGET
+    assert moment_test(f, g) == ("capacity", {"leading": ["1", "2"], "degrees": [2, 2]})
+    # -2 z^2 has the capacity of 2 z^2; 4 z^3 (capacity 1/2) that of 2 z^2
+    assert moment_test(rmap([0, 0, -2]), rmap([0, 0, 2])) is None
+    assert moment_test(rmap([0, 0, 2]), rmap([0, 0, 0, 4])) is None
+    assert moment_test(rmap([0, 0, 2]), rmap([0, 0, 0, 2])) == (
+        "capacity", {"leading": ["2", "2"], "degrees": [2, 3]})
+    # a leading coefficient off Q: no capacity test, and the moments all vanish
+    assert moment_test(*over_qi("z^2", "(1+i)*z^2")) is None
+
+
+@pytest.mark.parametrize("minpoly", [[0, 1], [1, 1, 1]])
+def test_random_polynomial_pairs_get_a_witness(minpoly):
+    ctx = field_configure(minpoly) if len(minpoly) > 2 else Q
+    rng = np.random.default_rng(len(minpoly))
+    for _ in range(30):
+        f, g = (random_polynomial(rng, ctx, int(rng.integers(2, 5))) for _ in range(2))
+        assert moment_test(f, g) is not None, (f, g)
+
+
+def test_moment_test_decides_polynomials_over_one_field_only():
+    f = rmap([-1, 0, 1])
+    w = omega_field()
+    assert moment_test(f, RationalMap.polynomial(Poly(w, [1, 0, 1]))) is None
+    assert moment_test(f, rmap([1, 0, 1], [0, 1])) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(0, 12), st.integers(1, 40), st.integers(0, 12))
+def test_powers_equal_matches_the_powers(x, p, y, q):
+    assert _powers_equal(x, p, y, q) == (x**p == y**q)
+    # powers of one base, which the search above seldom draws
+    assert _powers_equal(x**q, p, x**p, q)

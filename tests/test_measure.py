@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,12 +226,41 @@ def test_push_forward_by_sigma_over_another_field_is_sampled_and_same():
     assert_clouds_agree(rep)
 
 
-def test_push_forward_by_wrong_mobius_is_detected():
+def test_push_forward_by_wrong_mobius_is_detected(sampled_route):
     f = rmap([-1, 0, 1])  # z^2 - 1; z -> z + 3 does not preserve its measure
     shift = RationalMap.moebius(Q.one, Q.from_rational(3), Q.zero, Q.one)
     rep = sigma_invariance_check(f, shift, count=1500, depth=30, seed=5)
     assert rep.verdict == "DIFFERENT"
     assert rep.as_dict()["route"] == "energy distance"
+
+
+def test_push_forward_by_wrong_mobius_gets_an_exact_different(monkeypatch):
+    # sigma o f o sigma^-1 = z^2 - 6z + 11, whose measure has mean 3
+    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+    f = rmap([-1, 0, 1])
+    shift = RationalMap.moebius(Q.one, Q.from_rational(3), Q.zero, Q.one)
+    rep = sigma_invariance_check(f, shift, count=1500, depth=30, seed=5)
+    assert rep.as_dict() == {"verdict": "DIFFERENT", "route": "moments",
+                             "witness": {"k": 1, "f": "0", "g": "3"}, "map": map_digest(f)}
+
+
+def test_polynomial_pairs_get_an_exact_different_at_every_seed(monkeypatch):
+    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+    z2 = rmap([0, 0, 1])
+    cases = [
+        (z2, rmap([Fraction(1, 100), 0, 1]), "moments", {"k": 2, "f": "0", "g": "-1/100"}),
+        (rmap([0, 10**6, 1]), rmap([1, 10**6, 1]), "moments",
+         {"k": 2, "f": "499999500000", "g": "499999499999"}),
+        (z2, rmap([0, 0, 2]), "capacity", {"leading": ["1", "2"], "degrees": [2, 2]}),
+        (z2, rmap([1, 0, 1]), "moments", {"k": 2, "f": "0", "g": "-1"}),
+        (rmap([-5, Fraction(3, 7), 1]), rmap([-2, Fraction(1, 3), 1]), "moments",
+         {"k": 1, "f": "-3/14", "g": "-1/6"}),
+    ]
+    for seed in range(5):
+        for f, g, route, witness in cases:
+            rep = same_measure_test(f, g, count=20000, depth=40, seed=seed)
+            assert rep.as_dict() == {"verdict": "DIFFERENT", "route": route, "witness": witness,
+                                     "maps": [map_digest(f), map_digest(g)]}
 
 
 def test_map_digest_distinguishes_maps():
@@ -405,7 +435,7 @@ def test_measure_distance_against_two_clouds_holds_less_than_one_pair_did():
     assert peak <= one_pair_peak
 
 
-def test_sampled_report_is_pinned():
+def test_sampled_report_is_pinned(sampled_route):
     # z^2 against z^2 + 1 on the default count, as reported before the
     # baseline and cross distances shared one pass over the draws
     rep = same_measure_test(rmap([0, 0, 1]), rmap([1, 0, 1]), count=4000, depth=40, seed=5)
