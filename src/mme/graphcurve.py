@@ -12,18 +12,21 @@ the pairs whose first point sits at p.
 
 Fibers are tracked in the target chart t' = 1/(t - c), with c chordally far
 from every critical value, so every critical value is finite there and
-t' = infinity is not one; x and y never leave the original chart.  All loops
-are tracked together, level by level: each level solves the fibers at all
-its abscissae in batched root solves and bisects every step that does not
-move each point to a distinct nearest point well inside the new fiber's
-separation.  A loop closes on the base fiber, so its permutation is read off
-its last fiber and checked against the exact local degrees of G.  The loops
-are tracked in base-sheet order, so the fiber at every vertex of a loop puts
-a point (x_i, x_j) on the component of each orbit holding (i, j); those
-points are the component's samples.  Its x-degree is confirmed by a relation
-vanishing on them, and, when that relation rationalizes into the base field,
-the component is certified by exact polynomial division.  The diagonal needs
-no division: P is checked antisymmetric, so x - y divides it.
+t' = infinity is not one; x and y never leave the original chart.  A loop
+is a leg from the basepoint, a circle about the critical value and the leg
+back, so only the legs and then the circles are tracked, each set together,
+level by level: each level solves the fibers at all its abscissae in batched
+root solves and bisects every step that does not move each point to a
+distinct nearest point well inside the new fiber's separation.  A circle
+closes on the fiber where its leg ends, so the loop's permutation is read
+off the circle's last fiber and checked against the exact local degrees of
+G.  Legs and circles are tracked in base-sheet order, so the fiber at every
+vertex of a circle puts a point (x_i, x_j) on the component of each orbit
+holding (i, j); those points are the component's samples.  Its x-degree is
+confirmed by a relation vanishing on them, and, when that relation
+rationalizes into the base field, the component is certified by exact
+polynomial division.  The diagonal needs no division: P is checked
+antisymmetric, so x - y divides it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import numpy as np
 from .numeric import (
     INF,
     ConsistencyError,
-    chordal,
     chordal_matrix,
     is_inf,
     min_pairwise_chordal,
@@ -94,11 +96,16 @@ class GraphCurve:
 
 @dataclass
 class LoopPlan:
-    """Keyhole loops from the basepoint, one per critical value."""
+    """Keyhole loops from the basepoint, one per critical value, each cut
+    into its level-0 tracking steps: the leg from the basepoint to the
+    value's disc, and the circle about the value that closes where the leg
+    ends."""
 
     basepoint: complex  # target chart
     order: list  # critical value indices sorted by argument about the basepoint
-    waypoints: list  # polyline per critical value, starting/ending at basepoint
+    legs: list  # polyline per critical value, basepoint -> entry point
+    circles: list  # polyline per critical value, entry point -> entry point
+    corners: list  # per circle, the indices of its KEYHOLE_STEPS + 1 arc ends
 
 
 @dataclass
@@ -144,8 +151,10 @@ def _branch_data(G):
             raise TrackingError("critical points of one critical value exceed its fiber")
         pre = []
         for p, m in group:
-            for _ in range(m + 1):
-                roots.pop(int(np.argmin([chordal(y, p) for y in roots])))
+            # the m + 1 nearest, first-wins on ties as m + 1 argmin pops would be
+            dist = chordal_matrix(*point_arrays(roots), *point_arrays([p]))[:, 0]
+            near = set(np.argsort(dist, kind="stable")[:m + 1].tolist())
+            roots = [y for i, y in enumerate(roots) if i not in near]
             pre.append((p, m + 1))
         pre += [(y, 1) for y in roots]
         if min_pairwise_chordal(*point_arrays([p for p, _e in pre])) < 1e-4:
@@ -157,8 +166,9 @@ def _branch_data(G):
 def _target_pole(values):
     """The point of the integer grid [-3, 3] x [-3, 3]i chordally farthest
     from the critical values."""
-    grid = [complex(a, b) for a in range(-3, 4) for b in range(-3, 4)]
-    return max(grid, key=lambda c: min(chordal(c, v) for v in values))
+    grid = np.array([complex(a, b) for a in range(-3, 4) for b in range(-3, 4)])
+    dist = chordal_matrix(grid, np.zeros(len(grid), dtype=bool), *point_arrays(values))
+    return complex(grid[dist.min(axis=1).argmax()])
 
 
 def _to_target(pole, t):
@@ -216,18 +226,38 @@ def _fiber_coeffs(matrix, ts):
 # -- loops and tracking ----------------------------------------------------------------
 
 
+def _steps(a, b, step):
+    """The points after ``a`` that cut [a, b] into steps of length ``step``,
+    the last one a shorter step ending at ``b``."""
+    h = min(1.0, step / abs(b - a))
+    return [a + i * h * (b - a) for i in range(1, math.ceil(1.0 / h)) if i * h < 1.0 - 1e-15] + [b]
+
+
 def _keyhole(x0, b, rho):
-    """Polyline basepoint -> disc boundary -> full circle -> back."""
+    """The leg from x0 to the disc of radius rho about b, the circle of
+    KEYHOLE_STEPS arcs that closes exactly at the leg's end, and the
+    circle's vertex index at each arc end.
+
+    Every segment of the loop leg . circle . leg^-1 is cut into steps of a
+    64th of that loop's length: these are the level-0 steps of ``_track``.
+    """
     u = (b - x0) / abs(b - x0)
     entry = b - rho * u
     phi0 = np.angle(entry - b)
-    circle = [b + rho * np.exp(1j * (phi0 + 2 * np.pi * k / KEYHOLE_STEPS))
-              for k in range(KEYHOLE_STEPS + 1)]
-    return [x0, entry] + circle[1:] + [x0]
+    arcs = [entry] + [b + rho * np.exp(1j * (phi0 + 2 * np.pi * k / KEYHOLE_STEPS))
+                      for k in range(1, KEYHOLE_STEPS)] + [entry]
+    loop = [x0] + arcs + [x0]
+    step = sum(abs(q - p) for p, q in zip(loop, loop[1:])) / 64.0
+    circle, corners = [entry], [0]
+    for p, q in zip(arcs, arcs[1:]):
+        circle += _steps(p, q, step)
+        corners.append(len(circle) - 1)
+    return [x0] + _steps(x0, entry, step), circle, corners
 
 
 def _plan_loops(curve):
-    """One keyhole loop per critical value b_i, from the best basepoint of a circle.
+    """One keyhole loop per critical value b_i, from the best basepoint of a
+    circle, as a leg and a circle (see ``_keyhole``).
 
     The candidates are LAYOUT_CANDIDATES equally spaced points x0 on the
     circle of radius 1.8 * spread + sep about the mean of the b_i.  Each
@@ -260,63 +290,56 @@ def _plan_loops(curve):
         raise BasepointError("could not lay out non-overlapping loops; rescale the map")
     x0 = complex(x0s[k])
     order = sorted(range(n), key=lambda i: (np.angle(pts[i] - x0), abs(pts[i] - x0)))
-    waypoints = [_keyhole(x0, b, eps * s) for b, s in zip(pts, seps)]
-    return LoopPlan(basepoint=x0, order=order, waypoints=waypoints)
+    legs, circles, corners = zip(*[_keyhole(x0, b, eps * s) for b, s in zip(pts, seps)])
+    return LoopPlan(basepoint=x0, order=order, legs=list(legs), circles=list(circles),
+                    corners=list(corners))
 
 
-def _track(matrix, d, fiber, paths):
-    """Continue ``fiber`` along every path (a polyline), level by level.
+def _track(matrix, d, starts, paths):
+    """Continue ``starts[k]`` along ``paths[k]`` (a polyline), for every k,
+    level by level.
 
-    Level 0 cuts every segment of a path into steps of a 64th of the path's
-    length, the last one ending at the segment's end vertex.  A closed path
-    takes ``fiber``, in its own sheet order, as the fiber at its closing
-    vertex instead of solving it there.  A step is accepted when each old
-    point's nearest new point is closer than 0.4 sep, sep the new fiber's
-    separation, and no two old points pick the same one; its moves are then
-    that nearest-point map.  This decides as the assignment of least chordal
-    cost would: if that assignment moves every point by less than 0.4 sep,
-    the triangle inequality puts every other new point more than 0.6 sep
-    away, so it is the nearest-point map; and a nearest-point bijection
-    within 0.4 sep costs strictly less than any other assignment, each of
-    whose changed entries costs more than 0.6 sep.  The rule does not depend
-    on sheet order, so it is decided on the fibers as solved.  Every rejected
-    step is bisected, and the next level solves the midpoints.  Each level's
+    Level 0 takes one step per segment, so the caller cuts each path into
+    its steps.  A closed path takes its start fiber, in its own sheet
+    order, as the fiber at its closing vertex instead of solving it there.
+    A step is accepted when each old point's nearest new point is closer
+    than 0.4 sep, sep the new fiber's separation, and no two old points
+    pick the same one; its moves are then that nearest-point map.  This
+    decides as the assignment of least chordal cost would: if that
+    assignment moves every point by less than 0.4 sep, the triangle
+    inequality puts every other new point more than 0.6 sep away, so it is
+    the nearest-point map; and a nearest-point bijection within 0.4 sep
+    costs strictly less than any other assignment, each of whose changed
+    entries costs more than 0.6 sep.  The rule does not depend on sheet
+    order, so it is decided on the fibers as solved.  Every rejected step
+    is bisected, and the next level solves the midpoints.  Each level's
     fibers, across all paths, come from batched root solves of at most
     CHUNK_ROWS rows; a fiber is kept as its (z, inf) row of the batch, and
     each chunk of checked steps stacks the rows at its ends.  The moves are
     composed along each path at the end.
 
-    ``fiber`` and the fibers returned are (z, inf) pairs.  Returns per path
-    the fibers at its vertices, the first one included, in the sheet order
-    of ``fiber``, or the TrackingError or RootFindingError that stopped it.
-    The last fiber of a closed path holds the values of ``fiber`` itself,
-    permuted by the loop.  Each path fails as it would alone; the paths
-    after the first failed one are dropped (None), as callers raise errors
-    in path order.
+    The start fibers and the fibers returned are (z, inf) pairs.  Returns
+    per path the fibers at its vertices, the first one included, in the
+    sheet order of its start fiber, or the TrackingError or
+    RootFindingError that stopped it.  The last fiber of a closed path
+    holds the values of its start fiber, permuted by the loop.  Each path
+    fails as it would alone; the paths after the first failed one are
+    dropped (None), as callers raise errors in path order.
     """
     segments = [list(zip(path, path[1:])) for path in paths]
     start = (-1, 1.0)  # the key of a path's first vertex
-    solved = [{start: fiber} for _ in paths]  # (segment, t) -> the fiber as solved there
+    solved = [{start: fiber} for fiber in starts]  # (segment, t) -> the fiber as solved there
     moves = [{} for _ in paths]  # (segment, t) -> the nearest-point map of the step ending there
     outcomes = [None] * len(paths)
     live = len(paths)  # the first failed path
     nodes, steps = [], []  # (path, key) to solve; (path, start key, end key) to check
     for k, (path, segs) in enumerate(zip(paths, segments)):
-        lengths = [abs(b - a) for a, b in segs]
-        step0 = sum(lengths) / 64.0
-        prev = start
-        for j, seg_len in enumerate(lengths):
-            if not seg_len:
-                continue
-            h0 = min(1.0, step0 / seg_len)
-            ts = [i * h0 for i in range(1, math.ceil(1.0 / h0)) if i * h0 < 1.0 - 1e-15]
-            for t in ts + [1.0]:
-                nodes.append((k, (j, t)))
-                steps.append((k, prev, (j, t)))
-                prev = (j, t)
-        if prev != start and path[-1] == path[0]:
+        keys = [start] + [(j, 1.0) for j in range(len(segs))]
+        nodes += [(k, key) for key in keys[1:]]
+        steps += [(k, s, e) for s, e in zip(keys, keys[1:])]
+        if segs and path[-1] == path[0]:
             nodes.pop()
-            solved[k][prev] = fiber
+            solved[k][keys[-1]] = starts[k]
     while steps:
         nodes = [(k, key) for k, key in nodes if k < live]
         xs = [b if t == 1.0 else a + t * (b - a)
@@ -333,12 +356,12 @@ def _track(matrix, d, fiber, paths):
         nodes, steps = [], []
         for lo in range(0, len(checks), CHUNK_ROWS):
             chunk = checks[lo:lo + CHUNK_ROWS]
-            starts = tuple(map(np.stack, zip(*[solved[k][s] for k, s, _e in chunk])))
-            ends = tuple(map(np.stack, zip(*[solved[k][e] for k, _s, e in chunk])))
-            cost = chordal_matrix(*starts, *ends)
+            olds = tuple(map(np.stack, zip(*[solved[k][s] for k, s, _e in chunk])))
+            news = tuple(map(np.stack, zip(*[solved[k][e] for k, _s, e in chunk])))
+            cost = chordal_matrix(*olds, *news)
             near = cost.argmin(axis=2)  # [step, old point]: its nearest new point
             accepted = (np.sort(near) == np.arange(d)).all(axis=1) & (
-                cost.min(axis=2).max(axis=1) < 0.4 * min_pairwise_chordal(*ends))
+                cost.min(axis=2).max(axis=1) < 0.4 * min_pairwise_chordal(*news))
             for (k, s, e), nearest, ok in zip(chunk, near, accepted):
                 if k >= live:
                     break
@@ -355,15 +378,13 @@ def _track(matrix, d, fiber, paths):
                 nodes.append((k, mid))
                 steps += [(k, s, mid), (k, mid, e)]
     for k in range(live):
-        order, vertices = np.arange(d), {}  # order[i]: where sheet i sits in the fiber as solved
+        order, fibers = np.arange(d), [starts[k]]  # order[i]: where sheet i sits in the fiber as solved
         for key in sorted(moves[k]):
             order = moves[k][key][order]
             if key[1] == 1.0:
                 z, inf = solved[k][key]
-                vertices[key[0]] = z[order], inf[order]
-        outcomes[k] = [fiber]
-        for j in range(len(segments[k])):
-            outcomes[k].append(vertices.get(j, outcomes[k][-1]))
+                fibers.append((z[order], inf[order]))
+        outcomes[k] = fibers
     return outcomes[:live + 1] + [None] * (len(paths) - live - 1)
 
 
@@ -419,28 +440,39 @@ def monodromy(curve):
     """Permutation of the base fiber for a loop around each critical value,
     and samples from the fibers at the loops' vertices.
 
+    The loop around b_i is l_i . c_i . l_i^-1, l_i its leg and c_i its
+    circle, so only the legs (from the base fiber, in one batched call) and
+    then the circles (from the legs' end fibers, in a second) are tracked.
+    Both keep base-sheet order, so the sheet that leaves base point i
+    reaches entry point i, the circle takes it to entry point j, and the
+    leg back takes entry point j to base point j: the loop's permutation is
+    the circle's, read in the entry fiber's labels.  The circle ends on the
+    entry fiber's own values, so j is the one entry point at distance 0.
+
     A component of bidegree (r, r) gets n * r samples from n fibers, and its
     relation needs (r + 1)^2 + 1 of them; n = 4d + 4 gives that for every
-    r < d.  The n fibers are evenly spaced over the vertices strictly inside
-    the loops, and the k-th gives its point on sheet k mod d as abscissa.
+    r < d.  The n fibers are evenly spaced over the circles' arc ends, the
+    entry point first, and the k-th gives its point on sheet k mod d as
+    abscissa.
     """
     d = curve.degree
     plan = _plan_loops(curve)
     base_fiber = fiber_at(curve, plan.basepoint)
-    loops = _track(curve.matrix, d, base_fiber, plan.waypoints)
-    for fibers in loops:
-        if isinstance(fibers, Exception):
-            raise fibers
-    # perm[i] = j: the sheet that started at i ends at base sheet j, the one
-    # base point at distance 0 (the last fiber holds the base fiber's values)
-    perms = [tuple(chordal_matrix(*fibers[-1], *base_fiber).argmin(axis=1).tolist())
-             for fibers in loops]
+    legs = _track(curve.matrix, d, [base_fiber] * len(plan.legs), plan.legs)
+    _raise_first(legs)
+    entries = [fibers[-1] for fibers in legs]
+    circles = _track(curve.matrix, d, entries, plan.circles)
+    _raise_first(circles)
+    # perm[i] = j: the sheet that entered the disc at entry point i ends at
+    # entry point j, the one at distance 0
+    perms = [tuple(chordal_matrix(*fibers[-1], *entry).argmin(axis=1).tolist())
+             for fibers, entry in zip(circles, entries)]
     _check_sphere_relation(d, perms, plan.order)
     cycles = [
-        _cycles_at_preimages(perm, fibers[1], pre)
-        for perm, fibers, pre in zip(perms, loops, curve.preimages)
+        _cycles_at_preimages(perm, entry, pre)
+        for perm, entry, pre in zip(perms, entries, curve.preimages)
     ]
-    vertices = [fiber for fibers in loops for fiber in fibers[1:-1]]
+    vertices = [fibers[j] for fibers, corners in zip(circles, plan.corners) for j in corners]
     n = 4 * d + 4
     z, inf = map(np.stack, zip(*[vertices[k * len(vertices) // n] for k in range(n)]))
     return MonodromyAction(
@@ -449,6 +481,13 @@ def monodromy(curve):
         cycles=cycles,
         samples=((z, inf), [k % d for k in range(n)]),
     )
+
+
+def _raise_first(outcomes):
+    """Raise the first error among ``_track``'s outcomes."""
+    for fibers in outcomes:
+        if isinstance(fibers, Exception):
+            raise fibers
 
 
 # -- components --------------------------------------------------------------------

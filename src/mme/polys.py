@@ -358,8 +358,11 @@ class Poly:
         return _coprime_mod(a, b, p)
 
     def gcd(self, other):
-        """Monic gcd; gcd(p, 0) is monic p."""
+        """Monic gcd; gcd(p, 0) is monic p.  A modular proof of coprimality
+        (:meth:`provably_coprime`) answers 1 without Euclid's remainders."""
         other = self._coerce(other)
+        if self.provably_coprime(other):
+            return Poly.one(self.ctx)
         a, b = self, other
         while not b.is_zero():
             r = a % b

@@ -23,8 +23,8 @@ from itertools import zip_longest
 import numpy as np
 
 from .fields import FieldError
-from .numeric import (INF, ConsistencyError, RootFindingError, certified_roots, chordal, is_inf,
-                      projective_roots)
+from .numeric import (INF, ConsistencyError, RootFindingError, certified_roots, chordal,
+                      chordal_matrix, is_inf, point_arrays, projective_roots)
 from .polys import Poly, integer_height, product_growth
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -55,11 +55,10 @@ class RationalMap:
             raise MapError("denominator is the zero polynomial")
         if num.is_zero():
             raise MapError("numerator is the zero polynomial (constant map)")
-        if not num.provably_coprime(den):
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
+        g = num.gcd(den)
+        if g.degree > 0:
+            num = num.divide_exact(g)
+            den = den.divide_exact(g)
         if max(num.degree, den.degree) < 1:
             raise MapError("constant map is not a rational self-map of degree >= 1")
         self._set_lowest_terms(num, den)
@@ -351,11 +350,9 @@ def _crosscheck_multiplicities(w, points, total):
     if not finite:
         return
     raw = np.roots(w.numeric_coeffs()[::-1])
-    counts = {i: 0 for i in range(len(finite))}
-    for r in raw:
-        best_i = min(range(len(finite)), key=lambda i: chordal(finite[i][0], r))
-        counts[best_i] += 1
-    got = sorted(counts.values())
+    # each raw root counts for its nearest exact point, the first on ties
+    dist = chordal_matrix(*point_arrays([p for p, _m in finite]), *point_arrays(raw))
+    got = sorted(np.bincount(dist.argmin(axis=0), minlength=len(finite)).tolist())
     want = sorted(m for _, m in finite)
     if got != want:
         raise RootFindingError(

@@ -11,6 +11,7 @@ from mme.fields import FieldContext
 from mme.catalog import entry
 from mme.fields import field_configure
 from mme.graphcurve import (
+    KEYHOLE_STEPS,
     TrackingError,
     _cycles_at_preimages,
     _fiber_coeffs,
@@ -30,6 +31,7 @@ from mme.numeric import (
     INF,
     ConsistencyError,
     RootFindingError,
+    chordal,
     chordal_matrix,
     min_pairwise_chordal,
     point_arrays,
@@ -60,6 +62,17 @@ def _points(fiber):
 def _values(fibers):
     """The points of each fiber, for comparison by value."""
     return [_points(f) for f in fibers]
+
+
+def _full_loop(plan, i):
+    """The keyhole loop around critical value i as one closed polyline from
+    the basepoint: its leg, its circle and its leg back, each segment a
+    level-0 step."""
+    return _whole_loop(plan.legs[i], plan.circles[i])
+
+
+def _whole_loop(leg, circle):
+    return leg + circle[1:] + leg[-2::-1]
 
 
 def test_chebyshev_cubic_decomposition():
@@ -275,6 +288,21 @@ def test_riemann_hurwitz_genus_is_integer_and_nonnegative():
             assert isinstance(g, int) and g >= 0
 
 
+def test_target_pole_is_the_first_farthest_grid_point():
+    from mme.graphcurve import _target_pole
+
+    grid = [complex(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    rng = rng_for("target-pole")
+    # symmetric sets tie many grid points; max keeps the first of them
+    cases = [[0j, INF], [1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j], [0.5 + 0j, -0.5 + 0j]]
+    for _ in range(40):
+        values = list(rng.normal(size=5) * 3 + 1j * rng.normal(size=5) * 3)
+        cases.append(values[:4] + ([INF] if rng.random() < 0.5 else []))
+    for values in cases:
+        want = max(grid, key=lambda c: min(chordal(c, v) for v in values))
+        assert _target_pole(values) == want
+
+
 def test_lockstep_tracking_matches_each_path_alone():
     curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]))
     plan = _plan_loops(curve)
@@ -284,15 +312,15 @@ def test_lockstep_tracking_matches_each_path_alone():
     c = np.mean(curve.values)
     R = abs(t0 - c)
     arc = [c + R * np.exp(1j * (np.angle(t0 - c) + 0.4 * k)) for k in range(3)]
-    paths = plan.waypoints[:4] + [arc]
+    paths = [_full_loop(plan, i) for i in range(4)] + plan.legs[4:6] + [arc]
     matrix = curve.matrix
     # each row of a batched coefficient solve is the single-abscissa product
-    ts = [t for wp in plan.waypoints for t in wp]
+    ts = [t for path in plan.legs + plan.circles for t in path]
     for t, row in zip(ts, _fiber_coeffs(matrix, ts)):
         assert row.tobytes() == ((t ** np.arange(len(matrix))) @ matrix).tobytes()
-    together = _track(matrix, curve.degree, base, paths)
+    together = _track(matrix, curve.degree, [base] * len(paths), paths)
     for path, fibers in zip(paths, together):
-        alone = _track(matrix, curve.degree, base, [path])[0]
+        alone = _track(matrix, curve.degree, [base], [path])[0]
         assert len(fibers) == len(path)
         assert _values(fibers) == _values(alone)
 
@@ -303,13 +331,10 @@ def test_lockstep_failure_drops_later_paths(monkeypatch):
     curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]))
     plan = _plan_loops(curve)
     base = fiber_at(curve, plan.basepoint)
-    paths = plan.waypoints[:3]
+    paths = plan.legs[:3]
     matrix = curve.matrix
     # the fiber solve fails at the first abscissa the middle path tries
-    a, b = plan.waypoints[1][:2]
-    lengths = [abs(q - p) for p, q in zip(plan.waypoints[1], plan.waypoints[1][1:])]
-    h0 = min(1.0, sum(lengths) / 64.0 / abs(b - a))
-    bad = _fiber_coeffs(matrix, [a + (0.0 + h0) * (b - a)])[0]
+    bad = _fiber_coeffs(matrix, [plan.legs[1][1]])[0]
     batch = graphcurve.projective_roots_batch
 
     def failing_batch(rows, d):
@@ -319,8 +344,8 @@ def test_lockstep_failure_drops_later_paths(monkeypatch):
         return batch(rows, d)
 
     monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
-    first, failed, dropped = _track(matrix, curve.degree, base, paths)
-    alone = _track(matrix, curve.degree, base, paths[:1])[0]
+    first, failed, dropped = _track(matrix, curve.degree, [base] * 3, paths)
+    alone = _track(matrix, curve.degree, [base], paths[:1])[0]
     assert _values(first) == _values(alone)
     assert isinstance(failed, RootFindingError)
     assert dropped is None
@@ -353,9 +378,9 @@ def _serial_reference(curve, fiber, path):
 
 def _near_keyhole(curve, plan, i):
     """A keyhole loop whose circle about critical value i has a radius of a
-    256th of its distance to the basepoint."""
+    256th of its distance to the basepoint, as one closed polyline."""
     x0, b = plan.basepoint, curve.values[i]
-    return _keyhole(x0, b, abs(b - x0) / 256)
+    return _whole_loop(*_keyhole(x0, b, abs(b - x0) / 256)[:2])
 
 
 def _counting_solves(monkeypatch):
@@ -381,12 +406,12 @@ def test_bisected_loop_matches_a_finer_serial_tracker(monkeypatch):
     base = fiber_at(curve, plan.basepoint)
     path = _near_keyhole(curve, plan, 0)
     calls = _counting_solves(monkeypatch)
-    fibers = _track(curve.matrix, curve.degree, base, [path])[0]
+    fibers = _track(curve.matrix, curve.degree, [base], [path])[0]
     assert len(calls) >= 3  # level 0 and at least two levels of midpoints
     reference, worst = _serial_reference(curve, base, path)
     assert worst < 0.4
     assert _values(fibers) == _values(reference)
-    standard = _track(curve.matrix, curve.degree, base, plan.waypoints[:1])[0]
+    standard = _track(curve.matrix, curve.degree, [base], [_full_loop(plan, 0)])[0]
     # a closed loop ends on the base fiber's values, permuted
     perm = _index_permutation(base, fibers[-1])
     assert perm == _index_permutation(base, standard[-1])
@@ -400,9 +425,14 @@ def test_closed_loop_never_solves_its_closing_vertex(monkeypatch):
     plan = _plan_loops(curve)
     base = fiber_at(curve, plan.basepoint)
     calls = _counting_solves(monkeypatch)
-    loops = _track(curve.matrix, curve.degree, base, plan.waypoints)
-    closing = _fiber_coeffs(curve.matrix, [plan.basepoint])[0].tobytes()
-    assert calls and not any(closing in call for call in calls)
+    # the legs from the base fiber, then the circles from their last fibers
+    legs = _track(curve.matrix, curve.degree, [base] * len(plan.legs), plan.legs)
+    circles = _track(curve.matrix, curve.degree, [f[-1] for f in legs], plan.circles)
+    solved = [row for call in calls for row in call]
+    # the entry point, where each circle closes, is solved once: as its leg's end
+    for entry in (leg[-1] for leg in plan.legs):
+        assert solved.count(_fiber_coeffs(curve.matrix, [entry])[0].tobytes()) == 1
+    assert _fiber_coeffs(curve.matrix, [plan.basepoint])[0].tobytes() not in solved
     # one assignment per critical value, attributing its cycles; none per step
     assign = graphcurve.linear_sum_assignment
     assigned = []
@@ -414,9 +444,10 @@ def test_closed_loop_never_solves_its_closing_vertex(monkeypatch):
     monkeypatch.setattr(graphcurve, "linear_sum_assignment", counting)
     mon = monodromy(curve)
     assert len(assigned) == len(curve.values)
-    # each loop ends on the base fiber's own values, permuted by the loop
-    for fibers, perm in zip(loops, mon.permutations):
-        for last, own in zip(fibers[-1], base):
+    # each circle ends on its entry fiber's own values, permuted by the loop
+    for leg, fibers, perm in zip(legs, circles, mon.permutations):
+        assert fibers[0] is leg[-1]
+        for last, own in zip(fibers[-1], leg[-1]):
             assert last.tobytes() == own[list(perm)].tobytes()
 
 
@@ -446,14 +477,16 @@ def test_permutations_equal_the_base_fiber_lookup(monkeypatch, coeffs):
     track = graphcurve._track
     seen = []
 
-    def recording(matrix, d, fiber, paths):
-        seen.append((fiber, track(matrix, d, fiber, paths)))
+    def recording(matrix, d, starts, paths):
+        seen.append((starts, track(matrix, d, starts, paths)))
         return seen[-1][1]
 
     monkeypatch.setattr(graphcurve, "_track", recording)
     mon = monodromy(build_graph(rmap(*coeffs)))
-    [(base, loops)] = seen
-    assert mon.permutations == [_index_permutation(base, fibers[-1]) for fibers in loops]
+    [(_bases, legs), (entries, circles)] = seen
+    assert all(entry is leg[-1] for entry, leg in zip(entries, legs))
+    assert mon.permutations == [_index_permutation(entry, fibers[-1])
+                                for entry, fibers in zip(entries, circles)]
 
 
 def _assignment_step(old, new):
@@ -514,7 +547,7 @@ def test_nearest_point_steps_decide_as_the_least_cost_assignment(step):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphcurve, "projective_roots_batch",
                    lambda rows, d: (*point_arrays([new] * len(rows)), None))
-        [fibers] = _track(np.zeros((2, d + 1), dtype=complex), d, point_arrays(old),
+        [fibers] = _track(np.zeros((2, d + 1), dtype=complex), d, [point_arrays(old)],
                           [[0j, 1 + 0j]])
     moved, accepted = _assignment_step(old, new)
     if accepted:
@@ -529,15 +562,15 @@ def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
     curve = build_graph(rmap([0, -3, 0, 1]))
     plan = _plan_loops(curve)
     base = fiber_at(curve, plan.basepoint)
-    paths = [_near_keyhole(curve, plan, 1), _near_keyhole(curve, plan, 0), plan.waypoints[2]]
+    paths = [_near_keyhole(curve, plan, 1), _near_keyhole(curve, plan, 0), _full_loop(plan, 2)]
     calls = _counting_solves(monkeypatch)
-    _track(curve.matrix, curve.degree, base, paths[1:2])
+    _track(curve.matrix, curve.degree, [base], paths[1:2])
     # the first midpoint of the middle path, which level 0 does not solve;
     # the first path's midpoints come before it in the same solve
     bad = calls[1][0]
     assert bad not in calls[0]
     calls.clear()
-    _track(curve.matrix, curve.degree, base, paths)
+    _track(curve.matrix, curve.degree, [base] * 3, paths)
     [hit] = [call for call in calls if bad in call]
     assert hit.index(bad) > 0
     batch = graphcurve.projective_roots_batch
@@ -549,8 +582,8 @@ def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
         return batch(rows, d)
 
     monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
-    first, failed, dropped = _track(curve.matrix, curve.degree, base, paths)
-    alone = _track(curve.matrix, curve.degree, base, paths[:1])[0]
+    first, failed, dropped = _track(curve.matrix, curve.degree, [base] * 3, paths)
+    alone = _track(curve.matrix, curve.degree, [base], paths[:1])[0]
     assert _values(first) == _values(alone)
     assert isinstance(failed, RootFindingError)
     assert dropped is None
@@ -563,10 +596,10 @@ def test_path_through_a_critical_value_underflows():
     b, c = curve.values[:2]
     start = b - 0.25
     paths = [[start, b + 0.25], [start, c - 0.001, c + 0.001]]
-    first, dropped = _track(curve.matrix, curve.degree, fiber_at(curve, start), paths)
+    first, dropped = _track(curve.matrix, curve.degree, [fiber_at(curve, start)] * 2, paths)
     assert isinstance(first, TrackingError) and "underflow" in str(first)
     assert dropped is None
-    alone = _track(curve.matrix, curve.degree, fiber_at(curve, start), paths[1:])[0]
+    alone = _track(curve.matrix, curve.degree, [fiber_at(curve, start)], paths[1:])[0]
     assert isinstance(alone, TrackingError) and "underflow" in str(alone)
 
 
@@ -609,8 +642,21 @@ def test_loop_layout_clears_every_other_disc():
         plan = _plan_loops(curve)
         assert plan == _plan_loops(curve)
         x0, b = plan.basepoint, curve.values
-        assert all(wp[0] == wp[-1] == x0 for wp in plan.waypoints)
-        entries = [wp[1] for wp in plan.waypoints]
+        assert all(leg[0] == x0 for leg in plan.legs)
+        # each circle closes exactly where its leg ends
+        entries = [leg[-1] for leg in plan.legs]
+        assert all(c[0] == c[-1] == e for c, e in zip(plan.circles, entries))
+        for i, (leg, circle, corners) in enumerate(zip(plan.legs, plan.circles, plan.corners)):
+            assert len(corners) == KEYHOLE_STEPS + 1
+            assert corners[0] == 0 and corners[-1] == len(circle) - 1
+            # level 0 steps a 64th of the loop leg . circle . leg^-1, the
+            # last step of each leg and arc a shorter one
+            loop = _full_loop(plan, i)
+            step = sum(abs(q - p) for p, q in zip(loop, loop[1:])) / 64
+            assert len(leg) - 1 == math.ceil(abs(entries[i] - x0) / step - 1e-9)
+            for p, q in zip(leg[:-2], leg[1:-1]):
+                assert abs(abs(q - p) - step) < 1e-9 * step
+            assert all(abs(q - p) <= step * (1 + 1e-9) for p, q in zip(loop, loop[1:]))
         rho = [abs(e - v) for e, v in zip(entries, b)]
         for i in range(len(b)):
             for j in range(len(b)):
@@ -678,3 +724,95 @@ def test_report_fields_are_pinned(coeffs, expected):
         for c in report["components"]
     ]
     assert got == expected
+
+
+# -- legs and circles against whole keyhole loops --------------------------------------
+
+
+def _keyhole_permutations(curve, plan):
+    """The permutations as the whole keyhole loops [x0, entry, circle..., entry,
+    x0] give them, each tracked from the base fiber and looked up in it."""
+    base = fiber_at(curve, plan.basepoint)
+    loops = [_full_loop(plan, i) for i in range(len(plan.legs))]
+    perms = []
+    for fibers in _track(curve.matrix, curve.degree, [base] * len(loops), loops):
+        if isinstance(fibers, Exception):
+            raise fibers
+        perms.append(_index_permutation(base, fibers[-1]))
+    return perms
+
+
+def _permutation_maps():
+    W = field_configure([1, 1, 1])
+    rng = rng_for("legs-and-circles")
+    maps = [rmap(*coeffs) for coeffs, _expected in PINNED_REPORTS]
+    return maps + [random_rational_map(d, rng, ctx) for ctx in (Q, W) for d in range(2, 9)
+                   for _ in range(2)]
+
+
+def test_monodromy_equals_tracking_whole_keyhole_loops():
+    compared = 0
+    for f in _permutation_maps():
+        curve = build_graph(f)
+        try:
+            mon = monodromy(curve)
+        except (TrackingError, RootFindingError) as exc:
+            # a leg or circle that fails also fails inside its whole loop
+            with pytest.raises(type(exc)):
+                _keyhole_permutations(curve, _plan_loops(curve))
+            continue
+        except ConsistencyError:
+            continue
+        assert mon.permutations == _keyhole_permutations(curve, _plan_loops(curve)), f
+        compared += 1
+    assert compared >= 25
+
+
+def _recording_abscissae(monkeypatch):
+    """The abscissae of every fiber coefficient row built, one list per call."""
+    from mme import graphcurve
+
+    calls = []
+    coeffs = graphcurve._fiber_coeffs
+
+    def recording(matrix, ts):
+        calls.append(list(ts))
+        return coeffs(matrix, ts)
+
+    monkeypatch.setattr(graphcurve, "_fiber_coeffs", recording)
+    return calls
+
+
+def _on_a_step(x, steps):
+    """Whether x is a + t (b - a), bit for bit, for one of the level-0 steps
+    (a, b) and a dyadic t in (0, 1): a point that bisection solves."""
+    for a, b in steps:
+        t = round(((x - a) / (b - a)).real * 2**40) / 2**40
+        if 0.0 < t < 1.0 and a + t * (b - a) == x:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("coeffs", [c for c, _e in PINNED_REPORTS] + PERMUTATION_MAPS[3:4])
+def test_no_row_is_solved_on_a_return_leg(monkeypatch, coeffs):
+    curve = build_graph(rmap(*coeffs))
+    plan = _plan_loops(curve)
+    calls = _recording_abscissae(monkeypatch)
+    monodromy(curve)
+    [base], *batches = calls
+    assert base == plan.basepoint
+    rows = [t for ts in batches for t in ts]
+    # no row twice; the rows are level 0 (every leg vertex after the
+    # basepoint, every circle vertex strictly inside it) and bisection
+    # points of leg and circle steps
+    assert len(set(rows)) == len(rows)
+    level0 = {t for leg in plan.legs for t in leg[1:]}
+    level0 |= {t for circle in plan.circles for t in circle[1:-1]}
+    assert level0 <= set(rows)
+    steps = [s for path in plan.legs + plan.circles for s in zip(path, path[1:])]
+    assert all(_on_a_step(t, steps) for t in set(rows) - level0)
+    # tracking the whole keyhole loops solves every leg's level-0 rows twice
+    calls.clear()
+    _keyhole_permutations(curve, plan)
+    whole = sum(len(ts) for ts in calls[1:])
+    assert whole - len(rows) >= sum(len(leg) - 1 for leg in plan.legs)

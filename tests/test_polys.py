@@ -65,6 +65,69 @@ def test_gcd_of_shared_factor():
     assert a.gcd(b).monic() == poly_from([1, 1])
 
 
+def euclid_gcd(p, q):
+    """The reference gcd: Euclid's algorithm with monic remainders."""
+    a, b = p, q
+    while not b.is_zero():
+        r = a % b
+        a, b = b, (r.monic() if not r.is_zero() else r)
+    return a.monic()
+
+
+def yun_reference(p):
+    """Yun's square-free decomposition with ``euclid_gcd``: [(g_i, i)]."""
+    p = p.monic()
+    out = []
+    d = p.derivative()
+    a = euclid_gcd(p, d)
+    b, dd = p.divide_exact(a), d.divide_exact(a)
+    dd, i = dd - b.derivative(), 1
+    while b.degree > 0:
+        a = euclid_gcd(b, dd)
+        if a.degree > 0:
+            out.append((a, i))
+        b, dd = b.divide_exact(a), dd.divide_exact(a)
+        dd, i = dd - b.derivative(), i + 1
+    return out
+
+
+@st.composite
+def gcd_cases(draw):
+    """(p, q, planted): two polynomials over Q or Q(w) that share the factor
+    ``planted`` (1 when none is planted)."""
+    ctx = draw(st.sampled_from([Q, field_configure([1, 1, 1])]))
+    coeff = st.lists(st.integers(-9, 9), min_size=ctx.degree, max_size=ctx.degree).map(ctx.element)
+
+    def poly(lo, hi):
+        cs = draw(st.lists(coeff, min_size=lo + 1, max_size=hi + 1))
+        return Poly(ctx, cs[:-1] + [ctx.one if cs[-1].is_zero() else cs[-1]])
+
+    p, q = poly(0, 5), poly(0, 5)
+    planted = poly(1, 3) if draw(st.booleans()) else Poly.one(ctx)
+    return p * planted, q * planted, planted
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(gcd_cases())
+def test_gcd_equals_plain_euclid(case):
+    p, q, planted = case
+    g = p.gcd(q)
+    assert g == euclid_gcd(p, q)
+    assert g.divide_exact(planted.monic()) is not None
+    assert q.gcd(p) == g
+    assert p.gcd(Poly.zero(p.ctx)) == p.monic()
+    assert p.gcd(Poly.one(p.ctx)) == Poly.one(p.ctx)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gcd_cases(), st.integers(1, 3))
+def test_squarefree_decomposition_equals_yun_with_plain_euclid(case, k):
+    p, q, planted = case
+    # repeated factors of multiplicities 1, k and k + 1
+    f = p * q ** k * planted ** (k + 1)
+    assert f.squarefree_decomposition() == yun_reference(f)
+
+
 def test_squarefree_decomposition_recovers_multiplicities():
     p = poly_from([1, 1]) ** 3 * poly_from([-1, 1])
     by_mult = {m: q.monic() for q, m in p.squarefree_decomposition()}
@@ -393,7 +456,7 @@ def test_modular_coprimality_agrees_with_euclid():
             a, b = ([c.as_fraction() for c in schoolbook_product(poly_from(x), poly_from(common)).coeffs]
                     for x in (a, b))
         p, q = poly_from(a), poly_from(b)
-        g = p.gcd(q)
+        g = euclid_gcd(p, q)
         # without the shared factor the Sylvester determinant is below 2^61
         # (Hadamard), so modulo the prime it vanishes only when it is 0
         assert p.provably_coprime(q) == (g.degree == 0)
