@@ -1,8 +1,9 @@
 """Tools for comparing rational self-maps of the Riemann sphere.
 
 Exact arithmetic over small number fields, graph-curve decomposition by
-numerical monodromy, composition-identity certificates, empirical measure
-comparison, and a periodic-point criterion for power maps.
+numerical monodromy, composition-identity certificates, exact comparison of
+maximal-entropy measures, backward-orbit Julia-set rasters, and a
+periodic-point criterion for power maps.
 """
 
 from .fields import FieldContext, FieldElement, FieldError, field_configure
@@ -17,7 +18,6 @@ from .identities import (
 from .measure import (
     backward_orbit_sample,
     julia_raster,
-    measure_distance,
     same_measure_test,
     sigma_invariance_check,
 )
@@ -42,7 +42,6 @@ __all__ = [
     "sigma_f_quadratic",
     "backward_orbit_sample",
     "julia_raster",
-    "measure_distance",
     "same_measure_test",
     "sigma_invariance_check",
     "INF",

@@ -124,7 +124,7 @@ def _cmd_certify(args):
 def _cmd_measure(args):
     f = _load_map(args.f, args)
     g = _load_map(args.g, args)
-    rep = same_measure_test(f, g, count=args.count, depth=args.depth, seed=args.seed)
+    rep = same_measure_test(f, g)
     _emit(args, dumps_report(rep.as_dict()))
     return 0
 
@@ -277,12 +277,12 @@ def build_parser():
     p.add_argument("--seed", type=int, help="ignored: every certificate is exact")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("measure", help="compare empirical maximal-entropy measures")
+    p = sub.add_parser("measure", help="compare maximal-entropy measures exactly")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--count", type=int, default=4000)
-    p.add_argument("--depth", type=int, default=40)
-    common(p)
+    common(p, seed=False)
+    for name in ("--count", "--depth", "--seed"):
+        p.add_argument(name, type=int, help="ignored: measure draws no cloud")
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("render", help="Julia-set raster (binary PPM)")

@@ -7,10 +7,6 @@ is a (z, inf) pair of arrays of one shape: z complex, with 0 at infinity,
 and inf the boolean mask of infinity.  Scalar functions such as ``chordal``
 and ``projective_roots`` take and give points; the array kernels take
 (z, inf) pairs, and ``point_arrays`` is the one converter to them.
-``sphere_lift_many`` lifts a pair to the unit sphere for a computation
-that needs the lifts; points are kept as the pair, never as lifts, so there
-is no inverse: unlifting would give a point back only to a relative error
-of about |z|^2 eps.
 """
 
 from __future__ import annotations
@@ -50,17 +46,6 @@ def chordal(a, b):
     if is_inf(b):
         return 1.0 / np.sqrt(1.0 + abs(a) ** 2)
     return abs(a - b) / np.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
-
-
-def sphere_lift_many(z, inf):
-    """Stereographic lift of every point of (z, inf) to the unit sphere in
-    R^3 (infinity -> north pole), as an (..., 3) array."""
-    x, y = z.real, z.imag
-    r2 = x * x + y * y
-    s = 1.0 / (1.0 + r2)
-    out = np.stack([2.0 * x * s, 2.0 * y * s, (r2 - 1.0) * s], axis=-1)
-    out[inf] = (0.0, 0.0, 1.0)
-    return out
 
 
 # default scaled-residual bound of certified roots, and the relative size

@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from mme.fields import FieldContext
-from mme.measure import SAME_FACTOR
-from mme.numeric import is_inf
+from mme.measure import MeasureCloud, backward_orbit_sample
+from mme.numeric import INF, is_inf, named_rng, point_arrays
 from mme.polys import Poly
 from mme.ratmaps import RationalMap
 
@@ -16,31 +17,89 @@ def Q():
     return FieldContext.rationals()
 
 
-@pytest.fixture
-def sampled_route(monkeypatch):
-    """Turn off the exact routes of ``mme.measure``, so every pair is sampled."""
-    monkeypatch.setattr("mme.measure.same_measure_identity", lambda f, g: None)
-    monkeypatch.setattr("mme.measure.invariant_measure_identity", lambda f, phi: None)
-    monkeypatch.setattr("mme.measure.moment_test", lambda f, g: None)
-
-
-def assert_clouds_agree(rep, *context):
-    """The sampled route's evidence of equal measures: a ratio below
-    SAME_FACTOR, which it reports as INCONCLUSIVE with the reason, never as SAME."""
-    out = rep.as_dict()
-    assert (out["verdict"], out["route"]) == ("INCONCLUSIVE", "energy distance"), (context, out)
-    assert out["ratio"] < SAME_FACTOR, (context, out)
-    assert out["reason"] == "sampled clouds agree; no exact identity within the degree budget"
-
-
 def sphere_lift(z):
-    """Stereographic lift of one point to the unit sphere in R^3 (infinity
-    -> north pole): the reference for numeric.sphere_lift_many."""
+    """Stereographic lift of a point, or of an array of finite points, to
+    the unit sphere in R^3 (infinity -> north pole): shape (3,) or (3, N)."""
     if is_inf(z):
         return np.array([0.0, 0.0, 1.0])
     r2 = z.real * z.real + z.imag * z.imag
     s = 1.0 / (1.0 + r2)
     return np.array([2.0 * z.real * s, 2.0 * z.imag * s, (r2 - 1.0) * s])
+
+
+def sphere_lifts(cloud):
+    """The (N, 3) lifts of a cloud's points."""
+    lifts = sphere_lift(cloud.z).T.copy()
+    lifts[cloud.inf] = sphere_lift(INF)
+    return lifts
+
+
+# The equidistribution oracle: the energy distance of two backward-orbit
+# clouds on the sphere, against a baseline of same-map clouds.  Clouds that
+# agree give a ratio below SAME_FACTOR, clouds of different measures one
+# above DIFFERENT_FACTOR; both factors are calibration constants, and a
+# ratio proves nothing.
+SAME_FACTOR = 3.0
+DIFFERENT_FACTOR = 10.0
+ALL_PAIRS_CAP = 2000
+SUBSAMPLE_PAIRS = 10**6
+
+
+def energy_distance(A, B, seed=0):
+    """2 E|X-Y| - E|X-X'| - E|Y-Y'| of the clouds A and B on the sphere:
+    all pairs up to ALL_PAIRS_CAP points, else estimated on SUBSAMPLE_PAIRS
+    shared index draws, which cancels most of the per-pair sampling noise
+    when A and B are close."""
+    def mean_pair_distance(P, Q):
+        return float(cdist(P, Q).mean())
+
+    pa, pb = sphere_lifts(A), sphere_lifts(B)
+    na, nb = len(pa), len(pb)
+    if max(na, nb) <= ALL_PAIRS_CAP:
+        return 2.0 * mean_pair_distance(pa, pb) - mean_pair_distance(pa, pa) - mean_pair_distance(pb, pb)
+    rng = named_rng(seed, "energy")
+    total = 0.0
+    block = 10**5
+    done = 0
+    while done < SUBSAMPLE_PAIRS:
+        m = min(block, SUBSAMPLE_PAIRS - done)
+        ia = rng.integers(0, na, size=m)
+        ja = rng.integers(0, na, size=m)
+        ib = rng.integers(0, nb, size=m)
+        jb = rng.integers(0, nb, size=m)
+        xa, ya, xb, yb = pa[ia], pa[ja], pb[ib], pb[jb]
+        d_ab = np.sqrt(((xa - yb) ** 2).sum(-1))
+        d_ba = np.sqrt(((ya - xb) ** 2).sum(-1))
+        d_aa = np.sqrt(((xa - ya) ** 2).sum(-1))
+        d_bb = np.sqrt(((xb - yb) ** 2).sum(-1))
+        total += float((d_ab + d_ba - d_aa - d_bb).sum())
+        done += m
+    return total / SUBSAMPLE_PAIRS
+
+
+def sampled_ratio(f, g, count=4000, depth=40, seed=0):
+    """The energy distance from a cloud of f to a cloud of g, over the
+    distance from it to a second cloud of f."""
+    cf1, cf2, cg = (backward_orbit_sample(h, count, depth=depth, seed=seed, stream=stream)
+                    for h, stream in ((f, "f-first"), (f, "f-second"), (g, "g")))
+    baseline = max(abs(energy_distance(cf1, cf2, seed=seed)), 1e-12)
+    return energy_distance(cf1, cg, seed=seed) / baseline
+
+
+def pushed_ratio(f, phi, count=2000, depth=30, seed=0):
+    """The energy distance from a cloud of f pushed forward by phi to an
+    independent cloud of f, over the mean distance of three same-map cloud
+    pairs (a single pair is too noisy to threshold against)."""
+    def cloud(stream):
+        return backward_orbit_sample(f, count, depth=depth, seed=seed, stream=stream)
+
+    src = cloud("push-src")
+    pushed = MeasureCloud(*point_arrays([phi.eval_numeric(INF if at_inf else z)
+                                         for z, at_inf in zip(src.z.tolist(), src.inf.tolist())]))
+    baseline = np.mean([abs(energy_distance(cloud("base-a-%d" % k), cloud("base-b-%d" % k),
+                                            seed=seed))
+                        for k in range(3)])
+    return energy_distance(pushed, cloud("push-ref"), seed=seed) / max(float(baseline), 1e-12)
 
 
 def random_rational_map(degree, rng, ctx=None, coeff_bound=5):

@@ -17,12 +17,12 @@ import mme
 from mme import measure
 from mme.catalog import entry, omega_field
 from mme.cli import main
-from mme.fields import field_configure
+from mme.fields import FieldContext, field_configure
 from mme.identities import sigma_f_quadratic
-from mme.measure import COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET, SAME_FACTOR
+from mme.measure import COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET
 from mme.parser import parse_map
 from mme.serialize import element_from_json, map_from_json, map_to_json
-from conftest import polys_and_products, sympy_irreducible
+from conftest import SAME_FACTOR, polys_and_products, sampled_ratio, sympy_irreducible
 
 
 def run(capsys, *argv):
@@ -52,15 +52,19 @@ def test_analyze_graph_report_keys(capsys):
     assert sorted(report) == ["basepoint", "branch_points", "components", "degree"]
 
 
-def test_measure_report_echoes_only_the_settings_it_uses(capsys, sampled_route):
-    # the exact routes turned off, z^2 and z^2 + 1 are sampled
-    _, out, _ = run(capsys, "measure", "--f", "z^2", "--g", "z^2+1", "--count", "200",
-                    "--depth", "20", "--seed", "3")
+# z^2 and ((3+4i)/5) z^2 over Q(i): equal measures (Haar measure on the unit
+# circle), but no relation up to the degree budget, f∘g != g∘f, and every
+# moment of both is 0
+HAAR_PAIR = ["--field=1,0,1", "--bind", "i=w", "--f", "z^2", "--g", "(3/5+4/5*i)*z^2"]
+
+
+def test_measure_report_echoes_only_the_settings_it_uses(capsys):
+    # an undecided pair draws no cloud, so it echoes no sampling setting
+    _, out, _ = run(capsys, "measure", *HAAR_PAIR, "--count", "200", "--depth", "20",
+                    "--seed", "3")
     report = json.loads(out)
-    assert (report["count"], report["depth"], report["seed"]) == (200, 20, 3)
-    assert report["route"] == "energy distance"
-    assert sorted(report) == ["count", "depth", "distance", "maps", "ratio", "route", "seed",
-                              "self_baseline", "thresholds", "verdict"]
+    assert sorted(report) == ["maps", "reason", "verdict"]
+    assert report["verdict"] == "INCONCLUSIVE"
 
 
 def test_exact_measure_report_echoes_no_sampling_setting(capsys):
@@ -113,16 +117,17 @@ def test_measure_decides_every_catalog_pair_by_its_identity(capsys, name, params
         "SAME", "fⁿ∘gᵐ = f^(n+k)", {"n": 1, "m": 1, "k": 1})
 
 
-def test_measure_without_an_identity_samples(capsys):
-    # equal measures (Haar measure on the unit circle), but no relation up to
-    # the degree budget, and f∘g != g∘f: (3+4i)/5 is no root of unity
-    code, out, _ = run(capsys, "measure", "--field=1,0,1", "--bind", "i=w", "--f", "z^2",
-                       "--g", "(3/5+4/5*i)*z^2", "--count", "300", "--depth", "20",
-                       "--seed", "5")
-    assert code == 0
-    report = json.loads(out)
-    assert report["route"] == "energy distance"
-    assert (report["count"], report["depth"], report["seed"]) == (300, 20, 5)
+def test_measure_without_an_identity_samples(monkeypatch, capsys):
+    # measure used to sample this pair, and its clouds gave a false
+    # DIFFERENT at seed 0; now it draws none, and says INCONCLUSIVE
+    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+    for seed in range(5):
+        code, out, err = run(capsys, "measure", *HAAR_PAIR, "--seed", str(seed))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert sorted(report) == ["maps", "reason", "verdict"]
+        assert (report["verdict"], report["reason"]) == (
+            "INCONCLUSIVE", measure.INCONCLUSIVE_REASON)
 
 
 # a z^2 and 1/(a^3 z^2) share their second iterate a^3 z^4; for a = 10^1200
@@ -304,37 +309,56 @@ def test_measure_same_map(capsys):
 
 
 def test_measure_same_map_over_two_fields_samples(capsys):
-    # the same map over Q and over Q(w) is sampled: no exact route compares
-    # maps over different field contexts
-    g = json.dumps(map_to_json(parse_map("z^2-1", omega_field())))
+    # no exact route compares maps over different field contexts, so the
+    # same map over Q and over Q(w) is INCONCLUSIVE; its sampled clouds agree
+    w = omega_field()
+    g = json.dumps(map_to_json(parse_map("z^2-1", w)))
     code, out, _ = run(capsys, "measure", "--f", "z^2-1", "--g", g,
                        "--count", "800", "--depth", "25")
     assert code == 0
     rep = json.loads(out)
-    assert (rep["verdict"], rep["route"], rep["count"]) == ("INCONCLUSIVE", "energy distance", 800)
-    assert rep["ratio"] < SAME_FACTOR
+    assert sorted(rep) == ["maps", "reason", "verdict"]
+    assert rep["verdict"] == "INCONCLUSIVE"
+    f = parse_map("z^2-1", FieldContext.rationals())
+    assert sampled_ratio(f, parse_map("z^2-1", w), count=800, depth=25) < SAME_FACTOR
 
 
-def test_measure_never_says_same_from_samples(capsys, sampled_route):
+def test_measure_never_says_same_from_samples(capsys):
     # conjugate by a translation to w^2 + c and w^2 + c + 1: the measures
-    # differ (their second moments do), but both Julia sets lie next to
-    # infinity, where the chordal energy distance cannot tell them apart
+    # differ, as their second moments prove, but both Julia sets lie next
+    # to infinity, where the clouds of the two maps agree
     code, out, _ = run(capsys, "measure", "--f", "z^2+1000000z", "--g", "z^2+1000000z+1")
     assert code == 0
     rep = json.loads(out)
-    assert (rep["verdict"], rep["route"]) == ("INCONCLUSIVE", "energy distance")
-    assert rep["ratio"] < SAME_FACTOR
-    assert rep["reason"] == "sampled clouds agree; no exact identity within the degree budget"
+    assert (rep["verdict"], rep["route"]) == ("DIFFERENT", "moments")
+    f, g = (parse_map(text, FieldContext.rationals()) for text in ("z^2+1000000z", "z^2+1000000z+1"))
+    assert sampled_ratio(f, g) < SAME_FACTOR
+
+
+def assert_sampling_options_ignored(monkeypatch, capsys, argv):
+    """The measure run argv, ["measure", "--f", f, "--g", g, ...], exits 0 at
+    once with the report of the run without the options after g, its
+    --count, --depth or --seed: measure draws no cloud."""
+    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+    t0 = time.perf_counter()
+    got = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == run(capsys, *argv[:5])
+    code, out, err = got
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] in ("SAME", "DIFFERENT")
 
 
 @pytest.mark.parametrize("argv", [
-    ["measure", "--f", "z^2", "--g", "z^2+1", "--count", "0"],  # empty clouds
+    ["measure", "--f", "z^2", "--g", "z^2+1", "--count", "0"],  # ignored
     ["render", "--map", "z^2", "--width", "0"],
     ["render", "--map", "z^2", "--height", "0"],
     ["render", "--map", "z^2", "--width=-3"],
     ["render", "--map", "z^2", "--window=-inf,inf,-2,2"],
 ])
-def test_empty_cloud_or_raster_exits_two(capsys, argv):
+def test_empty_cloud_or_raster_exits_two(monkeypatch, capsys, argv):
+    if argv[0] == "measure":
+        return assert_sampling_options_ignored(monkeypatch, capsys, argv)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -417,7 +441,9 @@ def test_map_options_take_a_negative_value_after_a_space(capsys, spaced, joined)
     ["iterate", "--map", "z^2", "--n", "2", "--budget", "1"],
     ["iterate", "--map", "z^2", "--shared-with", "z^2", "--budget", "1"],
 ])
-def test_count_depth_or_budget_out_of_range_exits_two(capsys, argv):
+def test_count_depth_or_budget_out_of_range_exits_two(monkeypatch, capsys, argv):
+    if argv[0] == "measure":  # the options are ignored
+        return assert_sampling_options_ignored(monkeypatch, capsys, argv)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -426,9 +452,8 @@ def test_count_depth_or_budget_out_of_range_exits_two(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # about 3.3e9 orbits in the first round, each a Python start point
+    # measure ignores the options: its exact DIFFERENT and SAME come at once
     ["measure", "--f", "z^2", "--g", "z^2+1", "--count", "99999999999"],
-    # decided by an exact identity, which accepts what sampling accepts
     ["measure", "--f", "z^2", "--g", "z^2", "--count", str(COUNT_BUDGET + 1)],
     ["measure", "--f", "z^2", "--g", "z^2+1", "--depth", str(DEPTH_BUDGET + 1)],
     ["render", "--map", "z^2", "--count", str(COUNT_BUDGET + 1)],
@@ -443,6 +468,8 @@ def test_sampling_or_raster_over_budget_exits_two(monkeypatch, capsys, argv):
     # every draw of the sampler starts from its generator; a raster is
     # allocated only after its points are drawn
     monkeypatch.setattr(measure, "named_rng", unreachable)
+    if argv[0] == "measure":
+        return assert_sampling_options_ignored(monkeypatch, capsys, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
@@ -584,12 +611,10 @@ def test_map_json_documents_keep_the_contract(doc):
     ["render", "--map", "z^2+1000000z", "--width", "8", "--height", "8"],
     ["measure", "--f", "z^2+1000000z", "--g", "z^2+1000000z+1"],
 ])
-def test_julia_set_near_an_exceptional_point_is_sampled(capsysbinary, request, argv):
+def test_julia_set_near_an_exceptional_point_is_sampled(capsysbinary, argv):
     # the Julia set of z^2 + 10^6 z reaches about -10^6, within chordal 1e-6
     # of the exceptional point infinity, and backward orbits never meet it;
-    # measure samples the pair only with its exact routes turned off
-    if argv[0] == "measure":
-        request.getfixturevalue("sampled_route")
+    # measure decides the pair exactly, by its second moments
     assert main(argv) == 0
     out, err = capsysbinary.readouterr()
     assert out.startswith(b"P6\n8 8\n255\n" if argv[0] == "render" else b"{")
@@ -914,7 +939,6 @@ def test_measure_exit_codes_keep_the_contract(f, kind, other, seed):
     if related:
         assert code == 0
         assert report["verdict"] == "SAME"
-        assert report["route"] != "energy distance"
 
 
 SIXTY_ONE_DIGITS = st.integers(10**60, 10**61 - 1)

@@ -10,19 +10,13 @@ from mme.catalog import entry, omega_field
 from mme.fields import FieldContext, field_configure
 from mme.identities import sigma_f_quadratic
 from mme.measure import (
-    ALL_PAIRS_CAP,
     BURN_IN,
-    COUNT_BUDGET,
-    DEPTH_BUDGET,
     EXCEPTIONAL_CUT,
-    SUBSAMPLE_PAIRS,
     MeasureCloud,
     backward_orbit_sample,
     julia_raster,
     lit_fraction,
     map_digest,
-    measure_distance,
-    push_forward,
     same_measure_test,
     sigma_invariance_check,
 )
@@ -30,7 +24,14 @@ from mme.numeric import INF, RootFindingError, chordal, named_rng, point_arrays
 from mme.parser import parse_map
 from mme.polys import Poly
 from mme.ratmaps import MapError, RationalMap
-from conftest import assert_clouds_agree, random_rational_map, rng_for, sphere_lift
+from conftest import (
+    DIFFERENT_FACTOR,
+    SAME_FACTOR,
+    pushed_ratio,
+    random_rational_map,
+    rng_for,
+    sampled_ratio,
+)
 
 Q = FieldContext.rationals()
 
@@ -78,42 +79,10 @@ def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
 
 
 def assert_cloud_holds(cloud, points):
-    """The cloud's (z, inf) pair holds ``points`` and its lifts are theirs,
-    bit for bit."""
+    """The cloud's (z, inf) pair holds ``points``, bit for bit."""
     z, inf = point_arrays(points)
     assert cloud.z.tobytes() == z.tobytes()
     assert cloud.inf.tobytes() == inf.tobytes()
-    assert cloud.points.shape == (len(points), 3)
-    assert cloud.points.tobytes() == np.array([sphere_lift(p) for p in points]).reshape(-1, 3).tobytes()
-
-
-def row_major_distance(A, B, seed=0):
-    """measure_distance with (N, 3) row gathers and a difference cube."""
-    def mean_pair_distance(P, Q):
-        diff = P[:, None, :] - Q[None, :, :]
-        return float(np.sqrt((diff**2).sum(-1)).mean())
-
-    pa, pb = A.points, B.points
-    na, nb = len(pa), len(pb)
-    if max(na, nb) <= ALL_PAIRS_CAP:
-        return 2.0 * mean_pair_distance(pa, pb) - mean_pair_distance(pa, pa) - mean_pair_distance(pb, pb)
-    rng = named_rng(seed, "energy")
-    total = 0.0
-    block = 10**5
-    done = 0
-    while done < SUBSAMPLE_PAIRS:
-        m = min(block, SUBSAMPLE_PAIRS - done)
-        ia = rng.integers(0, na, size=m)
-        ja = rng.integers(0, na, size=m)
-        ib = rng.integers(0, nb, size=m)
-        jb = rng.integers(0, nb, size=m)
-        d_ab = np.sqrt(((pa[ia] - pb[jb]) ** 2).sum(-1))
-        d_ba = np.sqrt(((pa[ja] - pb[ib]) ** 2).sum(-1))
-        d_aa = np.sqrt(((pa[ia] - pa[ja]) ** 2).sum(-1))
-        d_bb = np.sqrt(((pb[ib] - pb[jb]) ** 2).sum(-1))
-        total += float((d_ab + d_ba - d_aa - d_bb).sum())
-        done += m
-    return total / SUBSAMPLE_PAIRS
 
 
 def point_loop_raster(f, width, height, window, count=20000, depth=30, seed=0):
@@ -171,8 +140,8 @@ def test_backward_orbit_sample_deterministic_and_weighted():
     f = rmap([-1, 0, 1])
     a = backward_orbit_sample(f, 500, depth=25, seed=7)
     b = backward_orbit_sample(f, 500, depth=25, seed=7)
-    assert np.array_equal(a.points, b.points)
-    assert len(a.points) == 500
+    assert np.array_equal(a.z, b.z) and np.array_equal(a.inf, b.inf)
+    assert len(a) == 500
 
 
 def test_power_map_cloud_lies_on_unit_circle():
@@ -185,53 +154,47 @@ def test_power_map_cloud_lies_on_unit_circle():
 
 def test_same_map_two_seeds_reports_same():
     f = rmap([-1, 0, 1])
-    rep = same_measure_test(f, f, count=1500, depth=25, seed=3)
+    rep = same_measure_test(f, f)
     assert rep.verdict == "SAME"
 
 
 def test_same_map_over_two_fields_is_sampled_and_same():
     # z^2 - 1 over Q and over Q(w): no exact route compares maps over
-    # different field contexts, so the clouds decide, and they are the clouds
-    # of the test above
+    # different field contexts, so the verdict is INCONCLUSIVE, and the
+    # sampled clouds agree
     w = omega_field()
     f, g = rmap([-1, 0, 1]), RationalMap(Poly(w, [-1, 0, 1]), Poly(w, [1]))
-    rep = same_measure_test(f, g, count=1500, depth=25, seed=3)
-    assert_clouds_agree(rep)
+    assert same_measure_test(f, g).verdict == "INCONCLUSIVE"
+    assert sampled_ratio(f, g, count=1500, depth=25, seed=3) < SAME_FACTOR
 
 
 def test_distinct_julia_sets_report_different():
-    rep = same_measure_test(rmap([0, 0, 1]), rmap([1, 0, 1]), count=1500, depth=25, seed=3)
-    assert rep.verdict == "DIFFERENT"
-
-
-def test_measure_distance_zero_for_identical_cloud():
-    cloud = backward_orbit_sample(rmap([0, 0, 1]), 300, depth=20, seed=0)
-    assert measure_distance(cloud, [cloud])[0] < 1e-12
+    f, g = rmap([0, 0, 1]), rmap([1, 0, 1])
+    assert same_measure_test(f, g).verdict == "DIFFERENT"
+    assert sampled_ratio(f, g, count=1500, depth=25, seed=3) > DIFFERENT_FACTOR
 
 
 def test_push_forward_by_sigma_preserves_measure():
     f = rmap([1, 0, 1], [0, 1])  # z + 1/z, sigma is 1/z
     s = sigma_f_quadratic(f)
-    rep = sigma_invariance_check(f, s, count=1500, depth=30, seed=5)
+    rep = sigma_invariance_check(f, s)
     assert rep.verdict == "SAME"
 
 
 def test_push_forward_by_sigma_over_another_field_is_sampled_and_same():
     # sigma = 1/z over Q(w) against z + 1/z over Q: no exact route compares
-    # them, so the pushed cloud decides
+    # them, so the verdict is INCONCLUSIVE, and the pushed cloud agrees
     w = omega_field()
     f = rmap([1, 0, 1], [0, 1])
-    rep = sigma_invariance_check(f, RationalMap.moebius(w.zero, w.one, w.one, w.zero),
-                                 count=1500, depth=30, seed=5)
-    assert_clouds_agree(rep)
+    sigma = RationalMap.moebius(w.zero, w.one, w.one, w.zero)
+    assert sigma_invariance_check(f, sigma).verdict == "INCONCLUSIVE"
+    assert pushed_ratio(f, sigma, count=1500, depth=30, seed=5) < SAME_FACTOR
 
 
-def test_push_forward_by_wrong_mobius_is_detected(sampled_route):
+def test_push_forward_by_wrong_mobius_is_detected():
     f = rmap([-1, 0, 1])  # z^2 - 1; z -> z + 3 does not preserve its measure
     shift = RationalMap.moebius(Q.one, Q.from_rational(3), Q.zero, Q.one)
-    rep = sigma_invariance_check(f, shift, count=1500, depth=30, seed=5)
-    assert rep.verdict == "DIFFERENT"
-    assert rep.as_dict()["route"] == "energy distance"
+    assert pushed_ratio(f, shift, count=1500, depth=30, seed=5) > DIFFERENT_FACTOR
 
 
 def test_push_forward_by_wrong_mobius_gets_an_exact_different(monkeypatch):
@@ -239,7 +202,7 @@ def test_push_forward_by_wrong_mobius_gets_an_exact_different(monkeypatch):
     monkeypatch.setattr(measure, "backward_orbit_sample", None)
     f = rmap([-1, 0, 1])
     shift = RationalMap.moebius(Q.one, Q.from_rational(3), Q.zero, Q.one)
-    rep = sigma_invariance_check(f, shift, count=1500, depth=30, seed=5)
+    rep = sigma_invariance_check(f, shift)
     assert rep.as_dict() == {"verdict": "DIFFERENT", "route": "moments",
                              "witness": {"k": 1, "f": "0", "g": "3"}, "map": map_digest(f)}
 
@@ -256,11 +219,10 @@ def test_polynomial_pairs_get_an_exact_different_at_every_seed(monkeypatch):
         (rmap([-5, Fraction(3, 7), 1]), rmap([-2, Fraction(1, 3), 1]), "moments",
          {"k": 1, "f": "-3/14", "g": "-1/6"}),
     ]
-    for seed in range(5):
-        for f, g, route, witness in cases:
-            rep = same_measure_test(f, g, count=20000, depth=40, seed=seed)
-            assert rep.as_dict() == {"verdict": "DIFFERENT", "route": route, "witness": witness,
-                                     "maps": [map_digest(f), map_digest(g)]}
+    for f, g, route, witness in cases:
+        rep = same_measure_test(f, g)
+        assert rep.as_dict() == {"verdict": "DIFFERENT", "route": route, "witness": witness,
+                                 "maps": [map_digest(f), map_digest(g)]}
 
 
 def test_map_digest_distinguishes_maps():
@@ -302,7 +264,7 @@ def test_lockstep_sample_with_roots_at_infinity_equals_serial_sample(monkeypatch
         if f.den.degree == 0:
             assert failures and all(kind == "hit" for _i, kind, _k in failures)
         else:
-            assert (got.points[:, 2] == 1.0).any()  # north poles in the cloud
+            assert got.inf.any()  # points at INF in the cloud
 
 
 def test_sampler_holds_no_generator_state_per_orbit():
@@ -366,85 +328,6 @@ def test_lockstep_sample_too_many_failures(monkeypatch, n_failures):
         assert len(assert_sample_equals_serial(f, 29)) == 10
 
 
-def random_cloud(n, rng):
-    """n points whose lifts spread over the whole sphere: random directions
-    in the plane at log-normal moduli, every 400th point at INF."""
-    z = np.exp(rng.normal(0.0, 2.0, size=n) + 2j * np.pi * rng.uniform(size=n))
-    inf = np.zeros(n, dtype=bool)
-    inf[::400] = True  # north poles
-    return MeasureCloud(np.where(inf, 0j, z), inf)
-
-
-def test_measure_distance_equals_row_major_formula():
-    real = [backward_orbit_sample(rmap(num), 20000, depth=25, seed=1, stream=stream)
-            for num, stream in (([-1, 0, 1], "a"), ([1, 0, 1], "b"))]
-    rng = rng_for("energy-kernel")
-    rand = [random_cloud(20000, rng) for _ in range(2)]
-    # all-pairs, all-pairs with unequal sizes, just above the cap, the
-    # default count, the workload size, and subsampled with na != nb
-    sizes = [(ALL_PAIRS_CAP, ALL_PAIRS_CAP), (ALL_PAIRS_CAP, 1500),
-             (ALL_PAIRS_CAP + 1, ALL_PAIRS_CAP + 1), (4000, 4000), (20000, 20000),
-             (2500, 20000)]
-    # each entry of a comparison against two clouds is that pair's
-    # distance; the second cloud is A itself when the sizes are equal
-    for seed, (a, b) in enumerate((real, rand)):
-        for na, nb in sizes:
-            A, B = MeasureCloud(a.z[:na], a.inf[:na]), MeasureCloud(b.z[:nb], b.inf[:nb])
-            C = A if na == nb else MeasureCloud(a.z[:nb], a.inf[:nb])
-            assert measure_distance(A, [B, C], seed=seed) == [
-                row_major_distance(A, B, seed=seed), row_major_distance(A, C, seed=seed)]
-
-
-def test_measure_distance_rejects_an_empty_cloud():
-    f = rmap([-1, 0, 1])
-    empty, cloud = (backward_orbit_sample(f, n, depth=20) for n in (0, 30))
-    for A, B in ((empty, cloud), (cloud, empty), (empty, empty)):
-        with pytest.raises(MapError, match="non-empty"):
-            measure_distance(A, [B])
-    with pytest.raises(MapError, match="non-empty"):
-        same_measure_test(f, f, count=0, depth=20)
-
-
-def test_measure_distance_rejects_clouds_it_cannot_compare():
-    f = rmap([-1, 0, 1])
-    empty, short, cloud = (backward_orbit_sample(f, n, depth=20) for n in (0, 29, 30))
-    with pytest.raises(MapError, match="at least one cloud"):
-        measure_distance(cloud, [])
-    # the clouds compared share their index draws, so they have one length
-    for Bs in ([short, cloud], [cloud, short], [cloud, empty]):
-        with pytest.raises(MapError, match="one length"):
-            measure_distance(cloud, Bs)
-    with pytest.raises(MapError, match="non-empty"):
-        measure_distance(cloud, [empty, empty])
-
-
-def test_measure_distance_against_two_clouds_holds_less_than_one_pair_did():
-    # the peak traced memory of one pair's distance at 4000 points with
-    # four int64 index draws per block, before two clouds shared the draws
-    # (numpy 2.4, CPython 3.11)
-    one_pair_peak = 5376881
-    rng = rng_for("energy-memory")
-    A, B, C = (random_cloud(4000, rng) for _ in range(3))
-    measure_distance(A, [B, C])
-    tracemalloc.start()
-    try:
-        measure_distance(A, [B, C])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= one_pair_peak
-
-
-def test_sampled_report_is_pinned(sampled_route):
-    # z^2 against z^2 + 1 on the default count, as reported before the
-    # baseline and cross distances shared one pass over the draws
-    rep = same_measure_test(rmap([0, 0, 1]), rmap([1, 0, 1]), count=4000, depth=40, seed=5)
-    out = rep.as_dict()
-    assert (out["distance"], out["self_baseline"], out["ratio"]) == (
-        0.11079647160673915, 0.0009643149907473856, 114.89655628070982)
-    assert out["verdict"] == "DIFFERENT"
-
-
 def test_raster_equals_point_loop(monkeypatch):
     windows = [(-2.0, 2.0, -2.0, 2.0), (-0.4, 1.6, -1.1, 0.3), (0.0, 1.0, 0.0, 1.0)]
     for num in ([-1, 0, 1], [1, 0, 1], [0, 0, 1]):
@@ -504,7 +387,7 @@ def test_exact_routes_draw_no_cloud(monkeypatch):
         (rmap([-2, 0, 1]), rmap([0, -3, 0, 1]), "f∘g = g∘f", None),
     ]
     for a, b, route, witness in cases:
-        rep = same_measure_test(a, b, count=20000, depth=40, seed=1)
+        rep = same_measure_test(a, b)
         assert rep.as_dict() == {"verdict": "SAME", "route": route, "witness": witness,
                                  "maps": [map_digest(a), map_digest(b)]}
     minus = RationalMap.moebius(-Q.one, Q.zero, Q.zero, Q.one)  # commutes with z + 1/z
@@ -513,30 +396,35 @@ def test_exact_routes_draw_no_cloud(monkeypatch):
             (f, f, "φ = f", None), (f, sigma, relation, {"n": 1, "m": 1, "k": 1}),
             (rmap([1, 0, 1], [0, 1]), minus, relation, {"n": 0, "m": 1, "k": 1}),
             (h_i, i_z, relation, {"n": 2, "m": 1, "k": 1})):
-        rep = sigma_invariance_check(a, phi, count=20000)
+        rep = sigma_invariance_check(a, phi)
         assert rep.as_dict() == {"verdict": "SAME", "route": route, "witness": witness,
                                  "map": map_digest(a)}
 
 
+def test_undecided_pairs_are_inconclusive_without_sampling(monkeypatch):
+    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+    w = omega_field()
+    h = rmap([1, 0, 1], [0, 1])  # z + 1/z
+    for f, g in ((h, rmap([1, Fraction(1, 100), 1], [0, 1])),
+                 (rmap([-1, 0, 1]), RationalMap(Poly(w, [-1, 0, 1]), Poly(w, [1])))):
+        assert same_measure_test(f, g).as_dict() == {
+            "verdict": "INCONCLUSIVE", "reason": measure.INCONCLUSIVE_REASON,
+            "maps": [map_digest(f), map_digest(g)]}
+    sigma = RationalMap.moebius(w.zero, w.one, w.one, w.zero)
+    assert sigma_invariance_check(h, sigma).as_dict() == {
+        "verdict": "INCONCLUSIVE", "reason": measure.INCONCLUSIVE_REASON, "map": map_digest(h)}
+
+
 def test_input_errors_come_before_every_route(monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("input errors must be raised before any draw")
+        raise AssertionError("input errors must be raised before any route")
 
-    monkeypatch.setattr(measure, "named_rng", unreachable)
-    f = rmap([-1, 0, 1])
-    for kwargs, match in (({"count": 0}, "non-empty"), ({"count": -5}, "non-empty"),
-                          ({"count": COUNT_BUDGET + 1}, "between 0 and"),
-                          ({"depth": BURN_IN}, "burn-in"),
-                          ({"depth": DEPTH_BUDGET + 1}, "at most")):
-        # an exact route (f, f) and the sampled route (f, z^2 + 1)
-        for g in (f, rmap([1, 0, 1])):
-            with pytest.raises(MapError, match=match):
-                same_measure_test(f, g, **kwargs)
-        for phi in (f, RationalMap.moebius(Q.one, Q.one, Q.zero, Q.one)):
-            with pytest.raises(MapError, match=match):
-                sigma_invariance_check(f, phi, **kwargs)
+    for route in ("same_measure_identity", "invariant_measure_identity", "moment_test"):
+        monkeypatch.setattr(measure, route, unreachable)
     moebius = rmap([1, 1])
     with pytest.raises(MapError, match="degree >= 2"):
         same_measure_test(moebius, moebius)
+    with pytest.raises(MapError, match="degree >= 2"):
+        same_measure_test(rmap([-1, 0, 1]), moebius)
     with pytest.raises(MapError, match="degree >= 2"):
         sigma_invariance_check(moebius, moebius)

@@ -14,9 +14,8 @@ from mme.numeric import (
     projective_roots,
     projective_roots_batch,
     rationalize_into_field,
-    sphere_lift_many,
 )
-from conftest import rng_for, sphere_lift
+from conftest import rng_for
 
 
 def complex_normal(rng, *shape):
@@ -113,22 +112,6 @@ def test_unrefined_batched_roots_equal_single_row_roots():
         assert error is None
         assert_rows_equal(z, inf, rows, d, residual_tol=1e-7, refine=False)
         assert inf[0, -1] and inf[1, -1]
-
-
-def test_sphere_lift_many_equals_sphere_lift():
-    rng = rng_for("sphere-lift-many")
-    zs = list(complex_normal(rng, 50) * 10.0 ** rng.integers(-8, 9, 50))
-    zs += [0j, complex(-0.0, 0.0), 1e200 + 1e200j, -1e160j, INF, np.complex128(1 - 2j)]
-    with np.errstate(over="ignore", invalid="ignore"):  # |z|^2 overflows
-        got = sphere_lift_many(*point_arrays(zs))
-        want = np.array([sphere_lift(z) for z in zs])
-        # stacked inputs give the stack of the single results, INF rows included
-        stacked = sphere_lift_many(*point_arrays([zs[:28], zs[28:]]))
-    assert got.shape == (len(zs), 3)
-    assert got.tobytes() == want.tobytes()
-    assert stacked.tobytes() == want.tobytes()
-    assert got[zs.index(INF)].tolist() == [0.0, 0.0, 1.0]
-    assert sphere_lift_many(*point_arrays([])).shape == (0, 3)
 
 
 def _newton_eight_iterations(coeffs_desc, roots):
