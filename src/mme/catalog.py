@@ -20,8 +20,6 @@ from .parser import parse_binding_value as parse_param
 from .polys import Poly
 from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, RationalMap, SizeBudgetError
 
-ENTRY_NAMES = ("chebyshev-flower", "zieve-family", "power-map", "quadratic-sigma")
-
 
 @dataclass
 class CatalogEntry:
@@ -171,6 +169,7 @@ _BUILDERS = {
     "power-map": (_power_map, ("d",)),
     "quadratic-sigma": (_quadratic_sigma, ("num", "den")),
 }
+ENTRY_NAMES = tuple(_BUILDERS)
 
 
 def entry(name, params=None):

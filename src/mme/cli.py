@@ -256,31 +256,29 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--field", help="minimal polynomial, ascending, e.g. '1,1,1'")
         p.add_argument("--bind", action="append", help="symbol binding, e.g. a=1+w")
         p.add_argument("--out", help="write the report to a file")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze-graph", help="decompose the graph curve of a map")
     p.add_argument("--map", required=True)
     p.add_argument("--no-reconstruct", action="store_true")
-    common(p, seed=False)
+    common(p)
     p.add_argument("--seed", type=int, help="ignored: the loop layout is deterministic")
     p.set_defaults(func=_cmd_analyze_graph)
 
     p = sub.add_parser("certify", help="composition-identity certificates")
     for name in ("R", "S", "T", "F", "G"):
         p.add_argument("--" + name)
-    common(p, seed=False)
+    common(p)
     p.add_argument("--seed", type=int, help="ignored: every certificate is exact")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("measure", help="compare maximal-entropy measures exactly")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    common(p, seed=False)
+    common(p)
     for name in ("--count", "--depth", "--seed"):
         p.add_argument(name, type=int, help="ignored: measure draws no cloud")
     p.set_defaults(func=_cmd_measure)
@@ -294,6 +292,7 @@ def build_parser():
     p.add_argument("--depth", type=int, default=40)
     p.add_argument("--stats", action="store_true")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("powermap", help="periodic-point criteria for z^d")
@@ -314,7 +313,7 @@ def build_parser():
     p = sub.add_parser("compose", help="exact composition f(g(z))")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("iterate", help="exact iterate or shared-iterate search")
@@ -322,12 +321,12 @@ def build_parser():
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET)
     p.add_argument("--shared-with", help="search f^n = g^m instead")
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=_cmd_iterate)
 
     p = sub.add_parser("sigma", help="the degree-2 fiber involution sigma_f")
     p.add_argument("--map", required=True)
-    common(p, seed=False)
+    common(p)
     p.set_defaults(func=_cmd_sigma)
 
     return ap

@@ -68,11 +68,13 @@ class BasepointError(RuntimeError):
 
 
 def linear_sum_assignment(cost):
-    """scipy.optimize.linear_sum_assignment(cost), with scipy imported on the
-    first call: the import takes about 0.65 s, which no other command pays."""
-    import scipy.optimize
-
-    return scipy.optimize.linear_sum_assignment(cost)
+    """(rows, cols) sending each row of the square ``cost`` to its cheapest column.  If those
+    are distinct, every row pays its own minimum, so no assignment costs less, and none ties
+    when the minima are strict.  Two rows with one cheapest column raise TrackingError."""
+    cols = cost.argmin(axis=1)
+    if len(set(cols.tolist())) < len(cols):
+        raise TrackingError("two cycles sit nearest the same preimage")
+    return np.arange(len(cols)), cols
 
 
 @dataclass
@@ -411,8 +413,8 @@ def _cycles_at_preimages(perm, entry, preimages):
     ``preimages`` are the (point, local degree) pairs over the value, and
     ``entry`` is the (z, inf) fiber, in base-sheet order, where the loop
     enters the value's disc.  The cycle type must be the exact local
-    degrees; each cycle is attributed to the preimage its sheets sit at,
-    whose local degree must be the cycle's length.
+    degrees; each cycle goes to the preimage nearest its sheets (summed chordal
+    distance), whose local degree must be its length, and no two to the same.
     """
     cycles = _cycles(perm, range(len(perm)))
     observed = sorted(len(c) for c in cycles)

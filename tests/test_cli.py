@@ -988,8 +988,8 @@ def test_numeric_multiplicity_miss_exits_three(capsys):
 
 
 def test_import_loads_neither_scipy_nor_sympy():
-    # importing scipy.optimize and sympy takes about a second; only the
-    # commands that use them pay for it
+    # importing sympy takes about half a second; only powermap pays for it,
+    # and no command imports scipy
     probe = (
         "import json, sys\n"
         "import mme, mme.cli\n"
@@ -1001,6 +1001,23 @@ def test_import_loads_neither_scipy_nor_sympy():
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert json.loads(res.stdout) == {"missing": [], "heavy": []}
+
+
+def test_analyze_graph_loads_no_scipy():
+    # each cycle of a loop goes to its nearest preimage, with no assignment solver
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from mme.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['analyze-graph', '--map', 'z^3-3z'])\n"
+        "print(json.dumps({'code': code,\n"
+        "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
+    )
+    paths = [os.path.dirname(os.path.dirname(mme.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert json.loads(res.stdout) == {"code": 0, "scipy": []}
 
 
 def test_field_configuration_loads_no_sympy():

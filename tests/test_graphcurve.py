@@ -24,6 +24,7 @@ from mme.graphcurve import (
     build_graph,
     fiber_at,
     genus_zero_parametrization_check,
+    linear_sum_assignment,
     monodromy,
     reconstruct_component,
 )
@@ -615,6 +616,44 @@ def test_cycle_type_must_match_exact_local_degrees():
     # the 2-cycle sits at the simple preimage: right cycle type, wrong place
     with pytest.raises(ConsistencyError):
         _cycles_at_preimages((0, 2, 1), point_arrays([0j, 0.9 + 0j, 1.1 + 0j]), preimages)
+    # both cycles sit nearest 0: no attribution, a numerical failure
+    with pytest.raises(TrackingError, match="nearest the same preimage"):
+        _cycles_at_preimages((1, 0, 2), point_arrays([0.1 + 0j, -0.1 + 0j, 0.05 + 0j]),
+                             preimages)
+
+
+@st.composite
+def _row_minima(draw, shared):
+    """A square cost matrix of size 1 to 8, entries k/64, each row with a
+    strict minimum: in distinct columns, or with two rows sharing one."""
+    n = draw(st.integers(2 if shared else 1, 8))
+    cost = np.array(draw(st.lists(st.lists(st.integers(1, 256), min_size=n, max_size=n),
+                                  min_size=n, max_size=n)))
+    cols = draw(st.permutations(range(n)))
+    if shared:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        cols[j] = cols[i]
+    for i, c in enumerate(cols):
+        cost[i, c] = draw(st.integers(0, cost[i].min() - 1))
+    return cost / 64
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_row_minima(shared=False))
+def test_assignment_of_distinct_row_minima_is_scipys(cost):
+    import scipy.optimize
+
+    rows, cols = linear_sum_assignment(cost)
+    expected = scipy.optimize.linear_sum_assignment(cost)
+    assert rows.tolist() == expected[0].tolist()
+    assert cols.tolist() == expected[1].tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_row_minima(shared=True))
+def test_assignment_of_a_shared_row_minimum_raises(cost):
+    with pytest.raises(TrackingError):
+        linear_sum_assignment(cost)
 
 
 def test_degree_eight_map_lays_out_its_loops():
