@@ -16,8 +16,9 @@ t' = infinity is not one; x and y never leave the original chart.  A loop
 is a leg from the basepoint, a circle about the critical value and the leg
 back, so only the legs and then the circles are tracked, each set together,
 level by level: each level solves the fibers at all its abscissae in batched
-root solves and bisects every step that does not move each point to a
-distinct nearest point well inside the new fiber's separation.  A circle
+root solves, each fiber by Aberth iteration from a fiber of its path already
+solved, and bisects every step that does not move each point to a distinct
+nearest point well inside the new fiber's separation.  A circle
 closes on the fiber where its leg ends, so the loop's permutation is read
 off the circle's last fiber and checked against the exact local degrees of
 G.  Legs and circles are tracked in base-sheet order, so the fiber at every
@@ -317,8 +318,13 @@ def _track(matrix, d, starts, paths):
     is bisected, and the next level solves the midpoints.  Each level's
     fibers, across all paths, come from batched root solves of at most
     CHUNK_ROWS rows; a fiber is kept as its (z, inf) row of the batch, and
-    each chunk of checked steps stacks the rows at its ends.  The moves are
-    composed along each path at the end.
+    each chunk of checked steps stacks the rows at its ends.  Every fiber
+    is solved with a seed (see projective_roots_batch): a level-0 vertex
+    with its path's start fiber, a midpoint with the fiber at the start of
+    its step, so a seed, like a step, depends on its own path alone.  A
+    seeded fiber is kept from Aberth iteration only when its discs are
+    disjoint; the rest come from companion matrices, as without a seed.
+    The moves are composed along each path at the end.
 
     The start fibers and the fibers returned are (z, inf) pairs.  Returns
     per path the fibers at its vertices, the first one included, in the
@@ -334,21 +340,24 @@ def _track(matrix, d, starts, paths):
     moves = [{} for _ in paths]  # (segment, t) -> the nearest-point map of the step ending there
     outcomes = [None] * len(paths)
     live = len(paths)  # the first failed path
-    nodes, steps = [], []  # (path, key) to solve; (path, start key, end key) to check
+    nodes, steps = [], []  # (path, key, seed key) to solve; (path, start key, end key) to check
     for k, (path, segs) in enumerate(zip(paths, segments)):
         keys = [start] + [(j, 1.0) for j in range(len(segs))]
-        nodes += [(k, key) for key in keys[1:]]
+        nodes += [(k, key, start) for key in keys[1:]]
         steps += [(k, s, e) for s, e in zip(keys, keys[1:])]
         if segs and path[-1] == path[0]:
             nodes.pop()
             solved[k][keys[-1]] = starts[k]
     while steps:
-        nodes = [(k, key) for k, key in nodes if k < live]
+        nodes = [node for node in nodes if node[0] < live]
         xs = [b if t == 1.0 else a + t * (b - a)
-              for k, (j, t) in nodes for a, b in [segments[k][j]]]
+              for k, (j, t), _s in nodes for a, b in [segments[k][j]]]
         for lo in range(0, len(nodes), CHUNK_ROWS):
-            z, inf, error = projective_roots_batch(_fiber_coeffs(matrix, xs[lo:lo + CHUNK_ROWS]), d)
-            for (k, key), row in zip(nodes[lo:lo + CHUNK_ROWS], zip(z, inf)):
+            chunk = nodes[lo:lo + CHUNK_ROWS]
+            seeds = tuple(map(np.stack, zip(*[solved[k][s] for k, _key, s in chunk])))
+            z, inf, error = projective_roots_batch(_fiber_coeffs(matrix, xs[lo:lo + CHUNK_ROWS]), d,
+                                                   near=seeds)
+            for (k, key, _s), row in zip(chunk, zip(z, inf)):
                 solved[k][key] = row
             if error is not None:
                 live = nodes[lo + len(z)][0]
@@ -377,7 +386,7 @@ def _track(matrix, d, starts, paths):
                     outcomes[k], live = TrackingError("path-tracking step underflow"), k
                     break
                 mid = (j, t0 + half)
-                nodes.append((k, mid))
+                nodes.append((k, mid, s))
                 steps += [(k, s, mid), (k, mid, e)]
     for k in range(live):
         order, fibers = np.arange(d), [starts[k]]  # order[i]: where sheet i sits in the fiber as solved

@@ -198,8 +198,8 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     as a (z, inf) pair, orbit by orbit and in step order within an orbit,
     and that failure as (orbit, preimage choices it made), or None.  Rows
     are built as RationalMap.preimages builds them, and
-    projective_roots_batch equals projective_roots row by row, so every
-    point equals the one a lone orbit reaches bit for bit.
+    projective_roots_batch, given no seed, equals projective_roots row by
+    row, so every point equals the one a lone orbit reaches bit for bit.
     """
     d = f.degree
     depth = choices.shape[1]

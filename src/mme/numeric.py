@@ -54,6 +54,10 @@ RESIDUAL_TOL = 1e-10
 INF_TOL = 1e-13
 # the most monotone Newton steps a batched root solve takes
 NEWTON_ITERS = 8
+# the most Aberth steps a seeded batched root solve takes, and the largest
+# last correction, relative to max(1, |root|), of a root it keeps
+ABERTH_ITERS = 16
+ABERTH_TOL = 4e-16
 # rationalize_into_field: the largest denominator it rounds to, and the
 # relative error its embedding may leave
 MAX_DEN = 10**6
@@ -132,6 +136,54 @@ def _companion_roots(desc):
     return np.linalg.eigvals(companion)
 
 
+def _aberth(desc, roots, residual_tol):
+    """Aberth-Ehrlich iteration on the rows of ``desc`` (L, n + 1), from
+    the seed ``roots`` (L, n): (roots, ok per row).
+
+    Every point of a row moves by z_i -= N_i / (1 - N_i S_i), N_i = p/p'
+    at z_i and S_i = sum_{j != i} 1 / (z_i - z_j), until every correction
+    of the row is below ABERTH_TOL max(1, |z_i|); such a row takes no more
+    steps, and a row that has not got there after ABERTH_ITERS is not ok.
+    A converged row is ok when its scaled residuals are below
+    ``residual_tol`` and its Braess-Hadeler discs |z - z_i| <= n |W_i|,
+    W_i = p(z_i) / (a_n prod_{j != i} (z_i - z_j)), are finite and pairwise
+    disjoint: each disc then holds exactly one root (see
+    fields._factor_search).  The discs are evaluated in floating point,
+    with |p(z_i)| widened by a bound on its rounding error but no other
+    outward rounding, so they are not a proof.
+    """
+    n = desc.shape[1] - 1
+    dcoeffs = desc[:, :-1] * np.arange(n, 0, -1)
+    off = ~np.eye(n, dtype=bool)
+    roots = roots.copy()
+    live = np.arange(len(desc))  # the rows still stepping
+    converged = np.zeros(len(desc), dtype=bool)
+    # equal points or a zero derivative give inf or nan, which never converge
+    with np.errstate(all="ignore"):
+        for _ in range(ABERTH_ITERS):
+            z = roots[live]
+            ratio = _polyval_rows(desc[live], z) / _polyval_rows(dcoeffs[live], z)
+            pull = np.where(off, 1.0 / (z[:, :, None] - z[:, None, :]), 0.0).sum(axis=2)
+            step = ratio / (1.0 - ratio * pull)
+            roots[live] = z - step
+            done = (np.abs(step) < ABERTH_TOL * np.maximum(1.0, np.abs(z))).all(axis=1)
+            converged[live[done]] = True
+            live = live[~done]
+            if not len(live):
+                break
+        vals = _polyval_rows(desc, roots)
+        # |p(z_i)| is widened by Horner's rounding-error bound, so a multiple
+        # root at which p happens to round to 0 still gets overlapping discs
+        slack = 2 * n * np.finfo(float).eps * _polyval_rows(np.abs(desc), np.abs(roots))
+        bound = np.abs(vals) + slack
+        diff = roots[:, :, None] - roots[:, None, :]
+        radius = n * bound / np.abs(desc[:, :1] * np.where(off, diff, 1.0).prod(axis=2))
+        apart = np.abs(diff) > radius[:, :, None] + radius[:, None, :]
+        disjoint = np.isfinite(radius).all(axis=1) & (apart | ~off).all(axis=(1, 2))
+        small = (_residuals(desc, roots, np.abs(vals)) < residual_tol).all(axis=1)
+    return roots, converged & disjoint & small
+
+
 def _polish(coeffs, roots, residual_tol, refine):
     """Row-wise Newton polish and residual check: (roots, ok per row)."""
     absvals = None
@@ -200,18 +252,23 @@ def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=Tr
     return list(finite) + [INF] * (formal_degree - eff)
 
 
-def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refine=True):
+def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refine=True,
+                           near=None):
     """projective_roots of the rows of an (L, formal_degree + 1) stack, up
     to the first row that cannot be certified, as a (z, inf) pair.
 
     Returns (z, inf, error): (z, inf) the (K, formal_degree) roots of the
     K rows before that row, and the RootFindingError that row raised, or
-    None (then K = L).  Rows of full degree with a nonzero constant term
-    share one stack of companion matrices, one eigvals call and (with
-    ``refine``) one row-wise Newton pass.  Every other row (a root at
-    infinity or at zero, a residual that needs mpmath) goes through
-    projective_roots, so row i of (z, inf) equals projective_roots on row i
-    bit for bit, INF included.
+    None (then K = L).  ``near``, if given, is a (z, inf) pair of one seed
+    fiber per row.  A row of full degree with a nonzero constant term
+    whose seed has no INF is solved by ``_aberth`` from its seed, and kept
+    as that solve gives it if ``_aberth`` accepts it.  The other rows of
+    full degree with a nonzero constant term share one stack of companion
+    matrices, one eigvals call and (with ``refine``) one row-wise Newton
+    pass.  Every other row (a root at infinity or at zero, a residual that
+    needs mpmath) goes through projective_roots.  So every row that is not
+    kept from its seed equals projective_roots on that row bit for bit,
+    INF included; without ``near``, every row does.
     """
     c = np.asarray(rows, dtype=complex)
     d = formal_degree
@@ -220,7 +277,13 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
     lead = c[:, d]
     # np.hypot matches the scalar abs() that projective_roots applies here
     fast = (np.hypot(lead.real, lead.imag) > INF_TOL * np.max(np.abs(c), axis=1)) & (c[:, 0] != 0)
-    idx = np.flatnonzero(fast)
+    companion = fast.copy()
+    if near is not None:
+        seeded = np.flatnonzero(fast & ~near[1].any(axis=1))
+        roots, ok = _aberth(c[seeded, ::-1], near[0][seeded], residual_tol)
+        z[seeded[ok]] = roots[ok]
+        companion[seeded[ok]] = False
+    idx = np.flatnonzero(companion)
     if len(idx):
         desc = c[idx, ::-1]
         roots, ok = _polish(desc, _companion_roots(desc), residual_tol, refine)

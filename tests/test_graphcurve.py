@@ -338,11 +338,12 @@ def test_lockstep_failure_drops_later_paths(monkeypatch):
     bad = _fiber_coeffs(matrix, [plan.legs[1][1]])[0]
     batch = graphcurve.projective_roots_batch
 
-    def failing_batch(rows, d):
+    def failing_batch(rows, d, near=None):
         hit = np.flatnonzero((rows == bad).all(axis=1))
         if len(hit):
-            return (*batch(rows[:hit[0]], d)[:2], RootFindingError("forced failure"))
-        return batch(rows, d)
+            before = tuple(a[:hit[0]] for a in near)
+            return (*batch(rows[:hit[0]], d, near=before)[:2], RootFindingError("forced failure"))
+        return batch(rows, d, near=near)
 
     monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
     first, failed, dropped = _track(matrix, curve.degree, [base] * 3, paths)
@@ -391,9 +392,9 @@ def _counting_solves(monkeypatch):
     calls = []
     batch = graphcurve.projective_roots_batch
 
-    def counting(rows, d):
+    def counting(rows, d, near=None):
         calls.append([row.tobytes() for row in rows])
-        return batch(rows, d)
+        return batch(rows, d, near=near)
 
     monkeypatch.setattr(graphcurve, "projective_roots_batch", counting)
     return calls
@@ -411,7 +412,13 @@ def test_bisected_loop_matches_a_finer_serial_tracker(monkeypatch):
     assert len(calls) >= 3  # level 0 and at least two levels of midpoints
     reference, worst = _serial_reference(curve, base, path)
     assert worst < 0.4
-    assert _values(fibers) == _values(reference)
+    assert len(fibers) == len(reference)
+    for fiber, ref in zip(fibers, reference):
+        # the same sheet order; the values agree up to the last bits, as
+        # Aberth steps and eigvals round differently
+        dist = chordal_matrix(*fiber, *ref)
+        assert dist.argmin(axis=1).tolist() == list(range(curve.degree))
+        assert dist.diagonal().max() <= 1e-12
     standard = _track(curve.matrix, curve.degree, [base], [_full_loop(plan, 0)])[0]
     # a closed loop ends on the base fiber's values, permuted
     perm = _index_permutation(base, fibers[-1])
@@ -547,7 +554,7 @@ def test_nearest_point_steps_decide_as_the_least_cost_assignment(step):
     # ``old`` to ``new`` and is bisected to underflow unless accepted
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphcurve, "projective_roots_batch",
-                   lambda rows, d: (*point_arrays([new] * len(rows)), None))
+                   lambda rows, d, near=None: (*point_arrays([new] * len(rows)), None))
         [fibers] = _track(np.zeros((2, d + 1), dtype=complex), d, [point_arrays(old)],
                           [[0j, 1 + 0j]])
     moved, accepted = _assignment_step(old, new)
@@ -576,11 +583,12 @@ def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
     assert hit.index(bad) > 0
     batch = graphcurve.projective_roots_batch
 
-    def failing_batch(rows, d):
+    def failing_batch(rows, d, near=None):
         hit = [i for i, row in enumerate(rows) if row.tobytes() == bad]
         if hit:
-            return (*batch(rows[:hit[0]], d)[:2], RootFindingError("forced failure"))
-        return batch(rows, d)
+            before = tuple(a[:hit[0]] for a in near)
+            return (*batch(rows[:hit[0]], d, near=before)[:2], RootFindingError("forced failure"))
+        return batch(rows, d, near=near)
 
     monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
     first, failed, dropped = _track(curve.matrix, curve.degree, [base] * 3, paths)
@@ -805,6 +813,45 @@ def test_monodromy_equals_tracking_whole_keyhole_loops():
         assert mon.permutations == _keyhole_permutations(curve, _plan_loops(curve)), f
         compared += 1
     assert compared >= 25
+
+
+def test_tracked_fibers_rarely_need_eigvals(monkeypatch):
+    # a fiber solved from a seed fiber skips the companion matrices; a
+    # silent fallback to eigvals on every row would fail this
+    from mme import numeric
+
+    for coeffs, _expected in PINNED_REPORTS:
+        curve = build_graph(rmap(*coeffs))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_solves(mp)
+            companion = numeric._companion_roots
+            eigvals = []
+            mp.setattr(numeric, "_companion_roots",
+                       lambda desc: eigvals.append(len(desc)) or companion(desc))
+            monodromy(curve)
+        tracked = sum(map(len, calls))
+        assert tracked > 100
+        assert sum(eigvals) <= 0.01 * tracked
+
+
+def test_seeds_leave_permutations_and_reports_unchanged(monkeypatch):
+    from mme import graphcurve
+
+    batch = graphcurve.projective_roots_batch
+
+    def outcome(f):
+        try:
+            report, _curve, mon, _certs = analyze(f)
+        except (TrackingError, RootFindingError, ConsistencyError) as exc:
+            return type(exc), str(exc)
+        return mon.permutations, report
+
+    maps = _permutation_maps()
+    seeded = [outcome(f) for f in maps]
+    monkeypatch.setattr(graphcurve, "projective_roots_batch",
+                        lambda rows, d, near=None: batch(rows, d))
+    assert [outcome(f) for f in maps] == seeded
+    assert sum(isinstance(out[1], dict) for out in seeded) >= 25
 
 
 def _recording_abscissae(monkeypatch):

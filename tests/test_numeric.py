@@ -114,6 +114,101 @@ def test_unrefined_batched_roots_equal_single_row_roots():
         assert inf[0, -1] and inf[1, -1]
 
 
+def _counting_companion(monkeypatch):
+    """The rows (descending) of every companion-matrix solve, one list per call."""
+    calls = []
+    companion = numeric._companion_roots
+
+    def counting(desc):
+        calls.append([row.tobytes() for row in desc])
+        return companion(desc)
+
+    monkeypatch.setattr(numeric, "_companion_roots", counting)
+    return calls
+
+
+def test_seeded_rows_converge_to_the_companion_roots(monkeypatch):
+    rng = rng_for("seeded-roots")
+    calls = _counting_companion(monkeypatch)
+    kept = total = 0
+    for d in range(2, 9):
+        rows = complex_normal(rng, 20, d + 1)
+        want, want_inf, _error = projective_roots_batch(rows, d)
+        assert not want_inf.any()
+        seeds = want + 1e-6 * (1 + np.abs(want)) * complex_normal(rng, 20, d)
+        calls.clear()
+        z, inf, error = projective_roots_batch(rows, d, near=(seeds, want_inf))
+        assert error is None and not inf.any()
+        # the same root set: each root's nearest companion root is its own
+        dist = np.abs(z[:, :, None] - want[:, None, :])
+        assert (np.sort(dist.argmin(axis=2), axis=1) == np.arange(d)).all()
+        assert (dist.min(axis=2) <= 1e-12 * np.maximum(1.0, np.abs(z))).all()
+        assert (numeric._residuals(rows[:, ::-1], z) < numeric.RESIDUAL_TOL).all()
+        kept += len(rows) - sum(map(len, calls))
+        total += len(rows)
+    assert kept >= 0.9 * total
+
+
+def test_unconvergeable_seeds_take_the_companion_route(monkeypatch):
+    calls = _counting_companion(monkeypatch)
+    good = np.poly([1, 2j, -3])[::-1]
+    double = np.poly([1, 1, -1])[::-1]  # p rounds to 0 at points of the double root
+    rows = np.array([good, good, good, double], dtype=complex)
+    roots = [1, 2j, -3]
+    seeds = np.array([roots, [1, 1, -3], roots, [1 - 1e-9, 1 + 1e-9j, -1]], dtype=complex)
+    inf = np.zeros((4, 3), dtype=bool)
+    inf[2, 1] = True
+    # row 0 is kept from its seed; rows 1 (two equal points), 2 (INF) and 3
+    # (discs that overlap at the double root) are solved as without a seed
+    z, zinf, error = projective_roots_batch(rows, 3, near=(seeds, inf))
+    assert error is None
+    assert calls == [[row[::-1].tobytes() for row in rows[1:]]]
+    assert_rows_equal(z[1:], zinf[1:], rows[1:], 3)
+    assert np.abs(np.sort_complex(z[0]) - np.sort_complex(roots)).max() < 1e-15
+    # a seed that the step cap stops short of convergence: one Aberth step
+    # from 1e-4 away gets within 1e-12, with disjoint discs, but its last
+    # correction is far above ABERTH_TOL
+    monkeypatch.setattr(numeric, "ABERTH_ITERS", 1)
+    calls.clear()
+    near = np.array([roots], dtype=complex) + 1e-4 * (1 + 1j)
+    z, zinf, error = projective_roots_batch(rows[:1], 3, near=(near, inf[:1]))
+    assert error is None and len(calls) == 1
+    assert_rows_equal(z, zinf, rows[:1], 3)
+
+
+def test_seeded_batches_stop_at_the_first_failing_row(monkeypatch):
+    polyroots = mpmath.polyroots
+
+    def failing_polyroots(coeffs, *args, **kwargs):
+        if complex(coeffs[0]) == 7:
+            raise mpmath.libmp.NoConvergence("forced failure")
+        return polyroots(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", failing_polyroots)
+    rows = np.array([np.poly([1, 2, 3])[::-1], [0, 2, 3, 4], [1, 2, 3, 7], [1, 2, 3, 4]],
+                    dtype=complex)
+    polish = numeric._polish
+    failing = rows[2, ::-1].tobytes()
+
+    def failing_polish(coeffs, roots, residual_tol, refine):
+        roots, ok = polish(coeffs, roots, residual_tol, refine)
+        return roots, ok & np.array([c.tobytes() != failing for c in coeffs])
+
+    monkeypatch.setattr(numeric, "_polish", failing_polish)
+    seeds = np.array([[1, 2, 3], [1, 2, 3], [1, 1, 1], [1, 2, 3]], dtype=complex)
+    inf = np.zeros((4, 3), dtype=bool)
+    # row 2's seed has two equal points, so the row goes to the companion
+    # route, then to mpmath, which fails; the rows before it are returned
+    z, zinf, error = projective_roots_batch(rows, 3, near=(seeds, inf))
+    assert isinstance(error, numeric.RootFindingError)
+    assert z.shape == zinf.shape == (2, 3)
+    assert np.abs(np.sort_complex(z[0]) - [1, 2, 3]).max() < 1e-14
+    assert_rows_equal(z[1:], zinf[1:], rows[1:2], 3)
+    z, zinf, error = projective_roots_batch(rows[2:], 3, near=(seeds[2:], inf[2:]))
+    assert isinstance(error, numeric.RootFindingError)
+    assert z.shape == (0, 3)
+
+
 def _newton_eight_iterations(coeffs_desc, roots):
     """Monotone Newton run for all eight iterations, with no early exit."""
     dcoeffs = np.polyder(coeffs_desc)
