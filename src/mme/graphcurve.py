@@ -15,19 +15,21 @@ from every critical value, so every critical value is finite there and
 t' = infinity is not one; x and y never leave the original chart.  A loop
 is a leg from the basepoint, a circle about the critical value and the leg
 back, so only the legs and then the circles are tracked, each set together,
-level by level: each level solves the fibers at all its abscissae in batched
-root solves, each fiber by Aberth iteration from a fiber of its path already
-solved, and bisects every step that does not move each point to a distinct
-nearest point well inside the new fiber's separation.  A circle
-closes on the fiber where its leg ends, so the loop's permutation is read
-off the circle's last fiber and checked against the exact local degrees of
-G.  Legs and circles are tracked in base-sheet order, so the fiber at every
-vertex of a circle puts a point (x_i, x_j) on the component of each orbit
-holding (i, j); those points are the component's samples.  Its x-degree is
-confirmed by a relation vanishing on them, and, when that relation
-rationalizes into the base field, the component is certified by exact
-polynomial division.  The diagonal needs no division: P is checked
-antisymmetric, so x - y divides it.
+level by level: each level solves the fibers at all its abscissae in one
+batched root solve (cut in batches of at most CHUNK_ENTRIES entries), each
+fiber by Aberth iteration from a fiber of its path already solved, and
+bisects every step that does not move each point to a distinct nearest
+point well inside the new fiber's separation.  The fibers over all critical
+values, where the branch data find the simple preimages, are one batched
+solve too.  A circle closes on the fiber where its leg ends, so the loop's
+permutation is read off the circle's last fiber and checked against the
+exact local degrees of G.  Legs and circles are tracked in base-sheet
+order, so the fiber at every vertex of a circle puts a point (x_i, x_j) on
+the component of each orbit holding (i, j); those points are the
+component's samples.  Its x-degree is confirmed by a relation vanishing on
+them, and, when that relation rationalizes into the base field, the
+component is certified by exact polynomial division.  The diagonal needs no
+division: P is checked antisymmetric, so x - y divides it.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from .serialize import element_to_json, point_to_json
 LAYOUT_CANDIDATES = 256
 # the steps of a keyhole loop's full circle around one critical value
 KEYHOLE_STEPS = 24
-# the most rows of one batched fiber solve
-CHUNK_ROWS = 128
+# the most entries, rows times d^2, of one batch of fiber solves or step checks
+CHUNK_ENTRIES = 2**18
 
 
 class TrackingError(RuntimeError):
@@ -146,23 +148,33 @@ def _branch_data(G):
     nearest each critical point of local degree e are set aside.  A group
     whose local degrees need more preimages than d (distinct critical
     values that evaluate to one point) raises TrackingError.
+
+    The fibers over all critical values are one projective_roots_batch
+    solve of the rows G.preimages would solve one by one, which equals
+    that loop bit for bit; a row that cannot be certified raises its
+    RootFindingError once the values before it have been checked, as the
+    loop would.
     """
+    d = G.degree
+    groups = critical_data(G).value_groups
+    z, inf, error = projective_roots_batch(np.array([G.preimage_row(v) for v, _g in groups]), d)
     out = []
-    for v, group in critical_data(G).value_groups:
-        roots = list(G.preimages(v))
-        if sum(m + 1 for _p, m in group) > len(roots):
+    for (v, group), fz, finf in zip(groups, z, inf):
+        if sum(m + 1 for _p, m in group) > d:
             raise TrackingError("critical points of one critical value exceed its fiber")
-        pre = []
-        for p, m in group:
+        crit = point_arrays([p for p, _m in group])
+        dist = chordal_matrix(fz, finf, *crit)  # [root, critical point]
+        left = np.arange(d)  # the roots not yet set aside
+        for j, (_p, m) in enumerate(group):
             # the m + 1 nearest, first-wins on ties as m + 1 argmin pops would be
-            dist = chordal_matrix(*point_arrays(roots), *point_arrays([p]))[:, 0]
-            near = set(np.argsort(dist, kind="stable")[:m + 1].tolist())
-            roots = [y for i, y in enumerate(roots) if i not in near]
-            pre.append((p, m + 1))
-        pre += [(y, 1) for y in roots]
-        if min_pairwise_chordal(*point_arrays([p for p, _e in pre])) < 1e-4:
+            left = np.delete(left, np.argsort(dist[left, j], kind="stable")[:m + 1])
+        pre = [(p, m + 1) for p, m in group] + [(INF if finf[i] else fz[i], 1) for i in left]
+        if min_pairwise_chordal(np.concatenate([crit[0], fz[left]]),
+                                np.concatenate([crit[1], finf[left]])) < 1e-4:
             raise TrackingError("preimages of a critical value are too close to tell apart")
         out.append((v, pre))
+    if error is not None:
+        raise error
     return out
 
 
@@ -315,16 +327,21 @@ def _track(matrix, d, starts, paths):
     costs strictly less than any other assignment, each of whose changed
     entries costs more than 0.6 sep.  The rule does not depend on sheet
     order, so it is decided on the fibers as solved.  Every rejected step
-    is bisected, and the next level solves the midpoints.  Each level's
-    fibers, across all paths, come from batched root solves of at most
-    CHUNK_ROWS rows; a fiber is kept as its (z, inf) row of the batch, and
-    each chunk of checked steps stacks the rows at its ends.  Every fiber
-    is solved with a seed (see projective_roots_batch): a level-0 vertex
-    with its path's start fiber, a midpoint with the fiber at the start of
-    its step, so a seed, like a step, depends on its own path alone.  A
-    seeded fiber is kept from Aberth iteration only when its discs are
-    disjoint; the rest come from companion matrices, as without a seed.
-    The moves are composed along each path at the end.
+    is bisected, and the next level solves the midpoints.
+
+    The fibers solved so far are the rows of one (z, inf) store: the start
+    fibers, then each batch of solved fibers appended, so a vertex's fiber
+    is a row index into it.  A level gathers the seeds of its fibers from
+    the store, solves them across all paths, then gathers the two ends of
+    its steps and checks them, each in batches of at most
+    CHUNK_ENTRIES // d^2 rows (4096 at d = 8).  Every fiber is solved with
+    a seed (see projective_roots_batch): a level-0 vertex with its path's
+    start fiber, a midpoint with the fiber at the start of its step, so a
+    seed, like a step, depends on its own path alone.  A seeded fiber is
+    kept from Aberth iteration only when its discs are disjoint; the rest
+    come from companion matrices, as without a seed.  The moves are
+    composed along each path at the end, and the vertex fibers, in their
+    paths' sheet order, are gathered from the store at once.
 
     The start fibers and the fibers returned are (z, inf) pairs.  Returns
     per path the fibers at its vertices, the first one included, in the
@@ -336,10 +353,12 @@ def _track(matrix, d, starts, paths):
     """
     segments = [list(zip(path, path[1:])) for path in paths]
     start = (-1, 1.0)  # the key of a path's first vertex
-    solved = [{start: fiber} for fiber in starts]  # (segment, t) -> the fiber as solved there
+    z_all, inf_all = map(np.stack, zip(*starts))  # the store; row k is starts[k]
+    solved = [{start: k} for k in range(len(paths))]  # (segment, t) -> its fiber's store row
     moves = [{} for _ in paths]  # (segment, t) -> the nearest-point map of the step ending there
     outcomes = [None] * len(paths)
     live = len(paths)  # the first failed path
+    per_batch = max(1, CHUNK_ENTRIES // (d * d))  # the most rows of one batch
     nodes, steps = [], []  # (path, key, seed key) to solve; (path, start key, end key) to check
     for k, (path, segs) in enumerate(zip(paths, segments)):
         keys = [start] + [(j, 1.0) for j in range(len(segs))]
@@ -347,33 +366,35 @@ def _track(matrix, d, starts, paths):
         steps += [(k, s, e) for s, e in zip(keys, keys[1:])]
         if segs and path[-1] == path[0]:
             nodes.pop()
-            solved[k][keys[-1]] = starts[k]
+            solved[k][keys[-1]] = k
     while steps:
         nodes = [node for node in nodes if node[0] < live]
         xs = [b if t == 1.0 else a + t * (b - a)
               for k, (j, t), _s in nodes for a, b in [segments[k][j]]]
-        for lo in range(0, len(nodes), CHUNK_ROWS):
-            chunk = nodes[lo:lo + CHUNK_ROWS]
-            seeds = tuple(map(np.stack, zip(*[solved[k][s] for k, _key, s in chunk])))
-            z, inf, error = projective_roots_batch(_fiber_coeffs(matrix, xs[lo:lo + CHUNK_ROWS]), d,
-                                                   near=seeds)
-            for (k, key, _s), row in zip(chunk, zip(z, inf)):
-                solved[k][key] = row
+        seeds = [solved[k][s] for k, _key, s in nodes]
+        for lo in range(0, len(nodes), per_batch):
+            at = seeds[lo:lo + per_batch]
+            coeffs = _fiber_coeffs(matrix, xs[lo:lo + per_batch])
+            z, inf, error = projective_roots_batch(coeffs, d, near=(z_all[at], inf_all[at]))
+            for i, (k, key, _s) in enumerate(nodes[lo:lo + len(z)], len(z_all)):
+                solved[k][key] = i
+            z_all, inf_all = np.concatenate([z_all, z]), np.concatenate([inf_all, inf])
             if error is not None:
                 live = nodes[lo + len(z)][0]
                 outcomes[live] = error
                 break
         checks = [step for step in steps if step[0] < live]
         nodes, steps = [], []
-        for lo in range(0, len(checks), CHUNK_ROWS):
-            chunk = checks[lo:lo + CHUNK_ROWS]
-            olds = tuple(map(np.stack, zip(*[solved[k][s] for k, s, _e in chunk])))
-            news = tuple(map(np.stack, zip(*[solved[k][e] for k, _s, e in chunk])))
-            cost = chordal_matrix(*olds, *news)
+        for lo in range(0, len(checks), per_batch):
+            chunk = checks[lo:lo + per_batch]
+            old = [solved[k][s] for k, s, _e in chunk]
+            new = [solved[k][e] for k, _s, e in chunk]
+            news = z_all[new], inf_all[new]
+            cost = chordal_matrix(z_all[old], inf_all[old], *news)
             near = cost.argmin(axis=2)  # [step, old point]: its nearest new point
             accepted = (np.sort(near) == np.arange(d)).all(axis=1) & (
                 cost.min(axis=2).max(axis=1) < 0.4 * min_pairwise_chordal(*news))
-            for (k, s, e), nearest, ok in zip(chunk, near, accepted):
+            for (k, s, e), nearest, ok in zip(chunk, near.tolist(), accepted.tolist()):
                 if k >= live:
                     break
                 if ok:
@@ -388,14 +409,20 @@ def _track(matrix, d, starts, paths):
                 mid = (j, t0 + half)
                 nodes.append((k, mid, s))
                 steps += [(k, s, mid), (k, mid, e)]
+    vertices, orders, counts = [], [], []  # each vertex's store row and sheet order
     for k in range(live):
-        order, fibers = np.arange(d), [starts[k]]  # order[i]: where sheet i sits in the fiber as solved
+        order = list(range(d))  # order[i]: where sheet i sits in the fiber as solved
         for key in sorted(moves[k]):
-            order = moves[k][key][order]
+            move = moves[k][key]
+            order = [move[i] for i in order]
             if key[1] == 1.0:
-                z, inf = solved[k][key]
-                fibers.append((z[order], inf[order]))
-        outcomes[k] = fibers
+                vertices.append(solved[k][key])
+                orders.append(order)
+        counts.append(len(vertices))
+    at = np.array(vertices, dtype=int)[:, None], np.array(orders, dtype=int).reshape(-1, d)
+    fibers = list(zip(z_all[at], inf_all[at]))
+    for k, (lo, hi) in enumerate(zip([0] + counts, counts)):
+        outcomes[k] = [starts[k]] + fibers[lo:hi]
     return outcomes[:live + 1] + [None] * (len(paths) - live - 1)
 
 

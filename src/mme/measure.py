@@ -197,7 +197,7 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     the points past the burn-in of every orbit before the first failed one
     as a (z, inf) pair, orbit by orbit and in step order within an orbit,
     and that failure as (orbit, preimage choices it made), or None.  Rows
-    are built as RationalMap.preimages builds them, and
+    are built as RationalMap.preimage_row builds them, and
     projective_roots_batch, given no seed, equals projective_roots row by
     row, so every point equals the one a lone orbit reaches bit for bit.
     """
@@ -222,10 +222,8 @@ def _lockstep_orbits(f, exceptional, starts, choices):
         if not len(z):
             break
         if k == 0:
-            # a lone orbit builds its start's row on a Python complex
-            # number, whose division rounds unlike numpy's
-            rows = np.array([nc / s - (w / s) * dc
-                             for w in z.tolist() for s in [max(1.0, abs(w))]])
+            # a lone orbit's start is a Python complex number
+            rows = np.array([f.preimage_row(w) for w in z.tolist()])
         else:
             scale = np.maximum(1.0, np.hypot(z.real, z.imag))[:, None]
             rows = np.where(inf[:, None], dc, nc / scale - (z[:, None] / scale) * dc)

@@ -267,13 +267,19 @@ class RationalMap:
         ``refine=False`` skips Newton polishing (hot loops with simple
         roots); the residual certificate still applies.
         """
+        return projective_roots(self.preimage_row(w), self.degree, residual_tol=residual_tol,
+                                refine=refine)
+
+    def preimage_row(self, w):
+        """The d + 1 ascending coefficients whose projective roots are the
+        preimages of w, a Python complex or INF: num/s - (w/s) den with
+        s = max(1, |w|), where w/s rounds as Python's division does and
+        numpy's would not, or den at w = INF."""
         nc, dc = self.numeric_pair()
         if is_inf(w):
-            coeffs = dc
-        else:
-            scale = max(1.0, abs(w))
-            coeffs = nc / scale - (w / scale) * dc
-        return projective_roots(coeffs, self.degree, residual_tol=residual_tol, refine=refine)
+            return dc
+        scale = max(1.0, abs(w))
+        return nc / scale - (w / scale) * dc
 
 
 def maps_equal(f, g):

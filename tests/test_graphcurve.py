@@ -40,7 +40,7 @@ from mme.numeric import (
     rationalize_into_field,
 )
 from mme.polys import BiPoly, Poly, graph_bipoly
-from mme.ratmaps import RationalMap
+from mme.ratmaps import RationalMap, critical_data
 from conftest import random_rational_map, rng_for
 
 Q = FieldContext.rationals()
@@ -304,16 +304,52 @@ def test_target_pole_is_the_first_farthest_grid_point():
         assert _target_pole(values) == want
 
 
-def test_lockstep_tracking_matches_each_path_alone():
+def _lockstep_case():
+    """A degree-4 curve, its loop plan and base fiber, and paths from the base
+    fiber: four whole keyhole loops, two legs and a polyline along part of
+    the basepoint circle."""
     curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]))
     plan = _plan_loops(curve)
     t0 = plan.basepoint
-    base = fiber_at(curve, t0)
-    # four keyhole loops and a polyline along part of the basepoint circle
     c = np.mean(curve.values)
     R = abs(t0 - c)
     arc = [c + R * np.exp(1j * (np.angle(t0 - c) + 0.4 * k)) for k in range(3)]
     paths = [_full_loop(plan, i) for i in range(4)] + plan.legs[4:6] + [arc]
+    return curve, plan, fiber_at(curve, t0), paths
+
+
+def _batch_failing_at(bad):
+    """A projective_roots_batch stand-in that fails at the first row whose
+    bytes are ``bad``, having solved the rows before it."""
+    from mme import graphcurve
+
+    batch = graphcurve.projective_roots_batch
+
+    def failing_batch(rows, d, near=None):
+        hit = [i for i, row in enumerate(rows) if row.tobytes() == bad]
+        if hit:
+            before = tuple(a[:hit[0]] for a in near)
+            return (*batch(rows[:hit[0]], d, near=before)[:2], RootFindingError("forced failure"))
+        return batch(rows, d, near=near)
+
+    return failing_batch
+
+
+def _outcome_bits(outcomes):
+    """``_track``'s outcomes with each fiber as the bytes of its arrays and
+    each error as its type and message."""
+    out = []
+    for fibers in outcomes:
+        if isinstance(fibers, Exception):
+            fibers = (type(fibers), str(fibers))
+        elif fibers is not None:
+            fibers = [(z.tobytes(), inf.tobytes()) for z, inf in fibers]
+        out.append(fibers)
+    return out
+
+
+def test_lockstep_tracking_matches_each_path_alone():
+    curve, plan, base, paths = _lockstep_case()
     matrix = curve.matrix
     # each row of a batched coefficient solve is the single-abscissa product
     ts = [t for path in plan.legs + plan.circles for t in path]
@@ -326,31 +362,50 @@ def test_lockstep_tracking_matches_each_path_alone():
         assert _values(fibers) == _values(alone)
 
 
-def test_lockstep_failure_drops_later_paths(monkeypatch):
+def _failing_legs(monkeypatch):
+    """Three legs whose fiber solve fails at the first abscissa the middle
+    one tries, with the curve and base fiber: (curve, base, legs)."""
     from mme import graphcurve
 
-    curve = build_graph(rmap([2, 0, -1, 0, 1], [1, 3, 0, 1]))
-    plan = _plan_loops(curve)
-    base = fiber_at(curve, plan.basepoint)
-    paths = plan.legs[:3]
-    matrix = curve.matrix
-    # the fiber solve fails at the first abscissa the middle path tries
-    bad = _fiber_coeffs(matrix, [plan.legs[1][1]])[0]
-    batch = graphcurve.projective_roots_batch
+    curve, plan, base, _paths = _lockstep_case()
+    bad = _fiber_coeffs(curve.matrix, [plan.legs[1][1]])[0].tobytes()
+    monkeypatch.setattr(graphcurve, "projective_roots_batch", _batch_failing_at(bad))
+    return curve, base, plan.legs[:3]
 
-    def failing_batch(rows, d, near=None):
-        hit = np.flatnonzero((rows == bad).all(axis=1))
-        if len(hit):
-            before = tuple(a[:hit[0]] for a in near)
-            return (*batch(rows[:hit[0]], d, near=before)[:2], RootFindingError("forced failure"))
-        return batch(rows, d, near=near)
 
-    monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
-    first, failed, dropped = _track(matrix, curve.degree, [base] * 3, paths)
-    alone = _track(matrix, curve.degree, [base], paths[:1])[0]
+def test_lockstep_failure_drops_later_paths(monkeypatch):
+    curve, base, paths = _failing_legs(monkeypatch)
+    first, failed, dropped = _track(curve.matrix, curve.degree, [base] * 3, paths)
+    alone = _track(curve.matrix, curve.degree, [base], paths[:1])[0]
     assert _values(first) == _values(alone)
     assert isinstance(failed, RootFindingError)
     assert dropped is None
+
+
+def test_small_chunks_track_bit_for_bit_as_whole_levels(monkeypatch):
+    from mme import graphcurve
+
+    curve, _plan, base, paths = _lockstep_case()
+    d = curve.degree
+
+    def tracked(paths):
+        return _outcome_bits(_track(curve.matrix, d, [base] * len(paths), paths))
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_solves(mp)
+        whole = tracked(paths)
+    rows, levels = sum(map(len, calls)), len(calls)
+    with pytest.MonkeyPatch.context() as mp:
+        failed = tracked(_failing_legs(mp)[2])
+    assert failed[1][0] is RootFindingError and failed[2] is None
+    monkeypatch.setattr(graphcurve, "CHUNK_ENTRIES", 3 * d * d)
+    calls = _counting_solves(monkeypatch)
+    assert tracked(paths) == whole
+    # the same rows, in batches of at most three
+    assert sum(map(len, calls)) == rows and max(map(len, calls)) == 3
+    assert len(calls) >= rows / 3 > levels
+    with pytest.MonkeyPatch.context() as mp:
+        assert tracked(_failing_legs(mp)[2]) == failed
 
 
 def _serial_reference(curve, fiber, path):
@@ -852,6 +907,122 @@ def test_seeds_leave_permutations_and_reports_unchanged(monkeypatch):
                         lambda rows, d, near=None: batch(rows, d))
     assert [outcome(f) for f in maps] == seeded
     assert sum(isinstance(out[1], dict) for out in seeded) >= 25
+
+
+def test_default_chunks_solve_each_level_at_once():
+    from mme import graphcurve
+
+    for coeffs, _expected in PINNED_REPORTS:
+        curve = build_graph(rmap(*coeffs))
+        with pytest.MonkeyPatch.context() as mp:
+            default = _counting_solves(mp)
+            monodromy(curve)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphcurve, "CHUNK_ENTRIES", 2**62)
+            unbounded = _counting_solves(mp)
+            monodromy(curve)
+        assert len(default) == len(unbounded)
+
+
+# -- branch data -----------------------------------------------------------------------
+
+
+def _branch_data_by_value(G):
+    """_branch_data as a loop of one G.preimages solve per critical value."""
+    out = []
+    for v, group in critical_data(G).value_groups:
+        roots = list(G.preimages(v))
+        if sum(m + 1 for _p, m in group) > len(roots):
+            raise TrackingError("critical points of one critical value exceed its fiber")
+        pre = []
+        for p, m in group:
+            dist = chordal_matrix(*point_arrays(roots), *point_arrays([p]))[:, 0]
+            near = set(np.argsort(dist, kind="stable")[:m + 1].tolist())
+            roots = [y for i, y in enumerate(roots) if i not in near]
+            pre.append((p, m + 1))
+        pre += [(y, 1) for y in roots]
+        if min_pairwise_chordal(*point_arrays([p for p, _e in pre])) < 1e-4:
+            raise TrackingError("preimages of a critical value are too close to tell apart")
+        out.append((v, pre))
+    return out
+
+
+def _point_bits(p):
+    return "inf" if p is INF else np.complex128(p).tobytes()
+
+
+def _recording_batches(monkeypatch):
+    """A copy of the rows of every projective_roots_batch call of graphcurve."""
+    from mme import graphcurve
+
+    calls = []
+    batch = graphcurve.projective_roots_batch
+
+    def recording(rows, d, near=None):
+        calls.append(np.array(rows))
+        return batch(rows, d, near=near)
+
+    monkeypatch.setattr(graphcurve, "projective_roots_batch", recording)
+    return calls
+
+
+# z^3 + z^2: 0 is a critical point over the critical value 0, so that
+# value's row has a zero constant term; T_4 = 8z^4 - 8z^2 + 1: two critical
+# points, +-1/sqrt(2), over the critical value -1
+@pytest.mark.parametrize("coeffs", [c for c, _e in PINNED_REPORTS]
+                         + [([0, 0, 1, 1], [1]), ([1, 0, -8, 0, 8], [1])])
+def test_branch_data_is_one_batch_equal_to_a_solve_per_value(monkeypatch, coeffs):
+    from mme import graphcurve, numeric
+
+    G = rmap(*coeffs)
+    want = _branch_data_by_value(G)
+    calls = _recording_batches(monkeypatch)
+    scalar = []
+    roots = numeric.projective_roots
+    monkeypatch.setattr(numeric, "projective_roots",
+                        lambda c, d, **kw: scalar.append(c.copy()) or roots(c, d, **kw))
+    got = graphcurve._branch_data(G)
+    assert [(_point_bits(v), [(_point_bits(p), e) for p, e in pre]) for v, pre in got] == [
+        (_point_bits(v), [(_point_bits(p), e) for p, e in pre]) for v, pre in want]
+    [rows] = calls
+    nc, dc = G.numeric_pair()
+    for (v, _pre), row in zip(got, rows):
+        assert row.tobytes() == (dc if v is INF else G.preimage_row(v)).tobytes()
+    # exactly the rows with a root at 0 or at infinity take the scalar route
+    assert [c.tobytes() for c in scalar] == [
+        row.tobytes() for row in rows if row[0] == 0 or abs(row[-1]) <= 1e-13 * abs(row).max()]
+    if coeffs[1] == [1]:  # a polynomial: its critical value infinity has the row den
+        assert any(v is INF for v, _pre in got)
+    if coeffs == ([0, 0, 1, 1], [1]):
+        assert any(row[0] == 0 for row in rows)
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_branch_data_raises_a_failed_row_as_the_loop_does(monkeypatch, k):
+    from mme import graphcurve, ratmaps
+
+    G = rmap([1, -2, 0, 3], [2, 1, 1, 1])  # four critical values
+    error = RootFindingError("forced failure")
+    solves = []
+    roots = ratmaps.projective_roots
+
+    def failing(coeffs, d, **kw):
+        solves.append(coeffs)
+        if len(solves) == k + 1:
+            raise error
+        return roots(coeffs, d, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratmaps, "projective_roots", failing)
+        with pytest.raises(RootFindingError) as loop:
+            _branch_data_by_value(G)
+    assert loop.value is error and len(solves) == k + 1
+    batch = graphcurve.projective_roots_batch
+    monkeypatch.setattr(graphcurve, "projective_roots_batch",
+                        lambda rows, d: (*batch(rows[:k], d)[:2], error))
+    with pytest.raises(RootFindingError) as batched:
+        graphcurve._branch_data(G)
+    assert batched.value is error
 
 
 def _recording_abscissae(monkeypatch):

@@ -1,5 +1,7 @@
 """The scripts under scripts/ run end to end on small inputs."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,21 +11,35 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    """First stdout line of ``scripts/<name> args``; the script must exit 0 within 10 s."""
+    """The stdout lines of ``scripts/<name> args``; the script must exit 0 within 10 s."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=str(ROOT),
                          env=env, capture_output=True, text=True, timeout=10)
     assert res.returncode == 0, res.stderr
-    return res.stdout.splitlines()[0]
+    return res.stdout.splitlines()
 
 
 def test_bidegree_survey():
-    assert run_script("bidegree_survey.py", "--degrees", "3", "--per-degree", "1").startswith(
+    assert run_script("bidegree_survey.py", "--degrees", "3", "--per-degree", "1")[0].startswith(
         "degree 3  (")
 
 
 def test_render_flower(tmp_path):
     out = tmp_path / "flower.ppm"
-    line = run_script("render_flower.py", "--size", "20", "--count", "500", "--out", str(out))
+    line = run_script("render_flower.py", "--size", "20", "--count", "500", "--out", str(out))[0]
     assert line.startswith("wrote %s (20x20), lit fraction " % out)
     assert out.read_bytes().startswith(b"P6\n20 20\n255\n")
+
+
+def test_graph_digest():
+    digest, *lines = run_script("graph_digest.py", "--limit", "6")
+    # the first line is the sha256 of the rest: one line per map, in corpus order
+    assert digest == hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert len(lines) == 6
+    for line in lines:
+        code, out, err, spec = line.split(" ", 3)
+        assert code in ("0", "1", "2", "3") and len(out) == len(err) == 64
+        assert json.loads(spec)["num"]
+    assert lines[1].split(" ", 3)[3] == '{"num": [0, -3, 0, 1], "den": [1]}'
+    # T_3 = z^3 - 3z reports, and writes nothing to stderr
+    assert lines[1].split(" ")[:3:2] == ["0", hashlib.sha256(b"").hexdigest()]
