@@ -38,6 +38,9 @@ FIXED = [
     # a polynomial with a 10-digit denominator
     {"num": [-818, -2232631, -337394035, -8884413, -197, -2264], "den": [-6251987248]},
 ]
+SEED = 36
+PER_DEGREE = 40  # random maps over Q of each degree 2-8
+PER_DEGREE_W = 10  # random maps over Q(w) of each degree 2-8
 
 
 def random_map(ctx, degree, rng, coords):
@@ -58,13 +61,13 @@ def random_map(ctx, degree, rng, coords):
             return f
 
 
-def corpus(seed, per_degree, per_degree_w):
+def corpus():
     """The map JSON texts of the corpus, in order."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     Q, W = FieldContext.rationals(), field_configure([1, 1, 1])
     maps = [json.dumps(obj) for obj in FIXED]
-    for ctx, count, coords in ((Q, per_degree, lambda: [int(rng.integers(-5, 6))]),
-                               (W, per_degree_w, lambda: rng.integers(-3, 4, size=2).tolist())):
+    for ctx, count, coords in ((Q, PER_DEGREE, lambda: [int(rng.integers(-5, 6))]),
+                               (W, PER_DEGREE_W, lambda: rng.integers(-3, 4, size=2).tolist())):
         for d in range(2, 9):
             maps += [json.dumps(map_to_json(random_map(ctx, d, rng, coords)))
                      for _ in range(count)]
@@ -86,13 +89,10 @@ def run(spec):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=36)
-    ap.add_argument("--per-degree", type=int, default=40, help="maps over Q per degree")
-    ap.add_argument("--per-degree-w", type=int, default=10, help="maps over Q(w) per degree")
     ap.add_argument("--limit", type=int, help="run only the first LIMIT maps")
     args = ap.parse_args()
 
-    maps = corpus(args.seed, args.per_degree, args.per_degree_w)[:args.limit]
+    maps = corpus()[:args.limit]
     lines = ["%d %s %s %s" % (*run(spec), spec) for spec in maps]
     print(sha256("\n".join(lines)))
     print("\n".join(lines))

@@ -330,8 +330,9 @@ def _track(matrix, d, starts, paths):
     is bisected, and the next level solves the midpoints.
 
     The fibers solved so far are the rows of one (z, inf) store: the start
-    fibers, then each batch of solved fibers appended, so a vertex's fiber
-    is a row index into it.  A level gathers the seeds of its fibers from
+    fibers, then each level's solved fibers appended once the level is
+    solved (its seeds are all fibers of earlier levels), so a vertex's
+    fiber is a row index into it.  A level gathers the seeds of its fibers from
     the store, solves them across all paths, then gathers the two ends of
     its steps and checks them, each in batches of at most
     CHUNK_ENTRIES // d^2 rows (4096 at d = 8).  Every fiber is solved with
@@ -371,18 +372,23 @@ def _track(matrix, d, starts, paths):
         nodes = [node for node in nodes if node[0] < live]
         xs = [b if t == 1.0 else a + t * (b - a)
               for k, (j, t), _s in nodes for a, b in [segments[k][j]]]
-        seeds = [solved[k][s] for k, _key, s in nodes]
+        seeds = [solved[k][s] for k, _key, s in nodes]  # rows of earlier levels
+        zs, infs = [z_all], [inf_all]  # the store, then this level's batches
+        size = len(z_all)  # the store row of the next fiber solved
         for lo in range(0, len(nodes), per_batch):
             at = seeds[lo:lo + per_batch]
             coeffs = _fiber_coeffs(matrix, xs[lo:lo + per_batch])
             z, inf, error = projective_roots_batch(coeffs, d, near=(z_all[at], inf_all[at]))
-            for i, (k, key, _s) in enumerate(nodes[lo:lo + len(z)], len(z_all)):
+            for i, (k, key, _s) in enumerate(nodes[lo:lo + len(z)], size):
                 solved[k][key] = i
-            z_all, inf_all = np.concatenate([z_all, z]), np.concatenate([inf_all, inf])
+            size += len(z)
+            zs.append(z)
+            infs.append(inf)
             if error is not None:
                 live = nodes[lo + len(z)][0]
                 outcomes[live] = error
                 break
+        z_all, inf_all = np.concatenate(zs), np.concatenate(infs)
         checks = [step for step in steps if step[0] < live]
         nodes, steps = [], []
         for lo in range(0, len(checks), per_batch):

@@ -636,16 +636,7 @@ def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
     _track(curve.matrix, curve.degree, [base] * 3, paths)
     [hit] = [call for call in calls if bad in call]
     assert hit.index(bad) > 0
-    batch = graphcurve.projective_roots_batch
-
-    def failing_batch(rows, d, near=None):
-        hit = [i for i, row in enumerate(rows) if row.tobytes() == bad]
-        if hit:
-            before = tuple(a[:hit[0]] for a in near)
-            return (*batch(rows[:hit[0]], d, near=before)[:2], RootFindingError("forced failure"))
-        return batch(rows, d, near=near)
-
-    monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
+    monkeypatch.setattr(graphcurve, "projective_roots_batch", _batch_failing_at(bad))
     first, failed, dropped = _track(curve.matrix, curve.degree, [base] * 3, paths)
     alone = _track(curve.matrix, curve.degree, [base], paths[:1])[0]
     assert _values(first) == _values(alone)
