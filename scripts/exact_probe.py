@@ -1,0 +1,73 @@
+"""Time the exact-arithmetic CLI runs at the edge of the degree budget.
+
+Each probe is one fixed ``mme`` command line (composition, iteration and a
+catalog entry whose certificate composes a degree-4096 iterate), run in a
+fresh Python process.  One line per probe gives its exit code, wall seconds,
+peak resident memory in MiB, the sha256 of its stdout, and its name.  There
+is no seed: the probes are fixed, so two versions of the package that print
+the same sha256 column printed the same reports.
+
+    python3 scripts/exact_probe.py                    # every probe
+    python3 scripts/exact_probe.py --limit 1          # the first probe
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+FORTY_DIGIT_QUARTIC = (
+    "(3141592653589793238462643383279502884197z^4-2718281828459045235360287471352662497757z^3"
+    "+1414213562373095048801688724209698078569z+1732050807568877293527446341505872366942)"
+    "/(2236067977499789696409173668731276235440z^4+1618033988749894848204586834365638117720z^2"
+    "-2645751311064590590501615753639260425710)")
+FLOWER = "(a^2*(z^3-3z)^2+1)/(a*(z^3-3z))"
+
+PROBES = [
+    ("compose-z2000", ["compose", "--f", "z^2000+1", "--g", "z+1"]),
+    ("compose-z4000", ["compose", "--f", "z^4000+1", "--g", "z+1"]),
+    ("compose-z1000-rational", ["compose", "--f", "z^1000+3z^7-2", "--g", "(z^2+1)/(z-3)"]),
+    ("iterate-z2-1-n12", ["iterate", "--map", "z^2-1", "--n", "12"]),
+    ("iterate-z2+1/3-n12", ["iterate", "--map", "z^2+1/3", "--n", "12"]),
+    ("iterate-40-digit-quartic-n4", ["iterate", "--map", FORTY_DIGIT_QUARTIC, "--n", "4"]),
+    ("catalog-zieve-n63-m1", ["catalog", "run", "zieve-family", "--param", "n=63",
+                              "--param", "m=1"]),
+    ("iterate-flower-2-w-n4", ["iterate", "--field", "1,1,1", "--bind", "a=2-1*w",
+                               "--map", FLOWER, "--n", "4"]),
+]
+
+
+def run(argv):
+    """(exit code, wall seconds, peak RSS in MiB, stdout sha256) of
+    ``mme argv`` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "mme.cli", *argv], cwd=str(ROOT), env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    # reaped here rather than by proc.wait(), for the child's own ru_maxrss
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    # ru_maxrss is in KiB on Linux
+    return proc.returncode, wall, usage.ru_maxrss / 1024, hashlib.sha256(out).hexdigest()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--limit", type=int, help="run only the first LIMIT probes")
+    args = ap.parse_args()
+
+    for name, argv in PROBES[:args.limit]:
+        code, wall, rss, digest = run(argv)
+        print("%d %.3f %.1f %s %s" % (code, wall, rss, digest, name), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -6,18 +6,20 @@ coefficient is ints[i s + k] / den with stride s = 2m - 1, and the s - m
 slots between two coefficients are zero (Q is the case m = 1).  The form is
 canonical: the last coefficient is nonzero and gcd(den, *ints) = 1, so
 equality and hashing compare (ints, den).  Sums, differences, products,
-scaling, ``monic``, the derivative, the degree and the leading coefficient
-run on it.  A product is one integer product by Kronecker substitution whose
-alpha-powers are reduced on integers.  FieldElement coefficients are built
-from the integer form only when something reads ``coeffs`` (serialization,
-``coeff``, the outer map of a composite, division, gcd, BiPoly unpacking),
-and are then cached; a Poly built from FieldElements keeps them.  Division,
-and so the gcd, is ``fields.poly_divmod``, the package's one long division,
-on those coefficients.  Poly has no point evaluation of its own:
-``RationalMap.eval_exact`` composes with a constant, so exact evaluation is
-products of constant Polys on the integer form over every field, and
-numeric evaluation reads the map's one embedded coefficient pair
-(``RationalMap.numeric_pair``).
+scaling, ``monic``, the derivative, the degree, the leading coefficient and
+the reduced coordinates that serialization prints run on it.  A product is
+one integer convolution whose alpha-powers are reduced on integers: by
+Kronecker substitution, or, when one factor is a constant (its m
+coordinates), by m shifted multiples of the other factor's slots, which is
+also how ``scale`` multiplies.  FieldElement coefficients are built from the
+integer form only when something reads ``coeffs`` (``coeff``, the numeric
+embedding, division, gcd, BiPoly unpacking), and are then cached; a Poly built from FieldElements
+keeps them.  Division, and so the gcd, is ``fields.poly_divmod``, the
+package's one long division, on those coefficients.  Poly has no point
+evaluation of its own: ``RationalMap.eval_exact`` composes with a constant,
+so exact evaluation is products of constant Polys on the integer form over
+every field, and numeric evaluation reads the map's one embedded
+coefficient pair (``RationalMap.numeric_pair``).
 
 BiPoly stores a dense coefficient matrix indexed by (x-degree, y-degree); its
 products and divisions are packed univariate ones, x^i y^j read as
@@ -184,6 +186,20 @@ class Poly:
         return FieldElement(self.ctx, tuple(
             [Fraction(x, den) for x in self._ints[start:start + self.ctx.degree]]))
 
+    def reduced_coords(self):
+        """Per coefficient (ascending), its m coordinates as (numerator,
+        denominator) pairs in lowest terms, read off the integer form: the
+        pairs of the Fractions in ``coeffs``, with none of them built."""
+        m, s, den = self.ctx.degree, 2 * self.ctx.degree - 1, self._den
+        out = []
+        for i in range(0, len(self._ints), s):
+            pairs = []
+            for x in self._ints[i:i + m]:
+                g = math.gcd(x, den)
+                pairs.append((x // g, den // g))
+            out.append(pairs)
+        return out
+
     @property
     def degree(self):
         m = self.ctx.degree
@@ -203,6 +219,12 @@ class Poly:
         if 0 <= i <= self.degree:
             return self.coeffs[i]
         return self.ctx.zero
+
+    def coeff_poly(self, i):
+        """The z^i coefficient as a constant Poly, read off the integer form."""
+        m = self.ctx.degree
+        start = i * (2 * m - 1)
+        return Poly._from_ints(self.ctx, self._ints[start:start + m], self._den)
 
     def padded(self, n):
         """Coefficient list of length n+1 (ascending)."""
@@ -256,7 +278,19 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ctx)
         ctx = self.ctx
-        conv = _kronecker_product(self._ints, other._ints)
+        a, b = self._ints, other._ints
+        # a constant's integer form is its m coordinates: the product with it
+        # is a scaling, m shifted multiples of the other factor's slots
+        if len(b) <= ctx.degree or len(a) <= ctx.degree:
+            if len(a) < len(b):
+                a, b = b, a
+            conv = [b[0] * x for x in a]
+            for k, c in enumerate(b[1:], 1):
+                conv.append(0)
+                if c:
+                    conv[k:] = [y + c * x for y, x in zip(conv[k:], a)]
+        else:
+            conv = _kronecker_product(a, b)
         den = self._den * other._den
         if ctx.degree == 1:
             return Poly._from_ints(ctx, conv, den)
@@ -278,24 +312,24 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = self.ctx._coerce(c)
-        if not c.is_rational():
-            return self * Poly(self.ctx, [c])
-        q = c.coords[0]
-        return Poly._from_ints(self.ctx, [x * q.numerator for x in self._ints],
-                               self._den * q.denominator)
+        """self times the field element c, the product with a constant Poly."""
+        return self * self.ctx._coerce(c)
 
     def __pow__(self, n):
+        # popcount(n) + floor(log2 n) - 1 products: no product with 1, and no
+        # squaring past the top bit of n
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Poly.one(self.ctx)
-        base = self
-        while n:
+        if not n:
+            return Poly.one(self.ctx)
+        base, result = self, None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __divmod__(self, other):
         other = self._coerce(other)

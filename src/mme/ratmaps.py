@@ -5,7 +5,10 @@ configured exact field, normalized so the leading denominator coefficient
 equals 1; equality is then a coefficient-wise test.
 Composition and exact evaluation share one homogeneous kernel: f o g is
 f's homogenized pair at (num g : den g), and f(z) is f composed with the
-constant map z, at (z : 1) or (1 : 0) for INF.
+constant map z, at (z : 1) or (1 : 0) for INF.  The kernel splits the
+d + 1 terms of the homogeneous sum at powers of two, so it builds O(log d)
+powers of num g and den g, each by squaring, and no others; its leaves are
+f's coefficients, whose products are scalings.
 The numeric form of a map is one cached (2, d + 1) array, ``numeric_pair``:
 num and den embedded and padded to d + 1 coefficients.  Read forward it
 gives the pair in z; read reversed it gives the pair in the chart w = 1/z,
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import zip_longest
 
 import numpy as np
 
@@ -30,8 +32,9 @@ from .polys import Poly, integer_height, product_growth
 DEFAULT_DEGREE_BUDGET = 4096
 # iterate refuses f^n when its height bound (RationalMap.iterate_height_bound,
 # log2 of the l1 norm of its integer coefficient pair) exceeds this many bits.
-# A 40-digit degree-4 map is bounded by about 11.5k bits at n = 4 (seconds of
-# work) and 46k bits at n = 5 (minutes); z^2 - 1 by 1023 bits at n = 10.
+# A 40-digit degree-4 map is bounded by about 11.5k bits at n = 4 (1.4 s of
+# work in process on a 2-vCPU VM) and 46k bits at n = 5 (about 100 s more);
+# z^2 - 1 by 1023 bits at n = 10.
 ITERATE_HEIGHT_BUDGET = 2**15
 # chordal distance below which critical_data merges two critical values
 VALUE_TOL = 1e-7
@@ -125,26 +128,36 @@ class RationalMap:
         """(sum a_i u^i v^(d-i), sum b_i u^i v^(d-i)) for Polys u, v, where
         a_i and b_i are the coefficients of num and den and d is the degree.
 
-        The powers of v are tabled; u^i is built as i grows, so only one
-        power of u is alive at a time.
+        Divide and conquer on the d + 1 terms.  A run of n terms from a_lo is
+        H(lo, n) = sum_(i < n) a_(lo+i) u^i v^(n-1-i), and with k the largest
+        power of two below n, H(lo, n) = H(lo, k) v^(n-k) + u^k H(lo+k, n-k).
+        A leaf H(lo, 1) = a_lo is a constant Poly read off the integer form,
+        so its products are scalings.  The only powers built are u^k and v^k
+        for powers of two k, each by squaring, and v^t for the tails t of
+        d + 1 (what is left of d + 1 after its top bits); num and den share
+        them.  Each of the log2 d levels of the split multiplies Polys whose
+        sizes add up to about the composite's.
         """
-        d = self.degree
-        # u^0 = v^0 = 1 is never multiplied out
-        vpow = [None, v]
-        for _ in range(d - 1):
-            vpow.append(vpow[-1] * v)
-        num = den = Poly.zero(self.ctx)
-        # a or b is None past the degree of num or den
-        for i, (a, b) in enumerate(zip_longest(self.num.coeffs, self.den.coeffs)):
-            if i:
-                upow = upow * u if i > 1 else u
-            if a or b:
-                term = upow * vpow[d - i] if 0 < i < d else upow if i else vpow[d]
-                if a:
-                    num = num + term.scale(a)
-                if b:
-                    den = den + term.scale(b)
-        return num, den
+        upow, vpow = {1: u}, {1: v}
+
+        def power(table, n):
+            if n not in table:
+                k = 1 << (n.bit_length() - 1)
+                if k == n:
+                    half = power(table, n // 2)
+                    table[n] = half * half
+                else:
+                    table[n] = power(table, k) * power(table, n - k)
+            return table[n]
+
+        def run(p, lo, n):
+            if n == 1:
+                return p.coeff_poly(lo)
+            k = 1 << ((n - 1).bit_length() - 1)
+            return run(p, lo, k) * power(vpow, n - k) + power(upow, k) * run(p, lo + k, n - k)
+
+        n = self.degree + 1
+        return run(self.num, 0, n), run(self.den, 0, n)
 
     def iterate_height_bound(self, n):
         """A bound on the height of f^n, in bits, from the integer form of f.

@@ -27,15 +27,22 @@ def _int_to_json(n):
         return str(Decimal(n))
 
 
-def _rational_to_json(q):
-    num = _int_to_json(q.numerator)
-    return num if q.denominator == 1 else "%s/%s" % (num, _int_to_json(q.denominator))
+def _rational_to_json(num, den):
+    """num/den in lowest terms, den > 0: "num", or "num/den"."""
+    text = _int_to_json(num)
+    return text if den == 1 else "%s/%s" % (text, _int_to_json(den))
+
+
+def _coords_to_json(coords):
+    """An element from its coordinates as (numerator, denominator) pairs in
+    lowest terms: one string when it is rational, else a list of m strings."""
+    if not any(num for num, _ in coords[1:]):
+        return _rational_to_json(*coords[0])
+    return [_rational_to_json(*c) for c in coords]
 
 
 def element_to_json(e):
-    if e.is_rational():
-        return _rational_to_json(e.as_fraction())
-    return [_rational_to_json(c) for c in e.coords]
+    return _coords_to_json([(c.numerator, c.denominator) for c in e.coords])
 
 
 def _rational_from_json(obj):
@@ -83,8 +90,8 @@ def field_from_json(obj):
 def map_to_json(f):
     return {
         "field": field_to_json(f.ctx),
-        "num": [element_to_json(c) for c in f.num.coeffs],
-        "den": [element_to_json(c) for c in f.den.coeffs],
+        "num": [_coords_to_json(c) for c in f.num.reduced_coords()],
+        "den": [_coords_to_json(c) for c in f.den.reduced_coords()],
     }
 
 

@@ -475,6 +475,19 @@ def test_sampling_or_raster_over_budget_exits_two(monkeypatch, capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_compose_of_degree_2000_takes_under_three_seconds(capsys):
+    # the composite's coefficients are the binomials C(2000, k), up to 600 digits
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compose", "--f", "z^2000+1", "--g", "z+1")
+    assert time.perf_counter() - t0 < 3.0
+    assert (code, err) == (0, "")
+    num = json.loads(out)["num"]
+    assert len(num) == 2001
+    assert num[0] == "2"  # C(2000, 0) + 1
+    for k in (1, 1000, 2000):
+        assert num[k] == str(math.comb(2000, k))
+
+
 # a degree-4 map with 40-digit coefficients: f^4 is bounded by about 11.5k bits
 # and takes seconds, f^5 by about 45.5k bits and would take minutes
 FORTY_DIGIT_MAP = (

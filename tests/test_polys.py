@@ -1,11 +1,12 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mme.fields import FieldContext, field_configure
 from mme.numeric import INF, is_inf
-from mme.polys import COPRIME_TEST_PRIME, BiPoly, Poly, graph_bipoly
+from mme.polys import COPRIME_TEST_PRIME, BiPoly, Poly, _kronecker_product, graph_bipoly
 from mme.ratmaps import MapError, RationalMap
 
 Q = FieldContext.rationals()
@@ -329,6 +330,85 @@ def test_extension_product_on_sparse_coordinates():
                 expected = ctx.element([0] * i + [2**300]) * ctx.element([0] * k + [Fraction(-1, 3)])
                 assert a * b == Poly(ctx, [0, expected])
                 assert a * a == schoolbook_product(a, a)
+
+
+# -- products with a constant: a scaling on the integer form ---------------------------
+
+
+def kronecker_mul(p, q):
+    """The product of two Polys by one Kronecker integer product followed by
+    the alpha-reduction, whatever their degrees: the reference for a product
+    with a constant."""
+    ctx = p.ctx
+    if p.is_zero() or q.is_zero():
+        return Poly.zero(ctx)
+    conv = _kronecker_product(p._ints, q._ints)
+    m, s = ctx.degree, 2 * ctx.degree - 1
+    rows, r = ctx._integer_reduction
+    # slot i s + k holds z^i alpha^k; alpha^k for k >= m is rows[k - m] / r
+    ints = [x * r for x in conv]
+    for j, x in enumerate(conv):
+        k = j % s
+        if k >= m:
+            ints[j] = 0
+            for t, w in enumerate(rows[k - m]):
+                ints[j - k + t] += w * x
+    return Poly._from_ints(ctx, ints[:len(conv) - m + 1], p._den * q._den * r)
+
+
+# Q, then Q(2^(1/m)) for m = 2..8, and a cubic whose integer reduction has r = 6
+CONSTANT_FIELDS = [Q] + [field_configure([-2] + [0] * (m - 1) + [1]) for m in range(2, 9)] + [
+    field_configure([Fraction(1, 3), Fraction(1, 2), 0, 1])]
+
+
+@pytest.mark.parametrize("ctx", CONSTANT_FIELDS, ids=lambda ctx: "m%d-%s" % (
+    ctx.degree, "-".join(str(c) for c in ctx.minpoly)))
+def test_product_with_a_constant_equals_the_kronecker_route(ctx):
+    import random
+
+    rng = random.Random(ctx.degree)
+    m = ctx.degree
+
+    def element(nonzero):
+        coords = [rng.choice([0, 0, 1, -7, 2**200 + 1, Fraction(-3, 10), Fraction(5, 2**70)])
+                  for _ in range(m)]
+        if nonzero and not any(coords):
+            coords[rng.randrange(m)] = Fraction(2, 3)
+        return ctx.element(coords)
+
+    constants = [ctx.zero, ctx.one, ctx.from_rational(Fraction(-9, 4)), ctx.gen(),
+                 ctx.element([Fraction(1, 6)] * m)] + [element(True) for _ in range(6)]
+    polys = [Poly.zero(ctx), Poly.one(ctx)] + [
+        Poly(ctx, [element(False) for _ in range(n)] + [element(True)]) for n in (0, 1, 3, 9)]
+    for p in polys:
+        for c in constants:
+            want = kronecker_mul(p, Poly.constant(ctx, c))
+            for got in (p * Poly.constant(ctx, c), Poly.constant(ctx, c) * p, p * c, c * p,
+                        p.scale(c)):
+                assert (got._ints, got._den) == (want._ints, want._den), (p, c)
+    # the reference is the product itself on two non-constant factors
+    a, b = polys[-1], polys[-2]
+    assert kronecker_mul(a, b) == a * b == schoolbook_product(a, b)
+
+
+def test_power_makes_popcount_plus_log_minus_one_products(monkeypatch):
+    ctx = field_configure([1, 1, 1])
+    p = Poly(ctx, [Fraction(1, 2), -1, ctx.gen()])
+    want = [Poly.one(p.ctx)]
+    for _ in range(70):
+        want.append(want[-1] * p)
+    products = []
+    mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    for n in range(71):
+        products.clear()
+        assert p**n == want[n]
+        assert len(products) == (bin(n).count("1") + n.bit_length() - 2 if n else 0), n
 
 
 # -- the integer form against a coefficientwise FieldElement reference -------------------

@@ -124,10 +124,15 @@ def test_composition_degree_multiplicative_random(d1, d2, seed):
 
 
 def _homogeneous(p, u, v, d):
-    """p(u/v) v^d as a polynomial, for polynomials u, v."""
+    """p(u/v) v^d as a polynomial, for polynomials u, v: the sum of the
+    p_i u^i v^(d-i), each power one product from the power before it."""
+    upow, vpow = [Poly.one(p.ctx)], [Poly.one(p.ctx)]
+    for _ in range(d):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
     out = Poly.zero(p.ctx)
     for i in range(d + 1):
-        out = out + u**i * v ** (d - i) * p.coeff(i)
+        out = out + upow[i] * vpow[d - i] * p.coeff(i)
     return out
 
 
@@ -241,6 +246,61 @@ def test_eval_numeric_equals_the_reversed_poly_reference(ctx, monkeypatch):
     assert (3, 1.5e-13 + 0j) in escalated and (4, INF) in escalated
 
 
+# -- the divide-and-conquer kernel at its split points --------------------------------
+
+
+def _runs_poly(ctx, degree, rng):
+    """A Poly of exact degree ``degree`` whose nonzero coefficients are
+    followed by runs of 0-4 zero coefficients."""
+    def element():
+        while True:
+            e = ctx.element([Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+                             for _ in range(ctx.degree)])
+            if not e.is_zero():
+                return e
+
+    cs = []
+    while len(cs) < degree:
+        cs += [element()] + [ctx.zero] * int(rng.integers(0, 5))
+    return Poly(ctx, cs[:degree] + [element()])
+
+
+def _split_point_map(ctx, d, rng):
+    """A map of degree d with runs of zero coefficients: for even d the
+    numerator has degree d and the denominator degree d mod 4, for odd d the
+    reverse.  A denominator of degree 0 makes it a polynomial."""
+    while True:
+        a, b = _runs_poly(ctx, d, rng), _runs_poly(ctx, d % 4, rng)
+        try:
+            f = RationalMap(a, b) if d % 2 == 0 else RationalMap(b, a)
+        except MapError:
+            continue
+        if f.degree == d:
+            return f
+
+
+@pytest.mark.parametrize("ctx", EVAL_FIELDS, ids=["Q", "Q(w)", "Q(cbrt2)"])
+def test_kernel_equals_the_homogeneous_sum_at_every_split_point(ctx):
+    # outer degrees 1-40 hold every 2^k - 1, 2^k and 2^k + 1 up to 33
+    rng = np.random.default_rng(ctx.degree)
+    w = ctx.gen()
+    inner = [RationalMap(Poly(ctx, [1, 0, w]), Poly(ctx, [-3, 1])),  # (w z^2 + 1)/(z - 3)
+             RationalMap.polynomial(Poly(ctx, [w, Fraction(1, 2), 0, 1]))]  # v constant
+    points = [INF, ctx.zero, ctx.element([Fraction(2, 3)] * ctx.degree)]
+    for d in range(1, 41):
+        f = _split_point_map(ctx, d, rng)
+        for g in inner:
+            num = _homogeneous(f.num, g.num, g.den, d)
+            den = _homogeneous(f.den, g.num, g.den, d)
+            assert f._homogeneous(g.num, g.den) == (num, den), (d, g)
+            assert f.compose(g) == RationalMap._coprime(num, den), (d, g)
+        one = Poly.one(ctx)
+        for z in points:
+            u, v = (one, Poly.zero(ctx)) if is_inf(z) else (Poly.constant(ctx, z), one)
+            nz, dz = (_homogeneous(p, u, v, d).coeff(0) for p in (f.num, f.den))
+            assert f.eval_exact(z) == (INF if dz.is_zero() else nz / dz), (d, z)
+
+
 @st.composite
 def composable_pairs(draw):
     """(f, g, points): g = (z - r) A / ((z - s) B), and the points INF, r, s
@@ -268,7 +328,7 @@ def test_composite_value_is_the_value_of_the_composite(case):
         assert h.eval_exact(z) == f.eval_exact(g.eval_exact(z)), z
 
 
-def test_compose_keeps_one_power_of_the_inner_numerator_alive():
+def test_compose_keeps_logarithmically_many_powers_of_the_inner_map_alive():
     import tracemalloc
 
     f, g = rmap([1] + [0] * 399 + [1]), rmap([1, 1])  # z^400 + 1 and z + 1
@@ -279,7 +339,8 @@ def test_compose_keeps_one_power_of_the_inner_numerator_alive():
     finally:
         tracemalloc.stop()
     assert h.degree == 400
-    # tabling every power u^i at once peaks at about 4.8 MiB here
+    # the kernel keeps u^(2^j) and v^(2^j) for 2^j <= 256, and the v^t for the
+    # tails t of 401; tabling every power u^i at once peaks at about 4.8 MiB here
     assert peak < 2**20
 
 

@@ -43,3 +43,20 @@ def test_graph_digest():
     assert lines[1].split(" ", 3)[3] == '{"num": [0, -3, 0, 1], "den": [1]}'
     # T_3 = z^3 - 3z reports, and writes nothing to stderr
     assert lines[1].split(" ")[:3:2] == ["0", hashlib.sha256(b"").hexdigest()]
+
+
+def test_exact_probe():
+    import contextlib
+    import io
+
+    from mme.cli import main
+
+    (line,) = run_script("exact_probe.py", "--limit", "1")
+    code, wall, rss, digest, name = line.split(" ")
+    assert (code, name) == ("0", "compose-z2000")
+    assert float(wall) > 0 and float(rss) > 0
+    # the probe's stdout is the report of the same command run in this process
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["compose", "--f", "z^2000+1", "--g", "z+1"]) == 0
+    assert digest == hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()

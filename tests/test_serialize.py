@@ -1,6 +1,9 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +72,38 @@ def test_map_roundtrip_over_extension():
     ctx = field_configure([1, 1, 1])
     f = parse_map("z^2 + a", ctx, {"a": parse_binding_value(ctx, "1+w")})
     assert map_from_json(map_to_json(f)) == f
+
+
+def reference_element_json(e):
+    """An element's JSON from its Fractions: "num/den" strings, every digit
+    printed, one string for a rational element."""
+    def text(q):
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else "%s/%s" % (num, Decimal(q.denominator))
+
+    return text(e.coords[0]) if e.is_rational() else [text(q) for q in e.coords]
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=["Q", "Q(w)", "Q(cbrt2)", "Q(t^4+1)"])
+def test_map_json_from_the_integer_form_equals_the_element_json(ctx):
+    m = ctx.degree
+    huge = 10**4400 + 7  # past Python's 4300-digit int-to-str limit
+    coeffs = [
+        ctx.element([Fraction(1, 6)] + [Fraction(1, 4)] * (m - 1)),  # den 12 reduces to 6 and 4
+        ctx.zero,
+        ctx.element([0] * (m - 1) + [Fraction(-5, 12)]),
+        ctx.from_rational(Fraction(-huge, 3)),
+        ctx.element([huge] + [Fraction(k, 9) for k in range(1, m)]),
+        ctx.from_rational(Fraction(7, 12)),
+    ]
+    f = RationalMap(Poly(ctx, coeffs), Poly(ctx, [Fraction(2, 3), 0, 1]))
+    obj = map_to_json(f)
+    assert obj == {"field": field_to_json(ctx),
+                   "num": [element_to_json(c) for c in f.num.coeffs],
+                   "den": [element_to_json(c) for c in f.den.coeffs]}
+    assert obj["num"] == [reference_element_json(c) for c in f.num.coeffs]
+    assert obj["den"] == [reference_element_json(c) for c in f.den.coeffs]
+    assert obj["num"][1] == "0"
 
 
 def test_moebius_serialization():
