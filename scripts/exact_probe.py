@@ -1,11 +1,14 @@
-"""Time the exact-arithmetic CLI runs at the edge of the degree budget.
+"""Time fixed CLI runs at the edges of the package's budgets.
 
-Each probe is one fixed ``mme`` command line (composition, iteration and a
-catalog entry whose certificate composes a degree-4096 iterate), run in a
-fresh Python process.  One line per probe gives its exit code, wall seconds,
-peak resident memory in MiB, the sha256 of its stdout, and its name.  There
-is no seed: the probes are fixed, so two versions of the package that print
-the same sha256 column printed the same reports.
+Each probe is one fixed ``mme`` command line, run in a fresh Python
+process: at the edge of the degree budget, composition, iteration and a
+catalog entry whose certificate composes a degree-4096 iterate; at the
+edges of the sampler's budgets, two 2048 x 2048 renders of 10^5 points,
+at the depth budget and at the default depth.  One line per probe gives its
+exit code, wall seconds, peak resident memory in MiB, the sha256 of its
+stdout, and its name.  There is no seed: the probes are fixed, so two
+versions of the package that print the same sha256 column printed the same
+reports and rasters.
 
     python3 scripts/exact_probe.py                    # every probe
     python3 scripts/exact_probe.py --limit 1          # the first probe
@@ -39,6 +42,11 @@ PROBES = [
                               "--param", "m=1"]),
     ("iterate-flower-2-w-n4", ["iterate", "--field", "1,1,1", "--bind", "a=2-1*w",
                                "--map", FLOWER, "--n", "4"]),
+    ("render-z2-1-count100000-depth1000", ["render", "--map", "z^2-1", "--count", "100000",
+                                           "--depth", "1000", "--width", "2048",
+                                           "--height", "2048"]),
+    ("render-z2-1-count100000-depth40", ["render", "--map", "z^2-1", "--count", "100000",
+                                         "--depth", "40", "--width", "2048", "--height", "2048"]),
 ]
 
 

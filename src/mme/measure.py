@@ -33,9 +33,8 @@ from .identities import (
 from .numeric import (
     RootFindingError,
     chordal,
-    chordal_matrix,
+    chordal_to,
     named_rng,
-    point_arrays,
     projective_roots,
     projective_roots_batch,
 )
@@ -149,7 +148,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     _check_orbits(f, depth)
     _check_count(count)
     rng = named_rng(seed, stream)
-    exceptional = point_arrays(_exceptional_points(f))
+    exceptional = _exceptional_points(f)
     d = f.degree
     per_orbit = depth - BURN_IN
     n_orbits = math.ceil(count / per_orbit)
@@ -181,7 +180,8 @@ def _draw_orbits(rng, n, d, depth, last=None):
     starts = np.empty(n, dtype=complex)
     choices = np.zeros((n, depth), dtype=np.int64)
     for k in range(n):
-        starts[k] = np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform())
+        # rng.random() is the draw that rng.uniform() scales by 1 and shifts by 0
+        starts[k] = np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.random())
         m = depth if last is None or k < n - 1 else last
         choices[k, :m] = rng.integers(0, d, size=m)
     return starts, choices
@@ -191,15 +191,15 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     """Backward orbits of f from `starts`, orbit i stepping to preimage
     choices[i, k] at step k, all advanced together.
 
-    ``exceptional`` is the (z, inf) pair of the exceptional points.  The
-    points of all orbits are carried as one (z, inf) pair, and each step
-    picks every orbit's choice out of the solved fibers at once.  Returns
-    the points past the burn-in of every orbit before the first failed one
-    as a (z, inf) pair, orbit by orbit and in step order within an orbit,
-    and that failure as (orbit, preimage choices it made), or None.  Rows
-    are built as RationalMap.preimage_row builds them, and
-    projective_roots_batch, given no seed, equals projective_roots row by
-    row, so every point equals the one a lone orbit reaches bit for bit.
+    ``exceptional`` lists the exceptional points.  The points of all orbits
+    are carried as one (z, inf) pair, and each step picks every orbit's
+    choice out of the solved fibers at once.  Returns the points past the
+    burn-in of every orbit before the first failed one as a (z, inf) pair,
+    orbit by orbit and in step order within an orbit, and that failure as
+    (orbit, preimage choices it made), or None.  Rows are built as
+    RationalMap.preimage_row builds them, and projective_roots_batch, given
+    no seed, equals projective_roots row by row, so every point equals the
+    one a lone orbit reaches bit for bit.
     """
     d = f.degree
     depth = choices.shape[1]
@@ -209,24 +209,31 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     failed = None
 
     def cut(z, inf, steps):
-        # drop the orbits from the first one near an exceptional point on
+        # drop the orbits from the first one near an exceptional point on:
+        # each point cuts at its first near orbit, so the last cut is at the
+        # first orbit near any of them
         nonlocal failed
-        near = np.flatnonzero((chordal_matrix(z, inf, *exceptional) < EXCEPTIONAL_CUT).any(axis=1))
-        if len(near):
-            failed = (int(near[0]), steps)
-            return z[:near[0]], inf[:near[0]]
+        for e in exceptional:
+            near = np.flatnonzero(chordal_to(z, inf, e) < EXCEPTIONAL_CUT)
+            if len(near):
+                failed = (int(near[0]), steps)
+                z, inf = z[:near[0]], inf[:near[0]]
         return z, inf
 
     z, inf = cut(starts, np.zeros(len(starts), dtype=bool), 0)
     for k in range(depth):
         if not len(z):
             break
+        scale = np.maximum(1.0, np.hypot(z.real, z.imag))
         if k == 0:
-            # a lone orbit's start is a Python complex number
-            rows = np.array([f.preimage_row(w) for w in z.tolist()])
+            # a lone orbit's start is a Python complex number, which Python
+            # divides by a real s as (re + im * 0.0) / s and (im - re * 0.0) / s
+            w = np.empty_like(z)
+            w.real = (z.real + z.imag * 0.0) / scale
+            w.imag = (z.imag - z.real * 0.0) / scale
         else:
-            scale = np.maximum(1.0, np.hypot(z.real, z.imag))[:, None]
-            rows = np.where(inf[:, None], dc, nc / scale - (z[:, None] / scale) * dc)
+            w = z / scale
+        rows = np.where(inf[:, None], dc, nc / scale[:, None] - w[:, None] * dc)
         fz, finf, error = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
         if error is not None:
             failed = (len(fz), k)
@@ -294,16 +301,17 @@ def julia_raster(f, width, height, window, count=20000, depth=30, seed=0):
     # a pixel index truncates toward zero, like int(), so it lies in
     # [0, n) exactly when the unrounded one lies in (-1, n)
     inside = (col > -1) & (col < width) & (row > -1) & (row < height)
-    hist = np.zeros((height, width))
-    np.add.at(hist, (row[inside].astype(np.int64), col[inside].astype(np.int64)), 1)
-    dens = np.log1p(hist)
-    peak = dens.max()
-    if peak > 0:
-        dens /= peak
-    gray = (dens * 255).astype(np.uint8)
-    rgb = np.repeat(gray[:, :, None], 3, axis=2)
+    pixel = row[inside].astype(np.int64) * width + col[inside].astype(np.int64)
+    counts = np.bincount(pixel, minlength=width * height)
+    # the gray level of a pixel with k points is log1p(k) / log1p(max count),
+    # scaled to 255: one table entry per count, not one log1p per pixel
+    levels = np.log1p(np.arange(counts.max() + 1, dtype=float))
+    if levels[-1] > 0:
+        levels /= levels[-1]
+    gray = (levels * 255).astype(np.uint8)[counts]
+    del counts  # 8 bytes a pixel, not held through the copies below
     header = b"P6\n%d %d\n255\n" % (width, height)
-    return header + rgb.tobytes()
+    return header + np.repeat(gray, 3).tobytes()
 
 
 def lit_fraction(ppm_bytes):

@@ -17,7 +17,7 @@ import mme
 from mme import measure
 from mme.catalog import entry, omega_field
 from mme.cli import main
-from mme.fields import FieldContext, field_configure
+from mme.fields import MAX_INTEGER_DIGITS, FieldContext, field_configure
 from mme.identities import sigma_f_quadratic
 from mme.measure import COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET
 from mme.parser import parse_map
@@ -550,13 +550,17 @@ def test_coefficients_past_the_digit_limit_are_written(capsys):
 
 
 LONG_LITERAL = "1" * 5000
+# a JSON string coefficient is read past Python's limit on digits, up to
+# fields.MAX_INTEGER_DIGITS
+TOO_LONG_LITERAL = "1" * (MAX_INTEGER_DIGITS + 1)
 
 
 @pytest.mark.parametrize("argv", [
     ["--f", "z^2+%s" % LONG_LITERAL],
-    ["--f", '{"num": ["%s", 0, 1], "den": [1]}' % LONG_LITERAL],
+    ["--f", '{"num": ["%s", 0, 1], "den": [1]}' % TOO_LONG_LITERAL],
     ["--f", '{"num": [%s, 0, 1], "den": [1]}' % LONG_LITERAL],
-    ["--f", '{"num": [["%s"], 0, 1], "den": [1], "field": {"minpoly": [1, 1, 1]}}' % LONG_LITERAL],
+    ["--f", '{"num": [["%s"], 0, 1], "den": [1], "field": {"minpoly": [1, 1, 1]}}'
+     % TOO_LONG_LITERAL],
     ["--f", '{"num": [0, 0, 1], "den": [1], "field": {"minpoly": ["%s", 0, 1]}}' % LONG_LITERAL],
     # an exponent would make Fraction build 10^100000000
     ["--f", '{"num": ["1e100000000", 0, 1], "den": [1]}'],
@@ -569,6 +573,31 @@ def test_integer_literals_past_the_digit_limit_exit_two(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_coefficients_past_the_digit_limit_are_read_back(capsys, tmp_path):
+    # f^7 for f = z^2 + 10^70 has a constant term of 4481 digits, past the
+    # 4300 that int() reads; compose reads the map back, and f o z is f
+    code, out, _ = run(capsys, "iterate", "--map", "z^2+10^70", "--n", "7")
+    assert code == 0
+    big = tmp_path / "big.json"
+    big.write_text(out)
+    assert run(capsys, "compose", "--f", "@%s" % big, "--g", "z") == (0, out, "")
+    # a numerator and a denominator of 5000 digits, over Q and Q(w)
+    for coeff, field, want in ((LONG_LITERAL, [], LONG_LITERAL),
+                               (["-1/%s" % LONG_LITERAL], ["--field", "1,1,1"],
+                                "-1/%s" % LONG_LITERAL)):
+        doc = {"num": [coeff, 0, 1], "den": [1], "field": {"minpoly": [1, 1, 1]} if field else "Q"}
+        code, out, _ = run(capsys, "compose", "--f", json.dumps(doc), "--g", "z", *field)
+        assert code == 0
+        assert json.loads(out)["num"][0] == want
+    # an exponent would still make Fraction build 10^100000000
+    bomb = tmp_path / "bomb.json"
+    bomb.write_text(json.dumps({"num": ["1e100000000", 0, 1], "den": [1]}))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compose", "--f", "@%s" % bomb, "--g", "z")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "") and "digits" in err
 
 
 @pytest.mark.parametrize("doc", [

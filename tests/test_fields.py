@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,11 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mme.fields import (
+    MAX_INTEGER_DIGITS,
     FieldContext,
     FieldError,
     _is_irreducible_over_q,
     field_configure,
     poly_divmod,
+    to_fraction,
 )
 from conftest import polys_and_products, sympy_irreducible
 
@@ -43,6 +47,35 @@ def test_inverse_in_extension():
     w = ctx.gen()
     x = w + ctx.from_rational(2)
     assert x * x.inverse() == ctx.one
+
+
+def test_integer_strings_are_read_past_the_digit_limit():
+    # Python's int() reads at most 4300 digits at once; serialize writes more
+    for text in ("0", "-0", "+7", " 12 ", "3/4", "-10/4", "\t5/10\n", "1.5e3", "-.25", "2E-3"):
+        assert to_fraction(text) == Fraction(text)
+    ones = "1" * 5000
+    assert to_fraction(ones) == (10**5000 - 1) // 9
+    assert to_fraction(" -3/%s " % ones) == Fraction(-27, 10**5000 - 1)
+    with pytest.raises(ZeroDivisionError):
+        to_fraction("1/0")
+    # past MAX_INTEGER_DIGITS, and an exponent past the limit, are refused at once
+    too_long = "1" * (MAX_INTEGER_DIGITS + 1)
+    t0 = time.perf_counter()
+    for text in (too_long, "-" + too_long, "1/" + too_long, "1e100000000", "1e-100000000"):
+        with pytest.raises(ValueError, match="digits"):
+            to_fraction(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert to_fraction("-" + too_long[1:]) == -(10**MAX_INTEGER_DIGITS - 1) // 9
+
+
+def test_minimal_polynomial_coefficients_stay_within_the_digit_limit():
+    # the irreducibility test would take minutes on 5000 digits
+    limit = sys.get_int_max_str_digits()
+    for coeffs in ([10**limit, 0, 1], [Fraction(1, 10**limit), 0, 1]):
+        t0 = time.perf_counter()
+        with pytest.raises(FieldError, match="at most %d digits" % limit):
+            FieldContext(coeffs)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_reducible_minpoly_rejected():

@@ -352,6 +352,65 @@ def test_raster_equals_point_loop(monkeypatch):
         assert pixels[row, col, 0] > 0
 
 
+def test_raster_count_table_equals_point_loop(monkeypatch):
+    # a pixel of more than 255 points, whose gray level is still 255: 300
+    # copies of one point beside a real cloud
+    real = backward_orbit_sample(rmap([-1, 0, 1]), 2000, depth=20, seed=3, stream="raster")
+    heap = point_arrays([0.1 + 0.1j] * 300)
+    cloud = MeasureCloud(*(np.concatenate(pair) for pair in zip((real.z, real.inf), heap)))
+    monkeypatch.setattr(measure, "backward_orbit_sample", lambda *a, **k: cloud)
+    args = (rmap([-1, 0, 1]), 60, 40, (-2.0, 2.0, -2.0, 2.0))
+    ppm = julia_raster(*args, count=1)
+    assert ppm == point_loop_raster(*args, count=1)
+    pixels = np.frombuffer(ppm[len(b"P6\n60 40\n255\n"):], dtype=np.uint8)
+    assert (pixels == 255).sum() == 3 and len(np.unique(pixels)) > 3
+    monkeypatch.undo()
+    # a window that holds no point, and no points at all: blank rasters
+    for window, count in (((10.0, 11.0, 10.0, 11.0), 3000), ((-2.0, 2.0, -2.0, 2.0), 0)):
+        args = (rmap([-1, 0, 1]), 31, 17, window)
+        ppm = julia_raster(*args, count=count, depth=20, seed=5)
+        assert ppm == point_loop_raster(*args, count=count, depth=20, seed=5)
+        assert ppm == b"P6\n31 17\n255\n" + bytes(31 * 17 * 3)
+
+
+def test_blank_raster_at_the_pixel_budget_fits_in_80_mb():
+    # a 2048 x 2048 raster at count 0 peaked at 109 MB (26 B a pixel) when
+    # binned by a float histogram and a log1p per pixel; with a count table
+    # it is 38 MB (9 B a pixel: the int64 counts and the uint8 grays), numpy
+    # 2.4, CPython 3.11
+    f = rmap([-1, 0, 1])
+    julia_raster(f, 8, 8, (-2.0, 2.0, -2.0, 2.0), count=0)
+    tracemalloc.start()
+    try:
+        ppm = julia_raster(f, 2048, 2048, (-2.0, 2.0, -2.0, 2.0), count=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ppm) == len(b"P6\n2048 2048\n255\n") + 3 * 2048**2
+    assert peak < 80 * 10**6
+
+
+def test_lockstep_sample_cuts_at_exceptional_points_as_serial():
+    # z^2 has two exceptional points, 0 and INF; z + 1/z has none
+    z2, h = rmap([0, 0, 1]), rmap([1, 0, 1], [0, 1])
+    z, inf = point_arrays(measure._exceptional_points(z2))
+    assert z.tolist() == [0j, 0j] and inf.tolist() == [False, True]
+    assert measure._exceptional_points(h) == []
+    for f in (z2, h):
+        assert not assert_sample_equals_serial(f, 700, depth=25, seed=2)
+
+
+def test_lockstep_sample_cuts_at_the_first_orbit_near_any_exceptional_point(monkeypatch):
+    f = rmap([1, 0, 1])
+    _pts, walks, failures = serial_sample(f, 200)
+    assert not failures
+    # at the same step, orbit 3 meets one point and orbit 1 the other; in
+    # orbit order orbit 1 fails first, whichever point is listed first
+    for points in ([walks[3][6], walks[1][6]], [walks[1][6], walks[3][6]]):
+        monkeypatch.setattr(measure, "_exceptional_points", lambda f, p=points: p)
+        assert assert_sample_equals_serial(f, 200) == [(1, "hit", 5)]
+
+
 @pytest.mark.parametrize("size", [(0, 10), (10, 0), (-3, 10)])
 def test_raster_rejects_a_non_positive_size(monkeypatch, size):
     monkeypatch.setattr(measure, "backward_orbit_sample", None)  # no sampling either
