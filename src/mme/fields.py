@@ -30,11 +30,6 @@ class FieldError(ValueError):
 
 # an integer or a ratio of integers, as Fraction reads them
 _INTEGER_RATIO = re.compile(r"\s*(?P<num>[-+]?\d+)(?:/(?P<den>\d+))?\s*")
-# the most digits to_fraction reads in one integer: the time to read one
-# grows with the square of its digits (about 0.4 s at 10^5), and the
-# coefficients of a map within the iterate height budget (2^15 bits, see
-# ratmaps) have under 10^4
-MAX_INTEGER_DIGITS = 10**5
 
 
 def _int_from_text(text):
@@ -46,22 +41,24 @@ def _int_from_text(text):
         return int(Decimal(text))
 
 
-def to_fraction(x) -> Fraction:
+def to_fraction(x, max_digits=None) -> Fraction:
+    """x as a Fraction.  A string is read as Fraction reads it, within
+    Python's limit on the digits of an integer string; a "num" or
+    "num/den" string, given ``max_digits``, is read up to that many digits
+    in each integer instead."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        # "num" and "num/den" are read past Python's limit on digits, since
-        # serialize writes integers past it.  Fraction reads every other form;
-        # for an exponent, as in "1e100000000", it would build 10^exp in full,
-        # so a long one is refused
-        ratio = _INTEGER_RATIO.fullmatch(x)
+        ratio = max_digits is not None and _INTEGER_RATIO.fullmatch(x)
         if ratio:
             num, den = ratio["num"], ratio["den"] or "1"
-            if max(len(num.lstrip("+-")), len(den)) > MAX_INTEGER_DIGITS:
-                raise ValueError("an integer of more than %d digits" % MAX_INTEGER_DIGITS)
+            if max(len(num.lstrip("+-")), len(den)) > max_digits:
+                raise ValueError("an integer of more than %d digits" % max_digits)
             return Fraction(_int_from_text(num), _int_from_text(den))
+        # int() refuses more digits than Python's limit at once, but for an
+        # exponent, as in "1e100000000", Fraction would build 10^exp in full
         exp = x.lower().partition("e")[2].strip().lstrip("+-")
         limit = sys.get_int_max_str_digits()
         if exp.isdigit() and limit and int(exp) > limit:
@@ -221,8 +218,8 @@ class FieldContext:
         coeffs = [to_fraction(c) for c in minpoly]
         # the irreducibility test takes time that grows as about the cube of
         # the coefficients' digits (1.5 s at 800), so they stay within Python's
-        # limit on the digits int() reads, where to_fraction reads integers
-        # past it
+        # limit on the digits int() reads, where a JSON map's coefficients
+        # are read past it
         limit = sys.get_int_max_str_digits()
         sizes = [max(abs(c.numerator), c.denominator) for c in coeffs]
         if limit and max(sizes, default=0) >= 10**limit:

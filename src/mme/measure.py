@@ -33,8 +33,9 @@ from .identities import (
 from .numeric import (
     RootFindingError,
     chordal,
-    chordal_to,
+    chordal_matrix,
     named_rng,
+    point_arrays,
     projective_roots,
     projective_roots_batch,
 )
@@ -148,7 +149,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     _check_orbits(f, depth)
     _check_count(count)
     rng = named_rng(seed, stream)
-    exceptional = _exceptional_points(f)
+    exceptional = point_arrays(_exceptional_points(f))
     d = f.degree
     per_orbit = depth - BURN_IN
     n_orbits = math.ceil(count / per_orbit)
@@ -191,15 +192,15 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     """Backward orbits of f from `starts`, orbit i stepping to preimage
     choices[i, k] at step k, all advanced together.
 
-    ``exceptional`` lists the exceptional points.  The points of all orbits
-    are carried as one (z, inf) pair, and each step picks every orbit's
-    choice out of the solved fibers at once.  Returns the points past the
-    burn-in of every orbit before the first failed one as a (z, inf) pair,
-    orbit by orbit and in step order within an orbit, and that failure as
-    (orbit, preimage choices it made), or None.  Rows are built as
-    RationalMap.preimage_row builds them, and projective_roots_batch, given
-    no seed, equals projective_roots row by row, so every point equals the
-    one a lone orbit reaches bit for bit.
+    ``exceptional`` is the (z, inf) pair of the exceptional points.  The
+    points of all orbits are carried as one (z, inf) pair, and each step
+    picks every orbit's choice out of the solved fibers at once.  Returns
+    the points past the burn-in of every orbit before the first failed one
+    as a (z, inf) pair, orbit by orbit and in step order within an orbit,
+    and that failure as (orbit, preimage choices it made), or None.  Rows
+    are built as RationalMap.preimage_row builds them, and
+    projective_roots_batch, given no seed, equals projective_roots row by
+    row, so every point equals the one a lone orbit reaches bit for bit.
     """
     d = f.degree
     depth = choices.shape[1]
@@ -209,15 +210,14 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     failed = None
 
     def cut(z, inf, steps):
-        # drop the orbits from the first one near an exceptional point on:
-        # each point cuts at its first near orbit, so the last cut is at the
-        # first orbit near any of them
+        # drop the orbits from the first one near an exceptional point on
         nonlocal failed
-        for e in exceptional:
-            near = np.flatnonzero(chordal_to(z, inf, e) < EXCEPTIONAL_CUT)
-            if len(near):
-                failed = (int(near[0]), steps)
-                z, inf = z[:near[0]], inf[:near[0]]
+        if not exceptional[0].size:
+            return z, inf
+        near = np.flatnonzero((chordal_matrix(z, inf, *exceptional) < EXCEPTIONAL_CUT).any(axis=1))
+        if len(near):
+            failed = (int(near[0]), steps)
+            return z[:near[0]], inf[:near[0]]
         return z, inf
 
     z, inf = cut(starts, np.zeros(len(starts), dtype=bool), 0)

@@ -268,26 +268,18 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
     pass.  Every other row (a root at infinity or at zero, a residual that
     needs mpmath) goes through projective_roots.  So every row that is not
     kept from its seed equals projective_roots on that row bit for bit,
-    INF included; without ``near``, every row does.  Without ``near``, a
-    stack whose rows are all of full degree with a nonzero constant term
-    is solved as one stack of companion matrices, and returned as that
-    solve gives it when every row certifies; if one does not, the rows are
-    solved again as above.
+    INF included; without ``near``, every row does.  A stack whose rows
+    all take the companion route and certify, as an unseeded stack of
+    full-degree rows with nonzero constant terms usually does, is returned
+    as that one solve gives it, with no row gathered or scattered.
     """
     c = np.asarray(rows, dtype=complex)
     d = formal_degree
+    z = np.zeros((len(c), d), dtype=complex)
     inf = np.zeros((len(c), d), dtype=bool)
     lead = c[:, d]
     # np.hypot matches the scalar abs() that projective_roots applies here
     fast = (np.hypot(lead.real, lead.imag) > INF_TOL * np.max(np.abs(c), axis=1)) & (c[:, 0] != 0)
-    if near is None and fast.all():
-        # the whole stack takes the companion route; if every row certifies,
-        # no row is gathered or scattered
-        desc = c[:, ::-1]
-        roots, ok = _polish(desc, _companion_roots(desc), residual_tol, refine)
-        if ok.all():
-            return roots, inf, None
-    z = np.zeros((len(c), d), dtype=complex)
     companion = fast.copy()
     if near is not None:
         seeded = np.flatnonzero(fast & ~near[1].any(axis=1))
@@ -296,8 +288,12 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
         companion[seeded[ok]] = False
     idx = np.flatnonzero(companion)
     if len(idx):
-        desc = c[idx, ::-1]
+        whole = len(idx) == len(c)
+        desc = c[:, ::-1] if whole else c[idx, ::-1]
         roots, ok = _polish(desc, _companion_roots(desc), residual_tol, refine)
+        if whole and ok.all():
+            # every row took the companion route and certified
+            return roots, inf, None
         z[idx[ok]] = roots[ok]
         fast[idx[~ok]] = False
     for i in np.flatnonzero(~fast):
@@ -332,17 +328,6 @@ def chordal_matrix(za, ia, zb, ib):
     out = np.where(ia, 1.0 / np.sqrt(rb), out)
     out = np.where(ib, 1.0 / np.sqrt(ra), out)
     return np.where(ia & ib, 0.0, out)
-
-
-def chordal_to(z, inf, p):
-    """chordal(a, p) for every point a of the (z, inf) pair and one point p,
-    equal to chordal bit for bit."""
-    ra = 1.0 + np.float_power(np.hypot(z.real, z.imag), 2)
-    if is_inf(p):
-        return np.where(inf, 0.0, 1.0 / np.sqrt(ra))
-    rp = 1.0 + abs(p) ** 2
-    diff = z - p
-    return np.where(inf, 1.0 / np.sqrt(rp), np.hypot(diff.real, diff.imag) / np.sqrt(ra * rp))
 
 
 def min_pairwise_chordal(z, inf):

@@ -8,13 +8,22 @@ Points serialize as [re, im] pairs or the string "inf".
 from __future__ import annotations
 
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 
 from .fields import FieldContext, field_configure, to_fraction
 from .numeric import is_inf
 from .polys import Poly
-from .ratmaps import MapError, RationalMap
+from .ratmaps import ITERATE_HEIGHT_BUDGET, MapError, RationalMap
+
+# the most digits of one integer in a "num/den" string that
+# _rational_from_json reads (9865).  A map within the iterate height budget
+# has a monic denominator, so its common denominator and every numerator
+# have at most ITERATE_HEIGHT_BUDGET bits: each integer of a map that
+# iterate or compose writes is read back, past Python's limit on the digits
+# of an integer string (4300 by default)
+MAX_INTEGER_DIGITS = math.ceil(ITERATE_HEIGHT_BUDGET * math.log10(2))
 
 
 def _int_to_json(n):
@@ -50,7 +59,7 @@ def _rational_from_json(obj):
     as a Fraction; MapError otherwise."""
     if isinstance(obj, str):
         try:
-            return to_fraction(obj)
+            return to_fraction(obj, max_digits=MAX_INTEGER_DIGITS)
         except (ValueError, ZeroDivisionError) as exc:
             raise MapError("bad coefficient: %s" % exc) from None
     if isinstance(obj, int) and not isinstance(obj, bool):

@@ -17,11 +17,11 @@ import mme
 from mme import measure
 from mme.catalog import entry, omega_field
 from mme.cli import main
-from mme.fields import MAX_INTEGER_DIGITS, FieldContext, field_configure
+from mme.fields import FieldContext, field_configure
 from mme.identities import sigma_f_quadratic
 from mme.measure import COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET
 from mme.parser import parse_map
-from mme.serialize import element_from_json, map_from_json, map_to_json
+from mme.serialize import MAX_INTEGER_DIGITS, element_from_json, map_from_json, map_to_json
 from conftest import SAME_FACTOR, polys_and_products, sampled_ratio, sympy_irreducible
 
 
@@ -551,7 +551,7 @@ def test_coefficients_past_the_digit_limit_are_written(capsys):
 
 LONG_LITERAL = "1" * 5000
 # a JSON string coefficient is read past Python's limit on digits, up to
-# fields.MAX_INTEGER_DIGITS
+# serialize.MAX_INTEGER_DIGITS
 TOO_LONG_LITERAL = "1" * (MAX_INTEGER_DIGITS + 1)
 
 

@@ -9,7 +9,6 @@ from mme.numeric import (
     _newton_refine,
     chordal,
     chordal_matrix,
-    chordal_to,
     min_pairwise_chordal,
     point_arrays,
     projective_roots,
@@ -135,10 +134,10 @@ def test_unseeded_full_degree_stacks_take_one_companion_solve(monkeypatch):
     z, inf, error = projective_roots_batch(rows, 2, residual_tol=1e-7, refine=False)
     assert error is None and calls == [[row[::-1].tobytes() for row in rows]]
     assert_rows_equal(z, inf, rows, 2, residual_tol=1e-7, refine=False)
-    # row 4 fails its residual check, and then mpmath fails on it: the stack
-    # is solved again by the general path (one more companion solve of every
-    # row, then row 4 alone), and the rows before row 4 come back with row
-    # 4's RootFindingError
+    # row 4 fails its residual check, and then mpmath fails on it: row 4
+    # alone goes through projective_roots, with no second companion solve of
+    # the stack, and the rows before row 4 come back with row 4's
+    # RootFindingError
     rows[4] = [1, 2, 7]
     polish = numeric._polish
     failing = rows[4, ::-1].tobytes()
@@ -161,7 +160,7 @@ def test_unseeded_full_degree_stacks_take_one_companion_solve(monkeypatch):
     calls.clear()
     z, inf, error = projective_roots_batch(rows, 2, residual_tol=1e-7, refine=False)
     assert isinstance(error, numeric.RootFindingError) and str(error) == str(alone.value)
-    assert len(calls) == 2 and calls[0] == calls[1]
+    assert calls == [[row[::-1].tobytes() for row in rows]]
     assert_rows_equal(z, inf, rows[:4], 2, residual_tol=1e-7, refine=False)
 
 
@@ -286,7 +285,6 @@ def test_early_exit_newton_equals_eight_iterations():
 
 
 def test_chordal_matrix_equals_chordal():
-    # and so does chordal_to, against one point at a time
     rng = rng_for("chordal-matrix")
     for trial in range(200):
         a = list(complex_normal(rng, 5) * 10.0 ** rng.integers(-3, 4))
@@ -298,8 +296,6 @@ def test_chordal_matrix_equals_chordal():
         got = chordal_matrix(*point_arrays(a), *point_arrays(b))
         want = np.array([[chordal(p, q) for q in b] for p in a])
         assert got.tobytes() == want.tobytes()
-        for j, q in enumerate(b):
-            assert chordal_to(*point_arrays(a), q).tobytes() == want[:, j].tobytes()
         pairs = [chordal(a[i], a[j]) for i in range(5) for j in range(i + 1, 5)]
         assert min_pairwise_chordal(*point_arrays(a)) == min(pairs)
     # stacked inputs give the stack of the single results
