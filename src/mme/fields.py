@@ -22,6 +22,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 MAX_EXTENSION_DEGREE = 8
+# the most digits of an integer in a minimal polynomial's coefficients: the
+# irreducibility test takes time that grows about as the cube of the digits,
+# and at degree 8 it took up to 1.0 s at 150 digits, 2.6 s at 200 and 3.6 s
+# at 300 (z^8 + N z^6 + 1 and z^8 + N z^7 + 1, one CPU of a 2-vCPU VM)
+MINPOLY_DIGIT_BUDGET = 150
 
 
 class FieldError(ValueError):
@@ -216,14 +221,10 @@ class FieldContext:
 
     def __init__(self, minpoly, _allow_linear=False):
         coeffs = [to_fraction(c) for c in minpoly]
-        # the irreducibility test takes time that grows as about the cube of
-        # the coefficients' digits (1.5 s at 800), so they stay within Python's
-        # limit on the digits int() reads, where a JSON map's coefficients
-        # are read past it
-        limit = sys.get_int_max_str_digits()
         sizes = [max(abs(c.numerator), c.denominator) for c in coeffs]
-        if limit and max(sizes, default=0) >= 10**limit:
-            raise FieldError("minimal polynomial coefficients have at most %d digits" % limit)
+        if max(sizes, default=0) >= 10**MINPOLY_DIGIT_BUDGET:
+            raise FieldError("minimal polynomial coefficients have at most %d digits"
+                             % MINPOLY_DIGIT_BUDGET)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if len(coeffs) < 2:

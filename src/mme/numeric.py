@@ -88,7 +88,7 @@ def _newton_refine(coeffs, roots):
 
     ``coeffs`` (L, n + 1) descending, ``roots`` (L, n).  Returns the roots
     and their residuals |p(root)|.  Plain Newton diverges near multiple
-    roots, where np.roots output is already as good as it gets; monotone
+    roots, where companion roots are already as good as they get; monotone
     acceptance keeps those roots put.  Once an iteration keeps no step,
     every later one would repeat it exactly, so the loop stops there.
     """
@@ -123,13 +123,27 @@ def _residuals(coeffs, roots, absvals=None):
 
 
 def _companion_roots(desc):
-    """Roots of each row of ``desc`` (L, n + 1), from one stacked eigvals call.
+    """Roots of each row of ``desc`` (L, n + 1): in closed form for n = 2,
+    else from one stacked eigvals call.
 
-    The leading and constant coefficients must be nonzero.  The companion
-    matrices are the ones np.roots builds, so each row's roots equal
-    np.roots on that row bit for bit.
+    The leading and constant coefficients must be nonzero.  For n != 2 the
+    companion matrices are the ones np.roots builds, so each row's roots
+    equal np.roots on that row bit for bit.  For n = 2 the roots of
+    a z^2 + b z + c are q / a and c / q, q = -(b + s sqrt(b^2 - 4ac)) / 2,
+    with the sign s = +-1 that keeps b and s sqrt(b^2 - 4ac) from
+    cancelling; the row is first scaled by a power of two so that b^2
+    cannot overflow.  Every step acts row by row, so a row's roots do not
+    depend on the stack it is solved in.
     """
     n = desc.shape[1] - 1
+    if n == 2:
+        _, exp = np.frexp(np.abs(desc).max(axis=1))
+        a, b, c = (desc * np.ldexp(1.0, -exp)[:, None]).T
+        root = np.sqrt(b * b - 4.0 * a * c)
+        root[b.real * root.real + b.imag * root.imag < 0] *= -1
+        q = -0.5 * (b + root)
+        # + 0.0 turns every -0.0 part into 0.0
+        return np.stack([q / a, c / q], axis=1) + 0.0
     companion = np.zeros((len(desc), n, n), dtype=complex)
     companion[:, 1:, :-1] = np.eye(n - 1)
     companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
@@ -196,9 +210,10 @@ def _polish(coeffs, roots, residual_tol, refine):
 def certified_roots(coeffs, residual_tol=RESIDUAL_TOL, refine=True):
     """All complex roots of a polynomial with simple-root expectations.
 
-    ``coeffs`` ascending.  Roots are Newton-refined and checked against a
-    scaled residual; on failure precision escalates through mpmath and a
-    final residual check is applied.
+    ``coeffs`` ascending.  Roots come from ``_companion_roots``, the roots
+    at 0 last, and are Newton-refined and checked against a scaled
+    residual; on failure precision escalates through mpmath and a final
+    residual check is applied.
     """
     c = np.asarray(coeffs, dtype=complex)
     while len(c) and abs(c[-1]) == 0.0:
@@ -206,7 +221,12 @@ def certified_roots(coeffs, residual_tol=RESIDUAL_TOL, refine=True):
     if len(c) <= 1:
         return np.array([], dtype=complex)
     desc = c[::-1][None, :]
-    roots, ok = _polish(desc, np.roots(desc[0])[None, :], residual_tol, refine)
+    # the roots at 0 come last, as np.roots gives them
+    n = len(c) - 1 - np.flatnonzero(c)[0]
+    roots = np.zeros((1, len(c) - 1), dtype=complex)
+    if n:
+        roots[:, :n] = _companion_roots(desc[:, : n + 1])
+    roots, ok = _polish(desc, roots, residual_tol, refine)
     if ok[0]:
         return roots[0]
     # precision escalation
@@ -263,10 +283,10 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
     fiber per row.  A row of full degree with a nonzero constant term
     whose seed has no INF is solved by ``_aberth`` from its seed, and kept
     as that solve gives it if ``_aberth`` accepts it.  The other rows of
-    full degree with a nonzero constant term share one stack of companion
-    matrices, one eigvals call and (with ``refine``) one row-wise Newton
-    pass.  Every other row (a root at infinity or at zero, a residual that
-    needs mpmath) goes through projective_roots.  So every row that is not
+    full degree with a nonzero constant term share one ``_companion_roots``
+    call and (with ``refine``) one row-wise Newton pass.  Every other row
+    (a root at infinity or at zero, a residual that needs mpmath) goes
+    through projective_roots.  So every row that is not
     kept from its seed equals projective_roots on that row bit for bit,
     INF included; without ``near``, every row does.  A stack whose rows
     all take the companion route and certify, as an unseeded stack of

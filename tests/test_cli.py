@@ -17,7 +17,7 @@ import mme
 from mme import measure
 from mme.catalog import entry, omega_field
 from mme.cli import main
-from mme.fields import FieldContext, field_configure
+from mme.fields import MINPOLY_DIGIT_BUDGET, FieldContext, field_configure
 from mme.identities import sigma_f_quadratic
 from mme.measure import COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET
 from mme.parser import parse_map
@@ -573,6 +573,17 @@ def test_integer_literals_past_the_digit_limit_exit_two(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_field_past_the_minimal_polynomial_digit_budget_exits_two(capsys):
+    # one digit over the budget is refused before the irreducibility test,
+    # which takes seconds on such coefficients at degree 8
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compose", "--f", "z^2", "--g", "z",
+                         "--field", "%d,0,1" % (10**MINPOLY_DIGIT_BUDGET + 1))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "at most %d digits" % MINPOLY_DIGIT_BUDGET in err
 
 
 def test_coefficients_past_the_digit_limit_are_read_back(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import sys
 import time
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from mme.fields import (
     FieldContext,
     FieldError,
+    MINPOLY_DIGIT_BUDGET,
     _is_irreducible_over_q,
     field_configure,
     poly_divmod,
@@ -69,13 +69,14 @@ def test_integer_strings_are_read_past_the_digit_limit():
 
 
 def test_minimal_polynomial_coefficients_stay_within_the_digit_limit():
-    # the irreducibility test would take minutes on 5000 digits
-    limit = sys.get_int_max_str_digits()
-    for coeffs in ([10**limit, 0, 1], [Fraction(1, 10**limit), 0, 1]):
+    # the irreducibility test takes seconds past the budget, minutes on 5000 digits
+    budget = MINPOLY_DIGIT_BUDGET
+    for coeffs in ([10**budget, 0, 1], [Fraction(1, 10**budget), 0, 1]):
         t0 = time.perf_counter()
-        with pytest.raises(FieldError, match="at most %d digits" % limit):
+        with pytest.raises(FieldError, match="at most %d digits" % budget):
             FieldContext(coeffs)
         assert time.perf_counter() - t0 < 1.0
+    assert FieldContext([10**budget - 1, 0, 1]).degree == 2
 
 
 def test_reducible_minpoly_rejected():

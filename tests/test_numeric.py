@@ -114,6 +114,81 @@ def test_unrefined_batched_roots_equal_single_row_roots():
         assert inf[0, -1] and inf[1, -1]
 
 
+def test_certified_roots_off_degree_two_equal_np_roots():
+    # certified_roots solves through _companion_roots, which keeps np.roots'
+    # companion matrices for every degree but 2; roots at 0 come last
+    rng = rng_for("certified-roots-np-roots")
+    for n in (0, 1, 3, 4, 5, 6, 7, 8):
+        for zeros in range(3):
+            if n + zeros == 0:
+                continue
+            for _ in range(4):
+                c = np.concatenate([np.zeros(zeros), complex_normal(rng, n + 1)])
+                desc = c[::-1]
+                want = np.asarray(np.roots(desc), dtype=complex)
+                for refine in (False, True):
+                    polished, ok = numeric._polish(desc[None, :], want[None, :],
+                                                   numeric.RESIDUAL_TOL, refine)
+                    assert ok[0]
+                    got = numeric.certified_roots(c, refine=refine)
+                    assert got.tobytes() == polished[0].astype(complex).tobytes()
+
+
+def _reference_quadratic_roots(row):
+    """The roots of the descending row (a, b, c): mpmath.polyroots at 50
+    digits, or, when |b| > 1e100, the quadratic formula at 500 digits, since
+    polyroots sets a root below its working precision relative to the
+    largest one to 0."""
+    a, b, c = (mpmath.mpc(x) for x in row)
+    if abs(b) <= 1e100:
+        with mpmath.workdps(50):
+            return mpmath.polyroots([a, b, c], maxsteps=200, extraprec=100)
+    with mpmath.workdps(500):
+        s = mpmath.sqrt(b * b - 4 * a * c)
+        return [(-b + s) / (2 * a), (-b - s) / (2 * a)]
+
+
+def _quadratic_errors(rows, roots):
+    """Per row, the largest relative error of ``roots`` against the reference,
+    under the better of the two pairings."""
+    errors = []
+    for row, z in zip(rows, roots):
+        want = _reference_quadratic_roots(row)
+        errors.append(min(
+            max(float(abs(mpmath.mpc(z[i]) - want[j]) / abs(want[j])) for i, j in enumerate(perm))
+            for perm in ((0, 1), (1, 0))))
+    return np.array(errors)
+
+
+def test_degree_two_closed_form_is_as_accurate_as_eigvals():
+    rng = rng_for("degree-two-closed-form")
+    base, gap = complex_normal(rng, 100), 1e-8 * complex_normal(rng, 100)
+    a, b = np.abs(rng.normal(size=100)), rng.normal(size=100)
+    cases = {
+        "spread": complex_normal(rng, 200, 3) * np.exp(8 * rng.normal(size=(200, 3))),
+        "near-double": np.stack([np.ones(100), -(2 * base + gap), base * (base + gap)], axis=1),
+        # real rows with b^2 < 4ac
+        "real, complex roots": np.stack(
+            [a, b, b * b / (4 * a) + np.abs(rng.normal(size=100))], axis=1),
+        "huge b": np.stack([complex_normal(rng, 100), 1e200 * complex_normal(rng, 100),
+                            complex_normal(rng, 100)], axis=1),
+        # real roots and imaginary roots have a zero part each
+        "zero parts": np.array([[1, 0, 1], [1, 0, -1], [2, 0, 8], [1, -3, 2], [1, 2, 1],
+                                [-1, 0, -4], [1j, 0, 1j], [1e-300, 0, 1e-300]]),
+    }
+    for name, rows in cases.items():
+        rows = np.asarray(rows, dtype=complex)
+        z = numeric._companion_roots(rows)
+        assert np.isfinite(z).all(), name
+        parts = np.concatenate([z.real.ravel(), z.imag.ravel()])
+        assert not np.signbit(parts[parts == 0]).any(), name
+        # a row alone gives the roots it gives in the stack
+        for row, roots in zip(rows, z):
+            assert numeric._companion_roots(row[None, :])[0].tobytes() == roots.tobytes()
+        eig = np.array([np.roots(row) for row in rows])
+        assert _quadratic_errors(rows, z).max() <= _quadratic_errors(rows, eig).max(), name
+
+
 def _counting_companion(monkeypatch):
     """The rows (descending) of every companion-matrix solve, one list per call."""
     calls = []
@@ -135,9 +210,9 @@ def test_unseeded_full_degree_stacks_take_one_companion_solve(monkeypatch):
     assert error is None and calls == [[row[::-1].tobytes() for row in rows]]
     assert_rows_equal(z, inf, rows, 2, residual_tol=1e-7, refine=False)
     # row 4 fails its residual check, and then mpmath fails on it: row 4
-    # alone goes through projective_roots, with no second companion solve of
-    # the stack, and the rows before row 4 come back with row 4's
-    # RootFindingError
+    # alone goes through projective_roots, whose one companion solve is of
+    # row 4 alone, with no second companion solve of the stack, and the rows
+    # before row 4 come back with row 4's RootFindingError
     rows[4] = [1, 2, 7]
     polish = numeric._polish
     failing = rows[4, ::-1].tobytes()
@@ -160,7 +235,7 @@ def test_unseeded_full_degree_stacks_take_one_companion_solve(monkeypatch):
     calls.clear()
     z, inf, error = projective_roots_batch(rows, 2, residual_tol=1e-7, refine=False)
     assert isinstance(error, numeric.RootFindingError) and str(error) == str(alone.value)
-    assert calls == [[row[::-1].tobytes() for row in rows]]
+    assert calls == [[row[::-1].tobytes() for row in rows], [failing]]
     assert_rows_equal(z, inf, rows[:4], 2, residual_tol=1e-7, refine=False)
 
 
