@@ -19,7 +19,10 @@ level by level: each level solves the fibers at all its abscissae in one
 batched root solve (cut in batches of at most CHUNK_ENTRIES entries), each
 fiber by Aberth iteration from a fiber of its path already solved, and
 bisects every step that does not move each point to a distinct nearest
-point well inside the new fiber's separation.  The fibers over all critical
+point well inside the new fiber's separation, up to BISECTION_BUDGET steps
+per path; chordal distances there are 2 x 2 determinants of normalized
+homogeneous coordinates.  The keyholes of all critical values are laid
+out in one pass of array operations.  The fibers over all critical
 values, where the branch data find the simple preimages, are one batched
 solve too.  A circle closes on the fiber where its leg ends, so the loop's
 permutation is read off the circle's last fiber and checked against the
@@ -34,7 +37,6 @@ division: P is checked antisymmetric, so x - y divides it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,11 @@ LAYOUT_CANDIDATES = 256
 KEYHOLE_STEPS = 24
 # the most entries, rows times d^2, of one batch of fiber solves or step checks
 CHUNK_ENTRIES = 2**18
+# the most steps ``_track`` bisects on one path before that path fails: 35
+# times the most any path took on the scripts/graph_digest.py corpus (118)
+# or at degree 40 (89), while a path whose every step is rejected reaches it
+# after twelve levels
+BISECTION_BUDGET = 2**12
 
 
 class TrackingError(RuntimeError):
@@ -241,38 +248,65 @@ def _fiber_coeffs(matrix, ts):
 # -- loops and tracking ----------------------------------------------------------------
 
 
-def _steps(a, b, step):
-    """The points after ``a`` that cut [a, b] into steps of length ``step``,
-    the last one a shorter step ending at ``b``."""
-    h = min(1.0, step / abs(b - a))
-    return [a + i * h * (b - a) for i in range(1, math.ceil(1.0 / h)) if i * h < 1.0 - 1e-15] + [b]
-
-
-def _keyhole(x0, b, rho):
-    """The leg from x0 to the disc of radius rho about b, the circle of
-    KEYHOLE_STEPS arcs that closes exactly at the leg's end, and the
-    circle's vertex index at each arc end.
+def _keyholes(x0, b, rho):
+    """Per critical value b[i], the leg from x0 to the disc of radius
+    rho[i] about it, the circle of KEYHOLE_STEPS arcs that closes exactly
+    at the leg's end, and the circle's vertex index at each arc end, all
+    built by one set of array operations: (legs, circles, corners).
 
     Every segment of the loop leg . circle . leg^-1 is cut into steps of a
     64th of that loop's length: these are the level-0 steps of ``_track``.
+    A segment [p, q] cut into steps of length ``step`` gets the points
+    p + i h (q - p), h = min(1, step / |q - p|), for the i >= 1 with
+    i h < 1 - 1e-15, then q.  Legs and circles are lists of points, x0
+    first in each leg.
     """
-    u = (b - x0) / abs(b - x0)
-    entry = b - rho * u
-    phi0 = np.angle(entry - b)
-    arcs = [entry] + [b + rho * np.exp(1j * (phi0 + 2 * np.pi * k / KEYHOLE_STEPS))
-                      for k in range(1, KEYHOLE_STEPS)] + [entry]
-    loop = [x0] + arcs + [x0]
-    step = sum(abs(q - p) for p, q in zip(loop, loop[1:])) / 64.0
-    circle, corners = [entry], [0]
-    for p, q in zip(arcs, arcs[1:]):
-        circle += _steps(p, q, step)
-        corners.append(len(circle) - 1)
-    return [x0] + _steps(x0, entry, step), circle, corners
+    b, rho = np.asarray(b, dtype=complex), np.asarray(rho, dtype=float)
+    n = len(b)
+    # np.hypot and a complex divisor round as scalar abs() and division of
+    # complex points do; np.abs of a complex array and division by a real
+    # array do not always
+    u = b - x0
+    entry = b - rho * (u / np.hypot(u.real, u.imag).astype(complex))
+    phi = np.angle(entry - b)[:, None] + 2 * np.pi * np.arange(1, KEYHOLE_STEPS) / KEYHOLE_STEPS
+    # per loop: x0, the KEYHOLE_STEPS + 1 arc ends (entry first and last), x0
+    loop = np.empty((n, KEYHOLE_STEPS + 3), dtype=complex)
+    loop[:, 0] = loop[:, -1] = x0
+    loop[:, 1] = loop[:, -2] = entry
+    loop[:, 2:-2] = b[:, None] + rho[:, None] * np.exp(1j * phi)
+    gaps = np.diff(loop, axis=1)
+    lengths = np.hypot(gaps.real, gaps.imag)
+    # summed in loop order, one segment after another
+    step = sum(lengths.T) / 64.0
+    # the segments to cut, loop by loop: the leg, then the circle's arcs
+    start, end, length = loop[:, :-2].ravel(), loop[:, 1:-1].ravel(), lengths[:, :-1]
+    h = np.minimum(1.0, step[:, None] / length).ravel()
+    cuts = np.ceil(1.0 / h).astype(int) - 1  # the candidates i of each segment
+    seg = np.repeat(np.arange(len(h)), cuts)
+    i = np.arange(len(seg)) - np.repeat(np.cumsum(cuts) - cuts, cuts) + 1
+    t = i * h[seg]
+    keep = t < 1.0 - 1e-15
+    seg, t = seg[keep], t[keep]
+    # every segment's inner points, then its end, in segment order
+    at = np.arange(len(h)) + np.searchsorted(seg, np.arange(len(h)), side="right")
+    points = np.empty(len(seg) + len(h), dtype=complex)
+    points[at] = end
+    inner = np.ones(len(points), dtype=bool)
+    inner[at] = False
+    points[inner] = start[seg] + t * (end[seg] - start[seg])
+    ends = (at + 1).reshape(n, KEYHOLE_STEPS + 1)  # one past each segment's last point
+    legs, circles, corners = [], [], []
+    for k in range(n):
+        lo = ends[k, 0]  # the leg's end: the entry point
+        legs.append([x0] + list(points[ends[k - 1, -1] if k else 0:lo]))
+        circles.append(list(points[lo - 1:ends[k, -1]]))
+        corners.append((ends[k] - lo).tolist())
+    return legs, circles, corners
 
 
 def _plan_loops(curve):
     """One keyhole loop per critical value b_i, from the best basepoint of a
-    circle, as a leg and a circle (see ``_keyhole``).
+    circle, as a leg and a circle, all built in one pass (see ``_keyholes``).
 
     The candidates are LAYOUT_CANDIDATES equally spaced points x0 on the
     circle of radius 1.8 * spread + sep about the mean of the b_i.  Each
@@ -305,9 +339,55 @@ def _plan_loops(curve):
         raise BasepointError("could not lay out non-overlapping loops; rescale the map")
     x0 = complex(x0s[k])
     order = sorted(range(n), key=lambda i: (np.angle(pts[i] - x0), abs(pts[i] - x0)))
-    legs, circles, corners = zip(*[_keyhole(x0, b, eps * s) for b, s in zip(pts, seps)])
-    return LoopPlan(basepoint=x0, order=order, legs=list(legs), circles=list(circles),
-                    corners=list(corners))
+    legs, circles, corners = _keyholes(x0, pts, eps * seps)
+    return LoopPlan(basepoint=x0, order=order, legs=legs, circles=circles, corners=corners)
+
+
+def _homogeneous(z, inf):
+    """The points (z, inf) in normalized homogeneous coordinates, as one
+    (..., 3, n) array of the rows Re u, Im u and v: x = u / v with
+    |u|^2 + v^2 = 1 and v >= 0 real, and INF = (1, 0).  Then
+    chordal(a, b) = |u_a v_b - v_a u_b| (see ``_chordal2``)."""
+    # dividing by max(1, |z|) first keeps |z|^2 from overflowing
+    s = np.maximum(1.0, np.hypot(z.real, z.imag))
+    h = np.stack([np.where(inf, 1.0, z.real / s), z.imag / s, np.where(inf, 0.0, 1.0 / s)],
+                 axis=-2)
+    h /= np.sqrt((h * h).sum(axis=-2, keepdims=True))
+    return h
+
+
+def _chordal2(a, b):
+    """chordal(a[..., i], b[..., j])^2 for every pair, as an (..., n, m)
+    array, from the ``_homogeneous`` points a (..., 3, n) and b (..., 3, m).
+
+    It is the squared modulus of the 2 x 2 determinant u_a v_b - v_a u_b.
+    Each of its products is rounded once and none cancels against a
+    term of size 1, so the distance is accurate to a few ulp in absolute
+    terms, and two equal points are at exactly 0.  (The sphere dot
+    product 1 - P.Q cancels: it cannot tell points 1e-9 apart.)
+    """
+
+    def outer(p, q):
+        return np.einsum("...i,...j->...ij", p, q)
+
+    ur, ui, v = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    wr, wi, w = b[..., 0, :], b[..., 1, :], b[..., 2, :]
+    re = outer(ur, w)
+    re -= outer(v, wr)
+    im = outer(ui, w)
+    im -= outer(v, wi)
+    re *= re
+    im *= im
+    re += im
+    return re
+
+
+def _min_pairwise_chordal2(h):
+    """min_pairwise_chordal squared, of the ``_homogeneous`` points h (..., 3, n)."""
+    n = h.shape[-1]
+    dist = _chordal2(h, h)
+    dist[..., np.arange(n), np.arange(n)] = np.inf
+    return dist.min(axis=(-2, -1), initial=np.inf)
 
 
 def _track(matrix, d, starts, paths):
@@ -326,23 +406,33 @@ def _track(matrix, d, starts, paths):
     the nearest-point map; and a nearest-point bijection within 0.4 sep
     costs strictly less than any other assignment, each of whose changed
     entries costs more than 0.6 sep.  The rule does not depend on sheet
-    order, so it is decided on the fibers as solved.  Every rejected step
-    is bisected, and the next level solves the midpoints.
+    order, so it is decided on the fibers as solved.  It is checked on
+    squared distances, largest move^2 < 0.16 sep^2, each one a 2 x 2
+    determinant of normalized homogeneous coordinates (see
+    ``_chordal2``), kept beside every stored fiber.  Every rejected
+    step is bisected, and the next level solves the midpoints; a path that
+    bisects more than BISECTION_BUDGET steps, as one whose fibers have two
+    equal points at every abscissa would at every level, fails with a
+    TrackingError, and so does a step bisected below 1e-12.
 
     The fibers solved so far are the rows of one (z, inf) store: the start
     fibers, then each level's solved fibers appended once the level is
     solved (its seeds are all fibers of earlier levels), so a vertex's
-    fiber is a row index into it.  A level gathers the seeds of its fibers from
-    the store, solves them across all paths, then gathers the two ends of
-    its steps and checks them, each in batches of at most
-    CHUNK_ENTRIES // d^2 rows (4096 at d = 8).  Every fiber is solved with
-    a seed (see projective_roots_batch): a level-0 vertex with its path's
-    start fiber, a midpoint with the fiber at the start of its step, so a
-    seed, like a step, depends on its own path alone.  A seeded fiber is
-    kept from Aberth iteration only when its discs are disjoint; the rest
-    come from companion matrices, as without a seed.  The moves are
-    composed along each path at the end, and the vertex fibers, in their
-    paths' sheet order, are gathered from the store at once.
+    fiber is a row index into it.  Each level is held as arrays: the nodes
+    to solve (path, segment, parameter, seed row) and the steps to check
+    (path, segment, the two parameters and the two rows), both in path
+    order, a node's row known before it is solved.  A level gathers the
+    seeds of its fibers from the store, solves them across all paths, then
+    gathers the two ends of its steps and checks them, each in batches of
+    at most CHUNK_ENTRIES // d^2 rows (4096 at d = 8).  Every fiber is
+    solved with a seed (see projective_roots_batch): a level-0 vertex with
+    its path's start fiber, a midpoint with the fiber at the start of its
+    step, so a seed, like a step, depends on its own path alone.  A seeded
+    fiber is kept from Aberth iteration only when its discs are disjoint;
+    the rest come from companion matrices, as without a seed.  The moves
+    are composed along each path at the end, all paths at once by a prefix
+    scan, and the vertex fibers, in their paths' sheet order, are gathered
+    from the store at once.
 
     The start fibers and the fibers returned are (z, inf) pairs.  Returns
     per path the fibers at its vertices, the first one included, in the
@@ -352,84 +442,111 @@ def _track(matrix, d, starts, paths):
     fails as it would alone; the paths after the first failed one are
     dropped (None), as callers raise errors in path order.
     """
-    segments = [list(zip(path, path[1:])) for path in paths]
-    start = (-1, 1.0)  # the key of a path's first vertex
+    n = len(paths)
+    # segment g of the paths, one path after another, runs from a[g] to b[g] on path owner[g]
+    a = np.array([x for path in paths for x in path[:-1]], dtype=complex)
+    b = np.array([x for path in paths for x in path[1:]], dtype=complex)
+    owner = np.repeat(np.arange(n), [max(len(path) - 1, 0) for path in paths])
+    length = np.abs(b - a)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    last = np.roll(first, -1)
+    closed = np.array([len(path) > 1 and path[-1] == path[0] for path in paths])
     z_all, inf_all = map(np.stack, zip(*starts))  # the store; row k is starts[k]
-    solved = [{start: k} for k in range(len(paths))]  # (segment, t) -> its fiber's store row
-    moves = [{} for _ in paths]  # (segment, t) -> the nearest-point map of the step ending there
-    outcomes = [None] * len(paths)
-    live = len(paths)  # the first failed path
+    h_all = _homogeneous(z_all, inf_all)  # the store in homogeneous coordinates
+    sep_all = _min_pairwise_chordal2(h_all)  # the squared separation of each stored fiber
+    outcomes = [None] * n
+    live = n  # the first failed path
+    bisected = np.zeros(n, dtype=int)
     per_batch = max(1, CHUNK_ENTRIES // (d * d))  # the most rows of one batch
-    nodes, steps = [], []  # (path, key, seed key) to solve; (path, start key, end key) to check
-    for k, (path, segs) in enumerate(zip(paths, segments)):
-        keys = [start] + [(j, 1.0) for j in range(len(segs))]
-        nodes += [(k, key, start) for key in keys[1:]]
-        steps += [(k, s, e) for s, e in zip(keys, keys[1:])]
-        if segs and path[-1] == path[0]:
-            nodes.pop()
-            solved[k][keys[-1]] = k
-    while steps:
-        nodes = [node for node in nodes if node[0] < live]
-        xs = [b if t == 1.0 else a + t * (b - a)
-              for k, (j, t), _s in nodes for a, b in [segments[k][j]]]
-        seeds = [solved[k][s] for k, _key, s in nodes]  # rows of earlier levels
-        zs, infs = [z_all], [inf_all]  # the store, then this level's batches
-        size = len(z_all)  # the store row of the next fiber solved
-        for lo in range(0, len(nodes), per_batch):
-            at = seeds[lo:lo + per_batch]
+    # level 0: every segment is a step to its end vertex, which is solved
+    # from the path's start fiber unless it closes the path
+    solve = ~(last & closed[owner])
+    end_row = np.where(solve, n + np.cumsum(solve) - 1, owner)
+    nodes = (owner[solve], np.flatnonzero(solve), np.ones(solve.sum()), owner[solve])
+    steps = (owner, np.arange(len(a)), np.zeros(len(a)), np.ones(len(a)),
+             np.where(first, owner, np.roll(end_row, 1)), end_row)
+    # per accepted step: its segment, end parameter, end row and nearest-point map
+    moves = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int),
+              np.zeros((0, d), dtype=int))]
+    while len(steps[0]):
+        path, seg, t, seed = (x[:np.searchsorted(nodes[0], live)] for x in nodes)
+        xs = np.where(t == 1.0, b[seg], a[seg] + t * (b[seg] - a[seg]))
+        # the store, then this level's batches
+        zs, infs, hs, seps = [z_all], [inf_all], [h_all], [sep_all]
+        for lo in range(0, len(path), per_batch):
+            at = seed[lo:lo + per_batch]
             coeffs = _fiber_coeffs(matrix, xs[lo:lo + per_batch])
             z, inf, error = projective_roots_batch(coeffs, d, near=(z_all[at], inf_all[at]))
-            for i, (k, key, _s) in enumerate(nodes[lo:lo + len(z)], size):
-                solved[k][key] = i
-            size += len(z)
             zs.append(z)
             infs.append(inf)
+            hs.append(_homogeneous(z, inf))
+            seps.append(_min_pairwise_chordal2(hs[-1]))
             if error is not None:
-                live = nodes[lo + len(z)][0]
+                live = int(path[lo + len(z)])
                 outcomes[live] = error
                 break
-        z_all, inf_all = np.concatenate(zs), np.concatenate(infs)
-        checks = [step for step in steps if step[0] < live]
+        z_all, inf_all, h_all, sep_all = map(np.concatenate, (zs, infs, hs, seps))
+        checks = [x[:np.searchsorted(steps[0], live)] for x in steps]
+        row = len(z_all)  # the store row of the next level's next node
         nodes, steps = [], []
-        for lo in range(0, len(checks), per_batch):
-            chunk = checks[lo:lo + per_batch]
-            old = [solved[k][s] for k, s, _e in chunk]
-            new = [solved[k][e] for k, _s, e in chunk]
-            news = z_all[new], inf_all[new]
-            cost = chordal_matrix(z_all[old], inf_all[old], *news)
+        for lo in range(0, len(checks[0]), per_batch):
+            hi = lo + np.searchsorted(checks[0][lo:lo + per_batch], live)
+            if hi == lo:
+                break
+            path, seg, t0, t1, old, new = (x[lo:hi] for x in checks)
+            cost = _chordal2(h_all[old], h_all[new])  # [step, old point, new point], squared
             near = cost.argmin(axis=2)  # [step, old point]: its nearest new point
+            moved = np.take_along_axis(cost, near[:, :, None], axis=2)  # squared
             accepted = (np.sort(near) == np.arange(d)).all(axis=1) & (
-                cost.min(axis=2).max(axis=1) < 0.4 * min_pairwise_chordal(*news))
-            for (k, s, e), nearest, ok in zip(chunk, near.tolist(), accepted.tolist()):
-                if k >= live:
-                    break
-                if ok:
-                    moves[k][e] = nearest
-                    continue
-                (a, b), (j, t) = segments[k][e[0]], e
-                t0 = s[1] if s[0] == j else 0.0
-                half = (t - t0) / 2.0
-                if half * abs(b - a) < 1e-12:
-                    outcomes[k], live = TrackingError("path-tracking step underflow"), k
-                    break
-                mid = (j, t0 + half)
-                nodes.append((k, mid, s))
-                steps += [(k, s, mid), (k, mid, e)]
-    vertices, orders, counts = [], [], []  # each vertex's store row and sheet order
-    for k in range(live):
-        order = list(range(d))  # order[i]: where sheet i sits in the fiber as solved
-        for key in sorted(moves[k]):
-            move = moves[k][key]
-            order = [move[i] for i in order]
-            if key[1] == 1.0:
-                vertices.append(solved[k][key])
-                orders.append(order)
-        counts.append(len(vertices))
-    at = np.array(vertices, dtype=int)[:, None], np.array(orders, dtype=int).reshape(-1, d)
-    fibers = list(zip(z_all[at], inf_all[at]))
-    for k, (lo, hi) in enumerate(zip([0] + counts, counts)):
+                moved.max(axis=(1, 2)) < 0.16 * sep_all[new])
+            half = (t1 - t0) / 2.0
+            underflow = ~accepted & (half * length[seg] < 1e-12)
+            split = ~accepted & ~underflow
+            count = np.cumsum(split)  # the steps this one's path bisected so far
+            count += bisected[path] - (count - split)[np.searchsorted(path, path)]
+            failed = np.flatnonzero(underflow | split & (count > BISECTION_BUDGET))
+            stop = len(path)
+            if len(failed):
+                stop = failed[0]
+                live = int(path[stop])
+                outcomes[live] = TrackingError("path-tracking step underflow" if underflow[stop]
+                                               else "path-tracking step budget exceeded")
+            ok, split = accepted[:stop], split[:stop]
+            moves.append((seg[:stop][ok], t1[:stop][ok], new[:stop][ok], near[:stop][ok]))
+            bisected += np.bincount(path[:stop][split], minlength=n)
+            path, seg, t0, t1, old, new = (x[:stop][split] for x in (path, seg, t0, t1, old, new))
+            mid = t0 + half[:stop][split]
+            rows = row + np.arange(len(path))
+            row += len(path)
+            nodes.append((path, seg, mid, old))
+            # each bisected step becomes its two halves, in order
+            steps.append([np.stack(pair, axis=1).ravel() for pair in
+                          [(path, path), (seg, seg), (t0, mid), (mid, t1), (old, rows), (rows, new)]])
+        if not steps:
+            break
+        nodes, steps = ([np.concatenate(x) for x in zip(*level)] for level in (nodes, steps))
+    seg, t, row, perm = map(np.concatenate, zip(*moves))
+    keep = owner[seg] < live
+    order = np.lexsort((t[keep], seg[keep]))  # each path's accepted steps, in path order
+    seg, t, row, perm = (x[keep][order] for x in (seg, t, row, perm))
+    path = owner[seg]
+    # perm[s] becomes the composition of the moves of the steps up to s on
+    # its path: where each sheet of the start fiber sits in the fiber as solved
+    rank = np.arange(len(path)) - np.searchsorted(path, path)
+    reach = 1
+    while reach <= rank.max(initial=0):
+        # each step's map after the maps of the up to ``reach`` steps before it
+        later = np.flatnonzero(rank >= reach)
+        perm[later] = perm.ravel()[later[:, None] * d + perm[later - reach]]
+        reach *= 2
+    vertex = t == 1.0
+    gather = row[vertex][:, None], perm[vertex]
+    fibers = list(zip(z_all[gather], inf_all[gather]))
+    ends = np.cumsum(np.bincount(path[vertex], minlength=live)).tolist()
+    for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
         outcomes[k] = [starts[k]] + fibers[lo:hi]
-    return outcomes[:live + 1] + [None] * (len(paths) - live - 1)
+    return outcomes[:live + 1] + [None] * (n - live - 1)
 
 
 def _compose(p1, p2):

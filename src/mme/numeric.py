@@ -54,10 +54,12 @@ RESIDUAL_TOL = 1e-10
 INF_TOL = 1e-13
 # the most monotone Newton steps a batched root solve takes
 NEWTON_ITERS = 8
-# the most Aberth steps a seeded batched root solve takes, and the largest
-# last correction, relative to max(1, |root|), of a root it keeps
+# the most Aberth steps a seeded batched root solve takes; a row stops when
+# its largest correction, relative to max(1, |root|), is below ABERTH_TOL,
+# or below ABERTH_STALL (sqrt(eps)) and no less than half the one before
 ABERTH_ITERS = 16
 ABERTH_TOL = 4e-16
+ABERTH_STALL = float(np.sqrt(np.finfo(float).eps))
 # rationalize_into_field: the largest denominator it rounds to, and the
 # relative error its embedding may leave
 MAX_DEN = 10**6
@@ -155,9 +157,12 @@ def _aberth(desc, roots, residual_tol):
     the seed ``roots`` (L, n): (roots, ok per row).
 
     Every point of a row moves by z_i -= N_i / (1 - N_i S_i), N_i = p/p'
-    at z_i and S_i = sum_{j != i} 1 / (z_i - z_j), until every correction
-    of the row is below ABERTH_TOL max(1, |z_i|); such a row takes no more
-    steps, and a row that has not got there after ABERTH_ITERS is not ok.
+    at z_i and S_i = sum_{j != i} 1 / (z_i - z_j).  A row takes no more
+    steps once its largest correction, relative to max(1, |z_i|), is below
+    ABERTH_TOL, or once it is below ABERTH_STALL and no smaller than half
+    the row's previous one: the corrections have stopped shrinking, so
+    they are rounding noise (Bini, Numer. Algorithms 13, 1996).  A row
+    that has done neither after ABERTH_ITERS is not ok.
     A converged row is ok when its scaled residuals are below
     ``residual_tol`` and its Braess-Hadeler discs |z - z_i| <= n |W_i|,
     W_i = p(z_i) / (a_n prod_{j != i} (z_i - z_j)), are finite and pairwise
@@ -168,21 +173,25 @@ def _aberth(desc, roots, residual_tol):
     """
     n = desc.shape[1] - 1
     dcoeffs = desc[:, :-1] * np.arange(n, 0, -1)
-    off = ~np.eye(n, dtype=bool)
+    diag = np.arange(n)
     roots = roots.copy()
     live = np.arange(len(desc))  # the rows still stepping
+    last = np.full(len(desc), np.inf)  # their previous largest relative corrections
     converged = np.zeros(len(desc), dtype=bool)
     # equal points or a zero derivative give inf or nan, which never converge
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_ITERS):
             z = roots[live]
             ratio = _polyval_rows(desc[live], z) / _polyval_rows(dcoeffs[live], z)
-            pull = np.where(off, 1.0 / (z[:, :, None] - z[:, None, :]), 0.0).sum(axis=2)
-            step = ratio / (1.0 - ratio * pull)
+            inverse = 1.0 / (z[:, :, None] - z[:, None, :])
+            inverse[:, diag, diag] = 0.0
+            step = ratio / (1.0 - ratio * inverse.sum(axis=2))
             roots[live] = z - step
-            done = (np.abs(step) < ABERTH_TOL * np.maximum(1.0, np.abs(z))).all(axis=1)
+            size = (np.abs(step) / np.maximum(1.0, np.abs(z))).max(axis=1)
+            # below ABERTH_TOL, or below ABERTH_STALL once no less than half the last
+            done = size < np.where(size + size >= last, ABERTH_STALL, ABERTH_TOL)
             converged[live[done]] = True
-            live = live[~done]
+            live, last = live[~done], size[~done]
             if not len(live):
                 break
         vals = _polyval_rows(desc, roots)
@@ -191,9 +200,11 @@ def _aberth(desc, roots, residual_tol):
         slack = 2 * n * np.finfo(float).eps * _polyval_rows(np.abs(desc), np.abs(roots))
         bound = np.abs(vals) + slack
         diff = roots[:, :, None] - roots[:, None, :]
-        radius = n * bound / np.abs(desc[:, :1] * np.where(off, diff, 1.0).prod(axis=2))
+        diff[:, diag, diag] = 1.0
+        radius = n * bound / np.abs(desc[:, :1] * diff.prod(axis=2))
         apart = np.abs(diff) > radius[:, :, None] + radius[:, None, :]
-        disjoint = np.isfinite(radius).all(axis=1) & (apart | ~off).all(axis=(1, 2))
+        apart[:, diag, diag] = True
+        disjoint = np.isfinite(radius).all(axis=1) & apart.all(axis=(1, 2))
         small = (_residuals(desc, roots, np.abs(vals)) < residual_tol).all(axis=1)
     return roots, converged & disjoint & small
 

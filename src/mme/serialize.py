@@ -130,7 +130,8 @@ def point_to_json(p):
     if is_inf(p):
         return "inf"
     p = complex(p)
-    return [p.real, p.imag]
+    # + 0.0 turns -0.0 into 0.0
+    return [p.real + 0.0, p.imag + 0.0]
 
 
 def dumps_report(report):

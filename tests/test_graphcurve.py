@@ -1,7 +1,9 @@
 import itertools
 import math
+import time
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,11 +13,15 @@ from mme.fields import FieldContext
 from mme.catalog import entry
 from mme.fields import field_configure
 from mme.graphcurve import (
+    BISECTION_BUDGET,
     KEYHOLE_STEPS,
     TrackingError,
+    _chordal2,
     _cycles_at_preimages,
     _fiber_coeffs,
-    _keyhole,
+    _homogeneous,
+    _keyholes,
+    _min_pairwise_chordal2,
     _plan_loops,
     _sheet_samples,
     _track,
@@ -304,6 +310,61 @@ def test_target_pole_is_the_first_farthest_grid_point():
         assert _target_pole(values) == want
 
 
+def _chordal_mp(p, q):
+    """chordal(p, q) at 50 digits, rounded once."""
+    with mpmath.workdps(50):
+        if p is INF or q is INF:
+            if p is q:
+                return 0.0
+            w = mpmath.mpc(q if p is INF else p)
+            return float(1 / mpmath.sqrt(1 + abs(w) ** 2))
+        p, q = mpmath.mpc(p), mpmath.mpc(q)
+        return float(abs(p - q) / mpmath.sqrt((1 + abs(p) ** 2) * (1 + abs(q) ** 2)))
+
+
+def test_homogeneous_determinant_distance_matches_chordal_matrix():
+    rng = rng_for("homogeneous-chordal")
+    eps = np.finfo(float).eps
+    special = [INF, 0j, 1e150 + 0j, -1e150j, 1e150 * (1 + 1j), 1 + 0j, 1 + 1e-12 + 0j,
+               1e-12j, 3e5 - 2e5j]
+    for trial in range(100):
+        a = list((rng.normal(size=6) + 1j * rng.normal(size=6)) * 10.0 ** rng.integers(-4, 5))
+        p = a[trial % 6] = special[trial % len(special)]
+        # a point about 1e-12 from p in chordal distance, in the chart of z or 1/z
+        if p is INF or abs(p) > 1:
+            w = 0j if p is INF else 1 / p
+            a[(trial + 1) % 6] = 1 / (w + 1e-12 * (1 + abs(w) ** 2))
+        else:
+            a[(trial + 1) % 6] = p + 1e-12 * (1 + abs(p) ** 2)
+        b = special[trial % 3:] + a
+        ha, hb = _homogeneous(*point_arrays(a)), _homogeneous(*point_arrays(b))
+        got = np.sqrt(_chordal2(ha, hb))
+        exact = np.array([[_chordal_mp(p, q) for q in b] for p in a])
+        assert np.abs(got - exact).max() <= 4 * eps
+        # chordal_matrix agrees where its (1 + |a|^2)(1 + |b|^2) does not overflow
+        size = [np.array([1.0 if p is INF else max(1.0, abs(p)) for p in x]) for x in (a, b)]
+        fits = np.log10(size[0])[:, None] + np.log10(size[1])[None, :] < 150
+        with np.errstate(over="ignore"):
+            want = chordal_matrix(*point_arrays(a), *point_arrays(b))
+        assert np.abs(got - want)[fits].max() <= 4 * eps
+        pairs = exact[:, len(b) - 6:][~np.eye(6, dtype=bool)]  # a against itself
+        assert abs(np.sqrt(_min_pairwise_chordal2(ha)) - pairs.min()) <= 4 * eps
+        # equal points are at exactly 0: a step between equal fibers costs nothing
+        assert (np.diagonal(_chordal2(ha, ha)) == 0).all()
+    # u, v: unit norm, v >= 0 real, INF = (1, 0)
+    h = _homogeneous(*point_arrays(special))
+    assert np.abs((h * h).sum(axis=0) - 1).max() <= 2 * eps and (h[2] >= 0).all()
+    assert h[:, 0].tolist() == [1.0, 0.0, 0.0] and h[:, 1].tolist() == [0.0, 0.0, 1.0]
+    # stacked inputs give the stack of the single results
+    z = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    h = _homogeneous(z, np.zeros(z.shape, dtype=bool))
+    assert h.shape == (4, 3, 5)
+    stacked = _chordal2(h, h[::-1])
+    for k in range(4):
+        assert stacked[k].tobytes() == _chordal2(h[k], h[3 - k]).tobytes()
+    assert (_min_pairwise_chordal2(h[:, :, :1]) == np.inf).all()
+
+
 def _lockstep_case():
     """A degree-4 curve, its loop plan and base fiber, and paths from the base
     fiber: four whole keyhole loops, two legs and a polyline along part of
@@ -437,7 +498,8 @@ def _near_keyhole(curve, plan, i):
     """A keyhole loop whose circle about critical value i has a radius of a
     256th of its distance to the basepoint, as one closed polyline."""
     x0, b = plan.basepoint, curve.values[i]
-    return _whole_loop(*_keyhole(x0, b, abs(b - x0) / 256)[:2])
+    (leg,), (circle,), _corners = _keyholes(x0, [b], [abs(b - x0) / 256])
+    return _whole_loop(leg, circle)
 
 
 def _counting_solves(monkeypatch):
@@ -658,6 +720,30 @@ def test_path_through_a_critical_value_underflows():
     assert isinstance(alone, TrackingError) and "underflow" in str(alone)
 
 
+def test_bisection_stops_at_the_step_budget(monkeypatch):
+    # a fiber with two equal points has separation 0, so even a step between
+    # two copies of it is rejected: every level bisects every step, and the
+    # step count doubles each level until the budget stops the path
+    from mme import graphcurve
+
+    fiber = point_arrays([0j, 0j, 1 + 0j])
+    rows = []
+
+    def equal_points(coeffs, d, near=None):
+        rows.append(len(coeffs))
+        # a tracker without the budget stops here instead of running on
+        assert sum(rows) <= 10 * BISECTION_BUDGET, "the bisection outran its budget"
+        return *(np.repeat(a[None], len(coeffs), axis=0) for a in fiber), None
+
+    monkeypatch.setattr(graphcurve, "projective_roots_batch", equal_points)
+    began = time.perf_counter()
+    [outcome] = _track(np.zeros((2, 4), dtype=complex), 3, [fiber], [[0j, 1 + 0j]])
+    assert time.perf_counter() - began < 1.0
+    assert isinstance(outcome, TrackingError) and "budget exceeded" in str(outcome)
+    # each level solves the midpoints of the one before, twice as many
+    assert rows[:4] == [1, 1, 2, 4] and sum(rows) >= BISECTION_BUDGET
+
+
 def test_cycle_type_must_match_exact_local_degrees():
     # one simple critical point over v: local degrees (2, 1) at 0 and 1
     preimages = [(0j, 2), (1 + 0j, 1)]
@@ -723,6 +809,45 @@ def test_degree_eight_map_lays_out_its_loops():
 def _segment_distance(p, a, b):
     t = min(1.0, max(0.0, ((p - a) * np.conj(b - a)).real / abs(b - a) ** 2))
     return abs(p - (a + t * (b - a)))
+
+
+def _keyhole_one_at_a_time(x0, b, rho):
+    """The keyhole about one critical value b, built point by point in
+    scalar arithmetic: (leg, circle, corners)."""
+
+    def steps(p, q, step):
+        h = min(1.0, step / abs(q - p))
+        return [p + i * h * (q - p) for i in range(1, math.ceil(1.0 / h))
+                if i * h < 1.0 - 1e-15] + [q]
+
+    entry = b - rho * ((b - x0) / abs(b - x0))
+    phi0 = np.angle(entry - b)
+    arcs = [entry] + [b + rho * np.exp(1j * (phi0 + 2 * np.pi * k / KEYHOLE_STEPS))
+                      for k in range(1, KEYHOLE_STEPS)] + [entry]
+    loop = [x0] + arcs + [x0]
+    step = sum(abs(q - p) for p, q in zip(loop, loop[1:])) / 64.0
+    circle, corners = [entry], [0]
+    for p, q in zip(arcs, arcs[1:]):
+        circle += steps(p, q, step)
+        corners.append(len(circle) - 1)
+    return [x0] + steps(x0, entry, step), circle, corners
+
+
+def test_keyholes_equal_the_scalar_construction():
+    # the plan's keyholes, built in one pass, are those built one at a time,
+    # bit for bit
+    rng = rng_for("keyholes")
+    for _ in range(200):
+        n = int(rng.integers(2, 15))
+        x0 = complex(*rng.normal(size=2) * 3)
+        b = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.integers(-3, 3)
+        rho = np.abs(rng.normal(size=n)) * 10.0 ** rng.integers(-4, 0)
+        legs, circles, corners = _keyholes(x0, b, rho)
+        for i in range(n):
+            leg, circle, corner = _keyhole_one_at_a_time(x0, b[i], rho[i])
+            assert np.array(legs[i]).tobytes() == np.array(leg).tobytes()
+            assert np.array(circles[i]).tobytes() == np.array(circle).tobytes()
+            assert corners[i] == corner
 
 
 def test_loop_layout_clears_every_other_disc():

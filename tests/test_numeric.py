@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from mme import numeric
-from mme.fields import field_configure
+from mme.fields import FieldContext, field_configure
+from mme.polys import Poly
 from mme.numeric import (
     INF,
     _newton_refine,
@@ -388,6 +389,37 @@ def test_chordal_matrix_equals_chordal():
         min_pairwise_chordal(*point_arrays(x)) for x in a]
     for few in ([], [1j], [INF], [[2.0], [INF]]):
         assert (min_pairwise_chordal(*point_arrays(few)) == np.inf).all()
+
+
+def _squarefree_integer_rows(rng, d, count):
+    """``count`` rows (descending) of degree d with integer coefficients in
+    [-9, 9], nonzero leading and constant terms, and no repeated root."""
+    Q = FieldContext.rationals()
+    rows = []
+    while len(rows) < count:
+        c = rng.integers(-9, 10, size=d + 1)
+        p = Poly(Q, [Q.from_rational(int(x)) for x in c])
+        if c[0] and c[-1] and p.gcd(p.derivative()).degree == 0:
+            rows.append(c[::-1])
+    return np.array(rows, dtype=complex)
+
+
+def test_seeded_squarefree_rows_are_all_kept():
+    # a row stops once its corrections stop shrinking, so rounding noise just
+    # above ABERTH_TOL no longer rejects a row whose roots are found; and
+    # from seeds far off, a row stops only once its corrections are small
+    rng = rng_for("squarefree-seeds")
+    for d in range(3, 9):
+        desc = _squarefree_integer_rows(rng, d, 300)
+        want = numeric._companion_roots(desc)
+        for offset in (1e-6, 0.1):
+            noise = rng.normal(size=want.shape) + 1j * rng.normal(size=want.shape)
+            roots, ok = numeric._aberth(desc, want + offset * (1 + np.abs(want)) * noise,
+                                        numeric.RESIDUAL_TOL)
+            assert ok.all(), (d, offset, (~ok).sum())
+            # the same root set: each root's nearest companion root is its own
+            dist = np.abs(roots[:, :, None] - want[:, None, :])
+            assert (np.sort(dist.argmin(axis=2), axis=1) == np.arange(d)).all()
 
 
 def test_rationalize_into_field_refuses_degree_three_and_up():

@@ -117,6 +117,8 @@ def test_point_to_json_including_infinity():
     assert point_to_json(np.complex128(-2j)) == [0.0, -2.0]
     assert point_to_json(INF) == "inf"
     assert json.dumps(point_to_json(0j)) == "[0.0, 0.0]"
+    assert json.dumps(point_to_json(complex(4.0, -0.0))) == "[4.0, 0.0]"
+    assert json.dumps(point_to_json(complex(-0.0, -0.0))) == "[0.0, 0.0]"
 
 
 def test_dumps_report_is_deterministic_and_sorted():
