@@ -5,10 +5,16 @@ coefficients in [-5, 5] drawn from a fixed numpy seed over Q, then maps of
 degree 2-8 whose coefficients a + b w, a and b in [-3, 3], lie in Q(w),
 w^2 + w + 1 = 0.  Each map runs through ``mme.cli.main(["analyze-graph",
 "--map", <map JSON>])`` in this process.  The first line printed is the
-sha256 of all the lines after it; each of those gives one map's exit code,
-the sha256 of its stdout and of its stderr, and the map.  Two versions of
-the package that print the same first line gave every map the same exit
-code, report and error message.
+sha256 of all the lines after the second; each of those gives one map's
+exit code, the sha256 of its stdout and of its stderr, and the map.  Two
+versions of the package that print the same first line gave every map the
+same exit code, report and error message.  The second line is the sha256
+of the same lines with each exit-0 report's ``basepoint`` and
+``branch_points`` dropped before hashing: the floats that move when a
+root or a tie in the loop layout changes in its last bits.  Two versions
+that print the same second line gave every map the same exit code, error
+message and exact content (bidegrees, genera, ramification, exact
+polynomials).
 
     python3 scripts/graph_digest.py                   # the whole corpus
     python3 scripts/graph_digest.py --limit 4         # its first four maps
@@ -79,12 +85,21 @@ def sha256(text):
 
 
 def run(spec):
-    """The exit code of analyze-graph on the map JSON ``spec``, and the
-    sha256 of its stdout and of its stderr."""
+    """The exit code, stdout and stderr of analyze-graph on the map JSON ``spec``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(["analyze-graph", "--map", spec])
-    return code, sha256(out.getvalue()), sha256(err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+def exact_content(code, out):
+    """The stdout ``out`` of an analyze-graph run that exited ``code``, with
+    the report's ``basepoint`` and ``branch_points`` dropped if it exited 0."""
+    if code != 0:
+        return out
+    report = json.loads(out)
+    del report["basepoint"], report["branch_points"]
+    return json.dumps(report)
 
 
 def main():
@@ -92,9 +107,13 @@ def main():
     ap.add_argument("--limit", type=int, help="run only the first LIMIT maps")
     args = ap.parse_args()
 
-    maps = corpus()[:args.limit]
-    lines = ["%d %s %s %s" % (*run(spec), spec) for spec in maps]
+    lines, exact = [], []
+    for spec in corpus()[:args.limit]:
+        code, out, err = run(spec)
+        lines.append("%d %s %s %s" % (code, sha256(out), sha256(err), spec))
+        exact.append("%d %s %s %s" % (code, sha256(exact_content(code, out)), sha256(err), spec))
     print(sha256("\n".join(lines)))
+    print(sha256("\n".join(exact)))
     print("\n".join(lines))
 
 

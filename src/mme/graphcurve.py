@@ -20,13 +20,12 @@ batched root solve (cut in batches of at most CHUNK_ENTRIES entries), each
 fiber by Aberth iteration from a fiber of its path already solved, and
 bisects every step that does not move each point to a distinct nearest
 point well inside the new fiber's separation, up to BISECTION_BUDGET steps
-per path; chordal distances there are 2 x 2 determinants of normalized
-homogeneous coordinates.  The keyholes of all critical values are laid
-out in one pass of array operations.  The fibers over all critical
-values, where the branch data find the simple preimages, are one batched
-solve too.  A circle closes on the fiber where its leg ends, so the loop's
-permutation is read off the circle's last fiber and checked against the
-exact local degrees of G.  Legs and circles are tracked in base-sheet
+per path.  The keyholes of all critical values are laid out in one pass
+of array operations.  The fibers over all critical values, where the
+branch data find the simple preimages, are one batched solve too.  A
+circle closes on the fiber where its leg ends, so the loop's permutation
+is read off the circle's last fiber, by exact equality with the entry
+fiber, and checked against the exact local degrees of G.  Legs and circles are tracked in base-sheet
 order, so the fiber at every vertex of a circle puts a point (x_i, x_j) on
 the component of each orbit holding (i, j); those points are the
 component's samples.  Its x-degree is confirmed by a relation vanishing on
@@ -44,9 +43,11 @@ import numpy as np
 from .numeric import (
     INF,
     ConsistencyError,
-    chordal_matrix,
+    chordal,
+    chordal2,
+    homogeneous,
     is_inf,
-    min_pairwise_chordal,
+    min_pairwise_chordal2,
     point_arrays,
     projective_roots,
     projective_roots_batch,
@@ -166,18 +167,17 @@ def _branch_data(G):
     groups = critical_data(G).value_groups
     z, inf, error = projective_roots_batch(np.array([G.preimage_row(v) for v, _g in groups]), d)
     out = []
-    for (v, group), fz, finf in zip(groups, z, inf):
+    for (v, group), fz, finf, h in zip(groups, z, inf, homogeneous(z, inf)):
         if sum(m + 1 for _p, m in group) > d:
             raise TrackingError("critical points of one critical value exceed its fiber")
-        crit = point_arrays([p for p, _m in group])
-        dist = chordal_matrix(fz, finf, *crit)  # [root, critical point]
+        crit = homogeneous(*point_arrays([p for p, _m in group]))
+        dist = chordal2(h, crit)  # [root, critical point], squared
         left = np.arange(d)  # the roots not yet set aside
         for j, (_p, m) in enumerate(group):
             # the m + 1 nearest, first-wins on ties as m + 1 argmin pops would be
             left = np.delete(left, np.argsort(dist[left, j], kind="stable")[:m + 1])
         pre = [(p, m + 1) for p, m in group] + [(INF if finf[i] else fz[i], 1) for i in left]
-        if min_pairwise_chordal(np.concatenate([crit[0], fz[left]]),
-                                np.concatenate([crit[1], finf[left]])) < 1e-4:
+        if min_pairwise_chordal2(np.concatenate([crit, h[:, left]], axis=-1)) < 1e-8:
             raise TrackingError("preimages of a critical value are too close to tell apart")
         out.append((v, pre))
     if error is not None:
@@ -189,7 +189,7 @@ def _target_pole(values):
     """The point of the integer grid [-3, 3] x [-3, 3]i chordally farthest
     from the critical values."""
     grid = np.array([complex(a, b) for a in range(-3, 4) for b in range(-3, 4)])
-    dist = chordal_matrix(grid, np.zeros(len(grid), dtype=bool), *point_arrays(values))
+    dist = chordal(grid, np.zeros(len(grid), dtype=bool), *point_arrays(values))
     return complex(grid[dist.min(axis=1).argmax()])
 
 
@@ -232,7 +232,7 @@ def build_graph(G):
 def fiber_at(curve, t0):
     """(z, inf) of the d points x with G(x) = t, for t0 = 1/(t - c) in the target chart."""
     fiber = point_arrays(projective_roots(_fiber_coeffs(curve.matrix, [t0])[0], curve.degree))
-    if min_pairwise_chordal(*fiber) < 1e-5:
+    if min_pairwise_chordal2(homogeneous(*fiber)) < 1e-10:
         raise TrackingError("fiber is nearly degenerate: t0 too close to a critical value")
     return fiber
 
@@ -343,53 +343,6 @@ def _plan_loops(curve):
     return LoopPlan(basepoint=x0, order=order, legs=legs, circles=circles, corners=corners)
 
 
-def _homogeneous(z, inf):
-    """The points (z, inf) in normalized homogeneous coordinates, as one
-    (..., 3, n) array of the rows Re u, Im u and v: x = u / v with
-    |u|^2 + v^2 = 1 and v >= 0 real, and INF = (1, 0).  Then
-    chordal(a, b) = |u_a v_b - v_a u_b| (see ``_chordal2``)."""
-    # dividing by max(1, |z|) first keeps |z|^2 from overflowing
-    s = np.maximum(1.0, np.hypot(z.real, z.imag))
-    h = np.stack([np.where(inf, 1.0, z.real / s), z.imag / s, np.where(inf, 0.0, 1.0 / s)],
-                 axis=-2)
-    h /= np.sqrt((h * h).sum(axis=-2, keepdims=True))
-    return h
-
-
-def _chordal2(a, b):
-    """chordal(a[..., i], b[..., j])^2 for every pair, as an (..., n, m)
-    array, from the ``_homogeneous`` points a (..., 3, n) and b (..., 3, m).
-
-    It is the squared modulus of the 2 x 2 determinant u_a v_b - v_a u_b.
-    Each of its products is rounded once and none cancels against a
-    term of size 1, so the distance is accurate to a few ulp in absolute
-    terms, and two equal points are at exactly 0.  (The sphere dot
-    product 1 - P.Q cancels: it cannot tell points 1e-9 apart.)
-    """
-
-    def outer(p, q):
-        return np.einsum("...i,...j->...ij", p, q)
-
-    ur, ui, v = a[..., 0, :], a[..., 1, :], a[..., 2, :]
-    wr, wi, w = b[..., 0, :], b[..., 1, :], b[..., 2, :]
-    re = outer(ur, w)
-    re -= outer(v, wr)
-    im = outer(ui, w)
-    im -= outer(v, wi)
-    re *= re
-    im *= im
-    re += im
-    return re
-
-
-def _min_pairwise_chordal2(h):
-    """min_pairwise_chordal squared, of the ``_homogeneous`` points h (..., 3, n)."""
-    n = h.shape[-1]
-    dist = _chordal2(h, h)
-    dist[..., np.arange(n), np.arange(n)] = np.inf
-    return dist.min(axis=(-2, -1), initial=np.inf)
-
-
 def _track(matrix, d, starts, paths):
     """Continue ``starts[k]`` along ``paths[k]`` (a polyline), for every k,
     level by level.
@@ -409,7 +362,7 @@ def _track(matrix, d, starts, paths):
     order, so it is decided on the fibers as solved.  It is checked on
     squared distances, largest move^2 < 0.16 sep^2, each one a 2 x 2
     determinant of normalized homogeneous coordinates (see
-    ``_chordal2``), kept beside every stored fiber.  Every rejected
+    ``numeric.chordal2``), kept beside every stored fiber.  Every rejected
     step is bisected, and the next level solves the midpoints; a path that
     bisects more than BISECTION_BUDGET steps, as one whose fibers have two
     equal points at every abscissa would at every level, fails with a
@@ -453,8 +406,8 @@ def _track(matrix, d, starts, paths):
     last = np.roll(first, -1)
     closed = np.array([len(path) > 1 and path[-1] == path[0] for path in paths])
     z_all, inf_all = map(np.stack, zip(*starts))  # the store; row k is starts[k]
-    h_all = _homogeneous(z_all, inf_all)  # the store in homogeneous coordinates
-    sep_all = _min_pairwise_chordal2(h_all)  # the squared separation of each stored fiber
+    h_all = homogeneous(z_all, inf_all)  # the store in homogeneous coordinates
+    sep_all = min_pairwise_chordal2(h_all)  # the squared separation of each stored fiber
     outcomes = [None] * n
     live = n  # the first failed path
     bisected = np.zeros(n, dtype=int)
@@ -480,8 +433,8 @@ def _track(matrix, d, starts, paths):
             z, inf, error = projective_roots_batch(coeffs, d, near=(z_all[at], inf_all[at]))
             zs.append(z)
             infs.append(inf)
-            hs.append(_homogeneous(z, inf))
-            seps.append(_min_pairwise_chordal2(hs[-1]))
+            hs.append(homogeneous(z, inf))
+            seps.append(min_pairwise_chordal2(hs[-1]))
             if error is not None:
                 live = int(path[lo + len(z)])
                 outcomes[live] = error
@@ -495,7 +448,7 @@ def _track(matrix, d, starts, paths):
             if hi == lo:
                 break
             path, seg, t0, t1, old, new = (x[lo:hi] for x in checks)
-            cost = _chordal2(h_all[old], h_all[new])  # [step, old point, new point], squared
+            cost = chordal2(h_all[old], h_all[new])  # [step, old point, new point], squared
             near = cost.argmin(axis=2)  # [step, old point]: its nearest new point
             moved = np.take_along_axis(cost, near[:, :, None], axis=2)  # squared
             accepted = (np.sort(near) == np.arange(d)).all(axis=1) & (
@@ -583,7 +536,7 @@ def _cycles_at_preimages(perm, entry, preimages):
             "ramification mismatch at a critical value: monodromy %s vs exact %s"
             % (observed, exact)
         )
-    dist = chordal_matrix(*entry, *point_arrays([p for p, _e in preimages]))
+    dist = chordal(*entry, *point_arrays([p for p, _e in preimages]))
     cost = np.array([dist[list(c)].sum(axis=0) for c in cycles])
     rows, cols = linear_sum_assignment(cost)
     out = [None] * len(preimages)
@@ -608,7 +561,7 @@ def monodromy(curve):
     reaches entry point i, the circle takes it to entry point j, and the
     leg back takes entry point j to base point j: the loop's permutation is
     the circle's, read in the entry fiber's labels.  The circle ends on the
-    entry fiber's own values, so j is the one entry point at distance 0.
+    entry fiber's own values, so j is the one entry point that point i equals.
 
     A component of bidegree (r, r) gets n * r samples from n fibers, and its
     relation needs (r + 1)^2 + 1 of them; n = 4d + 4 gives that for every
@@ -625,9 +578,11 @@ def monodromy(curve):
     circles = _track(curve.matrix, d, entries, plan.circles)
     _raise_first(circles)
     # perm[i] = j: the sheet that entered the disc at entry point i ends at
-    # entry point j, the one at distance 0
-    perms = [tuple(chordal_matrix(*fibers[-1], *entry).argmin(axis=1).tolist())
-             for fibers, entry in zip(circles, entries)]
+    # entry point j, the one it equals
+    perms = []
+    for fibers, (ez, einf) in zip(circles, entries):
+        z, inf = fibers[-1]
+        perms.append(tuple(((z[:, None] == ez) & (inf[:, None] == einf)).argmax(axis=1).tolist()))
     _check_sphere_relation(d, perms, plan.order)
     cycles = [
         _cycles_at_preimages(perm, entry, pre)

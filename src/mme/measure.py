@@ -33,7 +33,8 @@ from .identities import (
 from .numeric import (
     RootFindingError,
     chordal,
-    chordal_matrix,
+    chordal2,
+    homogeneous,
     named_rng,
     point_arrays,
     projective_roots,
@@ -99,16 +100,17 @@ def _exceptional_points(f):
     d = f.degree
     # fixed points: roots of p(z) - z q(z), plus infinity when deg p > deg q
     fixed_poly = f.num - Poly.x(f.ctx) * f.den
-    pts = projective_roots(fixed_poly.numeric_coeffs(), d + 1)
-    out = []
-    for z in pts:
+    fixed, pre = [], []  # the fixed points whose preimages are certified, and those preimages
+    for z in projective_roots(fixed_poly.numeric_coeffs(), d + 1):
         try:
-            pre = f.preimages(z)
+            pre.append(f.preimages(z))
         except RootFindingError:
             continue
-        if all(chordal(w, z) < 1e-6 for w in pre):
-            out.append(z)
-    return out
+        fixed.append(z)
+    if not fixed:
+        return []
+    near = chordal(*point_arrays(pre), *point_arrays([[z] for z in fixed])) < 1e-6
+    return [z for z, full in zip(fixed, near.all(axis=(1, 2))) if full]
 
 
 def _check_orbits(f, depth):
@@ -149,7 +151,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     _check_orbits(f, depth)
     _check_count(count)
     rng = named_rng(seed, stream)
-    exceptional = point_arrays(_exceptional_points(f))
+    exceptional = homogeneous(*point_arrays(_exceptional_points(f)))
     d = f.degree
     per_orbit = depth - BURN_IN
     n_orbits = math.ceil(count / per_orbit)
@@ -192,9 +194,10 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     """Backward orbits of f from `starts`, orbit i stepping to preimage
     choices[i, k] at step k, all advanced together.
 
-    ``exceptional`` is the (z, inf) pair of the exceptional points.  The
-    points of all orbits are carried as one (z, inf) pair, and each step
-    picks every orbit's choice out of the solved fibers at once.  Returns
+    ``exceptional`` holds the exceptional points in ``homogeneous``
+    coordinates.  The points of all orbits are carried as one (z, inf)
+    pair, and each step picks every orbit's choice out of the solved
+    fibers at once.  Returns
     the points past the burn-in of every orbit before the first failed one
     as a (z, inf) pair, orbit by orbit and in step order within an orbit,
     and that failure as (orbit, preimage choices it made), or None.  Rows
@@ -212,9 +215,10 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     def cut(z, inf, steps):
         # drop the orbits from the first one near an exceptional point on
         nonlocal failed
-        if not exceptional[0].size:
+        if not exceptional.size:
             return z, inf
-        near = np.flatnonzero((chordal_matrix(z, inf, *exceptional) < EXCEPTIONAL_CUT).any(axis=1))
+        near = np.flatnonzero(
+            (chordal2(exceptional, homogeneous(z, inf)) < EXCEPTIONAL_CUT ** 2).any(axis=0))
         if len(near):
             failed = (int(near[0]), steps)
             return z[:near[0]], inf[:near[0]]

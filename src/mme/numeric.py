@@ -4,9 +4,11 @@ floating-point values back into the exact field.
 
 A point of P^1 is a complex number or the sentinel INF.  A set of points
 is a (z, inf) pair of arrays of one shape: z complex, with 0 at infinity,
-and inf the boolean mask of infinity.  Scalar functions such as ``chordal``
-and ``projective_roots`` take and give points; the array kernels take
-(z, inf) pairs, and ``point_arrays`` is the one converter to them.
+and inf the boolean mask of infinity.  Scalar functions such as
+``projective_roots`` take and give points; the array kernels, ``chordal``
+among them, take (z, inf) pairs, and ``point_arrays`` is the one converter
+to them.  Every chordal distance is the 2 x 2 determinant of normalized
+homogeneous coordinates (``homogeneous``, ``chordal2``).
 """
 
 from __future__ import annotations
@@ -35,17 +37,6 @@ INF = _Infinity()
 
 def is_inf(z):
     return z is INF
-
-
-def chordal(a, b):
-    """Chordal distance on the sphere, normalized to [0, 1]."""
-    if is_inf(a) and is_inf(b):
-        return 0.0
-    if is_inf(a):
-        return 1.0 / np.sqrt(1.0 + abs(b) ** 2)
-    if is_inf(b):
-        return 1.0 / np.sqrt(1.0 + abs(a) ** 2)
-    return abs(a - b) / np.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
 
 
 # default scaled-residual bound of certified roots, and the relative size
@@ -343,32 +334,62 @@ def point_arrays(points):
     return np.where(inf, 0j, obj).astype(complex), inf
 
 
-def chordal_matrix(za, ia, zb, ib):
-    """chordal(a[..., i], b[..., j]) for every pair, equal to chordal bit for bit.
+def homogeneous(z, inf):
+    """The points (z, inf) in normalized homogeneous coordinates, as one
+    (..., 3, n) array of the rows Re u, Im u and v: x = u / v with
+    |u|^2 + v^2 = 1 and v >= 0 real, and INF = (1, 0)."""
+    # dividing by max(1, |z|) first keeps |z|^2 from overflowing
+    s = np.maximum(1.0, np.hypot(z.real, z.imag))
+    rows = np.where(inf, 1.0, z.real / s), z.imag / s, np.where(inf, 0.0, 1.0 / s)
+    norm = np.sqrt(rows[0] * rows[0] + rows[1] * rows[1] + rows[2] * rows[2])
+    h = np.empty(z.shape[:-1] + (3,) + z.shape[-1:])
+    for k, row in enumerate(rows):
+        np.divide(row, norm, out=h[..., k, :])
+    return h
 
-    (za, ia) holds points a of shape (..., n) and (zb, ib) points b of
-    shape (..., m); the result has shape (..., n, m).
+
+def chordal2(a, b):
+    """The squared chordal distance of a[..., i] and b[..., j] for every
+    pair, as an (..., n, m) array, from the ``homogeneous`` points
+    a (..., 3, n) and b (..., 3, m).
+
+    It is the squared modulus of the 2 x 2 determinant u_a v_b - v_a u_b.
+    Each of its products is rounded once and none cancels against a
+    term of size 1, so the distance is accurate to a few ulp in absolute
+    terms, two equal points are at exactly 0, and nothing overflows.  (The
+    sphere dot product 1 - P.Q cancels: it cannot tell points 1e-9 apart.)
     """
-    # np.hypot and np.float_power round like the scalar abs() and ** in
-    # chordal; np.abs and ** on complex and float arrays do not always
-    ra = (1.0 + np.float_power(np.hypot(za.real, za.imag), 2))[..., :, None]
-    rb = (1.0 + np.float_power(np.hypot(zb.real, zb.imag), 2))[..., None, :]
-    diff = za[..., :, None] - zb[..., None, :]
-    out = np.hypot(diff.real, diff.imag) / np.sqrt(ra * rb)
-    ia, ib = ia[..., :, None], ib[..., None, :]
-    out = np.where(ia, 1.0 / np.sqrt(rb), out)
-    out = np.where(ib, 1.0 / np.sqrt(ra), out)
-    return np.where(ia & ib, 0.0, out)
+
+    def outer(p, q):
+        return np.einsum("...i,...j->...ij", p, q)
+
+    ur, ui, v = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    wr, wi, w = b[..., 0, :], b[..., 1, :], b[..., 2, :]
+    re = outer(ur, w)
+    re -= outer(v, wr)
+    im = outer(ui, w)
+    im -= outer(v, wi)
+    re *= re
+    im *= im
+    re += im
+    return re
 
 
-def min_pairwise_chordal(z, inf):
-    """Smallest chordal distance between two of the last-axis points (inf if fewer than two)."""
-    n = z.shape[-1]
-    # the matrix is symmetric bit for bit, so its off-diagonal minimum is
-    # the minimum over pairs
-    dist = chordal_matrix(z, inf, z, inf)
+def min_pairwise_chordal2(h):
+    """The smallest squared chordal distance between two of the
+    ``homogeneous`` points h (..., 3, n) (inf if fewer than two)."""
+    n = h.shape[-1]
+    dist = chordal2(h, h)
     dist[..., np.arange(n), np.arange(n)] = np.inf
     return dist.min(axis=(-2, -1), initial=np.inf)
+
+
+def chordal(za, ia, zb, ib):
+    """The chordal distance on the sphere, normalized to [0, 1], of
+    a[..., i] and b[..., j] for every pair: (za, ia) holds points a of
+    shape (..., n) and (zb, ib) points b of shape (..., m); the result has
+    shape (..., n, m)."""
+    return np.sqrt(chordal2(homogeneous(za, ia), homogeneous(zb, ib)))
 
 
 def rationalize_into_field(ctx, z):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fields import FieldError
 from .numeric import (INF, ConsistencyError, RootFindingError, certified_roots, chordal,
-                      chordal_matrix, is_inf, point_arrays, projective_roots)
+                      is_inf, point_arrays, projective_roots)
 from .polys import Poly, integer_height, product_growth
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -347,17 +347,18 @@ def critical_data(f):
     _crosscheck_multiplicities(w, points, total)
     points.sort(key=lambda pm: (is_inf(pm[0]), pm[0].real if not is_inf(pm[0]) else 0.0,
                                 pm[0].imag if not is_inf(pm[0]) else 0.0))
-    # critical values
-    imgs = [(f.eval_numeric(p), p, m) for p, m in points]
-    groups = []
-    for v, p, m in imgs:
-        for g in groups:
-            if chordal(g["value"], v) < VALUE_TOL:
-                g["points"].append((p, m))
+    # critical values, each in the first group within VALUE_TOL of its first value
+    values = [f.eval_numeric(p) for p, _m in points]
+    near = chordal(*point_arrays(values), *point_arrays(values)) < VALUE_TOL
+    firsts, value_groups = [], []
+    for i, pm in enumerate(points):
+        for k, first in enumerate(firsts):
+            if near[first, i]:
+                value_groups[k][1].append(pm)
                 break
         else:
-            groups.append({"value": v, "points": [(p, m)]})
-    value_groups = [(g["value"], g["points"]) for g in groups]
+            firsts.append(i)
+            value_groups.append((values[i], [pm]))
     return CriticalData(points=points, value_groups=value_groups)
 
 
@@ -370,7 +371,7 @@ def _crosscheck_multiplicities(w, points, total):
         return
     raw = np.roots(w.numeric_coeffs()[::-1])
     # each raw root counts for its nearest exact point, the first on ties
-    dist = chordal_matrix(*point_arrays([p for p, _m in finite]), *point_arrays(raw))
+    dist = chordal(*point_arrays([p for p, _m in finite]), *point_arrays(raw))
     got = sorted(np.bincount(dist.argmin(axis=0), minlength=len(finite)).tolist())
     want = sorted(m for _, m in finite)
     if got != want:

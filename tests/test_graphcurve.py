@@ -3,7 +3,6 @@ import math
 import time
 from types import SimpleNamespace
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,12 +15,9 @@ from mme.graphcurve import (
     BISECTION_BUDGET,
     KEYHOLE_STEPS,
     TrackingError,
-    _chordal2,
     _cycles_at_preimages,
     _fiber_coeffs,
-    _homogeneous,
     _keyholes,
-    _min_pairwise_chordal2,
     _plan_loops,
     _sheet_samples,
     _track,
@@ -39,8 +35,9 @@ from mme.numeric import (
     ConsistencyError,
     RootFindingError,
     chordal,
-    chordal_matrix,
-    min_pairwise_chordal,
+    chordal2,
+    homogeneous,
+    min_pairwise_chordal2,
     point_arrays,
     projective_roots,
     rationalize_into_field,
@@ -306,63 +303,13 @@ def test_target_pole_is_the_first_farthest_grid_point():
         values = list(rng.normal(size=5) * 3 + 1j * rng.normal(size=5) * 3)
         cases.append(values[:4] + ([INF] if rng.random() < 0.5 else []))
     for values in cases:
-        want = max(grid, key=lambda c: min(chordal(c, v) for v in values))
+        want = max(grid, key=lambda c: chordal(*point_arrays([c]), *point_arrays(values)).min())
         assert _target_pole(values) == want
 
 
-def _chordal_mp(p, q):
-    """chordal(p, q) at 50 digits, rounded once."""
-    with mpmath.workdps(50):
-        if p is INF or q is INF:
-            if p is q:
-                return 0.0
-            w = mpmath.mpc(q if p is INF else p)
-            return float(1 / mpmath.sqrt(1 + abs(w) ** 2))
-        p, q = mpmath.mpc(p), mpmath.mpc(q)
-        return float(abs(p - q) / mpmath.sqrt((1 + abs(p) ** 2) * (1 + abs(q) ** 2)))
-
-
-def test_homogeneous_determinant_distance_matches_chordal_matrix():
-    rng = rng_for("homogeneous-chordal")
-    eps = np.finfo(float).eps
-    special = [INF, 0j, 1e150 + 0j, -1e150j, 1e150 * (1 + 1j), 1 + 0j, 1 + 1e-12 + 0j,
-               1e-12j, 3e5 - 2e5j]
-    for trial in range(100):
-        a = list((rng.normal(size=6) + 1j * rng.normal(size=6)) * 10.0 ** rng.integers(-4, 5))
-        p = a[trial % 6] = special[trial % len(special)]
-        # a point about 1e-12 from p in chordal distance, in the chart of z or 1/z
-        if p is INF or abs(p) > 1:
-            w = 0j if p is INF else 1 / p
-            a[(trial + 1) % 6] = 1 / (w + 1e-12 * (1 + abs(w) ** 2))
-        else:
-            a[(trial + 1) % 6] = p + 1e-12 * (1 + abs(p) ** 2)
-        b = special[trial % 3:] + a
-        ha, hb = _homogeneous(*point_arrays(a)), _homogeneous(*point_arrays(b))
-        got = np.sqrt(_chordal2(ha, hb))
-        exact = np.array([[_chordal_mp(p, q) for q in b] for p in a])
-        assert np.abs(got - exact).max() <= 4 * eps
-        # chordal_matrix agrees where its (1 + |a|^2)(1 + |b|^2) does not overflow
-        size = [np.array([1.0 if p is INF else max(1.0, abs(p)) for p in x]) for x in (a, b)]
-        fits = np.log10(size[0])[:, None] + np.log10(size[1])[None, :] < 150
-        with np.errstate(over="ignore"):
-            want = chordal_matrix(*point_arrays(a), *point_arrays(b))
-        assert np.abs(got - want)[fits].max() <= 4 * eps
-        pairs = exact[:, len(b) - 6:][~np.eye(6, dtype=bool)]  # a against itself
-        assert abs(np.sqrt(_min_pairwise_chordal2(ha)) - pairs.min()) <= 4 * eps
-        # equal points are at exactly 0: a step between equal fibers costs nothing
-        assert (np.diagonal(_chordal2(ha, ha)) == 0).all()
-    # u, v: unit norm, v >= 0 real, INF = (1, 0)
-    h = _homogeneous(*point_arrays(special))
-    assert np.abs((h * h).sum(axis=0) - 1).max() <= 2 * eps and (h[2] >= 0).all()
-    assert h[:, 0].tolist() == [1.0, 0.0, 0.0] and h[:, 1].tolist() == [0.0, 0.0, 1.0]
-    # stacked inputs give the stack of the single results
-    z = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-    h = _homogeneous(z, np.zeros(z.shape, dtype=bool))
-    assert h.shape == (4, 3, 5)
-    stacked = _chordal2(h, h[::-1])
-    for k in range(4):
-        assert stacked[k].tobytes() == _chordal2(h[k], h[3 - k]).tobytes()
-    assert (_min_pairwise_chordal2(h[:, :, :1]) == np.inf).all()
+def _separation(z, inf):
+    """The smallest chordal distance between two points of the fiber (z, inf)."""
+    return np.sqrt(min_pairwise_chordal2(homogeneous(z, inf)))
 
 
 def _lockstep_case():
@@ -485,10 +432,10 @@ def _serial_reference(curve, fiber, path):
         for i in range(1, n + 1):
             x = b if i == n else a + (i / n) * (b - a)
             new = point_arrays(projective_roots(_fiber_coeffs(curve.matrix, [x])[0], curve.degree))
-            cost = chordal_matrix(*fiber, *new)
+            cost = chordal(*fiber, *new)
             rows = range(curve.degree)
             cols = list(min(itertools.permutations(rows), key=lambda p: cost[rows, p].sum()))
-            worst = max(worst, cost[rows, cols].max() / min_pairwise_chordal(*new))
+            worst = max(worst, cost[rows, cols].max() / _separation(*new))
             fiber = tuple(a[cols] for a in new)
         out.append(fiber)
     return out, worst
@@ -533,7 +480,7 @@ def test_bisected_loop_matches_a_finer_serial_tracker(monkeypatch):
     for fiber, ref in zip(fibers, reference):
         # the same sheet order; the values agree up to the last bits, as
         # Aberth steps and eigvals round differently
-        dist = chordal_matrix(*fiber, *ref)
+        dist = chordal(*fiber, *ref)
         assert dist.argmin(axis=1).tolist() == list(range(curve.degree))
         assert dist.diagonal().max() <= 1e-12
     standard = _track(curve.matrix, curve.degree, [base], [_full_loop(plan, 0)])[0]
@@ -595,8 +542,9 @@ PERMUTATION_MAPS = [
 
 @pytest.mark.parametrize("coeffs", PERMUTATION_MAPS)
 def test_permutations_equal_the_base_fiber_lookup(monkeypatch, coeffs):
-    # monodromy reads each permutation off the chordal distances from the
-    # last fiber to the base fiber; it must equal the lookup of each point
+    # monodromy reads each permutation by exact equality of the last
+    # fiber's points with the entry fiber's; it must equal the lookup of
+    # each point
     from mme import graphcurve
 
     track = graphcurve._track
@@ -619,9 +567,9 @@ def _assignment_step(old, new):
     accepted when it moves no point by 0.4 of the new fiber's separation or more."""
     import scipy.optimize
 
-    cost = chordal_matrix(*point_arrays(old), *point_arrays(new))
+    cost = chordal(*point_arrays(old), *point_arrays(new))
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    sep = min_pairwise_chordal(*point_arrays(new))
+    sep = _separation(*point_arrays(new))
     return [new[c] for c in cols], cost[rows, cols].max() < 0.4 * sep
 
 
@@ -649,7 +597,7 @@ def _fiber_steps(draw):
     if draw(st.booleans()) and old[0] is not INF:
         # two points nearly coincident
         old[1] = old[0] + draw(st.floats(1e-9, 1e-5)) * (1 + abs(old[0]))
-    sep = min_pairwise_chordal(*point_arrays(old))
+    sep = _separation(*point_arrays(old))
     perm = draw(st.permutations(range(d)))
     new = [_nudged(old[i], sep * draw(st.floats(0.01, 1.0)), draw(st.floats(0, 2 * math.pi)))
            for i in perm]
@@ -1052,12 +1000,13 @@ def _branch_data_by_value(G):
             raise TrackingError("critical points of one critical value exceed its fiber")
         pre = []
         for p, m in group:
-            dist = chordal_matrix(*point_arrays(roots), *point_arrays([p]))[:, 0]
+            dist = chordal2(homogeneous(*point_arrays(roots)),
+                            homogeneous(*point_arrays([p])))[:, 0]
             near = set(np.argsort(dist, kind="stable")[:m + 1].tolist())
             roots = [y for i, y in enumerate(roots) if i not in near]
             pre.append((p, m + 1))
         pre += [(y, 1) for y in roots]
-        if min_pairwise_chordal(*point_arrays([p for p, _e in pre])) < 1e-4:
+        if min_pairwise_chordal2(homogeneous(*point_arrays([p for p, _e in pre]))) < 1e-8:
             raise TrackingError("preimages of a critical value are too close to tell apart")
         out.append((v, pre))
     return out

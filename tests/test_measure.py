@@ -47,7 +47,11 @@ def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
     visited points (start first) and the failures as (attempt, kind, step).
     """
     rng = named_rng(seed, stream)
-    exceptional = measure._exceptional_points(f)
+    exceptional = point_arrays(measure._exceptional_points(f))
+
+    def is_exceptional(z):
+        return (chordal(*point_arrays([z]), *exceptional) < EXCEPTIONAL_CUT).any()
+
     per_orbit = depth - burn_in
     n_orbits = math.ceil(count / per_orbit)
     pts, walks, failures = [], [], []
@@ -56,7 +60,7 @@ def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
             raise MapError("too many failed backward orbits; map may be degenerate")
         z = complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform()))
         walks.append([z])
-        if any(chordal(z, e) < EXCEPTIONAL_CUT for e in exceptional):
+        if is_exceptional(z):
             failures.append((len(walks) - 1, "start", 0))
             continue
         orbit = []
@@ -68,7 +72,7 @@ def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
                 break
             z = pre[int(rng.integers(0, len(pre)))]
             walks[-1].append(z)
-            if any(chordal(z, e) < EXCEPTIONAL_CUT for e in exceptional):
+            if is_exceptional(z):
                 failures.append((len(walks) - 1, "hit", k))
                 break
             if k >= burn_in:

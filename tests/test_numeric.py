@@ -9,8 +9,9 @@ from mme.numeric import (
     INF,
     _newton_refine,
     chordal,
-    chordal_matrix,
-    min_pairwise_chordal,
+    chordal2,
+    homogeneous,
+    min_pairwise_chordal2,
     point_arrays,
     projective_roots,
     projective_roots_batch,
@@ -360,35 +361,77 @@ def test_early_exit_newton_equals_eight_iterations():
         assert out.tobytes() == _newton_eight_iterations(row, start).tobytes()
 
 
-def test_chordal_matrix_equals_chordal():
-    rng = rng_for("chordal-matrix")
-    for trial in range(200):
-        a = list(complex_normal(rng, 5) * 10.0 ** rng.integers(-3, 4))
-        b = list(complex_normal(rng, 4))
-        if trial % 3 == 0:
-            a[trial % 5] = INF
-        if trial % 4 == 0:
-            b[trial % 4] = INF
-        got = chordal_matrix(*point_arrays(a), *point_arrays(b))
-        want = np.array([[chordal(p, q) for q in b] for p in a])
-        assert got.tobytes() == want.tobytes()
-        pairs = [chordal(a[i], a[j]) for i in range(5) for j in range(i + 1, 5)]
-        assert min_pairwise_chordal(*point_arrays(a)) == min(pairs)
+def _chordal_mp(p, q):
+    """The chordal distance of p and q at 50 digits, rounded once."""
+    with mpmath.workdps(50):
+        if p is INF or q is INF:
+            if p is q:
+                return 0.0
+            w = mpmath.mpc(q if p is INF else p)
+            return float(1 / mpmath.sqrt(1 + abs(w) ** 2))
+        p, q = mpmath.mpc(p), mpmath.mpc(q)
+        return float(abs(p - q) / mpmath.sqrt((1 + abs(p) ** 2) * (1 + abs(q) ** 2)))
+
+
+def test_homogeneous_determinant_distance():
+    rng = rng_for("homogeneous-chordal")
+    eps = np.finfo(float).eps
+    special = [INF, 0j, 1e150 + 0j, -1e150j, 1e150 * (1 + 1j), 1 + 0j, 1 + 1e-12 + 0j,
+               1e-12j, 3e5 - 2e5j]
+    for trial in range(100):
+        a = list((rng.normal(size=6) + 1j * rng.normal(size=6)) * 10.0 ** rng.integers(-4, 5))
+        p = a[trial % 6] = special[trial % len(special)]
+        # a point about 1e-12 from p in chordal distance, in the chart of z or 1/z
+        if p is INF or abs(p) > 1:
+            w = 0j if p is INF else 1 / p
+            a[(trial + 1) % 6] = 1 / (w + 1e-12 * (1 + abs(w) ** 2))
+        else:
+            a[(trial + 1) % 6] = p + 1e-12 * (1 + abs(p) ** 2)
+        b = special[trial % 3:] + a
+        ha, hb = homogeneous(*point_arrays(a)), homogeneous(*point_arrays(b))
+        got = chordal(*point_arrays(a), *point_arrays(b))
+        assert got.tobytes() == np.sqrt(chordal2(ha, hb)).tobytes()
+        exact = np.array([[_chordal_mp(p, q) for q in b] for p in a])
+        assert np.abs(got - exact).max() <= 4 * eps
+        pairs = exact[:, len(b) - 6:][~np.eye(6, dtype=bool)]  # a against itself
+        assert abs(np.sqrt(min_pairwise_chordal2(ha)) - pairs.min()) <= 4 * eps
+        # equal points are at exactly 0: a step between equal fibers costs nothing
+        assert (np.diagonal(chordal2(ha, ha)) == 0).all()
+    # u, v: unit norm, v >= 0 real, INF = (1, 0)
+    h = homogeneous(*point_arrays(special))
+    assert np.abs((h * h).sum(axis=0) - 1).max() <= 2 * eps and (h[2] >= 0).all()
+    assert h[:, 0].tolist() == [1.0, 0.0, 0.0] and h[:, 1].tolist() == [0.0, 0.0, 1.0]
     # stacked inputs give the stack of the single results
-    a = [list(complex_normal(rng, 3)) for _ in range(4)]
-    b = [list(complex_normal(rng, 3)) for _ in range(4)]
-    a[2][1] = INF
-    b[3][0] = INF
-    stacked = chordal_matrix(*point_arrays(a), *point_arrays(b))
+    z = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    inf = np.zeros(z.shape, dtype=bool)
+    inf[2, 1] = True
+    h = homogeneous(z, inf)
+    assert h.shape == (4, 3, 5)
+    stacked = chordal2(h, h[::-1])
     for k in range(4):
-        want = np.array([[chordal(p, q) for q in b[k]] for p in a[k]])
-        assert stacked[k].tobytes() == want.tobytes()
-        single = chordal_matrix(*point_arrays(a[k]), *point_arrays(b[k]))
-        assert stacked[k].tobytes() == single.tobytes()
-    assert list(min_pairwise_chordal(*point_arrays(a))) == [
-        min_pairwise_chordal(*point_arrays(x)) for x in a]
+        assert h[k].tobytes() == homogeneous(z[k], inf[k]).tobytes()
+        assert stacked[k].tobytes() == chordal2(h[k], h[3 - k]).tobytes()
+    assert list(min_pairwise_chordal2(h)) == [min_pairwise_chordal2(x) for x in h]
     for few in ([], [1j], [INF], [[2.0], [INF]]):
-        assert (min_pairwise_chordal(*point_arrays(few)) == np.inf).all()
+        assert (min_pairwise_chordal2(homogeneous(*point_arrays(few))) == np.inf).all()
+
+
+def test_chordal_distance_past_the_square_overflow():
+    # |a|^2 overflows from about 1e154 on, so (1 + |a|^2)(1 + |b|^2) gives
+    # these distances as 0 or nan; the determinant needs no square
+    far = [1e160 + 0j, 0j, 1e200 + 0j, 1 + 0j, 1e300 + 0j, 1e-300j, INF]
+    # pairs 1e-12 apart in relative terms, at |z| = 1e200
+    near = [1e200j, 1e200j * (1 + 1e-12), -1e200 + 0j, -1e200 * (1 + 1e-12j)]
+    points = point_arrays(far + near)
+    with np.errstate(over="raise", invalid="raise"):
+        got = chordal(*points, *points)
+        h = homogeneous(*points)
+        assert got.tobytes() == np.sqrt(chordal2(h, h)).tobytes()
+    exact = np.array([[_chordal_mp(p, q) for q in far + near] for p in far + near])
+    assert np.abs(got - exact).max() <= 4 * np.finfo(float).eps
+    assert got[0, 1] == got[1, 0] == 1.0
+    assert abs(got[2, 3] - 0.5 ** 0.5) <= 4 * np.finfo(float).eps  # 1 is on the equator
+    assert (np.diagonal(got) == 0).all()
 
 
 def _squarefree_integer_rows(rng, d, count):

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mme.fields import FieldContext, field_configure
-from mme.numeric import INF, ConsistencyError, chordal, is_inf
+from mme.cli import main as cli_main
+from mme.numeric import INF, ConsistencyError, chordal, is_inf, point_arrays
 from mme.polys import Poly, integer_height
 from mme.ratmaps import (
     DEFAULT_DEGREE_BUDGET,
@@ -23,6 +24,11 @@ Q = FieldContext.rationals()
 
 def rmap(num, den=(1,)):
     return RationalMap(Poly(Q, list(num)), Poly(Q, list(den)))
+
+
+def _chordal(a, b):
+    """The chordal distance of the points a and b."""
+    return chordal(*point_arrays([a]), *point_arrays([b]))[0, 0]
 
 
 def test_common_factor_is_reduced():
@@ -74,7 +80,7 @@ def test_preimages_residuals_certified():
     pts = f.preimages(0.25 + 0.1j)
     assert len(pts) == 3
     for z in pts:
-        assert chordal(f.eval_numeric(z), 0.25 + 0.1j) < 1e-8
+        assert _chordal(f.eval_numeric(z), 0.25 + 0.1j) < 1e-8
 
 
 def test_preimages_of_multiple_root():
@@ -90,6 +96,20 @@ def test_critical_data_chebyshev():
     vset = sorted(round(complex(v).real) for v in finite)
     assert vset == [-2, 2]
     assert any(is_inf(v) for v, _points in cd.value_groups)
+
+
+def test_critical_data_past_the_chordal_square_overflow(capsys):
+    # the critical points of z^3 + 10^170 z are 1e170 apart, where the
+    # multiplicity cross-check once squared |z| into overflow and counted
+    # both raw roots for one point (RootFindingError)
+    f = rmap([0, 10**170, 0, 1])
+    (p, m), (q, n), (w, e) = critical_data(f).points
+    assert p == -q and abs(p.imag / 5.773502691896258e84 + 1) < 1e-12 and p.real == 0
+    assert (m, n, is_inf(w), e) == (1, 1, True, 2)
+    # the critical values +-4e254 i are within VALUE_TOL of infinity, so
+    # analyze-graph still stops, with exit code 3
+    assert cli_main(["analyze-graph", "--map", "z^3+10^170*z"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_critical_data_power_map_local_degrees():
@@ -108,7 +128,7 @@ def test_composition_evaluates_consistently(d1, d2, seed):
     gz = g.eval_numeric(z)
     if is_inf(gz):
         return
-    assert chordal(h.eval_numeric(z), f.eval_numeric(gz)) < 1e-6
+    assert _chordal(h.eval_numeric(z), f.eval_numeric(gz)) < 1e-6
 
 
 @settings(max_examples=25, deadline=None)

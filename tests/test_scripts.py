@@ -31,10 +31,19 @@ def test_render_flower(tmp_path):
     assert out.read_bytes().startswith(b"P6\n20 20\n255\n")
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_graph_digest():
-    digest, *lines = run_script("graph_digest.py", "--limit", "6")
+    import contextlib
+    import io
+
+    from mme.cli import main
+
+    digest, exact, *lines = run_script("graph_digest.py", "--limit", "6")
     # the first line is the sha256 of the rest: one line per map, in corpus order
-    assert digest == hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == _sha256("\n".join(lines))
     assert len(lines) == 6
     for line in lines:
         code, out, err, spec = line.split(" ", 3)
@@ -42,7 +51,23 @@ def test_graph_digest():
         assert json.loads(spec)["num"]
     assert lines[1].split(" ", 3)[3] == '{"num": [0, -3, 0, 1], "den": [1]}'
     # T_3 = z^3 - 3z reports, and writes nothing to stderr
-    assert lines[1].split(" ")[:3:2] == ["0", hashlib.sha256(b"").hexdigest()]
+    assert lines[1].split(" ")[:3:2] == ["0", _sha256("")]
+    # the second line hashes the same lines, each exit-0 report without its
+    # basepoint and branch points, rerun here in this process
+    kept = []
+    for line in lines:
+        code, out, err, spec = line.split(" ", 3)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["analyze-graph", "--map", spec]) == int(code)
+        assert _sha256(stdout.getvalue()) == out
+        if code == "0":
+            report = json.loads(stdout.getvalue())
+            assert "basepoint" in report and "branch_points" in report
+            out = _sha256(json.dumps({k: v for k, v in report.items()
+                                      if k not in ("basepoint", "branch_points")}))
+        kept.append(" ".join((code, out, err, spec)))
+    assert exact == _sha256("\n".join(kept)) != digest
 
 
 def test_exact_probe():
