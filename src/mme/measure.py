@@ -238,7 +238,7 @@ def _lockstep_orbits(f, exceptional, starts, choices):
         else:
             w = z / scale
         rows = np.where(inf[:, None], dc, nc / scale[:, None] - w[:, None] * dc)
-        fz, finf, error = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
+        fz, finf, error = projective_roots_batch(rows, d)
         if error is not None:
             failed = (len(fz), k)
         pick = np.arange(len(fz)), choices[:len(fz), k]

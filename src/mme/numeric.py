@@ -2,6 +2,13 @@
 Riemann sphere, certified complex root finding, and rationalization of
 floating-point values back into the exact field.
 
+A root set is certified by its scaled residuals, each below RESIDUAL_TOL.
+Companion-matrix eigenvalues are backward stable (Edelman and Murakami,
+Math. Comp. 64, 1995), so an unseeded row is certified as
+``_companion_roots`` gives it, with no polish; a seeded row is solved by
+Aberth iteration (``_aberth``), and a row that fails its check is solved
+again by mpmath.
+
 A point of P^1 is a complex number or the sentinel INF.  A set of points
 is a (z, inf) pair of arrays of one shape: z complex, with 0 at infinity,
 and inf the boolean mask of infinity.  Scalar functions such as
@@ -39,12 +46,10 @@ def is_inf(z):
     return z is INF
 
 
-# default scaled-residual bound of certified roots, and the relative size
+# the scaled-residual bound of certified roots, and the relative size
 # below which a leading coefficient counts as zero (a root at infinity)
 RESIDUAL_TOL = 1e-10
 INF_TOL = 1e-13
-# the most monotone Newton steps a batched root solve takes
-NEWTON_ITERS = 8
 # the most Aberth steps a seeded batched root solve takes; a row stops when
 # its largest correction, relative to max(1, |root|), is below ABERTH_TOL,
 # or below ABERTH_STALL (sqrt(eps)) and no less than half the one before
@@ -76,43 +81,31 @@ def _polyval_rows(coeffs, x):
     return y
 
 
-def _newton_refine(coeffs, roots):
-    """Monotone Newton on rows: a step is kept only if it lowers the residual.
+def _row_scales(coeffs):
+    """max_k |a_k| of each row of ``coeffs`` (L, n + 1)."""
+    # reduced over the long leading axis of a C-ordered transpose: numpy
+    # reduces a short trailing axis several times slower
+    return np.abs(coeffs.T.copy()).max(axis=0)
 
-    ``coeffs`` (L, n + 1) descending, ``roots`` (L, n).  Returns the roots
-    and their residuals |p(root)|.  Plain Newton diverges near multiple
-    roots, where companion roots are already as good as they get; monotone
-    acceptance keeps those roots put.  Once an iteration keeps no step,
-    every later one would repeat it exactly, so the loop stops there.
+
+def _residuals(coeffs, roots):
+    """Scaled residuals |p(r)| / (max_k |a_k| max(1, |r|)^n) of the roots
+    ``roots`` (L, n) of the rows p of ``coeffs`` (L, n + 1), descending.
+
+    A root with |r| > 1 is taken in the chart of 1/r, where p(r) / r^n is
+    the reversed row at 1/r, so no power of r is formed and nothing
+    overflows however large the root is.
     """
-    n = coeffs.shape[1] - 1
-    dcoeffs = coeffs[:, :-1] * np.arange(n, 0, -1)
-    vals = _polyval_rows(coeffs, roots)
-    best = np.abs(vals)
-    for _ in range(NEWTON_ITERS):
-        ders = _polyval_rows(dcoeffs, roots)
-        mask = np.abs(ders) > 1e-300
-        step = np.zeros_like(roots, dtype=complex)
-        step[mask] = vals[mask] / ders[mask]
-        cand = roots - step
-        cand_vals = _polyval_rows(coeffs, cand)
-        cand_res = np.abs(cand_vals)
-        keep = cand_res < best
-        if not keep.any():
-            break
-        roots = np.where(keep, cand, roots)
-        vals = np.where(keep, cand_vals, vals)
-        best = np.where(keep, cand_res, best)
-    return roots, best
+    outside = np.abs(roots) > 1
+    w = np.where(outside, 1.0 / np.where(outside, roots, 1.0), roots)
+    vals = np.where(outside, _polyval_rows(coeffs[:, ::-1], w), _polyval_rows(coeffs, w))
+    return np.abs(vals) / _row_scales(coeffs)[:, None]
 
 
-def _residuals(coeffs, roots, absvals=None):
-    """Scaled residuals of ``roots`` (L, n) of the rows of ``coeffs`` (L, n + 1)."""
-    if absvals is None:
-        absvals = np.abs(_polyval_rows(coeffs, roots))
-    scale = np.abs(coeffs).max(axis=1, keepdims=True)
-    denom = scale * np.maximum(1.0, np.abs(roots)) ** (coeffs.shape[1] - 1)
-    return absvals / denom
+def _certified_rows(coeffs, roots):
+    """Per row of ``coeffs`` (L, n + 1) descending, whether every one of
+    its ``roots`` (L, n) has a scaled residual below RESIDUAL_TOL."""
+    return (_residuals(coeffs, roots) < RESIDUAL_TOL).all(axis=1)
 
 
 def _companion_roots(desc):
@@ -143,7 +136,7 @@ def _companion_roots(desc):
     return np.linalg.eigvals(companion)
 
 
-def _aberth(desc, roots, residual_tol):
+def _aberth(desc, roots):
     """Aberth-Ehrlich iteration on the rows of ``desc`` (L, n + 1), from
     the seed ``roots`` (L, n): (roots, ok per row).
 
@@ -154,10 +147,10 @@ def _aberth(desc, roots, residual_tol):
     the row's previous one: the corrections have stopped shrinking, so
     they are rounding noise (Bini, Numer. Algorithms 13, 1996).  A row
     that has done neither after ABERTH_ITERS is not ok.
-    A converged row is ok when its scaled residuals are below
-    ``residual_tol`` and its Braess-Hadeler discs |z - z_i| <= n |W_i|,
-    W_i = p(z_i) / (a_n prod_{j != i} (z_i - z_j)), are finite and pairwise
-    disjoint: each disc then holds exactly one root (see
+    A converged row is ok when it passes ``_certified_rows`` and its
+    Braess-Hadeler discs |z - z_i| <= n |W_i|, W_i = p(z_i) / (a_n
+    prod_{j != i} (z_i - z_j)), are finite and pairwise disjoint: each
+    disc then holds exactly one root (see
     fields._factor_search).  The discs are evaluated in floating point,
     with |p(z_i)| widened by a bound on its rounding error but no other
     outward rounding, so they are not a proof.
@@ -196,25 +189,16 @@ def _aberth(desc, roots, residual_tol):
         apart = np.abs(diff) > radius[:, :, None] + radius[:, None, :]
         apart[:, diag, diag] = True
         disjoint = np.isfinite(radius).all(axis=1) & apart.all(axis=(1, 2))
-        small = (_residuals(desc, roots, np.abs(vals)) < residual_tol).all(axis=1)
+        small = _certified_rows(desc, roots)
     return roots, converged & disjoint & small
 
 
-def _polish(coeffs, roots, residual_tol, refine):
-    """Row-wise Newton polish and residual check: (roots, ok per row)."""
-    absvals = None
-    if refine:
-        roots, absvals = _newton_refine(coeffs, roots)
-    ok = (_residuals(coeffs, roots, absvals) < residual_tol).all(axis=1)
-    return roots, ok
-
-
-def certified_roots(coeffs, residual_tol=RESIDUAL_TOL, refine=True):
+def certified_roots(coeffs):
     """All complex roots of a polynomial with simple-root expectations.
 
-    ``coeffs`` ascending.  Roots come from ``_companion_roots``, the roots
-    at 0 last, and are Newton-refined and checked against a scaled
-    residual; on failure precision escalates through mpmath and a final
+    ``coeffs`` ascending.  The roots are those ``_companion_roots`` gives,
+    the roots at 0 last, kept as they are when ``_certified_rows`` accepts
+    them; otherwise precision escalates through mpmath and a looser final
     residual check is applied.
     """
     c = np.asarray(coeffs, dtype=complex)
@@ -228,8 +212,7 @@ def certified_roots(coeffs, residual_tol=RESIDUAL_TOL, refine=True):
     roots = np.zeros((1, len(c) - 1), dtype=complex)
     if n:
         roots[:, :n] = _companion_roots(desc[:, : n + 1])
-    roots, ok = _polish(desc, roots, residual_tol, refine)
-    if ok[0]:
+    if _certified_rows(desc, roots)[0]:
         return roots[0]
     # precision escalation
     import mpmath
@@ -252,7 +235,7 @@ def certified_roots(coeffs, residual_tol=RESIDUAL_TOL, refine=True):
     return roots
 
 
-def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=True):
+def projective_roots(coeffs, formal_degree):
     """Roots of a degree-``formal_degree`` polynomial on P^1.
 
     Returns a list of length formal_degree: finite complex roots plus
@@ -270,12 +253,11 @@ def projective_roots(coeffs, formal_degree, residual_tol=RESIDUAL_TOL, refine=Tr
     eff = formal_degree
     while eff > 0 and abs(c[eff]) <= INF_TOL * scale:
         eff -= 1
-    finite = certified_roots(c[: eff + 1], residual_tol=residual_tol, refine=refine)
+    finite = certified_roots(c[: eff + 1])
     return list(finite) + [INF] * (formal_degree - eff)
 
 
-def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refine=True,
-                           near=None):
+def projective_roots_batch(rows, formal_degree, near=None):
     """projective_roots of the rows of an (L, formal_degree + 1) stack, up
     to the first row that cannot be certified, as a (z, inf) pair.
 
@@ -286,14 +268,15 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
     whose seed has no INF is solved by ``_aberth`` from its seed, and kept
     as that solve gives it if ``_aberth`` accepts it.  The other rows of
     full degree with a nonzero constant term share one ``_companion_roots``
-    call and (with ``refine``) one row-wise Newton pass.  Every other row
-    (a root at infinity or at zero, a residual that needs mpmath) goes
-    through projective_roots.  So every row that is not
-    kept from its seed equals projective_roots on that row bit for bit,
-    INF included; without ``near``, every row does.  A stack whose rows
-    all take the companion route and certify, as an unseeded stack of
-    full-degree rows with nonzero constant terms usually does, is returned
-    as that one solve gives it, with no row gathered or scattered.
+    call, and each is kept as that call gives it if ``_certified_rows``
+    accepts it.  Every other row (a root at infinity or at zero, a
+    residual that needs mpmath) goes through projective_roots.  So every
+    row that is not kept from its seed equals projective_roots on that
+    row bit for bit, INF included; without ``near``, every row does.  A
+    stack whose rows all take the companion route and certify, as an
+    unseeded stack of full-degree rows with nonzero constant terms usually
+    does, is returned as that one solve gives it, with no row gathered or
+    scattered.
     """
     c = np.asarray(rows, dtype=complex)
     d = formal_degree
@@ -301,18 +284,19 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
     inf = np.zeros((len(c), d), dtype=bool)
     lead = c[:, d]
     # np.hypot matches the scalar abs() that projective_roots applies here
-    fast = (np.hypot(lead.real, lead.imag) > INF_TOL * np.max(np.abs(c), axis=1)) & (c[:, 0] != 0)
+    fast = (np.hypot(lead.real, lead.imag) > INF_TOL * _row_scales(c)) & (c[:, 0] != 0)
     companion = fast.copy()
     if near is not None:
         seeded = np.flatnonzero(fast & ~near[1].any(axis=1))
-        roots, ok = _aberth(c[seeded, ::-1], near[0][seeded], residual_tol)
+        roots, ok = _aberth(c[seeded, ::-1], near[0][seeded])
         z[seeded[ok]] = roots[ok]
         companion[seeded[ok]] = False
     idx = np.flatnonzero(companion)
     if len(idx):
         whole = len(idx) == len(c)
         desc = c[:, ::-1] if whole else c[idx, ::-1]
-        roots, ok = _polish(desc, _companion_roots(desc), residual_tol, refine)
+        roots = _companion_roots(desc)
+        ok = _certified_rows(desc, roots)
         if whole and ok.all():
             # every row took the companion route and certified
             return roots, inf, None
@@ -320,8 +304,7 @@ def projective_roots_batch(rows, formal_degree, residual_tol=RESIDUAL_TOL, refin
         fast[idx[~ok]] = False
     for i in np.flatnonzero(~fast):
         try:
-            z[i], inf[i] = point_arrays(
-                projective_roots(c[i], d, residual_tol=residual_tol, refine=refine))
+            z[i], inf[i] = point_arrays(projective_roots(c[i], d))
         except RootFindingError as exc:
             return z[:i], inf[:i], exc
     return z, inf, None

@@ -274,14 +274,10 @@ class RationalMap:
                 return INF
             return complex(n / d)
 
-    def preimages(self, w, residual_tol=1e-10, refine=True):
-        """The d preimages of a numeric point w (counted with multiplicity).
-
-        ``refine=False`` skips Newton polishing (hot loops with simple
-        roots); the residual certificate still applies.
-        """
-        return projective_roots(self.preimage_row(w), self.degree, residual_tol=residual_tol,
-                                refine=refine)
+    def preimages(self, w):
+        """The d preimages of a numeric point w (counted with multiplicity),
+        as ``projective_roots`` gives them for ``preimage_row(w)``."""
+        return projective_roots(self.preimage_row(w), self.degree)
 
     def preimage_row(self, w):
         """The d + 1 ascending coefficients whose projective roots are the

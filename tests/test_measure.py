@@ -66,7 +66,7 @@ def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
         orbit = []
         for k in range(depth):
             try:
-                pre = f.preimages(z, residual_tol=1e-7, refine=False)
+                pre = f.preimages(z)
             except RootFindingError:
                 failures.append((len(walks) - 1, "solve", k))
                 break
@@ -121,14 +121,13 @@ def assert_sample_equals_serial(f, count, depth=40, seed=0, stream="cloud"):
 
 def fail_solves_reaching(monkeypatch, target):
     """Make every root solve with a root at ``target`` fail, batched or not."""
-    polish, certified = numeric._polish, numeric.certified_roots
+    rows_ok, certified = numeric._certified_rows, numeric.certified_roots
 
     def near(roots):
         return np.abs(np.asarray(roots) - target) < 1e-9
 
-    def failing_polish(coeffs, roots, residual_tol, refine):
-        roots, ok = polish(coeffs, roots, residual_tol, refine)
-        return roots, ok & ~near(roots).any(axis=1)
+    def failing_certified_rows(coeffs, roots):
+        return rows_ok(coeffs, roots) & ~near(roots).any(axis=1)
 
     def failing_certified_roots(coeffs, *args, **kwargs):
         roots = certified(coeffs, *args, **kwargs)
@@ -136,7 +135,7 @@ def fail_solves_reaching(monkeypatch, target):
             raise RootFindingError("forced failure")
         return roots
 
-    monkeypatch.setattr(numeric, "_polish", failing_polish)
+    monkeypatch.setattr(numeric, "_certified_rows", failing_certified_rows)
     monkeypatch.setattr(numeric, "certified_roots", failing_certified_roots)
 
 

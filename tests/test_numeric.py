@@ -5,9 +5,9 @@ import pytest
 from mme import numeric
 from mme.fields import FieldContext, field_configure
 from mme.polys import Poly
+from mme.ratmaps import RationalMap, critical_data
 from mme.numeric import (
     INF,
-    _newton_refine,
     chordal,
     chordal2,
     homogeneous,
@@ -66,7 +66,7 @@ def test_batched_roots_equal_single_row_roots(monkeypatch):
         assert inf[0, -1] and inf[1, -1] and z[2].tolist().count(0j) >= 1
         assert not inf[2:].any()
     assert not escalations
-    # Newton-polished roots of these rows pass the residual check, so rows
+    # the companion roots of these rows pass the residual check, so rows
     # are made to fail it, in the batched and in the single-row path alike:
     # row 1 is then solved by mpmath, and mpmath fails on row 3, so the
     # rows after it are not returned
@@ -74,14 +74,13 @@ def test_batched_roots_equal_single_row_roots(monkeypatch):
         [np.poly([1, 2, 3])[::-1], [0.5, -1.5, 1j, 1], [1, 2, 3, 0], [1, 2, 3, 7],
          [1, 2, 3, 4], [0, 2, 3, 4]], dtype=complex
     )
-    polish = numeric._polish
+    certified = numeric._certified_rows
     failing = {rows[i, ::-1].tobytes() for i in (1, 3)}
 
-    def failing_polish(coeffs, roots, residual_tol, refine):
-        roots, ok = polish(coeffs, roots, residual_tol, refine)
-        return roots, ok & ~np.array([c.tobytes() in failing for c in coeffs])
+    def failing_certified_rows(coeffs, roots):
+        return certified(coeffs, roots) & ~np.array([c.tobytes() in failing for c in coeffs])
 
-    monkeypatch.setattr(numeric, "_polish", failing_polish)
+    monkeypatch.setattr(numeric, "_certified_rows", failing_certified_rows)
     z, inf, error = projective_roots_batch(rows, 3)
     assert isinstance(error, numeric.RootFindingError)
     assert len(escalations) == 2  # rows 1 and 3
@@ -100,8 +99,17 @@ def test_batched_roots_equal_single_row_roots(monkeypatch):
     assert z.shape == inf.shape == (0, 3)
 
 
-def test_unrefined_batched_roots_equal_single_row_roots():
-    # the sampler's setting: no Newton polish, a looser residual bound
+def test_unrefined_batched_roots_equal_single_row_roots(monkeypatch):
+    # the sampler's rows: companion roots kept unpolished, a double root
+    # among them, all within RESIDUAL_TOL with no mpmath escalation
+    escalations = []
+    polyroots = mpmath.polyroots
+
+    def counting_polyroots(coeffs, *args, **kwargs):
+        escalations.append(1)
+        return polyroots(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", counting_polyroots)
     rng = rng_for("unrefined-batched-roots")
     for d in range(1, 9):
         rows = complex_normal(rng, 6, d + 1)
@@ -110,10 +118,11 @@ def test_unrefined_batched_roots_equal_single_row_roots():
         rows[2, 0] = 0  # a root at zero
         if d >= 2:
             rows[3] = np.poly([0.5, 0.5] + [1j] * (d - 2))[::-1]  # a double root
-        z, inf, error = projective_roots_batch(rows, d, residual_tol=1e-7, refine=False)
+        z, inf, error = projective_roots_batch(rows, d)
         assert error is None
-        assert_rows_equal(z, inf, rows, d, residual_tol=1e-7, refine=False)
+        assert_rows_equal(z, inf, rows, d)
         assert inf[0, -1] and inf[1, -1]
+    assert not escalations
 
 
 def test_certified_roots_off_degree_two_equal_np_roots():
@@ -126,14 +135,9 @@ def test_certified_roots_off_degree_two_equal_np_roots():
                 continue
             for _ in range(4):
                 c = np.concatenate([np.zeros(zeros), complex_normal(rng, n + 1)])
-                desc = c[::-1]
-                want = np.asarray(np.roots(desc), dtype=complex)
-                for refine in (False, True):
-                    polished, ok = numeric._polish(desc[None, :], want[None, :],
-                                                   numeric.RESIDUAL_TOL, refine)
-                    assert ok[0]
-                    got = numeric.certified_roots(c, refine=refine)
-                    assert got.tobytes() == polished[0].astype(complex).tobytes()
+                want = np.asarray(np.roots(c[::-1]), dtype=complex)
+                got = numeric.certified_roots(c)
+                assert got.tobytes() == want.tobytes() and not got[n:].any()
 
 
 def _reference_quadratic_roots(row):
@@ -208,20 +212,19 @@ def test_unseeded_full_degree_stacks_take_one_companion_solve(monkeypatch):
     calls = _counting_companion(monkeypatch)
     rng = rng_for("one-companion-solve")
     rows = complex_normal(rng, 9, 3)
-    z, inf, error = projective_roots_batch(rows, 2, residual_tol=1e-7, refine=False)
+    z, inf, error = projective_roots_batch(rows, 2)
     assert error is None and calls == [[row[::-1].tobytes() for row in rows]]
-    assert_rows_equal(z, inf, rows, 2, residual_tol=1e-7, refine=False)
+    assert_rows_equal(z, inf, rows, 2)
     # row 4 fails its residual check, and then mpmath fails on it: row 4
     # alone goes through projective_roots, whose one companion solve is of
     # row 4 alone, with no second companion solve of the stack, and the rows
     # before row 4 come back with row 4's RootFindingError
     rows[4] = [1, 2, 7]
-    polish = numeric._polish
+    certified = numeric._certified_rows
     failing = rows[4, ::-1].tobytes()
 
-    def failing_polish(coeffs, roots, residual_tol, refine):
-        roots, ok = polish(coeffs, roots, residual_tol, refine)
-        return roots, ok & np.array([c.tobytes() != failing for c in coeffs])
+    def failing_certified_rows(coeffs, roots):
+        return certified(coeffs, roots) & np.array([c.tobytes() != failing for c in coeffs])
 
     polyroots = mpmath.polyroots
 
@@ -230,15 +233,15 @@ def test_unseeded_full_degree_stacks_take_one_companion_solve(monkeypatch):
             raise mpmath.libmp.NoConvergence("forced failure")
         return polyroots(coeffs, *args, **kwargs)
 
-    monkeypatch.setattr(numeric, "_polish", failing_polish)
+    monkeypatch.setattr(numeric, "_certified_rows", failing_certified_rows)
     monkeypatch.setattr(mpmath, "polyroots", failing_polyroots)
     with pytest.raises(numeric.RootFindingError) as alone:
-        projective_roots(rows[4], 2, residual_tol=1e-7, refine=False)
+        projective_roots(rows[4], 2)
     calls.clear()
-    z, inf, error = projective_roots_batch(rows, 2, residual_tol=1e-7, refine=False)
+    z, inf, error = projective_roots_batch(rows, 2)
     assert isinstance(error, numeric.RootFindingError) and str(error) == str(alone.value)
     assert calls == [[row[::-1].tobytes() for row in rows], [failing]]
-    assert_rows_equal(z, inf, rows[:4], 2, residual_tol=1e-7, refine=False)
+    assert_rows_equal(z, inf, rows[:4], 2)
 
 
 def test_seeded_rows_converge_to_the_companion_roots(monkeypatch):
@@ -301,14 +304,13 @@ def test_seeded_batches_stop_at_the_first_failing_row(monkeypatch):
     monkeypatch.setattr(mpmath, "polyroots", failing_polyroots)
     rows = np.array([np.poly([1, 2, 3])[::-1], [0, 2, 3, 4], [1, 2, 3, 7], [1, 2, 3, 4]],
                     dtype=complex)
-    polish = numeric._polish
+    certified = numeric._certified_rows
     failing = rows[2, ::-1].tobytes()
 
-    def failing_polish(coeffs, roots, residual_tol, refine):
-        roots, ok = polish(coeffs, roots, residual_tol, refine)
-        return roots, ok & np.array([c.tobytes() != failing for c in coeffs])
+    def failing_certified_rows(coeffs, roots):
+        return certified(coeffs, roots) & np.array([c.tobytes() != failing for c in coeffs])
 
-    monkeypatch.setattr(numeric, "_polish", failing_polish)
+    monkeypatch.setattr(numeric, "_certified_rows", failing_certified_rows)
     seeds = np.array([[1, 2, 3], [1, 2, 3], [1, 1, 1], [1, 2, 3]], dtype=complex)
     inf = np.zeros((4, 3), dtype=bool)
     # row 2's seed has two equal points, so the row goes to the companion
@@ -321,44 +323,6 @@ def test_seeded_batches_stop_at_the_first_failing_row(monkeypatch):
     z, zinf, error = projective_roots_batch(rows[2:], 3, near=(seeds[2:], inf[2:]))
     assert isinstance(error, numeric.RootFindingError)
     assert z.shape == (0, 3)
-
-
-def _newton_eight_iterations(coeffs_desc, roots):
-    """Monotone Newton run for all eight iterations, with no early exit."""
-    dcoeffs = np.polyder(coeffs_desc)
-    best = np.abs(np.polyval(coeffs_desc, roots))
-    for _ in range(8):
-        ders = np.polyval(dcoeffs, roots)
-        mask = np.abs(ders) > 1e-300
-        step = np.zeros_like(roots, dtype=complex)
-        vals = np.polyval(coeffs_desc, roots)
-        step[mask] = vals[mask] / ders[mask]
-        cand = roots - step
-        cand_res = np.abs(np.polyval(coeffs_desc, cand))
-        keep = cand_res < best
-        roots = np.where(keep, cand, roots)
-        best = np.where(keep, cand_res, best)
-    return roots
-
-
-def test_early_exit_newton_equals_eight_iterations():
-    rng = rng_for("newton-early-exit")
-    polys = [complex_normal(rng, d + 1) for d in range(1, 10)]
-    polys.append(np.poly([1.0, 1.0, 2.0, -0.5j]))  # a double root
-    polys.append(np.poly([1.0, 1.0 + 1e-9, 3.0]))  # a near-double root
-    for desc in polys:
-        desc = np.asarray(desc, dtype=complex)
-        roots = np.roots(desc) + 1e-6 * complex_normal(rng, len(desc) - 1)
-        got, residuals = _newton_refine(desc[None, :], roots[None, :])
-        want = _newton_eight_iterations(desc, roots)
-        assert got[0].tobytes() == want.tobytes()
-        assert residuals[0].tobytes() == np.abs(np.polyval(desc, want)).tobytes()
-    # rows of one stack stop improving at different iterations
-    stack = np.array([np.poly([1.0, 2.0, 3.0]), np.poly([1.0, 1.0, 3.0])], dtype=complex)
-    roots = np.array([np.roots(row) + 1e-3 for row in stack])
-    got, _res = _newton_refine(stack, roots)
-    for row, start, out in zip(stack, roots, got):
-        assert out.tobytes() == _newton_eight_iterations(row, start).tobytes()
 
 
 def _chordal_mp(p, q):
@@ -434,6 +398,25 @@ def test_chordal_distance_past_the_square_overflow():
     assert (np.diagonal(got) == 0).all()
 
 
+def test_residuals_past_the_power_overflow():
+    # here scale * |r|^n passes 1e308: a residual that formed it would read
+    # 0 whatever p(r) is, and raise under this errstate
+    Q = FieldContext.rationals()
+    with np.errstate(over="raise", invalid="raise"):
+        f = RationalMap(Poly(Q, [Q.from_rational(c) for c in (0, 10**170, 0, 1)]),
+                        Poly(Q, [Q.one]))
+        (p, _m), (q, _n), _inf = critical_data(f).points
+        assert p == -q and p.real == 0 and abs(p.imag / 5.773502691896258e84 + 1) < 1e-12
+        roots = numeric.certified_roots([-1e200, 0, 0, 0, 1])
+        # each fourth root of 1e200 has its own computed root within 1e-14 relative
+        want = 1e50 * np.array([1, 1j, -1, -1j])
+        assert np.abs(roots[:, None] - want).min(axis=0).max() < 1e36
+        row = np.array([[1, 0, 0, 0, -1e200]], dtype=complex)
+        got = numeric._residuals(row, np.array([[2e50 + 0j]]))[0, 0]
+    # |p(2e50)| = 15e200, against max|a_k| = 1e200 and |r|^4 = 16e200
+    assert abs(got / 0.9375e-200 - 1) < 1e-14
+
+
 def _squarefree_integer_rows(rng, d, count):
     """``count`` rows (descending) of degree d with integer coefficients in
     [-9, 9], nonzero leading and constant terms, and no repeated root."""
@@ -457,8 +440,7 @@ def test_seeded_squarefree_rows_are_all_kept():
         want = numeric._companion_roots(desc)
         for offset in (1e-6, 0.1):
             noise = rng.normal(size=want.shape) + 1j * rng.normal(size=want.shape)
-            roots, ok = numeric._aberth(desc, want + offset * (1 + np.abs(want)) * noise,
-                                        numeric.RESIDUAL_TOL)
+            roots, ok = numeric._aberth(desc, want + offset * (1 + np.abs(want)) * noise)
             assert ok.all(), (d, offset, (~ok).sum())
             # the same root set: each root's nearest companion root is its own
             dist = np.abs(roots[:, :, None] - want[:, None, :])
