@@ -5,8 +5,9 @@ process: at the edge of the degree budget, composition, iteration and a
 catalog entry whose certificate composes a degree-4096 iterate; at the
 edges of the sampler's budgets, two 2048 x 2048 renders of 10^5 points,
 at the depth budget and at the default depth; and ``analyze-graph`` on
-z^20 + 3z^7 - 2z^3 + z + 1 and on its degree-30 variant, which have no
-budget below the parser's.  One line per probe gives its
+z^20 + 3z^7 - 2z^3 + z + 1 and on its degree-30, 40 and 60 variants, which
+have no budget below the parser's (each is the diagonal plus one component,
+whose factor is the exact P / (x - y)).  One line per probe gives its
 exit code, wall seconds, peak resident memory in MiB, the sha256 of its
 stdout, and its name.  There is no seed: the probes are fixed, so two
 versions of the package that print the same sha256 column printed the same
@@ -51,6 +52,8 @@ PROBES = [
                                          "--depth", "40", "--width", "2048", "--height", "2048"]),
     ("analyze-graph-z20", ["analyze-graph", "--map", "z^20+3*z^7-2*z^3+z+1"]),
     ("analyze-graph-z30", ["analyze-graph", "--map", "z^30+3*z^7-2*z^3+z+1"]),
+    ("analyze-graph-z40", ["analyze-graph", "--map", "z^40+3*z^7-2*z^3+z+1"]),
+    ("analyze-graph-z60", ["analyze-graph", "--map", "z^60+3*z^7-2*z^3+z+1"]),
 ]
 
 

@@ -28,10 +28,13 @@ is read off the circle's last fiber, by exact equality with the entry
 fiber, and checked against the exact local degrees of G.  Legs and circles are tracked in base-sheet
 order, so the fiber at every vertex of a circle puts a point (x_i, x_j) on
 the component of each orbit holding (i, j); those points are the
-component's samples.  Its x-degree is confirmed by a relation vanishing on
-them, and, when that relation rationalizes into the base field, the
-component is certified by exact polynomial division.  The diagonal needs no
-division: P is checked antisymmetric, so x - y divides it.
+component's samples.  P is checked antisymmetric, so x - y divides it:
+the diagonal's factor is x - y, and when the other pairs form one orbit,
+as for a generic map, its factor is P / (x - y), exact over every field.
+With three orbits or more, each off-diagonal component's x-degree is
+confirmed by a relation vanishing on its samples, and, when that relation
+rationalizes into the base field, the component is certified by exact
+polynomial division.
 """
 
 from __future__ import annotations
@@ -136,7 +139,9 @@ class ComponentCertificate:
     ramification: list  # per branch point, partition of r (local degrees)
     genus: int
     is_diagonal: bool
-    relation: np.ndarray = None  # (r + 1, r + 1) coefficients of x^a y^k vanishing on it
+    # (r + 1, r + 1) coefficients of x^a y^k vanishing on it, fitted only for
+    # the off-diagonal orbits of a map with three orbits or more
+    relation: np.ndarray = None
     exact_poly: BiPoly = None  # exact factor when certified
 
     @property
@@ -704,7 +709,10 @@ def _vanishing_relation(points, r):
 
 
 def components(curve, mon):
-    """Component certificates from the orbits of the monodromy on pairs."""
+    """Component certificates from the orbits of the monodromy on pairs.  With
+    three orbits or more, each off-diagonal one's vanishing relation confirms r
+    as its samples' x-degree.  The diagonal (on x = y) and, with two orbits, the
+    other one (of factor P / (x - y) and bidegree (d - 1, d - 1)) are not fitted."""
     d = curve.degree
     pair_perms = [_on_pairs(p) for p in mon.permutations]
     orbs = _orbits(d * d, pair_perms)
@@ -728,11 +736,13 @@ def components(curve, mon):
         if genus < 0:
             raise ConsistencyError("negative genus computed for a component")
         pairs = tuple(divmod(q, d) for q in orbit)
-        relation = _vanishing_relation(_sheet_samples(pairs, mon.samples), r)
-        if relation is None:
-            raise ConsistencyError(
-                "projection degrees disagree: the samples do not have x-degree %s" % r
-            )
+        relation = None
+        if len(orbs) > 2 and orbit is not orbs[0]:
+            relation = _vanishing_relation(_sheet_samples(pairs, mon.samples), r)
+            if relation is None:
+                raise ConsistencyError(
+                    "projection degrees disagree: the samples do not have x-degree %s" % r
+                )
         certs.append(
             ComponentCertificate(
                 orbit=pairs,
@@ -749,19 +759,26 @@ def components(curve, mon):
 # -- exact reconstruction --------------------------------------------------------------
 
 
+def _x_minus_y(ctx):
+    return BiPoly(ctx, [[ctx.zero, -ctx.one], [ctx.one, ctx.zero]])
+
+
 def reconstruct_component(curve, cert):
     """Exact factor of P matching the component, or None.
 
     The diagonal's factor is x - y, which divides P since build_graph
-    checked P antisymmetric.  Any other candidate is the component's
-    vanishing relation, divided by its largest entry and rationalized into
-    the base field entry by entry.  It is accepted only on exact
-    divisibility of P and bidegree (r, r); any failure leaves the
-    certificate numeric-only.
+    checked P antisymmetric.  An off-diagonal orbit with r = d - 1 holds
+    every off-diagonal pair, so its factor is the exact P / (x - y).  Any
+    other candidate is the component's vanishing relation, divided by its
+    largest entry and rationalized into the base field entry by entry.  It
+    is accepted only on exact divisibility of P and bidegree (r, r); any
+    failure leaves the certificate numeric-only.
     """
     ctx = curve.G.ctx
     if cert.is_diagonal:
-        return BiPoly(ctx, [[ctx.zero, -ctx.one], [ctx.one, ctx.zero]])
+        return _x_minus_y(ctx)
+    if cert.r == curve.degree - 1:
+        return curve.P.divide_exact(_x_minus_y(ctx)).normalized()
     rel = cert.relation / cert.relation.flat[np.abs(cert.relation).argmax()]
     rows = [[rationalize_into_field(ctx, complex(c)) for c in row] for row in rel]
     if any(c is None for row in rows for c in row):

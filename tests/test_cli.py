@@ -488,6 +488,18 @@ def test_compose_of_degree_2000_takes_under_three_seconds(capsys):
         assert num[k] == str(math.comb(2000, k))
 
 
+def test_analyze_graph_of_degree_40_takes_under_six_seconds(capsys):
+    # a generic map: the diagonal and one (39, 39) component, whose factor
+    # is the exact quotient P / (x - y), with no fit
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "analyze-graph", "--map", "z^40+3*z^7-2*z^3+z+1")
+    assert time.perf_counter() - t0 < 6.0
+    assert (code, err) == (0, "")
+    components = json.loads(out)["components"]
+    assert [c["bidegree"] for c in components] == [[1, 1], [39, 39]]
+    assert all("exact_poly" in c for c in components)
+
+
 # a degree-4 map with 40-digit coefficients: f^4 is bounded by about 11.5k bits
 # and takes seconds, f^5 by about 45.5k bits and would take minutes
 FORTY_DIGIT_MAP = (

@@ -122,17 +122,22 @@ def test_flower_map_over_q_omega_reports_exact_factors():
     ]
 
 
-def test_cubic_field_map_certifies_only_the_diagonal():
-    # one complex value cannot fix three rational coordinates, so over
-    # Q(2^(1/3)) only the diagonal, known exactly, gets a factor
+def test_cubic_field_map_certifies_the_generic_component_by_division():
+    # one complex value cannot fix three rational coordinates, so no fit
+    # rationalizes over Q(2^(1/3)); the one off-diagonal orbit needs none,
+    # since its factor is the exact quotient P / (x - y)
     K = field_configure([-2, 0, 0, 1])
     num = [[2, -3, -2], [-2, -2, 2], [3, 1, -3], [-3, -1]]
     den = [[1, 0, -2], [-2, 1, 2], [-3, -3], [-1, 3]]
     f = RationalMap(Poly(K, [K.element(c) for c in num]), Poly(K, [K.element(c) for c in den]))
-    report, _c, _m, certs = analyze(f)
+    report, curve, _m, certs = analyze(f)
     assert bidegs(report) == [(1, 1), (2, 2)]
-    assert [cert.exact_poly is not None for cert in certs] == [True, False]
     assert [cert.is_diagonal for cert in certs] == [True, False]
+    assert all(cert.exact_poly is not None for cert in certs)
+    diag = BiPoly(K, [[K.zero, -K.one], [K.one, K.zero]])
+    assert certs[0].exact_poly == diag
+    assert certs[1].exact_poly == curve.P.divide_exact(diag).normalized()
+    assert (certs[0].exact_poly * certs[1].exact_poly).normalized() == curve.P.normalized()
 
 
 def test_vanishing_relation_confirms_the_conic_of_chebyshev_cubic():
@@ -890,6 +895,58 @@ def test_report_fields_are_pinned(coeffs, expected):
         for c in report["components"]
     ]
     assert got == expected
+
+
+def _refusing_fits(monkeypatch):
+    from mme import graphcurve
+
+    def refuse(points, r):
+        raise AssertionError("a two-orbit map fitted a vanishing relation")
+
+    monkeypatch.setattr(graphcurve, "_vanishing_relation", refuse)
+
+
+@pytest.mark.parametrize("coeffs,expected", PINNED_REPORTS)
+def test_pinned_two_orbit_maps_are_certified_without_a_fit(monkeypatch, coeffs, expected):
+    _refusing_fits(monkeypatch)
+    report, *_ = analyze(rmap(*coeffs))
+    assert [c["exact_poly"] for c in report["components"]] == [e[-1] for e in expected[1]]
+
+
+def test_two_orbit_maps_over_q_and_q_omega_are_certified_without_a_fit(monkeypatch):
+    # each off-diagonal factor as the fit certified it before division did
+    W = field_configure([1, 1, 1])
+    w = W.gen()
+    cubic = RationalMap(Poly(W, [w, 0, 1, 2]), Poly(W, [1, 0, w]))
+    cases = [
+        (rmap([1, 2, 1], [2, -1, 3]), [["-5/7", "1/7"], ["1/7", "1"]]),
+        (cubic, [["0", ["-1/2", "-1"], ["-1", "-1"]], [["-1/2", "-1"], ["-1", "-1"], "0"],
+                 [["-1", "-1"], "0", "1"]]),
+    ]
+    _refusing_fits(monkeypatch)
+    for f, factor in cases:
+        report, *_ = analyze(f)
+        assert [c["exact_poly"] for c in report["components"]] == [X_MINUS_Y, factor]
+
+
+def test_power_map_z4_fits_each_off_diagonal_line(monkeypatch):
+    # four (1, 1) orbits: the three lines x = c y, c^4 = 1 and c != 1, are
+    # fitted, and only x + y is defined over Q
+    from mme import graphcurve
+
+    fit = graphcurve._vanishing_relation
+    fitted = []
+
+    def counting(points, r):
+        fitted.append(r)
+        return fit(points, r)
+
+    monkeypatch.setattr(graphcurve, "_vanishing_relation", counting)
+    report, _c, _m, certs = analyze(rmap([0, 0, 0, 0, 1]))
+    assert fitted == [1, 1, 1]
+    assert [cert.relation is not None for cert in certs] == [False, True, True, True]
+    assert [c.get("exact_poly") for c in report["components"]] == [
+        X_MINUS_Y, None, None, [["0", "1"], ["1", "0"]]]
 
 
 # -- legs and circles against whole keyhole loops --------------------------------------
