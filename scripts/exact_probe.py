@@ -5,9 +5,11 @@ process: at the edge of the degree budget, composition, iteration and a
 catalog entry whose certificate composes a degree-4096 iterate; at the
 edges of the sampler's budgets, two 2048 x 2048 renders of 10^5 points,
 at the depth budget and at the default depth; and ``analyze-graph`` on
-z^20 + 3z^7 - 2z^3 + z + 1 and on its degree-30, 40 and 60 variants, which
-have no budget below the parser's (each is the diagonal plus one component,
-whose factor is the exact P / (x - y)).  One line per probe gives its
+z^20 + 3z^7 - 2z^3 + z + 1 and on its degree-30, 40 and 60 variants (each
+is the diagonal plus one component, whose factor is the exact P / (x - y)),
+then at its degree budget B = ``graphcurve.DEGREE_BUDGET`` on the degree-B
+variant and on one fixed dense integer rational map of degree B.  One line
+per probe gives its
 exit code, wall seconds, peak resident memory in MiB, the sha256 of its
 stdout, and its name.  There is no seed: the probes are fixed, so two
 versions of the package that print the same sha256 column printed the same
@@ -19,6 +21,7 @@ reports and rasters.
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +29,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from mme.graphcurve import DEGREE_BUDGET  # noqa: E402
 
 FORTY_DIGIT_QUARTIC = (
     "(3141592653589793238462643383279502884197z^4-2718281828459045235360287471352662497757z^3"
@@ -33,6 +39,15 @@ FORTY_DIGIT_QUARTIC = (
     "/(2236067977499789696409173668731276235440z^4+1618033988749894848204586834365638117720z^2"
     "-2645751311064590590501615753639260425710)")
 FLOWER = "(a^2*(z^3-3z)^2+1)/(a*(z^3-3z))"
+
+
+def dense_map(d):
+    """The map JSON of a fixed dense integer rational map of degree d: its
+    coefficients in [-5, 5] from a fixed recurrence, the leading ones 1 and 2."""
+    num = [(3 * k + 1) % 11 - 5 for k in range(d)] + [1]
+    den = [(5 * k + 2) % 11 - 5 for k in range(d)] + [2]
+    return json.dumps({"num": num, "den": den})
+
 
 PROBES = [
     ("compose-z2000", ["compose", "--f", "z^2000+1", "--g", "z+1"]),
@@ -54,6 +69,9 @@ PROBES = [
     ("analyze-graph-z30", ["analyze-graph", "--map", "z^30+3*z^7-2*z^3+z+1"]),
     ("analyze-graph-z40", ["analyze-graph", "--map", "z^40+3*z^7-2*z^3+z+1"]),
     ("analyze-graph-z60", ["analyze-graph", "--map", "z^60+3*z^7-2*z^3+z+1"]),
+    ("analyze-graph-z%d" % DEGREE_BUDGET,
+     ["analyze-graph", "--map", "z^%d+3*z^7-2*z^3+z+1" % DEGREE_BUDGET]),
+    ("analyze-graph-dense%d" % DEGREE_BUDGET, ["analyze-graph", "--map", dense_map(DEGREE_BUDGET)]),
 ]
 
 

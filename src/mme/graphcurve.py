@@ -57,7 +57,7 @@ from .numeric import (
     rationalize_into_field,
 )
 from .polys import BiPoly, graph_bipoly
-from .ratmaps import MapError, RationalMap, critical_data
+from .ratmaps import MapError, RationalMap, SizeBudgetError, critical_data
 from .serialize import element_to_json, point_to_json
 
 # the basepoints the loop layout chooses from, equally spaced on one circle
@@ -71,6 +71,12 @@ CHUNK_ENTRIES = 2**18
 # or at degree 40 (89), while a path whose every step is rejected reaches it
 # after twelve levels
 BISECTION_BUDGET = 2**12
+# the highest degree build_graph accepts, checked before any work: at 64 a
+# dense integer rational map takes 13-16 s and z^64 + 3z^7 - 2z^3 + z + 1
+# 4.5-6.5 s (one cold process on one CPU of a shared 2-vCPU VM), so the
+# worst admissible input stays well under a 30 s ceiling; at 80 the dense
+# map took 26 s
+DEGREE_BUDGET = 64
 
 
 class TrackingError(RuntimeError):
@@ -210,6 +216,9 @@ def build_graph(G):
     """Exact defining polynomial plus the target chart."""
     if G.degree < 2:
         raise MapError("graph-curve analysis requires degree >= 2")
+    if G.degree > DEGREE_BUDGET:
+        raise SizeBudgetError("graph-curve analysis: degree %d exceeds the degree budget %d"
+                              % (G.degree, DEGREE_BUDGET))
     P = graph_bipoly(G.num, G.den)
     # an antisymmetric P has P(x, x) = 0, so x - y divides it: the diagonal
     # is a factor of P with no division to check

@@ -9,6 +9,14 @@ Math. Comp. 64, 1995), so an unseeded row is certified as
 Aberth iteration (``_aberth``), and a row that fails its check is solved
 again by mpmath.
 
+The batched kernels (``_aberth``, ``_residuals``, ``_certified_rows``) take
+a stack of rows, coefficients (L, n + 1) and roots (L, n), and work on its
+transpose, root-major: one row per column, so every operation runs along
+the long contiguous axis of the stack and every per-row max or all reduces
+a leading axis (numpy reduces a short trailing axis several times slower).
+A sum or product over the roots of one row accumulates one root at a time,
+in a fixed order, so a row's result does not depend on its stack.
+
 A point of P^1 is a complex number or the sentinel INF.  A set of points
 is a (z, inf) pair of arrays of one shape: z complex, with 0 at infinity,
 and inf the boolean mask of infinity.  Scalar functions such as
@@ -70,14 +78,15 @@ class ConsistencyError(RuntimeError):
     """A cross-check between two routes to the same quantity failed."""
 
 
-def _polyval_rows(coeffs, x):
-    """np.polyval row by row: coeffs (L, n + 1) descending, x (L, m)."""
-    # each coefficient spread to the shape of x: same-shape operands take
-    # numpy's fast elementwise loop, which a broadcast column does not
-    columns = np.repeat(coeffs.T[:, :, None], x.shape[1], axis=2)
-    y = np.zeros_like(x)
-    for column in columns:
-        y = y * x + column
+def _polyval(coeffs, x):
+    """np.polyval column by column: ``coeffs`` (n + 1, L) descending,
+    root-major, at the points ``x`` (m, L); each step is np.polyval's."""
+    # a coefficient row (L,) broadcasts along the leading axis of x, so every
+    # step runs over the long contiguous axis with no spread copy
+    y = np.zeros(x.shape, np.result_type(coeffs, x))
+    for row in coeffs:
+        y *= x
+        y += row
     return y
 
 
@@ -88,6 +97,14 @@ def _row_scales(coeffs):
     return np.abs(coeffs.T.copy()).max(axis=0)
 
 
+def _column_residuals(c, r):
+    """``_residuals`` on root-major arrays: ``c`` (n + 1, L), ``r`` (n, L)."""
+    outside = np.abs(r) > 1
+    w = np.where(outside, 1.0 / np.where(outside, r, 1.0), r)
+    vals = np.where(outside, _polyval(c[::-1], w), _polyval(c, w))
+    return np.abs(vals) / np.abs(c).max(axis=0)
+
+
 def _residuals(coeffs, roots):
     """Scaled residuals |p(r)| / (max_k |a_k| max(1, |r|)^n) of the roots
     ``roots`` (L, n) of the rows p of ``coeffs`` (L, n + 1), descending.
@@ -96,16 +113,13 @@ def _residuals(coeffs, roots):
     the reversed row at 1/r, so no power of r is formed and nothing
     overflows however large the root is.
     """
-    outside = np.abs(roots) > 1
-    w = np.where(outside, 1.0 / np.where(outside, roots, 1.0), roots)
-    vals = np.where(outside, _polyval_rows(coeffs[:, ::-1], w), _polyval_rows(coeffs, w))
-    return np.abs(vals) / _row_scales(coeffs)[:, None]
+    return _column_residuals(coeffs.T.copy(), roots.T.copy()).T
 
 
 def _certified_rows(coeffs, roots):
     """Per row of ``coeffs`` (L, n + 1) descending, whether every one of
     its ``roots`` (L, n) has a scaled residual below RESIDUAL_TOL."""
-    return (_residuals(coeffs, roots) < RESIDUAL_TOL).all(axis=1)
+    return (_column_residuals(coeffs.T.copy(), roots.T.copy()) < RESIDUAL_TOL).all(axis=0)
 
 
 def _companion_roots(desc):
@@ -136,6 +150,24 @@ def _companion_roots(desc):
     return np.linalg.eigvals(companion)
 
 
+def _disc_radii(c, z):
+    """The Braess-Hadeler radii n |W_i| (n, L) of the points ``z`` (n, L)
+    of the root-major rows ``c`` (n + 1, L), W_i = p(z_i) / (a_n
+    prod_{j != i} (z_i - z_j)), the product taken over j = 0, ..., n - 1
+    in that order.  |p(z_i)| is widened by Horner's rounding-error bound,
+    so a multiple root at which p happens to round to 0 still gets
+    overlapping discs."""
+    n = len(z)
+    slack = 2 * n * np.finfo(float).eps * _polyval(np.abs(c), np.abs(z))
+    bound = np.abs(_polyval(c, z)) + slack
+    product = np.ones_like(z)
+    for j in range(n):
+        diff = z - z[j]
+        diff[j] = 1.0
+        product *= diff
+    return n * bound / np.abs(c[0] * product)
+
+
 def _aberth(desc, roots):
     """Aberth-Ehrlich iteration on the rows of ``desc`` (L, n + 1), from
     the seed ``roots`` (L, n): (roots, ok per row).
@@ -148,49 +180,73 @@ def _aberth(desc, roots):
     they are rounding noise (Bini, Numer. Algorithms 13, 1996).  A row
     that has done neither after ABERTH_ITERS is not ok.
     A converged row is ok when it passes ``_certified_rows`` and its
-    Braess-Hadeler discs |z - z_i| <= n |W_i|, W_i = p(z_i) / (a_n
-    prod_{j != i} (z_i - z_j)), are finite and pairwise disjoint: each
-    disc then holds exactly one root (see
+    Braess-Hadeler discs |z - z_i| <= n |W_i| (``_disc_radii``) are finite
+    and pairwise disjoint: each disc then holds exactly one root (see
     fields._factor_search).  The discs are evaluated in floating point,
     with |p(z_i)| widened by a bound on its rounding error but no other
     outward rounding, so they are not a proof.
+
+    Inside, the stack is root-major: the roots (n, L) and the
+    coefficients (n + 1, L), rows on the long contiguous axis, so every
+    operation runs along the stack and every per-row max or all reduces a
+    leading axis; the transposes are made on entry and on return.  p and
+    p' come from one Horner pass.  S_i, like the product of the
+    differences in W_i, accumulates over j = 0, ..., n - 1 by one
+    elementwise operation per j, never by a sum or prod over an axis,
+    whose order numpy changes with L: so each row's roots and flag are
+    the ones it gets when solved alone.
     """
     n = desc.shape[1] - 1
-    dcoeffs = desc[:, :-1] * np.arange(n, 0, -1)
     diag = np.arange(n)
-    roots = roots.copy()
-    live = np.arange(len(desc))  # the rows still stepping
-    last = np.full(len(desc), np.inf)  # their previous largest relative corrections
-    converged = np.zeros(len(desc), dtype=bool)
+    c = desc.T.copy()
+    out = roots.T.copy()
+    live = np.arange(out.shape[1])  # the rows still stepping
+    last = np.full(len(live), np.inf)  # their previous largest relative corrections
+    converged = np.zeros(len(live), dtype=bool)
+    a, z = c, out.copy()  # the live rows' coefficients and roots
     # equal points or a zero derivative give inf or nan, which never converge
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_ITERS):
-            z = roots[live]
-            ratio = _polyval_rows(desc[live], z) / _polyval_rows(dcoeffs[live], z)
-            inverse = 1.0 / (z[:, :, None] - z[:, None, :])
-            inverse[:, diag, diag] = 0.0
-            step = ratio / (1.0 - ratio * inverse.sum(axis=2))
-            roots[live] = z - step
-            size = (np.abs(step) / np.maximum(1.0, np.abs(z))).max(axis=1)
+            p = np.empty_like(z)
+            p[...] = a[0]
+            dp = np.zeros_like(z)
+            for row in a[1:]:
+                dp *= z
+                dp += p
+                p *= z
+                p += row
+            inverse = z[:, None, :] - z[None, :, :]
+            np.divide(1.0, inverse, out=inverse)
+            inverse[diag, diag] = 0.0
+            s = inverse[:, 0].copy()
+            for j in range(1, n):
+                s += inverse[:, j]
+            # the step N / (1 - N S), formed in place in p
+            p /= dp
+            s *= p
+            np.subtract(1.0, s, out=s)
+            p /= s
+            size = np.abs(p)
+            size /= np.maximum(1.0, np.abs(z))
+            size = size.max(axis=0)
+            z -= p
             # below ABERTH_TOL, or below ABERTH_STALL once no less than half the last
             done = size < np.where(size + size >= last, ABERTH_STALL, ABERTH_TOL)
-            converged[live[done]] = True
-            live, last = live[~done], size[~done]
+            if done.any():
+                converged[live[done]] = True
+                out[:, live[done]] = z[:, done]
+                live, last, z, a = live[~done], size[~done], z[:, ~done], a[:, ~done]
+            else:
+                last = size
             if not len(live):
                 break
-        vals = _polyval_rows(desc, roots)
-        # |p(z_i)| is widened by Horner's rounding-error bound, so a multiple
-        # root at which p happens to round to 0 still gets overlapping discs
-        slack = 2 * n * np.finfo(float).eps * _polyval_rows(np.abs(desc), np.abs(roots))
-        bound = np.abs(vals) + slack
-        diff = roots[:, :, None] - roots[:, None, :]
-        diff[:, diag, diag] = 1.0
-        radius = n * bound / np.abs(desc[:, :1] * diff.prod(axis=2))
-        apart = np.abs(diff) > radius[:, :, None] + radius[:, None, :]
-        apart[:, diag, diag] = True
-        disjoint = np.isfinite(radius).all(axis=1) & apart.all(axis=(1, 2))
-        small = _certified_rows(desc, roots)
-    return roots, converged & disjoint & small
+        out[:, live] = z
+        radius = _disc_radii(c, out)
+        apart = np.abs(out[:, None, :] - out[None, :, :]) > radius[:, None] + radius[None, :]
+        apart[diag, diag] = True
+        disjoint = np.isfinite(radius).all(axis=0) & apart.reshape(n * n, -1).all(axis=0)
+        small = (_column_residuals(c, out) < RESIDUAL_TOL).all(axis=0)
+    return out.T, converged & disjoint & small
 
 
 def certified_roots(coeffs):

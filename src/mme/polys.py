@@ -404,7 +404,10 @@ class Poly:
         return a.monic() if not a.is_zero() else a
 
     def squarefree_decomposition(self):
-        """Yun's algorithm: [(g_i, i)] with self = lc * prod g_i^i, g_i monic."""
+        """Yun's algorithm: [(g_i, i)] with self = lc * prod g_i^i, g_i monic.
+
+        When :meth:`provably_coprime` proves p and p' coprime, p is
+        squarefree and the answer is [(p, 1)], with no division."""
         if self.is_zero():
             raise ValueError("squarefree decomposition of zero")
         p = self.monic()
@@ -412,6 +415,8 @@ class Poly:
             return []
         out = []
         d = p.derivative()
+        if p.provably_coprime(d):
+            return [(p, 1)]
         a = p.gcd(d)
         b = p.divide_exact(a)
         c = d.divide_exact(a)

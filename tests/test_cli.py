@@ -500,6 +500,18 @@ def test_analyze_graph_of_degree_40_takes_under_six_seconds(capsys):
     assert all("exact_poly" in c for c in components)
 
 
+def test_analyze_graph_over_its_degree_budget_exits_two(capsys):
+    from mme.graphcurve import DEGREE_BUDGET
+
+    d = DEGREE_BUDGET + 1
+    for spec in ("z^%d+3*z^7-2*z^3+z+1" % d, "(z^%d+1)/(2*z^%d-3*z+5)" % (d, d)):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "analyze-graph", "--map", spec)
+        assert time.perf_counter() - t0 < 1.0  # refused before any work
+        assert (code, out) == (2, "")
+        assert "degree %d exceeds the degree budget %d" % (d, DEGREE_BUDGET) in err
+
+
 # a degree-4 map with 40-digit coefficients: f^4 is bounded by about 11.5k bits
 # and takes seconds, f^5 by about 45.5k bits and would take minutes
 FORTY_DIGIT_MAP = (

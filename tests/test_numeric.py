@@ -455,3 +455,58 @@ def test_rationalize_into_field_refuses_degree_three_and_up():
     W = field_configure([1, 1, 1])
     w = W.gen()
     assert rationalize_into_field(W, W.embed(W.one + w)) == W.one + w
+
+
+def _seeded_stack(rng, d, count):
+    """(desc, seed): ``count`` squarefree integer rows of degree d, each seeded
+    twice, 1e-6 and 0.1 (1 + |z|) off its companion roots, then one row
+    with a double root at 2, seeded 1e-6 off."""
+    desc = _squarefree_integer_rows(rng, d, count)
+    want = numeric._companion_roots(desc)
+    seeds = [want + offset * (1 + np.abs(want)) * complex_normal(rng, *want.shape)
+             for offset in (1e-6, 0.1)]
+    double = np.polymul([1, -4, 4], desc[0, :d - 1])
+    roots = np.concatenate([[2, 2], np.roots(desc[0, :d - 1])]) + 1e-6 * complex_normal(rng, d)
+    return (np.concatenate([desc, desc, [double]]),
+            np.concatenate(seeds + [roots[None, :]]))
+
+
+def test_aberth_rows_do_not_depend_on_their_stack():
+    # numpy's sum or prod over an axis of a (n, n, L) array changes its
+    # order with L; the kernel's fixed-order accumulation must not.  Rows
+    # seeded 1e-6 and 0.1 off stop after different numbers of steps
+    rng = rng_for("aberth-stack")
+    for d in (3, 4, 5, 6, 7, 8, 20):
+        desc, seed = _seeded_stack(rng, d, 12)
+        roots, ok = numeric._aberth(desc, seed)
+        assert not ok[-1]
+        if d <= 8:
+            assert ok[:-1].all(), (d, (~ok).sum())
+        radius = numeric._disc_radii(desc.T.copy(), roots.T.copy())
+        for size in (1, 2, 3):
+            for i in range(0, len(desc), size):
+                part, part_ok = numeric._aberth(desc[i:i + size], seed[i:i + size])
+                assert part.tobytes() == roots[i:i + size].tobytes(), (d, size, i)
+                assert (part_ok == ok[i:i + size]).all(), (d, size, i)
+                part = numeric._disc_radii(desc[i:i + size].T.copy(), roots[i:i + size].T.copy())
+                assert part.tobytes() == radius[:, i:i + size].tobytes(), (d, size, i)
+
+
+def test_residuals_equal_polyval_row_by_row():
+    rng = rng_for("residual-rows")
+    for d in (3, 4, 5, 6, 7, 8, 20):
+        coeffs = complex_normal(rng, 9, d + 1)
+        roots = complex_normal(rng, 9, d) * 10.0 ** rng.integers(-3, 4, size=(9, d))
+        roots[0] = numeric._companion_roots(coeffs[:1, :])[0]
+        got = numeric._residuals(coeffs, roots)
+        for row, rs, res in zip(coeffs, roots, got):
+            for r, value in zip(rs, res):
+                # one-element arrays, so each step is the elementwise loop
+                w = np.array([r])
+                if abs(r) > 1:
+                    p = np.polyval(row[::-1], 1.0 / w)
+                else:
+                    p = np.polyval(row, w)
+                assert (np.abs(p) / np.abs(row).max())[0] == value, (d, r)
+        certified = numeric._certified_rows(coeffs, roots)
+        assert certified[0] and (certified == (got < numeric.RESIDUAL_TOL).all(axis=1)).all()

@@ -129,6 +129,24 @@ def test_squarefree_decomposition_equals_yun_with_plain_euclid(case, k):
     assert f.squarefree_decomposition() == yun_reference(f)
 
 
+def test_squarefree_wronskian_decomposes_without_a_division(monkeypatch):
+    from mme import polys
+
+    maps = [(poly_from([0, -3, 0, 1]), poly_from([1])),
+            (poly_from([5, -1, 1, -4, 0, 3, 1]), poly_from([5, 1, 3, 5, -3, 0, 5])),
+            (poly_from([3, -3, -1, -1, -3, -3, 4, 3, -3]),
+             poly_from([-3, -2, 3, -5, 3, -4, -1, 2, 4]))]
+    for num, den in maps:
+        w = RationalMap(num, den).wronskian()
+        want = yun_reference(w)
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(polys, "poly_divmod", lambda a, b: calls.append(1))
+            got = w.squarefree_decomposition()
+        assert calls == []
+        assert got == want == [(w.monic(), 1)]
+
+
 def test_squarefree_decomposition_recovers_multiplicities():
     p = poly_from([1, 1]) ** 3 * poly_from([-1, 1])
     by_mult = {m: q.monic() for q, m in p.squarefree_decomposition()}
