@@ -8,12 +8,12 @@ at the depth budget and at the default depth; and ``analyze-graph`` on
 z^20 + 3z^7 - 2z^3 + z + 1 and on its degree-30, 40 and 60 variants (each
 is the diagonal plus one component, whose factor is the exact P / (x - y)),
 then at its degree budget B = ``graphcurve.DEGREE_BUDGET`` on the degree-B
-variant and on one fixed dense integer rational map of degree B.  One line
-per probe gives its
-exit code, wall seconds, peak resident memory in MiB, the sha256 of its
-stdout, and its name.  There is no seed: the probes are fixed, so two
-versions of the package that print the same sha256 column printed the same
-reports and rasters.
+variant and on one fixed dense integer rational map of degree B; and last
+a render of z^2 + 10^18, whose every backward orbit fails, so it exits 2.
+One line per probe gives its exit code, wall seconds, peak resident memory
+in MiB, the sha256 of its stdout, and its name.  There is no seed: the
+probes are fixed, so two versions of the package that print the same
+sha256 column printed the same reports and rasters.
 
     python3 scripts/exact_probe.py                    # every probe
     python3 scripts/exact_probe.py --limit 1          # the first probe
@@ -72,6 +72,7 @@ PROBES = [
     ("analyze-graph-z%d" % DEGREE_BUDGET,
      ["analyze-graph", "--map", "z^%d+3*z^7-2*z^3+z+1" % DEGREE_BUDGET]),
     ("analyze-graph-dense%d" % DEGREE_BUDGET, ["analyze-graph", "--map", dense_map(DEGREE_BUDGET)]),
+    ("render-z2+10^18", ["render", "--map", "z^2+1000000000000000000"]),
 ]
 
 

@@ -20,9 +20,11 @@ batched root solve (cut in batches of at most CHUNK_ENTRIES entries), each
 fiber by Aberth iteration from a fiber of its path already solved, and
 bisects every step that does not move each point to a distinct nearest
 point well inside the new fiber's separation, up to BISECTION_BUDGET steps
-per path.  The keyholes of all critical values are laid out in one pass
-of array operations.  The fibers over all critical values, where the
-branch data find the simple preimages, are one batched solve too.  A
+per path.  A path whose root solve or step fails drops only itself; the
+others run on as they would alone.  The keyholes of all critical values
+are laid out in one pass of array operations.  The fibers over all
+critical values, where the branch data find the simple preimages, are one
+batched solve too.  A
 circle closes on the fiber where its leg ends, so the loop's permutation
 is read off the circle's last fiber, by exact equality with the entry
 fiber, and checked against the exact local degrees of G.  Legs and circles are tracked in base-sheet
@@ -171,14 +173,16 @@ def _branch_data(G):
     The fibers over all critical values are one projective_roots_batch
     solve of the rows G.preimages would solve one by one, which equals
     that loop bit for bit; a row that cannot be certified raises its
-    RootFindingError once the values before it have been checked, as the
-    loop would.
+    RootFindingError in its turn, once the values before it have been
+    checked, as the loop would.
     """
     d = G.degree
     groups = critical_data(G).value_groups
-    z, inf, error = projective_roots_batch(np.array([G.preimage_row(v) for v, _g in groups]), d)
+    z, inf, failed = projective_roots_batch(np.array([G.preimage_row(v) for v, _g in groups]), d)
     out = []
-    for (v, group), fz, finf, h in zip(groups, z, inf, homogeneous(z, inf)):
+    for k, ((v, group), fz, finf, h) in enumerate(zip(groups, z, inf, homogeneous(z, inf))):
+        if k in failed:
+            raise failed[k]
         if sum(m + 1 for _p, m in group) > d:
             raise TrackingError("critical points of one critical value exceed its fiber")
         crit = homogeneous(*point_arrays([p for p, _m in group]))
@@ -191,8 +195,6 @@ def _branch_data(G):
         if min_pairwise_chordal2(np.concatenate([crit, h[:, left]], axis=-1)) < 1e-8:
             raise TrackingError("preimages of a critical value are too close to tell apart")
         out.append((v, pre))
-    if error is not None:
-        raise error
     return out
 
 
@@ -403,11 +405,12 @@ def _track(matrix, d, starts, paths):
 
     The start fibers and the fibers returned are (z, inf) pairs.  Returns
     per path the fibers at its vertices, the first one included, in the
-    sheet order of its start fiber, or the TrackingError or
-    RootFindingError that stopped it.  The last fiber of a closed path
-    holds the values of its start fiber, permuted by the loop.  Each path
-    fails as it would alone; the paths after the first failed one are
-    dropped (None), as callers raise errors in path order.
+    sheet order of its start fiber, or the first TrackingError or
+    RootFindingError it meets.  The last fiber of a closed path holds the
+    values of its start fiber, permuted by the loop.  A failed path is
+    marked dead: its steps are no longer checked and it bisects no further,
+    while every other path goes on, so each path's outcome is the one it
+    gets when tracked alone.
     """
     n = len(paths)
     # segment g of the paths, one path after another, runs from a[g] to b[g] on path owner[g]
@@ -423,7 +426,14 @@ def _track(matrix, d, starts, paths):
     h_all = homogeneous(z_all, inf_all)  # the store in homogeneous coordinates
     sep_all = min_pairwise_chordal2(h_all)  # the squared separation of each stored fiber
     outcomes = [None] * n
-    live = n  # the first failed path
+    dead = np.zeros(n, dtype=bool)  # the paths that have failed
+
+    def fail(k, error):
+        # a path keeps the first error it meets
+        if not dead[k]:
+            dead[k] = True
+            outcomes[k] = error
+
     bisected = np.zeros(n, dtype=int)
     per_batch = max(1, CHUNK_ENTRIES // (d * d))  # the most rows of one batch
     # level 0: every segment is a step to its end vertex, which is solved
@@ -437,31 +447,26 @@ def _track(matrix, d, starts, paths):
     moves = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int),
               np.zeros((0, d), dtype=int))]
     while len(steps[0]):
-        path, seg, t, seed = (x[:np.searchsorted(nodes[0], live)] for x in nodes)
+        path, seg, t, seed = nodes
         xs = np.where(t == 1.0, b[seg], a[seg] + t * (b[seg] - a[seg]))
         # the store, then this level's batches
         zs, infs, hs, seps = [z_all], [inf_all], [h_all], [sep_all]
         for lo in range(0, len(path), per_batch):
             at = seed[lo:lo + per_batch]
             coeffs = _fiber_coeffs(matrix, xs[lo:lo + per_batch])
-            z, inf, error = projective_roots_batch(coeffs, d, near=(z_all[at], inf_all[at]))
+            z, inf, failed = projective_roots_batch(coeffs, d, near=(z_all[at], inf_all[at]))
             zs.append(z)
             infs.append(inf)
             hs.append(homogeneous(z, inf))
             seps.append(min_pairwise_chordal2(hs[-1]))
-            if error is not None:
-                live = int(path[lo + len(z)])
-                outcomes[live] = error
-                break
+            for i, error in sorted(failed.items()):
+                fail(path[lo + i], error)
         z_all, inf_all, h_all, sep_all = map(np.concatenate, (zs, infs, hs, seps))
-        checks = [x[:np.searchsorted(steps[0], live)] for x in steps]
+        checks = [x[~dead[steps[0]]] for x in steps]
         row = len(z_all)  # the store row of the next level's next node
         nodes, steps = [], []
         for lo in range(0, len(checks[0]), per_batch):
-            hi = lo + np.searchsorted(checks[0][lo:lo + per_batch], live)
-            if hi == lo:
-                break
-            path, seg, t0, t1, old, new = (x[lo:hi] for x in checks)
+            path, seg, t0, t1, old, new = (x[lo:lo + per_batch] for x in checks)
             cost = chordal2(h_all[old], h_all[new])  # [step, old point, new point], squared
             near = cost.argmin(axis=2)  # [step, old point]: its nearest new point
             moved = np.take_along_axis(cost, near[:, :, None], axis=2)  # squared
@@ -472,18 +477,17 @@ def _track(matrix, d, starts, paths):
             split = ~accepted & ~underflow
             count = np.cumsum(split)  # the steps this one's path bisected so far
             count += bisected[path] - (count - split)[np.searchsorted(path, path)]
-            failed = np.flatnonzero(underflow | split & (count > BISECTION_BUDGET))
-            stop = len(path)
-            if len(failed):
-                stop = failed[0]
-                live = int(path[stop])
-                outcomes[live] = TrackingError("path-tracking step underflow" if underflow[stop]
-                                               else "path-tracking step budget exceeded")
-            ok, split = accepted[:stop], split[:stop]
-            moves.append((seg[:stop][ok], t1[:stop][ok], new[:stop][ok], near[:stop][ok]))
-            bisected += np.bincount(path[:stop][split], minlength=n)
-            path, seg, t0, t1, old, new = (x[:stop][split] for x in (path, seg, t0, t1, old, new))
-            mid = t0 + half[:stop][split]
+            bad = np.flatnonzero(underflow | split & (count > BISECTION_BUDGET))
+            for i in bad[np.unique(path[bad], return_index=True)[1]]:  # first per path
+                fail(path[i], TrackingError("path-tracking step underflow" if underflow[i]
+                                            else "path-tracking step budget exceeded"))
+            alive = ~dead[path]
+            ok = accepted & alive
+            moves.append((seg[ok], t1[ok], new[ok], near[ok]))
+            split &= alive
+            bisected += np.bincount(path[split], minlength=n)
+            path, seg, t0, t1, old, new = (x[split] for x in (path, seg, t0, t1, old, new))
+            mid = t0 + half[split]
             rows = row + np.arange(len(path))
             row += len(path)
             nodes.append((path, seg, mid, old))
@@ -494,7 +498,7 @@ def _track(matrix, d, starts, paths):
             break
         nodes, steps = ([np.concatenate(x) for x in zip(*level)] for level in (nodes, steps))
     seg, t, row, perm = map(np.concatenate, zip(*moves))
-    keep = owner[seg] < live
+    keep = ~dead[owner[seg]]
     order = np.lexsort((t[keep], seg[keep]))  # each path's accepted steps, in path order
     seg, t, row, perm = (x[keep][order] for x in (seg, t, row, perm))
     path = owner[seg]
@@ -510,10 +514,11 @@ def _track(matrix, d, starts, paths):
     vertex = t == 1.0
     gather = row[vertex][:, None], perm[vertex]
     fibers = list(zip(z_all[gather], inf_all[gather]))
-    ends = np.cumsum(np.bincount(path[vertex], minlength=live)).tolist()
+    ends = np.cumsum(np.bincount(path[vertex], minlength=n)).tolist()
     for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
-        outcomes[k] = [starts[k]] + fibers[lo:hi]
-    return outcomes[:live + 1] + [None] * (n - live - 1)
+        if not dead[k]:
+            outcomes[k] = [starts[k]] + fibers[lo:hi]
+    return outcomes
 
 
 def _compose(p1, p2):
@@ -658,10 +663,6 @@ def _cycles(perm, points):
     return out
 
 
-def _cycle_type(perm, orbit):
-    return sorted(len(c) for c in _cycles(perm, orbit))
-
-
 def _on_pairs(perm):
     """The permutation of ordered pairs (i, j), indexed i * d + j."""
     d = len(perm)
@@ -727,6 +728,8 @@ def components(curve, mon):
     orbs = _orbits(d * d, pair_perms)
     if len(orbs[0]) != d or any(q % (d + 1) for q in orbs[0]):
         raise ConsistencyError("the diagonal is not an orbit of its own")
+    # per critical value, the preimage whose cycle holds each sheet
+    at = [{i: j for j, cycle in enumerate(cycles) for i in cycle} for cycles in mon.cycles]
     certs = []
     for orbit in orbs:
         r = len(orbit) // d
@@ -734,11 +737,15 @@ def components(curve, mon):
             raise ConsistencyError("an orbit of pairs does not cover every sheet equally")
         ram = []
         total_branching = 0
-        for perm, cycles, pre in zip(pair_perms, mon.cycles, curve.preimages):
-            total_branching += len(orbit) - len(_cycle_type(perm, orbit))
-            for cycle, (_p, e) in zip(cycles, pre):
-                over = [q for q in orbit if q // d in cycle]
-                ram.append([n // e for n in _cycle_type(perm, over)])
+        for perm, sheet_at, pre in zip(pair_perms, at, curve.preimages):
+            cycles = _cycles(perm, orbit)
+            total_branching += len(orbit) - len(cycles)
+            # a cycle on pairs moves its first sheets along one cycle of the
+            # permutation of sheets, so it is a branch over that cycle's preimage
+            lengths = [[] for _ in pre]
+            for c in cycles:
+                lengths[sheet_at[c[0] // d]].append(len(c))
+            ram += [sorted(n // e for n in ns) for ns, (_p, e) in zip(lengths, pre)]
         if total_branching % 2 != 0:
             raise ConsistencyError("Riemann-Hurwitz parity violated for an orbit")
         genus = 1 - len(orbit) + total_branching // 2

@@ -10,10 +10,11 @@ Preimage sets of a point equidistribute toward the measure of maximal
 entropy, so independent random backward orbits (uniform preimage choice,
 short burn-in discarded) give a point cloud approximating it; ``render``
 draws its rasters from them.  The orbits of a cloud advance together as one
-(z, inf) pair, and the cloud is that pair: ``julia_raster`` bins its finite
-points as they are.  Count, depth and raster size have budgets
-(COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET), checked before any draw or
-allocation; past them the input is refused (MapError, exit 2).
+(z, inf) pair, an orbit that fails drops only itself, and the cloud is that
+pair: ``julia_raster`` bins its finite points as they are.  Count, depth
+and raster size have budgets (COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET),
+checked before any draw or allocation; past them the input is refused
+(MapError, exit 2).
 """
 
 from __future__ import annotations
@@ -141,12 +142,11 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     meets an exceptional point or an uncertified root solve is dropped.
 
     Orbits run in rounds.  A round draws, in orbit order, the start and the
-    preimage choices of every orbit still needed, and advances them all in
-    lockstep, one stacked root solve per step.  The orbits after the first
-    failed one are dropped, and the generator is set back to the round's
-    first state and replays the round's draws up to the last one that
-    orbit made before it failed, so the cloud is the one that running the
-    orbits one at a time gives, bit for bit.
+    `depth` preimage choices of every orbit still needed, and advances them
+    all in lockstep, one stacked root solve per step.  A failed orbit drops
+    only itself, so every orbit kept holds the points it reaches when run
+    alone.  Past 10 failed orbits per orbit the count needs, the map is
+    refused (MapError).
     """
     _check_orbits(f, depth)
     _check_count(count)
@@ -161,33 +161,21 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     while have < count:
         if failures > 10 * max(1, n_orbits):
             raise MapError("too many failed backward orbits; map may be degenerate")
-        state = rng.bit_generator.state
-        starts, choices = _draw_orbits(rng, math.ceil((count - have) / per_orbit), d, depth)
+        n = math.ceil((count - have) / per_orbit)
+        starts = np.empty(n, dtype=complex)
+        choices = np.empty((n, depth), dtype=np.int64)
+        for k in range(n):
+            # rng.random() is the draw that rng.uniform() scales by 1 and
+            # shifts by 0, and one draw of `depth` choices gives the values
+            # that `depth` scalar draws give
+            starts[k] = np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.random())
+            choices[k] = rng.integers(0, d, size=depth)
         z, inf, failed = _lockstep_orbits(f, exceptional, starts, choices)
         zs.append(z)
         infs.append(inf)
         have += len(z)
-        if failed is not None:
-            i, steps = failed
-            failures += 1
-            rng.bit_generator.state = state
-            _draw_orbits(rng, i + 1, d, depth, last=steps)
+        failures += failed
     return MeasureCloud(np.concatenate(zs)[:count], np.concatenate(infs)[:count])
-
-
-def _draw_orbits(rng, n, d, depth, last=None):
-    """The starts and preimage choices of n orbits, drawn orbit by orbit;
-    with `last`, the final orbit draws only its first `last` choices.  One
-    draw of `depth` choices leaves the values and the generator state that
-    `depth` scalar draws leave."""
-    starts = np.empty(n, dtype=complex)
-    choices = np.zeros((n, depth), dtype=np.int64)
-    for k in range(n):
-        # rng.random() is the draw that rng.uniform() scales by 1 and shifts by 0
-        starts[k] = np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.random())
-        m = depth if last is None or k < n - 1 else last
-        choices[k, :m] = rng.integers(0, d, size=m)
-    return starts, choices
 
 
 def _lockstep_orbits(f, exceptional, starts, choices):
@@ -195,36 +183,32 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     choices[i, k] at step k, all advanced together.
 
     ``exceptional`` holds the exceptional points in ``homogeneous``
-    coordinates.  The points of all orbits are carried as one (z, inf)
-    pair, and each step picks every orbit's choice out of the solved
-    fibers at once.  Returns
-    the points past the burn-in of every orbit before the first failed one
-    as a (z, inf) pair, orbit by orbit and in step order within an orbit,
-    and that failure as (orbit, preimage choices it made), or None.  Rows
-    are built as RationalMap.preimage_row builds them, and
+    coordinates.  The points of the orbits still running are carried as
+    one (z, inf) pair, and each step picks every orbit's choice out of the
+    solved fibers at once; an orbit whose root solve fails, or whose point
+    is an exceptional one, is dropped from it.  Returns the points past the
+    burn-in of every orbit that never failed as a (z, inf) pair, orbit by
+    orbit and in step order within an orbit, and the number of orbits that
+    failed.  Rows are built as RationalMap.preimage_row builds them, and
     projective_roots_batch, given no seed, equals projective_roots row by
     row, so every point equals the one a lone orbit reaches bit for bit.
     """
     d = f.degree
     depth = choices.shape[1]
     nc, dc = f.numeric_pair()
-    kept_z = np.zeros((len(starts), depth - BURN_IN), dtype=complex)
-    kept_inf = np.zeros((len(starts), depth - BURN_IN), dtype=bool)
-    failed = None
 
-    def cut(z, inf, steps):
-        # drop the orbits from the first one near an exceptional point on
-        nonlocal failed
+    def clear(z, inf):
+        # the orbits whose point is not near an exceptional point
         if not exceptional.size:
-            return z, inf
-        near = np.flatnonzero(
-            (chordal2(exceptional, homogeneous(z, inf)) < EXCEPTIONAL_CUT ** 2).any(axis=0))
-        if len(near):
-            failed = (int(near[0]), steps)
-            return z[:near[0]], inf[:near[0]]
-        return z, inf
+            return np.ones(len(z), dtype=bool)
+        return ~(chordal2(exceptional, homogeneous(z, inf)) < EXCEPTIONAL_CUT ** 2).any(axis=0)
 
-    z, inf = cut(starts, np.zeros(len(starts), dtype=bool), 0)
+    z, inf = starts, np.zeros(len(starts), dtype=bool)
+    keep = clear(z, inf)
+    # the orbits still running: their points, choices and kept points
+    z, inf, choices = z[keep], inf[keep], choices[keep]
+    kept_z = np.zeros((len(z), depth - BURN_IN), dtype=complex)
+    kept_inf = np.zeros((len(z), depth - BURN_IN), dtype=bool)
     for k in range(depth):
         if not len(z):
             break
@@ -238,16 +222,17 @@ def _lockstep_orbits(f, exceptional, starts, choices):
         else:
             w = z / scale
         rows = np.where(inf[:, None], dc, nc / scale[:, None] - w[:, None] * dc)
-        fz, finf, error = projective_roots_batch(rows, d)
-        if error is not None:
-            failed = (len(fz), k)
-        pick = np.arange(len(fz)), choices[:len(fz), k]
-        z, inf = cut(fz[pick], finf[pick], k + 1)
+        fz, finf, failed = projective_roots_batch(rows, d)
+        pick = np.arange(len(z)), choices[:, k]
+        z, inf = fz[pick], finf[pick]
+        keep = clear(z, inf)
+        keep[list(failed)] = False
+        if not keep.all():
+            z, inf, choices, kept_z, kept_inf = (x[keep] for x in (z, inf, choices, kept_z, kept_inf))
         if k >= BURN_IN:
-            kept_z[:len(z), k - BURN_IN] = z
-            kept_inf[:len(z), k - BURN_IN] = inf
-    n = len(z)
-    return kept_z[:n].reshape(-1), kept_inf[:n].reshape(-1), failed
+            kept_z[:, k - BURN_IN] = z
+            kept_inf[:, k - BURN_IN] = inf
+    return kept_z.reshape(-1), kept_inf.reshape(-1), len(starts) - len(z)
 
 
 def same_measure_test(f, g):

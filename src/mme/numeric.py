@@ -314,25 +314,27 @@ def projective_roots(coeffs, formal_degree):
 
 
 def projective_roots_batch(rows, formal_degree, near=None):
-    """projective_roots of the rows of an (L, formal_degree + 1) stack, up
-    to the first row that cannot be certified, as a (z, inf) pair.
+    """projective_roots of every row of an (L, formal_degree + 1) stack, as
+    a (z, inf) pair.
 
-    Returns (z, inf, error): (z, inf) the (K, formal_degree) roots of the
-    K rows before that row, and the RootFindingError that row raised, or
-    None (then K = L).  ``near``, if given, is a (z, inf) pair of one seed
-    fiber per row.  A row of full degree with a nonzero constant term
-    whose seed has no INF is solved by ``_aberth`` from its seed, and kept
-    as that solve gives it if ``_aberth`` accepts it.  The other rows of
-    full degree with a nonzero constant term share one ``_companion_roots``
-    call, and each is kept as that call gives it if ``_certified_rows``
-    accepts it.  Every other row (a root at infinity or at zero, a
-    residual that needs mpmath) goes through projective_roots.  So every
-    row that is not kept from its seed equals projective_roots on that
-    row bit for bit, INF included; without ``near``, every row does.  A
-    stack whose rows all take the companion route and certify, as an
-    unseeded stack of full-degree rows with nonzero constant terms usually
-    does, is returned as that one solve gives it, with no row gathered or
-    scattered.
+    Returns (z, inf, failed): (z, inf) the (L, formal_degree) roots, and
+    ``failed`` a dict from the index of each row that cannot be certified
+    to the RootFindingError that row raised; such a row's entries are 0 and
+    False, and every other row is what it is when solved alone.
+
+    ``near``, if given, is a (z, inf) pair of one seed fiber per row.  A
+    row of full degree with a nonzero constant term whose seed has no INF
+    is solved by ``_aberth`` from its seed, and kept as that solve gives it
+    if ``_aberth`` accepts it.  The other rows of full degree with a
+    nonzero constant term share one ``_companion_roots`` call, and each is
+    kept as that call gives it if ``_certified_rows`` accepts it.  Every
+    other row (a root at infinity or at zero, a residual that needs
+    mpmath) goes through projective_roots.  So every row that is not kept
+    from its seed equals projective_roots on that row bit for bit, INF
+    included; without ``near``, every row does.  A stack whose rows all
+    take the companion route and certify, as an unseeded stack of
+    full-degree rows with nonzero constant terms usually does, is returned
+    as that one solve gives it, with no row gathered or scattered.
     """
     c = np.asarray(rows, dtype=complex)
     d = formal_degree
@@ -355,15 +357,16 @@ def projective_roots_batch(rows, formal_degree, near=None):
         ok = _certified_rows(desc, roots)
         if whole and ok.all():
             # every row took the companion route and certified
-            return roots, inf, None
+            return roots, inf, {}
         z[idx[ok]] = roots[ok]
         fast[idx[~ok]] = False
-    for i in np.flatnonzero(~fast):
+    failed = {}
+    for i in np.flatnonzero(~fast).tolist():
         try:
             z[i], inf[i] = point_arrays(projective_roots(c[i], d))
         except RootFindingError as exc:
-            return z[:i], inf[:i], exc
-    return z, inf, None
+            failed[i] = exc
+    return z, inf, failed
 
 
 def point_arrays(points):

@@ -736,6 +736,18 @@ def test_render_with_no_points_is_a_blank_raster(capsys, tmp_path):
     assert target.read_bytes() == b"P6\n3 2\n255\n" + bytes(3 * 2 * 3)
 
 
+def test_render_of_a_julia_set_far_out_fails_fast(capsys):
+    # every preimage of z^2 + 10^18 - w reads as infinity in floats, and
+    # infinity is exceptional, so every backward orbit fails; each round's
+    # failed orbits all count, so the sampler gives up after a few rounds
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "render", "--map", "z^2+1000000000000000000",
+                         "--width", "20", "--height", "20")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert "too many failed backward orbits" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["powermap", "--df", "1", "--dg", "2"],
     ["powermap", "--df", "-3"],

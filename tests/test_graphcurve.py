@@ -332,18 +332,19 @@ def _lockstep_case():
 
 
 def _batch_failing_at(bad):
-    """A projective_roots_batch stand-in that fails at the first row whose
-    bytes are ``bad``, having solved the rows before it."""
+    """A projective_roots_batch stand-in that fails every row whose bytes
+    are ``bad`` and solves the others."""
     from mme import graphcurve
 
     batch = graphcurve.projective_roots_batch
 
     def failing_batch(rows, d, near=None):
-        hit = [i for i, row in enumerate(rows) if row.tobytes() == bad]
-        if hit:
-            before = tuple(a[:hit[0]] for a in near)
-            return (*batch(rows[:hit[0]], d, near=before)[:2], RootFindingError("forced failure"))
-        return batch(rows, d, near=near)
+        z, inf, failed = batch(rows, d, near=near)
+        for i, row in enumerate(rows):
+            if row.tobytes() == bad:
+                z[i], inf[i] = 0, False
+                failed[i] = RootFindingError("forced failure")
+        return z, inf, failed
 
     return failing_batch
 
@@ -354,11 +355,16 @@ def _outcome_bits(outcomes):
     out = []
     for fibers in outcomes:
         if isinstance(fibers, Exception):
-            fibers = (type(fibers), str(fibers))
-        elif fibers is not None:
-            fibers = [(z.tobytes(), inf.tobytes()) for z, inf in fibers]
-        out.append(fibers)
+            out.append((type(fibers), str(fibers)))
+        else:
+            out.append([(z.tobytes(), inf.tobytes()) for z, inf in fibers])
     return out
+
+
+def _each_alone(matrix, d, starts, paths):
+    """The ``_outcome_bits`` of each path tracked on its own."""
+    return [_outcome_bits(_track(matrix, d, [start], [path]))[0]
+            for start, path in zip(starts, paths)]
 
 
 def test_lockstep_tracking_matches_each_path_alone():
@@ -386,13 +392,12 @@ def _failing_legs(monkeypatch):
     return curve, base, plan.legs[:3]
 
 
-def test_lockstep_failure_drops_later_paths(monkeypatch):
+def test_lockstep_failure_drops_only_its_path(monkeypatch):
     curve, base, paths = _failing_legs(monkeypatch)
-    first, failed, dropped = _track(curve.matrix, curve.degree, [base] * 3, paths)
-    alone = _track(curve.matrix, curve.degree, [base], paths[:1])[0]
-    assert _values(first) == _values(alone)
-    assert isinstance(failed, RootFindingError)
-    assert dropped is None
+    together = _track(curve.matrix, curve.degree, [base] * 3, paths)
+    assert isinstance(together[1], RootFindingError)
+    assert len(together[0]) == len(paths[0]) and len(together[2]) == len(paths[2])
+    assert _outcome_bits(together) == _each_alone(curve.matrix, curve.degree, [base] * 3, paths)
 
 
 def test_small_chunks_track_bit_for_bit_as_whole_levels(monkeypatch):
@@ -409,8 +414,10 @@ def test_small_chunks_track_bit_for_bit_as_whole_levels(monkeypatch):
         whole = tracked(paths)
     rows, levels = sum(map(len, calls)), len(calls)
     with pytest.MonkeyPatch.context() as mp:
-        failed = tracked(_failing_legs(mp)[2])
-    assert failed[1][0] is RootFindingError and failed[2] is None
+        failing = _failing_legs(mp)[2]
+        failed = tracked(failing)
+        assert failed == _each_alone(curve.matrix, d, [base] * 3, failing)
+    assert failed[1][0] is RootFindingError and isinstance(failed[2], list)
     monkeypatch.setattr(graphcurve, "CHUNK_ENTRIES", 3 * d * d)
     calls = _counting_solves(monkeypatch)
     assert tracked(paths) == whole
@@ -624,7 +631,7 @@ def test_nearest_point_steps_decide_as_the_least_cost_assignment(step):
     # ``old`` to ``new`` and is bisected to underflow unless accepted
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphcurve, "projective_roots_batch",
-                   lambda rows, d, near=None: (*point_arrays([new] * len(rows)), None))
+                   lambda rows, d, near=None: (*point_arrays([new] * len(rows)), {}))
         [fibers] = _track(np.zeros((2, d + 1), dtype=complex), d, [point_arrays(old)],
                           [[0j, 1 + 0j]])
     moved, accepted = _assignment_step(old, new)
@@ -634,7 +641,7 @@ def test_nearest_point_steps_decide_as_the_least_cost_assignment(step):
         assert isinstance(fibers, TrackingError) and "underflow" in str(fibers)
 
 
-def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
+def test_failure_at_a_midpoint_drops_only_its_path(monkeypatch):
     from mme import graphcurve
 
     curve = build_graph(rmap([0, -3, 0, 1]))
@@ -652,25 +659,25 @@ def test_failure_at_a_midpoint_drops_later_paths(monkeypatch):
     [hit] = [call for call in calls if bad in call]
     assert hit.index(bad) > 0
     monkeypatch.setattr(graphcurve, "projective_roots_batch", _batch_failing_at(bad))
-    first, failed, dropped = _track(curve.matrix, curve.degree, [base] * 3, paths)
-    alone = _track(curve.matrix, curve.degree, [base], paths[:1])[0]
-    assert _values(first) == _values(alone)
-    assert isinstance(failed, RootFindingError)
-    assert dropped is None
+    together = _track(curve.matrix, curve.degree, [base] * 3, paths)
+    assert isinstance(together[1], RootFindingError)
+    assert len(together[0]) == len(paths[0]) and len(together[2]) == len(paths[2])
+    assert _outcome_bits(together) == _each_alone(curve.matrix, curve.degree, [base] * 3, paths)
 
 
 def test_path_through_a_critical_value_underflows():
     # steps across a double point are rejected at every length, until half
-    # a step is below 1e-12; the shorter second path gets there first
+    # a step is below 1e-12; the shorter second path gets there first, and
+    # the first one still runs on to its own underflow
     curve = build_graph(rmap([0, -3, 0, 1]))
     b, c = curve.values[:2]
     start = b - 0.25
     paths = [[start, b + 0.25], [start, c - 0.001, c + 0.001]]
-    first, dropped = _track(curve.matrix, curve.degree, [fiber_at(curve, start)] * 2, paths)
-    assert isinstance(first, TrackingError) and "underflow" in str(first)
-    assert dropped is None
-    alone = _track(curve.matrix, curve.degree, [fiber_at(curve, start)], paths[1:])[0]
-    assert isinstance(alone, TrackingError) and "underflow" in str(alone)
+    starts = [fiber_at(curve, start)] * 2
+    together = _track(curve.matrix, curve.degree, starts, paths)
+    for outcome in together:
+        assert isinstance(outcome, TrackingError) and "underflow" in str(outcome)
+    assert _outcome_bits(together) == _each_alone(curve.matrix, curve.degree, starts, paths)
 
 
 def test_bisection_stops_at_the_step_budget(monkeypatch):
@@ -686,15 +693,23 @@ def test_bisection_stops_at_the_step_budget(monkeypatch):
         rows.append(len(coeffs))
         # a tracker without the budget stops here instead of running on
         assert sum(rows) <= 10 * BISECTION_BUDGET, "the bisection outran its budget"
-        return *(np.repeat(a[None], len(coeffs), axis=0) for a in fiber), None
+        return *(np.repeat(a[None], len(coeffs), axis=0) for a in fiber), {}
 
     monkeypatch.setattr(graphcurve, "projective_roots_batch", equal_points)
+    matrix = np.zeros((2, 4), dtype=complex)
     began = time.perf_counter()
-    [outcome] = _track(np.zeros((2, 4), dtype=complex), 3, [fiber], [[0j, 1 + 0j]])
+    [outcome] = _track(matrix, 3, [fiber], [[0j, 1 + 0j]])
     assert time.perf_counter() - began < 1.0
     assert isinstance(outcome, TrackingError) and "budget exceeded" in str(outcome)
     # each level solves the midpoints of the one before, twice as many
     assert rows[:4] == [1, 1, 2, 4] and sum(rows) >= BISECTION_BUDGET
+    # the budget is per path: a path of two segments meets it too
+    rows.clear()
+    paths = [[0j, 1 + 0j], [0j, 0.5 + 0j, 1 + 0j]]
+    together = _outcome_bits(_track(matrix, 3, [fiber] * 2, paths))
+    assert together == [(TrackingError, "path-tracking step budget exceeded")] * 2
+    rows.clear()
+    assert together == _each_alone(matrix, 3, [fiber] * 2, paths)
 
 
 def test_cycle_type_must_match_exact_local_degrees():
@@ -1140,8 +1155,14 @@ def test_branch_data_raises_a_failed_row_as_the_loop_does(monkeypatch, k):
             _branch_data_by_value(G)
     assert loop.value is error and len(solves) == k + 1
     batch = graphcurve.projective_roots_batch
-    monkeypatch.setattr(graphcurve, "projective_roots_batch",
-                        lambda rows, d: (*batch(rows[:k], d)[:2], error))
+
+    def failing_batch(rows, d):
+        # row k and every row after it fail; row k's error is raised
+        z, inf, failed = batch(rows, d)
+        later = {j: RootFindingError("a later row") for j in range(k + 1, len(rows))}
+        return z, inf, {**failed, k: error, **later}
+
+    monkeypatch.setattr(graphcurve, "projective_roots_batch", failing_batch)
     with pytest.raises(RootFindingError) as batched:
         graphcurve._branch_data(G)
     assert batched.value is error

@@ -40,45 +40,59 @@ def rmap(num, den=(1,)):
     return RationalMap(Poly(Q, list(num)), Poly(Q, list(den)))
 
 
-def serial_sample(f, count, depth=40, seed=0, burn_in=BURN_IN, stream="cloud"):
-    """The sampler run one orbit at a time, one preimage solve per step.
+def lone_orbit(f, start, choices):
+    """One backward orbit run alone, one preimage solve per step, from
+    ``start`` to preimage ``choices[k]`` at step k.
 
-    Returns the cloud's points (complex or INF), every attempted orbit's
-    visited points (start first) and the failures as (attempt, kind, step).
+    Returns the points it visits (start first) and the failure (kind, step)
+    that ends it, or None.
     """
-    rng = named_rng(seed, stream)
     exceptional = point_arrays(measure._exceptional_points(f))
 
     def is_exceptional(z):
         return (chordal(*point_arrays([z]), *exceptional) < EXCEPTIONAL_CUT).any()
 
-    per_orbit = depth - burn_in
+    walk = [start]
+    if is_exceptional(start):
+        return walk, ("start", 0)
+    for k, choice in enumerate(choices):
+        try:
+            pre = f.preimages(walk[-1])
+        except RootFindingError:
+            return walk, ("solve", k)
+        walk.append(pre[choice])
+        if is_exceptional(walk[-1]):
+            return walk, ("hit", k)
+    return walk, None
+
+
+def serial_sample(f, count, depth=40, seed=0, stream="cloud"):
+    """The sampler run one orbit at a time.
+
+    Each round draws, one scalar at a time, the start and the ``depth``
+    preimage choices of every orbit the count still needs, then runs each
+    orbit alone (``lone_orbit``); a failed orbit is dropped.  Returns the
+    cloud's points (complex or INF), every drawn orbit's visited points
+    (start first) and the failures as (orbit, kind, step).
+    """
+    rng = named_rng(seed, stream)
+    per_orbit = depth - BURN_IN
     n_orbits = math.ceil(count / per_orbit)
     pts, walks, failures = [], [], []
     while len(pts) < count:
         if len(failures) > 10 * max(1, n_orbits):
             raise MapError("too many failed backward orbits; map may be degenerate")
-        z = complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform()))
-        walks.append([z])
-        if is_exceptional(z):
-            failures.append((len(walks) - 1, "start", 0))
-            continue
-        orbit = []
-        for k in range(depth):
-            try:
-                pre = f.preimages(z)
-            except RootFindingError:
-                failures.append((len(walks) - 1, "solve", k))
-                break
-            z = pre[int(rng.integers(0, len(pre)))]
-            walks[-1].append(z)
-            if is_exceptional(z):
-                failures.append((len(walks) - 1, "hit", k))
-                break
-            if k >= burn_in:
-                orbit.append(z)
-        else:
-            pts.extend(orbit)
+        draws = []
+        for _ in range(math.ceil((count - len(pts)) / per_orbit)):
+            z = complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform()))
+            draws.append((z, [int(rng.integers(0, f.degree)) for _ in range(depth)]))
+        for start, choices in draws:
+            walk, failure = lone_orbit(f, start, choices)
+            walks.append(walk)
+            if failure is None:
+                pts.extend(walk[BURN_IN + 1:])
+            else:
+                failures.append((len(walks) - 1, *failure))
     return pts[:count], walks, failures
 
 
@@ -256,7 +270,7 @@ def test_lockstep_sample_equals_serial_sample():
 def test_lockstep_sample_with_roots_at_infinity_equals_serial_sample(monkeypatch):
     # with INF_TOL at 0.5 many rows have leading coefficients counted as
     # zero, so their roots at INF come from the single-row path; INF is
-    # exceptional for z^2 + 1, which drops the orbits that reach it
+    # exceptional for z^2 + 1, which drops each orbit that reaches it
     monkeypatch.setattr(numeric, "INF_TOL", 0.5)
     for f in (rmap([1, 0, 1]), rmap([1, 0, 1], [0, 1]), rmap([1, 0, 0, 1], [0, 0, 1]),
               rmap([2, 0, 0, 1], [-1, 1])):
@@ -265,7 +279,7 @@ def test_lockstep_sample_with_roots_at_infinity_equals_serial_sample(monkeypatch
         assert_cloud_holds(got, want)
         assert any(p is INF for walk in walks for p in walk)
         if f.den.degree == 0:
-            assert failures and all(kind == "hit" for _i, kind, _k in failures)
+            assert len(failures) > 1 and all(kind == "hit" for _i, kind, _k in failures)
         else:
             assert got.inf.any()  # points at INF in the cloud
 
@@ -294,41 +308,54 @@ def test_lockstep_sample_counts():
         assert_sample_equals_serial(f, count, seed=count)
 
 
+def survivors(walks, failed, count):
+    """The points past the burn-in of the orbits of ``walks`` not in
+    ``failed``, in orbit order, up to ``count``."""
+    return [p for i, walk in enumerate(walks) if i not in failed for p in walk[BURN_IN + 1:]][:count]
+
+
 def test_lockstep_sample_forced_failures(monkeypatch):
     f = rmap([1, 0, 1])
-    _pts, walks, failures = serial_sample(f, 200)
-    assert not failures
+    # the first nine orbits the sampler draws, none of which fails
+    _pts, walks, failures = serial_sample(f, 270)
+    assert not failures and len(walks) == 9
     # an orbit that starts at an exceptional point, and one that lands on it
     for point, failure in ((walks[2][0], (2, "start", 0)), (walks[1][6], (1, "hit", 5))):
         monkeypatch.setattr(measure, "_exceptional_points", lambda f, p=point: [p])
         assert assert_sample_equals_serial(f, 200) == [failure]
+        got = backward_orbit_sample(f, 200)
+        assert_cloud_holds(got, survivors(walks, {failure[0]}, 200))
     monkeypatch.undo()
     # a root solve that cannot be certified at step 7 of orbit 3
     fail_solves_reaching(monkeypatch, walks[3][8])
     assert assert_sample_equals_serial(f, 200) == [(3, "solve", 7)]
+    assert_cloud_holds(backward_orbit_sample(f, 200), survivors(walks, {3}, 200))
     monkeypatch.undo()
-    # orbit 3 fails at step 2 of the first round, but orbit 1 fails first
-    # in orbit order, at step 30: only orbit 1's failure happens
+    # orbit 3 fails at step 2 and orbit 1 at step 30: each drops only
+    # itself, and the next round draws orbits 7 and 8 in their place
     fail_solves_reaching(monkeypatch, walks[3][3])
     monkeypatch.setattr(measure, "_exceptional_points", lambda f: [walks[1][31]])
-    assert assert_sample_equals_serial(f, 200) == [(1, "hit", 30)]
+    assert assert_sample_equals_serial(f, 200) == [(1, "hit", 30), (3, "solve", 2)]
+    assert_cloud_holds(backward_orbit_sample(f, 200), survivors(walks, {1, 3}, 200))
 
 
 @pytest.mark.parametrize("n_failures", [10, 11])
 def test_lockstep_sample_too_many_failures(monkeypatch, n_failures):
-    # one orbit is needed, so ten failures are allowed and the eleventh
-    # raises; a failed start consumes two draws, so the starts are known
-    rng = named_rng(0, "cloud")
-    starts = [complex(np.exp(rng.normal(0.0, 0.5)) * np.exp(2j * np.pi * rng.uniform()))
-              for _ in range(n_failures)]
-    monkeypatch.setattr(measure, "_exceptional_points", lambda f: starts)
+    # a count that needs one orbit allows ten failed orbits and raises at
+    # the eleventh; one that needs two orbits, drawn two a round, allows
+    # twenty and raises at the twenty-first
     f = rmap([-1, 0, 1])
-    if n_failures > 10:
-        for sample in (serial_sample, backward_orbit_sample):
-            with pytest.raises(MapError, match="too many failed backward orbits"):
-                sample(f, 29)
-    else:
-        assert len(assert_sample_equals_serial(f, 29)) == 10
+    for count, failing in ((29, n_failures), (59, 2 * n_failures)):
+        _pts, walks, _failures = serial_sample(f, 30 * (failing + 2))
+        starts = [walk[0] for walk in walks[:failing]]
+        monkeypatch.setattr(measure, "_exceptional_points", lambda f, s=starts: s)
+        if failing > 10 * math.ceil(count / 30):
+            for sample in (serial_sample, backward_orbit_sample):
+                with pytest.raises(MapError, match="too many failed backward orbits"):
+                    sample(f, count)
+        else:
+            assert len(assert_sample_equals_serial(f, count)) == failing
+        monkeypatch.undo()
 
 
 def test_raster_equals_point_loop(monkeypatch):
@@ -403,15 +430,16 @@ def test_lockstep_sample_cuts_at_exceptional_points_as_serial():
         assert not assert_sample_equals_serial(f, 700, depth=25, seed=2)
 
 
-def test_lockstep_sample_cuts_at_the_first_orbit_near_any_exceptional_point(monkeypatch):
+def test_lockstep_sample_cuts_every_orbit_near_any_exceptional_point(monkeypatch):
     f = rmap([1, 0, 1])
-    _pts, walks, failures = serial_sample(f, 200)
+    _pts, walks, failures = serial_sample(f, 270)
     assert not failures
-    # at the same step, orbit 3 meets one point and orbit 1 the other; in
-    # orbit order orbit 1 fails first, whichever point is listed first
+    # at the same step, orbit 3 meets one point and orbit 1 the other; both
+    # are dropped, whichever point is listed first
     for points in ([walks[3][6], walks[1][6]], [walks[1][6], walks[3][6]]):
         monkeypatch.setattr(measure, "_exceptional_points", lambda f, p=points: p)
-        assert assert_sample_equals_serial(f, 200) == [(1, "hit", 5)]
+        assert assert_sample_equals_serial(f, 200) == [(1, "hit", 5), (3, "hit", 5)]
+        assert_cloud_holds(backward_orbit_sample(f, 200), survivors(walks, {1, 3}, 200))
 
 
 @pytest.mark.parametrize("size", [(0, 10), (10, 0), (-3, 10)])

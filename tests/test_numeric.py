@@ -60,16 +60,16 @@ def test_batched_roots_equal_single_row_roots(monkeypatch):
         rows[0, d] = 0  # a root at infinity
         rows[1, d] = 1e-15 * rows[1, 0]  # below the infinity threshold
         rows[2, 0] = 0  # a root at zero
-        z, inf, error = projective_roots_batch(rows, d)
-        assert error is None
+        z, inf, failed = projective_roots_batch(rows, d)
+        assert failed == {}
         assert_rows_equal(z, inf, rows, d)
         assert inf[0, -1] and inf[1, -1] and z[2].tolist().count(0j) >= 1
         assert not inf[2:].any()
     assert not escalations
     # the companion roots of these rows pass the residual check, so rows
     # are made to fail it, in the batched and in the single-row path alike:
-    # row 1 is then solved by mpmath, and mpmath fails on row 3, so the
-    # rows after it are not returned
+    # row 1 is then solved by mpmath, and mpmath fails on row 3, which
+    # drops only row 3
     rows = np.array(
         [np.poly([1, 2, 3])[::-1], [0.5, -1.5, 1j, 1], [1, 2, 3, 0], [1, 2, 3, 7],
          [1, 2, 3, 4], [0, 2, 3, 4]], dtype=complex
@@ -81,22 +81,25 @@ def test_batched_roots_equal_single_row_roots(monkeypatch):
         return certified(coeffs, roots) & ~np.array([c.tobytes() in failing for c in coeffs])
 
     monkeypatch.setattr(numeric, "_certified_rows", failing_certified_rows)
-    z, inf, error = projective_roots_batch(rows, 3)
-    assert isinstance(error, numeric.RootFindingError)
+    z, inf, failed = projective_roots_batch(rows, 3)
+    assert list(failed) == [3] and isinstance(failed[3], numeric.RootFindingError)
     assert len(escalations) == 2  # rows 1 and 3
-    assert_rows_equal(z, inf, rows[:3], 3)
+    good = [0, 1, 2, 4, 5]
+    assert_rows_equal(z[good], inf[good], rows[good], 3)
     assert len(escalations) == 3
     assert inf[2].tolist() == [False, False, True]
-    with pytest.raises(numeric.RootFindingError):
+    assert not z[3].any() and not inf[3].any()
+    with pytest.raises(numeric.RootFindingError) as alone:
         projective_roots(rows[3], 3)
-    # without the failing row every row is returned
-    z, inf, error = projective_roots_batch(rows[[0, 1, 2, 4, 5]], 3)
-    assert error is None
-    assert_rows_equal(z, inf, rows[[0, 1, 2, 4, 5]], 3)
-    # a first row that fails returns no rows
-    z, inf, error = projective_roots_batch(rows[3:], 3)
-    assert isinstance(error, numeric.RootFindingError)
-    assert z.shape == inf.shape == (0, 3)
+    assert str(failed[3]) == str(alone.value)
+    # without the failing row every row is returned the same
+    z2, inf2, failed = projective_roots_batch(rows[good], 3)
+    assert failed == {}
+    assert z2.tobytes() == z[good].tobytes() and inf2.tobytes() == inf[good].tobytes()
+    # a first row that fails drops only itself
+    z, inf, failed = projective_roots_batch(rows[3:], 3)
+    assert list(failed) == [0] and z.shape == inf.shape == (3, 3)
+    assert_rows_equal(z[1:], inf[1:], rows[4:], 3)
 
 
 def test_unrefined_batched_roots_equal_single_row_roots(monkeypatch):
@@ -118,8 +121,8 @@ def test_unrefined_batched_roots_equal_single_row_roots(monkeypatch):
         rows[2, 0] = 0  # a root at zero
         if d >= 2:
             rows[3] = np.poly([0.5, 0.5] + [1j] * (d - 2))[::-1]  # a double root
-        z, inf, error = projective_roots_batch(rows, d)
-        assert error is None
+        z, inf, failed = projective_roots_batch(rows, d)
+        assert failed == {}
         assert_rows_equal(z, inf, rows, d)
         assert inf[0, -1] and inf[1, -1]
     assert not escalations
@@ -212,13 +215,13 @@ def test_unseeded_full_degree_stacks_take_one_companion_solve(monkeypatch):
     calls = _counting_companion(monkeypatch)
     rng = rng_for("one-companion-solve")
     rows = complex_normal(rng, 9, 3)
-    z, inf, error = projective_roots_batch(rows, 2)
-    assert error is None and calls == [[row[::-1].tobytes() for row in rows]]
+    z, inf, failed = projective_roots_batch(rows, 2)
+    assert failed == {} and calls == [[row[::-1].tobytes() for row in rows]]
     assert_rows_equal(z, inf, rows, 2)
     # row 4 fails its residual check, and then mpmath fails on it: row 4
     # alone goes through projective_roots, whose one companion solve is of
-    # row 4 alone, with no second companion solve of the stack, and the rows
-    # before row 4 come back with row 4's RootFindingError
+    # row 4 alone, with no second companion solve of the stack, and every
+    # other row comes back beside row 4's RootFindingError
     rows[4] = [1, 2, 7]
     certified = numeric._certified_rows
     failing = rows[4, ::-1].tobytes()
@@ -238,10 +241,11 @@ def test_unseeded_full_degree_stacks_take_one_companion_solve(monkeypatch):
     with pytest.raises(numeric.RootFindingError) as alone:
         projective_roots(rows[4], 2)
     calls.clear()
-    z, inf, error = projective_roots_batch(rows, 2)
-    assert isinstance(error, numeric.RootFindingError) and str(error) == str(alone.value)
+    z, inf, failed = projective_roots_batch(rows, 2)
+    assert list(failed) == [4] and str(failed[4]) == str(alone.value)
     assert calls == [[row[::-1].tobytes() for row in rows], [failing]]
-    assert_rows_equal(z, inf, rows[:4], 2)
+    good = [0, 1, 2, 3, 5, 6, 7, 8]
+    assert_rows_equal(z[good], inf[good], rows[good], 2)
 
 
 def test_seeded_rows_converge_to_the_companion_roots(monkeypatch):
@@ -250,12 +254,12 @@ def test_seeded_rows_converge_to_the_companion_roots(monkeypatch):
     kept = total = 0
     for d in range(2, 9):
         rows = complex_normal(rng, 20, d + 1)
-        want, want_inf, _error = projective_roots_batch(rows, d)
+        want, want_inf, _failed = projective_roots_batch(rows, d)
         assert not want_inf.any()
         seeds = want + 1e-6 * (1 + np.abs(want)) * complex_normal(rng, 20, d)
         calls.clear()
-        z, inf, error = projective_roots_batch(rows, d, near=(seeds, want_inf))
-        assert error is None and not inf.any()
+        z, inf, failed = projective_roots_batch(rows, d, near=(seeds, want_inf))
+        assert failed == {} and not inf.any()
         # the same root set: each root's nearest companion root is its own
         dist = np.abs(z[:, :, None] - want[:, None, :])
         assert (np.sort(dist.argmin(axis=2), axis=1) == np.arange(d)).all()
@@ -277,8 +281,8 @@ def test_unconvergeable_seeds_take_the_companion_route(monkeypatch):
     inf[2, 1] = True
     # row 0 is kept from its seed; rows 1 (two equal points), 2 (INF) and 3
     # (discs that overlap at the double root) are solved as without a seed
-    z, zinf, error = projective_roots_batch(rows, 3, near=(seeds, inf))
-    assert error is None
+    z, zinf, failed = projective_roots_batch(rows, 3, near=(seeds, inf))
+    assert failed == {}
     assert calls == [[row[::-1].tobytes() for row in rows[1:]]]
     assert_rows_equal(z[1:], zinf[1:], rows[1:], 3)
     assert np.abs(np.sort_complex(z[0]) - np.sort_complex(roots)).max() < 1e-15
@@ -288,12 +292,12 @@ def test_unconvergeable_seeds_take_the_companion_route(monkeypatch):
     monkeypatch.setattr(numeric, "ABERTH_ITERS", 1)
     calls.clear()
     near = np.array([roots], dtype=complex) + 1e-4 * (1 + 1j)
-    z, zinf, error = projective_roots_batch(rows[:1], 3, near=(near, inf[:1]))
-    assert error is None and len(calls) == 1
+    z, zinf, failed = projective_roots_batch(rows[:1], 3, near=(near, inf[:1]))
+    assert failed == {} and len(calls) == 1
     assert_rows_equal(z, zinf, rows[:1], 3)
 
 
-def test_seeded_batches_stop_at_the_first_failing_row(monkeypatch):
+def test_seeded_batches_solve_every_row_past_a_failed_one(monkeypatch):
     polyroots = mpmath.polyroots
 
     def failing_polyroots(coeffs, *args, **kwargs):
@@ -314,15 +318,17 @@ def test_seeded_batches_stop_at_the_first_failing_row(monkeypatch):
     seeds = np.array([[1, 2, 3], [1, 2, 3], [1, 1, 1], [1, 2, 3]], dtype=complex)
     inf = np.zeros((4, 3), dtype=bool)
     # row 2's seed has two equal points, so the row goes to the companion
-    # route, then to mpmath, which fails; the rows before it are returned
-    z, zinf, error = projective_roots_batch(rows, 3, near=(seeds, inf))
-    assert isinstance(error, numeric.RootFindingError)
-    assert z.shape == zinf.shape == (2, 3)
+    # route, then to mpmath, which fails; every other row is returned
+    z, zinf, failed = projective_roots_batch(rows, 3, near=(seeds, inf))
+    assert list(failed) == [2] and isinstance(failed[2], numeric.RootFindingError)
+    assert z.shape == zinf.shape == (4, 3)
     assert np.abs(np.sort_complex(z[0]) - [1, 2, 3]).max() < 1e-14
-    assert_rows_equal(z[1:], zinf[1:], rows[1:2], 3)
-    z, zinf, error = projective_roots_batch(rows[2:], 3, near=(seeds[2:], inf[2:]))
-    assert isinstance(error, numeric.RootFindingError)
-    assert z.shape == (0, 3)
+    assert_rows_equal(z[1:2], zinf[1:2], rows[1:2], 3)
+    # each row is what it is when solved alone
+    for k in range(4):
+        alone = projective_roots_batch(rows[k:k + 1], 3, near=(seeds[k:k + 1], inf[k:k + 1]))
+        assert alone[0].tobytes() == z[k:k + 1].tobytes()
+        assert list(alone[2]) == ([0] if k == 2 else [])
 
 
 def _chordal_mp(p, q):
