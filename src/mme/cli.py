@@ -332,10 +332,10 @@ def build_parser():
     return ap
 
 
-# options whose value may start with '-': a minimal polynomial, a map or a root a/b
-DASH_VALUED = frozenset(
-    "--" + name for name in ("field", "map", "f", "g", "R", "S", "T", "F", "G", "shared-with", "root")
-)
+# options whose value may start with '-': a minimal polynomial, a map, a root
+# a/b or a raster window
+DASH_VALUED = frozenset("--" + name for name in (
+    "field", "map", "f", "g", "R", "S", "T", "F", "G", "shared-with", "root", "window"))
 
 
 def _join_dash_values(argv):

@@ -9,12 +9,14 @@ INCONCLUSIVE: no cloud is drawn, and no verdict rests on samples.
 Preimage sets of a point equidistribute toward the measure of maximal
 entropy, so independent random backward orbits (uniform preimage choice,
 short burn-in discarded) give a point cloud approximating it; ``render``
-draws its rasters from them.  The orbits of a cloud advance together as one
-(z, inf) pair, an orbit that fails drops only itself, and the cloud is that
-pair: ``julia_raster`` bins its finite points as they are.  Count, depth
-and raster size have budgets (COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET),
-checked before any draw or allocation; past them the input is refused
-(MapError, exit 2).
+draws its rasters from them.  That holds for every point outside the
+exceptional set E(f) (Lyubich 1983), so an orbit is dropped when it lands
+exactly on a fixed point of E(f) (``_exceptional_points``).  The orbits of
+a cloud advance together as one (z, inf) pair, an orbit that fails drops
+only itself, and the cloud is that pair: ``julia_raster`` bins its finite
+points as they are.  Count, depth and raster size have budgets
+(COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET), checked before any draw or
+allocation; past them the input is refused (MapError, exit 2).
 """
 
 from __future__ import annotations
@@ -32,13 +34,10 @@ from .identities import (
     same_measure_identity,
 )
 from .numeric import (
-    RootFindingError,
-    chordal,
-    chordal2,
-    homogeneous,
+    INF,
+    certified_roots,
     named_rng,
     point_arrays,
-    projective_roots,
     projective_roots_batch,
 )
 from .polys import Poly
@@ -46,10 +45,6 @@ from .ratmaps import MapError
 from .serialize import element_to_json
 
 BURN_IN = 10
-# chordal distance within which an orbit point is taken to be an exceptional
-# point: rounding only, since a backward orbit is stuck only on the point
-# itself (the Julia set of z^2 + 10^6 z comes within 1e-6 of infinity)
-EXCEPTIONAL_CUT = 1e-12
 # budgets on the sampled work of a raster, checked before any draw or
 # allocation (exit 2)
 COUNT_BUDGET = 10**5
@@ -97,21 +92,20 @@ def map_digest(f):
 
 
 def _exceptional_points(f):
-    """Totally invariant finite sets: fixed points equal to their full preimage."""
+    """The fixed points of the Fatou exceptional set E(f), the finite ones
+    first, then INF: the points that are their own full preimage, where f
+    has local degree d.  The finite ones are the roots of gcd(A, num - z
+    den), A the Wronskian's squarefree factor of multiplicity d - 1; INF is
+    one exactly when f is a polynomial.  A 2-cycle of E(f), as {0, INF} of
+    1/z^2, is left out.  Whether f is an exceptional map (a conjugate of
+    z^d, of a Chebyshev polynomial, or a Lattes map) is not decided here."""
     d = f.degree
-    # fixed points: roots of p(z) - z q(z), plus infinity when deg p > deg q
-    fixed_poly = f.num - Poly.x(f.ctx) * f.den
-    fixed, pre = [], []  # the fixed points whose preimages are certified, and those preimages
-    for z in projective_roots(fixed_poly.numeric_coeffs(), d + 1):
-        try:
-            pre.append(f.preimages(z))
-        except RootFindingError:
-            continue
-        fixed.append(z)
-    if not fixed:
-        return []
-    near = chordal(*point_arrays(pre), *point_arrays([[z] for z in fixed])) < 1e-6
-    return [z for z, full in zip(fixed, near.all(axis=(1, 2))) if full]
+    finite = []
+    for factor, mult in f.wronskian().squarefree_decomposition():
+        if mult == d - 1:
+            fixed = factor.gcd(f.num - Poly.x(f.ctx) * f.den)
+            finite = list(certified_roots(fixed.numeric_coeffs()))
+    return finite + ([INF] if f.den.degree == 0 else [])
 
 
 def _check_orbits(f, depth):
@@ -139,7 +133,8 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
 
     An orbit starts at a random point and steps `depth` times to a uniformly
     chosen preimage; the points past the burn-in are kept.  An orbit that
-    meets an exceptional point or an uncertified root solve is dropped.
+    lands on an exceptional point or meets an uncertified root solve is
+    dropped.
 
     Orbits run in rounds.  A round draws, in orbit order, the start and the
     `depth` preimage choices of every orbit still needed, and advances them
@@ -151,7 +146,7 @@ def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
     _check_orbits(f, depth)
     _check_count(count)
     rng = named_rng(seed, stream)
-    exceptional = homogeneous(*point_arrays(_exceptional_points(f)))
+    exceptional = point_arrays(_exceptional_points(f))
     d = f.degree
     per_orbit = depth - BURN_IN
     n_orbits = math.ceil(count / per_orbit)
@@ -182,11 +177,11 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     """Backward orbits of f from `starts`, orbit i stepping to preimage
     choices[i, k] at step k, all advanced together.
 
-    ``exceptional`` holds the exceptional points in ``homogeneous``
-    coordinates.  The points of the orbits still running are carried as
-    one (z, inf) pair, and each step picks every orbit's choice out of the
-    solved fibers at once; an orbit whose root solve fails, or whose point
-    is an exceptional one, is dropped from it.  Returns the points past the
+    ``exceptional`` holds the exceptional points as a (z, inf) pair.  The
+    points of the orbits still running are carried as one (z, inf) pair,
+    and each step picks every orbit's choice out of the solved fibers at
+    once; an orbit whose root solve fails, or whose point is an
+    exceptional one, is dropped from it.  Returns the points past the
     burn-in of every orbit that never failed as a (z, inf) pair, orbit by
     orbit and in step order within an orbit, and the number of orbits that
     failed.  Rows are built as RationalMap.preimage_row builds them, and
@@ -196,12 +191,14 @@ def _lockstep_orbits(f, exceptional, starts, choices):
     d = f.degree
     depth = choices.shape[1]
     nc, dc = f.numeric_pair()
+    ez, einf = exceptional
 
     def clear(z, inf):
-        # the orbits whose point is not near an exceptional point
-        if not exceptional.size:
-            return np.ones(len(z), dtype=bool)
-        return ~(chordal2(exceptional, homogeneous(z, inf)) < EXCEPTIONAL_CUT ** 2).any(axis=0)
+        # the orbits whose point is no exceptional point.  Each one is a
+        # superattracting fixed point: an orbit e away from it is about
+        # e^(1/d) away a step later, and only an orbit on it stays there.
+        # An orbit at INF carries z = 0, so a finite point matches off INF only.
+        return ~np.where(einf, inf[:, None], ~inf[:, None] & (z[:, None] == ez)).any(axis=1)
 
     z, inf = starts, np.zeros(len(starts), dtype=bool)
     keep = clear(z, inf)

@@ -434,6 +434,34 @@ def test_map_options_take_a_negative_value_after_a_space(capsys, spaced, joined)
     assert out == run(capsys, *joined)
 
 
+def test_render_window_takes_a_negative_value_after_a_space(tmp_path):
+    blobs = []
+    for k, window in enumerate((["--window", "-2,2,-2,2"], ["--window=-2,2,-2,2"])):
+        target = tmp_path / ("%d.ppm" % k)
+        assert main(["render", "--map", "z^2-1", *window, "--width", "24", "--height", "24",
+                     "--count", "500", "--out", str(target)]) == 0
+        blobs.append(target.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_render_of_a_map_with_an_exceptional_two_cycle(tmp_path):
+    # E(1/z^2) = {0, INF} is a 2-cycle, which no orbit from a start off it
+    # meets: every lit pixel lies within two pixel widths of the unit
+    # circle, the Julia set
+    target = tmp_path / "inv.ppm"
+    assert main(["render", "--map", "1/z^2", "--window=-2,2,-2,2", "--width", "40",
+                 "--height", "40", "--count", "2000", "--out", str(target)]) == 0
+    header = b"P6\n40 40\n255\n"
+    blob = target.read_bytes()
+    assert blob.startswith(header)
+    lit = [k for k, rgb in enumerate(zip(*[iter(blob[len(header):])] * 3)) if any(rgb)]
+    assert len(lit) > 40
+    for k in lit:
+        row, col = divmod(k, 40)
+        center = complex(-2 + (col + 0.5) * 0.1, 2 - (row + 0.5) * 0.1)
+        assert abs(abs(center) - 1) <= 2 * 0.1
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "--f", "z^2", "--g", "z^2+1", "--count", "-5"],
     ["measure", "--f", "z^2", "--g", "z^2+1", "--depth", "0"],

@@ -11,7 +11,6 @@ from mme.fields import FieldContext, field_configure
 from mme.identities import sigma_f_quadratic
 from mme.measure import (
     BURN_IN,
-    EXCEPTIONAL_CUT,
     MeasureCloud,
     backward_orbit_sample,
     julia_raster,
@@ -20,7 +19,7 @@ from mme.measure import (
     same_measure_test,
     sigma_invariance_check,
 )
-from mme.numeric import INF, RootFindingError, chordal, named_rng, point_arrays
+from mme.numeric import INF, RootFindingError, named_rng, point_arrays
 from mme.parser import parse_map
 from mme.polys import Poly
 from mme.ratmaps import MapError, RationalMap
@@ -47,10 +46,11 @@ def lone_orbit(f, start, choices):
     Returns the points it visits (start first) and the failure (kind, step)
     that ends it, or None.
     """
-    exceptional = point_arrays(measure._exceptional_points(f))
+    exceptional = measure._exceptional_points(f)
 
     def is_exceptional(z):
-        return (chordal(*point_arrays([z]), *exceptional) < EXCEPTIONAL_CUT).any()
+        # exactly one of the points: INF by identity, a finite one by value
+        return any(p is z if z is INF else p is not INF and p == z for p in exceptional)
 
     walk = [start]
     if is_exceptional(start):
@@ -420,14 +420,84 @@ def test_blank_raster_at_the_pixel_budget_fits_in_80_mb():
     assert peak < 80 * 10**6
 
 
+def moebius_conjugate_of_z3():
+    """phi o z^3 o phi^-1 over Q(w), phi = (z + w)/(z + 1): its exceptional
+    points are phi(0) = w and phi(INF) = 1."""
+    K = omega_field()
+    w = K.gen()
+    phi = RationalMap.moebius(K.one, w, K.one, K.one)
+    phi_inv = RationalMap.moebius(K.one, -w, -K.one, K.one)
+    z3 = RationalMap(Poly(K, [0, 0, 0, 1]), Poly(K, [1]))
+    return phi.compose(z3.compose(phi_inv)), complex(K.embed(w))
+
+
+def _exceptional_cases():
+    conjugate, w = moebius_conjugate_of_z3()
+    tiny = Fraction(1, 10**13)
+    return {
+        "z^2": (rmap([0, 0, 1]), [0j, INF]),
+        "z^3": (rmap([0, 0, 0, 1]), [0j, INF]),
+        # from the Wronskian's factor z^2 + 1
+        "(z^2-1)/(2z)": (rmap([-1, 0, 1], [0, 2]), [1j, -1j]),
+        "z^2/(2z-1)": (rmap([0, 0, 1], [-1, 2]), [0j, 1 + 0j]),
+        # the fiber of each point is a triple root, which a numeric
+        # preimage solve splits by about 6e-6
+        "conjugate of z^3": (conjugate, [1 + 0j, w]),
+        "z^2+1e-14": (rmap([tiny / 10, 0, 1]), [INF]),
+        "z^3+1e-8z^2": (rmap([0, 0, Fraction(1, 10**8), 1]), [INF]),
+        "z^2-2": (rmap([-2, 0, 1]), [INF]),
+        "z^3-3z": (rmap([0, -3, 0, 1]), [INF]),
+        "(z^2+1e-13)/(1+1e-14z)": (rmap([tiny, 0, 1], [1, tiny / 10]), []),
+        "z+1/z": (rmap([1, 0, 1], [0, 1]), []),
+        # E(1/z^2) = {0, INF} is a 2-cycle, not a pair of fixed points
+        "1/z^2": (rmap([1], [0, 0, 1]), []),
+    }
+
+
+@pytest.mark.parametrize("name", list(_exceptional_cases()))
+def test_exceptional_points_are_decided_exactly(monkeypatch, name):
+    def no_solve(*args):
+        raise AssertionError("no fixed-point or preimage solve")
+
+    monkeypatch.setattr(numeric, "projective_roots", no_solve)
+    monkeypatch.setattr(RationalMap, "preimages", no_solve)
+    f, want = _exceptional_cases()[name]
+    got = measure._exceptional_points(f)
+    # the finite points, in either order, then INF
+    assert [p is INF for p in got] == [p is INF for p in want]
+    key = lambda z: (round(z.real, 9), round(z.imag, 9))  # noqa: E731
+    finite = [sorted((p for p in ps if p is not INF), key=key) for ps in (got, want)]
+    assert finite[0] == pytest.approx(finite[1], abs=1e-12)
+
+
 def test_lockstep_sample_cuts_at_exceptional_points_as_serial():
     # z^2 has two exceptional points, 0 and INF; z + 1/z has none
-    z2, h = rmap([0, 0, 1]), rmap([1, 0, 1], [0, 1])
-    z, inf = point_arrays(measure._exceptional_points(z2))
-    assert z.tolist() == [0j, 0j] and inf.tolist() == [False, True]
-    assert measure._exceptional_points(h) == []
-    for f in (z2, h):
+    for f in (rmap([0, 0, 1]), rmap([1, 0, 1], [0, 1])):
         assert not assert_sample_equals_serial(f, 700, depth=25, seed=2)
+
+
+def test_lockstep_sample_cuts_only_on_an_exceptional_point(monkeypatch):
+    f = rmap([1, 0, 1])
+    _pts, walks, failures = serial_sample(f, 270)
+    assert not failures
+    point = walks[1][6]
+    off = complex(np.nextafter(point.real, np.inf), point.imag)
+    # one ulp off the point, orbit 1 is kept; on it, it is dropped
+    for p, dropped in ((off, set()), (point, {1})):
+        monkeypatch.setattr(measure, "_exceptional_points", lambda f, p=p: [p])
+        assert_cloud_holds(backward_orbit_sample(f, 200), survivors(walks, dropped, 200))
+    # an orbit at 0 is not at an exceptional INF, whose z is 0 too
+    choices = np.zeros((1, 2 * BURN_IN), dtype=np.int64)
+    for points, n_failed in (([INF], 0), ([0j], 1)):
+        exceptional = point_arrays(points)
+        assert measure._lockstep_orbits(f, exceptional, np.array([0j]), choices)[2] == n_failed
+    # nor is an orbit at INF at an exceptional 0: z + 1/z steps to INF
+    # when INF_TOL is 0.5
+    monkeypatch.setattr(numeric, "INF_TOL", 0.5)
+    monkeypatch.setattr(measure, "_exceptional_points", lambda f: [0j])
+    h = rmap([1, 0, 1], [0, 1])
+    assert assert_sample_equals_serial(h, 700, depth=25, seed=1)
+    assert backward_orbit_sample(h, 700, depth=25, seed=1).inf.any()
 
 
 def test_lockstep_sample_cuts_every_orbit_near_any_exceptional_point(monkeypatch):

@@ -24,13 +24,6 @@ def test_bidegree_survey():
         "degree 3  (")
 
 
-def test_render_flower(tmp_path):
-    out = tmp_path / "flower.ppm"
-    line = run_script("render_flower.py", "--size", "20", "--count", "500", "--out", str(out))[0]
-    assert line.startswith("wrote %s (20x20), lit fraction " % out)
-    assert out.read_bytes().startswith(b"P6\n20 20\n255\n")
-
-
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
