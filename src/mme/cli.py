@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 at least one FAIL verdict in a certificate,
 failures (a cross-check inside the analysis failed, a path was lost or a
 root solve was not certified, which indicates a numerical fault rather
 than a property of the input).
+
+Each handler imports the modules its subcommand runs, so only
+``analyze-graph`` and ``render`` load numpy and the numeric layers.
 """
 
 from __future__ import annotations
@@ -14,25 +17,9 @@ import functools
 import json
 import sys
 
-from .catalog import ENTRY_NAMES, entry, iterate_square_identity_check
+from .base import BasepointError, ConsistencyError, RootFindingError, TrackingError
 from .fields import FieldContext, FieldElement, FieldError, field_configure, to_fraction
-from .graphcurve import BasepointError, TrackingError, analyze
-from .identities import (
-    check_counterexample_triple,
-    check_main1_relations,
-    shared_iterate_search,
-    sigma_f_quadratic,
-)
-from .measure import julia_raster, lit_fraction, same_measure_test
-from .numeric import ConsistencyError, RootFindingError
 from .parser import ParseError, parse_binding_value, parse_map
-from .powermaps import (
-    RootOfUnity,
-    is_periodic,
-    period,
-    radical,
-    same_periodic_points_powermaps,
-)
 from .ratmaps import DEFAULT_DEGREE_BUDGET, ITERATE_HEIGHT_BUDGET, MapError, SizeBudgetError
 from .serialize import dumps_report, element_to_json, map_from_json, map_to_json, moebius_to_json
 
@@ -101,6 +88,8 @@ def _emit_bytes(args, blob):
 
 
 def _cmd_analyze_graph(args):
+    from .graphcurve import analyze
+
     f = _load_map(args.map, args)
     report, _curve, _mon, _certs = analyze(f, reconstruct=not args.no_reconstruct)
     _emit(args, dumps_report(report))
@@ -108,6 +97,8 @@ def _cmd_analyze_graph(args):
 
 
 def _cmd_certify(args):
+    from .identities import check_counterexample_triple, check_main1_relations
+
     if args.R or args.S or args.T:
         if not (args.R and args.S and args.T):
             raise UsageError("certify needs all of --R, --S, --T (or --F and --G)")
@@ -122,6 +113,8 @@ def _cmd_certify(args):
 
 
 def _cmd_measure(args):
+    from .identities import same_measure_test
+
     f = _load_map(args.f, args)
     g = _load_map(args.g, args)
     rep = same_measure_test(f, g)
@@ -130,6 +123,8 @@ def _cmd_measure(args):
 
 
 def _cmd_render(args):
+    from .measure import julia_raster, lit_fraction
+
     f = _load_map(args.map, args)
     try:
         window = tuple(float(v) for v in args.window.split(","))
@@ -160,6 +155,14 @@ POWERMAP_BOUND = 2**64
 
 
 def _cmd_powermap(args):
+    from .powermaps import (
+        RootOfUnity,
+        is_periodic,
+        period,
+        radical,
+        same_periodic_points_powermaps,
+    )
+
     if any(d is not None and d < 2 for d in (args.df, args.dg)):
         raise UsageError("--df and --dg are power-map degrees, integers >= 2")
     if any(d is not None and d >= POWERMAP_BOUND for d in (args.df, args.dg)):
@@ -188,6 +191,8 @@ def _cmd_powermap(args):
 
 
 def _cmd_catalog(args):
+    from .catalog import ENTRY_NAMES, entry, iterate_square_identity_check
+
     if args.action == "list":
         _emit(args, dumps_report({"entries": list(ENTRY_NAMES)}))
         return 0
@@ -228,6 +233,8 @@ def _cmd_compose(args):
 
 
 def _cmd_iterate(args):
+    from .identities import shared_iterate_search
+
     f = _load_map(args.map, args)
     if args.shared_with:
         g = _load_map(args.shared_with, args)
@@ -240,6 +247,8 @@ def _cmd_iterate(args):
 
 
 def _cmd_sigma(args):
+    from .identities import sigma_f_quadratic
+
     f = _load_map(args.map, args)
     _emit(args, dumps_report(moebius_to_json(sigma_f_quadratic(f))))
     return 0

@@ -45,13 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import INF, BasepointError, ConsistencyError, TrackingError, is_inf
 from .numeric import (
-    INF,
-    ConsistencyError,
     chordal,
     chordal2,
     homogeneous,
-    is_inf,
     min_pairwise_chordal2,
     point_arrays,
     projective_roots,
@@ -79,14 +77,6 @@ BISECTION_BUDGET = 2**12
 # worst admissible input stays well under a 30 s ceiling; at 80 the dense
 # map took 26 s
 DEGREE_BUDGET = 64
-
-
-class TrackingError(RuntimeError):
-    pass
-
-
-class BasepointError(RuntimeError):
-    pass
 
 
 def linear_sum_assignment(cost):

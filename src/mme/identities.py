@@ -27,15 +27,22 @@ h = z^k the inner sum is the power sum p_k(x) of the roots of f(y) - x, a
 polynomial in x of degree floor(k/d) by Newton's identities, so
 m_k = (1/d) sum_j [p_k]_j m_j over j <= k/d < k, with m_0 = 1: every moment
 is an element of the base field.
+
+``same_measure_test`` and ``sigma_invariance_check`` give the verdict on a
+pair of measures: SAME by an identity, else DIFFERENT by an invariant,
+else INCONCLUSIVE.  Like every certificate here they run on exact
+arithmetic alone, and this module loads neither numpy nor the numeric
+layers (``numeric``, ``graphcurve``, ``measure``).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import prod
 
-from .numeric import ConsistencyError
+from .base import ConsistencyError
 from .polys import Poly, residue_product, residues_mod
 from .ratmaps import DEFAULT_DEGREE_BUDGET, MapError, RationalMap, maps_equal
 from .serialize import element_to_json, moebius_entries_to_json
@@ -423,6 +430,74 @@ def moment_test(f, g):
         if mf != mg:
             return "moments", {"k": k, "f": element_to_json(mf), "g": element_to_json(mg)}
     return None
+
+
+# -- measure verdicts ----------------------------------------------------------------------
+
+INCONCLUSIVE_REASON = "no exact identity or invariant decides the pair"
+
+
+@dataclass
+class MeasureReport:
+    """SAME by a theorem resting on an exact identity (the route names the
+    identity, the witness its exponents), DIFFERENT by an exact invariant
+    of polynomial maps (route "capacity" or "moments", the witness its
+    unequal values), or INCONCLUSIVE with no route, when neither decides.
+    No cloud is drawn, so no count, depth or seed is reported."""
+
+    verdict: str
+    route: str | None = None
+    witness: dict | None = None
+    meta: dict = field(default_factory=dict)
+
+    def as_dict(self):
+        if self.route is None:
+            return {"verdict": self.verdict, "reason": INCONCLUSIVE_REASON, **self.meta}
+        return {"verdict": self.verdict, "route": self.route, "witness": self.witness,
+                **self.meta}
+
+
+def map_digest(f):
+    ns, ds = ([element_to_json(c) for c in p.coeffs] for p in (f.num, f.den))
+    return hashlib.sha256(repr((ns, ds)).encode()).hexdigest()[:16]
+
+
+def _check_comparison(maps):
+    """The input error of every route, raised before any route runs."""
+    if any(f.degree < 2 for f in maps):
+        raise MapError("comparing maximal-entropy measures requires degree >= 2")
+
+
+def same_measure_test(f, g):
+    """SAME by an exact identity (``same_measure_identity``), else DIFFERENT
+    by an exact invariant (``moment_test``), else INCONCLUSIVE."""
+    _check_comparison((f, g))
+    meta = {"maps": [map_digest(f), map_digest(g)]}
+    exact = same_measure_identity(f, g)
+    if exact is not None:
+        return MeasureReport("SAME", *exact, meta=meta)
+    exact = moment_test(f, g)
+    if exact is not None:
+        return MeasureReport("DIFFERENT", *exact, meta=meta)
+    return MeasureReport("INCONCLUSIVE", meta=meta)
+
+
+def sigma_invariance_check(f, sigma):
+    """Whether sigma_* mu_f = mu_f: SAME by an exact identity
+    (``invariant_measure_identity``), else, for a Moebius sigma over f's
+    field, DIFFERENT by an exact invariant of f against sigma o f o
+    sigma^-1, whose measure is sigma_* mu_f (``moment_test``), else
+    INCONCLUSIVE."""
+    _check_comparison((f,))
+    meta = {"map": map_digest(f)}
+    exact = invariant_measure_identity(f, sigma)
+    if exact is not None:
+        return MeasureReport("SAME", *exact, meta=meta)
+    if sigma.degree == 1 and sigma.ctx is f.ctx:
+        exact = moment_test(f, moebius_conjugate(f, sigma))
+        if exact is not None:
+            return MeasureReport("DIFFERENT", *exact, meta=meta)
+    return MeasureReport("INCONCLUSIVE", meta=meta)
 
 
 # -- quadratic involution ----------------------------------------------------------------

@@ -1,10 +1,7 @@
-"""Maximal-entropy measures: exact verdicts, and backward-orbit clouds.
-
-``same_measure_test`` and ``sigma_invariance_check`` first try the exact
-identities of :mod:`mme.identities` that prove the measures equal, then,
-for two polynomials, its exact capacity and moment invariants that prove
-them different (``moment_test``).  A pair that neither decides is
-INCONCLUSIVE: no cloud is drawn, and no verdict rests on samples.
+"""Backward-orbit clouds of maximal-entropy measures, and the Julia-set
+rasters drawn from them.  No verdict rests on samples: the exact verdicts on
+measures, ``same_measure_test`` and ``sigma_invariance_check``, are in
+:mod:`mme.identities`, which loads neither this module nor numpy.
 
 Preimage sets of a point equidistribute toward the measure of maximal
 entropy, so independent random backward orbits (uniform preimage choice,
@@ -21,28 +18,15 @@ allocation; past them the input is refused (MapError, exit 2).
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .identities import (
-    invariant_measure_identity,
-    moebius_conjugate,
-    moment_test,
-    same_measure_identity,
-)
-from .numeric import (
-    INF,
-    certified_roots,
-    named_rng,
-    point_arrays,
-    projective_roots_batch,
-)
+from .base import INF
+from .numeric import certified_roots, named_rng, point_arrays, projective_roots_batch
 from .polys import Poly
 from .ratmaps import MapError
-from .serialize import element_to_json
 
 BURN_IN = 10
 # budgets on the sampled work of a raster, checked before any draw or
@@ -61,34 +45,6 @@ class MeasureCloud:
 
     def __len__(self):
         return len(self.z)
-
-
-INCONCLUSIVE_REASON = "no exact identity or invariant decides the pair"
-
-
-@dataclass
-class MeasureReport:
-    """SAME by a theorem resting on an exact identity (the route names the
-    identity, the witness its exponents), DIFFERENT by an exact invariant
-    of polynomial maps (route "capacity" or "moments", the witness its
-    unequal values), or INCONCLUSIVE with no route, when neither decides.
-    No cloud is drawn, so no count, depth or seed is reported."""
-
-    verdict: str
-    route: str | None = None
-    witness: dict | None = None
-    meta: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        if self.route is None:
-            return {"verdict": self.verdict, "reason": INCONCLUSIVE_REASON, **self.meta}
-        return {"verdict": self.verdict, "route": self.route, "witness": self.witness,
-                **self.meta}
-
-
-def map_digest(f):
-    ns, ds = ([element_to_json(c) for c in p.coeffs] for p in (f.num, f.den))
-    return hashlib.sha256(repr((ns, ds)).encode()).hexdigest()[:16]
 
 
 def _exceptional_points(f):
@@ -120,12 +76,6 @@ def _check_orbits(f, depth):
 def _check_count(count):
     if not 0 <= count <= COUNT_BUDGET:
         raise MapError("the point count must be between 0 and %d" % COUNT_BUDGET)
-
-
-def _check_comparison(maps):
-    """The input error of every route, raised before any route runs."""
-    if any(f.degree < 2 for f in maps):
-        raise MapError("comparing maximal-entropy measures requires degree >= 2")
 
 
 def backward_orbit_sample(f, count, depth=40, seed=0, stream="cloud"):
@@ -230,39 +180,6 @@ def _lockstep_orbits(f, exceptional, starts, choices):
             kept_z[:, k - BURN_IN] = z
             kept_inf[:, k - BURN_IN] = inf
     return kept_z.reshape(-1), kept_inf.reshape(-1), len(starts) - len(z)
-
-
-def same_measure_test(f, g):
-    """SAME by an exact identity (``identities.same_measure_identity``), else
-    DIFFERENT by an exact invariant (``identities.moment_test``), else
-    INCONCLUSIVE."""
-    _check_comparison((f, g))
-    meta = {"maps": [map_digest(f), map_digest(g)]}
-    exact = same_measure_identity(f, g)
-    if exact is not None:
-        return MeasureReport("SAME", *exact, meta=meta)
-    exact = moment_test(f, g)
-    if exact is not None:
-        return MeasureReport("DIFFERENT", *exact, meta=meta)
-    return MeasureReport("INCONCLUSIVE", meta=meta)
-
-
-def sigma_invariance_check(f, sigma):
-    """Whether sigma_* mu_f = mu_f: SAME by an exact identity
-    (``identities.invariant_measure_identity``), else, for a Moebius sigma
-    over f's field, DIFFERENT by an exact invariant of f against
-    sigma o f o sigma^-1, whose measure is sigma_* mu_f
-    (``identities.moment_test``), else INCONCLUSIVE."""
-    _check_comparison((f,))
-    meta = {"map": map_digest(f)}
-    exact = invariant_measure_identity(f, sigma)
-    if exact is not None:
-        return MeasureReport("SAME", *exact, meta=meta)
-    if sigma.degree == 1 and sigma.ctx is f.ctx:
-        exact = moment_test(f, moebius_conjugate(f, sigma))
-        if exact is not None:
-            return MeasureReport("DIFFERENT", *exact, meta=meta)
-    return MeasureReport("INCONCLUSIVE", meta=meta)
 
 
 def julia_raster(f, width, height, window, count=20000, depth=30, seed=0):

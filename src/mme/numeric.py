@@ -1,6 +1,7 @@
-"""Numeric primitives: the point at infinity, chordal geometry on the
-Riemann sphere, certified complex root finding, and rationalization of
-floating-point values back into the exact field.
+"""Numeric primitives: chordal geometry on the Riemann sphere, certified
+complex root finding, and rationalization of floating-point values back
+into the exact field.  Of the subcommands, only ``analyze-graph`` and
+``render`` load this module, and numpy with it.
 
 A root set is certified by its scaled residuals, each below RESIDUAL_TOL.
 Companion-matrix eigenvalues are backward stable (Edelman and Murakami,
@@ -17,7 +18,8 @@ a leading axis (numpy reduces a short trailing axis several times slower).
 A sum or product over the roots of one row accumulates one root at a time,
 in a fixed order, so a row's result does not depend on its stack.
 
-A point of P^1 is a complex number or the sentinel INF.  A set of points
+A point of P^1 is a complex number or the sentinel INF (``mme.base``,
+with the RootFindingError a failed solve raises).  A set of points
 is a (z, inf) pair of arrays of one shape: z complex, with 0 at infinity,
 and inf the boolean mask of infinity.  Scalar functions such as
 ``projective_roots`` take and give points; the array kernels, ``chordal``
@@ -32,27 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-
-class _Infinity:
-    """The point at infinity on P^1 (a unique sentinel)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
-
-
-def is_inf(z):
-    return z is INF
-
+from .base import INF, RootFindingError
 
 # the scaled-residual bound of certified roots, and the relative size
 # below which a leading coefficient counts as zero (a root at infinity)
@@ -68,14 +50,6 @@ ABERTH_STALL = float(np.sqrt(np.finfo(float).eps))
 # relative error its embedding may leave
 MAX_DEN = 10**6
 RATIONALIZE_TOL = 1e-6
-
-
-class RootFindingError(RuntimeError):
-    """Raised when roots cannot be certified to the requested residual."""
-
-
-class ConsistencyError(RuntimeError):
-    """A cross-check between two routes to the same quantity failed."""
 
 
 def _polyval(coeffs, x):

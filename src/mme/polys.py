@@ -19,7 +19,8 @@ package's one long division, on those coefficients.  Poly has no point
 evaluation of its own: ``RationalMap.eval_exact`` composes with a constant,
 so exact evaluation is products of constant Polys on the integer form over
 every field, and numeric evaluation reads the map's one embedded
-coefficient pair (``RationalMap.numeric_pair``).
+coefficient pair (``RationalMap.numeric_pair``).  That pair and
+``numeric_coeffs`` import numpy in their bodies, so exact work loads none.
 
 BiPoly stores a dense coefficient matrix indexed by (x-degree, y-degree); its
 products and divisions are packed univariate ones, x^i y^j read as

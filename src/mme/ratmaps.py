@@ -14,6 +14,8 @@ num and den embedded and padded to d + 1 coefficients.  Read forward it
 gives the pair in z; read reversed it gives the pair in the chart w = 1/z,
 where numeric evaluation works away from the unit disc, so infinity is never
 represented by a large sentinel.  Preimage solves read the same array.
+numpy and :mod:`mme.numeric` are imported only inside the numeric methods,
+``critical_data`` and its cross-check, so exact work on maps loads neither.
 """
 
 from __future__ import annotations
@@ -22,11 +24,8 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
+from .base import INF, ConsistencyError, RootFindingError, is_inf
 from .fields import FieldError
-from .numeric import (INF, ConsistencyError, RootFindingError, certified_roots, chordal,
-                      is_inf, point_arrays, projective_roots)
 from .polys import Poly, integer_height, product_growth
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -235,6 +234,8 @@ class RationalMap:
         z, as one read-only (2, d + 1) array built once; reversed, its rows are
         the pair in the chart w = 1/z, z^d num(1/z) and z^d den(1/z)."""
         if self._numeric is None:
+            import numpy as np
+
             pair = np.array([[self.ctx.embed(c) for c in p.padded(self.degree)]
                              for p in (self.num, self.den)], dtype=complex)
             pair.flags.writeable = False
@@ -277,6 +278,8 @@ class RationalMap:
     def preimages(self, w):
         """The d preimages of a numeric point w (counted with multiplicity),
         as ``projective_roots`` gives them for ``preimage_row(w)``."""
+        from .numeric import projective_roots
+
         return projective_roots(self.preimage_row(w), self.degree)
 
     def preimage_row(self, w):
@@ -322,6 +325,8 @@ def critical_data(f):
     multiplicity.  A direct clustering of the plain numeric roots of W
     cross-checks the multiset.
     """
+    from .numeric import certified_roots, chordal, point_arrays
+
     if f.degree < 2:
         raise MapError("critical data requires degree >= 2")
     d = f.degree
@@ -362,6 +367,10 @@ def _crosscheck_multiplicities(w, points, total):
     """Cluster raw numeric Wronskian roots; multiset must match the exact one.
 
     A mismatch is a numeric miss on a valid map, so it raises RootFindingError."""
+    import numpy as np
+
+    from .numeric import chordal, point_arrays
+
     finite = [(p, m) for p, m in points if not is_inf(p)]
     if not finite:
         return

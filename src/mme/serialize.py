@@ -12,8 +12,8 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+from .base import is_inf
 from .fields import FieldContext, field_configure, to_fraction
-from .numeric import is_inf
 from .polys import Poly
 from .ratmaps import ITERATE_HEIGHT_BUDGET, MapError, RationalMap
 

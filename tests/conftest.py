@@ -5,9 +5,10 @@ import pytest
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from mme.base import INF, is_inf
 from mme.fields import FieldContext
 from mme.measure import MeasureCloud, backward_orbit_sample
-from mme.numeric import INF, is_inf, named_rng, point_arrays
+from mme.numeric import named_rng, point_arrays
 from mme.polys import Poly
 from mme.ratmaps import RationalMap
 

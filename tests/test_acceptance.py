@@ -8,18 +8,18 @@ import time
 import numpy as np
 import pytest
 
+from mme.base import ConsistencyError
 from mme.catalog import entry, omega_field
 from mme.cli import main
 from mme.fields import FieldContext, field_configure
 from mme.graphcurve import analyze
-from mme.identities import shared_iterate_search, sigma_f_quadratic
-from mme.measure import (
-    julia_raster,
-    lit_fraction,
+from mme.identities import (
     same_measure_test,
+    shared_iterate_search,
+    sigma_f_quadratic,
     sigma_invariance_check,
 )
-from mme.numeric import ConsistencyError
+from mme.measure import julia_raster, lit_fraction
 from mme.polys import BiPoly, Poly
 from mme.powermaps import (
     RootOfUnity,
@@ -217,7 +217,7 @@ def test_internal_consistency_violations_exit_three(monkeypatch, capsys):
     def boom(*a, **k):
         raise ConsistencyError("sphere relation violated")
 
-    monkeypatch.setattr("mme.cli.analyze", boom)
+    monkeypatch.setattr("mme.graphcurve.analyze", boom)
     code = main(["analyze-graph", "--map", "z^2"])
     assert code == 3
     assert "consistency" in capsys.readouterr().err

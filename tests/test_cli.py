@@ -18,7 +18,7 @@ from mme import measure
 from mme.catalog import entry, omega_field
 from mme.cli import main
 from mme.fields import MINPOLY_DIGIT_BUDGET, FieldContext, field_configure
-from mme.identities import sigma_f_quadratic
+from mme.identities import INCONCLUSIVE_REASON, sigma_f_quadratic
 from mme.measure import COUNT_BUDGET, DEPTH_BUDGET, PIXEL_BUDGET
 from mme.parser import parse_map
 from mme.serialize import MAX_INTEGER_DIGITS, element_from_json, map_from_json, map_to_json
@@ -127,7 +127,7 @@ def test_measure_without_an_identity_samples(monkeypatch, capsys):
         report = json.loads(out)
         assert sorted(report) == ["maps", "reason", "verdict"]
         assert (report["verdict"], report["reason"]) == (
-            "INCONCLUSIVE", measure.INCONCLUSIVE_REASON)
+            "INCONCLUSIVE", INCONCLUSIVE_REASON)
 
 
 # a z^2 and 1/(a^3 z^2) share their second iterate a^3 z^4; for a = 10^1200
@@ -799,13 +799,13 @@ def test_root_option_takes_a_negative_value_after_a_space(capsys):
 
 
 def test_root_finding_error_exits_three(capsys, monkeypatch):
-    import mme.cli
+    import mme.graphcurve
     from mme.numeric import RootFindingError
 
     def fail(*args, **kwargs):
         raise RootFindingError("no certified roots")
 
-    monkeypatch.setattr(mme.cli, "analyze", fail)
+    monkeypatch.setattr(mme.graphcurve, "analyze", fail)
     code, out, err = run(capsys, "analyze-graph", "--map", "z^2+1")
     assert code == 3
     assert out == ""
@@ -1160,6 +1160,65 @@ def test_field_configuration_loads_no_sympy():
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert json.loads(res.stdout) == {"rejected": True, "code": 0, "sympy": []}
+
+
+def _fresh_process_json(probe):
+    """The JSON that ``probe``, Python source, prints last in a fresh process."""
+    paths = [os.path.dirname(os.path.dirname(mme.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+EXACT_COMMANDS = [
+    ["compose", "--f", "z^2+1", "--g", "(z-1)/(z+2)"],
+    ["iterate", "--map", "z^2-1", "--n", "3"],
+    ["iterate", "--map", "z^2", "--shared-with", "z^3"],
+    ["certify", "--T", "z^2(z+1)", "--R", "(1-z^2)/(z^3-1)", "--S", "(z-z^3)/(z^3-1)"],
+    ["certify", "--F", "z^2-2", "--G", "-z^2+2"],
+    ["catalog", "run", "zieve-family", "--param", "n=2", "--param", "m=1"],
+    ["sigma", "--map", "(z^2+1)/(z-3)"],
+    ["measure", "--f", "z^2", "--g", "z^2+1"],
+    ["powermap", "--df", "4", "--dg", "8", "--root", "1/3"],
+    ["iterate", "--field", "1,1,1", "--bind", "a=1+w", "--map", "a*z^2+1", "--n", "2"],
+]
+
+
+def test_exact_subcommands_load_no_numeric_layer():
+    # every verdict of these subcommands is exact, so none loads numpy, the
+    # root finder, the graph tracker or the sampler
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from mme.cli import main\n"
+        "codes = []\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps({'codes': codes, 'loaded': sorted(m for m in sys.modules if m in\n"
+        "    ('numpy', 'mme.numeric', 'mme.graphcurve', 'mme.measure'))}))\n"
+    ) % (EXACT_COMMANDS,)
+    assert _fresh_process_json(probe) == {"codes": [0] * len(EXACT_COMMANDS), "loaded": []}
+
+
+def test_package_names_resolve_on_first_use():
+    # importing the package loads none of its modules, and each exported
+    # name is the object its home module defines
+    probe = (
+        "import json, sys\n"
+        "import mme\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('mme.'))\n"
+        "homes = {}\n"
+        "for name in mme.__all__:\n"
+        "    obj = getattr(mme, name)\n"
+        "    home = getattr(obj, '__module__', None) or type(obj).__module__\n"
+        "    homes[name] = home if getattr(sys.modules[home], name) is obj else None\n"
+        "print(json.dumps({'loaded': loaded, 'homes': homes}))\n"
+    )
+    got = _fresh_process_json(probe)
+    assert got["loaded"] == []
+    assert sorted(got["homes"]) == sorted(mme.__all__)
+    assert all(home and home.startswith("mme.") for home in got["homes"].values()), got["homes"]
 
 
 NONZERO = st.integers(-6, 6).filter(bool)

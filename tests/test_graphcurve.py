@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mme.base import INF, ConsistencyError, RootFindingError
 from mme.fields import FieldContext
 from mme.catalog import entry
 from mme.fields import field_configure
@@ -31,9 +32,6 @@ from mme.graphcurve import (
     reconstruct_component,
 )
 from mme.numeric import (
-    INF,
-    ConsistencyError,
-    RootFindingError,
     chordal,
     chordal2,
     homogeneous,
@@ -1136,12 +1134,12 @@ def test_branch_data_is_one_batch_equal_to_a_solve_per_value(monkeypatch, coeffs
 
 @pytest.mark.parametrize("k", [0, 2, 3])
 def test_branch_data_raises_a_failed_row_as_the_loop_does(monkeypatch, k):
-    from mme import graphcurve, ratmaps
+    from mme import graphcurve, numeric
 
     G = rmap([1, -2, 0, 3], [2, 1, 1, 1])  # four critical values
     error = RootFindingError("forced failure")
     solves = []
-    roots = ratmaps.projective_roots
+    roots = numeric.projective_roots
 
     def failing(coeffs, d, **kw):
         solves.append(coeffs)
@@ -1150,7 +1148,7 @@ def test_branch_data_raises_a_failed_row_as_the_loop_does(monkeypatch, k):
         return roots(coeffs, d, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ratmaps, "projective_roots", failing)
+        mp.setattr(numeric, "projective_roots", failing)
         with pytest.raises(RootFindingError) as loop:
             _branch_data_by_value(G)
     assert loop.value is error and len(solves) == k + 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mme.base import ConsistencyError
 from mme.catalog import entry, omega_field
 from mme.fields import FieldContext, field_configure
 import mme.identities
@@ -29,7 +30,6 @@ from mme.identities import (
     sigma_f_quadratic,
 )
 from mme.measure import backward_orbit_sample
-from mme.numeric import ConsistencyError
 from mme.parser import parse_map
 from mme.polys import Poly
 from mme.ratmaps import (DEFAULT_DEGREE_BUDGET, ITERATE_HEIGHT_BUDGET, MapError, RationalMap,

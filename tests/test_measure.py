@@ -5,19 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mme import measure, numeric
+from mme import identities, measure, numeric
 from mme.catalog import entry, omega_field
 from mme.fields import FieldContext, field_configure
-from mme.identities import sigma_f_quadratic
+from mme.identities import map_digest, same_measure_test, sigma_f_quadratic, sigma_invariance_check
 from mme.measure import (
     BURN_IN,
     MeasureCloud,
     backward_orbit_sample,
     julia_raster,
     lit_fraction,
-    map_digest,
-    same_measure_test,
-    sigma_invariance_check,
 )
 from mme.numeric import INF, RootFindingError, named_rng, point_arrays
 from mme.parser import parse_map
@@ -568,11 +565,11 @@ def test_undecided_pairs_are_inconclusive_without_sampling(monkeypatch):
     for f, g in ((h, rmap([1, Fraction(1, 100), 1], [0, 1])),
                  (rmap([-1, 0, 1]), RationalMap(Poly(w, [-1, 0, 1]), Poly(w, [1])))):
         assert same_measure_test(f, g).as_dict() == {
-            "verdict": "INCONCLUSIVE", "reason": measure.INCONCLUSIVE_REASON,
+            "verdict": "INCONCLUSIVE", "reason": identities.INCONCLUSIVE_REASON,
             "maps": [map_digest(f), map_digest(g)]}
     sigma = RationalMap.moebius(w.zero, w.one, w.one, w.zero)
     assert sigma_invariance_check(h, sigma).as_dict() == {
-        "verdict": "INCONCLUSIVE", "reason": measure.INCONCLUSIVE_REASON, "map": map_digest(h)}
+        "verdict": "INCONCLUSIVE", "reason": identities.INCONCLUSIVE_REASON, "map": map_digest(h)}
 
 
 def test_input_errors_come_before_every_route(monkeypatch):
@@ -580,7 +577,7 @@ def test_input_errors_come_before_every_route(monkeypatch):
         raise AssertionError("input errors must be raised before any route")
 
     for route in ("same_measure_identity", "invariant_measure_identity", "moment_test"):
-        monkeypatch.setattr(measure, route, unreachable)
+        monkeypatch.setattr(identities, route, unreachable)
     moebius = rmap([1, 1])
     with pytest.raises(MapError, match="degree >= 2"):
         same_measure_test(moebius, moebius)

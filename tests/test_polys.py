@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mme.base import INF, is_inf
 from mme.fields import FieldContext, field_configure
-from mme.numeric import INF, is_inf
 from mme.polys import COPRIME_TEST_PRIME, BiPoly, Poly, _kronecker_product, graph_bipoly
 from mme.ratmaps import MapError, RationalMap
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mme.base import INF, ConsistencyError, is_inf
 from mme.fields import FieldContext, field_configure
 from mme.cli import main as cli_main
-from mme.numeric import INF, ConsistencyError, chordal, is_inf, point_arrays
+from mme.numeric import chordal, point_arrays
 from mme.polys import Poly, integer_height
 from mme.ratmaps import (
     DEFAULT_DEGREE_BUDGET,

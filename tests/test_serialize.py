@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mme.base import INF
 from mme.fields import FieldContext, field_configure
-from mme.numeric import INF
 from mme.parser import parse_binding_value, parse_map
 from mme.polys import Poly
 from mme.ratmaps import RationalMap
