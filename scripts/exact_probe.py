@@ -10,8 +10,10 @@ is the diagonal plus one component, whose factor is the exact P / (x - y)),
 then at its degree budget B = ``graphcurve.DEGREE_BUDGET`` on the degree-B
 variant and on one fixed dense integer rational map of degree B; then a
 render of z^2 + 10^18, whose every backward orbit fails, so it exits 2;
-and last one small call of each kind of subcommand, whose time is mostly
-the cold start of its process.
+then an iterate over the field of z^8 + (10^150 - 1) z^6 + 1, a minimal
+polynomial at the digit budget ``fields.MINPOLY_DIGIT_BUDGET``; and last
+one small call of each kind of subcommand, whose time is mostly the cold
+start of its process.
 One line per probe gives its exit code, wall seconds, peak resident memory
 in MiB, the sha256 of its stdout, and its name.  There is no seed: the
 probes are fixed, so two versions of the package that print the same
@@ -84,6 +86,8 @@ def probes(budget):
          ["analyze-graph", "--map", "z^%d+3*z^7-2*z^3+z+1" % budget]),
         ("analyze-graph-dense%d" % budget, ["analyze-graph", "--map", dense_map(budget)]),
         ("render-z2+10^18", ["render", "--map", "z^2+1000000000000000000"]),
+        ("field-octic-150-digits", ["iterate", "--field", "1,0,0,0,0,0,%s,0,1" % ("9" * 150),
+                                    "--bind", "t=w", "--map", "z^2+t", "--n", "1"]),
         # cold starts: one small call of each kind
         ("cold-compose", ["compose", "--f", "z^2+1", "--g", "(z-1)/(z+2)"]),
         ("cold-certify-readme", ["certify", "--T", "z^2(z+1)", "--R", "(1-z^2)/(z^3-1)",

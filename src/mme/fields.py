@@ -23,9 +23,10 @@ from fractions import Fraction
 
 MAX_EXTENSION_DEGREE = 8
 # the most digits of an integer in a minimal polynomial's coefficients: the
-# irreducibility test takes time that grows about as the cube of the digits,
-# and at degree 8 it took up to 1.0 s at 150 digits, 2.6 s at 200 and 3.6 s
-# at 300 (z^8 + N z^6 + 1 and z^8 + N z^7 + 1, one CPU of a 2-vCPU VM)
+# irreducibility test takes time that grows about as the square of the
+# digits, and at degree 8 it took up to 20 ms at 150 digits, 57 ms at 300
+# and 2.0 s at 2400 (z^8 + N z^6 + 1 and z^8 + N z^7 + 1, one CPU of a
+# 2-vCPU VM)
 MINPOLY_DIGIT_BUDGET = 150
 
 
@@ -101,12 +102,13 @@ def _is_irreducible_over_q(coeffs) -> bool:
     degree >= 2) is irreducible over Q; exact, meant for degree <= 8.
 
     Cleared to a primitive f in Z[z] with leading coefficient a > 0, f is
-    reducible when gcd(f, f') is nonconstant.  Otherwise its roots are
-    simple, and f has a factor of degree k <= n/2 exactly when some set S
-    of k roots makes a * prod_{i in S} (z - z_i) a polynomial in Z[z]
-    (by Gauss's lemma it is lc(H) * G for f = G * H in Z[z]) that divides
-    f.  :func:`_factor_search` decides that for every S from certified
-    root disks, at a precision that doubles until every S is decided.
+    reducible when gcd(f, f') is nonconstant or f(0) = 0.  Otherwise its
+    roots are simple and nonzero, and f has a factor of degree k <= n/2
+    exactly when some set S of k roots makes a * prod_{i in S} (z - z_i) a
+    polynomial in Z[z] (by Gauss's lemma it is lc(H) * G for f = G * H in
+    Z[z]) that divides f.  :func:`_factor_search` decides that for every S
+    from certified root disks around :func:`_aberth`'s iterates, at a
+    precision that doubles until every S is decided.
     """
     lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
@@ -116,50 +118,117 @@ def _is_irreducible_over_q(coeffs) -> bool:
     r1 = [Fraction(k * c) for k, c in enumerate(f)][1:]
     while r1:
         r0, r1 = r1, poly_divmod(r0, r1)[1]
-    if len(r0) > 1:
+    if len(r0) > 1 or not f[0]:
         return False
-    # polyroots stops at an absolute tolerance of 2^-prec, so prec must
-    # exceed the bit size of the largest root, which the coefficients bound
+    # the roots are found in units of 2^-prec, so prec exceeds the bit size
+    # of the largest root, which the coefficients bound; a round that does
+    # not decide hands its iterates to the next
     prec = 53 + max(c.bit_length() for c in f)
+    xs = _newton_polygon_starts(f, prec)
     while True:
-        verdict = _factor_search(f, prec)
+        xs = _aberth(f, prec, xs)
+        verdict = _factor_search(f, xs, prec)
         if verdict is not None:
             return verdict
+        xs = [(xr << prec, xi << prec) for xr, xi in xs]
         prec *= 2
 
 
-def _times_power_of_two(y, e):
-    """The integer y * 2^e, for an mpf y that is a multiple of 2^-e."""
-    man, exp = y.man_exp  # man is |mantissa|
-    return (-1 if y < 0 else 1) * (man << (exp + e))
+def _newton_polygon_starts(f, prec):
+    """n starting points for the roots of f in Z[z] (ascending, degree n,
+    f[0] != 0), as Gaussian integers in units of 2^-prec, for prec at least
+    53 + the bit size of every coefficient.
+
+    Bini's rule (Numer. Algorithms 13, 1996): each edge from k to k + m of
+    the upper convex hull of the points (k, log2 |f_k|) puts m points on a
+    circle of radius (|f_k| / |f_(k+m)|)^(1/m), about where m roots of f
+    lie, turned by 2 pi k / n + 0.7 off the real axis.  The hull's slopes
+    differ, so its circles do, and no two points coincide.
+    """
+    n = len(f) - 1
+    hull = []
+    for k, c in enumerate(f):
+        if c:
+            pt = (k, math.log2(abs(c)))
+            while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
+                                      <= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+                hull.pop()
+            hull.append(pt)
+    xs = []
+    for (k, lk), (l, ll) in zip(hull, hull[1:]):
+        m = l - k
+        e, frac = divmod((lk - ll) / m, 1)
+        radius, shift = 2 ** (frac + 53), prec + int(e) - 53  # radius << shift is 2^(e + frac)
+        for j in range(m):
+            angle = 2 * math.pi * (j / m + k / n) + 0.7
+            xs.append((round(radius * math.cos(angle)) << shift,
+                       round(radius * math.sin(angle)) << shift))
+    return xs
 
 
-def _factor_search(f, prec):
-    """For squarefree f in Z[z] (ascending, degree n >= 2): False when a
+def _aberth(f, prec, xs):
+    """Aberth's iteration for the roots of squarefree f in Z[z] (ascending,
+    degree n) from the n distinct points xs, Gaussian integers in units of
+    2^-prec; returns the last iterates, in the same units.
+
+    Each root in turn steps by w = f / (f' - f sum_j 1 / (x_i - x_j)) over
+    the other iterates, f and f' evaluated exactly, and stops once a step
+    moves it by at most one unit in each coordinate; there are at most prec
+    sweeps.  Nothing here needs to be right: :func:`_factor_search` decides
+    from the iterates' own exact disks.
+    """
+    n, p2 = len(f) - 1, 2 * prec
+    moving = list(range(n))
+    for _ in range(prec):
+        if not moving:
+            break
+        still = []
+        for i in moving:
+            # 2^(prec n) f(x_i) and 2^(prec (n-1)) f'(x_i), by one Horner pass
+            xr, xi = xs[i]
+            vr = vi = dr = di = 0
+            for j in range(n, -1, -1):
+                dr, di = dr * xr - di * xi + vr, dr * xi + di * xr + vi
+                vr, vi = vr * xr - vi * xi + (f[j] << (prec * (n - j))), vr * xi + vi * xr
+            # s = sum_j 1 / (x_i - x_j), in units of 2^-prec
+            sr = si = 0
+            for j, (yr, yi) in enumerate(xs):
+                if j != i:
+                    ur, ui = xr - yr, xi - yi
+                    norm = ur * ur + ui * ui or 1  # a coincident iterate adds nothing
+                    sr += (ur << p2) // norm
+                    si -= (ui << p2) // norm
+            # w = v 2^(2 prec) / e, e = d 2^(2 prec) - v s, in units of 2^-prec
+            er = (dr << p2) - (vr * sr - vi * si)
+            ei = (di << p2) - (vr * si + vi * sr)
+            norm = er * er + ei * ei
+            if not norm:
+                continue  # f' = f s: no step, and this root stops
+            wr = ((vr * er + vi * ei) << p2) // norm
+            wi = ((vi * er - vr * ei) << p2) // norm
+            xs[i] = (xr - wr, xi - wi)
+            if max(abs(wr), abs(wi)) > 1:
+                still.append(i)
+        moving = still
+    return xs
+
+
+def _factor_search(f, xs, e):
+    """For squarefree f in Z[z] (ascending, degree n >= 2) and n root
+    approximations xs, Gaussian integers in units of 2^-e: False when a
     factor of degree <= n/2 divides f exactly, True when the root disks
-    exclude every such factor, None when ``prec`` bits do not decide.
+    exclude every such factor, None when the disks do not decide.
 
     The disks are Braess-Hadeler inclusions.  With distinct x_1..x_n and
     W_i = f(x_i) / (a prod_{j != i} (x_i - x_j)), the roots of f are the
     eigenvalues of diag(x) - W 1^T, whose Gerschgorin row disks lie in
     |z - x_i| <= n |W_i|; when these are pairwise disjoint each holds
-    exactly one root.  An mpf is an exact dyadic, so everything below is
-    exact integer arithmetic in units of 2^-e, with each radius rounded
-    up and |u + iv| bounded by |u| + |v| above and max(|u|, |v|) below.
+    exactly one root.  So the approximations need no trust, and everything
+    below is exact integer arithmetic in units of 2^-e, with each radius
+    rounded up and |u + iv| bounded by |u| + |v| above and max(|u|, |v|)
+    below.
     """
-    import mpmath
-    from mpmath.libmp import NoConvergence
-
     n, a = len(f) - 1, f[-1]
-    try:
-        with mpmath.mp.workprec(prec):
-            roots = mpmath.polyroots(f[::-1], maxsteps=prec, extraprec=prec)
-    except NoConvergence:
-        return None
-    parts = [y for x in roots for y in (x.real, x.imag)]
-    e = max([prec] + [-y.man_exp[1] for y in parts])
-    coords = [_times_power_of_two(y, e) for y in parts]
-    xs = list(zip(coords[::2], coords[1::2]))  # the roots times 2^e
     spow = [1 << (e * j) for j in range(n + 1)]
     radii = []
     for i, (xr, xi) in enumerate(xs):

@@ -117,10 +117,10 @@ def test_measure_decides_every_catalog_pair_by_its_identity(capsys, name, params
         "SAME", "fⁿ∘gᵐ = f^(n+k)", {"n": 1, "m": 1, "k": 1})
 
 
-def test_measure_without_an_identity_samples(monkeypatch, capsys):
+def test_measure_without_an_identity_samples(capsys):
     # measure used to sample this pair, and its clouds gave a false
-    # DIFFERENT at seed 0; now it draws none, and says INCONCLUSIVE
-    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+    # DIFFERENT at seed 0; now it says INCONCLUSIVE, and loads no sampler
+    # (test_exact_subcommands_load_no_numeric_layer runs it)
     for seed in range(5):
         code, out, err = run(capsys, "measure", *HAAR_PAIR, "--seed", str(seed))
         assert (code, err) == (0, "")
@@ -335,11 +335,10 @@ def test_measure_never_says_same_from_samples(capsys):
     assert sampled_ratio(f, g) < SAME_FACTOR
 
 
-def assert_sampling_options_ignored(monkeypatch, capsys, argv):
+def assert_sampling_options_ignored(capsys, argv):
     """The measure run argv, ["measure", "--f", f, "--g", g, ...], exits 0 at
     once with the report of the run without the options after g, its
-    --count, --depth or --seed: measure draws no cloud."""
-    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+    --count, --depth or --seed, which only a sampler would read."""
     t0 = time.perf_counter()
     got = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
@@ -356,9 +355,9 @@ def assert_sampling_options_ignored(monkeypatch, capsys, argv):
     ["render", "--map", "z^2", "--width=-3"],
     ["render", "--map", "z^2", "--window=-inf,inf,-2,2"],
 ])
-def test_empty_cloud_or_raster_exits_two(monkeypatch, capsys, argv):
+def test_empty_cloud_or_raster_exits_two(capsys, argv):
     if argv[0] == "measure":
-        return assert_sampling_options_ignored(monkeypatch, capsys, argv)
+        return assert_sampling_options_ignored(capsys, argv)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -469,9 +468,9 @@ def test_render_of_a_map_with_an_exceptional_two_cycle(tmp_path):
     ["iterate", "--map", "z^2", "--n", "2", "--budget", "1"],
     ["iterate", "--map", "z^2", "--shared-with", "z^2", "--budget", "1"],
 ])
-def test_count_depth_or_budget_out_of_range_exits_two(monkeypatch, capsys, argv):
+def test_count_depth_or_budget_out_of_range_exits_two(capsys, argv):
     if argv[0] == "measure":  # the options are ignored
-        return assert_sampling_options_ignored(monkeypatch, capsys, argv)
+        return assert_sampling_options_ignored(capsys, argv)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -497,7 +496,7 @@ def test_sampling_or_raster_over_budget_exits_two(monkeypatch, capsys, argv):
     # allocated only after its points are drawn
     monkeypatch.setattr(measure, "named_rng", unreachable)
     if argv[0] == "measure":
-        return assert_sampling_options_ignored(monkeypatch, capsys, argv)
+        return assert_sampling_options_ignored(capsys, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
@@ -1180,14 +1179,16 @@ EXACT_COMMANDS = [
     ["catalog", "run", "zieve-family", "--param", "n=2", "--param", "m=1"],
     ["sigma", "--map", "(z^2+1)/(z-3)"],
     ["measure", "--f", "z^2", "--g", "z^2+1"],
-    ["powermap", "--df", "4", "--dg", "8", "--root", "1/3"],
+    ["measure", *HAAR_PAIR],  # INCONCLUSIVE, over Q(i)
     ["iterate", "--field", "1,1,1", "--bind", "a=1+w", "--map", "a*z^2+1", "--n", "2"],
+    ["iterate", "--field=-2,0,0,1", "--bind", "t=w", "--map", "z^2+t", "--n", "2"],
 ]
+NUMERIC_LAYER = ("numpy", "mme.numeric", "mme.graphcurve", "mme.measure")
 
 
-def test_exact_subcommands_load_no_numeric_layer():
-    # every verdict of these subcommands is exact, so none loads numpy, the
-    # root finder, the graph tracker or the sampler
+def _loaded_by(commands, modules):
+    """The exit codes of ``main(argv)`` for each argv of ``commands``, run
+    in turn in one fresh process, and which of ``modules`` it loaded."""
     probe = (
         "import contextlib, io, json, sys\n"
         "from mme.cli import main\n"
@@ -1195,10 +1196,21 @@ def test_exact_subcommands_load_no_numeric_layer():
         "for argv in %r:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(main(argv))\n"
-        "print(json.dumps({'codes': codes, 'loaded': sorted(m for m in sys.modules if m in\n"
-        "    ('numpy', 'mme.numeric', 'mme.graphcurve', 'mme.measure'))}))\n"
-    ) % (EXACT_COMMANDS,)
-    assert _fresh_process_json(probe) == {"codes": [0] * len(EXACT_COMMANDS), "loaded": []}
+        "print(json.dumps({'codes': codes,\n"
+        "                  'loaded': sorted(m for m in sys.modules if m in %r)}))\n"
+    ) % (commands, modules)
+    return _fresh_process_json(probe)
+
+
+def test_exact_subcommands_load_no_numeric_layer():
+    # every verdict of these subcommands is exact, so none loads numpy, the
+    # root finder, the graph tracker or the sampler, nor mpmath, over Q or
+    # over a number field
+    assert _loaded_by(EXACT_COMMANDS, NUMERIC_LAYER + ("mpmath",)) == {
+        "codes": [0] * len(EXACT_COMMANDS), "loaded": []}
+    # powermap imports sympy, which imports mpmath itself
+    assert _loaded_by([["powermap", "--df", "4", "--dg", "8", "--root", "1/3"]],
+                      NUMERIC_LAYER) == {"codes": [0], "loaded": []}
 
 
 def test_package_names_resolve_on_first_use():

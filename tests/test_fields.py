@@ -1,3 +1,5 @@
+import cmath
+import math
 import time
 from fractions import Fraction
 
@@ -9,7 +11,9 @@ from mme.fields import (
     FieldContext,
     FieldError,
     MINPOLY_DIGIT_BUDGET,
+    _factor_search,
     _is_irreducible_over_q,
+    _newton_polygon_starts,
     field_configure,
     poly_divmod,
     to_fraction,
@@ -69,7 +73,8 @@ def test_integer_strings_are_read_past_the_digit_limit():
 
 
 def test_minimal_polynomial_coefficients_stay_within_the_digit_limit():
-    # the irreducibility test takes seconds past the budget, minutes on 5000 digits
+    # refused before the irreducibility test, whose time grows about as the
+    # square of the digits: about 15 ms at the budget, 2 s at 2400 digits
     budget = MINPOLY_DIGIT_BUDGET
     for coeffs in ([10**budget, 0, 1], [Fraction(1, 10**budget), 0, 1]):
         t0 = time.perf_counter()
@@ -77,6 +82,13 @@ def test_minimal_polynomial_coefficients_stay_within_the_digit_limit():
             FieldContext(coeffs)
         assert time.perf_counter() - t0 < 1.0
     assert FieldContext([10**budget - 1, 0, 1]).degree == 2
+    # the slowest octics probed at the budget: z^8 + N z^6 + 1 and z^8 + N z^7 + 1
+    for k in (6, 7):
+        coeffs = [1] + [0] * 7 + [1]
+        coeffs[k] = 10**budget - 1
+        t0 = time.perf_counter()
+        assert FieldContext(coeffs).degree == 8
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_reducible_minpoly_rejected():
@@ -157,11 +169,69 @@ SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]  # roots +-sqrt2 +-sqrt
     ([Fraction(-1, 2), 0, 1], True),         # t^2 - 1/2
     ([Fraction(-1, 4), 0, 1], False),        # (t - 1/2)(t + 1/2)
     ([-1, 0, 1], False),
+    ([6, 0, -5, 0, 1], False),               # (t^2 - 2)(t^2 - 3)
+    ([0, 1, 1], False),                      # t(t + 1): squarefree, a root at 0
 ])
 def test_irreducibility_corpus(coeffs, irreducible):
     coeffs = [Fraction(c) for c in coeffs]
     assert sympy_irreducible(coeffs) == irreducible
     assert _is_irreducible_over_q(coeffs) == irreducible
+
+
+def test_newton_polygon_starts_are_distinct():
+    # for 128 t^4 + 16 t^2 + 1 the hull's two circles have radii 2^-2 and
+    # 2^-1.5: rounded down to powers of two they would be one, and the
+    # edges' angles (0 and pi, then pi and 2 pi, turned alike) would coincide
+    for f in ([1, 0, 16, 0, 128], [1, 1, 1], SWINNERTON_DYER_8,
+              [1, 0, 0, 0, 0, 0, 10**150 - 1, 0, 1], [2, -4 * 10**15, 2 * 10**30] + [0] * 5 + [1]):
+        xs = _newton_polygon_starts(f, 53 + max(c.bit_length() for c in f))
+        assert len(set(xs)) == len(xs) == len(f) - 1
+
+
+@pytest.mark.parametrize("coeffs,irreducible,roots", [
+    ([1, 0, 0, 0, 1], True, [cmath.exp(1j * math.pi * (2 * k + 1) / 4) for k in range(4)]),
+    ([4, 0, 0, 0, 1], False, [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]),
+    ([6, 0, -5, 0, 1], False, [2**0.5, -2**0.5, 3**0.5, -3**0.5]),
+])
+def test_root_disks_trust_no_approximation(coeffs, irreducible, roots):
+    # the verdict rests on the disks around whatever approximations come in
+    # (Gaussian integers in units of 2^-e): bad ones leave it undecided
+    # (None), never wrong
+    for e in (1, 4, 9, 16, 30):
+        near = [(round(r.real * 2**e), round(r.imag * 2**e)) for r in roots]
+        step = max(2**(e - 8), 1)  # 2^-8, or one unit on a coarser grid
+        (x0, y0), rest = near[0], near[2:]
+        for xs in (
+            near,
+            [(x + step, y - step) for x, y in near],  # every root moved
+            [(x + (-1)**k * step, y + k * step) for k, (x, y) in enumerate(near)],
+            [(x0, y0), (x0 + step, y0)] + rest,  # two starts on one root
+            [(x0 + k * step, y0 - k * step) for k in range(4)],  # all on one root
+            [(x0, y0), (0, 0)] + rest,  # a start far from the root it replaces
+        ):
+            assert _factor_search(coeffs, xs, e) in (None, irreducible)
+        if e >= 9:
+            # from e = 9 on, every radius around +-sqrt2 and +-sqrt3 is below
+            # one unit and rounded up to it: rounded down to 0, the disks
+            # would miss the roots and exclude both true factors
+            assert _factor_search(coeffs, near, e) == irreducible
+
+
+def test_overlapping_root_disks_decide_nothing():
+    # z^4 - 2 (10z - 1)^2 is irreducible (Eisenstein at 2), and two of its
+    # roots lie 0.0014 apart near 1/10.  Their approximations moved a
+    # quarter of that gap toward each other have small disks that exclude
+    # every factor, but overlap: neither is known to hold one root, so
+    # they decide nothing
+    f = [-2, 40, -200, 0, 1]
+    s, t, u = 2**0.5, (50 - 2**0.5)**0.5, (50 + 2**0.5)**0.5
+    roots = [-5 * s - u, u - 5 * s, 5 * s - t, 5 * s + t]
+    for e in (12, 16, 20):
+        near = [(round(r * 2**e), 0) for r in roots]
+        assert _factor_search(f, near, e) is True
+        d = (near[2][0] - near[1][0]) // 4
+        moved = [near[0], (near[1][0] + d, 0), (near[2][0] - d, 0), near[3]]
+        assert _factor_search(f, moved, e) is None
 
 
 def test_reducible_minimal_polynomials_are_rejected_up_front():

@@ -211,9 +211,8 @@ def test_push_forward_by_wrong_mobius_is_detected():
     assert pushed_ratio(f, shift, count=1500, depth=30, seed=5) > DIFFERENT_FACTOR
 
 
-def test_push_forward_by_wrong_mobius_gets_an_exact_different(monkeypatch):
+def test_push_forward_by_wrong_mobius_gets_an_exact_different():
     # sigma o f o sigma^-1 = z^2 - 6z + 11, whose measure has mean 3
-    monkeypatch.setattr(measure, "backward_orbit_sample", None)
     f = rmap([-1, 0, 1])
     shift = RationalMap.moebius(Q.one, Q.from_rational(3), Q.zero, Q.one)
     rep = sigma_invariance_check(f, shift)
@@ -221,8 +220,7 @@ def test_push_forward_by_wrong_mobius_gets_an_exact_different(monkeypatch):
                              "witness": {"k": 1, "f": "0", "g": "3"}, "map": map_digest(f)}
 
 
-def test_polynomial_pairs_get_an_exact_different_at_every_seed(monkeypatch):
-    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+def test_polynomial_pairs_get_an_exact_different_at_every_seed():
     z2 = rmap([0, 0, 1])
     cases = [
         (z2, rmap([Fraction(1, 100), 0, 1]), "moments", {"k": 2, "f": "0", "g": "-1/100"}),
@@ -510,8 +508,7 @@ def test_lockstep_sample_cuts_every_orbit_near_any_exceptional_point(monkeypatch
 
 
 @pytest.mark.parametrize("size", [(0, 10), (10, 0), (-3, 10)])
-def test_raster_rejects_a_non_positive_size(monkeypatch, size):
-    monkeypatch.setattr(measure, "backward_orbit_sample", None)  # no sampling either
+def test_raster_rejects_a_non_positive_size(size):
     with pytest.raises(MapError, match="positive"):
         julia_raster(rmap([0, 0, 1]), *size, (-2.0, 2.0, -2.0, 2.0))
 
@@ -522,8 +519,7 @@ def test_raster_rejects_an_unbounded_window():
             julia_raster(rmap([0, 0, 1]), 10, 10, window)
 
 
-def test_exact_routes_draw_no_cloud(monkeypatch):
-    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+def test_exact_routes_draw_no_cloud():
     f = random_rational_map(2, rng_for("exact-routes"))
     sigma = sigma_f_quadratic(f)
     flower = entry("chebyshev-flower", {"a": "2"}).maps
@@ -558,8 +554,7 @@ def test_exact_routes_draw_no_cloud(monkeypatch):
                                  "map": map_digest(a)}
 
 
-def test_undecided_pairs_are_inconclusive_without_sampling(monkeypatch):
-    monkeypatch.setattr(measure, "backward_orbit_sample", None)
+def test_undecided_pairs_are_inconclusive_without_sampling():
     w = omega_field()
     h = rmap([1, 0, 1], [0, 1])  # z + 1/z
     for f, g in ((h, rmap([1, Fraction(1, 100), 1], [0, 1])),
